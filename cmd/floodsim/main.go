@@ -41,8 +41,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -51,59 +53,62 @@ import (
 	"floodgate"
 )
 
-func main() {
-	var (
-		expID      = flag.String("exp", "", "experiment id (see -list), or 'all'")
-		scale      = flag.Float64("scale", 0.25, "fabric scale in (0,1]; 1 = paper scale")
-		seed       = flag.Uint64("seed", 1, "workload/simulation seed")
-		par        = flag.Int("par", 0, "max concurrent simulations; 0 = all cores, 1 = serial")
-		shards     = flag.Int("shards", 1, "engine shards per simulation (conservative-window PDES); output is identical at any count")
-		list       = flag.Bool("list", false, "list available experiments")
-		obsDir     = flag.String("obs", "", "write per-run metrics/timeline files under this directory")
-		sample     = flag.Duration("sample", 0, "metrics sampling period on the simulation clock (e.g. 10us); 0 = default")
-		faults     = flag.String("faults", "", "run one fault-injection scenario, or 'list'")
-		topoName   = flag.String("topo", "", "large-fabric preset for -exp scaleincast (clos, clos100k, fattree16, fattree32), or 'list'")
-		forensics  = flag.Bool("forensics", false, "causal flow forensics: FCT time-budget attribution + incast episodes (requires -obs; writes <label>.forensics.ndjson)")
-		sched      = flag.String("sched", "wheel", "event scheduler: wheel (default) or heap; output is identical")
-		appOn      = flag.Bool("app", false, "overlay the closed-loop application plane on experiments that support it (adds SLO columns to faultmatrix); 'sloincast' runs it regardless")
-		flowsFrom  = flag.String("flows-from", "", "replay an NDJSON flow file (one {src,dst,size,start_ps,cat} object per line, sorted by start_ps)")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	switch *sched {
-	case "wheel", "heap":
-	default:
-		fmt.Fprintf(os.Stderr, "floodsim: unknown -sched %q (want wheel or heap)\n", *sched)
-		os.Exit(2)
+// run is the whole CLI behind an exit code, so the tests drive it
+// in-process: 0 success, 1 a run failed, 2 usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("floodsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		expID      = fs.String("exp", "", "experiment id (see -list), or 'all'")
+		scale      = fs.Float64("scale", 0.25, "fabric scale in (0,1]; 1 = paper scale")
+		seed       = fs.Uint64("seed", 1, "workload/simulation seed")
+		par        = fs.Int("par", 0, "max concurrent simulations; 0 = all cores, 1 = serial")
+		shards     = fs.Int("shards", 1, "engine shards per simulation (conservative-window PDES); output is identical at any count")
+		list       = fs.Bool("list", false, "list available experiments")
+		obsDir     = fs.String("obs", "", "write per-run metrics/timeline files under this directory")
+		sample     = fs.Duration("sample", 0, "metrics sampling period on the simulation clock (e.g. 10us); 0 = default")
+		faults     = fs.String("faults", "", "run one fault-injection scenario, or 'list'")
+		topoName   = fs.String("topo", "", "large-fabric preset for -exp scaleincast (clos, clos100k, fattree16, fattree32), or 'list'")
+		forensics  = fs.Bool("forensics", false, "causal flow forensics: FCT time-budget attribution + incast episodes (requires -obs; writes <label>.forensics.ndjson)")
+		appOn      = fs.Bool("app", false, "overlay the closed-loop application plane on experiments that support it (adds SLO columns to faultmatrix); 'sloincast' runs it regardless")
+		flowsFrom  = fs.String("flows-from", "", "replay an NDJSON flow file (one {src,dst,size,start_ps,cat} object per line, sorted by start_ps)")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
+		memProfile = fs.String("memprofile", "", "write a heap profile to this file at exit")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
 	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "floodsim: -shards must be non-negative, got %d\n", *shards)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "floodsim: -shards must be non-negative, got %d\n", *shards)
+		return 2
 	}
 	if *shards > 1 && *obsDir != "" {
-		fmt.Fprintln(os.Stderr, "floodsim: -obs does not compose with -shards > 1 (per-shard metric export is not merged; see DESIGN.md §10)")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "floodsim: -obs does not compose with -shards > 1 (per-shard metric export is not merged; see DESIGN.md §10)")
+		return 2
 	}
 	if err := validateConcurrency(*par, *shards, runtime.GOMAXPROCS(0)); err != nil {
-		fmt.Fprintln(os.Stderr, "floodsim:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "floodsim:", err)
+		return 2
 	}
 	if err := validateForensics(*forensics, *obsDir); err != nil {
-		fmt.Fprintln(os.Stderr, "floodsim:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "floodsim:", err)
+		return 2
 	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "floodsim:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "floodsim:", err)
+			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "floodsim:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "floodsim:", err)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -111,95 +116,91 @@ func main() {
 		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "floodsim:", err)
+				fmt.Fprintln(stderr, "floodsim:", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // settle live heap before the snapshot
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "floodsim:", err)
+				fmt.Fprintln(stderr, "floodsim:", err)
 			}
 		}()
 	}
 
 	if *topoName == "list" {
-		fmt.Println("topology presets (floodsim -exp scaleincast -topo <name>):")
+		fmt.Fprintln(stdout, "topology presets (floodsim -exp scaleincast -topo <name>):")
 		for _, p := range floodgate.TopoPresets() {
-			fmt.Printf("  %-10s %s\n", p[0], p[1])
+			fmt.Fprintf(stdout, "  %-10s %s\n", p[0], p[1])
 		}
-		return
+		return 0
 	}
 	if err := validateTopo(*topoName); err != nil {
-		fmt.Fprintln(os.Stderr, "floodsim:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "floodsim:", err)
+		return 2
 	}
 
 	if *faults == "list" {
-		fmt.Println("fault scenarios (floodsim -faults <name>):")
+		fmt.Fprintln(stdout, "fault scenarios (floodsim -faults <name>):")
 		for _, n := range floodgate.FaultScenarioNames() {
-			fmt.Printf("  %s\n", n)
+			fmt.Fprintf(stdout, "  %s\n", n)
 		}
-		return
-	}
-	schedOpt := floodgate.SchedWheel
-	if *sched == "heap" {
-		schedOpt = floodgate.SchedHeap
+		return 0
 	}
 
 	if *flowsFrom != "" {
-		o := floodgate.Options{Scale: *scale, Seed: *seed, Parallelism: *par, Scheduler: schedOpt, Shards: *shards}
+		o := floodgate.Options{Scale: *scale, Seed: *seed, Parallelism: *par, Shards: *shards}
 		start := time.Now() //lint:allow walltime progress reporting times the real run, not the simulation
 		tables, err := floodgate.RunFlowFile(*flowsFrom, o)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "floodsim:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "floodsim:", err)
+			return 1
 		}
 		for _, t := range tables {
-			fmt.Println(t.String())
+			fmt.Fprintln(stdout, t.String())
 		}
-		fmt.Printf("[flows-from %s done in %v at scale %.2f]\n", *flowsFrom,
+		fmt.Fprintf(stdout, "[flows-from %s done in %v at scale %.2f]\n", *flowsFrom,
 			time.Since(start).Round(time.Millisecond), *scale) //lint:allow walltime progress reporting times the real run, not the simulation
-		return
+		return 0
 	}
 
 	if *faults != "" {
-		o := floodgate.Options{Scale: *scale, Seed: *seed, Parallelism: *par, Scheduler: schedOpt, Shards: *shards, App: *appOn}
+		o := floodgate.Options{Scale: *scale, Seed: *seed, Parallelism: *par, Shards: *shards, App: *appOn}
 		start := time.Now() //lint:allow walltime progress reporting times the real run, not the simulation
 		tables, err := floodgate.RunFaultScenario(*faults, o)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "floodsim:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "floodsim:", err)
+			return 1
 		}
 		for _, t := range tables {
-			fmt.Println(t.String())
+			fmt.Fprintln(stdout, t.String())
 		}
-		fmt.Printf("[faults/%s done in %v at scale %.2f]\n", *faults,
+		fmt.Fprintf(stdout, "[faults/%s done in %v at scale %.2f]\n", *faults,
 			time.Since(start).Round(time.Millisecond), *scale) //lint:allow walltime progress reporting times the real run, not the simulation
-		return
+		return 0
 	}
 
 	if *list || *expID == "" {
-		fmt.Println("available experiments:")
+		fmt.Fprintln(stdout, "available experiments:")
 		for _, e := range floodgate.Experiments() {
-			fmt.Printf("  %-12s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "  %-12s %s\n", e.ID, e.Title)
 		}
 		if *expID == "" && !*list {
-			fmt.Println("\nusage: floodsim -exp <id|all> [-scale S] [-seed N] [-par N]")
-			os.Exit(2)
+			fmt.Fprintln(stdout, "\nusage: floodsim -exp <id|all> [-scale S] [-seed N] [-par N]")
+			return 2
 		}
-		return
+		return 0
 	}
 
-	o := floodgate.Options{Scale: *scale, Seed: *seed, Parallelism: *par, Scheduler: schedOpt, Shards: *shards, App: *appOn, Topo: *topoName}
+	o := floodgate.Options{Scale: *scale, Seed: *seed, Parallelism: *par, Shards: *shards, App: *appOn, Topo: *topoName}
 	if *obsDir != "" {
 		o.Obs = floodgate.ObsConfig{Dir: *obsDir, Period: floodgate.FromNanos(sample.Nanoseconds())}
 	}
 	o.Obs.Forensics = *forensics
 	print := func(id string, tables []floodgate.Table, elapsed time.Duration) {
 		for _, t := range tables {
-			fmt.Println(t.String())
+			fmt.Fprintln(stdout, t.String())
 		}
-		fmt.Printf("[%s done in %v at scale %.2f]\n\n", id, elapsed.Round(time.Millisecond), *scale)
+		fmt.Fprintf(stdout, "[%s done in %v at scale %.2f]\n\n", id, elapsed.Round(time.Millisecond), *scale)
 	}
 
 	if *expID == "all" {
@@ -217,37 +218,28 @@ func main() {
 		failed := false
 		floodgate.RunExperiments(ids, o, func(id string, tables []floodgate.Table, err error) {
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "floodsim:", err)
+				fmt.Fprintln(stderr, "floodsim:", err)
 				failed = true
 				return
 			}
 			print(id, tables, time.Since(start)) //lint:allow walltime progress reporting times the real run, not the simulation
 		})
 		if failed {
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	start := time.Now() //lint:allow walltime progress reporting times the real run, not the simulation
 	tables, err := floodgate.RunExperiment(*expID, o)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "floodsim:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "floodsim:", err)
+		return 1
 	}
 	print(*expID, tables, time.Since(start)) //lint:allow walltime progress reporting times the real run, not the simulation
+	return 0
 }
 
-// validateConcurrency rejects explicit concurrency settings the exp
-// executor would otherwise only clamp with a warning: every simulation
-// runs one goroutine per shard, so a -par x -shards product above
-// GOMAXPROCS cannot execute as requested — the executor would quietly
-// cap the concurrent runs below what was asked for. An explicit -par
-// is a statement of intent, so an impossible product is a usage error
-// here. -par 0 keeps the executor's auto-sizing (cores divided by the
-// shard count), and -shards alone is never rejected: shards above the
-// core count merely time-slice, which is slower but still bit-exact
-// (that is what lets the 1-core CI container smoke-test -shards 2).
 // validateForensics rejects -forensics without an -obs directory: the
 // forensics report is file output (NDJSON beside the run's metric
 // files), so without a destination directory the flag would silently
@@ -279,6 +271,16 @@ func validateTopo(name string) error {
 	return fmt.Errorf("unknown -topo %q (have %v, or 'list')", name, names)
 }
 
+// validateConcurrency rejects explicit concurrency settings the exp
+// executor would otherwise only clamp with a warning: every simulation
+// runs one goroutine per shard, so a -par x -shards product above
+// GOMAXPROCS cannot execute as requested — the executor would quietly
+// cap the concurrent runs below what was asked for. An explicit -par
+// is a statement of intent, so an impossible product is a usage error
+// here. -par 0 keeps the executor's auto-sizing (cores divided by the
+// shard count), and -shards alone is never rejected: shards above the
+// core count merely time-slice, which is slower but still bit-exact
+// (that is what lets the 1-core CI container smoke-test -shards 2).
 func validateConcurrency(par, shards, maxProcs int) error {
 	if shards <= 1 || par < 1 {
 		return nil

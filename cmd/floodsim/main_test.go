@@ -1,6 +1,7 @@
 package main
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -79,5 +80,51 @@ func TestValidateForensics(t *testing.T) {
 				t.Errorf("error = %q, want it to suggest the fix (-obs out/)", err)
 			}
 		})
+	}
+}
+
+// TestRunCLI drives the whole CLI in-process: one real experiment per
+// execution surface (sharded, obs+forensics, app plane, -topo preset)
+// exits 0 with a table, and every usage error exits 2 with a message
+// naming the offending flag.
+func TestRunCLI(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation test")
+	}
+	obs := t.TempDir()
+	cases := []struct {
+		name       string
+		args       []string
+		wantCode   int
+		wantStdout string // substring of stdout
+		wantStderr string // substring of stderr
+	}{
+		{"sharded figure", []string{"-exp", "fig2", "-scale", "0.1", "-shards", "2"}, 0, "== Fig 2", ""},
+		{"obs with forensics", []string{"-exp", "fig2", "-scale", "0.1", "-obs", obs, "-forensics"}, 0, "FCT time budget", ""},
+		{"app plane", []string{"-exp", "sloincast", "-scale", "0.1"}, 0, "[sloincast done in", ""},
+		{"topo preset", []string{"-exp", "scaleincast", "-topo", "clos"}, 0, "structural", ""},
+		{"forensics without obs", []string{"-exp", "fig2", "-forensics"}, 2, "", "-forensics needs -obs"},
+		{"obs with shards", []string{"-exp", "fig2", "-obs", obs, "-shards", "2"}, 2, "", "-obs does not compose with -shards"},
+		{"unknown topo", []string{"-exp", "scaleincast", "-topo", "torus"}, 2, "", `unknown -topo "torus"`},
+		{"removed scheduler knob", []string{"-exp", "fig2", "-sched", "heap"}, 2, "", "not defined: -sched"},
+		{"unknown experiment", []string{"-exp", "nope"}, 1, "", "nope"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr strings.Builder
+			if code := run(tc.args, &stdout, &stderr); code != tc.wantCode {
+				t.Fatalf("run(%q) = %d, want %d\nstderr: %s", tc.args, code, tc.wantCode, stderr.String())
+			}
+			if !strings.Contains(stdout.String(), tc.wantStdout) {
+				t.Errorf("stdout lacks %q:\n%s", tc.wantStdout, stdout.String())
+			}
+			if !strings.Contains(stderr.String(), tc.wantStderr) {
+				t.Errorf("stderr lacks %q:\n%s", tc.wantStderr, stderr.String())
+			}
+		})
+	}
+	reports, err := filepath.Glob(filepath.Join(obs, "fig2", "*.forensics.ndjson"))
+	if err != nil || len(reports) == 0 {
+		t.Fatalf("-obs -forensics wrote no %s/fig2/*.forensics.ndjson (err %v)", obs, err)
 	}
 }

@@ -343,20 +343,6 @@ func NewNetwork(cfg NetworkConfig) *Network { return device.New(cfg) }
 // NewEngine returns a fresh event engine.
 func NewEngine() *sim.Engine { return sim.NewEngine() }
 
-// Scheduler selects the engine's event-queue implementation
-// (Options.Scheduler). The default SchedWheel is a hierarchical timing
-// wheel; SchedHeap is the plain binary-heap baseline. Both execute
-// events in the identical order, so outputs never depend on the choice.
-type Scheduler = sim.Scheduler
-
-const (
-	SchedWheel = sim.SchedWheel
-	SchedHeap  = sim.SchedHeap
-)
-
-// NewEngineWith returns a fresh event engine on a specific scheduler.
-func NewEngineWith(s Scheduler) *sim.Engine { return sim.NewEngineWith(s) }
-
 // NewFloodgate returns the per-switch Floodgate module factory for use
 // in a NetworkConfig.
 func NewFloodgate(cfg FloodgateConfig) device.FCFactory { return core.New(cfg) }

@@ -6,6 +6,7 @@ import (
 	"floodgate/internal/cc"
 	"floodgate/internal/cc/dcqcn"
 	"floodgate/internal/cc/hpcc"
+	"floodgate/internal/fault"
 	"floodgate/internal/packet"
 	"floodgate/internal/sim"
 	"floodgate/internal/stats"
@@ -380,5 +381,59 @@ func TestQueueDelayAttribution(t *testing.T) {
 	n.Run(units.Time(10 * units.Millisecond))
 	if n.Stats.AvgQueueDelay(topo.ClassToRDown) == 0 {
 		t.Fatal("no queuing delay recorded at the congested last hop")
+	}
+}
+
+// TestRouteFaultedZeroAlloc is the active-fault routing gate: with one
+// uplink of the routed ToR down, Route takes the live-subset re-hash
+// path (downPorts > 0 and downAt[node] > 0) for every cross-rack pair,
+// must never pick the dead port, and must select the live subset by
+// scanning — not materializing — the candidate slice: zero allocations.
+func TestRouteFaultedZeroAlloc(t *testing.T) {
+	cfg := smallCfg()
+	n := New(cfg)
+	tp := cfg.Topo
+	src := tp.Hosts[0]
+	tor := tp.Node(src).Ports[0].Peer
+	dead := -1
+	for i, pt := range tp.Node(tor).Ports {
+		if tp.Node(pt.Peer).Kind == topo.SwitchNode {
+			dead = i
+			break
+		}
+	}
+	var remote []packet.NodeID
+	onDead := 0
+	for _, h := range tp.Hosts {
+		if tp.Node(h).Ports[0].Peer != tor {
+			remote = append(remote, h)
+			if n.Route(tor, src, h) == dead {
+				onDead++
+			}
+		}
+	}
+	if onDead == 0 {
+		t.Fatal("no pair hashes onto the uplink about to fail; test premise broken")
+	}
+	n.InstallFaults(&fault.Plan{Events: []fault.Event{
+		{At: 0, Kind: fault.LinkDown, Link: fault.Link{A: tor, B: tp.Node(tor).Ports[dead].Peer}},
+	}}, cfg.Seed)
+	n.Eng.Run(0) // apply both halves of the link-down
+	if got := n.FaultStats().LinksDown; got != 1 {
+		t.Fatalf("links down = %d, want 1", got)
+	}
+	pickedDead := false
+	allocs := testing.AllocsPerRun(1000, func() {
+		for _, dst := range remote {
+			if n.Route(tor, src, dst) == dead {
+				pickedDead = true
+			}
+		}
+	})
+	if pickedDead {
+		t.Fatal("Route picked the downed uplink")
+	}
+	if allocs != 0 {
+		t.Fatalf("faulted Route allocates %.1f allocs per %d lookups, want 0", allocs, len(remote))
 	}
 }

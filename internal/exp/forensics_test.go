@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"floodgate/internal/forensics"
-	"floodgate/internal/sim"
 	"floodgate/internal/units"
 )
 
@@ -139,74 +138,78 @@ func TestForensicsBaselineNoParking(t *testing.T) {
 // TestForensicsNoSimImpact pins the zero-observer-effect contract at
 // the run level: forensics on and off must execute the identical
 // simulation (same completions, delivered bytes, executed events and
-// final clock).
+// final clock), and off must mean off — no recorder built on any
+// shard, no report returned — so every data-path hook stays the single
+// nil check floodlint's hotpath rule holds it to.
 func TestForensicsNoSimImpact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
-	o := Options{Scale: 0.1, Seed: 1}.norm()
-	run := func(forensicsOn bool) *RunResult {
-		oo := o
-		oo.Obs.Forensics = forensicsOn
-		tp := oo.leafSpine()
-		return Run(RunConfig{
-			Topo: tp, Scheme: WithFloodgate(oo, DCQCN(oo), baseBDPOf(tp)),
-			Specs:    pureIncastSpecs(tp, oo.Seed),
-			Duration: 2 * units.Millisecond, Seed: oo.Seed, Opt: oo,
-		})
-	}
-	off, on := run(false), run(true)
-	if off.Forensics != nil || on.Forensics == nil {
-		t.Fatalf("report presence wrong: off=%v on=%v", off.Forensics != nil, on.Forensics != nil)
-	}
-	if off.Completed != on.Completed || off.Total != on.Total {
-		t.Errorf("completions differ: %d/%d vs %d/%d", off.Completed, off.Total, on.Completed, on.Total)
-	}
-	if off.DeliveredBytes() != on.DeliveredBytes() {
-		t.Errorf("delivered bytes differ: %v vs %v", off.DeliveredBytes(), on.DeliveredBytes())
-	}
-	if off.Processed() != on.Processed() {
-		t.Errorf("executed events differ: %d vs %d", off.Processed(), on.Processed())
-	}
-	if off.Net.Eng.Now() != on.Net.Eng.Now() {
-		t.Errorf("final clocks differ: %v vs %v", off.Net.Eng.Now(), on.Net.Eng.Now())
+	for _, shards := range []int{1, 2} {
+		o := Options{Scale: 0.1, Seed: 1, Shards: shards}.norm()
+		run := func(forensicsOn bool) *RunResult {
+			oo := o
+			oo.Obs.Forensics = forensicsOn
+			tp := oo.leafSpine()
+			return Run(RunConfig{
+				Topo: tp, Scheme: WithFloodgate(oo, DCQCN(oo), baseBDPOf(tp)),
+				Specs:    pureIncastSpecs(tp, oo.Seed),
+				Duration: 2 * units.Millisecond, Seed: oo.Seed, Opt: oo,
+			})
+		}
+		off, on := run(false), run(true)
+		if off.Forensics != nil || on.Forensics == nil {
+			t.Fatalf("shards=%d: report presence wrong: off=%v on=%v", shards, off.Forensics != nil, on.Forensics != nil)
+		}
+		for i, n := range off.Cluster.Nets {
+			if n.ForensicsRec() != nil {
+				t.Errorf("shards=%d: shard %d built a recorder with forensics off", shards, i)
+			}
+		}
+		if off.Completed != on.Completed || off.Total != on.Total {
+			t.Errorf("shards=%d: completions differ: %d/%d vs %d/%d", shards, off.Completed, off.Total, on.Completed, on.Total)
+		}
+		if off.DeliveredBytes() != on.DeliveredBytes() {
+			t.Errorf("shards=%d: delivered bytes differ: %v vs %v", shards, off.DeliveredBytes(), on.DeliveredBytes())
+		}
+		if off.Processed() != on.Processed() {
+			t.Errorf("shards=%d: executed events differ: %d vs %d", shards, off.Processed(), on.Processed())
+		}
+		if off.Net.Eng.Now() != on.Net.Eng.Now() {
+			t.Errorf("shards=%d: final clocks differ: %v vs %v", shards, off.Net.Eng.Now(), on.Net.Eng.Now())
+		}
 	}
 }
 
-// TestForensicsShardSchedDeterminism is the load-bearing determinism
-// gate from the issue: the forensics NDJSON (and the human summary)
-// must be bit-identical across every shard count and scheduler. The
-// per-shard sibling recorders see different interleavings of the same
-// global event order; BuildReport's merge must erase the partition
-// entirely.
-func TestForensicsShardSchedDeterminism(t *testing.T) {
+// TestForensicsShardDeterminism is the load-bearing determinism gate:
+// the forensics NDJSON (and the human summary) must be bit-identical
+// across every shard count. The per-shard sibling recorders see
+// different interleavings of the same global event order;
+// BuildReport's merge must erase the partition entirely.
+func TestForensicsShardDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
 	var wantNDJSON, wantSummary string
 	for _, shards := range []int{1, 2, 4} {
-		for _, sched := range []sim.Scheduler{sim.SchedWheel, sim.SchedHeap} {
-			o := Options{Scale: 0.1, Seed: 1, Shards: shards, Scheduler: sched}
-			res := forensicsIncastRun(t, o, true)
-			var b strings.Builder
-			if err := res.Forensics.WriteNDJSON(&b); err != nil {
-				t.Fatal(err)
+		res := forensicsIncastRun(t, Options{Scale: 0.1, Seed: 1, Shards: shards}, true)
+		var b strings.Builder
+		if err := res.Forensics.WriteNDJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		got, sum := b.String(), res.Forensics.Summary()
+		if wantNDJSON == "" {
+			wantNDJSON, wantSummary = got, sum
+			if !strings.Contains(got, `"type":"episode"`) {
+				t.Fatalf("reference NDJSON has no episodes:\n%s", got)
 			}
-			got, sum := b.String(), res.Forensics.Summary()
-			if wantNDJSON == "" {
-				wantNDJSON, wantSummary = got, sum
-				if !strings.Contains(got, `"type":"episode"`) {
-					t.Fatalf("reference NDJSON has no episodes:\n%s", got)
-				}
-				continue
-			}
-			if got != wantNDJSON {
-				t.Errorf("NDJSON differs at shards=%d sched=%v (%d vs %d bytes)",
-					shards, sched, len(got), len(wantNDJSON))
-			}
-			if sum != wantSummary {
-				t.Errorf("summary differs at shards=%d sched=%v:\n%s\nvs\n%s", shards, sched, sum, wantSummary)
-			}
+			continue
+		}
+		if got != wantNDJSON {
+			t.Errorf("NDJSON differs at shards=%d (%d vs %d bytes)", shards, len(got), len(wantNDJSON))
+		}
+		if sum != wantSummary {
+			t.Errorf("summary differs at shards=%d:\n%s\nvs\n%s", shards, sum, wantSummary)
 		}
 	}
 }

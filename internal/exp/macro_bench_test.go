@@ -7,7 +7,6 @@ import (
 
 	"floodgate/internal/app"
 	"floodgate/internal/fault"
-	"floodgate/internal/topo"
 	"floodgate/internal/units"
 	"floodgate/internal/workload"
 )
@@ -21,8 +20,10 @@ import (
 //   - simsec/wallsec — simulated seconds advanced per wall-clock second
 //
 // The second is the paper-reproduction figure of merit: how much
-// simulated time a second of hardware buys. Tracked across PRs in
-// BENCH_PR*.json (see EXPERIMENTS.md).
+// simulated time a second of hardware buys. These are `go test -bench`
+// conveniences for working on one path; performance claims go through
+// the bench/ ledger (bench/README.md), which measures the same runs
+// with a setup/run split and a parent-vs-change estimator.
 
 // BenchmarkRunIncast is the incast macro workload: every cross-rack
 // host sends one 30-40 MTU flow to a single victim at t=0 through
@@ -52,41 +53,6 @@ func BenchmarkRunIncast(b *testing.B) {
 	b.ReportMetric(events/wall, "events/s")
 }
 
-// BenchmarkForensicsOff is the zero-overhead guard for the forensics
-// hooks: the identical workload to BenchmarkRunIncast, run with
-// forensics explicitly disabled (Config.Forensics nil — every hook is
-// one nil-check). benchjson's compare mode pairs it with
-// BenchmarkRunIncast and fails if their allocs/op diverge, so a change
-// that makes a disabled hook allocate (or quietly turns forensics on
-// in the base path) is caught by `make bench-compare` even though the
-// absolute numbers drift with the hardware.
-func BenchmarkForensicsOff(b *testing.B) {
-	o := Options{Scale: 0.25, Seed: 1}.norm()
-	o.Obs.Forensics = false // the disabled-hook path under test
-	b.ReportAllocs()
-	var simSec, events float64
-	for i := 0; i < b.N; i++ {
-		tp := o.leafSpine()
-		specs := pureIncastSpecs(tp, o.Seed)
-		res := Run(RunConfig{
-			Topo: tp, Scheme: WithFloodgate(o, DCQCN(o), baseBDPOf(tp)),
-			Specs: specs, Duration: 2 * units.Millisecond,
-			Seed: o.Seed, Opt: o,
-		})
-		if res.Completed != res.Total {
-			b.Fatalf("flows incomplete: %d/%d", res.Completed, res.Total)
-		}
-		if res.Forensics != nil {
-			b.Fatal("forensics report built with forensics off")
-		}
-		simSec += res.Net.Eng.Now().Seconds()
-		events += float64(res.Net.Eng.Processed)
-	}
-	wall := b.Elapsed().Seconds()
-	b.ReportMetric(simSec/wall, "simsec/wallsec")
-	b.ReportMetric(events/wall, "events/s")
-}
-
 // BenchmarkRunIncastSharded sweeps the shard count over the
 // paper-scale (Scale 1: 160 hosts, 10 ToRs, 4 spines) incast — the
 // "one giant run" the sharded conservative-window executor exists to
@@ -94,8 +60,8 @@ func BenchmarkForensicsOff(b *testing.B) {
 // sub-benchmarks measure pure executor cost: on a multi-core host the
 // events/s curve should rise toward the shard count (ToR-subtree
 // partitions are near-balanced); on a single core it instead prices
-// the barrier + mailbox overhead. GOMAXPROCS is recorded in the
-// BENCH_*.json manifest so the two regimes are never confused.
+// the barrier + mailbox overhead. GOMAXPROCS is part of the
+// sub-benchmark name so the two regimes are never confused.
 func BenchmarkRunIncastSharded(b *testing.B) {
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d/gomaxprocs=%d", shards, runtime.GOMAXPROCS(0)), func(b *testing.B) {
@@ -151,10 +117,10 @@ func BenchmarkRunFig2Row(b *testing.B) {
 // macro workload with one of the victim ToR's uplinks down for the
 // whole run, so every routed packet takes Network.Route's faulted
 // path (downPorts > 0) and packets through the faulted ToR exercise
-// the live-subset re-hash. benchjson's compare mode pins allocs/op,
-// so a live-path selection that starts materializing port subsets
-// fails `make bench-compare` — and the per-node down-count fast path
-// keeps the unaffected majority of nodes at plain-ECMP cost.
+// the live-subset re-hash, while the per-node down-count fast path
+// keeps the unaffected majority of nodes at plain-ECMP cost. That the
+// live-path selection allocates nothing is asserted exactly by
+// device's TestRouteFaultedZeroAlloc.
 func BenchmarkRunFaulted(b *testing.B) {
 	o := Options{Scale: 0.25, Seed: 1}.norm()
 	b.ReportAllocs()
@@ -182,33 +148,6 @@ func BenchmarkRunFaulted(b *testing.B) {
 	wall := b.Elapsed().Seconds()
 	b.ReportMetric(simSec/wall, "simsec/wallsec")
 	b.ReportMetric(events/wall, "events/s")
-}
-
-// BenchmarkRouteMemory prices the two router implementations at the
-// k=16 fat tree (1,024 hosts — the largest size where the dense
-// table is still comfortably buildable): ns/op is the build cost and
-// the custom metrics record resident route memory. benchjson's
-// route-memory pair rule asserts structural route_bytes stays at
-// least 100x below dense, so the compression claim is re-measured on
-// every `make bench-compare`, not just asserted once.
-func BenchmarkRouteMemory(b *testing.B) {
-	for _, kind := range []string{"structural", "dense"} {
-		b.Run(kind, func(b *testing.B) {
-			var routeBytes int64
-			hosts := 1
-			for i := 0; i < b.N; i++ {
-				tp := topo.FatTree16().Build() // freezes structural
-				hosts = tp.NumHosts()
-				if kind == "dense" {
-					routeBytes = topo.NewDenseRouter(tp).Bytes()
-				} else {
-					routeBytes = tp.RouteBytes()
-				}
-			}
-			b.ReportMetric(float64(routeBytes), "route_bytes/topo")
-			b.ReportMetric(float64(routeBytes)/float64(hosts), "route_bytes/host")
-		})
-	}
 }
 
 // BenchmarkRunScaleIncast executes the scaleincast run end to end on
@@ -248,10 +187,8 @@ func BenchmarkRunScaleIncast(b *testing.B) {
 // BenchmarkRunClosedLoop executes one sloincast cell end to end: the
 // open-loop PFC-storm incast with the closed-loop partition-aggregate
 // plane overlaid (per-request deadline timers, jittered retries, and
-// breaker bookkeeping riding the engine) through DCQCN+Floodgate. This
-// is the app plane's allocation gate: benchjson tracks its allocs/op
-// across PRs, so a timer path that starts capturing shows up in
-// `make bench-compare`.
+// breaker bookkeeping riding the engine) through DCQCN+Floodgate; its
+// allocs/op shows a timer path that starts capturing.
 func BenchmarkRunClosedLoop(b *testing.B) {
 	o := Options{Scale: 0.25, Seed: 1}.norm()
 	b.ReportAllocs()

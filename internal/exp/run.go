@@ -35,11 +35,6 @@ type Options struct {
 	// Obs switches on per-run metrics sampling and timeline export
 	// (see obs.go). Enabling it never changes table output.
 	Obs ObsConfig
-	// Scheduler selects the engine's event-queue implementation. The
-	// zero value is the timing wheel; SchedHeap restores the single
-	// global heap. Both execute events in the identical order, so every
-	// table is bit-identical across the choice (see sched_test.go).
-	Scheduler sim.Scheduler
 	// Shards splits each run's topology into this many partitions, one
 	// engine per partition, advanced in conservative lookahead windows
 	// (see shardexec.go and DESIGN.md §10). 0 and 1 both mean a single
@@ -330,7 +325,7 @@ func Run(rc RunConfig) *RunResult {
 	engines := make([]*sim.Engine, k)
 	collectors := make([]*stats.Collector, k)
 	for i := range engines {
-		engines[i] = sim.NewEngineWith(opt.Scheduler)
+		engines[i] = sim.NewEngine()
 		collectors[i] = stats.NewCollector(binW)
 	}
 	ecn := device.ECNConfig{Enable: rc.Scheme.ECN, KMin: 40 * units.KB, KMax: 160 * units.KB, PMax: 0.2}

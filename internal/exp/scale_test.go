@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-
-	"floodgate/internal/sim"
 )
 
 // TestExperimentFabricsUseStructuralRouter pins that the fabrics the
@@ -85,27 +83,25 @@ func TestScaleIncastCompletes(t *testing.T) {
 
 // TestScaleIncastShardDeterminism extends the bit-identity matrix to
 // the new experiment: the scaleincast tables render byte-identical
-// at every shards × par × scheduler combination on the Clos preset.
+// at every shards × par combination on the Clos preset.
 func TestScaleIncastShardDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
 	windowOverride = fullScaleIncastDuration / 2
 	defer func() { windowOverride = 0 }()
-	base := Options{Scale: 0.1, Seed: 1, Parallelism: 1, Shards: 1, Scheduler: sim.SchedWheel, Topo: "clos"}
+	base := Options{Scale: 0.1, Seed: 1, Parallelism: 1, Shards: 1, Topo: "clos"}
 	want := renderAll(ScaleIncast(base))
 	for _, shards := range []int{1, 2, 4} {
 		for _, par := range []int{1, 4} {
-			for _, sched := range []sim.Scheduler{sim.SchedWheel, sim.SchedHeap} {
-				o := base
-				o.Shards, o.Parallelism, o.Scheduler = shards, par, sched
-				if o == base {
-					continue
-				}
-				if got := renderAll(ScaleIncast(o)); got != want {
-					t.Fatalf("shards=%d par=%d sched=%v diverges from serial unsharded:\n--- want ---\n%s\n--- got ---\n%s",
-						shards, par, sched, want, got)
-				}
+			o := base
+			o.Shards, o.Parallelism = shards, par
+			if o == base {
+				continue
+			}
+			if got := renderAll(ScaleIncast(o)); got != want {
+				t.Fatalf("shards=%d par=%d diverges from serial unsharded:\n--- want ---\n%s\n--- got ---\n%s",
+					shards, par, want, got)
 			}
 		}
 	}

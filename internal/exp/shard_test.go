@@ -5,16 +5,17 @@ import (
 	"testing"
 
 	"floodgate/internal/fault"
-	"floodgate/internal/sim"
+	"floodgate/internal/packet"
 	"floodgate/internal/topo"
 	"floodgate/internal/units"
+	"floodgate/internal/workload"
 )
 
 // TestShardDeterminism is the sharded executor's acceptance gate
 // (DESIGN.md §10): fig2 and fig6 tables must be byte-identical for
-// every combination of shards ∈ {1, 2, 4}, par ∈ {1, 4}, and both
-// event schedulers. The baseline is the fully serial unsharded wheel
-// run; every other cell of the matrix must render the same bytes.
+// every combination of shards ∈ {1, 2, 4} and par ∈ {1, 4}. The
+// baseline is the fully serial unsharded run; every other cell of the
+// matrix must render the same bytes.
 func TestShardDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
@@ -29,20 +30,18 @@ func TestShardDeterminism(t *testing.T) {
 		{"fig2", Fig2},
 		{"fig6", Fig6},
 	} {
-		base := Options{Scale: 0.1, Seed: 1, Parallelism: 1, Shards: 1, Scheduler: sim.SchedWheel}
+		base := Options{Scale: 0.1, Seed: 1, Parallelism: 1, Shards: 1}
 		want := renderAll(fig.run(base))
 		for _, shards := range []int{1, 2, 4} {
 			for _, par := range []int{1, 4} {
-				for _, sched := range []sim.Scheduler{sim.SchedWheel, sim.SchedHeap} {
-					o := base
-					o.Shards, o.Parallelism, o.Scheduler = shards, par, sched
-					if o == base {
-						continue
-					}
-					if got := renderAll(fig.run(o)); got != want {
-						t.Fatalf("%s: shards=%d par=%d sched=%v diverges from serial unsharded:\n--- want ---\n%s\n--- got ---\n%s",
-							fig.name, shards, par, sched, want, got)
-					}
+				o := base
+				o.Shards, o.Parallelism = shards, par
+				if o == base {
+					continue
+				}
+				if got := renderAll(fig.run(o)); got != want {
+					t.Fatalf("%s: shards=%d par=%d diverges from serial unsharded:\n--- want ---\n%s\n--- got ---\n%s",
+						fig.name, shards, par, want, got)
 				}
 			}
 		}
@@ -71,6 +70,82 @@ func TestShardFaultMatrixBitIdentical(t *testing.T) {
 				shards, want, got)
 		}
 	}
+}
+
+// TestShardMinFrameLookahead pins that the barrier window is sized for
+// the smallest frame the fabric emits (packet.MinFrameSize, 48 B), not
+// for a 64 B control frame: a sub-64 B data frame emitted just after a
+// window opens on a link that crosses the cut would otherwise reach
+// the far shard before the barrier ("scheduling into the past").
+func TestShardMinFrameLookahead(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation test")
+	}
+	// NDP trims to bare 48 B headers and its incast mix has 49-63 B
+	// data tails: fig23 crashed at -shards 2 before the fix.
+	t.Run("fig23", func(t *testing.T) {
+		windowOverride = fullIncastMixDuration / 8
+		defer func() { windowOverride = 0 }()
+		want := renderAll(Fig23(Options{Scale: 0.1, Seed: 1, Shards: 1}))
+		if got := renderAll(Fig23(Options{Scale: 0.1, Seed: 1, Shards: 2})); got != want {
+			t.Fatalf("fig23 at shards=2 diverges from unsharded:\n--- want ---\n%s\n--- got ---\n%s", want, got)
+		}
+	})
+	// Two 1-byte flows (one 49 B frame each) between racks on different
+	// shards, started so that the frame leaves the source ToR (flow 0)
+	// and the spine (flow 1) 1 ps after a window boundary. Whichever of
+	// the two hops ECMP routes across the cut, one flow hits it at the
+	// worst possible instant.
+	t.Run("one-byte tail across the cut", func(t *testing.T) {
+		o := Options{Scale: 1, Seed: 1}.norm()
+		tp := faultTestFabric()
+		shardOf := topo.Partition(tp, 2)
+		src := tp.Hosts[0]
+		dst := src
+		for _, h := range tp.Hosts {
+			if shardOf[h] != shardOf[src] {
+				dst = h
+				break
+			}
+		}
+		if dst == src {
+			t.Fatal("every host on one shard; test premise broken")
+		}
+		const frame = packet.HeaderSize + 1
+		hostLink := tp.Node(src).Ports[0]
+		toToR := hostLink.Prop + units.TxTime(frame, hostLink.Rate)
+		var toSpine units.Duration
+		tor := tp.Node(hostLink.Peer)
+		for i := range tor.Ports {
+			if up := &tor.Ports[i]; tp.Node(up.Peer).Kind == topo.SwitchNode {
+				toSpine = up.Prop + units.TxTime(frame, up.Rate)
+				break
+			}
+		}
+		L := topo.Lookahead(tp)
+		run := func(shards int) *RunResult {
+			opt := o
+			opt.Shards = shards
+			return Run(RunConfig{
+				Topo: faultTestFabric(), Scheme: DCQCN(o),
+				Specs: []workload.FlowSpec{
+					{Src: src, Dst: dst, Size: 1, Start: units.Time(10*L + 1 - toToR)},
+					{Src: src, Dst: dst, Size: 1, Start: units.Time(50*L + 1 - toToR - toSpine)},
+				},
+				Duration: 100 * L, Seed: o.Seed, Opt: opt,
+			})
+		}
+		want, got := run(1), run(2)
+		if want.Completed != 2 || got.Completed != 2 {
+			t.Fatalf("completed %d unsharded, %d at shards=2; want 2 and 2", want.Completed, got.Completed)
+		}
+		w, g := want.Stats.AllFCTs(), got.Stats.AllFCTs()
+		for i := range w {
+			if g[i] != w[i] {
+				t.Fatalf("flow %d: shards=2 sample %+v != unsharded %+v", i, g[i], w[i])
+			}
+		}
+	})
 }
 
 // dstCrossUplink returns an uplink of the incast destination's ToR

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"floodgate/internal/app"
-	"floodgate/internal/sim"
 	"floodgate/internal/units"
 )
 
@@ -13,8 +12,8 @@ import (
 // the closed-loop application plane: the sloincast tables — deadline
 // timers, jittered retries, hedges, and breaker decisions riding on
 // the sharded engine — must render byte-identical for every
-// combination of shards ∈ {1, 2, 4}, par ∈ {1, 4}, and both event
-// schedulers. The baseline is the fully serial unsharded wheel run.
+// combination of shards ∈ {1, 2, 4} and par ∈ {1, 4}. The baseline is
+// the fully serial unsharded run.
 func TestSLOIncastShardDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
@@ -22,20 +21,18 @@ func TestSLOIncastShardDeterminism(t *testing.T) {
 	windowOverride = fullIncastMixDuration / 8
 	defer func() { windowOverride = 0 }()
 
-	base := Options{Scale: 0.1, Seed: 1, Parallelism: 1, Shards: 1, Scheduler: sim.SchedWheel}
+	base := Options{Scale: 0.1, Seed: 1, Parallelism: 1, Shards: 1}
 	want := renderAll(SLOIncast(base))
 	for _, shards := range []int{1, 2, 4} {
 		for _, par := range []int{1, 4} {
-			for _, sched := range []sim.Scheduler{sim.SchedWheel, sim.SchedHeap} {
-				o := base
-				o.Shards, o.Parallelism, o.Scheduler = shards, par, sched
-				if o == base {
-					continue
-				}
-				if got := renderAll(SLOIncast(o)); got != want {
-					t.Fatalf("sloincast: shards=%d par=%d sched=%v diverges from serial unsharded:\n--- want ---\n%s\n--- got ---\n%s",
-						shards, par, sched, want, got)
-				}
+			o := base
+			o.Shards, o.Parallelism = shards, par
+			if o == base {
+				continue
+			}
+			if got := renderAll(SLOIncast(o)); got != want {
+				t.Fatalf("sloincast: shards=%d par=%d diverges from serial unsharded:\n--- want ---\n%s\n--- got ---\n%s",
+					shards, par, want, got)
 			}
 		}
 	}

@@ -10,8 +10,8 @@ import (
 // clock, pointer identity, runtime shape — may reach a rendered
 // artifact. Sinks are the stats Collector's record methods, the metrics
 // instruments and exporters, and exp's report tables; everything those
-// write eventually lands in an NDJSON row, a CSV cell or a benchjson
-// manifest that CI diffs byte-for-byte between runs.
+// write eventually lands in an NDJSON row, a CSV cell or a rendered
+// table that the determinism tests compare byte-for-byte between runs.
 //
 // The rule composes with shardsafety through the fact store: an object
 // that shardsafety marked FactShardShared is cross-shard state, so a

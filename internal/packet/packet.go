@@ -82,13 +82,19 @@ func (k Kind) String() string {
 // high-priority control class (never window-gated, never VOQ'd).
 func (k Kind) IsControl() bool { return k != Data }
 
-// Wire sizes. MTU is the data segment ceiling including header;
-// control packets are minimum-size frames.
+// Wire sizes. MTU is the data segment ceiling including header.
 const (
 	MTU        units.ByteSize = 1500
 	HeaderSize units.ByteSize = 48 // emulated L2+L3+transport header
 	CtrlSize   units.ByteSize = 64 // ACK/CNP/credit/pause wire size
 	IntHopSize units.ByteSize = 8  // HPCC per-hop INT telemetry entry
+
+	// MinFrameSize is the smallest frame any device puts on a wire: an
+	// NDP-trimmed header, or a data tail carrying a byte or two of
+	// payload. Control frames are larger. The sharded executor's
+	// lookahead (topo.Lookahead) is only conservative if it serializes
+	// this size, not CtrlSize.
+	MinFrameSize = HeaderSize
 )
 
 // IntHop is one hop's inline network telemetry, appended by each
@@ -204,7 +210,7 @@ func NewData(id uint64, flow FlowID, src, dst NodeID, seq, payload units.ByteSiz
 	}
 }
 
-// NewCtrl builds a minimum-size control frame of the given kind
+// NewCtrl builds a CtrlSize control frame of the given kind
 // travelling from src to dst.
 func NewCtrl(id uint64, kind Kind, flow FlowID, src, dst NodeID) *Packet {
 	return &Packet{ID: id, Kind: kind, Flow: flow, Src: src, Dst: dst, Size: CtrlSize}

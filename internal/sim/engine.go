@@ -11,13 +11,15 @@
 // millions of packets allocates only a high-water mark of events), and
 // the AtArg/AfterArg variants let hot paths schedule a pre-built
 // capture-free callback with a pointer argument, avoiding per-packet
-// closure allocation. The default scheduler is a hierarchical timing
-// wheel (see wheel.go); SchedHeap selects the reference binary-heap
-// implementation, which executes events in the exact same order.
+// closure allocation. The queue is a hierarchical timing wheel (see
+// wheel.go); SchedHeap widens its active bucket to all of time, which
+// degenerates it to the single global heap the tests cross-check the
+// wheel against.
 package sim
 
 import (
 	"fmt"
+	"math"
 
 	"floodgate/internal/units"
 )
@@ -58,15 +60,14 @@ func (h Handle) Active() bool {
 // Engine owns the simulation clock and event queue. It is not safe for
 // concurrent use: the simulated network is a single logical timeline.
 type Engine struct {
-	now   units.Time
-	seq   uint64
-	sched Scheduler
+	now units.Time
+	seq uint64
 
-	// SchedHeap state: one global 4-ary heap.
-	heap []heapEnt
-
-	// SchedWheel state (see wheel.go): the active-bucket heap, the
-	// near-horizon ring, and the far-timer overflow heap.
+	// Queue state (see wheel.go): the active-bucket heap, the
+	// near-horizon ring, and the far-timer overflow heap. near is the
+	// active bucket's span: wheelGran, or all of time under SchedHeap,
+	// where every entry lands in cur and the other two stay empty.
+	near     int64
 	cur      []heapEnt
 	buckets  [][]heapEnt
 	base     units.Time // start of the active bucket's span
@@ -94,8 +95,9 @@ func NewEngine() *Engine { return NewEngineWith(SchedWheel) }
 // so a run's output does not depend on the choice; SchedHeap exists as
 // the simple reference implementation for cross-checking.
 func NewEngineWith(s Scheduler) *Engine {
-	e := &Engine{sched: s}
+	e := &Engine{near: math.MaxInt64}
 	if s == SchedWheel {
+		e.near = int64(wheelGran)
 		e.buckets = make([][]heapEnt, wheelBucketCount)
 		// Seed every bucket with a capacity slice of one shared backing
 		// array: growing 1024 buckets from nil costs thousands of tiny
@@ -115,9 +117,6 @@ func NewEngineWith(s Scheduler) *Engine {
 // also recirculates at runtime — draining a bucket swaps its slice
 // with the spent active-bucket heap — so reallocation settles quickly.
 const bucketSeedCap = 16
-
-// Sched reports which scheduler the engine runs on.
-func (e *Engine) Sched() Scheduler { return e.sched }
 
 // Now returns the current simulation time.
 func (e *Engine) Now() units.Time { return e.now }
@@ -183,21 +182,12 @@ func (e *Engine) schedule(t units.Time, fn func(), argFn func(any), arg any, pri
 	ent := heapEnt{at: t, seq: uint64(pri)<<seqBits | e.seq, slot: slot, gen: gen}
 	e.seq++
 	e.live++
-	e.insert(ent)
-	return Handle{e, slot, gen}
-}
-
-// insert places an entry in the scheduler structure.
-func (e *Engine) insert(ent heapEnt) {
 	e.entCnt++
 	if e.entCnt > e.heapHW {
 		e.heapHW = e.entCnt
 	}
-	if e.sched == SchedHeap {
-		entPush(&e.heap, ent)
-		return
-	}
 	e.insertWheel(ent)
+	return Handle{e, slot, gen}
 }
 
 // At schedules fn to run at absolute time t, which must not precede
@@ -248,27 +238,13 @@ func (e *Engine) Cancel(h Handle) {
 	// otherwise bloat the queue with dead entries that are only shed
 	// when they surface; compact once they dominate.
 	if dead := e.entCnt - e.live; dead > e.entCnt/2 && e.entCnt >= minCompactLen {
-		e.compact()
+		e.compactWheel()
 	}
 }
 
 // minCompactLen keeps compaction from thrashing on tiny queues, where
 // lazy skipping is already cheap.
 const minCompactLen = 64
-
-// compact drops every dead (cancelled) entry and restores the queue
-// invariants. The surviving entries fire in an identical order — both
-// schedulers pop the exact (time, seq) minimum regardless of internal
-// arrangement — so determinism is unaffected.
-func (e *Engine) compact() {
-	if e.sched == SchedHeap {
-		e.heap = e.filterLive(e.heap)
-		entHeapInit(e.heap)
-		e.entCnt = len(e.heap)
-		return
-	}
-	e.compactWheel()
-}
 
 // filterLive drops dead entries in place, preserving relative order.
 func (e *Engine) filterLive(ents []heapEnt) []heapEnt {
@@ -296,8 +272,8 @@ type Stats struct {
 	FreeSlots     int    // recycled slots awaiting reuse
 	InUse         int    // SlabSize - FreeSlots (pool balance)
 
-	// Wheel-mode queue breakdown (all zero under SchedHeap):
-	// HeapLen = CurLen + BucketLen + OverflowLen.
+	// Queue breakdown: HeapLen = CurLen + BucketLen + OverflowLen.
+	// Under SchedHeap everything is in CurLen and the other two are zero.
 	CurLen      int // active-bucket heap entries
 	BucketLen   int // entries parked in near-horizon buckets
 	OverflowLen int // far timers in the overflow heap
@@ -328,34 +304,16 @@ func (e *Engine) Stop() { e.stopped = true }
 // Pending reports the number of live events still queued in O(1).
 func (e *Engine) Pending() int { return e.live }
 
-// peekEnt returns the (time, seq)-minimum queued entry, dead or live,
-// advancing the wheel position as needed. The advance only moves
-// internal cursors — it never executes events or touches the clock —
-// so peeking is observationally idempotent.
-func (e *Engine) peekEnt() (heapEnt, bool) {
-	if e.sched == SchedHeap {
-		if len(e.heap) == 0 {
-			return heapEnt{}, false
-		}
-		return e.heap[0], true
-	}
-	return e.peekWheel()
-}
-
-// nextAt reports the timestamp of the earliest queued entry (live or
-// lazily cancelled). Benchmark and test helper.
-func (e *Engine) nextAt() (units.Time, bool) {
-	ent, ok := e.peekEnt()
-	return ent.at, ok
-}
-
 // NextAt reports the timestamp of the earliest queued entry, or false
 // if the queue is empty. Dead (lazily cancelled) entries count: the
 // sharded executor uses NextAt to pick the next barrier window, and
 // including cancelled entries keeps the choice a function of the
 // schedule/cancel history alone — which is partition-invariant — while
 // only ever making the window conservatively early.
-func (e *Engine) NextAt() (units.Time, bool) { return e.nextAt() }
+func (e *Engine) NextAt() (units.Time, bool) {
+	ent, ok := e.peekWheel()
+	return ent.at, ok
+}
 
 // Run executes events in timestamp order until the queue empties, Stop
 // is called, or the next event would fire after `until`. The clock is
@@ -364,7 +322,7 @@ func (e *Engine) NextAt() (units.Time, bool) { return e.nextAt() }
 func (e *Engine) Run(until units.Time) {
 	e.stopped = false
 	for !e.stopped {
-		ent, ok := e.peekEnt()
+		ent, ok := e.peekWheel()
 		if !ok {
 			break
 		}
@@ -383,7 +341,7 @@ func (e *Engine) Run(until units.Time) {
 func (e *Engine) RunAll() {
 	e.stopped = false
 	for !e.stopped {
-		ent, ok := e.peekEnt()
+		ent, ok := e.peekWheel()
 		if !ok {
 			break
 		}
@@ -391,13 +349,9 @@ func (e *Engine) RunAll() {
 	}
 }
 
-// exec pops the entry peekEnt just returned and runs its event.
+// exec pops the entry peekWheel just returned and runs its event.
 func (e *Engine) exec(ent heapEnt) {
-	if e.sched == SchedHeap {
-		entPop(&e.heap)
-	} else {
-		entPop(&e.cur)
-	}
+	entPop(&e.cur)
 	e.entCnt--
 	ev := &e.events[ent.slot]
 	if ev.gen != ent.gen {

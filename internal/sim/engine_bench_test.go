@@ -7,52 +7,24 @@ import (
 )
 
 // BenchmarkEngineCorePushPop measures raw schedule/execute throughput:
-// every iteration schedules one event and executes one, the heap
+// every iteration schedules one event and executes one, the queue
 // holding a steady backlog.
-func BenchmarkEngineCorePushPop(b *testing.B) {
-	for _, backlog := range []int{16, 1024, 65536} {
-		b.Run(benchName("backlog", backlog), func(b *testing.B) {
-			e := NewEngine()
-			n := 0
-			count := func() { n++ }
-			t := units.Time(0)
-			for i := 0; i < backlog; i++ {
-				t = t.Add(units.Nanosecond)
-				e.At(t, count)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t = t.Add(units.Nanosecond)
-				e.At(t, count)
-				at, _ := e.nextAt()
-				e.Run(at)
-			}
-		})
-	}
-}
+func BenchmarkEngineCorePushPop(b *testing.B) { benchPushPop(b, SchedWheel) }
 
 // BenchmarkEngineCorePushPopHeap is the same workload on the reference
-// heap scheduler, so the wheel's advantage stays visible in BENCH_PR*
-// snapshots.
-func BenchmarkEngineCorePushPopHeap(b *testing.B) {
+// heap scheduler, so the wheel's advantage at each backlog stays
+// visible (the bench/ ledger's sim.replay_* rungs make the same
+// comparison at each workload's real backlog).
+func BenchmarkEngineCorePushPopHeap(b *testing.B) { benchPushPop(b, SchedHeap) }
+
+func benchPushPop(b *testing.B, s Scheduler) {
 	for _, backlog := range []int{16, 1024, 65536} {
 		b.Run(benchName("backlog", backlog), func(b *testing.B) {
-			e := NewEngineWith(SchedHeap)
-			n := 0
-			count := func() { n++ }
-			t := units.Time(0)
-			for i := 0; i < backlog; i++ {
-				t = t.Add(units.Nanosecond)
-				e.At(t, count)
-			}
+			op := pushPopOp(NewEngineWith(s), backlog, func() {})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				t = t.Add(units.Nanosecond)
-				e.At(t, count)
-				at, _ := e.nextAt()
-				e.Run(at)
+				op()
 			}
 		})
 	}
@@ -61,22 +33,13 @@ func BenchmarkEngineCorePushPopHeap(b *testing.B) {
 // BenchmarkEngineCoreAfterArg exercises the zero-alloc hot path:
 // a pre-built capture-free callback rescheduling itself via a pointer
 // argument. Steady state must not allocate (asserted by
-// TestAfterArgZeroAlloc; the benchmark reports allocs/op as evidence).
+// TestEngineHotPathZeroAlloc; the benchmark reports allocs/op as evidence).
 func BenchmarkEngineCoreAfterArg(b *testing.B) {
-	e := NewEngine()
-	type payload struct{ n int }
-	p := &payload{}
-	var fn func(any)
-	fn = func(a any) {
-		a.(*payload).n++
-		e.AfterArg(units.Nanosecond, fn, a)
-	}
-	e.AfterArg(units.Nanosecond, fn, p)
+	op := afterArgOp(NewEngine())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		at, _ := e.nextAt()
-		e.Run(at)
+		op()
 	}
 }
 
@@ -86,19 +49,11 @@ func BenchmarkEngineCoreAfterArg(b *testing.B) {
 func BenchmarkEngineCoreCancel(b *testing.B) {
 	for _, timers := range []int{64, 4096} {
 		b.Run(benchName("timers", timers), func(b *testing.B) {
-			e := NewEngine()
-			nop := func() {}
-			handles := make([]Handle, timers)
-			horizon := units.Duration(timers) * units.Microsecond
-			for i := range handles {
-				handles[i] = e.After(horizon, nop)
-			}
+			op := cancelOp(NewEngine(), timers, func() {})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				j := i % timers
-				e.Cancel(handles[j])
-				handles[j] = e.After(horizon, nop)
+				op()
 			}
 		})
 	}
@@ -122,33 +77,83 @@ func itoa(v int) string {
 	return string(buf[i:])
 }
 
-// TestAfterArgZeroAlloc asserts the AfterArg hot path allocates nothing
-// once the event slab and heap are warm: the callback is capture-free
-// and the pointer argument does not box.
-func TestAfterArgZeroAlloc(t *testing.T) {
-	e := NewEngine()
+// TestEngineHotPathZeroAlloc asserts the engine's per-event paths
+// allocate nothing once the event slab and queue structures are warm —
+// the exact gate on what the BenchmarkEngineCore* benchmarks measure:
+// AfterArg self-rescheduling (the callback is capture-free and the
+// pointer argument does not box), schedule-one/execute-one against a
+// standing backlog on either scheduler, and the cancel-and-reschedule
+// RTO pattern with its compaction sweeps.
+func TestEngineHotPathZeroAlloc(t *testing.T) {
+	nop := func() {}
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{
+		{"AfterArg", afterArgOp(NewEngine())},
+		{"push-pop/wheel", pushPopOp(NewEngine(), 1024, nop)},
+		{"push-pop/heap", pushPopOp(NewEngineWith(SchedHeap), 1024, nop)},
+		{"cancel/near", cancelOp(NewEngine(), 64, nop)},
+		{"cancel/overflow", cancelOp(NewEngine(), 4096, nop)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for i := 0; i < 20000; i++ { // warm the slab, buckets and heaps
+				tc.op()
+			}
+			if allocs := testing.AllocsPerRun(1000, tc.op); allocs != 0 {
+				t.Fatalf("%s allocates %.1f allocs/op, want 0", tc.name, allocs)
+			}
+		})
+	}
+}
+
+// afterArgOp is BenchmarkEngineCoreAfterArg's loop body: a capture-free
+// callback reschedules itself through a pointer argument, one event
+// executed per call.
+func afterArgOp(e *Engine) func() {
 	type payload struct{ n int }
-	p := &payload{}
 	var fn func(any)
 	fn = func(a any) {
 		a.(*payload).n++
 		e.AfterArg(units.Nanosecond, fn, a)
 	}
-	e.AfterArg(units.Nanosecond, fn, p)
-	// Warm the slab and queue structures.
-	for i := 0; i < 64; i++ {
-		at, _ := e.nextAt()
+	e.AfterArg(units.Nanosecond, fn, &payload{})
+	return func() {
+		at, _ := e.NextAt()
 		e.Run(at)
 	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		at, _ := e.nextAt()
-		e.Run(at)
-	})
-	if allocs != 0 {
-		t.Fatalf("AfterArg hot path allocates %.1f allocs/op, want 0", allocs)
+}
+
+// pushPopOp is BenchmarkEngineCorePushPop's loop body: a standing
+// backlog, then schedule one event and execute one per call.
+func pushPopOp(e *Engine, backlog int, fn func()) func() {
+	t := units.Time(0)
+	for i := 0; i < backlog; i++ {
+		t = t.Add(units.Nanosecond)
+		e.At(t, fn)
 	}
-	if p.n == 0 {
-		t.Fatal("callback never ran")
+	return func() {
+		t = t.Add(units.Nanosecond)
+		e.At(t, fn)
+		at, _ := e.NextAt()
+		e.Run(at)
+	}
+}
+
+// cancelOp is BenchmarkEngineCoreCancel's loop body: every timer is
+// cancelled and rescheduled before it fires.
+func cancelOp(e *Engine, timers int, fn func()) func() {
+	handles := make([]Handle, timers)
+	horizon := units.Duration(timers) * units.Microsecond
+	for i := range handles {
+		handles[i] = e.After(horizon, fn)
+	}
+	i := 0
+	return func() {
+		j := i % timers
+		i++
+		e.Cancel(handles[j])
+		handles[j] = e.After(horizon, fn)
 	}
 }
 

@@ -65,76 +65,91 @@ func TestStatsSnapshot(t *testing.T) {
 	}
 }
 
-// TestStatsWheelBreakdown exercises the per-structure accounting of
-// the wheel scheduler: CurLen/BucketLen/OverflowLen must partition
-// HeapLen, and cancellation must keep Live/DeadEntries exact no matter
-// which structure holds the dead entry — including through a
-// compaction sweep that touches all three.
-func TestStatsWheelBreakdown(t *testing.T) {
-	e := NewEngine()
-	near := make([]Handle, 0) // active bucket (cur)
-	mid := make([]Handle, 0)  // near-horizon ring buckets
-	far := make([]Handle, 0)  // overflow heap
+// TestStatsQueueBreakdown exercises the per-structure accounting:
+// CurLen/BucketLen/OverflowLen must partition HeapLen — three ways
+// under the wheel, all in CurLen under SchedHeap (whose active bucket
+// spans all of time) — and cancellation must keep Live/DeadEntries
+// exact no matter which structure holds the dead entry, including
+// through a compaction sweep that touches all three.
+func TestStatsQueueBreakdown(t *testing.T) {
 	const per = minCompactLen // enough that cancelling two groups trips compaction
-	for i := 0; i < per; i++ {
-		near = append(near, e.After(units.Duration(i), func() {}))
-		mid = append(mid, e.After(units.Duration(wheelGran)*units.Duration(2+i%8), func() {}))
-		far = append(far, e.After(units.Duration(wheelHorizon)*2+units.Duration(i), func() {}))
-	}
-	s := e.StatsSnapshot()
-	if s.CurLen != per || s.BucketLen != per || s.OverflowLen != per {
-		t.Fatalf("structure split wrong: %+v", s)
-	}
-	if s.HeapLen != s.CurLen+s.BucketLen+s.OverflowLen {
-		t.Fatalf("HeapLen %d != sum of structures: %+v", s.HeapLen, s)
-	}
+	for _, tc := range []struct {
+		kind                  Scheduler
+		cur, bucket, overflow int
+	}{
+		{SchedWheel, per, per, per},
+		{SchedHeap, 3 * per, 0, 0},
+	} {
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			e := NewEngineWith(tc.kind)
+			near := make([]Handle, 0) // active bucket (cur)
+			mid := make([]Handle, 0)  // near-horizon ring buckets
+			far := make([]Handle, 0)  // overflow heap
+			for i := 0; i < per; i++ {
+				near = append(near, e.After(units.Duration(i), func() {}))
+				mid = append(mid, e.After(units.Duration(wheelGran)*units.Duration(2+i%8), func() {}))
+				far = append(far, e.After(units.Duration(wheelHorizon)*2+units.Duration(i), func() {}))
+			}
+			s := e.StatsSnapshot()
+			if s.CurLen != tc.cur || s.BucketLen != tc.bucket || s.OverflowLen != tc.overflow {
+				t.Fatalf("structure split wrong: %+v", s)
+			}
+			if s.HeapLen != s.CurLen+s.BucketLen+s.OverflowLen {
+				t.Fatalf("HeapLen %d != sum of structures: %+v", s.HeapLen, s)
+			}
 
-	// Cancel a sub-threshold slice of each structure: entries stay
-	// queued as dead weight, split across all three.
-	for _, h := range [][]Handle{near[:8], mid[:8], far[:8]} {
-		for _, v := range h {
-			e.Cancel(v)
-		}
-	}
-	s = e.StatsSnapshot()
-	if s.Live != 3*per-24 || s.DeadEntries != 24 {
-		t.Fatalf("after partial cancel: %+v", s)
-	}
-	if s.HeapLen != 3*per || s.HeapLen != s.CurLen+s.BucketLen+s.OverflowLen {
-		t.Fatalf("dead entries miscounted per structure: %+v", s)
-	}
+			// Cancel a sub-threshold slice of each group: entries stay
+			// queued as dead weight wherever they were filed.
+			for _, h := range [][]Handle{near[:8], mid[:8], far[:8]} {
+				for _, v := range h {
+					e.Cancel(v)
+				}
+			}
+			s = e.StatsSnapshot()
+			if s.Live != 3*per-24 || s.DeadEntries != 24 {
+				t.Fatalf("after partial cancel: %+v", s)
+			}
+			if s.HeapLen != 3*per || s.HeapLen != s.CurLen+s.BucketLen+s.OverflowLen {
+				t.Fatalf("dead entries miscounted per structure: %+v", s)
+			}
 
-	// Cancel the rest of near and mid: dead outnumbers live along the
-	// way, so compaction must sweep all three structures and hold the
-	// queue within 2x the live count.
-	for _, h := range append(near[8:], mid[8:]...) {
-		e.Cancel(h)
-	}
-	s = e.StatsSnapshot()
-	if s.Live != per-8 {
-		t.Fatalf("live after full cancel = %d, want %d", s.Live, per-8)
-	}
-	if s.HeapLen > 2*s.Live {
-		t.Fatalf("compaction bound violated: %+v", s)
-	}
-	if s.HeapLen != s.CurLen+s.BucketLen+s.OverflowLen {
-		t.Fatalf("structure split inconsistent after compaction: %+v", s)
-	}
-	// Every survivor is a far timer, so overflow must hold all of them.
-	if s.OverflowLen < s.Live {
-		t.Fatalf("live far timers missing from overflow: %+v", s)
-	}
-	if s.HeapHighWater != 3*per {
-		t.Fatalf("high-water = %d, want %d", s.HeapHighWater, 3*per)
-	}
+			// Cancel the rest of near and mid: dead outnumbers live along
+			// the way, so compaction must sweep every structure and hold
+			// the queue within 2x the live count.
+			for _, h := range append(near[8:], mid[8:]...) {
+				e.Cancel(h)
+			}
+			s = e.StatsSnapshot()
+			if s.Live != per-8 {
+				t.Fatalf("live after full cancel = %d, want %d", s.Live, per-8)
+			}
+			if s.HeapLen > 2*s.Live {
+				t.Fatalf("compaction bound violated: %+v", s)
+			}
+			if s.HeapLen != s.CurLen+s.BucketLen+s.OverflowLen {
+				t.Fatalf("structure split inconsistent after compaction: %+v", s)
+			}
+			// Every survivor is a far timer: the wheel holds them all in
+			// overflow, the heap has nowhere but cur.
+			if tc.kind == SchedWheel && s.OverflowLen < s.Live {
+				t.Fatalf("live far timers missing from overflow: %+v", s)
+			}
+			if tc.kind == SchedHeap && s.CurLen != s.HeapLen {
+				t.Fatalf("heap entries left cur: %+v", s)
+			}
+			if s.HeapHighWater != 3*per {
+				t.Fatalf("high-water = %d, want %d", s.HeapHighWater, 3*per)
+			}
 
-	e.RunAll()
-	s = e.StatsSnapshot()
-	if s.Live != 0 || s.HeapLen != 0 || s.InUse != 0 {
-		t.Fatalf("unbalanced after drain: %+v", s)
-	}
-	if s.Processed != uint64(per-8) {
-		t.Fatalf("processed = %d, want %d", s.Processed, per-8)
+			e.RunAll()
+			s = e.StatsSnapshot()
+			if s.Live != 0 || s.HeapLen != 0 || s.InUse != 0 {
+				t.Fatalf("unbalanced after drain: %+v", s)
+			}
+			if s.Processed != uint64(per-8) {
+				t.Fatalf("processed = %d, want %d", s.Processed, per-8)
+			}
+		})
 	}
 }
 

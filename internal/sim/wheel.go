@@ -53,8 +53,12 @@ type Scheduler uint8
 const (
 	// SchedWheel is the hierarchical timing wheel (default).
 	SchedWheel Scheduler = iota
-	// SchedHeap is the reference single global 4-ary heap. Same
-	// execution order, simpler structure; kept for cross-checking.
+	// SchedHeap is the reference single global 4-ary heap: the wheel
+	// with an unbounded active bucket, so every entry lives in cur and
+	// none of the bucket, overflow or advance logic ever runs. Same
+	// execution order; kept as the oracle the wheel is checked against
+	// (TestCrossSchedulerIdenticalOrder) and as the bench ledger's
+	// sim.replay_heap_ns_per_event rung.
 	SchedHeap
 )
 
@@ -70,11 +74,11 @@ func (s Scheduler) String() string {
 
 // insertWheel files one entry. d is signed: entries behind base (legal
 // after a horizon jump) belong in cur with everything else below
-// base+gran.
+// base+near.
 func (e *Engine) insertWheel(ent heapEnt) {
 	d := int64(ent.at) - int64(e.base)
 	switch {
-	case d < int64(wheelGran):
+	case d < e.near:
 		entPush(&e.cur, ent)
 	case d < int64(wheelHorizon):
 		idx := (e.cursor + int(d>>wheelGranShift)) & wheelMask
@@ -85,8 +89,11 @@ func (e *Engine) insertWheel(ent heapEnt) {
 	}
 }
 
-// peekWheel surfaces the global minimum into cur[0], advancing the
-// cursor over empty spans and engaging the overflow heap as needed.
+// peekWheel returns the (time, seq)-minimum queued entry, dead or live,
+// surfacing it into cur[0]: the cursor advances over empty spans and
+// the overflow heap engages as needed. The advance only moves internal
+// cursors — it never executes events or touches the clock — so peeking
+// is observationally idempotent.
 func (e *Engine) peekWheel() (heapEnt, bool) {
 	for {
 		if len(e.cur) > 0 {

@@ -119,64 +119,121 @@ func TestCancelFiredHandle(t *testing.T) {
 	}
 }
 
-// TestCrossSchedulerIdenticalOrder is the scheduler-equivalence
-// property test: a randomized schedule/cancel workload spanning the
-// Now() boundary, the near buckets, and the overflow horizon must
-// execute in the identical (time, seq) order on both schedulers.
+// TestCrossSchedulerIdenticalOrder is the scheduler oracle: the wheel
+// must execute a randomized workload in the identical (time, priority,
+// seq) order as SchedHeap, the single comparison heap that shares none
+// of the bucket, overflow or advance logic. It is the only place the
+// two queues are compared — every layer above sees one engine — so the
+// workload covers what the experiment matrices used to exercise
+// implicitly: horizons spanning Now(), the active bucket, the near ring
+// and the overflow heap; same-timestamp events across the whole
+// priority ladder, scheduled out of priority order; random cancels plus
+// cancel storms big enough to trigger compaction mid-run; and both
+// drivers — one RunAll, and the sharded executor's NextAt → Run(window
+// end) stepping with barrier-time injections, where NextAt itself
+// (dead entries included) must agree at every barrier.
 func TestCrossSchedulerIdenticalOrder(t *testing.T) {
 	type fire struct {
 		at units.Time
-		id int
+		id int // event id; -1 marks a barrier's NextAt reading
 	}
-	run := func(s Scheduler, seed uint64) []fire {
+	pris := []uint32{PriFault, PriStart, PriWireBase, PriWireBase + 7, PriWireBase + 300, PriTimer}
+	// window > 0 steps the engine the way exp.runWindows does.
+	run := func(s Scheduler, seed uint64, window units.Duration) (log []fire, compactions int) {
 		e := NewEngineWith(s)
 		r := NewRand(seed)
-		var log []fire
 		id := 0
+		record := func(a any) { log = append(log, fire{e.Now(), a.(int)}) }
+		delay := func() units.Duration {
+			switch r.Intn(4) {
+			case 0:
+				return 0 // at Now()
+			case 1:
+				return units.Duration(r.Int63n(int64(wheelGran))) // active bucket
+			case 2:
+				return units.Duration(r.Int63n(int64(wheelHorizon))) // near buckets
+			}
+			return wheelHorizon + units.Duration(r.Int63n(int64(wheelHorizon))) // overflow
+		}
 		handles := make([]Handle, 0, 64)
+		tick := 0
 		var churn func(any)
 		churn = func(any) {
-			// Each tick: schedule a batch at mixed horizons, cancel a
-			// random prior survivor, keep churning.
+			tick++
+			// A batch at mixed horizons on the default priority.
 			for i := 0; i < 4; i++ {
-				myID := id
+				handles = append(handles, e.AfterArg(delay(), record, id))
 				id++
-				var d units.Duration
-				switch r.Intn(4) {
-				case 0:
-					d = 0 // at Now()
-				case 1:
-					d = units.Duration(r.Int63n(int64(wheelGran))) // active bucket
-				case 2:
-					d = units.Duration(r.Int63n(int64(wheelHorizon))) // near buckets
-				default:
-					d = wheelHorizon + units.Duration(r.Int63n(int64(wheelHorizon))) // overflow
-				}
-				handles = append(handles, e.AfterArg(d, func(a any) {
-					log = append(log, fire{e.Now(), a.(int)})
-				}, myID))
 			}
-			if len(handles) > 0 && r.Intn(2) == 0 {
+			// A same-timestamp clash across the priority ladder, in
+			// random (not priority) schedule order; repeats of one
+			// priority must stay FIFO.
+			at := e.Now().Add(delay())
+			for i := 0; i < 4; i++ {
+				handles = append(handles, e.AtArgPri(at, record, id, pris[r.Intn(len(pris))]))
+				id++
+			}
+			if r.Intn(2) == 0 {
 				e.Cancel(handles[r.Intn(len(handles))])
 			}
-			if id < 2000 {
+			// Cancel storm: dead entries outnumber live ones across all
+			// three structures, so compaction runs with events in flight.
+			if tick%50 == 0 {
+				storm := make([]Handle, 8*minCompactLen)
+				for i := range storm {
+					storm[i] = e.AfterArg(delay(), record, id)
+					id++
+				}
+				for i, h := range storm {
+					if i%8 != 0 {
+						before := e.StatsSnapshot().HeapLen
+						e.Cancel(h)
+						if e.StatsSnapshot().HeapLen < before {
+							compactions++
+						}
+					}
+				}
+			}
+			if id < 6000 {
 				e.AfterArg(units.Duration(r.Int63n(int64(wheelGran*8)))+1, churn, nil)
 			}
 		}
 		churn(nil)
-		e.RunAll()
-		return log
-	}
-	for _, seed := range []uint64{1, 7, 42} {
-		wheel := run(SchedWheel, seed)
-		heap := run(SchedHeap, seed)
-		if len(wheel) != len(heap) {
-			t.Fatalf("seed %d: fired %d (wheel) vs %d (heap)", seed, len(wheel), len(heap))
+		if window == 0 {
+			e.RunAll()
+			return log, compactions
 		}
-		for i := range wheel {
-			if wheel[i] != heap[i] {
-				t.Fatalf("seed %d: divergence at event %d: wheel %+v heap %+v",
-					seed, i, wheel[i], heap[i])
+		for {
+			at, ok := e.NextAt()
+			log = append(log, fire{at, -1})
+			if !ok {
+				return log, compactions
+			}
+			until := (at + units.Time(window) - 1) / units.Time(window) * units.Time(window)
+			e.Run(until)
+			// Staged cross-shard frames land at the barrier, strictly in
+			// the receiver's future, on their link's wire priority.
+			if r.Intn(4) == 0 {
+				e.AtArgPri(until.Add(1+units.Duration(r.Int63n(int64(window)))), record, id, PriWireBase+uint32(r.Intn(16)))
+				id++
+			}
+		}
+	}
+	for _, window := range []units.Duration{0, units.Microsecond + 5120} {
+		for _, seed := range []uint64{1, 7, 42} {
+			wheel, wc := run(SchedWheel, seed, window)
+			heap, hc := run(SchedHeap, seed, window)
+			if wc == 0 || hc == 0 {
+				t.Fatalf("window %v seed %d: cancel storms never compacted (wheel %d, heap %d)", window, seed, wc, hc)
+			}
+			if len(wheel) != len(heap) {
+				t.Fatalf("window %v seed %d: logged %d (wheel) vs %d (heap)", window, seed, len(wheel), len(heap))
+			}
+			for i := range wheel {
+				if wheel[i] != heap[i] {
+					t.Fatalf("window %v seed %d: divergence at entry %d: wheel %+v heap %+v",
+						window, seed, i, wheel[i], heap[i])
+				}
 			}
 		}
 	}

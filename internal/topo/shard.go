@@ -46,7 +46,8 @@ func Partition(t *Topology, k int) []int {
 // Lookahead returns the conservative barrier-window length for the
 // sharded executor: the minimum, over every switch-switch link, of
 // propagation delay plus the serialization time of the smallest frame
-// (a control packet). A frame emitted inside a window at time t > u
+// the fabric emits (packet.MinFrameSize — an NDP-trimmed header, not a
+// control packet). A frame emitted inside a window at time t > u
 // reaches the far shard strictly after u + Lookahead, so shards that
 // exchange frames only at window boundaries never receive one late.
 //
@@ -54,35 +55,24 @@ func Partition(t *Topology, k int) []int {
 // constrain the window. A degenerate topology with no switch-switch
 // links falls back to the minimum over all links.
 func Lookahead(t *Topology) units.Duration {
-	min := units.Duration(0)
-	consider := func(p *Port, peerKind NodeKind) {
-		if p.Class == ClassHost || peerKind == HostNode {
-			return
-		}
-		d := p.Prop + units.TxTime(packet.CtrlSize, p.Rate)
-		if min == 0 || d < min {
-			min = d
-		}
-	}
-	for _, n := range t.Nodes {
-		if n.Kind == HostNode {
-			continue
-		}
-		for i := range n.Ports {
-			p := &n.Ports[i]
-			consider(p, t.Nodes[p.Peer].Kind)
-		}
-	}
-	if min == 0 {
+	minLatency := func(switchLinksOnly bool) units.Duration {
+		min := units.Duration(0)
 		for _, n := range t.Nodes {
 			for i := range n.Ports {
 				p := &n.Ports[i]
-				d := p.Prop + units.TxTime(packet.CtrlSize, p.Rate)
+				if switchLinksOnly && (n.Kind == HostNode || p.Class == ClassHost || t.Nodes[p.Peer].Kind == HostNode) {
+					continue
+				}
+				d := p.Prop + units.TxTime(packet.MinFrameSize, p.Rate)
 				if min == 0 || d < min {
 					min = d
 				}
 			}
 		}
+		return min
 	}
-	return min
+	if l := minLatency(true); l > 0 {
+		return l
+	}
+	return minLatency(false)
 }

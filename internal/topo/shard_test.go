@@ -72,7 +72,7 @@ func TestPartitionClampsDegenerateK(t *testing.T) {
 
 // TestLookaheadIsMinSwitchLinkLatency recomputes the conservative
 // window bound by brute force: the minimum over switch-switch directed
-// ports of propagation plus control-frame serialization. Host links
+// ports of propagation plus smallest-frame serialization. Host links
 // must not constrain it — they never cross shards under Partition.
 func TestLookaheadIsMinSwitchLinkLatency(t *testing.T) {
 	for name, tp := range shardTestTopologies() {
@@ -86,7 +86,7 @@ func TestLookaheadIsMinSwitchLinkLatency(t *testing.T) {
 				if tp.Node(p.Peer).Kind == HostNode {
 					continue
 				}
-				d := p.Prop + units.TxTime(packet.CtrlSize, p.Rate)
+				d := p.Prop + units.TxTime(packet.MinFrameSize, p.Rate)
 				if want == 0 || d < want {
 					want = d
 				}
@@ -100,11 +100,11 @@ func TestLookaheadIsMinSwitchLinkLatency(t *testing.T) {
 			t.Fatalf("%s: non-positive lookahead %v", name, got)
 		}
 		// Host NIC latency is strictly below the switch-switch bound in
-		// these fabrics (slower links serialize a control frame slower),
+		// these fabrics (slower links serialize a frame slower),
 		// so a Lookahead that accidentally included host links would
 		// differ; assert the premise so the test stays meaningful.
 		h := tp.Node(tp.Hosts[0]).Ports[0]
-		if hostD := h.Prop + units.TxTime(packet.CtrlSize, h.Rate); hostD <= got {
+		if hostD := h.Prop + units.TxTime(packet.MinFrameSize, h.Rate); hostD <= got {
 			t.Logf("%s: host-link latency %v <= lookahead %v (premise check only)", name, hostD, got)
 		}
 	}
