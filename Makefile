@@ -50,12 +50,15 @@ bench:
 bench-test:
 	$(GO) -C bench test ./...
 
-# CPU + heap profile of the macro incast benchmark; inspect with
-# `go tool pprof cpu.out`. floodsim -cpuprofile/-memprofile profile a
-# full experiment instead.
+# CPU + heap profile of the macro incast benchmark, and a CPU profile of
+# the bare event queue at the ledger's replay shape (the go-test twin of
+# the sim.replay_* rungs); inspect with `go tool pprof cpu.out`.
+# floodsim -cpuprofile/-memprofile profile a full experiment instead.
 profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkRunIncast' -benchtime 50x \
 		-cpuprofile cpu.out -memprofile mem.out ./internal/exp
-	@echo "profiles written: cpu.out mem.out (go tool pprof <file>)"
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineReplay' -benchtime 5000000x \
+		-cpuprofile cpu.sim.out ./internal/sim
+	@echo "profiles written: cpu.out mem.out cpu.sim.out (go tool pprof <file>)"
 
 ci: build lint test race bench-test

@@ -5,6 +5,7 @@ package core
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"slices"
 
 	"floodgate/internal/device"
 	"floodgate/internal/forensics"
@@ -22,13 +23,17 @@ type Module struct {
 	cfg Config
 	sw  *device.Switch
 
-	// Upstream role: per-destination sending windows.
-	wins map[packet.NodeID]*dstWin
+	// Per-destination state (window, VOQ mapping, parked bytes, paused
+	// hosts): one paged record per destination that ever had a window
+	// here, so a forwarded packet costs one index and memory follows the
+	// active destinations, not the fabric (§7.4). live lists them in
+	// window-creation order for the walks that visit every window.
+	dsts paged[dstState]
+	live []packet.NodeID
 
-	// Downstream role: credit generation per (ingress port, dst).
-	// Rows are minted lazily (host-facing ports never credit) and sized
-	// by node count so the per-packet lookup is two array indexes.
-	down      [][]*downChan     // per ingress port, indexed by dst NodeID
+	// Downstream role: credit generation per (ingress port, dst), one
+	// paged table per ingress port (host-facing ports never credit).
+	down      []paged[downChan]
 	pending   [][]packet.NodeID // per ingress port: dsts with pending credits (insertion order)
 	timerArm  []bool            // per ingress port: credit timer scheduled
 	tickArgs  []tickArg         // per ingress port: pre-built AfterArg payloads
@@ -37,14 +42,10 @@ type Module struct {
 
 	// VOQ pool.
 	voqs    []*voq
-	voqOf   map[packet.NodeID]*voq
 	free    []int // free voq indices per group: [0]=down, [1]=up (or all in [0])
 	freeUp  []int
 	inUse   int
 	grouped bool
-
-	// Per-dst host pause bookkeeping (first-hop ToRs).
-	pausedHosts map[packet.NodeID]map[packet.NodeID]bool // dst -> set of paused hosts
 
 	maxWins int // peak window-table size (§7.4 memory overhead)
 
@@ -90,8 +91,40 @@ func creditTickFn(a any) {
 
 // fireSYNFn is the capture-free switchSYN-timeout callback.
 func fireSYNFn(a any) {
-	w := a.(*dstWin)
+	w := a.(*dstState)
 	w.m.fireSYN(w)
+}
+
+// paged is a table indexed by destination NodeID whose 256-entry value
+// pages are minted on first touch under a root that grows to the
+// highest page touched (the PR 10 port arena's idea applied to
+// per-destination state): lookups are two array indexes, entries never
+// move, and an idle table costs nothing.
+type paged[T any] struct{ pages []*[pageSize]T }
+
+const (
+	pageBits = 8
+	pageSize = 1 << pageBits
+)
+
+// get returns dst's entry, or nil if its page was never minted.
+func (t *paged[T]) get(dst packet.NodeID) *T {
+	if pi := int(dst >> pageBits); pi < len(t.pages) && t.pages[pi] != nil {
+		return &t.pages[pi][dst&(pageSize-1)]
+	}
+	return nil
+}
+
+// at returns dst's entry, minting its page (zero values) if needed.
+func (t *paged[T]) at(dst packet.NodeID) *T {
+	pi := int(dst >> pageBits)
+	if pi >= len(t.pages) {
+		t.pages = append(t.pages, make([]*[pageSize]T, pi+1-len(t.pages))...)
+	}
+	if t.pages[pi] == nil {
+		t.pages[pi] = new([pageSize]T)
+	}
+	return &t.pages[pi][dst&(pageSize-1)]
 }
 
 // downChan is the downstream switch's per-channel credit state.
@@ -102,15 +135,18 @@ type downChan struct {
 	epoch   uint32         // upstream boot epoch last seen (0 = first contact)
 }
 
-// dstWin is the upstream per-destination window.
-type dstWin struct {
+// dstState is everything one switch keeps about one destination: the
+// upstream window plus, while the destination is an incast suspect, its
+// VOQ mapping, parked bytes and paused first-hop hosts. The zero value
+// (m == nil) is a destination that has no window yet.
+type dstState struct {
 	m     *Module // owner, for the capture-free SYN callback
 	dst   packet.NodeID
 	init  units.ByteSize
 	avail units.ByteSize
-	// outstanding per egress port: sent cumulative and last credited
-	// cumulative from the downstream switch.
-	ports map[int]*upPort
+	// outstanding per egress port, ascending by port: sent cumulative
+	// and last credited cumulative from the downstream switch.
+	ports []upPort
 	// switchSYN management. The deadline is lazy: every credit would
 	// otherwise cancel and re-arm the engine timer (pure scheduler
 	// churn, one dead entry per credit), so credits just zero the
@@ -118,9 +154,14 @@ type dstWin struct {
 	lastCredit  units.Time
 	synTimer    sim.Handle
 	synDeadline units.Time // 0 = disarmed
+
+	voq    *voq           // non-nil while identified as incast
+	parked units.ByteSize // bytes parked in voq for this destination
+	paused []int32        // host-facing ports whose host is paused on dst
 }
 
 type upPort struct {
+	port    int32
 	sent    units.ByteSize
 	lastCum units.ByteSize
 }
@@ -135,12 +176,11 @@ type parked struct {
 
 // voq parks packets whose destination window is exhausted.
 type voq struct {
-	idx    int
-	group  int
-	q      []parked
-	bytes  units.ByteSize
-	perDst map[packet.NodeID]units.ByteSize
-	dsts   []packet.NodeID // destinations mapped to this VOQ
+	idx   int
+	group int
+	q     []parked
+	bytes units.ByteSize
+	dsts  []packet.NodeID // destinations mapped to this VOQ
 }
 
 // New returns a device.FCFactory installing Floodgate on every switch.
@@ -151,18 +191,15 @@ func New(cfg Config) device.FCFactory {
 func newModule(cfg Config, sw *device.Switch) *Module {
 	node := sw.Node()
 	m := &Module{
-		cfg:         cfg,
-		sw:          sw,
-		wins:        make(map[packet.NodeID]*dstWin),
-		down:        make([][]*downChan, len(node.Ports)),
-		pending:     make([][]packet.NodeID, len(node.Ports)),
-		timerArm:    make([]bool, len(node.Ports)),
-		tickArgs:    make([]tickArg, len(node.Ports)),
-		facesSw:     make([]bool, len(node.Ports)),
-		facesHost:   make([]bool, len(node.Ports)),
-		voqOf:       make(map[packet.NodeID]*voq),
-		pausedHosts: make(map[packet.NodeID]map[packet.NodeID]bool),
-		epoch:       1,
+		cfg:       cfg,
+		sw:        sw,
+		down:      make([]paged[downChan], len(node.Ports)),
+		pending:   make([][]packet.NodeID, len(node.Ports)),
+		timerArm:  make([]bool, len(node.Ports)),
+		tickArgs:  make([]tickArg, len(node.Ports)),
+		facesSw:   make([]bool, len(node.Ports)),
+		facesHost: make([]bool, len(node.Ports)),
+		epoch:     1,
 	}
 	m.frx = sw.Net().ForensicsRec()
 	nm := &sw.Net().Metrics
@@ -184,8 +221,7 @@ func newModule(cfg Config, sw *device.Switch) *Module {
 	if n <= 0 {
 		n = 1
 	}
-	// One backing array for all VOQ structs; the perDst maps are minted
-	// lazily on first park (most VOQs on most switches stay idle).
+	// One backing array for all VOQ structs.
 	vs := make([]voq, n)
 	m.voqs = make([]*voq, n)
 	for i := range m.voqs {
@@ -211,8 +247,8 @@ func newModule(cfg Config, sw *device.Switch) *Module {
 
 // Window returns the remaining window for a destination (tests).
 func (m *Module) Window(dst packet.NodeID) (units.ByteSize, bool) {
-	w, ok := m.wins[dst]
-	if !ok {
+	w := m.dsts.get(dst)
+	if w == nil || w.m == nil {
 		return 0, false
 	}
 	return w.avail, true
@@ -230,8 +266,8 @@ func (m *Module) Grouped() bool { return m.grouped }
 // is leaked window, any negative residue is inflation.
 func (m *Module) WindowDeficit() units.ByteSize {
 	var d units.ByteSize
-	//lint:allow maprange order-independent sum over the window table
-	for _, w := range m.wins {
+	for _, dst := range m.live {
+		w := m.dsts.get(dst)
 		d += w.init - w.avail
 	}
 	return d
@@ -248,9 +284,9 @@ func (m *Module) OnIngress(p *packet.Packet, inPort, outPort int) device.Verdict
 		return device.Verdict{}
 	}
 	w := m.winFor(p.Dst, outPort)
-	if v, ok := m.voqOf[p.Dst]; ok {
+	if w.voq != nil {
 		// Destination already identified as incast.
-		m.park(v, p, outPort)
+		m.park(w, p, outPort)
 		return device.Verdict{Consumed: true}
 	}
 	if w.avail >= p.Size {
@@ -258,15 +294,15 @@ func (m *Module) OnIngress(p *packet.Packet, inPort, outPort int) device.Verdict
 		return device.Verdict{}
 	}
 	// Window exhausted: the destination is encountering incast.
-	v := m.allocVOQ(p.Dst)
-	m.park(v, p, outPort)
+	m.allocVOQ(w)
+	m.park(w, p, outPort)
 	m.armSYN(w)
 	return device.Verdict{Consumed: true}
 }
 
 // forward consumes window and stamps the loss-recovery PSN (plus the
 // boot epoch so a downstream switch can tell a restart from a gap).
-func (m *Module) forward(w *dstWin, p *packet.Packet, outPort int) {
+func (m *Module) forward(w *dstState, p *packet.Packet, outPort int) {
 	w.avail -= p.Size
 	m.mWindowBytes.Add(int64(p.Size))
 	up := w.port(outPort)
@@ -283,8 +319,9 @@ func (m *Module) forward(w *dstWin, p *packet.Packet, outPort int) {
 
 // winFor lazily initialises the per-destination window from the
 // routed next-hop link (§4.2).
-func (m *Module) winFor(dst packet.NodeID, outPort int) *dstWin {
-	if w, ok := m.wins[dst]; ok {
+func (m *Module) winFor(dst packet.NodeID, outPort int) *dstState {
+	w := m.dsts.at(dst)
+	if w.m != nil {
 		return w
 	}
 	port := &m.sw.Node().Ports[outPort]
@@ -294,12 +331,11 @@ func (m *Module) winFor(dst packet.NodeID, outPort int) *dstWin {
 	} else {
 		init = port.BDP() + units.BytesOver(port.Rate, m.cfg.CreditTimer)
 	}
-	w := &dstWin{m: m, dst: dst, init: init, avail: init, ports: make(map[int]*upPort)}
-	w.lastCredit = m.now()
-	m.wins[dst] = w
+	*w = dstState{m: m, dst: dst, init: init, avail: init, lastCredit: m.now()}
+	m.live = append(m.live, dst)
 	m.mWindows.Add(1)
-	if len(m.wins) > m.maxWins {
-		m.maxWins = len(m.wins)
+	if len(m.live) > m.maxWins {
+		m.maxWins = len(m.live)
 	}
 	return w
 }
@@ -308,13 +344,17 @@ func (m *Module) winFor(dst packet.NodeID, outPort int) *dstWin {
 // this switch held — the §7.4 stateful-memory figure.
 func (m *Module) MaxWindows() int { return m.maxWins }
 
-func (w *dstWin) port(i int) *upPort {
-	u, ok := w.ports[i]
-	if !ok {
-		u = &upPort{}
-		w.ports[i] = u
+// port returns egress port i's counters, inserting them in port order
+// (a window uses a handful of ECMP uplinks at most).
+func (w *dstState) port(i int) *upPort {
+	k := 0
+	for k < len(w.ports) && int(w.ports[k].port) < i {
+		k++
 	}
-	return u
+	if k == len(w.ports) || int(w.ports[k].port) != i {
+		w.ports = slices.Insert(w.ports, k, upPort{port: int32(i)})
+	}
+	return &w.ports[k]
 }
 
 // ---- VOQ management ----
@@ -322,7 +362,8 @@ func (w *dstWin) port(i int) *upPort {
 // allocVOQ finds the VOQ for a newly identified incast destination:
 // an empty one from the right group if available, else a CRC-32 hash
 // over the allocated VOQs (§4.2).
-func (m *Module) allocVOQ(dst packet.NodeID) *voq {
+func (m *Module) allocVOQ(w *dstState) {
+	dst := w.dst
 	group := 0
 	if m.grouped && !m.sw.Net().Topo.SamePod(m.sw.Node().ID, dst) {
 		group = 1
@@ -345,11 +386,10 @@ func (m *Module) allocVOQ(dst packet.NodeID) *voq {
 		v = m.hashVOQ(dst, group)
 	}
 	v.dsts = append(v.dsts, dst)
-	m.voqOf[dst] = v
+	w.voq = v
 	if m.frx != nil {
 		m.frx.EpisodeStart(m.sw.Node().ID, dst, m.now())
 	}
-	return v
 }
 
 // hashVOQ picks an allocated VOQ in the group via CRC-32 of the dst.
@@ -381,24 +421,22 @@ func (m *Module) hashVOQ(dst packet.NodeID, group int) *voq {
 	return candidates[int(h)%len(candidates)]
 }
 
-// park stores a data packet in a VOQ and accounts it against the
-// egress port it will eventually use.
-func (m *Module) park(v *voq, p *packet.Packet, outPort int) {
+// park stores a data packet in its destination's VOQ and accounts it
+// against the egress port it will eventually use.
+func (m *Module) park(w *dstState, p *packet.Packet, outPort int) {
 	p.ViaVOQ = true
 	p.EnqueuedAt = m.now()
+	v := w.voq
 	v.q = append(v.q, parked{p: p, out: int32(outPort)})
 	v.bytes += p.Size
-	if v.perDst == nil {
-		v.perDst = make(map[packet.NodeID]units.ByteSize)
-	}
-	v.perDst[p.Dst] += p.Size
+	w.parked += p.Size
 	m.mParkedBytes.Add(int64(p.Size))
 	m.sw.NotePortBytes(outPort, p.Size)
 	if m.frx != nil {
-		m.frx.Parked(m.sw.Node().ID, p.Dst, p.Flow, v.perDst[p.Dst])
+		m.frx.Parked(m.sw.Node().ID, p.Dst, p.Flow, w.parked)
 	}
 	m.sw.Net().TraceEvent(trace.OpPark, m.sw.Node().ID, p)
-	m.maybeDstPause(p)
+	m.maybeDstPause(w, p)
 }
 
 // drain moves VOQ head packets whose destination has window again into
@@ -416,7 +454,7 @@ func (m *Module) drain(v *voq) {
 		}
 		v.q = v.q[1:]
 		v.bytes -= p.Size
-		v.perDst[p.Dst] -= p.Size
+		w.parked -= p.Size
 		m.mParkedBytes.Add(-int64(p.Size))
 		if int(e.out) != outPort {
 			// Routing moved while the packet was parked (a link went
@@ -431,7 +469,7 @@ func (m *Module) drain(v *voq) {
 		m.sw.Net().TraceAux(trace.OpUnpark, m.sw.Node().ID, p, m.creditFrom)
 		m.forward(w, p, outPort)
 		m.sw.InjectEgress(p, outPort, 0)
-		m.maybeDstResume(p.Dst)
+		m.maybeDstResume(w)
 	}
 	if v.bytes == 0 {
 		m.freeVOQ(v)
@@ -450,14 +488,12 @@ func (m *Module) freeVOQ(v *voq) {
 		}
 	}
 	for _, d := range v.dsts {
-		delete(m.voqOf, d)
-		if m.cfg.PerDstPause {
-			m.maybeDstResume(d)
-		}
+		w := m.dsts.get(d)
+		w.voq, w.parked = nil, 0
+		m.maybeDstResume(w)
 	}
 	v.dsts = v.dsts[:0]
 	v.q = nil
-	clear(v.perDst)
 	if m.grouped && v.group == 1 {
 		m.freeUp = append(m.freeUp, v.idx)
 	} else {
@@ -477,7 +513,7 @@ func (m *Module) OnDequeue(p *packet.Packet, outPort, queue int) {
 	if in < 0 || !m.facesSw[in] {
 		return
 	}
-	ch := m.chanFor(in, p.Dst)
+	ch := m.down[in].at(p.Dst)
 	ch.cumFwd += p.Size
 	if m.cfg.Mode == Ideal {
 		// Strawman: one credit per packet, immediately.
@@ -489,20 +525,6 @@ func (m *Module) OnDequeue(p *packet.Packet, outPort, queue int) {
 	}
 	ch.pending += p.Size
 	m.armTimer(in)
-}
-
-func (m *Module) chanFor(in int, dst packet.NodeID) *downChan {
-	row := m.down[in]
-	if row == nil {
-		row = make([]*downChan, len(m.sw.Net().Switches))
-		m.down[in] = row
-	}
-	ch := row[dst]
-	if ch == nil {
-		ch = &downChan{}
-		row[dst] = ch
-	}
-	return ch
 }
 
 // armTimer schedules the per-ingress-port credit tick if idle.
@@ -526,18 +548,14 @@ func (m *Module) creditTick(in int) {
 	// passes the read index, and keeping the capacity means steady-state
 	// ticks allocate nothing.
 	retained := dsts[:0]
-	row := m.down[in]
 	for _, d := range dsts {
-		var ch *downChan
-		if row != nil {
-			ch = row[d]
-		}
+		ch := m.down[in].get(d)
 		if ch == nil || ch.pending == 0 {
 			continue
 		}
 		// delayCredit: withhold while this destination's VOQ here is
 		// overloaded — absorbing more would only build buffer.
-		if v, ok := m.voqOf[d]; ok && v.perDst[d] > m.cfg.DelayCreditThresh {
+		if w := m.dsts.get(d); w != nil && w.parked > m.cfg.DelayCreditThresh {
 			retained = append(retained, d)
 			continue
 		}
@@ -586,7 +604,7 @@ func (m *Module) OnCtrl(p *packet.Packet, inPort int) bool {
 		// sent count; anything we have not seen by now is presumed lost
 		// (the timeout is much larger than one hop's flight time) and is
 		// credited as gone, then the channel is resynced immediately.
-		ch := m.chanFor(inPort, p.Dst)
+		ch := m.down[inPort].at(p.Dst)
 		if p.PSN > ch.lastPSN {
 			ch.cumFwd += p.PSN - ch.lastPSN
 			ch.lastPSN = p.PSN
@@ -601,8 +619,8 @@ func (m *Module) OnCtrl(p *packet.Packet, inPort int) bool {
 // count; byte counts in Bytes are informational (the Cum basis is what
 // makes the scheme robust to credit loss, §4.3).
 func (m *Module) applyCredit(port int, e packet.CreditEntry) {
-	w, ok := m.wins[e.Dst]
-	if !ok {
+	w := m.dsts.get(e.Dst)
+	if w == nil || w.m == nil {
 		return
 	}
 	up := w.port(port)
@@ -619,17 +637,16 @@ func (m *Module) applyCredit(port int, e packet.CreditEntry) {
 	// Recompute availability: init minus bytes still outstanding on any
 	// downstream channel.
 	var outstanding units.ByteSize
-	//lint:allow maprange order-independent sum of per-port outstanding bytes
-	for _, u := range w.ports {
-		outstanding += u.sent - u.lastCum
+	for i := range w.ports {
+		outstanding += w.ports[i].sent - w.ports[i].lastCum
 	}
 	availOld := w.avail
 	w.avail = w.init - outstanding
 	m.mWindowBytes.Add(int64(availOld) - int64(w.avail))
 	w.lastCredit = m.now()
 	w.synDeadline = 0 // lazy disarm: the pending timer finds it and dies
-	if v, ok := m.voqOf[e.Dst]; ok {
-		m.drain(v)
+	if w.voq != nil {
+		m.drain(w.voq)
 	}
 }
 
@@ -637,7 +654,7 @@ func (m *Module) applyCredit(port int, e packet.CreditEntry) {
 // deadline moves; the engine timer is only scheduled when none is
 // pending — a stale one (armed before the last lazy disarm) always
 // fires at or before the new deadline and re-arms itself there.
-func (m *Module) armSYN(w *dstWin) {
+func (m *Module) armSYN(w *dstState) {
 	if w.synDeadline != 0 {
 		return
 	}
@@ -647,7 +664,7 @@ func (m *Module) armSYN(w *dstWin) {
 	}
 }
 
-func (m *Module) fireSYN(w *dstWin) {
+func (m *Module) fireSYN(w *dstState) {
 	if w.synDeadline == 0 {
 		return // disarmed since scheduling: a credit arrived
 	}
@@ -678,15 +695,11 @@ func (m *Module) fireSYN(w *dstWin) {
 	// our cumulative sent count so it can write off lost bytes. Ports
 	// are walked in index order to keep runs deterministic.
 	probed := false
-	for port := 0; port < len(m.sw.Node().Ports); port++ {
-		u, ok := w.ports[port]
-		if !ok {
-			continue
-		}
+	for _, u := range w.ports {
 		if u.sent > u.lastCum || (escape && u.sent > 0) {
 			syn := n.NewCtrl(packet.SwitchSYN, 0, m.sw.Node().ID, w.dst)
 			syn.PSN = u.sent
-			m.sw.SendCtrl(syn, port)
+			m.sw.SendCtrl(syn, int(u.port))
 			probed = true
 		}
 	}
@@ -695,7 +708,7 @@ func (m *Module) fireSYN(w *dstWin) {
 	}
 }
 
-func (m *Module) armSYNAgain(w *dstWin) {
+func (m *Module) armSYNAgain(w *dstState) {
 	w.synDeadline = m.now().Add(m.cfg.SYNTimeout)
 	w.synTimer = m.sw.Net().Eng.AfterArg(m.cfg.SYNTimeout, fireSYNFn, w)
 }
@@ -706,7 +719,7 @@ func (m *Module) checkPSNGap(p *packet.Packet, inPort int) {
 	if p.PSN == 0 || !m.facesSw[inPort] {
 		return
 	}
-	ch := m.chanFor(inPort, p.Dst)
+	ch := m.down[inPort].at(p.Dst)
 	if p.FGEpoch != ch.epoch {
 		if ch.epoch != 0 {
 			// The upstream switch restarted: its PSN sequence rebased,
@@ -760,60 +773,39 @@ func (m *Module) QueueSignal(p *packet.Packet, outPort int) units.ByteSize {
 
 // maybeDstPause pauses the sending host when a first-hop VOQ for its
 // destination exceeds thre_off.
-func (m *Module) maybeDstPause(p *packet.Packet) {
+func (m *Module) maybeDstPause(w *dstState, p *packet.Packet) {
 	if !m.cfg.PerDstPause {
 		return
 	}
-	in := int(p.InPort)
+	in := p.InPort
 	if in < 0 || !m.facesHost[in] {
 		return // only first-hop ToRs pause, and only their own hosts
 	}
-	v := m.voqOf[p.Dst]
-	if v == nil || v.perDst[p.Dst] <= m.cfg.PauseThreshOff {
+	if w.parked <= m.cfg.PauseThreshOff || slices.Contains(w.paused, in) {
 		return
 	}
-	hosts := m.pausedHosts[p.Dst]
-	if hosts == nil {
-		hosts = make(map[packet.NodeID]bool)
-		m.pausedHosts[p.Dst] = hosts
-	}
-	src := m.sw.Node().Ports[in].Peer
-	if hosts[src] {
-		return
-	}
-	hosts[src] = true
+	w.paused = append(w.paused, in)
 	n := m.sw.Net()
-	f := n.NewCtrl(packet.DstPause, 0, m.sw.Node().ID, src)
+	f := n.NewCtrl(packet.DstPause, 0, m.sw.Node().ID, m.sw.Node().Ports[in].Peer)
 	f.PauseDst = p.Dst
-	m.sw.SendCtrl(f, in)
+	m.sw.SendCtrl(f, int(in))
 }
 
-// maybeDstResume resumes paused hosts once the VOQ falls below thre_on.
-func (m *Module) maybeDstResume(dst packet.NodeID) {
-	if !m.cfg.PerDstPause {
-		return
-	}
-	hosts := m.pausedHosts[dst]
-	if len(hosts) == 0 {
-		return
-	}
-	if v, ok := m.voqOf[dst]; ok && v.perDst[dst] > m.cfg.PauseThreshOn {
+// maybeDstResume resumes paused hosts, in port order, once the VOQ
+// falls below thre_on.
+func (m *Module) maybeDstResume(w *dstState) {
+	if len(w.paused) == 0 || w.parked > m.cfg.PauseThreshOn {
 		return
 	}
 	n := m.sw.Net()
 	node := m.sw.Node()
-	for i := range node.Ports {
-		if !m.facesHost[i] {
-			continue
-		}
-		peer := node.Ports[i].Peer
-		if hosts[peer] {
-			f := n.NewCtrl(packet.DstResume, 0, node.ID, peer)
-			f.PauseDst = dst
-			m.sw.SendCtrl(f, i)
-			delete(hosts, peer)
-		}
+	slices.Sort(w.paused)
+	for _, i := range w.paused {
+		f := n.NewCtrl(packet.DstResume, 0, node.ID, node.Ports[i].Peer)
+		f.PauseDst = w.dst
+		m.sw.SendCtrl(f, int(i))
 	}
+	w.paused = w.paused[:0]
 }
 
 func (m *Module) now() units.Time { return m.sw.Net().Eng.Now() }
@@ -851,7 +843,6 @@ func (m *Module) Restart() {
 		v.q = nil
 		v.bytes = 0
 		v.dsts = v.dsts[:0]
-		clear(v.perDst)
 	}
 	m.mVOQsInUse.Add(-int64(m.inUse))
 	if m.inUse > 0 {
@@ -873,18 +864,20 @@ func (m *Module) Restart() {
 			m.free = append(m.free, i)
 		}
 	}
-	clear(m.voqOf)
 
-	// Windows: cancel loss-recovery timers and drop the table.
+	// Windows: cancel loss-recovery timers and forget every destination
+	// (VOQ mappings and per-dst pause memory go with the record; the
+	// device layer wakes paused hosts via its own onPeerReset nudge).
 	var occupied int64
-	//lint:allow maprange order-independent teardown: summing deficits and cancelling timers
-	for _, w := range m.wins {
+	for _, dst := range m.live {
+		w := m.dsts.get(dst)
 		occupied += int64(w.init - w.avail)
 		n.Eng.Cancel(w.synTimer)
+		*w = dstState{}
 	}
 	m.mWindowBytes.Add(-occupied)
-	m.mWindows.Add(-int64(len(m.wins)))
-	clear(m.wins)
+	m.mWindows.Add(-int64(len(m.live)))
+	m.live = m.live[:0]
 
 	// Downstream credit state: channels and pending credits are gone.
 	// Stale credit timers may still fire; creditTick no-ops on an empty
@@ -894,10 +887,6 @@ func (m *Module) Restart() {
 		m.pending[i] = m.pending[i][:0]
 		m.timerArm[i] = false
 	}
-
-	// Per-dst pause memory is lost too; the device layer wakes the
-	// hosts via its own onPeerReset nudge.
-	clear(m.pausedHosts)
 
 	m.epoch++
 }
@@ -909,8 +898,8 @@ func (m *Module) Resyncs() int { return m.resyncs }
 // StallReport implements device.StallReporter for watchdog diagnoses.
 func (m *Module) StallReport() device.StallInfo {
 	si := device.StallInfo{Resyncs: m.resyncs}
-	//lint:allow maprange order-independent aggregation over the window table
-	for _, w := range m.wins {
+	for _, dst := range m.live {
+		w := m.dsts.get(dst)
 		si.WindowDeficit += w.init - w.avail
 		if w.avail < packet.MTU {
 			si.ExhaustedWindows++

@@ -160,20 +160,7 @@ func BenchmarkRunScaleIncast(b *testing.B) {
 	b.ReportAllocs()
 	var simSec, events, heap float64
 	for i := 0; i < b.N; i++ {
-		tp, _, err := o.scaleTopo("clos100k")
-		if err != nil {
-			b.Fatal(err)
-		}
-		specs := scaleIncastSpecs(tp, o.Seed, scaleIncastDegree)
-		res := Run(RunConfig{
-			Topo: tp, Scheme: WithFloodgate(o, DCQCN(o), baseBDPOf(tp)),
-			Specs: specs, Duration: fullScaleIncastDuration,
-			Seed: o.Seed, Opt: o,
-			BufferSize: units.ByteSize(len(specs)) * 35 * mtu,
-		})
-		if res.Completed != res.Total {
-			b.Fatalf("flows incomplete at 100k hosts: %d/%d", res.Completed, res.Total)
-		}
+		res := runScaleIncastFloodgate(b, o)
 		simSec += res.Net.Eng.Now().Seconds()
 		events += float64(res.Net.Eng.Processed)
 		heap = float64(res.Net.SnapshotMemStats())
@@ -182,6 +169,26 @@ func BenchmarkRunScaleIncast(b *testing.B) {
 	b.ReportMetric(simSec/wall, "simsec/wallsec")
 	b.ReportMetric(events/wall, "events/s")
 	b.ReportMetric(heap, "heap_bytes/run")
+}
+
+// runScaleIncastFloodgate builds the 102,400-host Clos and runs the
+// scaleincast experiment's DCQCN+Floodgate cell to completion.
+func runScaleIncastFloodgate(tb testing.TB, o Options) *RunResult {
+	tp, _, err := o.scaleTopo("clos100k")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	specs := scaleIncastSpecs(tp, o.Seed, scaleIncastDegree)
+	res := Run(RunConfig{
+		Topo: tp, Scheme: WithFloodgate(o, DCQCN(o), baseBDPOf(tp)),
+		Specs: specs, Duration: fullScaleIncastDuration,
+		Seed: o.Seed, Opt: o,
+		BufferSize: units.ByteSize(len(specs)) * 35 * mtu,
+	})
+	if res.Completed != res.Total {
+		tb.Fatalf("flows incomplete at 100k hosts: %d/%d", res.Completed, res.Total)
+	}
+	return res
 }
 
 // BenchmarkRunClosedLoop executes one sloincast cell end to end: the

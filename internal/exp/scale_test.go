@@ -53,9 +53,13 @@ func TestScaleIncastSmoke(t *testing.T) {
 
 // TestScaleIncastCompletes is the acceptance run: the 102,400-host
 // Clos builds, routes and completes the canonical incast in one
-// process, inside the stated memory budget (2 GB live heap, covering
-// both schemes' networks concurrently) with route memory that would
-// be impossible dense.
+// process with route memory that would be impossible dense, and the
+// Floodgate cell's live heap — fabric, devices, flow-control tables and
+// collectors, measured while its result is still referenced — stays
+// inside 256 MB. (The budget used to be read after ScaleIncast had
+// returned only strings, when HeapAlloc is ≈90 KB whatever the run
+// held; per-ingress-port credit rows sized by node count put this cell
+// at 553 MB and it passed.)
 func TestScaleIncastCompletes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-host simulation")
@@ -69,16 +73,16 @@ func TestScaleIncastCompletes(t *testing.T) {
 		}
 	}
 	run := tables[1].String()
-	if !strings.Contains(run, "256/256") {
-		t.Fatalf("incast did not complete on both schemes:\n%s", run)
+	if got := strings.Count(run, "256/256"); got != 2 {
+		t.Fatalf("want both schemes at 256/256 completions, saw %d:\n%s", got, run)
 	}
+	res := runScaleIncastFloodgate(t, o.norm())
 	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	const budget = 2 << 30
-	if ms.HeapAlloc > budget {
-		t.Fatalf("live heap %d bytes exceeds the %d-byte scaleincast budget", ms.HeapAlloc, uint64(budget))
+	const budget = 256 << 20
+	if heap := res.Net.SnapshotMemStats(); heap > budget {
+		t.Fatalf("live heap %d bytes exceeds the %d-byte scaleincast budget", heap, budget)
 	}
+	runtime.KeepAlive(res)
 }
 
 // TestScaleIncastShardDeterminism extends the bit-identity matrix to

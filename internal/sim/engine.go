@@ -63,16 +63,21 @@ type Engine struct {
 	now units.Time
 	seq uint64
 
-	// Queue state (see wheel.go): the active-bucket heap, the
-	// near-horizon ring, and the far-timer overflow heap. near is the
-	// active bucket's span: wheelGran, or all of time under SchedHeap,
-	// where every entry lands in cur and the other two stay empty.
+	// Queue state (see wheel.go): the active heap, the rung of
+	// sub-buckets under the active granule, the near-horizon ring, and
+	// the far-timer overflow heap. near is the end of cur's span past
+	// base: a sub-bucket boundary within the granule, or all of time
+	// under SchedHeap, where every entry lands in cur and the other
+	// three stay empty.
 	near     int64
 	cur      []heapEnt
+	fine     [fineCount][]heapEnt
+	fineOcc  uint64 // bit k set: fine[k] may hold entries
+	fineCnt  int    // entries across fine
 	buckets  [][]heapEnt
 	base     units.Time // start of the active bucket's span
 	cursor   int        // ring index of the active bucket
-	wheelCnt int        // entries across buckets (excluding cur and overflow)
+	wheelCnt int        // entries across buckets
 	overflow []heapEnt
 
 	events  []event
@@ -80,6 +85,7 @@ type Engine struct {
 	live    int // entries whose event is still scheduled
 	entCnt  int // total queued entries across all structures (live + dead)
 	heapHW  int // peak entCnt (self-instrumentation)
+	curHW   int // peak len(cur) at a pop
 	stopped bool
 
 	// Processed counts events executed since creation (for reporting).
@@ -97,7 +103,7 @@ func NewEngine() *Engine { return NewEngineWith(SchedWheel) }
 func NewEngineWith(s Scheduler) *Engine {
 	e := &Engine{near: math.MaxInt64}
 	if s == SchedWheel {
-		e.near = int64(wheelGran)
+		e.near = 0
 		e.buckets = make([][]heapEnt, wheelBucketCount)
 		// Seed every bucket with a capacity slice of one shared backing
 		// array: growing 1024 buckets from nil costs thousands of tiny
@@ -263,18 +269,21 @@ func (e *Engine) filterLive(ents []heapEnt) []heapEnt {
 // (InUse must return to zero once every scheduled event has fired or
 // been cancelled).
 type Stats struct {
-	Processed     uint64 // events executed since creation
-	Live          int    // events still scheduled
-	HeapLen       int    // total queued entries across all structures (live + dead)
-	HeapHighWater int    // peak queued-entry count
-	DeadEntries   int    // lazily cancelled entries awaiting removal
-	SlabSize      int    // event slots ever allocated (pool high-water)
-	FreeSlots     int    // recycled slots awaiting reuse
-	InUse         int    // SlabSize - FreeSlots (pool balance)
+	Processed       uint64 // events executed since creation
+	Live            int    // events still scheduled
+	HeapLen         int    // total queued entries across all structures (live + dead)
+	HeapHighWater   int    // peak queued-entry count
+	ActiveHighWater int    // peak depth of the heap pops touch (CurLen at a pop)
+	DeadEntries     int    // lazily cancelled entries awaiting removal
+	SlabSize        int    // event slots ever allocated (pool high-water)
+	FreeSlots       int    // recycled slots awaiting reuse
+	InUse           int    // SlabSize - FreeSlots (pool balance)
 
-	// Queue breakdown: HeapLen = CurLen + BucketLen + OverflowLen.
-	// Under SchedHeap everything is in CurLen and the other two are zero.
-	CurLen      int // active-bucket heap entries
+	// Queue breakdown: HeapLen = CurLen + FineLen + BucketLen +
+	// OverflowLen. Under SchedHeap everything is in CurLen and the other
+	// three are zero.
+	CurLen      int // active heap entries
+	FineLen     int // entries in the active granule's sub-buckets
 	BucketLen   int // entries parked in near-horizon buckets
 	OverflowLen int // far timers in the overflow heap
 }
@@ -284,17 +293,19 @@ type Stats struct {
 // so it is safe to call from sampler probes on the hot path.
 func (e *Engine) StatsSnapshot() Stats {
 	return Stats{
-		Processed:     e.Processed,
-		Live:          e.live,
-		HeapLen:       e.entCnt,
-		HeapHighWater: e.heapHW,
-		DeadEntries:   e.entCnt - e.live,
-		SlabSize:      len(e.events),
-		FreeSlots:     len(e.free),
-		InUse:         len(e.events) - len(e.free),
-		CurLen:        len(e.cur),
-		BucketLen:     e.wheelCnt,
-		OverflowLen:   len(e.overflow),
+		Processed:       e.Processed,
+		Live:            e.live,
+		HeapLen:         e.entCnt,
+		HeapHighWater:   e.heapHW,
+		ActiveHighWater: e.curHW,
+		DeadEntries:     e.entCnt - e.live,
+		SlabSize:        len(e.events),
+		FreeSlots:       len(e.free),
+		InUse:           len(e.events) - len(e.free),
+		CurLen:          len(e.cur),
+		FineLen:         e.fineCnt,
+		BucketLen:       e.wheelCnt,
+		OverflowLen:     len(e.overflow),
 	}
 }
 
@@ -351,6 +362,9 @@ func (e *Engine) RunAll() {
 
 // exec pops the entry peekWheel just returned and runs its event.
 func (e *Engine) exec(ent heapEnt) {
+	if len(e.cur) > e.curHW {
+		e.curHW = len(e.cur)
+	}
 	entPop(&e.cur)
 	e.entCnt--
 	ev := &e.events[ent.slot]

@@ -59,6 +59,79 @@ func BenchmarkEngineCoreCancel(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineReplay is the bench ledger's sim.replay_* rung
+// (bench/rungs.go rungReplay) as a go-test benchmark, so queue work can
+// be iterated without a ledger run: no-op events that reschedule
+// themselves hold the backlog steady at the incast-mix workloads' peak.
+func BenchmarkEngineReplay(b *testing.B) {
+	for _, s := range []Scheduler{SchedWheel, SchedHeap} {
+		b.Run(s.String(), func(b *testing.B) {
+			e := newReplayEngine(s, replayBacklog, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for target := e.Processed + uint64(b.N); e.Processed < target; {
+				at, _ := e.NextAt()
+				e.Run(at)
+			}
+		})
+	}
+}
+
+// replayBacklog is sim.backlog_hw on memcached_churn_dcqcn, the deepest
+// of the ledger's five workloads.
+const replayBacklog = 2725
+
+type replayEvent struct {
+	e     *Engine
+	delay units.Duration
+}
+
+func replayFn(a any) {
+	ev := a.(*replayEvent)
+	ev.e.AfterArg(ev.delay, replayFn, ev)
+}
+
+// newReplayEngine queues `backlog` self-rescheduling events in the
+// ledger's replay shape: fifteen delays in sixteen drawn between a
+// 400 G control frame's and a 100 G hop's latency (30–1,430 ns), the
+// sixteenth a 10 µs credit-timer period.
+func newReplayEngine(s Scheduler, backlog int, seed uint64) *Engine {
+	e := NewEngineWith(s)
+	r := NewRand(seed ^ 0x5c4ed)
+	evs := make([]replayEvent, backlog)
+	for i := range evs {
+		delay := 30*units.Nanosecond + units.Duration(r.Int63n(int64(1400*units.Nanosecond)))
+		if i%16 == 0 {
+			delay = 10 * units.Microsecond
+		}
+		evs[i] = replayEvent{e: e, delay: delay}
+		e.AfterArg(delay, replayFn, &evs[i])
+	}
+	return e
+}
+
+// TestActiveHeapDepth pins what the rung under the ring is for: on the
+// replay shape a 131 ns granule holds ≈400 of the 2,725 queued entries
+// (mean depth at pop 413 without the rung, 8.4 with it), and pops must
+// sift a heap of one 2 ns sub-bucket, not of the granule. The depths
+// are counts, so the bound cannot flake.
+func TestActiveHeapDepth(t *testing.T) {
+	e := newReplayEngine(SchedWheel, replayBacklog, 1)
+	const pops = 200_000
+	depth := 0
+	for i := 0; i < pops; i++ {
+		ent, _ := e.peekWheel()
+		depth += len(e.cur)
+		e.exec(ent)
+	}
+	if mean := float64(depth) / pops; mean > 32 {
+		t.Fatalf("mean active-heap depth at pop = %.1f, want <= 32", mean)
+	}
+	if s := e.StatsSnapshot(); s.HeapLen != replayBacklog {
+		t.Fatalf("replay did not hold its %d-entry backlog: %+v", replayBacklog, s)
+	}
+}
+
 func benchName(k string, v int) string {
 	return k + "=" + itoa(v)
 }

@@ -66,19 +66,25 @@ func TestStatsSnapshot(t *testing.T) {
 }
 
 // TestStatsQueueBreakdown exercises the per-structure accounting:
-// CurLen/BucketLen/OverflowLen must partition HeapLen — three ways
-// under the wheel, all in CurLen under SchedHeap (whose active bucket
-// spans all of time) — and cancellation must keep Live/DeadEntries
-// exact no matter which structure holds the dead entry, including
-// through a compaction sweep that touches all three.
+// CurLen/FineLen/BucketLen/OverflowLen must partition HeapLen — four
+// ways under the wheel (the active granule's entries wait in the rung
+// until a peek surfaces the first sub-bucket into cur), all in CurLen
+// under SchedHeap (whose active heap spans all of time) — and
+// cancellation must keep Live/DeadEntries exact no matter which
+// structure holds the dead entry, including through a compaction sweep
+// that touches all four. ActiveHighWater is the deepest heap a pop saw:
+// one sub-bucket under the wheel, the whole queue under SchedHeap.
 func TestStatsQueueBreakdown(t *testing.T) {
 	const per = minCompactLen // enough that cancelling two groups trips compaction
+	sum := func(s Stats) int { return s.CurLen + s.FineLen + s.BucketLen + s.OverflowLen }
 	for _, tc := range []struct {
-		kind                  Scheduler
-		cur, bucket, overflow int
+		kind                        Scheduler
+		cur, fine, bucket, overflow int
+		peeked                      int // CurLen after one peek
 	}{
-		{SchedWheel, per, per, per},
-		{SchedHeap, 3 * per, 0, 0},
+		// near's delays 0..per-1 ps all fall in sub-bucket 0.
+		{SchedWheel, 0, per, per, per, per},
+		{SchedHeap, 3 * per, 0, 0, 0, 3 * per},
 	} {
 		t.Run(tc.kind.String(), func(t *testing.T) {
 			e := NewEngineWith(tc.kind)
@@ -91,11 +97,17 @@ func TestStatsQueueBreakdown(t *testing.T) {
 				far = append(far, e.After(units.Duration(wheelHorizon)*2+units.Duration(i), func() {}))
 			}
 			s := e.StatsSnapshot()
-			if s.CurLen != tc.cur || s.BucketLen != tc.bucket || s.OverflowLen != tc.overflow {
+			if s.CurLen != tc.cur || s.FineLen != tc.fine || s.BucketLen != tc.bucket || s.OverflowLen != tc.overflow {
 				t.Fatalf("structure split wrong: %+v", s)
 			}
-			if s.HeapLen != s.CurLen+s.BucketLen+s.OverflowLen {
+			if s.HeapLen != sum(s) {
 				t.Fatalf("HeapLen %d != sum of structures: %+v", s.HeapLen, s)
+			}
+			// A peek moves the first occupied sub-bucket from the rung
+			// into cur and nothing else.
+			e.NextAt()
+			if s = e.StatsSnapshot(); s.CurLen != tc.peeked || s.HeapLen != sum(s) || s.ActiveHighWater != 0 {
+				t.Fatalf("after peek: %+v", s)
 			}
 
 			// Cancel a sub-threshold slice of each group: entries stay
@@ -109,7 +121,7 @@ func TestStatsQueueBreakdown(t *testing.T) {
 			if s.Live != 3*per-24 || s.DeadEntries != 24 {
 				t.Fatalf("after partial cancel: %+v", s)
 			}
-			if s.HeapLen != 3*per || s.HeapLen != s.CurLen+s.BucketLen+s.OverflowLen {
+			if s.HeapLen != 3*per || s.HeapLen != sum(s) {
 				t.Fatalf("dead entries miscounted per structure: %+v", s)
 			}
 
@@ -126,7 +138,7 @@ func TestStatsQueueBreakdown(t *testing.T) {
 			if s.HeapLen > 2*s.Live {
 				t.Fatalf("compaction bound violated: %+v", s)
 			}
-			if s.HeapLen != s.CurLen+s.BucketLen+s.OverflowLen {
+			if s.HeapLen != sum(s) {
 				t.Fatalf("structure split inconsistent after compaction: %+v", s)
 			}
 			// Every survivor is a far timer: the wheel holds them all in
@@ -148,6 +160,12 @@ func TestStatsQueueBreakdown(t *testing.T) {
 			}
 			if s.Processed != uint64(per-8) {
 				t.Fatalf("processed = %d, want %d", s.Processed, per-8)
+			}
+			// The survivors sit one per picosecond, so the wheel pops
+			// them from a single sub-bucket; the heap's pops also wade
+			// through whatever dead entries the last sweep left.
+			if hw := s.ActiveHighWater; hw < per-8 || (tc.kind == SchedWheel && hw != per-8) {
+				t.Fatalf("ActiveHighWater = %d, want %d", hw, per-8)
 			}
 		})
 	}

@@ -2,17 +2,25 @@
 
 package sim
 
-import "floodgate/internal/units"
+import (
+	"math/bits"
+
+	"floodgate/internal/units"
+)
 
 // Hierarchical timing wheel (calendar-queue family; cf. Brown '88 and
 // the ladder queues used by NS-3). Packet simulation schedules almost
 // everything a serialization time or a propagation delay ahead — a few
 // hundred nanoseconds — so a comparison-based heap pays O(log n) per
 // event for ordering the queue far beyond the horizon it actually pops
-// from. The wheel splits the queue three ways:
+// from. The wheel splits the queue four ways:
 //
-//	cur      — 4-ary min-heap of every entry with at < base+gran: the
-//	           active bucket, the only structure pops touch.
+//	cur      — 4-ary min-heap of every entry with at < base+near: the
+//	           active sub-bucket, the only structure pops touch.
+//	fine     — the ladder rung: the active granule [base, base+gran)
+//	           cut into 64 unsorted sub-buckets of 2^11 ps ≈ 2 ns;
+//	           fine[k] holds at in [base+k·2^11, base+(k+1)·2^11) for
+//	           every k at or beyond near. Occupancy is one uint64.
 //	buckets  — ring of unsorted slices; bucket (cursor+k)&mask holds
 //	           entries with at in [base+k·gran, base+(k+1)·gran) for
 //	           k in [1, bucketCount). Insertion is an append: O(1).
@@ -20,21 +28,28 @@ import "floodgate/internal/units"
 //	           (RTOs, SYN retransmits, progress watchdogs), so far
 //	           timers never inflate the near-horizon structures.
 //
-// When cur drains, the cursor advances one bucket (base += gran) and
-// the next bucket's entries are heapified into cur — O(1) amortized
-// per event. Each advance also migrates overflow entries that now fall
-// inside the horizon into its far end; when cur and all buckets are
-// empty but overflow is not, base jumps directly to the overflow
+// When cur drains, the rung's first occupied sub-bucket is heapified
+// into cur (near moves to its end); when the rung is empty too, the
+// cursor advances one bucket (base += gran, near = 0) and the next
+// bucket's entries spread over the rung — O(1) amortized per event. A
+// busy fabric queues 300–600 entries per granule, so without the rung
+// cur is as deep as the global heap the wheel replaced; with it cur
+// holds ≈10 (DESIGN.md §3, which also records why a single-level 8 ns
+// wheel loses). Each advance also migrates overflow entries that
+// now fall inside the horizon into its far end; when everything nearer
+// is empty but overflow is not, base jumps directly to the overflow
 // head's timestamp (no idle bucket-by-bucket stepping).
 //
 // Ordering invariant (why tables stay bit-identical to SchedHeap):
-// every cur entry is < base+gran, every bucket entry in [base+gran,
-// base+horizon), every overflow entry ≥ base+horizon — so cur's root
-// is always the global (time, seq) minimum, and since entries with
-// equal timestamps always land in the same structure, the exact FIFO
-// tie-break order is preserved. Post-jump schedules with at < base
-// (base may run ahead of the clock after a jump) fall into cur via the
-// signed d < gran comparison, keeping the invariant airtight.
+// every cur entry is < base+near, every fine entry in [base+near,
+// base+gran) and in the sub-bucket its timestamp names, every bucket
+// entry in [base+gran, base+horizon), every overflow entry ≥
+// base+horizon — so whenever cur is non-empty its root is the global
+// (time, seq) minimum, and since entries with equal timestamps always
+// land in the same structure, the exact FIFO tie-break order is
+// preserved. Schedules with at < base+near (base may run ahead of the
+// clock after a jump, near after a peek) fall into cur via the signed
+// d < near comparison, keeping the invariant airtight.
 const (
 	// wheelGranShift sets bucket width to 2^17 ps ≈ 131 ns — the MTU
 	// serialization time at 100 Gbps, the natural quantum between
@@ -44,6 +59,11 @@ const (
 	wheelBucketCount = 1024 // power of two; horizon ≈ 134 µs
 	wheelMask        = wheelBucketCount - 1
 	wheelHorizon     = wheelGran * wheelBucketCount
+
+	// fineShift sets the rung's sub-bucket width to 2^11 ps ≈ 2 ns:
+	// 64 of them tile one granule, so one uint64 tracks occupancy.
+	fineShift = 11
+	fineCount = 1 << (wheelGranShift - fineShift)
 )
 
 // Scheduler selects the event-queue implementation behind an Engine.
@@ -80,6 +100,8 @@ func (e *Engine) insertWheel(ent heapEnt) {
 	switch {
 	case d < e.near:
 		entPush(&e.cur, ent)
+	case d < int64(wheelGran):
+		e.fileFine(ent, d)
 	case d < int64(wheelHorizon):
 		idx := (e.cursor + int(d>>wheelGranShift)) & wheelMask
 		e.buckets[idx] = append(e.buckets[idx], ent)
@@ -89,81 +111,92 @@ func (e *Engine) insertWheel(ent heapEnt) {
 	}
 }
 
+// fileFine appends an entry d past base, near ≤ d < gran, to the rung.
+func (e *Engine) fileFine(ent heapEnt, d int64) {
+	k := uint(d >> fineShift)
+	e.fine[k] = append(e.fine[k], ent)
+	e.fineOcc |= 1 << k
+	e.fineCnt++
+}
+
 // peekWheel returns the (time, seq)-minimum queued entry, dead or live,
-// surfacing it into cur[0]: the cursor advances over empty spans and
-// the overflow heap engages as needed. The advance only moves internal
-// cursors — it never executes events or touches the clock — so peeking
-// is observationally idempotent.
+// surfacing it into cur[0]: the rung and the cursor advance over empty
+// spans and the overflow heap engages as needed. The advance only moves
+// internal cursors — it never executes events or touches the clock — so
+// peeking is observationally idempotent.
 func (e *Engine) peekWheel() (heapEnt, bool) {
 	for {
-		if len(e.cur) > 0 {
+		switch {
+		case len(e.cur) > 0:
 			return e.cur[0], true
-		}
-		if e.wheelCnt > 0 {
+		case e.fineOcc != 0:
+			e.advanceFine()
+		case e.wheelCnt > 0:
 			e.advanceBucket()
-			continue
-		}
-		if len(e.overflow) > 0 {
+		case len(e.overflow) > 0:
 			e.jumpToOverflow()
-			continue
+		default:
+			return heapEnt{}, false
 		}
-		return heapEnt{}, false
 	}
 }
 
-// advanceBucket moves the active span one granule forward: the next
-// bucket's entries become cur, and overflow timers that the horizon
-// now covers migrate into its far end (always the span [base+horizon-
-// gran, base+horizon), i.e. the just-vacated ring slot — never cur, so
-// the swap below cannot discard them).
-func (e *Engine) advanceBucket() {
-	e.cursor = (e.cursor + 1) & wheelMask
-	e.base = e.base.Add(wheelGran)
-	end := e.base.Add(wheelHorizon)
-	for len(e.overflow) > 0 && e.overflow[0].at < end {
-		ent := e.overflow[0]
-		entPop(&e.overflow)
-		e.placeNear(ent)
-	}
-	b := e.buckets[e.cursor]
-	if len(b) == 0 {
-		return
-	}
-	e.wheelCnt -= len(b)
-	// Swap slices so the drained bucket donates its capacity back.
-	e.cur, e.buckets[e.cursor] = b, e.cur[:0]
+// advanceFine makes the rung's first occupied sub-bucket the active
+// heap. Inserts below near go to cur, so no occupied sub-bucket ever
+// lies behind it and the lowest set bit is the next span in time.
+func (e *Engine) advanceFine() {
+	k := bits.TrailingZeros64(e.fineOcc)
+	e.fineOcc &^= 1 << uint(k)
+	e.near = int64(k+1) << fineShift
+	// Swap slices so the spent heap donates its capacity to the rung.
+	e.cur, e.fine[k] = e.fine[k], e.cur[:0]
+	e.fineCnt -= len(e.cur)
 	entHeapInit(e.cur)
 }
 
-// jumpToOverflow handles the idle-wheel case: cur and every bucket are
-// empty, so rather than stepping granule by granule toward the next
-// far timer, rebase the wheel at its timestamp and migrate everything
-// within the new horizon. The head itself lands in cur (d = 0), so
-// progress is guaranteed.
+// advanceBucket moves the active span one granule forward (cur and the
+// rung are empty): the next bucket's entries spread over the rung, and
+// overflow timers that the horizon now covers migrate into its far end
+// (always the span [base+horizon-gran, base+horizon), i.e. the
+// just-vacated ring slot — never the bucket being spread).
+func (e *Engine) advanceBucket() {
+	e.cursor = (e.cursor + 1) & wheelMask
+	e.base = e.base.Add(wheelGran)
+	e.near = 0
+	e.migrateOverflow()
+	b, base := e.buckets[e.cursor], int64(e.base)
+	for _, ent := range b {
+		e.fileFine(ent, int64(ent.at)-base)
+	}
+	e.wheelCnt -= len(b)
+	e.buckets[e.cursor] = b[:0]
+}
+
+// jumpToOverflow handles the idle-wheel case: cur, the rung and every
+// bucket are empty, so rather than stepping granule by granule toward
+// the next far timer, rebase the wheel at its timestamp and migrate
+// everything within the new horizon. The head itself lands in the
+// rung's first sub-bucket (d = 0), so progress is guaranteed.
 func (e *Engine) jumpToOverflow() {
 	e.base = e.overflow[0].at
+	e.near = 0
+	e.migrateOverflow()
+}
+
+// migrateOverflow refiles every overflow entry the horizon now covers.
+func (e *Engine) migrateOverflow() {
 	end := e.base.Add(wheelHorizon)
 	for len(e.overflow) > 0 && e.overflow[0].at < end {
 		ent := e.overflow[0]
 		entPop(&e.overflow)
-		e.placeNear(ent)
+		e.insertWheel(ent)
 	}
-}
-
-// placeNear files an entry already known to be below base+horizon.
-func (e *Engine) placeNear(ent heapEnt) {
-	d := int64(ent.at) - int64(e.base)
-	if d < int64(wheelGran) {
-		entPush(&e.cur, ent)
-		return
-	}
-	idx := (e.cursor + int(d>>wheelGranShift)) & wheelMask
-	e.buckets[idx] = append(e.buckets[idx], ent)
-	e.wheelCnt++
 }
 
 // compactWheel sweeps dead entries out of every wheel structure. Bucket
-// order is append order and is preserved; cur and overflow are
+// and sub-bucket order is append order and is preserved (a sub-bucket
+// swept empty keeps its occupancy bit: advanceFine then activates an
+// empty heap and peekWheel moves on); cur and overflow are
 // re-heapified, which cannot change pop order (the comparator is a
 // strict total order, so the heap minimum is arrangement-independent).
 func (e *Engine) compactWheel() {
@@ -171,6 +204,12 @@ func (e *Engine) compactWheel() {
 	entHeapInit(e.cur)
 	e.overflow = e.filterLive(e.overflow)
 	entHeapInit(e.overflow)
+	e.fineCnt = 0
+	for occ := e.fineOcc; occ != 0; occ &= occ - 1 {
+		k := bits.TrailingZeros64(occ)
+		e.fine[k] = e.filterLive(e.fine[k])
+		e.fineCnt += len(e.fine[k])
+	}
 	e.wheelCnt = 0
 	for i := range e.buckets {
 		if len(e.buckets[i]) == 0 {
@@ -179,5 +218,5 @@ func (e *Engine) compactWheel() {
 		e.buckets[i] = e.filterLive(e.buckets[i])
 		e.wheelCnt += len(e.buckets[i])
 	}
-	e.entCnt = len(e.cur) + e.wheelCnt + len(e.overflow)
+	e.entCnt = len(e.cur) + e.fineCnt + e.wheelCnt + len(e.overflow)
 }

@@ -125,33 +125,45 @@ func TestCancelFiredHandle(t *testing.T) {
 // of the bucket, overflow or advance logic. It is the only place the
 // two queues are compared — every layer above sees one engine — so the
 // workload covers what the experiment matrices used to exercise
-// implicitly: horizons spanning Now(), the active bucket, the near ring
-// and the overflow heap; same-timestamp events across the whole
-// priority ladder, scheduled out of priority order; random cancels plus
-// cancel storms big enough to trigger compaction mid-run; and both
-// drivers — one RunAll, and the sharded executor's NextAt → Run(window
-// end) stepping with barrier-time injections, where NextAt itself
-// (dead entries included) must agree at every barrier.
+// implicitly: horizons spanning Now(), the active granule (on and one
+// picosecond either side of every sub-bucket edge, the granule's own
+// included), the near ring and the overflow heap; same-timestamp events
+// across the whole priority ladder, scheduled out of priority order;
+// random cancels plus cancel storms big enough to trigger compaction
+// mid-run, with the rung populated; gaps that drain everything but far
+// timers, so the wheel jumps; and both drivers — one RunAll, and the
+// sharded executor's NextAt → Run(window end) stepping with
+// barrier-time injections (which land behind base after a jump), where
+// NextAt itself (dead entries included) must agree at every barrier.
 func TestCrossSchedulerIdenticalOrder(t *testing.T) {
 	type fire struct {
 		at units.Time
 		id int // event id; -1 marks a barrier's NextAt reading
 	}
+	// What a run exercised, so the test fails if a path goes uncovered.
+	type coverage struct{ compactions, fineCompactions, behindBase int }
 	pris := []uint32{PriFault, PriStart, PriWireBase, PriWireBase + 7, PriWireBase + 300, PriTimer}
 	// window > 0 steps the engine the way exp.runWindows does.
-	run := func(s Scheduler, seed uint64, window units.Duration) (log []fire, compactions int) {
+	run := func(s Scheduler, seed uint64, window units.Duration) (log []fire, cov coverage) {
 		e := NewEngineWith(s)
 		r := NewRand(seed)
 		id := 0
 		record := func(a any) { log = append(log, fire{e.Now(), a.(int)}) }
 		delay := func() units.Duration {
-			switch r.Intn(4) {
+			switch r.Intn(5) {
 			case 0:
 				return 0 // at Now()
 			case 1:
-				return units.Duration(r.Int63n(int64(wheelGran))) // active bucket
+				return units.Duration(r.Int63n(int64(wheelGran))) // active granule
 			case 2:
 				return units.Duration(r.Int63n(int64(wheelHorizon))) // near buckets
+			case 3:
+				// k·2^11 − 1, +0, +1 ps; k = fineCount is wheelGran ± 1.
+				edge := units.Duration(r.Intn(fineCount+1))<<fineShift + units.Duration(r.Intn(3)) - 1
+				if edge < 0 {
+					edge = 0
+				}
+				return edge
 			}
 			return wheelHorizon + units.Duration(r.Int63n(int64(wheelHorizon))) // overflow
 		}
@@ -177,7 +189,7 @@ func TestCrossSchedulerIdenticalOrder(t *testing.T) {
 				e.Cancel(handles[r.Intn(len(handles))])
 			}
 			// Cancel storm: dead entries outnumber live ones across all
-			// three structures, so compaction runs with events in flight.
+			// the structures, so compaction runs with events in flight.
 			if tick%50 == 0 {
 				storm := make([]Handle, 8*minCompactLen)
 				for i := range storm {
@@ -186,35 +198,48 @@ func TestCrossSchedulerIdenticalOrder(t *testing.T) {
 				}
 				for i, h := range storm {
 					if i%8 != 0 {
-						before := e.StatsSnapshot().HeapLen
+						before := e.StatsSnapshot()
 						e.Cancel(h)
-						if e.StatsSnapshot().HeapLen < before {
-							compactions++
+						if e.StatsSnapshot().HeapLen < before.HeapLen {
+							cov.compactions++
+							if before.FineLen > 0 {
+								cov.fineCompactions++
+							}
 						}
 					}
 				}
 			}
-			if id < 6000 {
+			switch {
+			case id >= 6000:
+			case tick%40 == 0:
+				// A gap longer than everything near: the queue drains to
+				// far timers and the wheel jumps its base to the first.
+				e.AfterArg(3*wheelHorizon, churn, nil)
+			default:
 				e.AfterArg(units.Duration(r.Int63n(int64(wheelGran*8)))+1, churn, nil)
 			}
 		}
 		churn(nil)
 		if window == 0 {
 			e.RunAll()
-			return log, compactions
+			return log, cov
 		}
 		for {
 			at, ok := e.NextAt()
 			log = append(log, fire{at, -1})
 			if !ok {
-				return log, compactions
+				return log, cov
 			}
 			until := (at + units.Time(window) - 1) / units.Time(window) * units.Time(window)
 			e.Run(until)
 			// Staged cross-shard frames land at the barrier, strictly in
 			// the receiver's future, on their link's wire priority.
 			if r.Intn(4) == 0 {
-				e.AtArgPri(until.Add(1+units.Duration(r.Int63n(int64(window)))), record, id, PriWireBase+uint32(r.Intn(16)))
+				at := until.Add(1 + units.Duration(r.Int63n(int64(window))))
+				if at < e.base {
+					cov.behindBase++
+				}
+				e.AtArgPri(at, record, id, PriWireBase+uint32(r.Intn(16)))
 				id++
 			}
 		}
@@ -223,8 +248,11 @@ func TestCrossSchedulerIdenticalOrder(t *testing.T) {
 		for _, seed := range []uint64{1, 7, 42} {
 			wheel, wc := run(SchedWheel, seed, window)
 			heap, hc := run(SchedHeap, seed, window)
-			if wc == 0 || hc == 0 {
-				t.Fatalf("window %v seed %d: cancel storms never compacted (wheel %d, heap %d)", window, seed, wc, hc)
+			if wc.compactions == 0 || hc.compactions == 0 || wc.fineCompactions == 0 {
+				t.Fatalf("window %v seed %d: cancel storms never compacted, or never with the rung populated (wheel %+v, heap %+v)", window, seed, wc, hc)
+			}
+			if window > 0 && wc.behindBase == 0 {
+				t.Fatalf("window %v seed %d: no barrier injection landed behind the wheel base", window, seed)
 			}
 			if len(wheel) != len(heap) {
 				t.Fatalf("window %v seed %d: logged %d (wheel) vs %d (heap)", window, seed, len(wheel), len(heap))
