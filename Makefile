@@ -12,13 +12,14 @@ test:
 # sharded conservative-window executor (shardexec.go barriers, cross-
 # shard mailboxes) both live in internal/exp — the rest of the suite is
 # single-goroutine per shard, enforced by the floodlint goroutine rule.
-# The simdebug tag arms the packet-pool lifecycle assertions, so the
-# same run also catches double-release / use-after-release bugs — which
-# is why the fault plane and the engine ride along: seeded recovery
-# runs (loss, flaps, restarts, the wedged-run watchdog) are where a
-# packet is most likely to be released twice.
+# The simdebug tag arms the packet-pool and flow-pool lifecycle
+# assertions, so the same run also catches double-release /
+# use-after-release bugs — which is why the fault plane, the engine and
+# the device lifecycle tests ride along: seeded recovery runs (loss,
+# flaps, restarts, the wedged-run watchdog) are where a packet or a
+# recycled flow is most likely to be released twice.
 race:
-	$(GO) test -race -tags simdebug -timeout 3600s ./internal/exp/... ./internal/fault ./internal/sim
+	$(GO) test -race -tags simdebug -timeout 3600s ./internal/exp/... ./internal/fault ./internal/sim ./internal/device
 
 vet:
 	$(GO) vet ./...
@@ -50,15 +51,19 @@ bench:
 bench-test:
 	$(GO) -C bench test ./...
 
-# CPU + heap profile of the macro incast benchmark, and a CPU profile of
-# the bare event queue at the ledger's replay shape (the go-test twin of
-# the sim.replay_* rungs); inspect with `go tool pprof cpu.out`.
+# CPU + heap profile of the macro incast benchmark, of the flow
+# lifecycle under Memcached churn (the go-test twin of the ledger's
+# memcached_churn_dcqcn), and a CPU profile of the bare event queue at
+# the ledger's replay shape (the go-test twin of the sim.replay_*
+# rungs); inspect with `go tool pprof cpu.out`.
 # floodsim -cpuprofile/-memprofile profile a full experiment instead.
 profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkRunIncast' -benchtime 50x \
 		-cpuprofile cpu.out -memprofile mem.out ./internal/exp
+	$(GO) test -run '^$$' -bench 'BenchmarkFlowChurn' -benchtime 10x \
+		-cpuprofile cpu.churn.out -memprofile mem.churn.out ./internal/exp
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineReplay' -benchtime 5000000x \
 		-cpuprofile cpu.sim.out ./internal/sim
-	@echo "profiles written: cpu.out mem.out cpu.sim.out (go tool pprof <file>)"
+	@echo "profiles written: cpu.out mem.out cpu.churn.out mem.churn.out cpu.sim.out (go tool pprof <file>)"
 
 ci: build lint test race bench-test

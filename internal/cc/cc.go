@@ -27,6 +27,9 @@ type Controller interface {
 	OnCNP(now units.Time)
 	// OnSend observes payload bytes handed to the NIC.
 	OnSend(now units.Time, bytes units.ByteSize)
+	// Reset returns the controller to the state its Factory would build
+	// for env, so a finished flow's controller can serve the next flow.
+	Reset(env Env)
 }
 
 // Env is what a controller knows about its flow's path when created.
@@ -68,3 +71,6 @@ func (f *FixedWindow) OnCNP(units.Time) {}
 
 // OnSend implements Controller.
 func (f *FixedWindow) OnSend(units.Time, units.ByteSize) {}
+
+// Reset implements Controller.
+func (f *FixedWindow) Reset(e Env) { *f = FixedWindow{R: e.LinkRate, W: e.BDP} }

@@ -1,11 +1,14 @@
 package cc_test
 
 import (
+	"reflect"
 	"testing"
 
 	"floodgate/internal/cc"
 	"floodgate/internal/cc/dcqcn"
+	"floodgate/internal/cc/dctcp"
 	"floodgate/internal/cc/hpcc"
+	"floodgate/internal/cc/swift"
 	"floodgate/internal/cc/timely"
 	"floodgate/internal/packet"
 	"floodgate/internal/units"
@@ -196,5 +199,51 @@ func TestHPCCWindowFloor(t *testing.T) {
 	}
 	if c.Rate() <= 0 {
 		t.Fatalf("rate must stay positive: %v", c.Rate())
+	}
+}
+
+// TestResetEqualsFresh: for every controller, Reset(env) after an
+// arbitrary feedback history leaves exactly the state the factory
+// builds for env — the contract that lets device recycle a finished
+// flow's controller for the next flow.
+func TestResetEqualsFresh(t *testing.T) {
+	factories := map[string]cc.Factory{
+		"fixed":  cc.NewFixedWindow(),
+		"dcqcn":  dcqcn.Default(),
+		"dctcp":  dctcp.Default(),
+		"hpcc":   hpcc.Default(),
+		"swift":  swift.Default(),
+		"timely": timely.Default(),
+	}
+	other := cc.Env{LinkRate: 25 * units.Gbps, BaseRTT: 8 * units.Microsecond}
+	other.BDP = units.BDP(other.LinkRate, other.BaseRTT)
+	for name, factory := range factories {
+		c := factory(env())
+		fresh := factory(env())
+		var now units.Time
+		var acked, tx units.ByteSize
+		for i := 0; i < 400; i++ {
+			now = now.Add(units.Duration(1+i%7) * units.Microsecond)
+			c.OnSend(now, packet.MTU)
+			acked += packet.MTU
+			tx += units.ByteSize(900 + 40*(i%11))
+			ack := &packet.Packet{Kind: packet.Ack, AckSeq: acked, EchoECN: i%3 == 0,
+				Int: []packet.IntHop{{QLen: units.ByteSize(i%9) * 20 * units.KB, TxBytes: tx, TS: now, LinkRate: 100 * units.Gbps}}}
+			c.OnAck(now, ack, units.Duration(4+i%40)*units.Microsecond)
+			if i%13 == 0 {
+				c.OnCNP(now)
+			}
+		}
+		if name != "fixed" && reflect.DeepEqual(c, fresh) { // FixedWindow never reacts
+			t.Errorf("%s: the history left no trace; the test exercises nothing", name)
+		}
+		c.Reset(env())
+		if !reflect.DeepEqual(c, fresh) {
+			t.Errorf("%s: Reset(env) = %+v, fresh = %+v", name, c, fresh)
+		}
+		c.Reset(other)
+		if want := factory(other); !reflect.DeepEqual(c, want) {
+			t.Errorf("%s: Reset(other env) = %+v, fresh = %+v", name, c, want)
+		}
 	}
 }

@@ -46,15 +46,22 @@ func DefaultConfig() Config {
 // New returns a DCQCN controller factory with the given config.
 func New(cfg Config) cc.Factory {
 	return func(e cc.Env) cc.Controller {
-		return &state{
-			cfg:     cfg,
-			link:    e.LinkRate,
-			window:  e.BDP,
-			rc:      float64(e.LinkRate),
-			rt:      float64(e.LinkRate),
-			alpha:   1,
-			minRate: float64(e.LinkRate) / float64(cfg.MinRateFraction),
-		}
+		s := &state{cfg: &cfg}
+		s.Reset(e)
+		return s
+	}
+}
+
+// Reset implements cc.Controller.
+func (s *state) Reset(e cc.Env) {
+	*s = state{
+		cfg:     s.cfg,
+		link:    e.LinkRate,
+		window:  e.BDP,
+		rc:      float64(e.LinkRate),
+		rt:      float64(e.LinkRate),
+		alpha:   1,
+		minRate: float64(e.LinkRate) / float64(s.cfg.MinRateFraction),
 	}
 }
 
@@ -62,7 +69,7 @@ func New(cfg Config) cc.Factory {
 func Default() cc.Factory { return New(DefaultConfig()) }
 
 type state struct {
-	cfg    Config
+	cfg    *Config // the factory's binding, shared by every flow it builds
 	link   units.BitRate
 	window units.ByteSize
 

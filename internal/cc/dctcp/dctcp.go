@@ -26,13 +26,19 @@ func DefaultConfig() Config { return Config{G: 1.0 / 16, InitWindowBDP: 1} }
 // New returns a DCTCP controller factory.
 func New(cfg Config) cc.Factory {
 	return func(e cc.Env) cc.Controller {
-		w := float64(e.BDP) * cfg.InitWindowBDP
-		return &state{
-			cfg:  cfg,
-			link: e.LinkRate,
-			bdp:  float64(e.BDP),
-			cwnd: w,
-		}
+		s := &state{cfg: cfg}
+		s.Reset(e)
+		return s
+	}
+}
+
+// Reset implements cc.Controller.
+func (s *state) Reset(e cc.Env) {
+	*s = state{
+		cfg:  s.cfg,
+		link: e.LinkRate,
+		bdp:  float64(e.BDP),
+		cwnd: float64(e.BDP) * s.cfg.InitWindowBDP,
 	}
 }
 

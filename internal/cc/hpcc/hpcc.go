@@ -28,17 +28,24 @@ func DefaultConfig() Config {
 // New returns an HPCC controller factory.
 func New(cfg Config) cc.Factory {
 	return func(e cc.Env) cc.Controller {
-		winit := float64(e.BDP)
-		return &state{
-			cfg:     cfg,
-			link:    e.LinkRate,
-			baseRTT: e.BaseRTT,
-			wInit:   winit,
-			w:       winit,
-			wc:      winit,
-			wai:     winit * cfg.WAIFraction,
-			minW:    float64(packet.MTU),
-		}
+		s := &state{cfg: cfg}
+		s.Reset(e)
+		return s
+	}
+}
+
+// Reset implements cc.Controller.
+func (s *state) Reset(e cc.Env) {
+	winit := float64(e.BDP)
+	*s = state{
+		cfg:     s.cfg,
+		link:    e.LinkRate,
+		baseRTT: e.BaseRTT,
+		wInit:   winit,
+		w:       winit,
+		wc:      winit,
+		wai:     winit * s.cfg.WAIFraction,
+		minW:    float64(packet.MTU),
 	}
 }
 

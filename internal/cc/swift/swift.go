@@ -33,14 +33,21 @@ func DefaultConfig() Config {
 // New returns a Swift controller factory.
 func New(cfg Config) cc.Factory {
 	return func(e cc.Env) cc.Controller {
-		return &state{
-			cfg:     cfg,
-			link:    e.LinkRate,
-			baseRTT: e.BaseRTT,
-			target:  units.Duration(cfg.BaseTargetFactor * float64(e.BaseRTT)),
-			bdp:     float64(e.BDP),
-			cwnd:    float64(e.BDP),
-		}
+		s := &state{cfg: cfg}
+		s.Reset(e)
+		return s
+	}
+}
+
+// Reset implements cc.Controller.
+func (s *state) Reset(e cc.Env) {
+	*s = state{
+		cfg:     s.cfg,
+		link:    e.LinkRate,
+		baseRTT: e.BaseRTT,
+		target:  units.Duration(s.cfg.BaseTargetFactor * float64(e.BaseRTT)),
+		bdp:     float64(e.BDP),
+		cwnd:    float64(e.BDP),
 	}
 }
 

@@ -41,17 +41,24 @@ func DefaultConfig() Config {
 // New returns a TIMELY controller factory.
 func New(cfg Config) cc.Factory {
 	return func(e cc.Env) cc.Controller {
-		return &state{
-			cfg:     cfg,
-			link:    e.LinkRate,
-			window:  e.BDP,
-			minRTT:  e.BaseRTT,
-			tLow:    units.Duration(cfg.TLowFactor * float64(e.BaseRTT)),
-			tHigh:   units.Duration(cfg.THighFactor * float64(e.BaseRTT)),
-			rate:    float64(e.LinkRate),
-			delta:   float64(e.LinkRate) / float64(cfg.DeltaFraction),
-			minRate: float64(e.LinkRate) / float64(cfg.MinRateFraction),
-		}
+		s := &state{cfg: cfg}
+		s.Reset(e)
+		return s
+	}
+}
+
+// Reset implements cc.Controller.
+func (s *state) Reset(e cc.Env) {
+	*s = state{
+		cfg:     s.cfg,
+		link:    e.LinkRate,
+		window:  e.BDP,
+		minRTT:  e.BaseRTT,
+		tLow:    units.Duration(s.cfg.TLowFactor * float64(e.BaseRTT)),
+		tHigh:   units.Duration(s.cfg.THighFactor * float64(e.BaseRTT)),
+		rate:    float64(e.LinkRate),
+		delta:   float64(e.LinkRate) / float64(s.cfg.DeltaFraction),
+		minRate: float64(e.LinkRate) / float64(s.cfg.MinRateFraction),
 	}
 }
 

@@ -10,7 +10,6 @@ package device
 import (
 	"fmt"
 
-	"floodgate/internal/cc"
 	"floodgate/internal/fault"
 	"floodgate/internal/forensics"
 	"floodgate/internal/packet"
@@ -36,7 +35,8 @@ type Cluster struct {
 	Assign []int      // NodeID -> shard index
 	Nets   []*Network // one per shard
 
-	flows     []*Flow // shared flow table; [0] is the nil sentinel
+	specs     *stats.ChunkLog[flowSpec] // the shards' shared registration log
+	held      []*Flow                   // AddAppFlow's caller-owned flows, for SealFlows
 	lastStart units.Time
 	sealed    bool
 	xlinks    []*xlink // in global directed-port order (determinism)
@@ -58,7 +58,7 @@ func NewCluster(base Config, engines []*sim.Engine, collectors []*stats.Collecto
 		Topo:   base.Topo,
 		Assign: assign,
 		Nets:   make([]*Network, k),
-		flows:  []*Flow{nil},
+		specs:  new(stats.ChunkLog[flowSpec]),
 	}
 	for i := 0; i < k; i++ {
 		cfg := base
@@ -71,6 +71,7 @@ func NewCluster(base Config, engines []*sim.Engine, collectors []*stats.Collecto
 		}
 		cfg.Shard = &ShardSpec{Index: i, Assign: assign}
 		c.Nets[i] = New(cfg)
+		c.Nets[i].specs = c.specs
 	}
 	// Wire up the shard-crossing links, in directed-port order.
 	for _, node := range c.Topo.Nodes {
@@ -99,13 +100,14 @@ func (c *Cluster) K() int { return len(c.Nets) }
 // AddFlow registers a flow from src to dst starting at the given time.
 // Flows must be added in a fixed global order before SealFlows: the
 // FlowID sequence and each shard's injection order are part of the
-// deterministic contract.
-func (c *Cluster) AddFlow(src, dst packet.NodeID, size units.ByteSize, start units.Time, cat packet.Category) *Flow {
-	if len(c.flows) > 1 && start < c.lastStart {
+// deterministic contract. Registration only logs the spec; the flow's
+// object is minted at its start and recycled when its sender finishes.
+func (c *Cluster) AddFlow(src, dst packet.NodeID, size units.ByteSize, start units.Time, cat packet.Category) {
+	if c.specs.Len() > 0 && start < c.lastStart {
 		panic("device: AddFlow starts must be non-decreasing (sort specs by Start)")
 	}
 	c.lastStart = start
-	return c.newFlow(src, dst, size, start, cat)
+	c.register(flowSpec{Start: start, Size: size, Src: src, Dst: dst, Cat: cat})
 }
 
 // AddAppFlow registers a deferred application-plane flow: the per-shard
@@ -114,105 +116,129 @@ func (c *Cluster) AddFlow(src, dst packet.NodeID, size units.ByteSize, start uni
 // assigns FlowIDs, so the attempt-flow table is part of the
 // deterministic contract; attempt (>= 1) stamps the flow for forensics
 // and trace attribution. Start carries the earliest possible launch
-// time (informative until Launch overwrites it with the real one).
+// time (informative until Launch overwrites it with the real one). The
+// returned flow is caller-owned (held), like Network.AddFlow's.
 func (c *Cluster) AddAppFlow(src, dst packet.NodeID, size units.ByteSize, start units.Time, cat packet.Category, attempt int) *Flow {
 	if attempt < 1 {
 		panic("device: AddAppFlow attempt must be >= 1")
 	}
-	f := c.newFlow(src, dst, size, start, cat)
+	id := c.register(flowSpec{Start: start, Size: size, Src: src, Dst: dst, Cat: cat, manual: true})
+	f := c.Nets[c.Assign[src]].mintFlow(id, true)
 	f.Attempt = attempt
-	f.manual = true
+	c.held = append(c.held, f)
 	return f
 }
 
-func (c *Cluster) newFlow(src, dst packet.NodeID, size units.ByteSize, start units.Time, cat packet.Category) *Flow {
+func (c *Cluster) register(s flowSpec) packet.FlowID {
 	if c.sealed {
 		panic("device: AddFlow after SealFlows")
 	}
-	if src == dst {
-		panic("device: flow with src == dst")
-	}
-	if size <= 0 {
-		panic("device: flow with non-positive size")
-	}
-	sn := c.Nets[c.Assign[src]]
-	sh := sn.HostsByID[src]
-	dh := c.Nets[c.Assign[dst]].HostsByID[dst]
-	if sh == nil || dh == nil {
-		panic(fmt.Sprintf("device: flow endpoints must be hosts (%d -> %d)", src, dst))
-	}
-	id := packet.FlowID(len(c.flows))
-	env := cc.Env{
-		LinkRate: sh.port.Rate,
-		BaseRTT:  sn.Cfg.BaseRTT,
-		BDP:      units.BDP(sh.port.Rate, sn.Cfg.BaseRTT),
-	}
-	f := &Flow{
-		ID: id, Src: src, Dst: dst, Size: size, Cat: cat,
-		Start: start, ctrl: sn.Cfg.CC(env), net: sn,
-	}
-	c.flows = append(c.flows, f)
-	return f
+	return logFlow(c.Topo, c.specs, s)
 }
 
-// flowInjector walks one shard's share of the flow table (sources owned
-// by the shard, in global registration order) and starts each flow at
-// its Start time. One chained PriStart event per shard keeps the event
-// queue shallow no matter how many flows are registered — the same
-// progressive-injection idea the old exp.Run loop used, made
-// partition-invariant: starts run before any same-timestamp wire
-// delivery or timer, in global spec order within each shard.
+// flowInjector walks one shard's share of the registration log (sources
+// owned by the shard, in global registration order), minting and
+// starting each flow at its Start time. One chained PriStart event per
+// shard keeps the event queue shallow no matter how many flows are
+// registered — the same progressive-injection idea the old exp.Run loop
+// used, made partition-invariant: starts run before any same-timestamp
+// wire delivery or timer, in global spec order within each shard.
 type flowInjector struct {
-	net   *Network
-	flows []*Flow
-	idx   int
+	net  *Network
+	next packet.FlowID // cursor: the first log record not yet considered
+}
+
+// peek advances the cursor to the shard's next injectable record and
+// returns it, or nil at the end of the log.
+func (in *flowInjector) peek() *flowSpec {
+	n := in.net
+	for ; int(in.next) <= n.specs.Len(); in.next++ {
+		if s := n.spec(in.next); !s.manual && n.owns(s.Src) {
+			return s
+		}
+	}
+	return nil
 }
 
 func flowInjectFn(a any) {
 	in := a.(*flowInjector)
-	now := in.net.Eng.Now()
-	for in.idx < len(in.flows) && in.flows[in.idx].Start <= now {
-		f := in.flows[in.idx]
-		in.idx++
-		in.net.HostsByID[f.Src].startFlow(f)
+	n := in.net
+	now := n.Eng.Now()
+	s := in.peek()
+	for ; s != nil && s.Start <= now; s = in.peek() {
+		f := n.mintFlow(in.next, false)
+		n.live[in.next] = f
+		in.next++
+		n.HostsByID[s.Src].startFlow(f)
 	}
-	if in.idx < len(in.flows) {
-		in.net.Eng.AtArgPri(in.flows[in.idx].Start, flowInjectFn, in, sim.PriStart)
+	if s != nil {
+		n.Eng.AtArgPri(s.Start, flowInjectFn, in, sim.PriStart)
 	}
 }
 
-// SealFlows publishes the shared flow table to every shard and arms the
-// per-shard injection chains. Call after the last AddFlow and before
-// running; flow lookups on any shard then resolve against the same
-// (immutable) slice.
+// SealFlows closes registration, publishes the live table (one slot per
+// FlowID, shared by every shard; see DESIGN.md §10 for why that is
+// safe) and arms the per-shard injection chains. Call after the last
+// AddFlow and before running.
 func (c *Cluster) SealFlows() {
 	c.sealed = true
-	for _, n := range c.Nets {
-		n.flows = c.flows
-		if n.frx != nil {
-			n.frx.Seal(len(c.flows))
-		}
+	live := make([]*Flow, c.specs.Len()+1)
+	for _, f := range c.held {
+		live[f.ID] = f
 	}
-	for si, n := range c.Nets {
-		var own []*Flow
-		for _, f := range c.flows[1:] {
-			if f.manual {
-				continue // application-launched (Network.Launch), not injected
-			}
-			if c.Assign[f.Src] == si {
-				own = append(own, f)
-			}
+	for _, n := range c.Nets {
+		n.live = live
+		if n.frx != nil {
+			n.frx.Seal(len(live))
 		}
-		if len(own) == 0 {
-			continue
+		in := &flowInjector{net: n, next: 1}
+		if s := in.peek(); s != nil {
+			n.Eng.AtArgPri(s.Start, flowInjectFn, in, sim.PriStart)
 		}
-		in := &flowInjector{net: n, flows: own}
-		n.Eng.AtArgPri(own[0].Start, flowInjectFn, in, sim.PriStart)
 	}
 }
 
-// Flows returns all registered flows (reporting helper).
-func (c *Cluster) Flows() []*Flow { return c.flows[1:] }
+// FlowMetas returns the forensics metadata of every flow that started,
+// in FlowID order: the registration log joined with the receivers' done
+// bits and the collectors' FCT samples, since a finished flow's object
+// is recycled. Held (application) flows add what only the object knows:
+// whether and when they launched, and their attempt number.
+func (c *Cluster) FlowMetas() []forensics.FlowMeta {
+	finish := make([]units.Time, c.specs.Len()+1)
+	for _, n := range c.Nets {
+		for _, s := range n.Stats.AllFCTs() {
+			finish[s.Flow] = s.Finish
+		}
+	}
+	metas := make([]forensics.FlowMeta, 0, c.specs.Len())
+	for i := 0; i < c.specs.Len(); i++ {
+		id, s := packet.FlowID(i+1), c.specs.At(i)
+		m := forensics.FlowMeta{
+			ID: id, Src: s.Src, Dst: s.Dst, Size: s.Size, Start: s.Start,
+			Finish: finish[id], Done: c.Nets[c.Assign[s.Dst]].isDone(id),
+		}
+		if s.manual {
+			f := c.Nets[0].live[id]
+			if !f.launched {
+				continue // unused app attempt: registered but never started
+			}
+			m.Start, m.Attempt = f.Start, f.Attempt
+		}
+		metas = append(metas, m)
+	}
+	return metas
+}
+
+// FlowObjects returns how many Flow objects the shards ever built: each
+// builds one only when its pool is empty, so this sums their peak counts
+// of simultaneously live flows.
+func (c *Cluster) FlowObjects() int {
+	total := 0
+	for _, n := range c.Nets {
+		total += n.minted
+	}
+	return total
+}
 
 // Recorders returns each shard's forensics recorder in shard order;
 // empty when forensics is disabled.

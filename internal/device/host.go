@@ -19,7 +19,9 @@ const MSS = packet.MTU - packet.HeaderSize
 
 // Flow is one transfer from Src to Dst. The same object carries sender
 // state (at the source host) and receiver state (at the destination
-// host); the simulator is single-threaded so sharing is safe.
+// host); the simulator is single-threaded so sharing is safe. Objects
+// live from Network.mintFlow to Host.release and are then recycled, so
+// a pointer may be kept only to a flow the caller was handed (held).
 type Flow struct {
 	ID    packet.FlowID
 	Src   packet.NodeID
@@ -37,6 +39,12 @@ type Flow struct {
 	net  *Network
 	ctrl cc.Controller
 
+	// held marks a caller-owned flow (Network.AddFlow, AddAppFlow): minted
+	// at registration and never recycled. snext/sprev link the flow into
+	// its source host's sender list from start to release.
+	held         bool
+	snext, sprev *Flow
+
 	// manual marks a deferred (application-launched) flow: the per-shard
 	// injection chains skip it and Network.Launch starts it at runtime.
 	// launched guards against double launches and lets reporting skip
@@ -50,8 +58,9 @@ type Flow struct {
 	nextSend       units.Time
 	lastProgress   units.Time // last cumulative-ACK advance (lazy RTO)
 	senderDone     bool
-	queued         bool // in (or owed to) the host send queue
-	inRtoQ         bool // in the host's retransmission-timeout queue
+	queued         bool   // in (or owed to) the host send queue
+	inRtoQ         bool   // in the host's retransmission-timeout queue
+	rtoSeq         uint64 // its entry there: an absolute sequence number (see Host.rtoBase)
 
 	// NDP sender state.
 	pullCredits int
@@ -69,17 +78,12 @@ type Flow struct {
 	rcvdBytes units.ByteSize
 	pullsSent int
 	trims     int
+
+	dbg flowDebug // simdebug lifecycle stamp (empty without the tag)
 }
 
 // Done reports whether the last byte was delivered.
 func (f *Flow) Done() bool { return f.done }
-
-// Manual reports whether the flow is application-launched (deferred).
-func (f *Flow) Manual() bool { return f.manual }
-
-// Launched reports whether a deferred flow was actually started.
-// Non-manual flows report true once their start time passed.
-func (f *Flow) Launched() bool { return f.launched || !f.manual }
 
 // FCT returns the completion time (valid once Done).
 func (f *Flow) FCT() units.Duration { return f.Finish.Sub(f.Start) }
@@ -108,18 +112,25 @@ type Host struct {
 	// the event that unblocks them (ACK frees window, pace timer
 	// expires, pause lifts). This keeps the NIC scheduler O(1) per
 	// packet regardless of how many flows are outstanding.
-	sendq       []*Flow
-	sendqHead   int
-	senderFlows []*Flow // all sender-side flows not yet fully acked (pause-resume scans)
+	sendq     []flowRef
+	sendqHead int
+	// senders/sendersTail is the intrusive list (Flow.snext/sprev) of
+	// started flows not yet released, in start order (pause-resume scans).
+	senders, sendersTail *Flow
 
 	// rtoQ is a FIFO of flows with a pending retransmission timeout;
 	// one engine timer serves the head. Deadlines are re-derived from
 	// lastProgress when a flow surfaces, so ACK progress costs nothing.
 	// A flow whose progress advanced re-queues instead of firing; this
 	// can delay an individual flow's timeout by up to one RTO, which is
-	// harmless for a coarse go-back-N timer.
-	rtoQ     []*Flow
+	// harmless for a coarse go-back-N timer. A released flow leaves its
+	// entry behind as a tombstone (the zero flowRef) that pops when it
+	// surfaces, as the finished sender would have; stepping aside early
+	// would re-arm the timer for, and so re-time, the flows behind it.
+	// rtoBase counts entries compacted away: entry i is number rtoBase+i.
+	rtoQ     []flowRef
 	rtoHead  int
+	rtoBase  uint64
 	rtoTimer sim.Handle
 
 	pfcPaused bool
@@ -146,10 +157,13 @@ func hostTxDoneFn(a any) {
 
 // flowWakeFn fires a flow's pacing timer: the flow becomes sendable.
 func flowWakeFn(a any) {
-	f := a.(*Flow)
+	f := a.(flowRef).take("flowWakeFn")
 	f.queued = false
 	h := f.net.HostsByID[f.Src]
 	h.enqueue(f)
+	if f.senderDone {
+		h.release(f) // fully acked while the timer was pending
+	}
 	h.kick()
 }
 
@@ -186,9 +200,43 @@ func (h *Host) LineRate() units.BitRate { return h.port.Rate }
 
 // startFlow registers a new sender flow and kicks the NIC.
 func (h *Host) startFlow(f *Flow) {
-	h.senderFlows = append(h.senderFlows, f)
+	f.sprev = h.sendersTail
+	if f.sprev != nil {
+		f.sprev.snext = f
+	} else {
+		h.senders = f
+	}
+	h.sendersTail = f
 	h.enqueue(f)
 	h.kick()
+}
+
+// release retires a sender that is fully acked and referenced by neither
+// the send queue nor a wake timer: it leaves the sender list and —
+// unless a caller holds it — its rtoQ entry becomes a tombstone, its
+// live slot empties and the object returns to the pool. Late control
+// frames then find no flow, which is how a finished sender treats them.
+func (h *Host) release(f *Flow) {
+	if f.sprev != nil {
+		f.sprev.snext = f.snext
+	} else {
+		h.senders = f.snext
+	}
+	if f.snext != nil {
+		f.snext.sprev = f.sprev
+	} else {
+		h.sendersTail = f.sprev
+	}
+	f.snext, f.sprev = nil, nil
+	if f.held {
+		return
+	}
+	if f.inRtoQ {
+		h.rtoQ[f.rtoSeq-h.rtoBase] = flowRef{}
+	}
+	h.net.live[f.ID] = nil
+	f.poolReleased()
+	h.net.flowPool = append(h.net.flowPool, f)
 }
 
 // pauseCumNow is the host's cumulative PFC-paused duration at now,
@@ -227,7 +275,7 @@ func (h *Host) enqueue(f *Flow) {
 		return
 	}
 	f.queued = true
-	h.sendq = append(h.sendq, f)
+	h.sendq = append(h.sendq, refOf(f))
 	if h.net.frx != nil {
 		h.frxFlow(f, forensics.SendSendable)
 	}
@@ -238,14 +286,12 @@ func (h *Host) popSendq() *Flow {
 	if h.sendqHead >= len(h.sendq) {
 		return nil
 	}
-	f := h.sendq[h.sendqHead]
-	h.sendq[h.sendqHead] = nil
+	f := h.sendq[h.sendqHead].take("popSendq")
+	h.sendq[h.sendqHead] = flowRef{}
 	h.sendqHead++
 	if h.sendqHead > 64 && h.sendqHead*2 >= len(h.sendq) {
 		n := copy(h.sendq, h.sendq[h.sendqHead:])
-		for i := n; i < len(h.sendq); i++ {
-			h.sendq[i] = nil
-		}
+		clear(h.sendq[n:])
 		h.sendq = h.sendq[:n]
 		h.sendqHead = 0
 	}
@@ -295,8 +341,8 @@ func (h *Host) receive(p *packet.Packet) {
 		}
 		if f := h.net.flow(p.Flow); f != nil {
 			h.enqueue(f)
-			h.kick()
 		}
+		h.kick()
 	case packet.Data:
 		h.receiveData(p, now)
 	case packet.Ack:
@@ -319,22 +365,13 @@ func (h *Host) receive(p *packet.Packet) {
 }
 
 // wakeDst re-enqueues flows toward a destination whose per-dst pause
-// lifted, compacting finished senders from the scan list on the way.
+// lifted.
 func (h *Host) wakeDst(dst packet.NodeID) {
-	live := h.senderFlows[:0]
-	for _, f := range h.senderFlows {
-		if f.senderDone {
-			continue
-		}
-		live = append(live, f)
+	for f := h.senders; f != nil; f = f.snext {
 		if f.Dst == dst {
 			h.enqueue(f)
 		}
 	}
-	for i := len(live); i < len(h.senderFlows); i++ {
-		h.senderFlows[i] = nil
-	}
-	h.senderFlows = live
 	h.kick()
 }
 
@@ -363,21 +400,11 @@ func (h *Host) onPeerReset() {
 	h.wakeAll()
 }
 
-// wakeAll re-enqueues every live sender flow (pause state was reset),
-// compacting finished senders from the scan list on the way.
+// wakeAll re-enqueues every live sender flow (pause state was reset).
 func (h *Host) wakeAll() {
-	live := h.senderFlows[:0]
-	for _, f := range h.senderFlows {
-		if f.senderDone {
-			continue
-		}
-		live = append(live, f)
+	for f := h.senders; f != nil; f = f.snext {
 		h.enqueue(f)
 	}
-	for i := len(live); i < len(h.senderFlows); i++ {
-		h.senderFlows[i] = nil
-	}
-	h.senderFlows = live
 	h.kick()
 }
 
@@ -392,24 +419,27 @@ func (h *Host) finalizePFC() {
 
 func (h *Host) receiveData(p *packet.Packet, now units.Time) {
 	h.net.TraceEvent(trace.OpDeliver, h.node.ID, p)
+	ndp := h.net.Cfg.NDP.Enable
+	if h.net.isDone(p.Flow) {
+		// Straggler or retransmitted segment after completion: re-ACK so
+		// a sender whose final cumulative ACK was lost stops rewinding.
+		// (The sender may live on another shard and cannot peek at
+		// receiver state, so silence would loop its RTO forever.) The
+		// flow's object may be recycled by now; the log answers for it.
+		if !ndp {
+			s := h.net.spec(p.Flow)
+			ack := h.net.NewCtrl(packet.Ack, p.Flow, h.node.ID, s.Src)
+			ack.AckSeq = s.Size
+			h.sendCtrl(ack)
+		}
+		return
+	}
 	f := h.net.flow(p.Flow)
 	if f == nil {
 		return
 	}
-	if h.net.Cfg.NDP.Enable {
-		if !f.done {
-			h.receiveDataNDP(f, p, now)
-		}
-		return
-	}
-	if f.done {
-		// Straggler or retransmitted segment after completion: re-ACK so
-		// a sender whose final cumulative ACK was lost stops rewinding.
-		// (The sender may live on another shard and cannot peek at
-		// receiver state, so silence would loop its RTO forever.)
-		ack := h.net.NewCtrl(packet.Ack, f.ID, h.node.ID, f.Src)
-		ack.AckSeq = f.rcvNxt
-		h.sendCtrl(ack)
+	if ndp {
+		h.receiveDataNDP(f, p, now)
 		return
 	}
 	// Go-back-N receiver: in-order delivery only.
@@ -505,6 +535,7 @@ func (h *Host) pacePulls() {
 func (h *Host) completeFlow(f *Flow, now units.Time) {
 	f.done = true
 	f.Finish = now
+	h.net.markDone(f.ID)
 	h.net.Stats.FlowDone(uint64(f.ID), f.Cat, f.Size, f.Start, now, h.port.Rate)
 	h.net.Metrics.FCT.Observe(int64(now.Sub(f.Start)))
 	if h.net.OnFlowDone != nil {
@@ -526,7 +557,10 @@ func (h *Host) receiveAck(p *packet.Packet, now units.Time) {
 		f.sndUna = p.AckSeq
 		f.lastProgress = now
 		if f.sndUna >= f.Size {
-			f.senderDone = true // its rtoQ entry is skipped when due
+			f.senderDone = true
+			if !f.queued { // else the sendq pop or wake timer holding it releases
+				h.release(f)
+			}
 		} else {
 			// Freed window may unblock the flow.
 			h.enqueue(f)
@@ -552,16 +586,23 @@ func (h *Host) armRTO(f *Flow) {
 		return // NDP recovers via NACK/pull, not timeouts
 	}
 	f.lastProgress = h.net.Eng.Now()
-	f.inRtoQ = true
-	h.rtoQ = append(h.rtoQ, f)
+	h.pushRTO(f)
 	h.ensureRTOTimer()
+}
+
+func (h *Host) pushRTO(f *Flow) {
+	f.inRtoQ = true
+	f.rtoSeq = h.rtoBase + uint64(len(h.rtoQ))
+	h.rtoQ = append(h.rtoQ, refOf(f))
 }
 
 func (h *Host) ensureRTOTimer() {
 	if h.rtoTimer.Active() || h.rtoHead >= len(h.rtoQ) {
 		return
 	}
-	head := h.rtoQ[h.rtoHead]
+	// Every pass of serviceRTO pops the tombstones and finished senders
+	// it meets, so the head an idle timer finds is a live flow.
+	head := h.rtoQ[h.rtoHead].take("ensureRTOTimer")
 	h.rtoTimer = h.net.Eng.AtArg(head.lastProgress.Add(h.net.Cfg.RTO), hostRTOFn, h)
 }
 
@@ -571,12 +612,15 @@ func (h *Host) serviceRTO() {
 	now := h.net.Eng.Now()
 	fired := false
 	for h.rtoHead < len(h.rtoQ) {
-		f := h.rtoQ[h.rtoHead]
-		if !f.senderDone && f.lastProgress.Add(h.net.Cfg.RTO) > now {
+		f := h.rtoQ[h.rtoHead].take("serviceRTO")
+		if f != nil && !f.senderDone && f.lastProgress.Add(h.net.Cfg.RTO) > now {
 			break // head not yet due; re-arm for it below
 		}
-		h.rtoQ[h.rtoHead] = nil
+		h.rtoQ[h.rtoHead] = flowRef{}
 		h.rtoHead++
+		if f == nil {
+			continue // tombstone of a released (finished) sender
+		}
 		f.inRtoQ = false
 		// senderDone alone gates here: done is receiver-side state, which
 		// may live on another shard. A sender that never saw its final
@@ -592,17 +636,15 @@ func (h *Host) serviceRTO() {
 			h.net.Metrics.RTOs.Inc()
 		}
 		f.lastProgress = now
-		f.inRtoQ = true
-		h.rtoQ = append(h.rtoQ, f)
+		h.pushRTO(f)
 		h.enqueue(f)
 		fired = true
 	}
 	if h.rtoHead > 64 && h.rtoHead*2 >= len(h.rtoQ) {
 		n := copy(h.rtoQ, h.rtoQ[h.rtoHead:])
-		for i := n; i < len(h.rtoQ); i++ {
-			h.rtoQ[i] = nil
-		}
+		clear(h.rtoQ[n:])
 		h.rtoQ = h.rtoQ[:n]
+		h.rtoBase += uint64(h.rtoHead)
 		h.rtoHead = 0
 	}
 	h.ensureRTOTimer()
@@ -646,6 +688,9 @@ func (h *Host) kick() {
 			if h.net.frx != nil {
 				h.frxFlow(f, forensics.SendNet)
 			}
+			if f.senderDone {
+				h.release(f) // fully acked while it sat in the queue
+			}
 			continue
 		}
 		if (len(h.pausedDst) != 0 && h.pausedDst[f.Dst]) ||
@@ -682,7 +727,7 @@ func (h *Host) kick() {
 					h.frxFlow(f, forensics.SendPaced)
 				}
 				f.queued = true
-				h.net.Eng.AtArg(f.nextSend, flowWakeFn, f)
+				h.net.Eng.AtArg(f.nextSend, flowWakeFn, refOf(f))
 				continue
 			}
 		}
@@ -763,14 +808,8 @@ func (f *Flow) DebugString() string {
 
 // DebugHostState reports NIC scheduler internals (diagnostics).
 func (h *Host) DebugHostState() string {
-	inSendq := 0
-	for i := h.sendqHead; i < len(h.sendq); i++ {
-		if h.sendq[i] != nil {
-			inSendq++
-		}
-	}
 	return fmt.Sprintf("host %d busy=%v pfc=%v sendq=%d rtoQ=%d rtoTimerActive=%v ctrlq=%d",
-		h.node.ID, h.busy, h.pfcPaused, inSendq, len(h.rtoQ)-h.rtoHead, h.rtoTimer.Active(), h.ctrlQ.len())
+		h.node.ID, h.busy, h.pfcPaused, len(h.sendq)-h.sendqHead, len(h.rtoQ)-h.rtoHead, h.rtoTimer.Active(), h.ctrlQ.len())
 }
 
 // DebugNextSend exposes pacing state (diagnostics).

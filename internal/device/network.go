@@ -180,8 +180,19 @@ type Network struct {
 	HostsByID []*Host   // indexed by NodeID (nil for switches)
 	Hosts     []*Host   // dense, in topo.Hosts order
 
-	flows   []*Flow // indexed by FlowID (ids are dense, starting at 1)
-	pktPool []*packet.Packet
+	// Flow lifecycle (DESIGN.md §3). specs is the registration log:
+	// FlowID id is entry id-1. live[id] is the flow's object from mint to
+	// release (a held flow's: from registration, for good). done is this
+	// shard's receiver-side completion bitset, consulted before live so
+	// nothing dereferences a recycled object. flowPool holds released
+	// objects with their controllers; minted counts objects ever built. A
+	// Cluster's shards share specs (read-only once sealed) and live.
+	specs    *stats.ChunkLog[flowSpec]
+	live     []*Flow
+	done     []uint64
+	flowPool []*Flow
+	minted   int
+	pktPool  []*packet.Packet
 
 	// frx is this shard's forensics recorder (nil when disabled); every
 	// hook site checks it before doing any work.
@@ -211,7 +222,8 @@ func New(cfg Config) *Network {
 		Metrics:   cfg.Metrics,
 		Switches:  make([]*Switch, len(cfg.Topo.Nodes)),
 		HostsByID: make([]*Host, len(cfg.Topo.Nodes)),
-		flows:     []*Flow{nil}, // FlowID 0 is unused
+		specs:     new(stats.ChunkLog[flowSpec]),
+		live:      []*Flow{nil}, // FlowID 0 is unused
 		frx:       cfg.Forensics,
 	}
 	if sp := cfg.Shard; sp != nil {
@@ -373,41 +385,95 @@ func (n *Network) deliver(to packet.NodeID, p *packet.Packet, inPort int) {
 	n.HostsByID[to].receive(p)
 }
 
-// Flow lookup (receiver and sender side share the Flow object).
-func (n *Network) flow(id packet.FlowID) *Flow {
-	if id == 0 || int(id) >= len(n.flows) {
-		return nil
-	}
-	return n.flows[id]
+// flowSpec is one registration-log record: what a flow is before (and
+// after) it has an object.
+type flowSpec struct {
+	Start  units.Time
+	Size   units.ByteSize
+	Src    packet.NodeID
+	Dst    packet.NodeID
+	Cat    packet.Category
+	manual bool // application-launched (Network.Launch), not injected
 }
 
-// AddFlow registers a flow from src to dst starting at the given time.
-// Returns the flow for inspection.
-func (n *Network) AddFlow(src, dst packet.NodeID, size units.ByteSize, start units.Time, cat packet.Category) *Flow {
-	if src == dst {
+// logFlow validates a registration against the topology and appends it
+// to the log. FlowIDs are dense from 1, in registration order.
+func logFlow(t *topo.Topology, log *stats.ChunkLog[flowSpec], s flowSpec) packet.FlowID {
+	if s.Src == s.Dst {
 		panic("device: flow with src == dst")
 	}
-	if size <= 0 {
+	if s.Size <= 0 {
 		panic("device: flow with non-positive size")
 	}
-	sh := n.HostsByID[src]
-	dh := n.HostsByID[dst]
-	if sh == nil || dh == nil {
-		panic(fmt.Sprintf("device: flow endpoints must be hosts (%d -> %d)", src, dst))
+	for _, id := range [2]packet.NodeID{s.Src, s.Dst} {
+		if id < 0 || int(id) >= len(t.Nodes) || t.Nodes[id].Kind != topo.HostNode {
+			panic(fmt.Sprintf("device: flow endpoints must be hosts (%d -> %d)", s.Src, s.Dst))
+		}
 	}
-	id := packet.FlowID(len(n.flows))
-	env := cc.Env{
-		LinkRate: sh.port.Rate,
-		BaseRTT:  n.Cfg.BaseRTT,
-		BDP:      units.BDP(sh.port.Rate, n.Cfg.BaseRTT),
+	log.Append(s)
+	return packet.FlowID(log.Len())
+}
+
+// spec returns a registered flow's log record.
+func (n *Network) spec(id packet.FlowID) *flowSpec { return n.specs.At(int(id) - 1) }
+
+// flow returns the live object of a flow (receiver and sender side
+// share it): nil before its start and after its release.
+func (n *Network) flow(id packet.FlowID) *Flow {
+	if int(id) >= len(n.live) {
+		return nil
 	}
-	f := &Flow{
-		ID: id, Src: src, Dst: dst, Size: size, Cat: cat,
-		Start: start, ctrl: n.Cfg.CC(env), net: n,
+	f := n.live[id]
+	f.assertIs(id)
+	return f
+}
+
+// isDone reports whether this shard's receiver finished the flow.
+func (n *Network) isDone(id packet.FlowID) bool {
+	w := id >> 6
+	return w < packet.FlowID(len(n.done)) && n.done[w]&(1<<(id&63)) != 0
+}
+
+func (n *Network) markDone(id packet.FlowID) {
+	for int(id>>6) >= len(n.done) {
+		n.done = append(n.done, 0)
 	}
-	n.flows = append(n.flows, f)
+	n.done[id>>6] |= 1 << (id & 63)
+}
+
+// mintFlow builds the object of registered flow id on its source's
+// shard: a pooled one with its controller reset, else a new one. held
+// marks it caller-owned (handed out by AddFlow/AddAppFlow), so never
+// recycled; the simulator owns the rest from mint to Host.release.
+func (n *Network) mintFlow(id packet.FlowID, held bool) *Flow {
+	s := n.spec(id)
+	rate, rtt := n.HostsByID[s.Src].port.Rate, n.Cfg.BaseRTT
+	env := cc.Env{LinkRate: rate, BaseRTT: rtt, BDP: units.BDP(rate, rtt)}
+	var f *Flow
+	if m := len(n.flowPool); m > 0 {
+		f = n.flowPool[m-1]
+		n.flowPool[m-1] = nil
+		n.flowPool = n.flowPool[:m-1]
+		f.ctrl.Reset(env)
+		*f = Flow{ctrl: f.ctrl, dbg: f.dbg.acquired()}
+	} else {
+		f = &Flow{ctrl: n.Cfg.CC(env)}
+		n.minted++
+	}
+	f.ID, f.Src, f.Dst, f.Size, f.Cat, f.Start = id, s.Src, s.Dst, s.Size, s.Cat, s.Start
+	f.net, f.held, f.manual = n, held, s.manual
+	return f
+}
+
+// AddFlow registers a flow from src to dst starting at the given time
+// on a stand-alone network. The returned flow is caller-owned (held):
+// minted here and never recycled, so it may be inspected after the run.
+func (n *Network) AddFlow(src, dst packet.NodeID, size units.ByteSize, start units.Time, cat packet.Category) *Flow {
+	id := logFlow(n.Topo, n.specs, flowSpec{Start: start, Size: size, Src: src, Dst: dst, Cat: cat})
+	f := n.mintFlow(id, true)
+	n.live = append(n.live, f)
 	if start == n.Eng.Now() {
-		sh.startFlow(f)
+		n.HostsByID[src].startFlow(f)
 	} else {
 		n.Eng.AtArg(start, flowStartFn, f)
 	}
@@ -434,8 +500,8 @@ func (n *Network) Launch(f *Flow) {
 	sh.startFlow(f)
 }
 
-// flowStartFn is the capture-free deferred-start callback: workloads
-// register tens of thousands of future flows up front.
+// flowStartFn is the capture-free deferred-start callback of a
+// stand-alone network's held flows (a Cluster injects; see cluster.go).
 func flowStartFn(a any) {
 	f := a.(*Flow)
 	f.net.HostsByID[f.Src].startFlow(f)
@@ -521,8 +587,8 @@ func (n *Network) Finalize() {
 	}
 }
 
-// Flows returns all registered flows (test and reporting helper).
-func (n *Network) Flows() []*Flow { return n.flows[1:] }
+// Flows returns a stand-alone network's flows, all held (test helper).
+func (n *Network) Flows() []*Flow { return n.live[1:] }
 
 // DeliveredBytes is the total payload delivered to receivers so far —
 // the monotone progress signal the stall watchdog monitors.

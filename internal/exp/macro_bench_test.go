@@ -7,6 +7,7 @@ import (
 
 	"floodgate/internal/app"
 	"floodgate/internal/fault"
+	"floodgate/internal/sim"
 	"floodgate/internal/units"
 	"floodgate/internal/workload"
 )
@@ -214,4 +215,54 @@ func BenchmarkRunClosedLoop(b *testing.B) {
 	wall := b.Elapsed().Seconds()
 	b.ReportMetric(simSec/wall, "simsec/wallsec")
 	b.ReportMetric(events/wall, "events/s")
+}
+
+// flowChurnConfig is the per-flow-cost workload at smoke scale: the
+// ledger's memcached_churn_dcqcn in miniature — Memcached Poisson under
+// plain DCQCN, ~138,000 mostly single-packet flows streamed through
+// RunConfig.Source, so a wrapping source can bracket registration. Load
+// is 0.6, not the ledger's 0.8: at 0.8 the headers and ACKs of sub-MTU
+// flows overload this fabric and the backlog of unfinished flows grows
+// with the window. At 0.6 a flow lives about one slow-motion RTT
+// (~30 µs), so over a fifty-RTT window the flows in flight are a few per
+// cent of the flows registered.
+func flowChurnConfig(o Options) (RunConfig, []workload.FlowSpec) {
+	const window = 1500 * units.Microsecond
+	tp := o.leafSpine()
+	specs := workload.Poisson(workload.PoissonConfig{
+		CDF: workload.Memcached, Load: 0.6,
+		Hosts: tp.Hosts, HostRate: tp.Node(tp.Hosts[0]).Ports[0].Rate,
+		Until: window,
+	}, sim.NewRand(o.Seed))
+	return RunConfig{
+		Topo: tp, Scheme: DCQCN(o), Duration: window,
+		Seed: o.Seed, Opt: o, SourceLabel: "flowchurn",
+	}, specs
+}
+
+// BenchmarkFlowChurn iterates on the flow lifecycle (log, mint,
+// recycle, FlowDone) without a ledger run. Beside ns/op it reports what
+// one flow costs in allocated bytes and allocations over the whole run,
+// and how many Flow objects the run ever built — with recycling, the
+// peak of simultaneously live flows rather than the flow count.
+func BenchmarkFlowChurn(b *testing.B) {
+	o := Options{Scale: 0.1, Seed: 1}.norm()
+	rc, specs := flowChurnConfig(o)
+	var flows, objects float64
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < b.N; i++ {
+		rc.Source = &workload.SliceSource{Specs: specs}
+		res := Run(rc)
+		if res.Completed != res.Total {
+			b.Fatalf("flows incomplete: %d/%d", res.Completed, res.Total)
+		}
+		flows += float64(res.Total)
+		objects += float64(res.Cluster.FlowObjects())
+	}
+	runtime.ReadMemStats(&m1)
+	b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/flows, "B/flow")
+	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/flows, "allocs/flow")
+	b.ReportMetric(objects/float64(b.N), "flowobjs/run")
+	b.ReportMetric(flows/b.Elapsed().Seconds(), "flows/s")
 }

@@ -193,10 +193,10 @@ type RunConfig struct {
 	// of (or instead of) the open-loop Specs. Nil leaves every existing
 	// run byte-identical.
 	App *app.Config
-	// Source streams additional open-loop flow specs (e.g. from an
-	// NDJSON file via workload.OpenSpecFile) without materializing them;
-	// specs must arrive in non-decreasing Start order, after Specs'
-	// latest start. SourceLabel names the stream in content-hash labels.
+	// Source streams additional open-loop flow specs (e.g. from an NDJSON
+	// file via workload.OpenSpecFile); Run drains it before the first
+	// event at 32 bytes per spec. Specs must arrive in non-decreasing Start
+	// order, after Specs' latest start. SourceLabel names it in hash labels.
 	Source      workload.SpecSource
 	SourceLabel string
 }
@@ -374,18 +374,17 @@ func Run(rc RunConfig) *RunResult {
 		obs.start()
 	}
 
-	// Register the whole workload up front (FlowID = global spec order)
-	// and let the per-shard injection chains start flows at their Start
-	// times; the event queues stay shallow even for millions of
-	// arrivals. Completion is counted per shard (a flow finishes on its
-	// receiver's shard) and aggregated only at barriers.
+	// Log the whole workload up front (FlowID = global spec order) and let
+	// the per-shard injection chains mint and start flows at their Start
+	// times: event queues stay shallow and flow state follows the flows in
+	// flight even for millions of arrivals. Completion is counted per shard
+	// (a flow finishes on its receiver's shard), aggregated at barriers.
 	total := len(rc.Specs)
 	for _, s := range rc.Specs {
 		cluster.AddFlow(s.Src, s.Dst, s.Size, s.Start, s.Cat)
 	}
 	if rc.Source != nil {
-		// Streamed specs register one at a time — the source is never
-		// materialized, so flow files larger than memory still run.
+		// Drained here, before the run; each spec costs only a log record.
 		for {
 			s, ok, err := rc.Source.Next()
 			if err != nil {
@@ -479,19 +478,7 @@ func Run(rc RunConfig) *RunResult {
 	cluster.Finalize()
 	var frep *forensics.Report
 	if opt.Obs.Forensics {
-		flows := cluster.Flows()
-		metas := make([]forensics.FlowMeta, 0, len(flows))
-		for _, f := range flows {
-			if !f.Launched() {
-				continue // unused app attempt: registered but never started
-			}
-			metas = append(metas, forensics.FlowMeta{
-				ID: f.ID, Src: f.Src, Dst: f.Dst, Size: f.Size,
-				Start: f.Start, Finish: f.Finish, Done: f.Done(),
-				Attempt: f.Attempt,
-			})
-		}
-		frep = forensics.BuildReport(cluster.Recorders(), metas)
+		frep = forensics.BuildReport(cluster.Recorders(), cluster.FlowMetas())
 	}
 	if obs != nil {
 		if err := obs.export(frep); err != nil {

@@ -56,7 +56,7 @@ type FCTSample struct {
 type Collector struct {
 	binWidth units.Duration
 
-	fcts [NumCategories][]FCTSample
+	fcts [NumCategories]ChunkLog[FCTSample] // chunked: appends never re-copy
 
 	// Buffer occupancy maxima.
 	maxClassBuf  [topo.NumPortClasses]units.ByteSize
@@ -118,7 +118,7 @@ func (c *Collector) FlowDone(flow uint64, cat Category, size units.ByteSize, sta
 	if ideal > 0 {
 		slow = float64(fct) / float64(ideal)
 	}
-	c.fcts[cat] = append(c.fcts[cat], FCTSample{
+	c.fcts[cat].Append(FCTSample{
 		Flow: flow, Cat: cat, Size: size, Start: start, Finish: finish, FCT: fct, Slowdown: slow,
 	})
 }
@@ -193,7 +193,7 @@ func (c *Collector) VOQInUse(n int) {
 // executor relies on this to aggregate results.
 func (c *Collector) Merge(o *Collector) {
 	for i := Category(0); i < NumCategories; i++ {
-		c.fcts[i] = append(c.fcts[i], o.fcts[i]...)
+		c.fcts[i].Extend(&o.fcts[i])
 		c.rxSeries[i] = mergeBins(c.rxSeries[i], o.rxSeries[i], false)
 	}
 	for cl := topo.PortClass(0); cl < topo.NumPortClasses; cl++ {
@@ -243,24 +243,38 @@ func mergeBins(dst, src []units.ByteSize, byMax bool) []units.ByteSize {
 
 // ---- Accessors / reductions ----
 
-// FCTs returns the samples of one category.
-func (c *Collector) FCTs(cat Category) []FCTSample { return c.fcts[cat] }
-
-// AllFCTs returns every sample across categories.
-func (c *Collector) AllFCTs() []FCTSample {
-	var all []FCTSample
-	for i := Category(0); i < NumCategories; i++ {
-		all = append(all, c.fcts[i]...)
+// flatFCTs copies the given categories' samples, in the order given,
+// into one exactly sized slice (nil when there are none).
+func (c *Collector) flatFCTs(cats ...Category) []FCTSample {
+	n := 0
+	for _, cat := range cats {
+		n += c.fcts[cat].Len()
+	}
+	if n == 0 {
+		return nil
+	}
+	all := make([]FCTSample, 0, n)
+	for _, cat := range cats {
+		all = c.fcts[cat].AppendTo(all)
 	}
 	return all
 }
 
+// FCTs returns the samples of one category.
+func (c *Collector) FCTs(cat Category) []FCTSample { return c.flatFCTs(cat) }
+
+// AllFCTs returns every sample across categories.
+func (c *Collector) AllFCTs() []FCTSample {
+	var cats [NumCategories]Category
+	for i := range cats {
+		cats[i] = Category(i)
+	}
+	return c.flatFCTs(cats[:]...)
+}
+
 // PoissonFCTs returns the non-incast (background) samples.
 func (c *Collector) PoissonFCTs() []FCTSample {
-	var all []FCTSample
-	all = append(all, c.fcts[CatVictimIncast]...)
-	all = append(all, c.fcts[CatVictimPFC]...)
-	return all
+	return c.flatFCTs(CatVictimIncast, CatVictimPFC)
 }
 
 // FCTStats reduces samples to (average, p99) durations. Zero samples
