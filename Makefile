@@ -1,9 +1,14 @@
 GO ?= go
 
-.PHONY: build test race vet lint lint-fix-baseline bench bench-test profile ci
+.PHONY: build fmt test race vet lint lint-fix-baseline bench bench-test profile ci
 
 build:
 	$(GO) build ./...
+
+# gofmt must have nothing to say (its stderr is dropped: the lint
+# fixtures under internal/lint/testdata/broken do not parse on purpose).
+fmt:
+	@test -z "$$(gofmt -l . 2>/dev/null)" || { echo "gofmt -l . lists:"; gofmt -l . 2>/dev/null; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -66,4 +71,4 @@ profile:
 		-cpuprofile cpu.sim.out ./internal/sim
 	@echo "profiles written: cpu.out mem.out cpu.churn.out mem.churn.out cpu.sim.out (go tool pprof <file>)"
 
-ci: build lint test race bench-test
+ci: build fmt lint test race bench-test

@@ -58,17 +58,18 @@ func BenchmarkRunIncast(b *testing.B) {
 // paper-scale (Scale 1: 160 hosts, 10 ToRs, 4 spines) incast — the
 // "one giant run" the sharded conservative-window executor exists to
 // accelerate. Output is bit-identical at every shard count, so the
-// sub-benchmarks measure pure executor cost: on a multi-core host the
-// events/s curve should rise toward the shard count (ToR-subtree
-// partitions are near-balanced); on a single core it instead prices
-// the barrier + mailbox overhead. GOMAXPROCS is part of the
+// sub-benchmarks measure pure executor cost: with a P per shard the
+// events/s curve can rise at most to 1/critical-share (the barrier
+// census's ceiling: the busiest shard of every window), and windows/op
+// says how many hand-offs that costs; on a single core it instead
+// prices the barrier + mailbox overhead. GOMAXPROCS is part of the
 // sub-benchmark name so the two regimes are never confused.
 func BenchmarkRunIncastSharded(b *testing.B) {
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d/gomaxprocs=%d", shards, runtime.GOMAXPROCS(0)), func(b *testing.B) {
 			o := Options{Scale: 1, Seed: 1, Shards: shards}.norm()
 			b.ReportAllocs()
-			var simSec, events float64
+			var simSec, events, windows, critical float64
 			for i := 0; i < b.N; i++ {
 				tp := o.leafSpine()
 				specs := pureIncastSpecs(tp, o.Seed)
@@ -82,10 +83,17 @@ func BenchmarkRunIncastSharded(b *testing.B) {
 				}
 				simSec += res.Net.Eng.Now().Seconds()
 				events += float64(res.Processed())
+				if cs := res.Census; cs != nil { // deterministic counts: any iteration's will do
+					windows, critical = float64(cs.Windows), float64(cs.Critical)/float64(res.Processed())
+				}
 			}
 			wall := b.Elapsed().Seconds()
 			b.ReportMetric(simSec/wall, "simsec/wallsec")
 			b.ReportMetric(events/wall, "events/s")
+			if windows > 0 {
+				b.ReportMetric(windows, "windows/op")
+				b.ReportMetric(critical, "critical-share")
+			}
 		})
 	}
 }

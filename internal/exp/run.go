@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"os"
 	"runtime/debug"
 
 	"floodgate/internal/app"
@@ -276,6 +277,9 @@ type RunResult struct {
 	// detail behind it, in request order.
 	SLO        *app.SLO
 	AppRecords []app.Record
+
+	// Census is a sharded run's barrier census; nil at Shards <= 1.
+	Census *BarrierCensus
 }
 
 // shardCount is one shard's flow-completion counter. Each shard gets
@@ -496,6 +500,12 @@ func Run(rc RunConfig) *RunResult {
 		Stalled:   w.stalled,
 		Diagnosis: w.diagnosis,
 		Forensics: frep,
+		Census:    w.census,
+	}
+	if w.census != nil && opt.Obs.Experiment != "" {
+		// floodsim's census line (RunByID stamps the id); stderr only.
+		fmt.Fprintf(os.Stderr, "exp: %s %s barrier census (ceiling %.2fx): %+v\n", opt.Obs.Experiment,
+			rc.Scheme.Name, float64(cluster.Processed())/float64(w.census.Critical), *w.census)
 	}
 	if planes != nil {
 		res.AppRecords = app.Collect(planes)

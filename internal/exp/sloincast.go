@@ -113,9 +113,9 @@ func sloRun(o Options, c sloCell) *RunResult {
 	tail := units.Duration(cfg.MaxAttempts)*cfg.Deadline + o.stretch(200*units.Microsecond)
 	return Run(RunConfig{
 		Topo: tp, Scheme: c.scheme,
-		Specs:      sloStormSpecs(tp, dur, o.Seed),
-		Duration:   last + tail,
-		Seed:       o.Seed, Opt: o,
+		Specs:    sloStormSpecs(tp, dur, o.Seed),
+		Duration: last + tail,
+		Seed:     o.Seed, Opt: o,
 		BufferSize: stressBuffer(tp),
 		App:        cfg,
 	})

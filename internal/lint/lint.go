@@ -78,7 +78,7 @@ type Config struct {
 // DefaultConfig returns the production scoping for the given module.
 func DefaultConfig(module string) *Config {
 	return &Config{
-		ModulePath:  module,
+		ModulePath:   module,
 		Determinism:  []string{"..."},
 		MapRange:     []string{"..."},
 		HostMapRange: []string{"..."},

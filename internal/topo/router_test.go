@@ -48,7 +48,9 @@ func TestRouterEquivalence(t *testing.T) {
 			c.Oversubscription = 4
 			return c.Build()
 		}},
-		{"fattree-k4", func() *Topology { return FatTreeConfig{K: 4, Rate: 100 * units.Gbps, Prop: 600 * units.Nanosecond}.Build() }},
+		{"fattree-k4", func() *Topology {
+			return FatTreeConfig{K: 4, Rate: 100 * units.Gbps, Prop: 600 * units.Nanosecond}.Build()
+		}},
 		{"fattree-k8", func() *Topology { return DefaultFatTree().Build() }},
 		{"fattree-k16", func() *Topology { return FatTree16().Build() }},
 		{"clos", func() *Topology { return DefaultClos().Build() }},
@@ -101,7 +103,7 @@ func TestRouterEquivalenceSampled(t *testing.T) {
 			queue := make([]packet.NodeID, 0, len(tp.Nodes))
 			// Deterministic sample: a fixed stride plus the edges of
 			// the range, so first/last racks and pod boundaries are hit.
-			sample := []int{0, 1, len(tp.Hosts)/2 - 1, len(tp.Hosts)/2, len(tp.Hosts) - 2, len(tp.Hosts) - 1}
+			sample := []int{0, 1, len(tp.Hosts)/2 - 1, len(tp.Hosts) / 2, len(tp.Hosts) - 2, len(tp.Hosts) - 1}
 			for hi := 0; hi < len(tp.Hosts); hi += len(tp.Hosts)/29 + 1 {
 				sample = append(sample, hi)
 			}
