@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt test race vet lint lint-fix-baseline bench bench-test profile ci
+.PHONY: build fmt test race vet lint lint-fix-baseline bench bench-test profile loc ci
 
 build:
 	$(GO) build ./...
@@ -70,5 +70,11 @@ profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineReplay' -benchtime 5000000x \
 		-cpuprofile cpu.sim.out ./internal/sim
 	@echo "profiles written: cpu.out mem.out cpu.churn.out mem.churn.out cpu.sim.out (go tool pprof <file>)"
+
+# ROADMAP's size count: non-test Go lines outside bench/, in total and
+# per internal package (the "small" aim, read from one command).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l | xargs echo total
+	@for d in internal/*/; do find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l | xargs echo $$d; done
 
 ci: build fmt lint test race bench-test

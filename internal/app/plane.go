@@ -136,7 +136,7 @@ func planeArriveFn(a any) {
 }
 
 func (p *Plane) arrive(rs *reqState, now units.Time) {
-	p.net.Metrics.AppRequests.Inc()
+	p.net.AppEvent(device.AppRequest)
 	rs.start = now
 	cs := p.clients[rs.ci]
 	if cs.breaker.open(now) {
@@ -144,8 +144,8 @@ func (p *Plane) arrive(rs *reqState, now units.Time) {
 		rs.end = now
 		p.resolved++
 		p.totShed++
-		p.net.Metrics.AppShed.Inc()
-		p.net.TraceFlow(trace.OpAppDone, cs.node, p.d.attempts[rs.idx][0][0])
+		p.net.AppEvent(device.AppShed)
+		p.net.AppFlow(trace.OpAppDone, cs.node, p.d.attempts[rs.idx][0][0])
 		return
 	}
 	p.pendingReqs++
@@ -168,7 +168,7 @@ func (p *Plane) launch(rs *reqState, op trace.Op) {
 	flows := p.d.attempts[rs.idx][rs.attempts-1]
 	cs := p.clients[rs.ci]
 	for _, f := range flows {
-		p.net.TraceFlow(op, cs.node, f)
+		p.net.AppFlow(op, cs.node, f)
 		p.net.Launch(f)
 	}
 	if op != trace.OpAppHedge {
@@ -187,9 +187,9 @@ func reqDeadlineFn(a any) {
 	now := p.net.Eng.Now()
 	rs.timeouts++
 	p.totTimeouts++
-	p.net.Metrics.AppTimeouts.Inc()
+	p.net.AppEvent(device.AppTimeout)
 	cs := p.clients[rs.ci]
-	p.net.TraceFlow(trace.OpAppTimeout, cs.node, p.d.attempts[rs.idx][rs.attempts-1][0])
+	p.net.AppFlow(trace.OpAppTimeout, cs.node, p.d.attempts[rs.idx][rs.attempts-1][0])
 	cs.breaker.record(true, now)
 	if rs.attempts < p.d.Cfg.MaxAttempts && !cs.breaker.open(now) && cs.takeRetry() {
 		delay := p.d.Cfg.Policy.Backoff(rs.attempts+1, cs.rng)
@@ -210,7 +210,7 @@ func reqRetryFn(a any) {
 		return
 	}
 	p.totRetries++
-	p.net.Metrics.AppRetries.Inc()
+	p.net.AppEvent(device.AppRetry)
 	p.launch(rs, trace.OpAppRetry)
 }
 
@@ -231,7 +231,7 @@ func reqHedgeFn(a any) {
 	}
 	rs.hedges++
 	p.totHedges++
-	p.net.Metrics.AppHedges.Inc()
+	p.net.AppEvent(device.AppHedge)
 	p.launch(rs, trace.OpAppHedge)
 }
 
@@ -244,11 +244,11 @@ func (p *Plane) resolve(rs *reqState, now units.Time, ok bool) {
 	cs := p.clients[rs.ci]
 	if ok {
 		lat := now.Sub(rs.start)
-		p.net.Metrics.AppReqLatency.Observe(int64(lat))
+		p.net.AppLatency(lat)
 		cs.lat.add(lat)
 		cs.breaker.record(false, now)
 	}
-	p.net.TraceFlow(trace.OpAppDone, cs.node, p.d.attempts[rs.idx][0][0])
+	p.net.AppFlow(trace.OpAppDone, cs.node, p.d.attempts[rs.idx][0][0])
 }
 
 // OnFlowDone dispatches flow completions to the app plane. Request
@@ -269,7 +269,7 @@ func (p *Plane) OnFlowDone(f *device.Flow, now units.Time) {
 		return
 	}
 	rs := p.states[ro.req]
-	p.net.Metrics.AppReplies.Inc()
+	p.net.AppEvent(device.AppReply)
 	if rs.resolved || rs.replied[ro.worker] {
 		return // late straggler or duplicate attempt's reply
 	}

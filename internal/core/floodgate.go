@@ -8,12 +8,9 @@ import (
 	"slices"
 
 	"floodgate/internal/device"
-	"floodgate/internal/forensics"
-	"floodgate/internal/metrics"
 	"floodgate/internal/packet"
 	"floodgate/internal/sim"
 	"floodgate/internal/topo"
-	"floodgate/internal/trace"
 	"floodgate/internal/units"
 )
 
@@ -57,23 +54,12 @@ type Module struct {
 	epoch   uint32
 	resyncs int
 
-	// frx is the shard's forensics recorder (nil when disabled).
 	// creditSentAt/creditFrom are transients valid only inside OnCtrl's
 	// credit-apply loop: drain reads them to attribute a released
 	// packet's wait to credit flight time and to link the unpark back to
 	// the crediting switch.
-	frx          *forensics.Recorder
 	creditSentAt units.Time
 	creditFrom   packet.NodeID
-
-	// Instrument handles copied from the network's NetMetrics at
-	// construction (value types, nil-safe when no registry is attached).
-	mWindows         metrics.Gauge
-	mWindowBytes     metrics.Gauge
-	mVOQsInUse       metrics.Gauge
-	mParkedBytes     metrics.Gauge
-	mCreditsInFlight metrics.Gauge
-	mResyncs         metrics.Counter
 }
 
 // tickArg is the pre-built payload for the per-ingress-port credit
@@ -201,14 +187,6 @@ func newModule(cfg Config, sw *device.Switch) *Module {
 		facesHost: make([]bool, len(node.Ports)),
 		epoch:     1,
 	}
-	m.frx = sw.Net().ForensicsRec()
-	nm := &sw.Net().Metrics
-	m.mWindows = nm.FGWindows
-	m.mWindowBytes = nm.FGWindowBytes
-	m.mVOQsInUse = nm.FGVOQsInUse
-	m.mParkedBytes = nm.FGParkedBytes
-	m.mCreditsInFlight = nm.FGCreditsInFlight
-	m.mResyncs = nm.FGResyncs
 	for i := range node.Ports {
 		m.facesHost[i] = sw.PortFacesHost(i)
 		m.facesSw[i] = !m.facesHost[i]
@@ -304,7 +282,7 @@ func (m *Module) OnIngress(p *packet.Packet, inPort, outPort int) device.Verdict
 // boot epoch so a downstream switch can tell a restart from a gap).
 func (m *Module) forward(w *dstState, p *packet.Packet, outPort int) {
 	w.avail -= p.Size
-	m.mWindowBytes.Add(int64(p.Size))
+	m.sw.Net().FGWindow(0, p.Size)
 	up := w.port(outPort)
 	up.sent += p.Size
 	p.PSN = up.sent
@@ -333,7 +311,7 @@ func (m *Module) winFor(dst packet.NodeID, outPort int) *dstState {
 	}
 	*w = dstState{m: m, dst: dst, init: init, avail: init, lastCredit: m.now()}
 	m.live = append(m.live, dst)
-	m.mWindows.Add(1)
+	m.sw.Net().FGWindow(1, 0)
 	if len(m.live) > m.maxWins {
 		m.maxWins = len(m.live)
 	}
@@ -378,8 +356,7 @@ func (m *Module) allocVOQ(w *dstState) {
 		*freeList = (*freeList)[:len(*freeList)-1]
 		v = m.voqs[idx]
 		m.inUse++
-		m.mVOQsInUse.Add(1)
-		m.sw.Net().Stats.VOQInUse(m.inUse)
+		m.sw.Net().VOQs(1, m.inUse)
 	} else {
 		// Pool exhausted: share an allocated VOQ chosen by hashing the
 		// destination address.
@@ -387,9 +364,7 @@ func (m *Module) allocVOQ(w *dstState) {
 	}
 	v.dsts = append(v.dsts, dst)
 	w.voq = v
-	if m.frx != nil {
-		m.frx.EpisodeStart(m.sw.Node().ID, dst, m.now())
-	}
+	m.sw.Net().Episode(m.sw.Node().ID, dst, true)
 }
 
 // hashVOQ picks an allocated VOQ in the group via CRC-32 of the dst.
@@ -411,8 +386,7 @@ func (m *Module) hashVOQ(dst packet.NodeID, group int) *voq {
 	}
 	if len(candidates) == 0 {
 		m.inUse++
-		m.mVOQsInUse.Add(1)
-		m.sw.Net().Stats.VOQInUse(m.inUse)
+		m.sw.Net().VOQs(1, m.inUse)
 		return m.voqs[0]
 	}
 	var b [4]byte
@@ -430,12 +404,8 @@ func (m *Module) park(w *dstState, p *packet.Packet, outPort int) {
 	v.q = append(v.q, parked{p: p, out: int32(outPort)})
 	v.bytes += p.Size
 	w.parked += p.Size
-	m.mParkedBytes.Add(int64(p.Size))
 	m.sw.NotePortBytes(outPort, p.Size)
-	if m.frx != nil {
-		m.frx.Parked(m.sw.Node().ID, p.Dst, p.Flow, w.parked)
-	}
-	m.sw.Net().TraceEvent(trace.OpPark, m.sw.Node().ID, p)
+	m.sw.Net().Parked(m.sw.Node().ID, p, w.parked)
 	m.maybeDstPause(w, p)
 }
 
@@ -455,18 +425,13 @@ func (m *Module) drain(v *voq) {
 		v.q = v.q[1:]
 		v.bytes -= p.Size
 		w.parked -= p.Size
-		m.mParkedBytes.Add(-int64(p.Size))
 		if int(e.out) != outPort {
 			// Routing moved while the packet was parked (a link went
 			// down); move the port-occupancy attribution with it.
 			m.sw.NotePortBytes(int(e.out), -p.Size)
 			m.sw.NotePortBytes(outPort, p.Size)
 		}
-		if m.frx != nil {
-			now := m.now()
-			m.frx.Unparked(p.Flow, p.Last && !p.Trimmed, now.Sub(p.EnqueuedAt), now.Sub(m.creditSentAt))
-		}
-		m.sw.Net().TraceAux(trace.OpUnpark, m.sw.Node().ID, p, m.creditFrom)
+		m.sw.Net().Unparked(m.sw.Node().ID, p, m.creditFrom, m.creditSentAt)
 		m.forward(w, p, outPort)
 		m.sw.InjectEgress(p, outPort, 0)
 		m.maybeDstResume(w)
@@ -481,13 +446,8 @@ func (m *Module) freeVOQ(v *voq) {
 	if len(v.dsts) == 0 {
 		return
 	}
-	if m.frx != nil {
-		now := m.now()
-		for _, d := range v.dsts {
-			m.frx.EpisodeEnd(m.sw.Node().ID, d, now)
-		}
-	}
 	for _, d := range v.dsts {
+		m.sw.Net().Episode(m.sw.Node().ID, d, false)
 		w := m.dsts.get(d)
 		w.voq, w.parked = nil, 0
 		m.maybeDstResume(w)
@@ -500,7 +460,7 @@ func (m *Module) freeVOQ(v *voq) {
 		m.free = append(m.free, v.idx)
 	}
 	m.inUse--
-	m.mVOQsInUse.Add(-1)
+	m.sw.Net().VOQs(-1, m.inUse)
 }
 
 // ---- Downstream role: credit generation ----
@@ -579,8 +539,7 @@ func (m *Module) emitCredit(in int, dst packet.NodeID, ch *downChan) {
 	// stamped unconditionally (never read unless forensics is on).
 	cr.SentAt = m.now()
 	ch.pending = 0
-	m.mCreditsInFlight.Add(1)
-	n.TraceAux(trace.OpCredit, m.sw.Node().ID, cr, dst)
+	n.CreditSent(m.sw.Node().ID, cr, dst)
 	m.sw.SendCtrl(cr, in)
 }
 
@@ -590,7 +549,7 @@ func (m *Module) emitCredit(in int, dst packet.NodeID, ch *downChan) {
 func (m *Module) OnCtrl(p *packet.Packet, inPort int) bool {
 	switch p.Kind {
 	case packet.Credit:
-		m.mCreditsInFlight.Add(-1)
+		m.sw.Net().CreditLanded()
 		m.creditSentAt = p.SentAt
 		m.creditFrom = m.sw.Node().Ports[inPort].Peer
 		for _, e := range p.Credits {
@@ -642,7 +601,7 @@ func (m *Module) applyCredit(port int, e packet.CreditEntry) {
 	}
 	availOld := w.avail
 	w.avail = w.init - outstanding
-	m.mWindowBytes.Add(int64(availOld) - int64(w.avail))
+	m.sw.Net().FGWindow(0, availOld-w.avail)
 	w.lastCredit = m.now()
 	w.synDeadline = 0 // lazy disarm: the pending timer finds it and dies
 	if w.voq != nil {
@@ -731,7 +690,7 @@ func (m *Module) checkPSNGap(p *packet.Packet, inPort int) {
 			// upstream had outstanding, restoring its window.)
 			ch.lastPSN = p.PSN - p.Size
 			m.resyncs++
-			m.mResyncs.Inc()
+			m.sw.Net().Resynced()
 		}
 		ch.epoch = p.FGEpoch
 	}
@@ -824,30 +783,20 @@ func (m *Module) Restart() {
 	n := m.sw.Net()
 	node := m.sw.Node()
 
-	// Open incast episodes end with the VOQ state that defined them.
-	if m.frx != nil {
-		m.frx.EpisodeEndAll(node.ID, m.now())
-	}
-
 	// Parked packets die with the switch.
+	var parked units.ByteSize
 	for _, v := range m.voqs {
 		for _, e := range v.q {
 			m.sw.NotePortBytes(int(e.out), -e.p.Size)
 			m.sw.ReleaseParked(e.p)
-			m.mParkedBytes.Add(-int64(e.p.Size))
-			n.Stats.Drop()
-			n.Metrics.Drops.Inc()
-			n.TraceEvent(trace.OpDrop, node.ID, e.p)
-			n.Recycle(e.p)
+			parked += e.p.Size
+			n.Drop(node.ID, e.p)
 		}
 		v.q = nil
 		v.bytes = 0
 		v.dsts = v.dsts[:0]
 	}
-	m.mVOQsInUse.Add(-int64(m.inUse))
-	if m.inUse > 0 {
-		m.sw.Net().Stats.VOQInUse(0)
-	}
+	voqs := m.inUse
 	m.inUse = 0
 	m.free = m.free[:0]
 	m.freeUp = m.freeUp[:0]
@@ -868,15 +817,15 @@ func (m *Module) Restart() {
 	// Windows: cancel loss-recovery timers and forget every destination
 	// (VOQ mappings and per-dst pause memory go with the record; the
 	// device layer wakes paused hosts via its own onPeerReset nudge).
-	var occupied int64
+	var occupied units.ByteSize
 	for _, dst := range m.live {
 		w := m.dsts.get(dst)
-		occupied += int64(w.init - w.avail)
+		occupied += w.init - w.avail
 		n.Eng.Cancel(w.synTimer)
 		*w = dstState{}
 	}
-	m.mWindowBytes.Add(-occupied)
-	m.mWindows.Add(-int64(len(m.live)))
+	// Open incast episodes end with the VOQ state that defined them.
+	n.FGReset(node.ID, len(m.live), occupied, parked, voqs)
 	m.live = m.live[:0]
 
 	// Downstream credit state: channels and pending credits are gone.

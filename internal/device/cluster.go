@@ -42,14 +42,14 @@ type Cluster struct {
 	xlinks    []*xlink // in global directed-port order (determinism)
 }
 
-// NewCluster builds k shard networks over one topology. base supplies
-// everything but Engine, Stats and Shard, which are set per shard.
-// assign must come from a partition that never cuts a host-ToR link
-// (topo.Partition guarantees this).
-func NewCluster(base Config, engines []*sim.Engine, collectors []*stats.Collector, assign []int) *Cluster {
+// NewCluster builds one shard network per engine over one topology. base
+// supplies everything but Engine and Shard; its observers are shard 0's and
+// fork for the rest (Config.forShard). assign must come from a partition
+// that never cuts a host-ToR link (topo.Partition guarantees this).
+func NewCluster(base Config, engines []*sim.Engine, assign []int) *Cluster {
 	k := len(engines)
-	if k < 1 || len(collectors) != k {
-		panic("device: NewCluster needs one engine and one collector per shard")
+	if k < 1 {
+		panic("device: NewCluster needs at least one engine")
 	}
 	if len(assign) != len(base.Topo.Nodes) {
 		panic("device: shard assignment length must match node count")
@@ -60,17 +60,9 @@ func NewCluster(base Config, engines []*sim.Engine, collectors []*stats.Collecto
 		Nets:   make([]*Network, k),
 		specs:  new(stats.ChunkLog[flowSpec]),
 	}
-	for i := 0; i < k; i++ {
-		cfg := base
-		cfg.Engine = engines[i]
-		cfg.Stats = collectors[i]
-		if i > 0 && base.Forensics != nil {
-			// Each shard records into its own sibling; BuildReport merges
-			// them deterministically (shared-nothing, like the collectors).
-			cfg.Forensics = base.Forensics.Sibling()
-		}
-		cfg.Shard = &ShardSpec{Index: i, Assign: assign}
-		c.Nets[i] = New(cfg)
+	base.defaults()
+	for i, eng := range engines {
+		c.Nets[i] = New(base.forShard(i, eng, assign))
 		c.Nets[i].specs = c.specs
 	}
 	// Wire up the shard-crossing links, in directed-port order.
@@ -188,9 +180,7 @@ func (c *Cluster) SealFlows() {
 	}
 	for _, n := range c.Nets {
 		n.live = live
-		if n.frx != nil {
-			n.frx.Seal(len(live))
-		}
+		n.sealed(len(live))
 		in := &flowInjector{net: n, next: 1}
 		if s := in.peek(); s != nil {
 			n.Eng.AtArgPri(s.Start, flowInjectFn, in, sim.PriStart)
@@ -238,18 +228,6 @@ func (c *Cluster) FlowObjects() int {
 		total += n.minted
 	}
 	return total
-}
-
-// Recorders returns each shard's forensics recorder in shard order;
-// empty when forensics is disabled.
-func (c *Cluster) Recorders() []*forensics.Recorder {
-	var rs []*forensics.Recorder
-	for _, n := range c.Nets {
-		if n.frx != nil {
-			rs = append(rs, n.frx)
-		}
-	}
-	return rs
 }
 
 // InstallFaults arms the plan on every shard; each schedules only the
@@ -352,14 +330,4 @@ func (c *Cluster) Finalize() {
 	for _, n := range c.Nets {
 		n.Finalize()
 	}
-}
-
-// MergedStats folds shards 1..k-1 into shard 0's collector and returns
-// it. Call once, after the run completes.
-func (c *Cluster) MergedStats() *stats.Collector {
-	agg := c.Nets[0].Stats
-	for _, n := range c.Nets[1:] {
-		agg.Merge(n.Stats)
-	}
-	return agg
 }

@@ -15,7 +15,6 @@ import (
 	"floodgate/internal/packet"
 	"floodgate/internal/sim"
 	"floodgate/internal/topo"
-	"floodgate/internal/trace"
 	"floodgate/internal/units"
 )
 
@@ -269,18 +268,6 @@ func lossyKind(k packet.Kind) bool {
 	return false
 }
 
-// dropOnWire accounts a frame lost on a dead or lossy link at node.
-func (n *Network) dropOnWire(node packet.NodeID, p *packet.Packet) {
-	n.Stats.Drop()
-	n.Metrics.Drops.Inc()
-	if p.Kind == packet.Credit {
-		// A lost credit can no longer be applied upstream.
-		n.Metrics.FGCreditsInFlight.Add(-1)
-	}
-	n.TraceEvent(trace.OpDrop, node, p)
-	n.Recycle(p)
-}
-
 // applyLinkHalf transitions one endpoint's view of a bidirectional
 // link. Link-up additionally clears PFC pause state on the endpoint: a
 // pause (or the resume that should have ended it) may have been lost
@@ -294,24 +281,17 @@ func (n *Network) applyLinkHalf(a *linkHalfArg) {
 		return // redundant plan event; both halves agree and skip
 	}
 	f.linkUp[a.node][a.port] = a.up
-	if a.primary {
-		f.linkEvents++
-		n.Metrics.FaultLinkEvents.Inc()
-		if a.up {
-			f.linksDown--
-			n.Metrics.FaultLinksDown.Add(-1)
-		} else {
-			f.linksDown++
-			n.Metrics.FaultLinksDown.Add(1)
-		}
-	}
+	down := 1
 	if a.up {
-		f.downPorts--
-		f.downAt[a.node]--
+		down = -1
+	}
+	if a.primary {
+		n.linkEdge(down)
+	}
+	f.downPorts += down
+	f.downAt[a.node] += int32(down)
+	if a.up {
 		n.clearPortPause(a.node, a.port)
-	} else {
-		f.downPorts++
-		f.downAt[a.node]++
 	}
 }
 
@@ -335,9 +315,7 @@ func (n *Network) clearPortPause(id packet.NodeID, port int) {
 // is already on the wire.
 func (n *Network) restartSwitch(id packet.NodeID) {
 	s := n.Switches[id]
-	f := n.faults
-	f.restarts++
-	n.Metrics.FaultRestarts.Inc()
+	n.switchRestarted()
 
 	// Forget upstream-pause bookkeeping first, so the buffer releases
 	// below cannot emit PFC resumes from a half-torn-down switch.
@@ -347,12 +325,8 @@ func (n *Network) restartSwitch(id packet.NodeID) {
 	s.pausedUpCount = 0
 
 	// Clear our own paused egresses without kicking (queues drain next).
-	for i, paused := range s.pausedSelf {
-		if paused {
-			s.pausedSelf[i] = false
-			n.Stats.PFCPaused(s.node.Layer, n.Eng.Now().Sub(s.pauseStart[i]))
-			n.Metrics.PFCPortsPaused.Add(-1)
-		}
+	for i := range s.pfc {
+		s.pfc[i].resume(n, s.node.Layer)
 	}
 
 	// Drop everything queued; buffer and per-port accounting go with it.
@@ -364,14 +338,14 @@ func (n *Network) restartSwitch(id packet.NodeID) {
 				s.release(p.Size, int(p.InPort))
 				s.notePort(i, -p.Size)
 			}
-			n.dropOnWire(s.node.ID, p)
+			n.Drop(s.node.ID, p)
 		}
 		for q := range o.data {
 			for !o.data[q].empty() {
 				p := o.data[q].pop()
 				s.release(p.Size, int(p.InPort))
 				s.notePort(i, -p.Size)
-				n.dropOnWire(s.node.ID, p)
+				n.Drop(s.node.ID, p)
 			}
 			o.data[q].paused = false
 		}
@@ -444,8 +418,8 @@ func (n *Network) StallSnapshot() StallSnapshot {
 		if sw == nil {
 			continue
 		}
-		for _, paused := range sw.pausedSelf {
-			if paused {
+		for i := range sw.pfc {
+			if sw.pfc[i].paused {
 				ss.PausedSwitchPorts++
 			}
 		}
@@ -457,7 +431,7 @@ func (n *Network) StallSnapshot() StallSnapshot {
 		}
 	}
 	for _, h := range n.Hosts {
-		if h.pfcPaused {
+		if h.pfc.paused {
 			ss.PausedHosts++
 		}
 	}

@@ -20,11 +20,6 @@ type Verdict struct {
 	Consumed bool
 	// Queue selects the egress data queue (0 = default). Used by BFC.
 	Queue int
-	// Trim replaces the payload with a header-only packet forwarded in
-	// the control class (NDP cut-payload).
-	Trim bool
-	// Drop discards the packet (lossy fabrics without trimming).
-	Drop bool
 }
 
 // FlowControl is a per-switch flow-control module.

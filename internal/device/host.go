@@ -10,7 +10,6 @@ import (
 	"floodgate/internal/packet"
 	"floodgate/internal/sim"
 	"floodgate/internal/topo"
-	"floodgate/internal/trace"
 	"floodgate/internal/units"
 )
 
@@ -133,12 +132,12 @@ type Host struct {
 	rtoBase  uint64
 	rtoTimer sim.Handle
 
-	pfcPaused bool
-	pfcStart  units.Time
-	pfcCum    units.Duration // closed PFC pause time (forensics overlap basis)
+	pfc pauseClock // the ToR's PFC pause of this NIC
 
+	// Per-destination (Floodgate, PFC w/ tag) and per-flow (BFC NIC-queue)
+	// pauses, allocated on the first pause: few hosts ever see one.
 	pausedDst   map[packet.NodeID]bool
-	pausedFlows map[packet.FlowID]bool // BFC per-flow (NIC-queue) pause
+	pausedFlows map[packet.FlowID]bool
 
 	// NDP pull pacing.
 	pullQ    []packet.FlowID
@@ -181,13 +180,7 @@ func newHost(n *Network, node *topo.Node) *Host {
 	if len(node.Ports) != 1 {
 		panic("device: hosts must have exactly one port")
 	}
-	h := &Host{
-		net:         n,
-		node:        node,
-		port:        &node.Ports[0],
-		pausedDst:   make(map[packet.NodeID]bool),
-		pausedFlows: make(map[packet.FlowID]bool),
-	}
+	h := &Host{net: n, node: node, port: &node.Ports[0]}
 	h.wire.init(n, h.port.Peer, h.port.PeerPort, n.wirePri(node.ID, 0))
 	return h
 }
@@ -239,24 +232,6 @@ func (h *Host) release(f *Flow) {
 	h.net.flowPool = append(h.net.flowPool, f)
 }
 
-// pauseCumNow is the host's cumulative PFC-paused duration at now,
-// including the still-open interval. Forensics uses the difference of
-// two readings to split a sendable wait into busy and paused parts.
-func (h *Host) pauseCumNow(now units.Time) units.Duration {
-	c := h.pfcCum
-	if h.pfcPaused {
-		c += now.Sub(h.pfcStart)
-	}
-	return c
-}
-
-// frxFlow records a sender wait-state transition. Callers gate on
-// h.net.frx != nil so the disabled path is one load and branch.
-func (h *Host) frxFlow(f *Flow, st forensics.SendState) {
-	now := h.net.Eng.Now()
-	h.net.frx.FlowState(f.ID, st, now, h.pauseCumNow(now))
-}
-
 // wantsSend reports whether the flow has anything left to emit.
 func (f *Flow) wantsSend(ndp bool) bool {
 	if f.senderDone {
@@ -276,9 +251,7 @@ func (h *Host) enqueue(f *Flow) {
 	}
 	f.queued = true
 	h.sendq = append(h.sendq, refOf(f))
-	if h.net.frx != nil {
-		h.frxFlow(f, forensics.SendSendable)
-	}
+	h.net.sendState(h, f, forensics.SendSendable)
 }
 
 // popSendq removes the next queued flow, compacting lazily.
@@ -304,40 +277,35 @@ func (h *Host) receive(p *packet.Packet) {
 	now := h.net.Eng.Now()
 	switch p.Kind {
 	case packet.PFCPause:
-		if !h.pfcPaused {
-			h.pfcPaused = true
-			h.pfcStart = now
-			h.net.Metrics.PFCPauses.Inc()
-			h.net.Metrics.PFCPortsPaused.Add(1)
-		}
+		h.pfc.pause(h.net, topo.LayerHost)
 	case packet.PFCResume:
-		if h.pfcPaused {
-			h.pfcPaused = false
-			h.pfcCum += now.Sub(h.pfcStart)
-			h.net.Stats.PFCPaused(topo.LayerHost, now.Sub(h.pfcStart))
-			h.net.Metrics.PFCPortsPaused.Add(-1)
-			h.kick()
-		}
+		h.clearPFC()
 	case packet.DstPause:
 		if !h.pausedDst[p.PauseDst] {
+			if h.pausedDst == nil {
+				h.pausedDst = make(map[packet.NodeID]bool)
+			}
 			h.pausedDst[p.PauseDst] = true
-			h.net.Metrics.HostPausedDsts.Add(1)
+			h.net.hostHolds(1, 0)
 		}
 	case packet.DstResume:
 		if h.pausedDst[p.PauseDst] {
 			delete(h.pausedDst, p.PauseDst)
-			h.net.Metrics.HostPausedDsts.Add(-1)
+			h.net.hostHolds(-1, 0)
 		}
 		h.wakeDst(p.PauseDst)
 	case packet.BFCPause:
 		if !h.pausedFlows[p.Flow] {
+			if h.pausedFlows == nil {
+				h.pausedFlows = make(map[packet.FlowID]bool)
+			}
 			h.pausedFlows[p.Flow] = true
-			h.net.Metrics.HostPausedFlows.Add(1)
+			h.net.hostHolds(0, 1)
 		}
 	case packet.BFCResume:
 		if h.pausedFlows[p.Flow] {
 			delete(h.pausedFlows, p.Flow)
-			h.net.Metrics.HostPausedFlows.Add(-1)
+			h.net.hostHolds(0, -1)
 		}
 		if f := h.net.flow(p.Flow); f != nil {
 			h.enqueue(f)
@@ -375,17 +343,13 @@ func (h *Host) wakeDst(dst packet.NodeID) {
 	h.kick()
 }
 
-// clearPFC forgets an inbound PFC pause (used by the fault plane when
-// the link that carried — or lost — the resume comes back up).
+// clearPFC lifts an inbound PFC pause, if any, and restarts the NIC: on
+// the ToR's resume, or from the fault plane when the link that carried —
+// or lost — the resume comes back up.
 func (h *Host) clearPFC() {
-	if !h.pfcPaused {
-		return
+	if h.pfc.resume(h.net, topo.LayerHost) {
+		h.kick()
 	}
-	h.pfcPaused = false
-	h.pfcCum += h.net.Eng.Now().Sub(h.pfcStart)
-	h.net.Stats.PFCPaused(topo.LayerHost, h.net.Eng.Now().Sub(h.pfcStart))
-	h.net.Metrics.PFCPortsPaused.Add(-1)
-	h.kick()
 }
 
 // onPeerReset reacts to the host's ToR restarting: every pause the
@@ -393,8 +357,7 @@ func (h *Host) clearPFC() {
 // so forget them all and wake the blocked flows.
 func (h *Host) onPeerReset() {
 	h.clearPFC()
-	h.net.Metrics.HostPausedDsts.Add(-int64(len(h.pausedDst)))
-	h.net.Metrics.HostPausedFlows.Add(-int64(len(h.pausedFlows)))
+	h.net.hostHolds(-len(h.pausedDst), -len(h.pausedFlows))
 	clear(h.pausedDst)
 	clear(h.pausedFlows)
 	h.wakeAll()
@@ -408,17 +371,8 @@ func (h *Host) wakeAll() {
 	h.kick()
 }
 
-// finalizePFC closes an open host pause interval at the end of a run.
-func (h *Host) finalizePFC() {
-	if h.pfcPaused {
-		h.pfcCum += h.net.Eng.Now().Sub(h.pfcStart)
-		h.net.Stats.PFCPaused(topo.LayerHost, h.net.Eng.Now().Sub(h.pfcStart))
-		h.pfcStart = h.net.Eng.Now()
-	}
-}
-
 func (h *Host) receiveData(p *packet.Packet, now units.Time) {
-	h.net.TraceEvent(trace.OpDeliver, h.node.ID, p)
+	h.net.arrived(h.node.ID, p)
 	ndp := h.net.Cfg.NDP.Enable
 	if h.net.isDone(p.Flow) {
 		// Straggler or retransmitted segment after completion: re-ACK so
@@ -445,8 +399,7 @@ func (h *Host) receiveData(p *packet.Packet, now units.Time) {
 	// Go-back-N receiver: in-order delivery only.
 	if p.Seq == f.rcvNxt {
 		f.rcvNxt += p.Payload
-		h.net.delivered += p.Payload
-		h.net.Stats.Received(now, f.Cat, p.Payload)
+		h.net.received(f, p.Payload, now)
 		if f.rcvNxt >= f.Size {
 			h.completeFlow(f, now)
 		}
@@ -487,8 +440,7 @@ func (h *Host) receiveDataNDP(f *Flow, p *packet.Packet, now units.Time) {
 	if !f.seen[p.Seq] {
 		f.seen[p.Seq] = true
 		f.rcvdBytes += p.Payload
-		h.net.delivered += p.Payload
-		h.net.Stats.Received(now, f.Cat, p.Payload)
+		h.net.received(f, p.Payload, now)
 		if f.rcvdBytes >= f.Size {
 			h.completeFlow(f, now)
 			return
@@ -536,11 +488,7 @@ func (h *Host) completeFlow(f *Flow, now units.Time) {
 	f.done = true
 	f.Finish = now
 	h.net.markDone(f.ID)
-	h.net.Stats.FlowDone(uint64(f.ID), f.Cat, f.Size, f.Start, now, h.port.Rate)
-	h.net.Metrics.FCT.Observe(int64(now.Sub(f.Start)))
-	if h.net.OnFlowDone != nil {
-		h.net.OnFlowDone(f, now)
-	}
+	h.net.flowDone(f, now, h.port.Rate)
 }
 
 func (h *Host) receiveAck(p *packet.Packet, now units.Time) {
@@ -575,7 +523,7 @@ func (h *Host) receiveNack(p *packet.Packet) {
 		return
 	}
 	f.rtxQ = append(f.rtxQ, p.AckSeq)
-	h.net.Stats.Retransmit()
+	h.net.resend(h.node.ID, f, false)
 	h.enqueue(f)
 	h.kick()
 }
@@ -630,10 +578,8 @@ func (h *Host) serviceRTO() {
 		}
 		// Stalled: rewind and retransmit.
 		if f.sndNxt > f.sndUna {
-			h.net.TraceFlow(trace.OpRTO, h.node.ID, f)
+			h.net.resend(h.node.ID, f, true)
 			f.sndNxt = f.sndUna
-			h.net.Stats.Retransmit()
-			h.net.Metrics.RTOs.Inc()
 		}
 		f.lastProgress = now
 		h.pushRTO(f)
@@ -673,7 +619,7 @@ func (h *Host) kick() {
 		h.transmit(h.ctrlQ.pop())
 		return
 	}
-	if h.pfcPaused {
+	if h.pfc.paused {
 		return
 	}
 	now := h.net.Eng.Now()
@@ -685,9 +631,7 @@ func (h *Host) kick() {
 		}
 		f.queued = false
 		if !f.wantsSend(ndp) {
-			if h.net.frx != nil {
-				h.frxFlow(f, forensics.SendNet)
-			}
+			h.net.sendState(h, f, forensics.SendNet)
 			if f.senderDone {
 				h.release(f) // fully acked while it sat in the queue
 			}
@@ -695,18 +639,14 @@ func (h *Host) kick() {
 		}
 		if (len(h.pausedDst) != 0 && h.pausedDst[f.Dst]) ||
 			(len(h.pausedFlows) != 0 && h.pausedFlows[f.ID]) {
-			if h.net.frx != nil {
-				h.frxFlow(f, forensics.SendPaused)
-			}
+			h.net.sendState(h, f, forensics.SendPaused)
 			continue // resume re-enqueues
 		}
 		if ndp {
 			canRtx := len(f.rtxQ) > 0 && f.pullCredits > 0
 			canNew := f.sndNxt < f.Size && (f.sndNxt < h.net.BaseBDP() || f.pullCredits > 0)
 			if !canRtx && !canNew {
-				if h.net.frx != nil {
-					h.frxFlow(f, forensics.SendWindow)
-				}
+				h.net.sendState(h, f, forensics.SendWindow)
 				continue // a Pull re-enqueues
 			}
 		} else {
@@ -715,17 +655,13 @@ func (h *Host) kick() {
 				payload = MSS
 			}
 			if f.inflight() > 0 && f.inflight()+payload > f.ctrl.Window() {
-				if h.net.frx != nil {
-					h.frxFlow(f, forensics.SendWindow)
-				}
+				h.net.sendState(h, f, forensics.SendWindow)
 				continue // an ACK re-enqueues
 			}
 			if f.nextSend > now {
 				// Pacing: the flow stays owed to the queue; its wake
 				// timer re-enqueues it.
-				if h.net.frx != nil {
-					h.frxFlow(f, forensics.SendPaced)
-				}
+				h.net.sendState(h, f, forensics.SendPaced)
 				f.queued = true
 				h.net.Eng.AtArg(f.nextSend, flowWakeFn, refOf(f))
 				continue
@@ -775,16 +711,12 @@ func (h *Host) sendSegment(f *Flow, now units.Time) {
 	f.ctrl.OnSend(now, p.Size)
 	h.armRTO(f)
 	h.enqueue(f) // rotate to the queue tail if more remains
-	if h.net.frx != nil && !f.queued {
+	if !f.queued {
 		// Everything emitted: the flow now waits on the network. A later
 		// re-enqueue (NACK, RTO rewind) closes this interval as rtx waste.
-		h.frxFlow(f, forensics.SendNet)
+		h.net.sendState(h, f, forensics.SendNet)
 	}
-	h.net.TraceEvent(trace.OpSend, h.node.ID, p)
-	if isRtx {
-		h.net.Metrics.RetxSegments.Inc()
-		h.net.TraceEvent(trace.OpRetx, h.node.ID, p)
-	}
+	h.net.sent(h.node.ID, p)
 	h.transmit(p)
 }
 
@@ -794,7 +726,7 @@ func (h *Host) transmit(p *packet.Packet) {
 	ser := units.TxTime(p.Size, h.port.Rate)
 	h.net.Eng.AfterArg(ser, hostTxDoneFn, h)
 	if h.net.faults != nil && h.net.linkDropped(h.node.ID, 0, p.Kind) {
-		h.net.dropOnWire(h.node.ID, p)
+		h.net.Drop(h.node.ID, p)
 		return
 	}
 	h.wire.push(h.net.Eng.Now().Add(ser+h.port.Prop), p)
@@ -804,15 +736,4 @@ func (h *Host) transmit(p *packet.Packet) {
 func (f *Flow) DebugString() string {
 	return fmt.Sprintf("flow %d %d->%d size=%v start=%v sndNxt=%v sndUna=%v rcvNxt=%v queued=%v inRtoQ=%v senderDone=%v",
 		f.ID, f.Src, f.Dst, f.Size, f.Start, f.sndNxt, f.sndUna, f.rcvNxt, f.queued, f.inRtoQ, f.senderDone)
-}
-
-// DebugHostState reports NIC scheduler internals (diagnostics).
-func (h *Host) DebugHostState() string {
-	return fmt.Sprintf("host %d busy=%v pfc=%v sendq=%d rtoQ=%d rtoTimerActive=%v ctrlq=%d",
-		h.node.ID, h.busy, h.pfcPaused, len(h.sendq)-h.sendqHead, len(h.rtoQ)-h.rtoHead, h.rtoTimer.Active(), h.ctrlQ.len())
-}
-
-// DebugNextSend exposes pacing state (diagnostics).
-func (f *Flow) DebugNextSend() string {
-	return fmt.Sprintf("nextSend=%v lastProgress=%v window=%v rate=%v", f.nextSend, f.lastProgress, f.ctrl.Window(), f.ctrl.Rate())
 }

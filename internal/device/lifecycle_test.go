@@ -36,7 +36,7 @@ func lifecycleNet(cfg Config, held bool, plan *fault.Plan, flows []lifecycleSpec
 		}
 		return n
 	}
-	c := NewCluster(cfg, []*sim.Engine{cfg.Engine}, []*stats.Collector{cfg.Stats}, make([]int, len(cfg.Topo.Nodes)))
+	c := NewCluster(cfg, []*sim.Engine{cfg.Engine}, make([]int, len(cfg.Topo.Nodes)))
 	c.InstallFaults(plan, 1)
 	for _, s := range flows {
 		c.AddFlow(s.src, s.dst, s.size, s.start, packet.CatVictimPFC)

@@ -1,8 +1,6 @@
 package device
 
 import (
-	"runtime"
-
 	"floodgate/internal/metrics"
 	"floodgate/internal/topo"
 	"floodgate/internal/units"
@@ -46,13 +44,8 @@ type NetMetrics struct {
 
 	// Application plane (PR 9; registered last to keep earlier export
 	// orders stable). Updated from internal/app.
-	AppRequests   metrics.Counter   // closed-loop requests issued
-	AppReplies    metrics.Counter   // worker replies delivered to clients
-	AppTimeouts   metrics.Counter   // application deadline expiries
-	AppRetries    metrics.Counter   // timeout-driven retry attempts launched
-	AppHedges     metrics.Counter   // hedged attempts launched
-	AppShed       metrics.Counter   // requests shed by an open circuit breaker
-	AppReqLatency metrics.Histogram // completed request latency (ps)
+	App           [numAppPoints]metrics.Counter // per-request transitions, by AppPoint
+	AppReqLatency metrics.Histogram             // completed request latency (ps)
 
 	// Scale / memory plane (PR 10; registered last to keep earlier
 	// export orders stable). The topology gauges are pure functions of
@@ -129,12 +122,12 @@ func NewNetMetrics(r *metrics.Registry) NetMetrics {
 	m.FaultRestarts = r.Counter("fault.switch_restarts", "events")
 	m.FGResyncs = r.Counter("fg.resyncs", "events")
 	m.WatchdogTrips = r.Counter("sim.watchdog_trips", "events")
-	m.AppRequests = r.Counter("app.requests", "requests")
-	m.AppReplies = r.Counter("app.replies", "replies")
-	m.AppTimeouts = r.Counter("app.timeouts", "events")
-	m.AppRetries = r.Counter("app.retries", "attempts")
-	m.AppHedges = r.Counter("app.hedges", "attempts")
-	m.AppShed = r.Counter("app.shed", "requests")
+	for pt, c := range [numAppPoints][2]string{
+		AppRequest: {"requests", "requests"}, AppReply: {"replies", "replies"}, AppTimeout: {"timeouts", "events"},
+		AppRetry: {"retries", "attempts"}, AppHedge: {"hedges", "attempts"}, AppShed: {"shed", "requests"},
+	} {
+		m.App[pt] = r.Counter("app."+c[0], c[1])
+	}
 	m.AppReqLatency = r.Histogram("app.req_latency_ps", "ps", fctBounds)
 	m.ScaleHosts = r.Gauge("scale.hosts", "hosts")
 	m.ScaleRouteBytes = r.Gauge("scale.route_bytes", "bytes")
@@ -143,18 +136,4 @@ func NewNetMetrics(r *metrics.Registry) NetMetrics {
 	m.HostPausedDsts = r.Gauge("net.host_paused_dsts", "entries")
 	m.HostPausedFlows = r.Gauge("net.host_paused_flows", "entries")
 	return m
-}
-
-// SnapshotMemStats populates the heap gauge from runtime.MemStats and
-// returns the live-heap byte count. Heap size depends on GC timing and
-// host parallelism, so this is called only from explicit memory-budget
-// probes (the scale-smoke test, the route-memory benchmarks) — never
-// on any path that feeds a byte-identity-checked table or obs export,
-// where the gauge simply stays zero.
-func (n *Network) SnapshotMemStats() int64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	heap := int64(ms.HeapAlloc)
-	n.Metrics.ScaleHeapBytes.Set(heap)
-	return heap
 }

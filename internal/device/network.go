@@ -163,12 +163,11 @@ func (c *Config) defaults() {
 
 // Network is the wired simulation: one device per topology node.
 type Network struct {
-	Cfg     Config
-	Topo    *topo.Topology
-	Eng     *sim.Engine
-	Stats   *stats.Collector
-	Metrics NetMetrics
-	nextID  uint64
+	Cfg  Config
+	Topo *topo.Topology
+	Eng  *sim.Engine
+	observers
+	nextID uint64
 
 	// dirBase[id] is the number of directed ports owned by nodes with
 	// smaller IDs: wire delivery priorities are PriWireBase + dirBase
@@ -194,10 +193,6 @@ type Network struct {
 	minted   int
 	pktPool  []*packet.Packet
 
-	// frx is this shard's forensics recorder (nil when disabled); every
-	// hook site checks it before doing any work.
-	frx *forensics.Recorder
-
 	// faults is the runtime fault-plane state (nil without a plan); see
 	// faults.go. delivered is the global payload-progress counter the
 	// stall watchdog monitors.
@@ -218,13 +213,11 @@ func New(cfg Config) *Network {
 		Cfg:       cfg,
 		Topo:      cfg.Topo,
 		Eng:       cfg.Engine,
-		Stats:     cfg.Stats,
-		Metrics:   cfg.Metrics,
+		observers: cfg.observers(),
 		Switches:  make([]*Switch, len(cfg.Topo.Nodes)),
 		HostsByID: make([]*Host, len(cfg.Topo.Nodes)),
 		specs:     new(stats.ChunkLog[flowSpec]),
 		live:      []*Flow{nil}, // FlowID 0 is unused
-		frx:       cfg.Forensics,
 	}
 	if sp := cfg.Shard; sp != nil {
 		// Distinct pktID streams per shard (ids are debug/trace labels;
@@ -243,16 +236,7 @@ func New(cfg Config) *Network {
 	if n.Cfg.BaseRTT == 0 {
 		n.Cfg.BaseRTT = n.deriveBaseRTT()
 	}
-	// Deterministic scale gauges: pure functions of the frozen
-	// topology, so they are safe in byte-identity-checked exports.
-	// The heap gauge is deliberately NOT set here (see
-	// SnapshotMemStats).
-	t := cfg.Topo
-	n.Metrics.ScaleHosts.Set(int64(t.NumHosts()))
-	n.Metrics.ScaleRouteBytes.Set(t.RouteBytes())
-	if hosts := int64(t.NumHosts()); hosts > 0 {
-		n.Metrics.ScaleBytesPerHost.Set((t.StructBytes() + t.RouteBytes()) / hosts)
-	}
+	n.built()
 	for _, node := range cfg.Topo.Nodes {
 		if !n.owns(node.ID) {
 			continue
@@ -334,45 +318,6 @@ func (n *Network) wireOf(owner packet.NodeID, port int) *wire {
 func (n *Network) pktID() uint64 {
 	n.nextID++
 	return n.nextID
-}
-
-// PktID mints a unique packet id (for flow-control modules).
-func (n *Network) PktID() uint64 { return n.pktID() }
-
-// TraceEvent records a packet lifecycle point when tracing is enabled
-// (used by devices and flow-control modules).
-func (n *Network) TraceEvent(op trace.Op, node packet.NodeID, p *packet.Packet) {
-	if n.Cfg.Trace != nil {
-		n.Cfg.Trace.Record(trace.Of(n.Eng.Now(), op, node, p))
-	}
-}
-
-// TraceAux records a lifecycle point carrying an op-specific
-// counterpart node in the event's Aux field (the credited flow
-// destination on OpCredit, the credit's source switch on OpUnpark) so
-// the Perfetto exporter can link cause to effect.
-func (n *Network) TraceAux(op trace.Op, node packet.NodeID, p *packet.Packet, aux packet.NodeID) {
-	if n.Cfg.Trace != nil {
-		e := trace.Of(n.Eng.Now(), op, node, p)
-		e.Aux = aux
-		n.Cfg.Trace.Record(e)
-	}
-}
-
-// ForensicsRec returns the shard's forensics recorder (nil when
-// disabled); flow-control modules cache it at construction.
-func (n *Network) ForensicsRec() *forensics.Recorder { return n.frx }
-
-// TraceFlow records a packet-less flow lifecycle point (e.g. an RTO
-// rewind, which has no frame to borrow fields from): Seq carries the
-// rewind target and Size the bytes that were in flight.
-func (n *Network) TraceFlow(op trace.Op, node packet.NodeID, f *Flow) {
-	if n.Cfg.Trace != nil {
-		n.Cfg.Trace.Record(trace.Event{
-			At: n.Eng.Now(), Op: op, Node: node, Kind: packet.Data,
-			Flow: f.ID, Seq: f.sndUna, Size: f.inflight(), Dst: f.Dst,
-		})
-	}
 }
 
 // Device dispatch: deliver a packet to the node that owns the port.
@@ -579,11 +524,13 @@ func (n *Network) Run(until units.Time) { n.Eng.Run(until) }
 func (n *Network) Finalize() {
 	for _, sw := range n.Switches {
 		if sw != nil {
-			sw.finalizePFC()
+			for i := range sw.pfc {
+				sw.pfc[i].close(n, sw.node.Layer)
+			}
 		}
 	}
 	for _, h := range n.Hosts {
-		h.finalizePFC()
+		h.pfc.close(n, topo.LayerHost)
 	}
 }
 

@@ -5,9 +5,7 @@ package device
 import (
 	"floodgate/internal/packet"
 	"floodgate/internal/sim"
-	"floodgate/internal/stats"
 	"floodgate/internal/topo"
-	"floodgate/internal/trace"
 	"floodgate/internal/units"
 )
 
@@ -71,9 +69,7 @@ type Switch struct {
 
 	pausedUpstream []bool // we paused the peer feeding ingress port i
 	pausedUpCount  int
-	pausedSelf     []bool // our egress i is paused by the peer's PFC
-	pauseStart     []units.Time
-	pauseCum       []units.Duration // per egress: closed pause time (forensics overlap basis)
+	pfc            []pauseClock // our egress i is paused by the peer's PFC
 
 	portBytes []units.ByteSize // per egress port: queued + parked bytes (stats)
 }
@@ -87,9 +83,7 @@ func newSwitch(n *Network, node *topo.Node) *Switch {
 		out:            make([]outPort, len(node.Ports)),
 		ingress:        make([]units.ByteSize, len(node.Ports)),
 		pausedUpstream: make([]bool, len(node.Ports)),
-		pausedSelf:     make([]bool, len(node.Ports)),
-		pauseStart:     make([]units.Time, len(node.Ports)),
-		pauseCum:       make([]units.Duration, len(node.Ports)),
+		pfc:            make([]pauseClock, len(node.Ports)),
 		portBytes:      make([]units.ByteSize, len(node.Ports)),
 	}
 	for i := range sw.out {
@@ -123,7 +117,7 @@ func (s *Switch) PortFacesSwitch(i int) bool { return !s.PortFacesHost(i) }
 func (s *Switch) receive(p *packet.Packet, inPort int) {
 	switch p.Kind {
 	case packet.PFCPause:
-		s.pauseSelf(inPort)
+		s.pfc[inPort].pause(s.net, s.node.Layer)
 		s.net.Recycle(p)
 		return
 	case packet.PFCResume:
@@ -148,10 +142,7 @@ func (s *Switch) receiveData(p *packet.Packet, inPort int) {
 	n := s.net
 	// Shared-buffer admission.
 	if s.used+p.Size > n.Cfg.BufferSize {
-		n.Stats.Drop()
-		n.Metrics.Drops.Inc()
-		n.TraceEvent(trace.OpDrop, s.node.ID, p)
-		n.Recycle(p)
+		n.Drop(s.node.ID, p)
 		return
 	}
 	s.charge(p.Size, inPort)
@@ -176,33 +167,15 @@ func (s *Switch) receiveData(p *packet.Packet, inPort int) {
 	if n.Cfg.NDP.Enable && !p.Trimmed && s.out[out].dataBytes() >= n.Cfg.NDP.TrimThresh {
 		cut := p.Size - packet.HeaderSize
 		p.Trim()
-		s.release(cut, inPort)
-		n.Stats.Trim()
-		n.Metrics.Trims.Inc()
-		s.sendCtrl2(p, out)
-		return
-	}
-
-	v := s.fc.OnIngress(p, inPort, out)
-	switch {
-	case v.Consumed:
-		return
-	case v.Drop:
-		s.release(p.Size, inPort)
-		n.Stats.Drop()
-		n.Metrics.Drops.Inc()
-		n.Recycle(p)
-		return
-	case v.Trim:
-		cut := p.Size - packet.HeaderSize
-		p.Trim()
 		s.release(cut, inPort) // header keeps only its own share charged
-		n.Stats.Trim()
-		n.Metrics.Trims.Inc()
+		n.trimmed()
 		s.sendCtrl2(p, out) // trimmed headers ride the priority class
 		return
 	}
-	s.enqueueData(p, out, v.Queue)
+
+	if v := s.fc.OnIngress(p, inPort, out); !v.Consumed {
+		s.enqueueData(p, out, v.Queue)
+	}
 }
 
 // enqueueData places a data packet on an egress data queue, applying
@@ -217,18 +190,9 @@ func (s *Switch) enqueueData(p *packet.Packet, out, queue int) {
 		s.maybeMark(p, out)
 	}
 	p.EnqueuedAt = s.net.Eng.Now()
-	if s.net.frx != nil && p.Last && !p.Trimmed {
-		// Stamp the egress pause-cum so dequeue can split this packet's
-		// FIFO wait into queueing and PFC-blocked time.
-		c := s.pauseCum[out]
-		if s.pausedSelf[out] {
-			c += s.net.Eng.Now().Sub(s.pauseStart[out])
-		}
-		p.EnqPauseCum = c
-	}
 	o.data[queue].push(p)
 	s.notePort(out, p.Size)
-	s.net.TraceEvent(trace.OpEnqueue, s.node.ID, p)
+	s.net.enqueued(s, out, p)
 	s.kick(out)
 }
 
@@ -250,16 +214,6 @@ func (s *Switch) ReleaseParked(p *packet.Packet) {
 // for the per-port-class occupancy statistics.
 func (s *Switch) NotePortBytes(out int, delta units.ByteSize) { s.notePort(out, delta) }
 
-func (s *Switch) notePort(out int, delta units.ByteSize) {
-	if out < 0 {
-		return
-	}
-	s.portBytes[out] += delta
-	class := s.node.Ports[out].Class
-	s.net.Metrics.QueuedBytes[class].Add(int64(delta))
-	s.net.Stats.PortBuffer(s.net.Eng.Now(), int32(s.node.ID), int32(out), class, s.portBytes[out])
-}
-
 // maybeMark applies RED-style ECN based on the egress backlog (or the
 // module's override signal, whichever is larger — §8).
 func (s *Switch) maybeMark(p *packet.Packet, out int) {
@@ -268,19 +222,17 @@ func (s *Switch) maybeMark(p *packet.Packet, out int) {
 		q = sig
 	}
 	cfg := &s.net.Cfg.ECN
-	switch {
-	case q < cfg.KMin:
+	if q < cfg.KMin {
 		return
-	case q >= cfg.KMax:
-		p.ECN = true
-		s.net.Metrics.ECNMarks.Inc()
-	default:
+	}
+	if q < cfg.KMax { // between the thresholds the mark is probabilistic
 		prob := cfg.PMax * float64(q-cfg.KMin) / float64(cfg.KMax-cfg.KMin)
-		if s.rnd.Float64() < prob {
-			p.ECN = true
-			s.net.Metrics.ECNMarks.Inc()
+		if s.rnd.Float64() >= prob {
+			return
 		}
 	}
+	p.ECN = true
+	s.net.marked()
 }
 
 // sendCtrl enqueues a control frame on the priority queue of a port.
@@ -306,7 +258,7 @@ func (s *Switch) sendCtrl2(p *packet.Packet, out int) {
 func (s *Switch) charge(b units.ByteSize, inPort int) {
 	s.used += b
 	s.ingress[inPort] += b
-	s.net.Stats.SwitchBuffer(int32(s.node.ID), s.used)
+	s.net.buffered(s.node.ID, s.used)
 }
 
 func (s *Switch) release(b units.ByteSize, inPort int) {
@@ -314,7 +266,7 @@ func (s *Switch) release(b units.ByteSize, inPort int) {
 	if inPort >= 0 {
 		s.ingress[inPort] -= b
 	}
-	s.net.Stats.SwitchBuffer(int32(s.node.ID), s.used)
+	s.net.buffered(s.node.ID, s.used)
 	if s.net.Cfg.PFC.Enable && s.pausedUpCount > 0 {
 		s.maybeResumeUpstream()
 	}
@@ -335,36 +287,11 @@ func (s *Switch) maybeResumeUpstream() {
 	}
 }
 
-// pauseSelf/resumeSelf react to PFC frames from the peer of port i.
-func (s *Switch) pauseSelf(i int) {
-	if s.pausedSelf[i] {
-		return
-	}
-	s.pausedSelf[i] = true
-	s.pauseStart[i] = s.net.Eng.Now()
-	s.net.Metrics.PFCPauses.Inc()
-	s.net.Metrics.PFCPortsPaused.Add(1)
-}
-
+// resumeSelf lifts the peer's PFC pause of egress i, if any, and restarts
+// the transmitter.
 func (s *Switch) resumeSelf(i int) {
-	if !s.pausedSelf[i] {
-		return
-	}
-	s.pausedSelf[i] = false
-	s.pauseCum[i] += s.net.Eng.Now().Sub(s.pauseStart[i])
-	s.net.Stats.PFCPaused(s.node.Layer, s.net.Eng.Now().Sub(s.pauseStart[i]))
-	s.net.Metrics.PFCPortsPaused.Add(-1)
-	s.kick(i)
-}
-
-// finalizePFC closes pause intervals still open at the end of a run.
-func (s *Switch) finalizePFC() {
-	for i, paused := range s.pausedSelf {
-		if paused {
-			s.pauseCum[i] += s.net.Eng.Now().Sub(s.pauseStart[i])
-			s.net.Stats.PFCPaused(s.node.Layer, s.net.Eng.Now().Sub(s.pauseStart[i]))
-			s.pauseStart[i] = s.net.Eng.Now()
-		}
+	if s.pfc[i].resume(s.net, s.node.Layer) {
+		s.kick(i)
 	}
 }
 
@@ -390,7 +317,7 @@ func (s *Switch) pick(i int) (*packet.Packet, int) {
 	if !o.ctrl.empty() {
 		return o.ctrl.pop(), -1
 	}
-	if s.pausedSelf[i] {
+	if s.pfc[i].paused {
 		return nil, -1
 	}
 	nq := len(o.data)
@@ -427,20 +354,9 @@ func (s *Switch) transmit(p *packet.Packet, i, queue int) {
 	now := n.Eng.Now()
 	isData := p.Kind == packet.Data // trimmed headers keep Kind Data
 
+	hopSize := p.Size // INT grows the frame after the module saw it
 	if isData {
-		// Queuing-time attribution (non-incast data only, per Fig 11b).
-		if p.Cat != packet.CatIncast {
-			n.Stats.QueueDelay(o.tp.Class, now.Sub(p.EnqueuedAt))
-			n.Metrics.QueueDelay.Observe(int64(now.Sub(p.EnqueuedAt)))
-		}
 		s.fc.OnDequeue(p, i, queue)
-		if n.frx != nil && p.Last && !p.Trimmed {
-			// Final-segment hop attribution. The port cannot be paused at a
-			// data dequeue (pick skips paused ports), so pauseCum[i] is
-			// closed and the PFC overlap is its advance since enqueue.
-			wait := now.Sub(p.EnqueuedAt)
-			n.frx.Hop(p.Flow, wait, s.pauseCum[i]-p.EnqPauseCum, units.TxTime(p.Size, o.tp.Rate))
-		}
 		if n.Cfg.INT && !p.Trimmed {
 			q := s.out[i].dataBytes()
 			if sig := s.fc.QueueSignal(p, i); sig > q {
@@ -452,10 +368,7 @@ func (s *Switch) transmit(p *packet.Packet, i, queue int) {
 
 	o.busy = true
 	o.txBytes += p.Size
-	n.Stats.OnWire(now, wireClass(p.Kind), p.Size)
-	if isData {
-		n.TraceEvent(trace.OpTx, s.node.ID, p)
-	}
+	n.transmitted(s, i, p, hopSize, now)
 
 	ser := units.TxTime(p.Size, o.tp.Rate)
 	o.pendSize = p.Size
@@ -469,13 +382,13 @@ func (s *Switch) transmit(p *packet.Packet, i, queue int) {
 	// Loss injection between switches: data and credits at LossRate,
 	// credits additionally at CreditLossRate (Fig 12's isolated stress).
 	if lr := s.lossRateFor(p.Kind); lr > 0 && s.PortFacesSwitch(i) && s.rnd.Float64() < lr {
-		n.dropOnWire(s.node.ID, p)
+		n.Drop(s.node.ID, p)
 		return
 	}
 	// Fault plane: dead links swallow everything, burst-lossy links
 	// advance their Gilbert–Elliott chain (see faults.go).
 	if n.faults != nil && n.linkDropped(s.node.ID, i, p.Kind) {
-		n.dropOnWire(s.node.ID, p)
+		n.Drop(s.node.ID, p)
 		return
 	}
 	o.wire.push(now.Add(ser+o.tp.Prop), p)
@@ -492,15 +405,4 @@ func (s *Switch) lossRateFor(k packet.Kind) float64 {
 		return s.net.Cfg.LossRate
 	}
 	return 0
-}
-
-func wireClass(k packet.Kind) stats.WireClass {
-	switch k {
-	case packet.Data:
-		return stats.WireData
-	case packet.Credit, packet.SwitchSYN:
-		return stats.WireCredit
-	default:
-		return stats.WireCtrl
-	}
 }

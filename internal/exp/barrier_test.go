@@ -10,7 +10,6 @@ import (
 
 	"floodgate/internal/device"
 	"floodgate/internal/sim"
-	"floodgate/internal/stats"
 	"floodgate/internal/topo"
 	"floodgate/internal/units"
 )
@@ -20,12 +19,10 @@ import (
 func barrierTestCluster(k int) *device.Cluster {
 	tp := faultTestFabric()
 	engines := make([]*sim.Engine, k)
-	collectors := make([]*stats.Collector, k)
 	for i := range engines {
 		engines[i] = sim.NewEngine()
-		collectors[i] = stats.NewCollector(10 * units.Microsecond)
 	}
-	return device.NewCluster(device.Config{Topo: tp, BufferSize: units.MB}, engines, collectors, topo.Partition(tp, k))
+	return device.NewCluster(device.Config{Topo: tp, BufferSize: units.MB}, engines, topo.Partition(tp, k))
 }
 
 // TestBarrierParksWithoutOwnP guards the failure mode an unbounded

@@ -4,8 +4,11 @@ import (
 	"strings"
 	"testing"
 
+	"floodgate/internal/fault"
 	"floodgate/internal/forensics"
+	"floodgate/internal/topo"
 	"floodgate/internal/units"
+	"floodgate/internal/workload"
 )
 
 // forensicsIncastRun executes the pure-incast stress (every cross-rack
@@ -33,20 +36,14 @@ func forensicsIncastRun(t *testing.T, o Options, fg bool) *RunResult {
 	return res
 }
 
-// TestForensicsBudgetTilesFCT is the attribution soundness check: in a
-// loss-free run every completed flow's wait-state components must sum
-// exactly to its FCT (CompWire is the non-negative residual, so any
-// over-attribution breaks the equality), and the Floodgate incast must
-// surface the mechanism itself — parked time, credit waits and at
-// least one window-exhaustion episode.
-func TestForensicsBudgetTilesFCT(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation test")
-	}
-	res := forensicsIncastRun(t, Options{Scale: 0.1, Seed: 1}, true)
+// assertBudgetTiles checks every completed flow's ten wait-state
+// components sum exactly to its FCT (CompWire is the non-negative
+// residual, so any over-attribution breaks the equality), and that the
+// report accounts for every flow of the run.
+func assertBudgetTiles(t *testing.T, res *RunResult) (sawVOQ, sawQueue bool) {
+	t.Helper()
 	rep := res.Forensics
 	done := 0
-	var sawVOQ, sawQueue bool
 	for i := range rep.Flows {
 		fb := &rep.Flows[i]
 		if !fb.Done {
@@ -79,6 +76,22 @@ func TestForensicsBudgetTilesFCT(t *testing.T) {
 	if len(rep.Flows) != res.Total || done != res.Completed || done == 0 {
 		t.Fatalf("budget covers %d flows, %d done; the run had %d, %d completed", len(rep.Flows), done, res.Total, res.Completed)
 	}
+	return sawVOQ, sawQueue
+}
+
+// TestForensicsBudgetTilesFCT is the attribution soundness check: in a
+// loss-free run every completed flow's wait-state components must sum
+// exactly to its FCT, and the Floodgate incast must surface the
+// mechanism itself — parked time, credit waits and at least one
+// window-exhaustion episode.
+func TestForensicsBudgetTilesFCT(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation test")
+	}
+	t.Run("restart under PFC", func(t *testing.T) { assertBudgetTiles(t, restartUnderPFCRun(t)) })
+	res := forensicsIncastRun(t, Options{Scale: 0.1, Seed: 1}, true)
+	rep := res.Forensics
+	sawVOQ, sawQueue := assertBudgetTiles(t, res)
 	if !sawQueue {
 		t.Error("incast produced no queueing attribution")
 	}
@@ -110,6 +123,48 @@ func TestForensicsBudgetTilesFCT(t *testing.T) {
 	if !strings.Contains(rep.Summary(), "p99 flow") {
 		t.Errorf("summary missing the p99 breakdown:\n%s", rep.Summary())
 	}
+}
+
+// restartUnderPFCRun is TestForensicsBudgetTilesFCT's second input: a
+// ToR restarts while its uplink egress is PFC-paused, which closes that
+// port's pause clock from the fault plane rather than from a resume
+// frame. Two racks send 2 MB flows through one spine whose links run at
+// host rate, so the spine — never the uncongested destination rack —
+// fills and pauses both uplinks. The flows are long enough that the
+// restart's go-back-N rewinds happen before any final segment exists, so
+// the budget must still tile.
+func restartUnderPFCRun(t *testing.T) *RunResult {
+	t.Helper()
+	o := Options{Scale: 1, Seed: 1}.norm()
+	o.Obs.Forensics = true
+	c := topo.DefaultLeafSpine()
+	c.Spines, c.ToRs, c.HostsPerToR, c.SpineRate = 1, 3, 4, c.HostRate
+	tp := c.Build()
+	var specs []workload.FlowSpec
+	for i := 0; i < 8; i++ {
+		specs = append(specs, workload.FlowSpec{Src: tp.Hosts[i], Dst: tp.Hosts[8+i%4], Size: 2 * units.MB, Cat: catIncast})
+	}
+	const at = 80 * units.Microsecond
+	rc := RunConfig{
+		Topo: tp, Scheme: DCQCN(o), Specs: specs, BufferSize: 200 * units.KB,
+		Duration: at, Drain: units.Nanosecond, Seed: o.Seed, Opt: o,
+	}
+	// The fault-free twin, stopped at the restart instant: the only
+	// paused switch egresses are the two uplinks (no spine egress has
+	// ever been paused).
+	dry := Run(rc)
+	if ss := dry.Net.StallSnapshot(); ss.PausedSwitchPorts != 2 || dry.Stats.PFCPauseTime(topo.LayerCore) != 0 {
+		t.Fatalf("scenario moved: %d switch ports paused at %v, spine pause time %v; want the two ToR uplinks only",
+			ss.PausedSwitchPorts, at, dry.Stats.PFCPauseTime(topo.LayerCore))
+	}
+	srcToR := tp.Node(tp.Hosts[0]).Ports[0].Peer
+	rc.Duration, rc.Drain = 2*units.Millisecond, 0
+	rc.Faults = &fault.Plan{Events: []fault.Event{{At: units.Time(at), Kind: fault.SwitchRestart, Node: srcToR}}}
+	res := Run(rc)
+	if res.Completed != res.Total || res.FaultStats().Restarts != 1 || res.Stats.Drops == 0 {
+		t.Fatalf("restart run: %d/%d flows, %d restarts, %d drops", res.Completed, res.Total, res.FaultStats().Restarts, res.Stats.Drops)
+	}
+	return res
 }
 
 // TestForensicsBaselineNoParking pins the negative control: without a
@@ -163,10 +218,8 @@ func TestForensicsNoSimImpact(t *testing.T) {
 		if off.Forensics != nil || on.Forensics == nil {
 			t.Fatalf("shards=%d: report presence wrong: off=%v on=%v", shards, off.Forensics != nil, on.Forensics != nil)
 		}
-		for i, n := range off.Cluster.Nets {
-			if n.ForensicsRec() != nil {
-				t.Errorf("shards=%d: shard %d built a recorder with forensics off", shards, i)
-			}
+		if rs := off.Cluster.Recorders(); len(rs) != 0 {
+			t.Errorf("shards=%d: %d shards built a recorder with forensics off", shards, len(rs))
 		}
 		if off.Completed != on.Completed || off.Total != on.Total {
 			t.Errorf("shards=%d: completions differ: %d/%d vs %d/%d", shards, off.Completed, off.Total, on.Completed, on.Total)

@@ -24,7 +24,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"floodgate/internal/device"
 	"floodgate/internal/forensics"
 	"floodgate/internal/metrics"
 	"floodgate/internal/sim"
@@ -90,14 +89,15 @@ type obsRun struct {
 	engInUse     metrics.Gauge
 }
 
-// newObsRun builds the registry (engine instruments first, then the
-// network bundle in canonical order), attaches it to the device config
-// and returns the run handle. Call start after the network exists.
-func newObsRun(rc RunConfig, o Options, eng *sim.Engine, dcfg *device.Config) *obsRun {
+// newObsRun builds the registry (engine instruments first; Run registers
+// the network bundle next, in canonical order), the ring and the sampler.
+// Call start after the network exists.
+func newObsRun(rc RunConfig, o Options, eng *sim.Engine) *obsRun {
 	r := metrics.NewRegistry()
 	ob := &obsRun{
 		cfg:          o.Obs,
 		reg:          r,
+		tbuf:         trace.NewBuffer(obsTraceCap, trace.Filter{}),
 		label:        obsLabel(rc),
 		engProcessed: r.Gauge("engine.events_processed", "events"),
 		engLive:      r.Gauge("engine.live_events", "events"),
@@ -106,11 +106,6 @@ func newObsRun(rc RunConfig, o Options, eng *sim.Engine, dcfg *device.Config) *o
 		engDead:      r.Gauge("engine.dead_entries", "entries"),
 		engSlab:      r.Gauge("engine.slab_size", "slots"),
 		engInUse:     r.Gauge("engine.events_in_use", "slots"),
-	}
-	dcfg.Metrics = device.NewNetMetrics(r)
-	if dcfg.Trace == nil {
-		ob.tbuf = trace.NewBuffer(obsTraceCap, trace.Filter{})
-		dcfg.Trace = ob.tbuf
 	}
 	ob.sampler = metrics.NewSampler(eng, r, o.Obs.period())
 	ob.sampler.AddProbe(func() {
@@ -153,12 +148,10 @@ func (ob *obsRun) export(rep *forensics.Report) error {
 	}); err != nil {
 		return err
 	}
-	if ob.tbuf != nil {
-		if err := write(ob.label+".trace.json", func(b *strings.Builder) error {
-			return metrics.WriteChromeTrace(b, ob.tbuf.Events())
-		}); err != nil {
-			return err
-		}
+	if err := write(ob.label+".trace.json", func(b *strings.Builder) error {
+		return metrics.WriteChromeTrace(b, ob.tbuf.Events())
+	}); err != nil {
+		return err
 	}
 	if rep != nil {
 		if err := write(ob.label+".forensics.ndjson", func(b *strings.Builder) error {

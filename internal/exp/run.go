@@ -327,10 +327,8 @@ func Run(rc RunConfig) *RunResult {
 		binW = 10 * units.Microsecond
 	}
 	engines := make([]*sim.Engine, k)
-	collectors := make([]*stats.Collector, k)
 	for i := range engines {
 		engines[i] = sim.NewEngine()
-		collectors[i] = stats.NewCollector(binW)
 	}
 	ecn := device.ECNConfig{Enable: rc.Scheme.ECN, KMin: 40 * units.KB, KMax: 160 * units.KB, PMax: 0.2}
 	if rc.ECN != nil {
@@ -338,6 +336,7 @@ func Run(rc RunConfig) *RunResult {
 	}
 	cfg := device.Config{
 		Topo:           rc.Topo,
+		Stats:          stats.NewCollector(binW),
 		Seed:           rc.Seed ^ 0x5eed,
 		BufferSize:     rc.BufferSize,
 		RTO:            opt.stretch(units.Millisecond),
@@ -358,21 +357,20 @@ func Run(rc RunConfig) *RunResult {
 	if cfg.BufferSize == 0 {
 		cfg.BufferSize = opt.bufferSize()
 	}
-	// Observability: a private registry, sampler and trace ring per run.
-	// Sampler ticks only read state, so enabling this cannot change the
-	// simulation outcome (see obs.go and DESIGN.md §8). Validate rejects
-	// Obs with Shards > 1, so the single engine here is the whole run.
+	// Shard 0's observers; NewCluster forks them per shard (device/observe.go).
+	// The registry, sampler and ring are private to the run; sampler ticks
+	// only read state, so -obs cannot change the outcome (DESIGN.md §8), and
+	// Validate keeps it to one engine. The recorder forks and is read back
+	// only after Finalize, so forensics composes with Shards > 1.
 	var obs *obsRun
 	if opt.Obs.Enabled() {
-		obs = newObsRun(rc, opt, engines[0], &cfg)
+		obs = newObsRun(rc, opt, engines[0])
+		cfg.Metrics, cfg.Trace = device.NewNetMetrics(obs.reg), obs.tbuf
 	}
-	// Forensics recording is shard-safe (NewCluster forks a sibling
-	// recorder per extra shard) and read back only after Finalize, so
-	// unlike the sampler it composes with Shards > 1.
 	if opt.Obs.Forensics {
 		cfg.Forensics = forensics.NewRecorder()
 	}
-	cluster := device.NewCluster(cfg, engines, collectors, topo.Partition(rc.Topo, k))
+	cluster := device.NewCluster(cfg, engines, topo.Partition(rc.Topo, k))
 	cluster.InstallFaults(rc.Faults, rc.Seed)
 	if obs != nil {
 		obs.start()

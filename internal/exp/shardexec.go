@@ -122,7 +122,7 @@ func runWindows(c *device.Cluster, tEnd units.Time, horizon units.Duration, done
 					res.diagnosis.PendingRequests, res.diagnosis.RetryTimers,
 						res.diagnosis.OpenBreakers = appState(u)
 				}
-				c.Nets[0].Metrics.WatchdogTrips.Inc()
+				c.Nets[0].WatchdogTripped()
 				break
 			}
 		}

@@ -163,7 +163,6 @@ type Packet struct {
 	// Pause/resume payloads.
 	PauseDst NodeID // DstPause/DstResume/TagPause/TagResume target destination
 	PauseQ   int32  // BFCPause/BFCResume: upstream queue index
-	PFCClass int8   // PFC priority class
 
 	// BFC metadata carried on data packets.
 	UpstreamQ int32

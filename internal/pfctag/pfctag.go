@@ -90,7 +90,7 @@ func (m *module) OnIngress(p *packet.Packet, inPort, outPort int) device.Verdict
 func (m *module) park(st *dstState, p *packet.Packet, outPort int) {
 	if st.bytes == 0 {
 		m.voqs++
-		m.sw.Net().Stats.VOQInUse(m.voqs)
+		m.sw.Net().VOQs(0, m.voqs)
 	}
 	p.ViaVOQ = true
 	p.EnqueuedAt = m.sw.Net().Eng.Now()

@@ -267,43 +267,43 @@ func TestCrossSchedulerIdenticalOrder(t *testing.T) {
 	}
 }
 
-// TestWatchdogOverflowUnderWheel pins the satellite requirement that
-// progress-watchdog ticks live in the overflow heap (their horizon far
-// exceeds the wheel's) rather than pinning near buckets, and that a
-// stall is still caught within one to two horizons under the wheel
+// TestWatchdogOverflowUnderWheel pins that a far self-re-arming timer
+// (the shape of an RTO, a SYN timeout or a stall horizon: a period far
+// beyond the wheel's) lives in the overflow heap rather than pinning
+// near buckets, and still fires exactly on its period under the wheel
 // scheduler despite busy near-bucket traffic.
 func TestWatchdogOverflowUnderWheel(t *testing.T) {
 	eng := NewEngine()
-	horizon := 4 * units.Duration(wheelHorizon) // ≈ 537 µs, a realistic stall horizon
-	var progress int64
-	var trippedAt units.Time
-	w := NewWatchdog(eng, horizon, func() int64 { return progress }, func() {
-		trippedAt = eng.Now()
-		eng.Stop()
-	})
-	if s := eng.StatsSnapshot(); s.OverflowLen != 1 || s.BucketLen != 0 || s.CurLen != 0 {
-		t.Fatalf("watchdog tick not parked in overflow: %+v", s)
-	}
-	// Progress for 10 ticks of near-horizon traffic, then a silent spin
-	// that keeps the event loop (and wheel cursor) busy without progress.
-	var step func(any)
-	step = func(any) {
-		progress++
-		if progress < 10 {
-			eng.AfterArg(units.Duration(wheelGran), step, nil)
+	period := 4 * units.Duration(wheelHorizon) // ≈ 537 µs, a realistic stall horizon
+	var fired []units.Time
+	var far func(any)
+	far = func(any) {
+		fired = append(fired, eng.Now())
+		if len(fired) == 3 {
+			eng.Stop()
+			return
+		}
+		eng.AfterArg(period, far, nil)
+		if s := eng.StatsSnapshot(); s.OverflowLen != 1 {
+			t.Fatalf("re-armed far timer not parked in overflow: %+v", s)
 		}
 	}
-	step(nil)
+	eng.AfterArg(period, far, nil)
+	if s := eng.StatsSnapshot(); s.OverflowLen != 1 || s.BucketLen != 0 || s.CurLen != 0 {
+		t.Fatalf("far timer not parked in overflow: %+v", s)
+	}
+	// A spin that keeps the event loop (and wheel cursor) busy in the
+	// near buckets the whole time.
 	var spin func(any)
 	spin = func(any) { eng.AfterArg(units.Duration(wheelGran)/4, spin, nil) }
 	spin(nil)
 	eng.Run(units.Time(units.Second))
-	if !w.Tripped() {
-		t.Fatal("watchdog never tripped under wheel scheduler")
+	for i, at := range fired {
+		if want := units.Time(0).Add(units.Duration(i+1) * period); at != want {
+			t.Fatalf("far timer firing %d at %v, want %v", i, at, want)
+		}
 	}
-	stall := units.Time(9 * wheelGran) // progress ceases here
-	lo, hi := stall.Add(horizon), stall.Add(2*horizon)
-	if trippedAt <= lo || trippedAt > hi {
-		t.Fatalf("tripped at %v, want within (%v, %v]", trippedAt, lo, hi)
+	if len(fired) != 3 {
+		t.Fatalf("far timer fired %d times, want 3", len(fired))
 	}
 }
