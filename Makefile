@@ -58,7 +58,8 @@ bench-test:
 
 # CPU + heap profile of the macro incast benchmark, of the flow
 # lifecycle under Memcached churn (the go-test twin of the ledger's
-# memcached_churn_dcqcn), and a CPU profile of the bare event queue at
+# memcached_churn_dcqcn), of set-up on the 102,400-host Clos (the twin
+# of clos100k_incast_fg), and a CPU profile of the bare event queue at
 # the ledger's replay shape (the go-test twin of the sim.replay_*
 # rungs); inspect with `go tool pprof cpu.out`.
 # floodsim -cpuprofile/-memprofile profile a full experiment instead.
@@ -67,9 +68,11 @@ profile:
 		-cpuprofile cpu.out -memprofile mem.out ./internal/exp
 	$(GO) test -run '^$$' -bench 'BenchmarkFlowChurn' -benchtime 10x \
 		-cpuprofile cpu.churn.out -memprofile mem.churn.out ./internal/exp
+	$(GO) test -run '^$$' -bench 'BenchmarkClosSetup' -benchtime 20x \
+		-cpuprofile cpu.clos.out -memprofile mem.clos.out ./internal/exp
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineReplay' -benchtime 5000000x \
 		-cpuprofile cpu.sim.out ./internal/sim
-	@echo "profiles written: cpu.out mem.out cpu.churn.out mem.churn.out cpu.sim.out (go tool pprof <file>)"
+	@echo "profiles written: cpu.out mem.out cpu.churn.out mem.churn.out cpu.clos.out mem.clos.out cpu.sim.out (go tool pprof <file>)"
 
 # ROADMAP's size count: non-test Go lines outside bench/, in total and
 # per internal package (the "small" aim, read from one command).

@@ -86,7 +86,7 @@ func NewPlane(n *device.Network, d *Dispatch) *Plane {
 	cidx := make(map[packet.NodeID]int32, d.Cfg.Clients)
 	for ri := range d.Reqs {
 		rq := &d.Reqs[ri]
-		if n.HostsByID[rq.Client] == nil {
+		if !n.Owns(rq.Client) {
 			continue // another shard owns this client
 		}
 		ci, seen := cidx[rq.Client]

@@ -37,7 +37,7 @@ type Module struct {
 	facesSw   []bool            // port peer is a switch
 	facesHost []bool
 
-	// VOQ pool.
+	// VOQ pool, built by the first allocVOQ (nil until then).
 	voqs    []*voq
 	free    []int // free voq indices per group: [0]=down, [1]=up (or all in [0])
 	freeUp  []int
@@ -195,32 +195,37 @@ func newModule(cfg Config, sw *device.Switch) *Module {
 	// VOQ grouping applies to middle-layer switches only (3-tier aggs),
 	// which forward both upstream and windowed downstream traffic.
 	m.grouped = cfg.VOQGrouping && node.Layer == topo.LayerAgg
-	n := cfg.MaxVOQs
-	if n <= 0 {
-		n = 1
-	}
-	// One backing array for all VOQ structs.
-	vs := make([]voq, n)
-	m.voqs = make([]*voq, n)
-	for i := range m.voqs {
+	return m
+}
+
+// buildPool builds the VOQ pool — one backing array for the structs —
+// on the first park: only a switch that identifies an incast needs it.
+func (m *Module) buildPool() {
+	vs := make([]voq, max(m.cfg.MaxVOQs, 1))
+	m.voqs = make([]*voq, len(vs))
+	m.free = make([]int, 0, len(vs))
+	for i := range vs {
 		vs[i].idx = i
 		m.voqs[i] = &vs[i]
 	}
+	m.resetFree()
+}
+
+// resetFree returns every VOQ to its group's free list, in index order:
+// all to group 0, or the upper half to group 1 on a grouped switch.
+func (m *Module) resetFree() {
+	m.free, m.freeUp = m.free[:0], m.freeUp[:0]
+	down := len(m.voqs)
 	if m.grouped {
-		for i := 0; i < n/2; i++ {
-			m.voqs[i].group = 0
-			m.free = append(m.free, i)
-		}
-		for i := n / 2; i < n; i++ {
-			m.voqs[i].group = 1
-			m.freeUp = append(m.freeUp, i)
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			m.free = append(m.free, i)
+		down /= 2
+	}
+	for i, v := range m.voqs {
+		if i < down {
+			v.group, m.free = 0, append(m.free, i)
+		} else {
+			v.group, m.freeUp = 1, append(m.freeUp, i)
 		}
 	}
-	return m
 }
 
 // Window returns the remaining window for a destination (tests).
@@ -341,6 +346,9 @@ func (w *dstState) port(i int) *upPort {
 // an empty one from the right group if available, else a CRC-32 hash
 // over the allocated VOQs (§4.2).
 func (m *Module) allocVOQ(w *dstState) {
+	if m.voqs == nil {
+		m.buildPool()
+	}
 	dst := w.dst
 	group := 0
 	if m.grouped && !m.sw.Net().Topo.SamePod(m.sw.Node().ID, dst) {
@@ -798,21 +806,7 @@ func (m *Module) Restart() {
 	}
 	voqs := m.inUse
 	m.inUse = 0
-	m.free = m.free[:0]
-	m.freeUp = m.freeUp[:0]
-	if m.grouped {
-		half := len(m.voqs) / 2
-		for i := 0; i < half; i++ {
-			m.free = append(m.free, i)
-		}
-		for i := half; i < len(m.voqs); i++ {
-			m.freeUp = append(m.freeUp, i)
-		}
-	} else {
-		for i := range m.voqs {
-			m.free = append(m.free, i)
-		}
-	}
+	m.resetFree()
 
 	// Windows: cancel loss-recovery timers and forget every destination
 	// (VOQ mappings and per-dst pause memory go with the record; the

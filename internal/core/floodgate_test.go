@@ -153,10 +153,10 @@ func TestWindowConservation(t *testing.T) {
 		}
 		m := sw.FC().(*core.Module)
 		if leak := m.WindowDeficit(); leak != 0 {
-			t.Fatalf("switch %s leaked %v of window after idle drain", sw.Node().Name, leak)
+			t.Fatalf("switch %s leaked %v of window after idle drain", sw.Node().Name(), leak)
 		}
 		if m.VOQsInUse() != 0 {
-			t.Fatalf("switch %s still holds %d VOQs", sw.Node().Name, m.VOQsInUse())
+			t.Fatalf("switch %s still holds %d VOQs", sw.Node().Name(), m.VOQsInUse())
 		}
 	}
 }

@@ -155,10 +155,10 @@ func TestVOQGroupingSplitsPool(t *testing.T) {
 		m := sw.FC().(*core.Module)
 		if sw.Node().Layer == topo.LayerAgg {
 			if !m.Grouped() {
-				t.Fatalf("agg %s not grouped", sw.Node().Name)
+				t.Fatalf("agg %s not grouped", sw.Node().Name())
 			}
 		} else if m.Grouped() {
-			t.Fatalf("%s (layer %v) grouped but should not be", sw.Node().Name, sw.Node().Layer)
+			t.Fatalf("%s (layer %v) grouped but should not be", sw.Node().Name(), sw.Node().Layer)
 		}
 	}
 }

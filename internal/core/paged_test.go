@@ -140,3 +140,53 @@ func TestWarmDstStateZeroAlloc(t *testing.T) {
 		t.Fatalf("window deficit %v after every segment was credited", d)
 	}
 }
+
+// TestVOQPoolBuiltOnFirstPark: a module builds its VOQ pool (MaxVOQs
+// structs and their free lists, ≈11 KB) when a window first runs dry,
+// not at construction — most switches never park a packet — and the
+// pool's readers (VOQsInUse, StallReport, Restart) take an unbuilt one.
+func TestVOQPoolBuiltOnFirstPark(t *testing.T) {
+	n := device.New(device.Config{Topo: topo.DefaultClos().Build(), Engine: sim.NewEngine(),
+		FC: core.New(core.DefaultConfig(64 * units.KB))})
+	h := newSpineHarness(n, 0)
+	m := h.fc.(*core.Module)
+	dst := n.Topo.Hosts[len(n.Topo.Hosts)-1]
+	out := n.Route(h.sw.Node().ID, h.src, dst)
+
+	if m.VOQsInUse() != 0 || m.StallReport() != (device.StallInfo{}) {
+		t.Fatalf("fresh module reports %d VOQs in use, stall info %+v", m.VOQsInUse(), m.StallReport())
+	}
+	m.Restart() // nothing built, nothing to reset
+
+	// parkOne offers MTUs until the window runs dry and one parks, and
+	// returns what handling that one allocated.
+	parkOne := func() uint64 {
+		for {
+			p := n.NewCtrl(packet.Data, 1, h.src, dst)
+			p.Size, p.InPort = packet.MTU, spineIn
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			consumed := h.fc.OnIngress(p, spineIn, out).Consumed
+			runtime.ReadMemStats(&m1)
+			if consumed {
+				return m1.TotalAlloc - m0.TotalAlloc
+			}
+			n.Recycle(p)
+		}
+	}
+	parking := parkOne()
+	pool := uint64(core.DefaultConfig(64*units.KB).MaxVOQs) * 64 // a voq struct is 72 B, its two index slots 16 B
+	if m.VOQsInUse() != 1 || parking < pool {
+		t.Fatalf("first park: %d VOQs in use, %d B allocated; want 1 and at least the pool's %d B", m.VOQsInUse(), parking, pool)
+	}
+	if si := m.StallReport(); si.ParkedBytes != packet.MTU || si.ExhaustedWindows != 1 {
+		t.Fatalf("stall info after one park: %+v", si)
+	}
+	m.Restart()
+	if m.VOQsInUse() != 0 || m.StallReport().ParkedBytes != 0 {
+		t.Fatalf("after restart: %d VOQs in use, stall info %+v", m.VOQsInUse(), m.StallReport())
+	}
+	if again := parkOne(); m.VOQsInUse() != 1 || again >= pool {
+		t.Fatalf("park after restart: %d VOQs in use, %d B allocated; the pool (%d B) must be reused", m.VOQsInUse(), again, pool)
+	}
+}

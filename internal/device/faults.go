@@ -64,8 +64,8 @@ type nudgeArg struct {
 
 func nudgeFn(a any) {
 	arg := a.(*nudgeArg)
-	if psw := arg.n.Switches[arg.peer]; psw != nil {
-		psw.onPeerReset(arg.port)
+	if arg.n.Topo.Node(arg.peer).Kind == topo.SwitchNode {
+		arg.n.Switches[arg.peer].onPeerReset(arg.port)
 		return
 	}
 	arg.n.HostsByID[arg.peer].onPeerReset()
@@ -110,7 +110,7 @@ func (n *Network) InstallFaults(p *fault.Plan, seed uint64) {
 		}
 		f.linkUp[node.ID] = up
 		chains := make([]geChain, len(node.Ports))
-		if p.Burst != nil && node.Kind == topo.SwitchNode && n.owns(node.ID) {
+		if p.Burst != nil && node.Kind == topo.SwitchNode && n.Owns(node.ID) {
 			for i := range node.Ports {
 				pt := &node.Ports[i]
 				if n.Topo.Node(pt.Peer).Kind != topo.SwitchNode || !p.BurstApplies(node.ID, pt.Peer) {
@@ -124,21 +124,24 @@ func (n *Network) InstallFaults(p *fault.Plan, seed uint64) {
 		}
 		f.ge[node.ID] = chains
 	}
+	// Every owned device the plan names is minted here: restarting a switch
+	// no frame ever reached runs the same teardown and counts the same.
 	for _, ev := range p.SortedEvents() {
 		n.mustResolveEvent(ev)
 		switch ev.Kind {
 		case fault.LinkDown, fault.LinkUp:
-			up := ev.Kind == fault.LinkUp
-			if n.owns(ev.Link.A) {
-				arg := &linkHalfArg{n: n, node: ev.Link.A, port: n.portTo(ev.Link.A, ev.Link.B), up: up, primary: true}
-				n.Eng.AtArgPri(ev.At, linkHalfFn, arg, sim.PriFault)
-			}
-			if n.owns(ev.Link.B) {
-				arg := &linkHalfArg{n: n, node: ev.Link.B, port: n.portTo(ev.Link.B, ev.Link.A), up: up}
+			ends := [2]packet.NodeID{ev.Link.A, ev.Link.B}
+			for i, end := range ends {
+				if !n.Owns(end) {
+					continue
+				}
+				n.mint(end)
+				arg := &linkHalfArg{n: n, node: end, port: n.portTo(end, ends[1-i]), up: ev.Kind == fault.LinkUp, primary: i == 0}
 				n.Eng.AtArgPri(ev.At, linkHalfFn, arg, sim.PriFault)
 			}
 		case fault.SwitchRestart:
-			if n.owns(ev.Node) {
+			if n.Owns(ev.Node) {
+				n.mint(ev.Node)
 				n.Eng.AtArgPri(ev.At, restartFn, &restartArg{n: n, id: ev.Node}, sim.PriFault)
 			}
 			// Neighbor nudges are their own sub-events (a neighbor may
@@ -147,7 +150,8 @@ func (n *Network) InstallFaults(p *fault.Plan, seed uint64) {
 			ports := n.Topo.Node(ev.Node).Ports
 			for pi := range ports {
 				pt := &ports[pi]
-				if n.owns(pt.Peer) {
+				if n.Owns(pt.Peer) {
+					n.mint(pt.Peer)
 					n.Eng.AtArgPri(ev.At, nudgeFn, &nudgeArg{n: n, peer: pt.Peer, port: pt.PeerPort}, sim.PriFault)
 				}
 			}
@@ -298,7 +302,8 @@ func (n *Network) applyLinkHalf(a *linkHalfArg) {
 // clearPortPause forgets inbound PFC pause state on one endpoint of a
 // restored link and restarts its transmitter.
 func (n *Network) clearPortPause(id packet.NodeID, port int) {
-	if sw := n.Switches[id]; sw != nil {
+	if n.Topo.Node(id).Kind == topo.SwitchNode {
+		sw := n.Switches[id]
 		sw.resumeSelf(port) // no-op when not paused; kicks otherwise
 		sw.kick(port)
 		return
@@ -430,8 +435,8 @@ func (n *Network) StallSnapshot() StallSnapshot {
 			ss.ParkedBytes += si.ParkedBytes
 		}
 	}
-	for _, h := range n.Hosts {
-		if h.pfc.paused {
+	for _, h := range n.HostsByID {
+		if h != nil && h.pfc.paused {
 			ss.PausedHosts++
 		}
 	}

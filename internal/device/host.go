@@ -180,7 +180,14 @@ func newHost(n *Network, node *topo.Node) *Host {
 	if len(node.Ports) != 1 {
 		panic("device: hosts must have exactly one port")
 	}
-	h := &Host{net: n, node: node, port: &node.Ports[0]}
+	// From the shard's own slab: registration order interleaves the shards,
+	// and their hosts must not share cache lines (see NewCluster).
+	if len(n.hostSlab) == 0 {
+		n.hostSlab = make([]Host, 64)
+	}
+	h := &n.hostSlab[0]
+	n.hostSlab = n.hostSlab[1:]
+	h.net, h.node, h.port = n, node, &node.Ports[0]
 	h.wire.init(n, h.port.Peer, h.port.PeerPort, n.wirePri(node.ID, 0))
 	return h
 }

@@ -175,9 +175,12 @@ type Network struct {
 	// unique same-timestamp priority (partition-invariant ordering).
 	dirBase []uint32
 
-	Switches  []*Switch // indexed by NodeID (nil for hosts)
-	HostsByID []*Host   // indexed by NodeID (nil for switches)
-	Hosts     []*Host   // dense, in topo.Hosts order
+	// Devices, indexed by NodeID, minted on first touch (DESIGN.md §3): a
+	// nil entry is a node of the other kind, one another shard owns, or one
+	// nothing has touched yet — ask Owns or Topo.Node(id).Kind, never nil.
+	Switches  []*Switch
+	HostsByID []*Host
+	hostSlab  []Host // unminted remainder of the current 64-host chunk
 
 	// Flow lifecycle (DESIGN.md §3). specs is the registration log:
 	// FlowID id is entry id-1. live[id] is the flow's object from mint to
@@ -203,8 +206,19 @@ type Network struct {
 	OnFlowDone func(f *Flow, finish units.Time)
 }
 
-// New wires a network from the config.
+// New wires a stand-alone network and mints every device it owns:
+// stand-alone networks are the small hand-driven ones (tests, examples,
+// the benchmark's rungs), which reach into Switches at once, and the
+// eager reference a Cluster's mint-on-touch is tested against.
 func New(cfg Config) *Network {
+	n := newNetwork(cfg)
+	n.MintAll()
+	return n
+}
+
+// newNetwork builds what every device needs and no device: the tables,
+// the wire priorities and the base RTT.
+func newNetwork(cfg Config) *Network {
 	cfg.defaults()
 	if cfg.Topo == nil || cfg.Engine == nil {
 		panic("device: Config.Topo and Config.Engine are required")
@@ -237,28 +251,37 @@ func New(cfg Config) *Network {
 		n.Cfg.BaseRTT = n.deriveBaseRTT()
 	}
 	n.built()
-	for _, node := range cfg.Topo.Nodes {
-		if !n.owns(node.ID) {
-			continue
-		}
-		if node.Kind == topo.SwitchNode {
-			n.Switches[node.ID] = newSwitch(n, node)
-		} else {
-			h := newHost(n, node)
-			n.HostsByID[node.ID] = h
-			n.Hosts = append(n.Hosts, h)
-		}
-	}
-	// Flow-control modules attach after all devices exist (they inspect
-	// topology neighbours).
-	if cfg.FC != nil {
-		for _, sw := range n.Switches {
-			if sw != nil {
-				sw.fc = cfg.FC(sw)
-			}
-		}
-	}
 	return n
+}
+
+// mint builds owned node id's device, flow-control module included,
+// unless it exists. A device's state depends only on its node, the
+// topology and (Seed, node ID), so mint order — which differs between
+// New, a Cluster and shard counts — is unobservable.
+func (n *Network) mint(id packet.NodeID) {
+	node := n.Topo.Node(id)
+	if node.Kind == topo.HostNode {
+		if n.HostsByID[id] == nil {
+			n.HostsByID[id] = newHost(n, node)
+		}
+		return
+	}
+	if n.Switches[id] == nil {
+		sw := newSwitch(n, node)
+		n.Switches[id] = sw
+		if n.Cfg.FC != nil {
+			sw.fc = n.Cfg.FC(sw)
+		}
+	}
+}
+
+// MintAll mints every device this network owns, in NodeID order.
+func (n *Network) MintAll() {
+	for _, node := range n.Topo.Nodes {
+		if n.Owns(node.ID) {
+			n.mint(node.ID)
+		}
+	}
 }
 
 // deriveBaseRTT estimates the unloaded cross-fabric RTT: propagation
@@ -294,8 +317,8 @@ func (n *Network) BaseBDP() units.ByteSize {
 	return units.BDP(p.Rate, n.Cfg.BaseRTT)
 }
 
-// owns reports whether this network builds the device for a node.
-func (n *Network) owns(id packet.NodeID) bool {
+// Owns reports whether this network builds the device for a node.
+func (n *Network) Owns(id packet.NodeID) bool {
 	s := n.Cfg.Shard
 	return s == nil || s.Assign[id] == s.Index
 }
@@ -305,13 +328,11 @@ func (n *Network) wirePri(owner packet.NodeID, port int) uint32 {
 	return sim.PriWireBase + n.dirBase[owner] + uint32(port)
 }
 
-// wireOf returns the in-flight chain of the directed link (owner,
-// port); the owner must be built on this shard.
+// wireOf returns the in-flight chain of port `port` of switch owner,
+// which this shard owns, minting it (hosts never own a cut link).
 func (n *Network) wireOf(owner packet.NodeID, port int) *wire {
-	if sw := n.Switches[owner]; sw != nil {
-		return &sw.out[port].wire
-	}
-	return &n.HostsByID[owner].wire
+	n.mint(owner)
+	return &n.Switches[owner].out[port].wire
 }
 
 // pktID mints a unique packet id.
@@ -327,7 +348,13 @@ func (n *Network) deliver(to packet.NodeID, p *packet.Packet, inPort int) {
 		sw.receive(p, inPort)
 		return
 	}
-	n.HostsByID[to].receive(p)
+	h := n.HostsByID[to]
+	if h == nil { // the first frame to reach this node
+		n.mint(to)
+		n.deliver(to, p, inPort)
+		return
+	}
+	h.receive(p)
 }
 
 // flowSpec is one registration-log record: what a flow is before (and
@@ -436,13 +463,12 @@ func (n *Network) Launch(f *Flow) {
 	if f.launched {
 		panic(fmt.Sprintf("device: flow %d launched twice", f.ID))
 	}
-	sh := n.HostsByID[f.Src]
-	if sh == nil {
+	if !n.Owns(f.Src) {
 		panic(fmt.Sprintf("device: Launch of flow %d from a shard that does not own host %d", f.ID, f.Src))
 	}
 	f.launched = true
 	f.Start = n.Eng.Now()
-	sh.startFlow(f)
+	n.HostsByID[f.Src].startFlow(f)
 }
 
 // flowStartFn is the capture-free deferred-start callback of a
@@ -520,7 +546,8 @@ func (n *Network) Recycle(p *packet.Packet) {
 func (n *Network) Run(until units.Time) { n.Eng.Run(until) }
 
 // Finalize closes statistics intervals that are still open (PFC pause
-// periods in progress when the run ends). Call once after the last Run.
+// periods in progress when the run ends), in NodeID order so that mint
+// order never reaches the collector. Call once after the last Run.
 func (n *Network) Finalize() {
 	for _, sw := range n.Switches {
 		if sw != nil {
@@ -529,8 +556,10 @@ func (n *Network) Finalize() {
 			}
 		}
 	}
-	for _, h := range n.Hosts {
-		h.pfc.close(n, topo.LayerHost)
+	for _, h := range n.HostsByID {
+		if h != nil {
+			h.pfc.close(n, topo.LayerHost)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"floodgate/internal/app"
 	"floodgate/internal/fault"
@@ -180,20 +181,79 @@ func BenchmarkRunScaleIncast(b *testing.B) {
 	b.ReportMetric(heap, "heap_bytes/run")
 }
 
-// runScaleIncastFloodgate builds the 102,400-host Clos and runs the
-// scaleincast experiment's DCQCN+Floodgate cell to completion.
-func runScaleIncastFloodgate(tb testing.TB, o Options) *RunResult {
+// BenchmarkClosSetup is the go-test twin of the ledger's
+// clos100k_incast_fg, the workload whose cost is set-up: each iteration
+// builds topo.Clos100k and runs the 256-way incast, fed through a
+// source that notes when it runs dry — everything before that instant
+// (the topology, NewCluster, registration and the devices it mints) is
+// set-up. Beside allocs/op it reports that set-up time, the live heap,
+// and how many hosts and switches the run ever built: what set-up is
+// meant to be sized by (DESIGN.md §3).
+func BenchmarkClosSetup(b *testing.B) {
+	o := Options{Scale: 0.25, Seed: 1, Topo: "clos100k"}.norm()
+	b.ReportAllocs()
+	var setup time.Duration
+	var heap, hosts, switches float64
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		rc := scaleIncastFloodgateConfig(b, o)
+		src := &drySource{SliceSource: workload.SliceSource{Specs: rc.Specs}}
+		rc.Specs, rc.Source, rc.SourceLabel = nil, src, "clossetup"
+		res := Run(rc)
+		if res.Completed != res.Total {
+			b.Fatalf("flows incomplete at 100k hosts: %d/%d", res.Completed, res.Total)
+		}
+		setup += src.dry.Sub(t0)
+		heap = float64(res.Net.SnapshotMemStats())
+		hosts, switches = 0, 0
+		for id := range res.Net.Switches {
+			if res.Net.Switches[id] != nil {
+				switches++
+			} else if res.Net.HostsByID[id] != nil {
+				hosts++
+			}
+		}
+	}
+	b.ReportMetric(setup.Seconds()*1e3/float64(b.N), "setup-ms/run")
+	b.ReportMetric(heap, "heap_bytes/run")
+	b.ReportMetric(hosts, "hosts/run")
+	b.ReportMetric(switches, "switches/run")
+}
+
+// drySource notes the host clock when Run asks for a spec past the last:
+// registration is then over and Run seals and executes.
+type drySource struct {
+	workload.SliceSource
+	dry time.Time
+}
+
+func (s *drySource) Next() (workload.FlowSpec, bool, error) {
+	spec, ok, err := s.SliceSource.Next()
+	if !ok {
+		s.dry = time.Now()
+	}
+	return spec, ok, err
+}
+
+// scaleIncastFloodgateConfig builds the 102,400-host Clos and the
+// scaleincast experiment's DCQCN+Floodgate cell on it.
+func scaleIncastFloodgateConfig(tb testing.TB, o Options) RunConfig {
 	tp, _, err := o.scaleTopo("clos100k")
 	if err != nil {
 		tb.Fatal(err)
 	}
 	specs := scaleIncastSpecs(tp, o.Seed, scaleIncastDegree)
-	res := Run(RunConfig{
+	return RunConfig{
 		Topo: tp, Scheme: WithFloodgate(o, DCQCN(o), baseBDPOf(tp)),
 		Specs: specs, Duration: fullScaleIncastDuration,
 		Seed: o.Seed, Opt: o,
 		BufferSize: units.ByteSize(len(specs)) * 35 * mtu,
-	})
+	}
+}
+
+// runScaleIncastFloodgate runs that cell to completion.
+func runScaleIncastFloodgate(tb testing.TB, o Options) *RunResult {
+	res := Run(scaleIncastFloodgateConfig(tb, o))
 	if res.Completed != res.Total {
 		tb.Fatalf("flows incomplete at 100k hosts: %d/%d", res.Completed, res.Total)
 	}

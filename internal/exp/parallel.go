@@ -31,8 +31,8 @@ import (
 //   - Scheme factory closures (cc.Factory, device.FCFactory) capture
 //     only value-type configs; each Run invokes them to mint private
 //     per-flow / per-switch state.
-//   - The one mutable package variable, windowOverride, is test-only
-//     and set before any runs start.
+//   - The two mutable package variables, windowOverride and
+//     clusterBuilt, are test-only and set before any runs start.
 
 // limiter is a resizable counting semaphore. All simulation fan-out in
 // this package draws from one instance, so nested parallelism —

@@ -107,6 +107,11 @@ func (o Options) stretch(full units.Duration) units.Duration {
 // experiments on a budget; production paths never set it.
 var windowOverride units.Duration
 
+// clusterBuilt, when set, is handed every run's cluster before anything
+// is registered on it. Test-only, like windowOverride: the eager-vs-lazy
+// oracle (export_test.go) mints every device through it.
+var clusterBuilt func(*device.Cluster)
+
 // duration is the workload window. It stays at the paper's wall-clock
 // value at every scale: with the slow-motion clock this covers fewer
 // (but still hundreds of) RTTs, keeping total event counts roughly
@@ -371,6 +376,9 @@ func Run(rc RunConfig) *RunResult {
 		cfg.Forensics = forensics.NewRecorder()
 	}
 	cluster := device.NewCluster(cfg, engines, topo.Partition(rc.Topo, k))
+	if clusterBuilt != nil {
+		clusterBuilt(cluster)
+	}
 	cluster.InstallFaults(rc.Faults, rc.Seed)
 	if obs != nil {
 		obs.start()

@@ -56,7 +56,9 @@ func TestScaleIncastSmoke(t *testing.T) {
 // process with route memory that would be impossible dense, and the
 // Floodgate cell's live heap — fabric, devices, flow-control tables and
 // collectors, measured while its result is still referenced — stays
-// inside 256 MB. (The budget used to be read after ScaleIncast had
+// inside 96 MB: the topology, plus devices for the few hundred nodes the
+// incast touches. With every device of the fabric built up front it held
+// ≈160 MB. (The budget used to be read after ScaleIncast had
 // returned only strings, when HeapAlloc is ≈90 KB whatever the run
 // held; per-ingress-port credit rows sized by node count put this cell
 // at 553 MB and it passed.)
@@ -78,8 +80,10 @@ func TestScaleIncastCompletes(t *testing.T) {
 	}
 	res := runScaleIncastFloodgate(t, o.norm())
 	runtime.GC()
-	const budget = 256 << 20
-	if heap := res.Net.SnapshotMemStats(); heap > budget {
+	const budget = 96 << 20
+	heap := res.Net.SnapshotMemStats()
+	t.Logf("live heap %d bytes (budget %d)", heap, budget)
+	if heap > budget {
 		t.Fatalf("live heap %d bytes exceeds the %d-byte scaleincast budget", heap, budget)
 	}
 	runtime.KeepAlive(res)

@@ -1,8 +1,6 @@
 package topo
 
 import (
-	"fmt"
-
 	"floodgate/internal/packet"
 	"floodgate/internal/units"
 )
@@ -49,15 +47,15 @@ func (c LeafSpineConfig) Build() *Topology {
 	b := &builder{}
 	spines := make([]packet.NodeID, 0, c.Spines)
 	for s := 0; s < c.Spines; s++ {
-		spines = append(spines, b.addNode(SwitchNode, LayerCore, -1, -1, fmt.Sprintf("spine%d", s)))
+		spines = append(spines, b.addNode(SwitchNode, LayerCore, -1, -1, c.ToRs))
 	}
 	for r := 0; r < c.ToRs; r++ {
-		tor := b.addNode(SwitchNode, LayerToR, r, r, fmt.Sprintf("tor%d", r))
+		tor := b.addNode(SwitchNode, LayerToR, r, r, c.Spines+c.HostsPerToR)
 		for _, s := range spines {
 			b.connect(tor, s, up, c.Prop, ClassToRUp, ClassCore)
 		}
 		for h := 0; h < c.HostsPerToR; h++ {
-			host := b.addNode(HostNode, LayerHost, r, r, fmt.Sprintf("h%d.%d", r, h))
+			host := b.addNode(HostNode, LayerHost, r, r, 1)
 			b.connect(tor, host, c.HostRate, c.Prop, ClassToRDown, ClassHost)
 		}
 	}
@@ -109,24 +107,24 @@ func (c FatTreeConfig) Build() *Topology {
 	b := &builder{}
 	cores := make([]packet.NodeID, half*half)
 	for i := range cores {
-		cores[i] = b.addNode(SwitchNode, LayerCore, -1, -1, fmt.Sprintf("core%d", i))
+		cores[i] = b.addNode(SwitchNode, LayerCore, -1, -1, c.K)
 	}
 	rack := 0
 	for pod := 0; pod < c.K; pod++ {
 		aggs := make([]packet.NodeID, half)
 		for a := 0; a < half; a++ {
-			aggs[a] = b.addNode(SwitchNode, LayerAgg, pod, -1, fmt.Sprintf("agg%d.%d", pod, a))
+			aggs[a] = b.addNode(SwitchNode, LayerAgg, pod, -1, c.K)
 			for i := 0; i < half; i++ {
 				b.connect(aggs[a], cores[a*half+i], c.Rate, c.Prop, ClassAggUp, ClassCore)
 			}
 		}
 		for e := 0; e < half; e++ {
-			edge := b.addNode(SwitchNode, LayerToR, pod, rack, fmt.Sprintf("edge%d.%d", pod, e))
+			edge := b.addNode(SwitchNode, LayerToR, pod, rack, half+hpe)
 			for _, a := range aggs {
 				b.connect(edge, a, c.Rate, c.Prop, ClassToRUp, ClassAggDown)
 			}
 			for h := 0; h < hpe; h++ {
-				host := b.addNode(HostNode, LayerHost, pod, rack, fmt.Sprintf("h%d.%d.%d", pod, e, h))
+				host := b.addNode(HostNode, LayerHost, pod, rack, 1)
 				b.connect(edge, host, c.Rate, c.Prop, ClassToRDown, ClassHost)
 			}
 			rack++
@@ -195,25 +193,25 @@ func (c ClosConfig) Build() *Topology {
 	spines := make([]packet.NodeID, c.AggsPerPod*c.SpinesPerPlane)
 	for a := 0; a < c.AggsPerPod; a++ {
 		for j := 0; j < c.SpinesPerPlane; j++ {
-			spines[a*c.SpinesPerPlane+j] = b.addNode(SwitchNode, LayerCore, -1, -1, fmt.Sprintf("spine%d.%d", a, j))
+			spines[a*c.SpinesPerPlane+j] = b.addNode(SwitchNode, LayerCore, -1, -1, c.Pods)
 		}
 	}
 	rack := 0
 	for pod := 0; pod < c.Pods; pod++ {
 		aggs := make([]packet.NodeID, c.AggsPerPod)
 		for a := 0; a < c.AggsPerPod; a++ {
-			aggs[a] = b.addNode(SwitchNode, LayerAgg, pod, -1, fmt.Sprintf("agg%d.%d", pod, a))
+			aggs[a] = b.addNode(SwitchNode, LayerAgg, pod, -1, c.SpinesPerPlane+c.ToRsPerPod)
 			for j := 0; j < c.SpinesPerPlane; j++ {
 				b.connect(aggs[a], spines[a*c.SpinesPerPlane+j], c.FabricRate, c.Prop, ClassAggUp, ClassCore)
 			}
 		}
 		for tr := 0; tr < c.ToRsPerPod; tr++ {
-			tor := b.addNode(SwitchNode, LayerToR, pod, rack, fmt.Sprintf("tor%d.%d", pod, tr))
+			tor := b.addNode(SwitchNode, LayerToR, pod, rack, c.AggsPerPod+c.HostsPerToR)
 			for _, a := range aggs {
 				b.connect(tor, a, c.FabricRate, c.Prop, ClassToRUp, ClassAggDown)
 			}
 			for h := 0; h < c.HostsPerToR; h++ {
-				host := b.addNode(HostNode, LayerHost, pod, rack, fmt.Sprintf("h%d.%d.%d", pod, tr, h))
+				host := b.addNode(HostNode, LayerHost, pod, rack, 1)
 				b.connect(tor, host, c.HostRate, c.Prop, ClassToRDown, ClassHost)
 			}
 			rack++
@@ -251,12 +249,12 @@ func DefaultTestbed() TestbedConfig {
 // irregular and faulted-asymmetric validation fabrics fall back to.
 func (c TestbedConfig) Build() *Topology {
 	b := &builder{forceDense: true}
-	core := b.addNode(SwitchNode, LayerCore, -1, -1, "core")
+	core := b.addNode(SwitchNode, LayerCore, -1, -1, c.ToRs)
 	for r := 0; r < c.ToRs; r++ {
-		tor := b.addNode(SwitchNode, LayerToR, r, r, fmt.Sprintf("tor%d", r))
+		tor := b.addNode(SwitchNode, LayerToR, r, r, 1+c.HostsPerToR)
 		b.connect(tor, core, c.CoreRate, c.Prop, ClassToRUp, ClassCore)
 		for h := 0; h < c.HostsPerToR; h++ {
-			host := b.addNode(HostNode, LayerHost, r, r, fmt.Sprintf("h%d.%d", r, h))
+			host := b.addNode(HostNode, LayerHost, r, r, 1)
 			b.connect(tor, host, c.HostRate, c.Prop, ClassToRDown, ClassHost)
 		}
 	}

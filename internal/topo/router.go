@@ -222,12 +222,12 @@ func NewStructuralRouter(t *Topology) (*StructuralRouter, error) {
 			switch {
 			case peer.Layer > node.Layer: // up
 				if i != u {
-					return nil, fmt.Errorf("topo: %s port %d is an up port after a down port", node.Name, i)
+					return nil, fmt.Errorf("topo: %s port %d is an up port after a down port", node.Name(), i)
 				}
 				u++
 			case peer.Layer < node.Layer: // down
 			default:
-				return nil, fmt.Errorf("topo: %s port %d links within layer %s", node.Name, i, node.Layer)
+				return nil, fmt.Errorf("topo: %s port %d links within layer %s", node.Name(), i, node.Layer)
 			}
 		}
 		upCount[node.ID] = u
@@ -251,12 +251,12 @@ func NewStructuralRouter(t *Topology) (*StructuralRouter, error) {
 			first := true
 			for _, p := range node.Ports[u:] {
 				if !done[p.Peer] {
-					return nil, fmt.Errorf("topo: %s has a down link skipping a layer to %s", node.Name, t.Nodes[p.Peer].Name)
+					return nil, fmt.Errorf("topo: %s has a down link skipping a layer to %s", node.Name(), t.Nodes[p.Peer].Name())
 				}
 				c := r.sw[p.Peer]
 				size := c.hostHi - c.hostLo
 				if size <= 0 {
-					return nil, fmt.Errorf("topo: %s subtree under %s holds no hosts", node.Name, t.Nodes[p.Peer].Name)
+					return nil, fmt.Errorf("topo: %s subtree under %s holds no hosts", node.Name(), t.Nodes[p.Peer].Name())
 				}
 				if first {
 					e.hostLo, e.hostHi, e.stride = c.hostLo, c.hostHi, size
@@ -264,12 +264,12 @@ func NewStructuralRouter(t *Topology) (*StructuralRouter, error) {
 					continue
 				}
 				if c.hostLo != e.hostHi || size != e.stride {
-					return nil, fmt.Errorf("topo: %s down subtrees are not consecutive uniform host ranges", node.Name)
+					return nil, fmt.Errorf("topo: %s down subtrees are not consecutive uniform host ranges", node.Name())
 				}
 				e.hostHi = c.hostHi
 			}
 			if first { // no down ports at all: an isolated switch
-				return nil, fmt.Errorf("topo: switch %s has no down ports", node.Name)
+				return nil, fmt.Errorf("topo: switch %s has no down ports", node.Name())
 			}
 			r.sw[node.ID] = e
 			done[node.ID] = true
@@ -284,10 +284,10 @@ func NewStructuralRouter(t *Topology) (*StructuralRouter, error) {
 			if i == 0 {
 				lo, hi = p.hostLo, p.hostHi
 			} else if p.hostLo != lo || p.hostHi != hi {
-				return nil, fmt.Errorf("topo: %s up-peers cover unequal host ranges", node.Name)
+				return nil, fmt.Errorf("topo: %s up-peers cover unequal host ranges", node.Name())
 			}
 			if p.hostLo > e.hostLo || p.hostHi < e.hostHi {
-				return nil, fmt.Errorf("topo: %s up-peer %s does not cover its subtree", node.Name, t.Nodes[node.Ports[i].Peer].Name)
+				return nil, fmt.Errorf("topo: %s up-peer %s does not cover its subtree", node.Name(), t.Nodes[node.Ports[i].Peer].Name())
 			}
 		}
 	}

@@ -68,7 +68,7 @@ func TestRouterEquivalence(t *testing.T) {
 				for hi := range tp.Hosts {
 					got, want := sr.NextPorts(n.ID, hi), dr.NextPorts(n.ID, hi)
 					if !equalPorts(got, want) {
-						t.Fatalf("%s -> host[%d]: structural %v != dense %v", n.Name, hi, want, got)
+						t.Fatalf("%s -> host[%d]: structural %v != dense %v", n.Name(), hi, want, got)
 					}
 				}
 			}
@@ -113,12 +113,12 @@ func TestRouterEquivalenceSampled(t *testing.T) {
 				bfsColumn(tp, h, dist, queue, func(n packet.NodeID, want []int) {
 					checked[n] = true
 					if got := sr.NextPorts(n, hi); !equalPorts(got, want) {
-						t.Fatalf("%s -> host[%d]: structural %v != bfs %v", tp.Nodes[n].Name, hi, got, want)
+						t.Fatalf("%s -> host[%d]: structural %v != bfs %v", tp.Nodes[n].Name(), hi, got, want)
 					}
 				})
 				for _, n := range tp.Nodes {
 					if !checked[n.ID] && n.ID != h {
-						t.Fatalf("bfs never reached %s for host[%d]", n.Name, hi)
+						t.Fatalf("bfs never reached %s for host[%d]", n.Name(), hi)
 					}
 				}
 			}
@@ -147,16 +147,16 @@ func TestRouterSelection(t *testing.T) {
 	// must fail structural inference (unequal up-peer coverage) and
 	// fall back to dense, which routes it correctly.
 	b := &builder{}
-	s0 := b.addNode(SwitchNode, LayerCore, -1, -1, "s0")
-	s1 := b.addNode(SwitchNode, LayerCore, -1, -1, "s1")
+	s0 := b.addNode(SwitchNode, LayerCore, -1, -1, 2)
+	s1 := b.addNode(SwitchNode, LayerCore, -1, -1, 1)
 	for r := 0; r < 2; r++ {
-		tor := b.addNode(SwitchNode, LayerToR, r, r, fmt.Sprintf("t%d", r))
+		tor := b.addNode(SwitchNode, LayerToR, r, r, 4-r) // s0, s1 for rack 0 only, two hosts
 		b.connect(tor, s0, 400*units.Gbps, units.Microsecond, ClassToRUp, ClassCore)
 		if r == 0 {
 			b.connect(tor, s1, 400*units.Gbps, units.Microsecond, ClassToRUp, ClassCore)
 		}
 		for h := 0; h < 2; h++ {
-			host := b.addNode(HostNode, LayerHost, r, r, fmt.Sprintf("h%d.%d", r, h))
+			host := b.addNode(HostNode, LayerHost, r, r, 1)
 			b.connect(tor, host, 100*units.Gbps, units.Microsecond, ClassToRDown, ClassHost)
 		}
 	}
@@ -260,12 +260,12 @@ func TestClosShape(t *testing.T) {
 		switch {
 		case n.Kind == HostNode:
 			if n.Pod < 0 || n.Rack < 0 {
-				t.Fatalf("host %s missing pod/rack", n.Name)
+				t.Fatalf("host %s missing pod/rack", n.Name())
 			}
 		case n.Layer == LayerToR:
 			tors++
 			if len(n.Ports) != c.AggsPerPod+c.HostsPerToR {
-				t.Fatalf("%s has %d ports", n.Name, len(n.Ports))
+				t.Fatalf("%s has %d ports", n.Name(), len(n.Ports))
 			}
 			for i, p := range n.Ports {
 				want := ClassToRDown
@@ -273,18 +273,18 @@ func TestClosShape(t *testing.T) {
 					want = ClassToRUp
 				}
 				if p.Class != want {
-					t.Fatalf("%s port %d class %v, want %v", n.Name, i, p.Class, want)
+					t.Fatalf("%s port %d class %v, want %v", n.Name(), i, p.Class, want)
 				}
 			}
 		case n.Layer == LayerAgg:
 			aggs++
 			if len(n.Ports) != c.SpinesPerPlane+c.ToRsPerPod {
-				t.Fatalf("%s has %d ports", n.Name, len(n.Ports))
+				t.Fatalf("%s has %d ports", n.Name(), len(n.Ports))
 			}
 		case n.Layer == LayerCore:
 			cores++
 			if len(n.Ports) != c.Pods {
-				t.Fatalf("spine %s has %d ports, want one per pod", n.Name, len(n.Ports))
+				t.Fatalf("spine %s has %d ports, want one per pod", n.Name(), len(n.Ports))
 			}
 		}
 	}

@@ -98,8 +98,13 @@ type Node struct {
 	Layer Layer
 	Pod   int // pod/zone index (3-tier); -1 when not applicable
 	Rack  int // rack index for ToRs and hosts; -1 otherwise
-	Name  string
 	Ports []Port
+}
+
+// Name labels the node in error and test-failure messages, its only
+// readers, so it is rendered on demand from the layer and (unique) ID.
+func (n *Node) Name() string {
+	return fmt.Sprintf("%s%d(pod %d, rack %d)", n.Layer, n.ID, n.Pod, n.Rack)
 }
 
 // Topology is an immutable network graph with multipath routes from
@@ -218,25 +223,51 @@ func (t *Topology) SamePod(n, dst packet.NodeID) bool {
 	return t.Nodes[n].Pod >= 0 && t.Nodes[n].Pod == t.Nodes[dst].Pod
 }
 
+// slabChunk is how many Nodes (and hosts' single Ports) one backing
+// allocation holds: a builder makes two allocations per 256 nodes, not
+// two per node, and a ten-node fabric wastes under 30 KB.
+const slabChunk = 256
+
 // builder assembles nodes and links then freezes them into a Topology.
 type builder struct {
-	nodes []*Node
+	nodes     []*Node
+	nodeSlab  []Node
+	hostPorts []Port
 	// forceDense skips structural inference at freeze(): set by
 	// builders that model irregular fabrics (the DPDK testbed) where
 	// the dense BFS tables are the validation reference.
 	forceDense bool
 }
 
-func (b *builder) addNode(kind NodeKind, layer Layer, pod, rack int, name string) packet.NodeID {
-	id := packet.NodeID(len(b.nodes))
-	b.nodes = append(b.nodes, &Node{ID: id, Kind: kind, Layer: layer, Pod: pod, Rack: rack, Name: name})
-	return id
+// addNode adds a node that will have exactly nports ports (every
+// builder knows: a Clos ToR has AggsPerPod + HostsPerToR), so connect
+// never re-grows a port list.
+func (b *builder) addNode(kind NodeKind, layer Layer, pod, rack, nports int) packet.NodeID {
+	if len(b.nodeSlab) == 0 {
+		b.nodeSlab = make([]Node, slabChunk)
+	}
+	n := &b.nodeSlab[0]
+	b.nodeSlab = b.nodeSlab[1:]
+	*n = Node{ID: packet.NodeID(len(b.nodes)), Kind: kind, Layer: layer, Pod: pod, Rack: rack}
+	if nports == 1 {
+		if len(b.hostPorts) == 0 {
+			b.hostPorts = make([]Port, slabChunk)
+		}
+		n.Ports, b.hostPorts = b.hostPorts[:0:1], b.hostPorts[1:]
+	} else {
+		n.Ports = make([]Port, 0, nports)
+	}
+	b.nodes = append(b.nodes, n)
+	return n.ID
 }
 
 // connect adds a full-duplex link between a and b as two directed
 // ports with the given rate, propagation delay and per-direction class.
 func (b *builder) connect(a, bb packet.NodeID, rate units.BitRate, prop units.Duration, aClass, bClass PortClass) {
 	na, nb := b.nodes[a], b.nodes[bb]
+	if len(na.Ports) == cap(na.Ports) || len(nb.Ports) == cap(nb.Ports) {
+		panic(fmt.Sprintf("topo: link %s - %s exceeds the port count addNode was given", na.Name(), nb.Name()))
+	}
 	pa := Port{Owner: a, Index: len(na.Ports), Peer: bb, Rate: rate, Prop: prop, Class: aClass}
 	pb := Port{Owner: bb, Index: len(nb.Ports), Peer: a, Rate: rate, Prop: prop, Class: bClass}
 	pa.PeerPort = pb.Index

@@ -19,16 +19,16 @@ func TestLeafSpineShape(t *testing.T) {
 		case n.Kind == SwitchNode && n.Layer == LayerCore:
 			spines++
 			if len(n.Ports) != 10 {
-				t.Fatalf("spine %s has %d ports, want 10", n.Name, len(n.Ports))
+				t.Fatalf("spine %s has %d ports, want 10", n.Name(), len(n.Ports))
 			}
 		case n.Kind == SwitchNode && n.Layer == LayerToR:
 			tors++
 			if len(n.Ports) != 20 {
-				t.Fatalf("tor %s has %d ports, want 20 (4 up + 16 down)", n.Name, len(n.Ports))
+				t.Fatalf("tor %s has %d ports, want 20 (4 up + 16 down)", n.Name(), len(n.Ports))
 			}
 		case n.Kind == HostNode:
 			if len(n.Ports) != 1 {
-				t.Fatalf("host %s has %d ports", n.Name, len(n.Ports))
+				t.Fatalf("host %s has %d ports", n.Name(), len(n.Ports))
 			}
 		}
 	}
@@ -46,14 +46,14 @@ func TestPortSymmetry(t *testing.T) {
 		for _, n := range tp.Nodes {
 			for i, p := range n.Ports {
 				if p.Owner != n.ID || p.Index != i {
-					t.Fatalf("%s port %d: bad owner/index", n.Name, i)
+					t.Fatalf("%s port %d: bad owner/index", n.Name(), i)
 				}
 				back := tp.Node(p.Peer).Ports[p.PeerPort]
 				if back.Peer != n.ID || back.PeerPort != i {
-					t.Fatalf("%s port %d: asymmetric reverse port", n.Name, i)
+					t.Fatalf("%s port %d: asymmetric reverse port", n.Name(), i)
 				}
 				if back.Rate != p.Rate || back.Prop != p.Prop {
-					t.Fatalf("%s port %d: rate/prop asymmetry", n.Name, i)
+					t.Fatalf("%s port %d: rate/prop asymmetry", n.Name(), i)
 				}
 			}
 		}
@@ -115,7 +115,7 @@ func TestRoutesLeafSpine(t *testing.T) {
 		}
 		ports := tp.NextPorts(n.ID, dst)
 		if len(ports) != 1 {
-			t.Fatalf("spine %s has %d routes to host", n.Name, len(ports))
+			t.Fatalf("spine %s has %d routes to host", n.Name(), len(ports))
 		}
 	}
 }
@@ -310,6 +310,33 @@ func TestPairHashDeterministicAndSpread(t *testing.T) {
 	for i, c := range buckets {
 		if c < 800 || c > 1250 {
 			t.Fatalf("pairHash bucket %d count %d far from uniform", i, c)
+		}
+	}
+}
+
+// TestBuildersSizePortsExactly pins the build-without-garbage contract:
+// every builder tells addNode each node's exact port count (connect
+// panics on one too many; spare capacity here is one too few), and
+// Name(), rendered on demand, still tells every node apart.
+func TestBuildersSizePortsExactly(t *testing.T) {
+	for name, tp := range map[string]*Topology{
+		"leafspine": DefaultLeafSpine().Build(),
+		"oversub":   LeafSpineConfig{Spines: 3, ToRs: 5, HostsPerToR: 7, HostRate: units.Gbps, SpineRate: units.Gbps, Prop: units.Nanosecond, Oversubscription: 4}.Build(),
+		"fattree":   DefaultFatTree().Build(),
+		"fattree16": FatTree16().Build(),
+		"clos":      DefaultClos().Build(),
+		"clos-odd":  ClosConfig{Pods: 3, AggsPerPod: 2, SpinesPerPlane: 5, ToRsPerPod: 3, HostsPerToR: 300, HostRate: units.Gbps, FabricRate: units.Gbps, Prop: units.Nanosecond}.Build(),
+		"testbed":   DefaultTestbed().Build(),
+	} {
+		names := make(map[string]bool, len(tp.Nodes))
+		for _, n := range tp.Nodes {
+			if cap(n.Ports) != len(n.Ports) {
+				t.Fatalf("%s: %s has %d ports in a list sized for %d", name, n.Name(), len(n.Ports), cap(n.Ports))
+			}
+			if names[n.Name()] {
+				t.Fatalf("%s: two nodes are named %s", name, n.Name())
+			}
+			names[n.Name()] = true
 		}
 	}
 }
