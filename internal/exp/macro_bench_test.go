@@ -31,11 +31,12 @@ import (
 // host sends one 30-40 MTU flow to a single victim at t=0 through
 // DCQCN+Floodgate — the paper's core stress, and the backlog regime
 // (hundreds of concurrent flows, tens of thousands of queued events)
-// where scheduler cost dominates.
+// where scheduler cost dominates. live-heap-bytes/run is what the
+// finished run retains (see liveHeap).
 func BenchmarkRunIncast(b *testing.B) {
 	o := Options{Scale: 0.25, Seed: 1}.norm()
 	b.ReportAllocs()
-	var simSec, events float64
+	var simSec, events, live float64
 	for i := 0; i < b.N; i++ {
 		tp := o.leafSpine()
 		specs := pureIncastSpecs(tp, o.Seed)
@@ -49,10 +50,28 @@ func BenchmarkRunIncast(b *testing.B) {
 		}
 		simSec += res.Net.Eng.Now().Seconds()
 		events += float64(res.Net.Eng.Processed)
+		live = liveHeap(b, res)
 	}
 	wall := b.Elapsed().Seconds()
 	b.ReportMetric(simSec/wall, "simsec/wallsec")
 	b.ReportMetric(events/wall, "events/s")
+	b.ReportMetric(live, "live-heap-bytes/run")
+}
+
+// liveHeap is what a run retains: the heap in use after a forced
+// collection, read while res (and through it the engines, devices and
+// collectors) is still referenced. HeapAlloc without the collection,
+// SnapshotMemStats included, counts garbage too, and an alloc-space
+// profile shows where bytes were allocated, not what stayed live. The
+// timer is stopped around the collection.
+func liveHeap(b *testing.B, res *RunResult) float64 {
+	b.StopTimer()
+	defer b.StartTimer()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	runtime.KeepAlive(res)
+	return float64(m.HeapAlloc)
 }
 
 // BenchmarkRunIncastSharded sweeps the shard count over the
@@ -311,12 +330,13 @@ func flowChurnConfig(o Options) (RunConfig, []workload.FlowSpec) {
 // BenchmarkFlowChurn iterates on the flow lifecycle (log, mint,
 // recycle, FlowDone) without a ledger run. Beside ns/op it reports what
 // one flow costs in allocated bytes and allocations over the whole run,
-// and how many Flow objects the run ever built — with recycling, the
-// peak of simultaneously live flows rather than the flow count.
+// how many Flow objects the run ever built — with recycling, the peak
+// of simultaneously live flows rather than the flow count — and what the
+// finished run retains (live-heap-bytes/run, see liveHeap).
 func BenchmarkFlowChurn(b *testing.B) {
 	o := Options{Scale: 0.1, Seed: 1}.norm()
 	rc, specs := flowChurnConfig(o)
-	var flows, objects float64
+	var flows, objects, live float64
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	for i := 0; i < b.N; i++ {
@@ -327,10 +347,12 @@ func BenchmarkFlowChurn(b *testing.B) {
 		}
 		flows += float64(res.Total)
 		objects += float64(res.Cluster.FlowObjects())
+		live = liveHeap(b, res)
 	}
 	runtime.ReadMemStats(&m1)
 	b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/flows, "B/flow")
 	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/flows, "allocs/flow")
 	b.ReportMetric(objects/float64(b.N), "flowobjs/run")
+	b.ReportMetric(live, "live-heap-bytes/run")
 	b.ReportMetric(flows/b.Elapsed().Seconds(), "flows/s")
 }

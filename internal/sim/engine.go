@@ -7,14 +7,14 @@
 // links, switches, hosts, protocols — is driven exclusively by events
 // scheduled here, so a run is a pure function of (configuration, seed).
 //
-// Performance: events are pooled and recycled (a simulation of tens of
-// millions of packets allocates only a high-water mark of events), and
-// the AtArg/AfterArg variants let hot paths schedule a pre-built
-// capture-free callback with a pointer argument, avoiding per-packet
-// closure allocation. The queue is a hierarchical timing wheel (see
-// wheel.go); SchedHeap widens its active bucket to all of time, which
-// degenerates it to the single global heap the tests cross-check the
-// wheel against.
+// Performance: events and the queue's storage are pooled and recycled
+// (a run of tens of millions of packets allocates only a high-water mark
+// of events and of queued entries), and the AtArg/AfterArg variants let
+// hot paths schedule a pre-built capture-free callback with a pointer
+// argument, avoiding per-packet closure allocation. The queue is a
+// hierarchical timing wheel (see wheel.go); SchedHeap widens its active
+// bucket to all of time, which degenerates it to the single global heap
+// the tests cross-check the wheel against.
 package sim
 
 import (
@@ -69,16 +69,18 @@ type Engine struct {
 	// base: a sub-bucket boundary within the granule, or all of time
 	// under SchedHeap, where every entry lands in cur and the other
 	// three stay empty.
-	near     int64
-	cur      []heapEnt
-	fine     [fineCount][]heapEnt
-	fineOcc  uint64 // bit k set: fine[k] may hold entries
-	fineCnt  int    // entries across fine
-	buckets  [][]heapEnt
-	base     units.Time // start of the active bucket's span
-	cursor   int        // ring index of the active bucket
-	wheelCnt int        // entries across buckets
-	overflow []heapEnt
+	near      int64
+	cur       []heapEnt
+	fine      [fineCount][]heapEnt
+	fineOcc   uint64 // bit k set: fine[k] may hold entries
+	fineCnt   int    // entries across fine
+	ring      []chain
+	chunks    []chunk    // ring storage; chunks[0] is the empty-chain sentinel
+	freeChunk int32      // head of the LIFO free list of chunks (0: empty)
+	base      units.Time // start of the active bucket's span
+	cursor    int        // ring index of the active bucket
+	wheelCnt  int        // entries across the ring
+	overflow  []heapEnt
 
 	events  []event
 	free    []int32
@@ -104,25 +106,10 @@ func NewEngineWith(s Scheduler) *Engine {
 	e := &Engine{near: math.MaxInt64}
 	if s == SchedWheel {
 		e.near = 0
-		e.buckets = make([][]heapEnt, wheelBucketCount)
-		// Seed every bucket with a capacity slice of one shared backing
-		// array: growing 1024 buckets from nil costs thousands of tiny
-		// reallocations per run, where one block costs one. The full
-		// slice expressions pin each bucket's capacity to its segment so
-		// an overflowing append reallocates only that bucket.
-		backing := make([]heapEnt, wheelBucketCount*bucketSeedCap)
-		for i := range e.buckets {
-			lo := i * bucketSeedCap
-			e.buckets[i] = backing[lo : lo : lo+bucketSeedCap]
-		}
+		e.ring, e.chunks = make([]chain, wheelBucketCount), []chunk{{n: chunkLen}}
 	}
 	return e
 }
-
-// bucketSeedCap is each bucket's initial capacity (entries). Capacity
-// also recirculates at runtime — draining a bucket swaps its slice
-// with the spent active-bucket heap — so reallocation settles quickly.
-const bucketSeedCap = 16
 
 // Now returns the current simulation time.
 func (e *Engine) Now() units.Time { return e.now }

@@ -77,8 +77,8 @@ func BenchmarkEngineReplay(b *testing.B) {
 	}
 }
 
-// replayBacklog is sim.backlog_hw on memcached_churn_dcqcn, the deepest
-// of the ledger's five workloads.
+// replayBacklog is sim.backlog_hw on incastmix_fg, the paper's §6 mix
+// (clos100k_incast_fg peaks at 2,766; memcached_churn_dcqcn at 955).
 const replayBacklog = 2725
 
 type replayEvent struct {

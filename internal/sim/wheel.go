@@ -21,9 +21,11 @@ import (
 //	           cut into 64 unsorted sub-buckets of 2^11 ps ≈ 2 ns;
 //	           fine[k] holds at in [base+k·2^11, base+(k+1)·2^11) for
 //	           every k at or beyond near. Occupancy is one uint64.
-//	buckets  — ring of unsorted slices; bucket (cursor+k)&mask holds
+//	ring     — 1024 unsorted buckets; bucket (cursor+k)&mask holds
 //	           entries with at in [base+k·gran, base+(k+1)·gran) for
 //	           k in [1, bucketCount). Insertion is an append: O(1).
+//	           A bucket is a chain of chunks on one LIFO free list, so
+//	           the ring retains the backlog, not each bucket's worst burst.
 //	overflow — 4-ary min-heap for entries at or beyond base+horizon
 //	           (RTOs, SYN retransmits, progress watchdogs), so far
 //	           timers never inflate the near-horizon structures.
@@ -103,11 +105,51 @@ func (e *Engine) insertWheel(ent heapEnt) {
 	case d < int64(wheelGran):
 		e.fileFine(ent, d)
 	case d < int64(wheelHorizon):
-		idx := (e.cursor + int(d>>wheelGranShift)) & wheelMask
-		e.buckets[idx] = append(e.buckets[idx], ent)
+		c := &e.ring[(e.cursor+int(d>>wheelGranShift))&wheelMask]
+		t := &e.chunks[c.tail]
+		if t.n == chunkLen {
+			t = e.extend(c)
+		}
+		t.ents[t.n] = ent
+		t.n++
 		e.wheelCnt++
 	default:
 		entPush(&e.overflow, ent)
+	}
+}
+
+// A ring bucket chains pointer-free chunks by slab index; chunk 0 reads
+// full (it is an empty chain's tail). Freed chunks go on a LIFO list.
+const chunkLen = 64 // entries per chunk: 64 × 24 B ≈ 1.5 KB
+
+type chunk struct {
+	ents    [chunkLen]heapEnt
+	next, n int32
+}
+
+type chain struct{ head, tail int32 }
+
+// extend links the free list's top chunk, or a new one, onto c.
+func (e *Engine) extend(c *chain) *chunk {
+	k := e.freeChunk
+	if k == 0 {
+		e.chunks = append(e.chunks, chunk{})
+		k = int32(len(e.chunks) - 1)
+	} else {
+		e.freeChunk, e.chunks[k].next, e.chunks[k].n = e.chunks[k].next, 0, 0
+	}
+	e.chunks[c.tail].next, c.tail = k, k // chunk 0's next is never read
+	if c.head == 0 {
+		c.head = k
+	}
+	return &e.chunks[k]
+}
+
+// freeChain splices c's chunks onto the free list and empties c.
+func (e *Engine) freeChain(c *chain) {
+	if c.head != 0 {
+		e.chunks[c.tail].next, e.freeChunk = e.freeChunk, c.head
+		*c = chain{}
 	}
 }
 
@@ -164,12 +206,15 @@ func (e *Engine) advanceBucket() {
 	e.base = e.base.Add(wheelGran)
 	e.near = 0
 	e.migrateOverflow()
-	b, base := e.buckets[e.cursor], int64(e.base)
-	for _, ent := range b {
-		e.fileFine(ent, int64(ent.at)-base)
+	c, base := &e.ring[e.cursor], int64(e.base)
+	for k := c.head; k != 0; k = e.chunks[k].next {
+		t := &e.chunks[k]
+		for _, ent := range t.ents[:t.n] {
+			e.fileFine(ent, int64(ent.at)-base)
+		}
+		e.wheelCnt -= int(t.n)
 	}
-	e.wheelCnt -= len(b)
-	e.buckets[e.cursor] = b[:0]
+	e.freeChain(c)
 }
 
 // jumpToOverflow handles the idle-wheel case: cur, the rung and every
@@ -210,13 +255,31 @@ func (e *Engine) compactWheel() {
 		e.fine[k] = e.filterLive(e.fine[k])
 		e.fineCnt += len(e.fine[k])
 	}
+	// Pack each bucket's survivors toward its head in order (the write
+	// point w, n trails the read) and free the chunks past w.
 	e.wheelCnt = 0
-	for i := range e.buckets {
-		if len(e.buckets[i]) == 0 {
+	for i := range e.ring {
+		c := &e.ring[i]
+		if c.head == 0 {
 			continue
 		}
-		e.buckets[i] = e.filterLive(e.buckets[i])
-		e.wheelCnt += len(e.buckets[i])
+		w, n := c.head, int32(0)
+		for r := c.head; r != 0; r = e.chunks[r].next {
+			t := &e.chunks[r]
+			for _, ent := range t.ents[:t.n] {
+				if e.events[ent.slot].gen == ent.gen {
+					if n == chunkLen {
+						w, n = e.chunks[w].next, 0
+					}
+					e.chunks[w].ents[n] = ent
+					n++
+					e.wheelCnt++
+				}
+			}
+		}
+		rest := chain{e.chunks[w].next, c.tail}
+		e.chunks[w].next, e.chunks[w].n, c.tail = 0, n, w
+		e.freeChain(&rest)
 	}
 	e.entCnt = len(e.cur) + e.fineCnt + e.wheelCnt + len(e.overflow)
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"floodgate/internal/units"
@@ -130,7 +131,9 @@ func TestCancelFiredHandle(t *testing.T) {
 // included), the near ring and the overflow heap; same-timestamp events
 // across the whole priority ladder, scheduled out of priority order;
 // random cancels plus cancel storms big enough to trigger compaction
-// mid-run, with the rung populated; gaps that drain everything but far
+// mid-run, with the rung populated and with a burst that makes one ring
+// bucket span several chunks; ring chunks taken back from the free list
+// after the ring has wrapped; gaps that drain everything but far
 // timers, so the wheel jumps; and both drivers — one RunAll, and the
 // sharded executor's NextAt → Run(window end) stepping with
 // barrier-time injections (which land behind base after a jump), where
@@ -141,7 +144,20 @@ func TestCrossSchedulerIdenticalOrder(t *testing.T) {
 		id int // event id; -1 marks a barrier's NextAt reading
 	}
 	// What a run exercised, so the test fails if a path goes uncovered.
-	type coverage struct{ compactions, fineCompactions, behindBase int }
+	type coverage struct {
+		compactions, fineCompactions, behindBase int
+		multiChunk, chunkCompactions, reuses     int
+	}
+	// spans reports whether some ring bucket is a chain of two or more
+	// chunks (never under SchedHeap, whose ring stays empty).
+	spans := func(e *Engine) bool {
+		for _, c := range e.ring {
+			if c.head != c.tail {
+				return true
+			}
+		}
+		return false
+	}
 	pris := []uint32{PriFault, PriStart, PriWireBase, PriWireBase + 7, PriWireBase + 300, PriTimer}
 	// window > 0 steps the engine the way exp.runWindows does.
 	run := func(s Scheduler, seed uint64, window units.Duration) (log []fire, cov coverage) {
@@ -172,10 +188,16 @@ func TestCrossSchedulerIdenticalOrder(t *testing.T) {
 		var churn func(any)
 		churn = func(any) {
 			tick++
-			// A batch at mixed horizons on the default priority.
+			// A batch at mixed horizons on the default priority. Inserts
+			// alone never free a chunk, so a moved free-list head is a
+			// chunk taken back for reuse.
+			free := e.freeChunk
 			for i := 0; i < 4; i++ {
 				handles = append(handles, e.AfterArg(delay(), record, id))
 				id++
+			}
+			if free != 0 && e.freeChunk != free && e.base >= units.Time(wheelHorizon) {
+				cov.reuses++
 			}
 			// A same-timestamp clash across the priority ladder, in
 			// random (not priority) schedule order; repeats of one
@@ -190,11 +212,22 @@ func TestCrossSchedulerIdenticalOrder(t *testing.T) {
 			}
 			// Cancel storm: dead entries outnumber live ones across all
 			// the structures, so compaction runs with events in flight.
+			// A third of the storm bursts into one ring bucket, a chain
+			// of three chunks that compaction must pack and trim.
 			if tick%50 == 0 {
 				storm := make([]Handle, 8*minCompactLen)
+				burst := e.Now().Add(wheelGran * units.Duration(2+r.Intn(wheelBucketCount-3)))
 				for i := range storm {
-					storm[i] = e.AfterArg(delay(), record, id)
+					if i%3 == 1 {
+						storm[i] = e.AtArg(burst.Add(units.Duration(r.Intn(1000))), record, id)
+					} else {
+						storm[i] = e.AfterArg(delay(), record, id)
+					}
 					id++
+				}
+				multi := spans(e)
+				if multi {
+					cov.multiChunk++
 				}
 				for i, h := range storm {
 					if i%8 != 0 {
@@ -204,6 +237,9 @@ func TestCrossSchedulerIdenticalOrder(t *testing.T) {
 							cov.compactions++
 							if before.FineLen > 0 {
 								cov.fineCompactions++
+							}
+							if multi {
+								cov.chunkCompactions++
 							}
 						}
 					}
@@ -251,6 +287,9 @@ func TestCrossSchedulerIdenticalOrder(t *testing.T) {
 			if wc.compactions == 0 || hc.compactions == 0 || wc.fineCompactions == 0 {
 				t.Fatalf("window %v seed %d: cancel storms never compacted, or never with the rung populated (wheel %+v, heap %+v)", window, seed, wc, hc)
 			}
+			if wc.multiChunk == 0 || wc.chunkCompactions == 0 || wc.reuses == 0 {
+				t.Fatalf("window %v seed %d: no multi-chunk bucket, no compaction sweeping one, or no chunk reused after a wrap (wheel %+v)", window, seed, wc)
+			}
 			if window > 0 && wc.behindBase == 0 {
 				t.Fatalf("window %v seed %d: no barrier injection landed behind the wheel base", window, seed)
 			}
@@ -264,6 +303,36 @@ func TestCrossSchedulerIdenticalOrder(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRingMemoryFollowsBacklog pins what the ring retains: its storage
+// follows the backlog, not ring size × each bucket's worst burst. The
+// replay engine holds the 2,725-entry backlog for 300 µs — more than two
+// rotations of the 134 µs ring, so every bucket has been filled and
+// drained at least twice. The engine retains ≈ 0.45 MB here (events,
+// entries and chunks together) and allocates ≈ 1 MB; buckets that keep
+// their largest burst read 21.7 / 47.6 MB.
+func TestRingMemoryFollowsBacklog(t *testing.T) {
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	e := newReplayEngine(SchedWheel, replayBacklog, 1)
+	e.Run(units.Time(300 * units.Microsecond))
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	if s := e.StatsSnapshot(); s.HeapLen != replayBacklog {
+		t.Fatalf("replay did not hold its %d-entry backlog: %+v", replayBacklog, s)
+	}
+	runtime.KeepAlive(e)
+	retained := int64(m1.HeapAlloc) - int64(m0.HeapAlloc)
+	allocated := m1.TotalAlloc - m0.TotalAlloc
+	t.Logf("retained %d B, allocated %d B over %d events", retained, allocated, e.Processed)
+	if retained > 1<<20 {
+		t.Errorf("engine retains %d B after a forced GC, want <= 1 MiB", retained)
+	}
+	if allocated > 2<<20 {
+		t.Errorf("engine allocated %d B, want <= 2 MiB", allocated)
 	}
 }
 

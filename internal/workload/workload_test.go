@@ -305,3 +305,25 @@ func TestGeneratorsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestPoissonAllocatesOnce pins the reserved result: on the ledger's
+// memcached_churn_dcqcn configuration (Memcached at load 0.8 over the
+// paper's 160 hosts for 150 µs, ≈ 490,000 flows) Poisson makes one
+// allocation for its receiver list and one for its result. Grown by
+// append it made 37 and allocated five times what it returned.
+func TestPoissonAllocatesOnce(t *testing.T) {
+	tp := topo.DefaultLeafSpine().Build()
+	cfg := PoissonConfig{
+		CDF: Memcached, Load: 0.8,
+		Hosts: tp.Hosts, HostRate: tp.Node(tp.Hosts[0]).Ports[0].Rate,
+		Until: 150 * units.Microsecond,
+	}
+	var n int
+	allocs := testing.AllocsPerRun(1, func() { n = len(Poisson(cfg, sim.NewRand(1))) })
+	if n < 100_000 {
+		t.Fatalf("churn configuration generated only %d flows", n)
+	}
+	if allocs > 2 {
+		t.Fatalf("Poisson made %.0f allocations for %d flows, want <= 2", allocs, n)
+	}
+}
