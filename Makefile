@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt test race vet lint lint-fix-baseline bench bench-test profile loc ci
+.PHONY: build fmt test race vet lint bench bench-test profile loc ci
 
 build:
 	$(GO) build ./...
@@ -31,17 +31,10 @@ vet:
 
 # Static analysis: go vet plus floodlint, the in-tree analyzer suite
 # that enforces the determinism, pooling, units, shard-safety and
-# event-ordering invariants (see DESIGN.md §7). Writes floodlint.sarif
-# for CI annotation; exit is nonzero on any finding not grandfathered
-# in .floodlint.baseline.json.
+# event-ordering invariants (see DESIGN.md §7). Exit is nonzero on any
+# finding; //lint:allow <rule> <reason> is the one suppression.
 lint: vet
-	$(GO) run ./cmd/floodlint -sarif floodlint.sarif ./...
-
-# Regenerate the lint baseline: the current findings become the
-# grandfathered set. Review the diff before committing — a shrinking
-# baseline is progress, a growing one is debt that needs a reason.
-lint-fix-baseline:
-	$(GO) run ./cmd/floodlint -write-baseline ./...
+	$(GO) run ./cmd/floodlint ./...
 
 # The performance ledger (bench/README.md): every BENCHMARK.json
 # workload with the setup/run split and the per-layer rungs. This is the

@@ -18,16 +18,17 @@
 //   - Devices: NewNetwork exposes the raw simulator (switches, hosts,
 //     flows) for custom studies.
 //
+// The facade re-exports what the examples, the CLI and the README use;
+// everything else stays in the internal packages it comes from.
+//
 // Everything is deterministic given (configuration, seed).
 package floodgate
 
 import (
-	"floodgate/internal/app"
 	"floodgate/internal/core"
 	"floodgate/internal/device"
 	"floodgate/internal/exp"
 	"floodgate/internal/fault"
-	"floodgate/internal/metrics"
 	"floodgate/internal/packet"
 	"floodgate/internal/sim"
 	"floodgate/internal/stats"
@@ -37,11 +38,8 @@ import (
 	"floodgate/internal/workload"
 )
 
-// NodeID identifies a host or switch; FlowID one transfer.
-type (
-	NodeID = packet.NodeID
-	FlowID = packet.FlowID
-)
+// NodeID identifies a host or switch.
+type NodeID = packet.NodeID
 
 // ---- Units ----
 
@@ -58,13 +56,13 @@ const (
 	Nanosecond  = units.Nanosecond
 	Microsecond = units.Microsecond
 	Millisecond = units.Millisecond
-	Second      = units.Second
-	Kbps        = units.Kbps
-	Mbps        = units.Mbps
 	Gbps        = units.Gbps
 	KB          = units.KB
-	MB          = units.MB
 )
+
+// FromNanos converts a nanosecond count (e.g. time.Duration's
+// Nanoseconds) to a simulation Duration.
+var FromNanos = units.FromNanos
 
 // ---- Experiments (the paper's evaluation) ----
 
@@ -99,22 +97,21 @@ func RunExperiments(ids []string, o Options, emit func(id string, tables []Table
 	exp.RunExperiments(ids, o, emit)
 }
 
+// ObsConfig (Options.Obs) switches on per-run metrics sampling and
+// timeline export: NDJSON/CSV time series of engine, device and
+// Floodgate instruments plus a Chrome trace_event JSON that loads in
+// Perfetto. Enabling it never changes a run's tables, and output files
+// are byte-identical at any Options.Parallelism (see DESIGN.md §8).
+type ObsConfig = exp.ObsConfig
+
 // ---- Scenarios ----
 
 // Scheme is a transport/flow-control combination.
 type Scheme = exp.Scheme
 
-// Scheme constructors (the paper's §6 comparisons plus the §8/§2.3
-// extensions DCTCP and Swift).
-var (
-	DCQCN  = exp.DCQCN
-	DCTCP  = exp.DCTCP
-	TIMELY = exp.TIMELY
-	HPCC   = exp.HPCC
-	SWIFT  = exp.SWIFT
-	NDP    = exp.NDP
-	BFC    = exp.BFC
-)
+// DCQCN is the paper's baseline scheme; the other congestion controls
+// are reached through experiments.
+var DCQCN = exp.DCQCN
 
 // WithFloodgate layers the practical Floodgate design over a scheme.
 func WithFloodgate(o Options, s Scheme, baseBDP ByteSize) Scheme {
@@ -125,9 +122,6 @@ func WithFloodgate(o Options, s Scheme, baseBDP ByteSize) Scheme {
 func WithIdeal(o Options, s Scheme, baseBDP ByteSize) Scheme {
 	return exp.WithIdeal(o, s, baseBDP)
 }
-
-// WithPFCTag layers the reactive PFC-with-tag derivative over a scheme.
-func WithPFCTag(s Scheme, oneHopBDP ByteSize) Scheme { return exp.WithPFCTag(s, oneHopBDP) }
 
 // FloodgateConfig is the switch-module configuration (§4 parameters).
 type FloodgateConfig = core.Config
@@ -173,18 +167,8 @@ func RunMany(rcs []RunConfig) []*RunResult { return exp.RunMany(rcs) }
 // switch-restart events plus optional Gilbert–Elliott burst loss.
 // Same plan + same seed = bit-identical runs at any parallelism.
 type (
-	FaultPlan      = fault.Plan
-	FaultEvent     = fault.Event
-	FaultLink      = fault.Link
-	FaultKind      = fault.Kind
-	GilbertElliott = fault.GilbertElliott
-)
-
-// Fault event kinds.
-const (
-	FaultLinkDown      = fault.LinkDown
-	FaultLinkUp        = fault.LinkUp
-	FaultSwitchRestart = fault.SwitchRestart
+	FaultPlan = fault.Plan
+	FaultLink = fault.Link
 )
 
 // FaultFlap builds the event sequence for a repeatedly flapping link;
@@ -194,12 +178,10 @@ var (
 	BurstWithMeanLoss = fault.BurstWithMeanLoss
 )
 
-// FaultStats summarizes a run's fault-plane activity
-// (Network.FaultStats); StallDiagnosis explains a tripped progress
-// watchdog (RunResult.Diagnosis); RunError is the structured panic the
-// executor recovers at the run boundary.
+// StallDiagnosis explains a tripped progress watchdog
+// (RunResult.Diagnosis); RunError is the structured panic the executor
+// recovers at the run boundary.
 type (
-	FaultStats     = device.FaultStats
 	StallDiagnosis = exp.StallDiagnosis
 	RunError       = exp.RunError
 )
@@ -214,33 +196,19 @@ func RunFaultScenario(name string, o Options) ([]Table, error) {
 	return exp.RunFaultScenario(name, o)
 }
 
-// RecoveredPanics reports how many experiment runs panicked and were
-// isolated into errors by the parallel executor.
-var RecoveredPanics = exp.RecoveredPanics
-
 // ---- Topologies ----
 
-// Topology is an immutable fabric with routing; Port classes follow
-// the paper's reporting buckets (ToR-Up, Core, ToR-Down, ...).
+// Topology is an immutable fabric with routing; TestbedConfig builds
+// the paper's small testbed-shaped fabrics.
 type (
-	Topology        = topo.Topology
-	LeafSpineConfig = topo.LeafSpineConfig
-	FatTreeConfig   = topo.FatTreeConfig
-	TestbedConfig   = topo.TestbedConfig
-	ClosConfig      = topo.ClosConfig
-	PortClass       = topo.PortClass
+	Topology      = topo.Topology
+	TestbedConfig = topo.TestbedConfig
 )
 
-// Paper topologies, plus the large-fabric presets the structural
-// router makes affordable (FatTree16/32, the multi-pod Clos family).
+// Paper topologies.
 var (
 	DefaultLeafSpine = topo.DefaultLeafSpine
 	DefaultFatTree   = topo.DefaultFatTree
-	DefaultTestbed   = topo.DefaultTestbed
-	DefaultClos      = topo.DefaultClos
-	Clos100k         = topo.Clos100k
-	FatTree16        = topo.FatTree16
-	FatTree32        = topo.FatTree32
 )
 
 // TopoPresets lists the -topo preset names with one-line descriptions,
@@ -248,13 +216,11 @@ var (
 // Options.Topo).
 var TopoPresets = exp.TopoPresets
 
-// Port classes for per-hop statistics.
+// Port classes for per-hop statistics (the paper's reporting buckets).
 const (
 	ClassToRUp   = topo.ClassToRUp
 	ClassToRDown = topo.ClassToRDown
 	ClassCore    = topo.ClassCore
-	ClassAggUp   = topo.ClassAggUp
-	ClassAggDown = topo.ClassAggDown
 )
 
 // ---- Workloads ----
@@ -270,9 +236,6 @@ type (
 // The paper's four Fig 7 workloads.
 var (
 	Memcached = workload.Memcached
-	WebServer = workload.WebServer
-	Hadoop    = workload.Hadoop
-	WebSearch = workload.WebSearch
 	Workloads = workload.Workloads
 )
 
@@ -280,48 +243,15 @@ var (
 var (
 	Poisson          = workload.Poisson
 	Incast           = workload.Incast
-	SuccessiveIncast = workload.SuccessiveIncast
 	MergeSpecs       = workload.Merge
 	CrossRackSenders = workload.CrossRackSenders
 )
 
-// Flow files: stream FlowSpecs from NDJSON (one integer-valued JSON
-// object per line, sorted by start_ps) instead of materializing them;
-// WriteFlowSpecs freezes a generated workload to the same format
-// byte-stably. Wire a reader into a run via RunConfig.Source.
-type (
-	SpecSource = workload.SpecSource
-	SpecReader = workload.SpecReader
-)
-
-var (
-	OpenSpecFile   = workload.OpenSpecFile
-	NewSpecReader  = workload.NewSpecReader
-	WriteFlowSpecs = workload.WriteSpecs
-)
-
-// RunFlowFile replays an NDJSON flow file against DCQCN and
+// RunFlowFile replays an NDJSON flow file (one integer-valued JSON
+// object per line, sorted by start_ps) against DCQCN and
 // DCQCN+Floodgate and reports per-scheme FCT and goodput
 // (floodsim -flows-from).
 func RunFlowFile(path string, o Options) ([]Table, error) { return exp.RunFlowFile(path, o) }
-
-// ---- Application plane (closed loop) ----
-
-// The app plane (RunConfig.App) issues partition-aggregate requests
-// with deadlines over the simulated fabric: timeouts retry under a
-// pluggable policy, hedges race slow attempts, budgets and circuit
-// breakers bound the retry storm, and RunResult.SLO scores what the
-// application saw. The "sloincast" experiment is its standard harness.
-type (
-	AppConfig   = app.Config
-	AppBreaker  = app.Breaker
-	RetryPolicy = app.RetryPolicy
-	FixedRetry  = app.FixedRetry
-	ExpBackoff  = app.ExpBackoff
-	Hedged      = app.Hedged
-	AppRecord   = app.Record
-	SLO         = app.SLO
-)
 
 // NewRand returns the deterministic random source used throughout.
 func NewRand(seed uint64) *sim.Rand { return sim.NewRand(seed) }
@@ -329,11 +259,10 @@ func NewRand(seed uint64) *sim.Rand { return sim.NewRand(seed) }
 // ---- Raw devices ----
 
 // NetworkConfig configures the raw simulator; Network is the wired
-// fabric; Flow one transfer.
+// fabric.
 type (
 	NetworkConfig = device.Config
 	Network       = device.Network
-	Flow          = device.Flow
 )
 
 // NewNetwork wires a network from the config (Topo and Engine are
@@ -349,13 +278,8 @@ func NewFloodgate(cfg FloodgateConfig) device.FCFactory { return core.New(cfg) }
 
 // ---- Statistics ----
 
-// Collector accumulates a run's measurements; Category tags flows for
-// the victim analysis.
-type (
-	Collector = stats.Collector
-	Category  = stats.Category
-	FCTSample = stats.FCTSample
-)
+// Category tags flows for the victim analysis.
+type Category = stats.Category
 
 // Flow categories.
 const (
@@ -364,89 +288,26 @@ const (
 	CatVictimPFC    = stats.CatVictimPFC
 )
 
-// NewCollector returns a collector with the given time-series bin.
-func NewCollector(bin Duration) *Collector { return stats.NewCollector(bin) }
-
 // FCTStats reduces samples to (average, p99).
 var FCTStats = stats.FCTStats
 
 // ---- Tracing ----
 
 // TraceBuffer is the simulator's flight recorder; TraceFilter selects
-// what it retains; TraceEvent is one lifecycle point.
+// what it retains; TraceOp names a lifecycle point.
 type (
 	TraceBuffer = trace.Buffer
 	TraceFilter = trace.Filter
-	TraceEvent  = trace.Event
 	TraceOp     = trace.Op
 )
 
 // Trace lifecycle points.
 const (
-	TraceSend    = trace.OpSend
-	TraceEnqueue = trace.OpEnqueue
-	TracePark    = trace.OpPark
-	TraceTx      = trace.OpTx
-	TraceDeliver = trace.OpDeliver
-	TraceDrop    = trace.OpDrop
-	TraceCredit  = trace.OpCredit
-	TracePause   = trace.OpPause
-	TraceResume  = trace.OpResume
-	TraceRetx    = trace.OpRetx
-	TraceRTO     = trace.OpRTO
+	TracePark   = trace.OpPark
+	TraceDrop   = trace.OpDrop
+	TraceCredit = trace.OpCredit
 )
 
 // NewTraceBuffer returns a ring retaining the newest `capacity`
-// matching events; attach it via NetworkConfig.Trace or RunConfig via
-// the raw API.
+// matching events; attach it via NetworkConfig.Trace.
 func NewTraceBuffer(capacity int, f TraceFilter) *TraceBuffer { return trace.NewBuffer(capacity, f) }
-
-// ---- Observability ----
-
-// ObsConfig (Options.Obs / NewNetwork + MetricsRegistry) switches on
-// per-run metrics sampling and timeline export: NDJSON/CSV time series
-// of engine, device and Floodgate instruments plus a Chrome
-// trace_event JSON that loads in Perfetto. Enabling it never changes a
-// run's tables, and output files are byte-identical at any
-// Options.Parallelism (see DESIGN.md §8).
-type ObsConfig = exp.ObsConfig
-
-// Metrics instruments for custom studies over the raw device API:
-// register on a MetricsRegistry, attach the bundle via
-// NetworkConfig.Metrics, sample with MetricsSampler.
-type (
-	MetricsRegistry  = metrics.Registry
-	MetricsSampler   = metrics.Sampler
-	MetricsCounter   = metrics.Counter
-	MetricsGauge     = metrics.Gauge
-	MetricsHistogram = metrics.Histogram
-	NetMetrics       = device.NetMetrics
-	ObsManifest      = metrics.Manifest
-)
-
-// NewMetricsRegistry returns an empty instrument registry.
-func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
-
-// NewNetMetrics registers the device/Floodgate instrument bundle.
-func NewNetMetrics(r *MetricsRegistry) NetMetrics { return device.NewNetMetrics(r) }
-
-// NewMetricsSampler snapshots every registered instrument on a fixed
-// simulation-clock period; call Start after registration is complete.
-func NewMetricsSampler(eng *sim.Engine, r *MetricsRegistry, period Duration) *MetricsSampler {
-	return metrics.NewSampler(eng, r, period)
-}
-
-// WriteChromeTrace renders trace events in Chrome trace_event JSON
-// (open in Perfetto or chrome://tracing).
-var WriteChromeTrace = metrics.WriteChromeTrace
-
-// WriteObsManifest writes an experiment's observability manifest
-// (run parameters + table content hash) and returns its path.
-var WriteObsManifest = exp.WriteObsManifest
-
-// TablesHash folds rendered tables into the manifest's content hash.
-var TablesHash = exp.TablesHash
-
-// FromNanos converts a nanosecond count (e.g. time.Duration's
-// Nanoseconds) to a simulation Duration.
-var FromNanos = units.FromNanos

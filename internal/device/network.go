@@ -170,8 +170,8 @@ type Network struct {
 	nextID uint64
 
 	// dirBase[id] is the number of directed ports owned by nodes with
-	// smaller IDs: wire delivery priorities are PriWireBase + dirBase
-	// [owner] + port index, giving every directed link a globally
+	// smaller IDs: wire delivery priorities are sim.WirePri(dirBase
+	// [owner] + port index), giving every directed link a globally
 	// unique same-timestamp priority (partition-invariant ordering).
 	dirBase []uint32
 
@@ -324,8 +324,8 @@ func (n *Network) Owns(id packet.NodeID) bool {
 }
 
 // wirePri is the engine priority of the directed link (owner, port).
-func (n *Network) wirePri(owner packet.NodeID, port int) uint32 {
-	return sim.PriWireBase + n.dirBase[owner] + uint32(port)
+func (n *Network) wirePri(owner packet.NodeID, port int) sim.Pri {
+	return sim.WirePri(n.dirBase[owner] + uint32(port))
 }
 
 // wireOf returns the in-flight chain of port `port` of switch owner,

@@ -4,6 +4,7 @@ package device
 
 import (
 	"floodgate/internal/packet"
+	"floodgate/internal/sim"
 	"floodgate/internal/units"
 )
 
@@ -23,11 +24,11 @@ type wire struct {
 	peer     packet.NodeID
 	peerPort int
 
-	// pri is the link's engine priority (PriWireBase + global directed-
-	// port index): every directed link delivers under its own same-
-	// timestamp priority, so equal-time deliveries on different links
-	// order identically at any shard count.
-	pri uint32
+	// pri is the link's engine priority (sim.WirePri of its global
+	// directed-port index): every directed link delivers under its own
+	// same-timestamp priority, so equal-time deliveries on different
+	// links order identically at any shard count.
+	pri sim.Pri
 
 	// staged, when non-nil, marks the peer as living on another shard:
 	// pushes divert into the cross-shard mailbox instead of arming a
@@ -44,7 +45,7 @@ type wireEnt struct {
 	p  *packet.Packet
 }
 
-func (w *wire) init(n *Network, peer packet.NodeID, peerPort int, pri uint32) {
+func (w *wire) init(n *Network, peer packet.NodeID, peerPort int, pri sim.Pri) {
 	w.net = n
 	w.peer = peer
 	w.peerPort = peerPort

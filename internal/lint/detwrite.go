@@ -82,9 +82,9 @@ func sinkFunc(c *Ctx, call *ast.CallExpr) *types.Func {
 		return nil
 	}
 	switch fn.Pkg().Path() {
-	case c.Cfg.StatsPath, c.Cfg.MetricsPath:
+	case c.Cfg.path("stats"), c.Cfg.path("metrics"):
 		return fn
-	case c.Cfg.ExpPath:
+	case c.Cfg.path("exp"):
 		if recvNamed(fn) == "Table" {
 			return fn
 		}

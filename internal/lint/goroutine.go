@@ -14,6 +14,9 @@ import "go/ast"
 // rather than waiting for the race detector to catch a schedule that
 // exhibits it.
 func checkGoroutine(c *Ctx) {
+	if inScope(c.Cfg.Executor, c.Pkg.Path) {
+		return
+	}
 	for _, f := range c.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {

@@ -25,7 +25,7 @@ func checkHotpath(c *Ctx) {
 				return true
 			}
 			fn := callee(c.Pkg.Info, call)
-			if !isPkgFunc(fn, c.Cfg.SimPath, "After", "At", "AfterArg", "AtArg") || recvNamed(fn) != "Engine" {
+			if !isPkgFunc(fn, c.Cfg.path("sim"), "After", "At", "AfterArg", "AtArg") || recvNamed(fn) != "Engine" {
 				return true
 			}
 			lit, ok := call.Args[1].(*ast.FuncLit)

@@ -22,41 +22,22 @@ import (
 	"go/types"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
 
-// Config scopes each rule family to package paths. Scope entries are
-// exact import paths, "prefix/..." subtrees, or "..." for every
-// package handed to Run.
+// Config holds what varies between the production tree and the test
+// fixtures. Every rule not scoped here runs on every package.
 type Config struct {
 	ModulePath string
 
-	// Determinism scopes walltime / mathrand / envread / multiselect.
-	Determinism []string
-	// MapRange scopes the map-iteration-order rule; HostMapRange the
-	// stricter per-host variant (fabric-sized maps feeding sinks).
-	MapRange     []string
-	HostMapRange []string
-	// Pool scopes the packet-pool rules (direct allocation and leaks).
+	// Pool lists the packages held to the packet-pool rules, or "...".
 	Pool []string
-	// Units scopes the units-mixing rule; UnitsPath is always exempt.
-	Units []string
-	// RecoverAllowed lists the packages permitted to call recover():
-	// panic isolation belongs at the experiment executor's run boundary
-	// and nowhere else.
-	RecoverAllowed []string
-	// GoAllowed lists the packages permitted to start goroutines: the
-	// deterministic layers are single-goroutine by contract, and only
-	// the exp executor (worker pool, shard barriers) may fan out.
-	GoAllowed []string
-
-	// ShardSafety scopes the cross-shard aliasing rule, Ordering the
-	// same-timestamp priority rule, DetWrite the nondeterministic-write
-	// taint rule.
-	ShardSafety []string
-	Ordering    []string
-	DetWrite    []string
+	// Executor lists the packages permitted to call recover() and start
+	// goroutines: panic isolation and fan-out belong to the experiment
+	// executor, and the deterministic layers are single-goroutine.
+	Executor []string
 
 	// SharedImmutable lists named types ("import/path.Type") that are
 	// immutable after construction and therefore safe to alias across
@@ -64,68 +45,35 @@ type Config struct {
 	// machine-checkable. Pointer indirection is unwrapped before the
 	// match.
 	SharedImmutable []string
-
-	// Canonical packages the rules key their type checks on.
-	UnitsPath   string // units.Time/ByteSize/BitRate live here
-	SimPath     string // sim.Engine (hot-path scheduling rule, Pri* ladder)
-	PacketPath  string // packet.NewData/NewCtrl (pool rule)
-	DevicePath  string // device.Network pool methods, shard Networks
-	StatsPath   string // stats.Collector (detwrite sink)
-	MetricsPath string // metrics instruments and exporters (detwrite sink)
-	ExpPath     string // exp.Table (detwrite sink)
 }
 
-// DefaultConfig returns the production scoping for the given module.
+// DefaultConfig returns the production configuration for the module.
 func DefaultConfig(module string) *Config {
-	return &Config{
-		ModulePath:   module,
-		Determinism:  []string{"..."},
-		MapRange:     []string{"..."},
-		HostMapRange: []string{"..."},
-		Pool: []string{
-			module + "/internal/device",
-			module + "/internal/core",
-			module + "/internal/bfc",
-			module + "/internal/pfctag",
-		},
-		Units:          []string{"..."},
-		RecoverAllowed: []string{module + "/internal/exp"},
-		GoAllowed:      []string{module + "/internal/exp"},
-		ShardSafety:    []string{"..."},
-		Ordering:       []string{"..."},
-		DetWrite:       []string{"..."},
-		SharedImmutable: []string{
-			// Immutable after Build()/construction by audited contract
-			// (see the shared-state audit in exp/parallel.go).
-			module + "/internal/topo.Topology",
-			module + "/internal/fault.Plan",
-			module + "/internal/workload.CDF",
-			// The app-plane dispatch table is sealed by app.Build before
-			// any shard runs; Planes only read it.
-			module + "/internal/app.Dispatch",
-		},
-		UnitsPath:   module + "/internal/units",
-		SimPath:     module + "/internal/sim",
-		PacketPath:  module + "/internal/packet",
-		DevicePath:  module + "/internal/device",
-		StatsPath:   module + "/internal/stats",
-		MetricsPath: module + "/internal/metrics",
-		ExpPath:     module + "/internal/exp",
+	cfg := &Config{ModulePath: module}
+	cfg.Pool = []string{cfg.path("device"), cfg.path("core"), cfg.path("bfc"), cfg.path("pfctag")}
+	cfg.Executor = []string{cfg.path("exp")}
+	cfg.SharedImmutable = []string{
+		// Immutable after Build()/construction by audited contract
+		// (see the shared-state audit in exp/parallel.go).
+		cfg.path("topo") + ".Topology",
+		cfg.path("fault") + ".Plan",
+		cfg.path("workload") + ".CDF",
+		// The app-plane dispatch table is sealed by app.Build before
+		// any shard runs; Planes only read it.
+		cfg.path("app") + ".Dispatch",
 	}
+	return cfg
 }
 
+// path is the import path of the module's internal package name: the
+// packages whose types the rules key on (sim.Engine, packet.Packet,
+// units.Time, the stats/metrics/exp sinks, device.Network).
+func (cfg *Config) path(name string) string { return cfg.ModulePath + "/internal/" + name }
+
+// inScope reports whether path is listed in patterns, or patterns
+// holds "..." (every package).
 func inScope(patterns []string, path string) bool {
-	for _, p := range patterns {
-		if p == "..." || p == path {
-			return true
-		}
-		if rest, ok := strings.CutSuffix(p, "/..."); ok {
-			if path == rest || strings.HasPrefix(path, rest+"/") {
-				return true
-			}
-		}
-	}
-	return false
+	return slices.Contains(patterns, "...") || slices.Contains(patterns, path)
 }
 
 // Diagnostic is one finding.
@@ -148,7 +96,6 @@ func (d Diagnostic) Rel(base string) string {
 type Rule struct {
 	Name  string
 	Doc   string
-	Scope func(cfg *Config, pkg *Package) bool
 	Check func(ctx *Ctx)
 }
 
@@ -158,48 +105,27 @@ type Rule struct {
 // before it (detwrite reads shardsafety's escape facts).
 func Rules() []Rule {
 	return []Rule{
-		{"walltime", "no wall-clock reads (time.Now/Since/Until) in deterministic code",
-			func(c *Config, p *Package) bool { return inScope(c.Determinism, p.Path) }, checkWalltime},
-		{"mathrand", "no math/rand; every draw must come from the seeded sim.Rand",
-			func(c *Config, p *Package) bool { return inScope(c.Determinism, p.Path) }, checkMathRand},
-		{"envread", "no environment reads; runs are configured by (config, seed) only",
-			func(c *Config, p *Package) bool { return inScope(c.Determinism, p.Path) }, checkEnvRead},
-		{"multiselect", "no select over multiple channels; the runtime picks cases at random",
-			func(c *Config, p *Package) bool { return inScope(c.Determinism, p.Path) }, checkMultiSelect},
-		{"maprange", "no ranging over maps where order can reach tables or event scheduling",
-			func(c *Config, p *Package) bool { return inScope(c.MapRange, p.Path) }, checkMapRange},
-		{"hostmaprange", "no ranging over per-host maps (NodeID/FlowID keys) into stats, metrics or table sinks",
-			func(c *Config, p *Package) bool { return inScope(c.HostMapRange, p.Path) }, checkHostMapRange},
-		{"pool", "packets come from and return to the Network pool",
-			func(c *Config, p *Package) bool { return inScope(c.Pool, p.Path) }, checkPool},
-		{"hotpath", "no capturing closures scheduled from //lint:hotpath files",
-			func(c *Config, p *Package) bool { return true }, checkHotpath},
-		{"unitsmix", "no raw arithmetic mixing units dimensions via conversions",
-			func(c *Config, p *Package) bool {
-				return p.Path != c.UnitsPath && inScope(c.Units, p.Path)
-			}, checkUnitsMix},
-		{"recover", "no bare recover() outside the experiment executor's run boundary",
-			func(c *Config, p *Package) bool { return !inScope(c.RecoverAllowed, p.Path) }, checkRecover},
-		{"goroutine", "no go statements outside the experiment executor; deterministic layers are single-goroutine",
-			func(c *Config, p *Package) bool { return !inScope(c.GoAllowed, p.Path) }, checkGoroutine},
-		{"shardsafety", "no mutable value reachable from two shard Networks outside the Cluster coupling layer",
-			func(c *Config, p *Package) bool { return inScope(c.ShardSafety, p.Path) }, checkShardSafety},
-		{"ordering", "same-timestamp event priorities come from the sim.Pri* ladder, never from nondeterministic state",
-			func(c *Config, p *Package) bool { return inScope(c.Ordering, p.Path) }, checkOrdering},
-		{"detwrite", "no nondeterministic value (map order, wall clock, pointer identity, GOMAXPROCS) written to stats, metrics or tables",
-			func(c *Config, p *Package) bool { return inScope(c.DetWrite, p.Path) }, checkDetWrite},
+		{"walltime", "no wall-clock reads (time.Now/Since/Until) in deterministic code", checkWalltime},
+		{"mathrand", "no math/rand; every draw must come from the seeded sim.Rand", checkMathRand},
+		{"envread", "no environment reads; runs are configured by (config, seed) only", checkEnvRead},
+		{"multiselect", "no select over multiple channels; the runtime picks cases at random", checkMultiSelect},
+		{"maprange", "no ranging over maps where order can reach tables or event scheduling", checkMapRange},
+		{"pool", "packets come from and return to the Network pool", checkPool},
+		{"hotpath", "no capturing closures scheduled from //lint:hotpath files", checkHotpath},
+		{"unitsmix", "no raw arithmetic mixing units dimensions via conversions", checkUnitsMix},
+		{"recover", "no bare recover() outside the experiment executor's run boundary", checkRecover},
+		{"goroutine", "no go statements outside the experiment executor; deterministic layers are single-goroutine", checkGoroutine},
+		{"shardsafety", "no mutable value reachable from two shard Networks outside the Cluster coupling layer", checkShardSafety},
+		{"ordering", "same-timestamp event priorities come from the sim.Pri* ladder, never from nondeterministic state", checkOrdering},
+		{"detwrite", "no nondeterministic value (map order, wall clock, pointer identity, GOMAXPROCS) written to stats, metrics or tables", checkDetWrite},
 	}
 }
 
-// Ctx is the per-(rule, package) check context. All carries every
-// package of the run, so whole-program passes (the ordering rule's
-// priority-carrier fixpoint) can see flows across package boundaries.
+// Ctx is the per-(rule, package) check context.
 type Ctx struct {
 	Cfg  *Config
 	Pkg  *Package
-	All  []*Package
 	fset *token.FileSet
-	src  func(filename string) []byte
 	rule string
 	out  *runState
 }
@@ -291,10 +217,6 @@ type runState struct {
 	diags  []Diagnostic
 	allows allowIndex
 	facts  *Facts
-
-	// carriers memoizes the ordering rule's whole-program priority-
-	// carrier fixpoint (computed once per Run, over every package).
-	carriers *carrierSet
 }
 
 // Run executes every rule over the given packages and returns the
@@ -311,10 +233,7 @@ func Run(l *Loader, pkgs []*Package, cfg *Config) []Diagnostic {
 	}
 	for _, r := range Rules() {
 		for _, pkg := range pkgs {
-			if !r.Scope(cfg, pkg) {
-				continue
-			}
-			r.Check(&Ctx{Cfg: cfg, Pkg: pkg, All: pkgs, fset: l.Fset, src: l.Source, rule: r.Name, out: st})
+			r.Check(&Ctx{Cfg: cfg, Pkg: pkg, fset: l.Fset, rule: r.Name, out: st})
 		}
 	}
 	for _, a := range st.allows.entries {
@@ -386,6 +305,12 @@ func recvNamed(fn *types.Func) string {
 		return n.Obj().Name()
 	}
 	return ""
+}
+
+// isNamed reports whether t is the named type pkgPath.name.
+func isNamed(t types.Type, pkgPath, name string) bool {
+	n, ok := t.(*types.Named)
+	return ok && n.Obj().Name() == name && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == pkgPath
 }
 
 // shortType renders a type with bare package names (no import paths),

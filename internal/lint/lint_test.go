@@ -127,11 +127,8 @@ func TestFixturesHaveFindingsAndAllows(t *testing.T) {
 }
 
 // TestRealTreeClean lints the shipped tree with the production config
-// and requires zero non-baselined findings: the invariants hold (or
-// are explicitly grandfathered in the committed baseline), and every
-// allow in the tree is justified by a matching diagnostic. It also
-// pins the committed baseline itself: entries that no longer match any
-// finding are rot and fail the test.
+// and requires zero findings: the invariants hold, and every allow in
+// the tree is justified by a matching diagnostic.
 func TestRealTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -145,18 +142,43 @@ func TestRealTreeClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Run(l, pkgs, DefaultConfig(l.Module()))
-	baseline, err := LoadBaseline(filepath.Join(root, BaselineFile))
-	if err != nil {
-		t.Fatal(err)
+	for _, d := range Run(l, pkgs, DefaultConfig(l.Module())) {
+		t.Errorf("finding: %s", d.Rel(root))
 	}
-	baselined := baseline.Classify(root, diags)
-	for i, d := range diags {
-		if !baselined[i] {
-			t.Errorf("non-baselined finding: %s", d.Rel(root))
+}
+
+// TestReportDeterminism lints every fixture twice, each time with a
+// fresh loader, and demands identical bytes: the linter's own output
+// must satisfy the invariant it enforces.
+func TestReportDeterminism(t *testing.T) {
+	render := func() string {
+		l, err := NewLoader(repoRoot(t))
+		if err != nil {
+			t.Fatal(err)
 		}
+		dirs, err := filepath.Glob(filepath.Join("testdata", "src", "*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pkgs []*Package
+		for _, dir := range dirs {
+			pkg, err := l.LoadDir(dir, "fixture/"+filepath.Base(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pkgs = append(pkgs, pkg)
+		}
+		var b strings.Builder
+		for _, d := range Run(l, pkgs, fixtureConfig(l.Module())) {
+			b.WriteString(d.Rel(".") + "\n")
+		}
+		return b.String()
 	}
-	for _, key := range baseline.Stale(root, diags) {
-		t.Errorf("baseline entry %q matches no finding; regenerate with make lint-fix-baseline", key)
+	first := render()
+	if first == "" {
+		t.Fatal("fixtures produced no findings")
+	}
+	if second := render(); second != first {
+		t.Errorf("findings differ between identical runs\n--- first ---\n%s--- second ---\n%s", first, second)
 	}
 }

@@ -22,12 +22,15 @@ import (
 //     CFG-free use scan: any hand-off anywhere in the function
 //     satisfies it, so it cannot false-positive on real code paths.
 func checkPool(c *Ctx) {
+	if !inScope(c.Cfg.Pool, c.Pkg.Path) {
+		return
+	}
 	info := c.Pkg.Info
 	for _, f := range c.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				if fn := callee(info, n); isPkgFunc(fn, c.Cfg.PacketPath, "NewData", "NewCtrl") {
+				if fn := callee(info, n); isPkgFunc(fn, c.Cfg.path("packet"), "NewData", "NewCtrl") {
 					c.Report(n.Pos(), "packet.%s allocates outside the pool; acquire through the Network pool (Network.NewCtrl / newData) so the packet is recycled", fn.Name())
 				}
 			case *ast.CompositeLit:
@@ -35,9 +38,7 @@ func checkPool(c *Ctx) {
 				if !ok {
 					return true
 				}
-				if named, ok := tv.Type.(*types.Named); ok &&
-					named.Obj().Name() == "Packet" &&
-					named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == c.Cfg.PacketPath {
+				if isNamed(tv.Type, c.Cfg.path("packet"), "Packet") {
 					c.Report(n.Pos(), "packet.Packet literal allocates outside the pool; acquire through the Network pool so the packet is recycled")
 				}
 			case *ast.FuncDecl:
@@ -54,7 +55,7 @@ func checkPool(c *Ctx) {
 // named NewCtrl, newData or getPkt on device.Network.
 func isPoolAcquire(c *Ctx, call *ast.CallExpr) bool {
 	fn := callee(c.Pkg.Info, call)
-	return isPkgFunc(fn, c.Cfg.DevicePath, "NewCtrl", "newData", "getPkt") &&
+	return isPkgFunc(fn, c.Cfg.path("device"), "NewCtrl", "newData", "getPkt") &&
 		recvNamed(fn) == "Network"
 }
 

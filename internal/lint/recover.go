@@ -13,6 +13,9 @@ import (
 // hiding simulator bugs instead of reporting them. (Test files are not
 // loaded by the linter, so tests may use recover freely.)
 func checkRecover(c *Ctx) {
+	if inScope(c.Cfg.Executor, c.Pkg.Path) {
+		return
+	}
 	for _, f := range c.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)

@@ -35,7 +35,7 @@ import (
 // deliberately allowed.
 func checkShardSafety(c *Ctx) {
 	for _, f := range c.Pkg.Files {
-		if c.Pkg.Path == c.Cfg.DevicePath && declaresType(f, "Cluster") {
+		if c.Pkg.Path == c.Cfg.path("device") && declaresType(f, "Cluster") {
 			continue // the sanctioned coupling layer (cluster.go)
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -76,12 +76,7 @@ func isShardSlice(c *Ctx, e ast.Expr) bool {
 		return false
 	}
 	ptr, ok := sl.Elem().(*types.Pointer)
-	if !ok {
-		return false
-	}
-	n, ok := ptr.Elem().(*types.Named)
-	return ok && n.Obj().Name() == "Network" &&
-		n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == c.Cfg.DevicePath
+	return ok && isNamed(ptr.Elem(), c.Cfg.path("device"), "Network")
 }
 
 // checkShardLoop audits one per-shard fan-out loop.

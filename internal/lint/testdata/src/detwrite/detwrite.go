@@ -9,6 +9,7 @@ import (
 
 	"floodgate/internal/device"
 	"floodgate/internal/metrics"
+	"floodgate/internal/packet"
 	"floodgate/internal/stats"
 	"floodgate/internal/units"
 )
@@ -39,6 +40,22 @@ func CountGoroutines() {
 func RecordSizes(c *stats.Collector, sizes map[uint64]units.ByteSize) {
 	for id, size := range sizes {
 		c.FlowDone(id, 0, size, 0, 0, 0)
+	}
+}
+
+// ReportBuffers leaks per-host map order into the stats collector:
+// maprange flags the loop and detwrite the write.
+func ReportBuffers(c *stats.Collector, occ map[packet.NodeID]units.ByteSize) {
+	for n, b := range occ {
+		c.SwitchBuffer(int32(n), b)
+	}
+}
+
+// ReportAllowed shows the rules are independent: an order-independence
+// claim about the loop does not license the tainted sink write.
+func ReportAllowed(c *stats.Collector, occ map[packet.NodeID]units.ByteSize) {
+	for n, b := range occ { //lint:allow maprange fixture: claims an order-independent reduction, which does not cover the sink write
+		c.SwitchBuffer(int32(n), b)
 	}
 }
 

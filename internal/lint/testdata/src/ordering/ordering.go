@@ -10,17 +10,18 @@ import (
 	"floodgate/internal/units"
 )
 
-// wire carries ladder provenance through a field, like device.wire.
-type wire struct{ pri uint32 }
+// wire carries a ladder priority in a field, like device.wire.
+type wire struct{ pri sim.Pri }
 
-func newWire(port uint32) *wire {
-	return &wire{pri: sim.PriWireBase + port}
+func newWire(dir uint32) *wire {
+	return &wire{pri: sim.WirePri(dir)}
 }
 
 // Ladder schedules with ladder-derived priorities — clean.
-func Ladder(e *sim.Engine, w *wire, port uint32) {
-	e.AtArgPri(units.Time(10), func(any) {}, nil, sim.PriWireBase+port)
+func Ladder(e *sim.Engine, w *wire, dir uint32) {
+	e.AtArgPri(units.Time(10), func(any) {}, nil, sim.WirePri(dir))
 	e.AtArgPri(units.Time(20), func(any) {}, nil, w.pri)
+	e.AtArgPri(units.Time(30), func(any) {}, nil, sim.PriTimer)
 }
 
 // Raw passes a bare literal — tie-break values collide.
@@ -28,17 +29,22 @@ func Raw(e *sim.Engine) {
 	e.AtArgPri(units.Time(10), func(any) {}, nil, 3)
 }
 
-// Demoted launders a raw literal through a variable: the carrier
-// fixpoint demotes p, so the call site is still flagged.
-func Demoted(e *sim.Engine) {
-	p := uint32(7)
+// Laundered passes a raw constant through a sim.Pri variable: the
+// literal is flagged where it becomes a priority.
+func Laundered(e *sim.Engine) {
+	var p sim.Pri = 7
 	e.AtArgPri(units.Time(10), func(any) {}, nil, p)
+}
+
+// Converted builds a rung by conversion instead of sim.WirePri.
+func Converted(e *sim.Engine, dir uint32) {
+	e.AtArgPri(units.Time(10), func(any) {}, nil, sim.Pri(dir))
 }
 
 // MapOrder derives the priority from map iteration order.
 func MapOrder(e *sim.Engine, m map[uint32]bool) {
 	for k := range m {
-		e.AtArgPri(units.Time(10), func(any) {}, nil, sim.PriWireBase+k)
+		e.AtArgPri(units.Time(10), func(any) {}, nil, sim.WirePri(k))
 	}
 }
 

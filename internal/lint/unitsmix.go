@@ -23,6 +23,9 @@ import (
 // Same-dimension normalisation (float64(fct) / float64(ideal)) stays
 // legal: it is how reporting code computes ratios.
 func checkUnitsMix(c *Ctx) {
+	if c.Pkg.Path == c.Cfg.path("units") {
+		return
+	}
 	info := c.Pkg.Info
 	for _, f := range c.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -46,7 +49,7 @@ func checkUnitsMix(c *Ctx) {
 				if !ok || !tv.IsType() {
 					return true
 				}
-				dst := unitsDim(tv.Type, c.Cfg.UnitsPath)
+				dst := unitsDim(tv.Type, c.Cfg.path("units"))
 				if dst == "" {
 					return true
 				}
@@ -54,7 +57,7 @@ func checkUnitsMix(c *Ctx) {
 				if !ok {
 					return true
 				}
-				if src := unitsDim(argT.Type, c.Cfg.UnitsPath); src != "" && src != dst {
+				if src := unitsDim(argT.Type, c.Cfg.path("units")); src != "" && src != dst {
 					c.Report(n.Pos(), "conversion from %s to %s changes units dimension without arithmetic; use the units helpers (TxTime/BytesOver/Rate)", src, dst)
 				}
 			}
@@ -81,5 +84,5 @@ func convDim(c *Ctx, e ast.Expr) string {
 	if !ok {
 		return ""
 	}
-	return unitsDim(argT.Type, c.Cfg.UnitsPath)
+	return unitsDim(argT.Type, c.Cfg.path("units"))
 }

@@ -133,36 +133,42 @@ func (e *Engine) recycle(slot int32) {
 	e.free = append(e.free, slot)
 }
 
-// Event priorities order same-timestamp events across nodes so that the
-// execution order is a pure function of the configuration — never of
-// how the topology happens to be partitioned into shards. The priority
+// Pri orders same-timestamp events across nodes so that the execution
+// order is a pure function of the configuration — never of how the
+// topology happens to be partitioned into shards. The priority
 // occupies the high bits of the entry's tie-break key; the per-engine
 // schedule sequence fills the low bits, so within one (time, priority)
 // class events still fire in FIFO schedule order.
 //
 // The assignment makes every same-(time, priority) collision either
-// impossible or provably order-invariant:
+// impossible or provably order-invariant (floodlint's ordering rule
+// rejects a Pri built any other way):
 //
 //   - PriFault:    fault-plane sub-events, fired in plan order.
 //   - PriStart:    flow-start injection chains.
 //   - PriWireBase: wire deliveries; each directed link uses the fixed
-//     priority PriWireBase + its global directed-port index, so two
+//     priority WirePri(its global directed-port index), so two
 //     distinct links never share an armed (time, priority) pair.
 //   - PriTimer:    everything else (the default for At/After/AtArg/
 //     AfterArg). Same-time timer ties are always same-node, and a
 //     node's events keep their relative schedule order under any
 //     partition.
+type Pri uint32
+
 const (
 	priBits = 20
 	seqBits = 44
 
-	PriFault    uint32 = 0
-	PriStart    uint32 = 1
-	PriWireBase uint32 = 2
-	PriTimer    uint32 = (1 << priBits) - 1
+	PriFault    Pri = 0
+	PriStart    Pri = 1
+	PriWireBase Pri = 2
+	PriTimer    Pri = (1 << priBits) - 1
 )
 
-func (e *Engine) schedule(t units.Time, fn func(), argFn func(any), arg any, pri uint32) Handle {
+// WirePri is the priority of the directed link with global index dir.
+func WirePri(dir uint32) Pri { return PriWireBase + Pri(dir) }
+
+func (e *Engine) schedule(t units.Time, fn func(), argFn func(any), arg any, pri Pri) Handle {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: %v < %v", t, e.now))
 	}
@@ -213,7 +219,7 @@ func (e *Engine) AfterArg(d units.Duration, fn func(any), arg any) Handle {
 // AtArgPri schedules fn(arg) at absolute time t with an explicit
 // same-timestamp priority (see the Pri* constants). Lower priorities
 // fire first among events sharing a timestamp.
-func (e *Engine) AtArgPri(t units.Time, fn func(any), arg any, pri uint32) Handle {
+func (e *Engine) AtArgPri(t units.Time, fn func(any), arg any, pri Pri) Handle {
 	return e.schedule(t, nil, fn, arg, pri)
 }
 

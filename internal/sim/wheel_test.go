@@ -158,7 +158,7 @@ func TestCrossSchedulerIdenticalOrder(t *testing.T) {
 		}
 		return false
 	}
-	pris := []uint32{PriFault, PriStart, PriWireBase, PriWireBase + 7, PriWireBase + 300, PriTimer}
+	pris := []Pri{PriFault, PriStart, PriWireBase, WirePri(7), WirePri(300), PriTimer}
 	// window > 0 steps the engine the way exp.runWindows does.
 	run := func(s Scheduler, seed uint64, window units.Duration) (log []fire, cov coverage) {
 		e := NewEngineWith(s)
@@ -275,7 +275,7 @@ func TestCrossSchedulerIdenticalOrder(t *testing.T) {
 				if at < e.base {
 					cov.behindBase++
 				}
-				e.AtArgPri(at, record, id, PriWireBase+uint32(r.Intn(16)))
+				e.AtArgPri(at, record, id, WirePri(uint32(r.Intn(16))))
 				id++
 			}
 		}

@@ -386,54 +386,3 @@ func toRates(bins []units.ByteSize, w units.Duration) []units.BitRate {
 	}
 	return out
 }
-
-// SizeBucket labels a flow-size class for slowdown breakdowns.
-type SizeBucket struct {
-	Label string
-	Max   units.ByteSize // inclusive upper bound
-}
-
-// DefaultSizeBuckets follows the common small/medium/large split used
-// in datacenter transport evaluations.
-var DefaultSizeBuckets = []SizeBucket{
-	{"<=10KB", 10 * units.KB},
-	{"<=100KB", 100 * units.KB},
-	{"<=1MB", units.MB},
-	{">1MB", 1 << 62},
-}
-
-// SlowdownStats reduces samples to (mean, p99) FCT slowdown per size
-// bucket. Buckets with no samples yield zeros.
-func SlowdownStats(samples []FCTSample, buckets []SizeBucket) (means, p99s []float64) {
-	means = make([]float64, len(buckets))
-	p99s = make([]float64, len(buckets))
-	per := make([][]float64, len(buckets))
-	for _, s := range samples {
-		for bi, b := range buckets {
-			if s.Size <= b.Max {
-				per[bi] = append(per[bi], s.Slowdown)
-				break
-			}
-		}
-	}
-	for bi, vals := range per {
-		if len(vals) == 0 {
-			continue
-		}
-		sort.Float64s(vals)
-		var sum float64
-		for _, v := range vals {
-			sum += v
-		}
-		means[bi] = sum / float64(len(vals))
-		idx := int(0.99*float64(len(vals))+0.5) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(vals) {
-			idx = len(vals) - 1
-		}
-		p99s[bi] = vals[idx]
-	}
-	return means, p99s
-}

@@ -196,24 +196,6 @@ func TestCounters(t *testing.T) {
 	}
 }
 
-func TestSlowdownStats(t *testing.T) {
-	c := NewCollector(0)
-	// 5KB flow at exactly line rate -> slowdown 1.
-	c.FlowDone(1, CatVictimPFC, 5*units.KB, 0, units.Time(units.TxTime(5*units.KB, units.Gbps)), units.Gbps)
-	// 50KB flow at half line rate -> slowdown 2.
-	c.FlowDone(2, CatVictimPFC, 50*units.KB, 0, units.Time(2*units.TxTime(50*units.KB, units.Gbps)), units.Gbps)
-	means, p99s := SlowdownStats(c.AllFCTs(), DefaultSizeBuckets)
-	if means[0] < 0.99 || means[0] > 1.01 {
-		t.Fatalf("small bucket mean = %v, want ~1", means[0])
-	}
-	if means[1] < 1.99 || means[1] > 2.01 {
-		t.Fatalf("medium bucket mean = %v, want ~2", means[1])
-	}
-	if p99s[2] != 0 || means[3] != 0 {
-		t.Fatal("empty buckets should be zero")
-	}
-}
-
 func TestSlowdownNeverBelowOneInRealRun(t *testing.T) {
 	// Slowdown is FCT / ideal line-rate time, which real runs can only
 	// exceed (propagation, headers).
