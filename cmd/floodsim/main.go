@@ -147,39 +147,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if *flowsFrom != "" {
-		o := floodgate.Options{Scale: *scale, Seed: *seed, Parallelism: *par, Shards: *shards}
-		start := time.Now() //lint:allow walltime progress reporting times the real run, not the simulation
-		tables, err := floodgate.RunFlowFile(*flowsFrom, o)
-		if err != nil {
-			fmt.Fprintln(stderr, "floodsim:", err)
-			return 1
-		}
-		for _, t := range tables {
-			fmt.Fprintln(stdout, t.String())
-		}
-		fmt.Fprintf(stdout, "[flows-from %s done in %v at scale %.2f]\n", *flowsFrom,
-			time.Since(start).Round(time.Millisecond), *scale) //lint:allow walltime progress reporting times the real run, not the simulation
-		return 0
-	}
-
-	if *faults != "" {
-		o := floodgate.Options{Scale: *scale, Seed: *seed, Parallelism: *par, Shards: *shards, App: *appOn}
-		start := time.Now() //lint:allow walltime progress reporting times the real run, not the simulation
-		tables, err := floodgate.RunFaultScenario(*faults, o)
-		if err != nil {
-			fmt.Fprintln(stderr, "floodsim:", err)
-			return 1
-		}
-		for _, t := range tables {
-			fmt.Fprintln(stdout, t.String())
-		}
-		fmt.Fprintf(stdout, "[faults/%s done in %v at scale %.2f]\n", *faults,
-			time.Since(start).Round(time.Millisecond), *scale) //lint:allow walltime progress reporting times the real run, not the simulation
-		return 0
-	}
-
-	if *list || *expID == "" {
+	adhoc := *flowsFrom != "" || *faults != ""
+	if !adhoc && (*list || *expID == "") {
 		fmt.Fprintln(stdout, "available experiments:")
 		for _, e := range floodgate.Experiments() {
 			fmt.Fprintf(stdout, "  %-12s %s\n", e.ID, e.Title)
@@ -196,47 +165,46 @@ func run(args []string, stdout, stderr io.Writer) int {
 		o.Obs = floodgate.ObsConfig{Dir: *obsDir, Period: floodgate.FromNanos(sample.Nanoseconds())}
 	}
 	o.Obs.Forensics = *forensics
-	print := func(id string, tables []floodgate.Table, elapsed time.Duration) {
+	// Every mode prints through emit. Elapsed is measured from the start:
+	// under -exp all experiments overlap through the shared pool (tables
+	// still print in paper order), so per-experiment wall time is not
+	// meaningful.
+	start := time.Now() //lint:allow walltime progress reporting times the real run, not the simulation
+	failed := false
+	emit := func(label string, tables []floodgate.Table, err error) {
+		if err != nil {
+			fmt.Fprintln(stderr, "floodsim:", err)
+			failed = true
+			return
+		}
 		for _, t := range tables {
 			fmt.Fprintln(stdout, t.String())
 		}
-		fmt.Fprintf(stdout, "[%s done in %v at scale %.2f]\n\n", id, elapsed.Round(time.Millisecond), *scale)
+		fmt.Fprintf(stdout, "[%s done in %v at scale %.2f]\n\n", label,
+			time.Since(start).Round(time.Millisecond), *scale) //lint:allow walltime progress reporting times the real run, not the simulation
 	}
-
-	if *expID == "all" {
-		var ids []string
-		for _, e := range floodgate.Experiments() {
-			if e.ID == "fig8" {
-				continue // the per-CC variants cover it without tripling runtime
+	switch {
+	case *flowsFrom != "":
+		tables, err := floodgate.RunFlowFile(*flowsFrom, o)
+		emit("flows-from "+*flowsFrom, tables, err)
+	case *faults != "":
+		tables, err := floodgate.RunFaultScenario(*faults, o)
+		emit("faults/"+*faults, tables, err)
+	default:
+		ids := []string{*expID}
+		if *expID == "all" {
+			ids = nil
+			for _, e := range floodgate.Experiments() {
+				if e.ID != "fig8" { // the per-CC variants cover it without tripling runtime
+					ids = append(ids, e.ID)
+				}
 			}
-			ids = append(ids, e.ID)
 		}
-		// Whole experiments overlap through the shared pool; tables still
-		// print in paper order. Elapsed is measured from the batch start:
-		// with overlap, per-experiment wall time is not meaningful.
-		start := time.Now() //lint:allow walltime progress reporting times the real run, not the simulation
-		failed := false
-		floodgate.RunExperiments(ids, o, func(id string, tables []floodgate.Table, err error) {
-			if err != nil {
-				fmt.Fprintln(stderr, "floodsim:", err)
-				failed = true
-				return
-			}
-			print(id, tables, time.Since(start)) //lint:allow walltime progress reporting times the real run, not the simulation
-		})
-		if failed {
-			return 1
-		}
-		return 0
+		floodgate.RunExperiments(ids, o, emit)
 	}
-
-	start := time.Now() //lint:allow walltime progress reporting times the real run, not the simulation
-	tables, err := floodgate.RunExperiment(*expID, o)
-	if err != nil {
-		fmt.Fprintln(stderr, "floodsim:", err)
+	if failed {
 		return 1
 	}
-	print(*expID, tables, time.Since(start)) //lint:allow walltime progress reporting times the real run, not the simulation
 	return 0
 }
 

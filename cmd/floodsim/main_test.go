@@ -84,14 +84,18 @@ func TestValidateForensics(t *testing.T) {
 }
 
 // TestRunCLI drives the whole CLI in-process: one real experiment per
-// execution surface (sharded, obs+forensics, app plane, -topo preset)
-// exits 0 with a table, and every usage error exits 2 with a message
-// naming the offending flag.
+// execution surface (sharded, obs+forensics, app plane, -topo preset,
+// a single fault scenario) exits 0 with a table, every usage error
+// exits 2 with a message naming the offending flag, and a run that
+// cannot start (unknown experiment or scenario, missing flow file)
+// exits 1 naming it. Every mode shares one Options value, so -obs
+// reaches a -faults run too.
 func TestRunCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
-	obs := t.TempDir()
+	obs, faultObs := t.TempDir(), t.TempDir()
+	missing := filepath.Join(t.TempDir(), "missing.ndjson")
 	cases := []struct {
 		name       string
 		args       []string
@@ -108,6 +112,9 @@ func TestRunCLI(t *testing.T) {
 		{"unknown topo", []string{"-exp", "scaleincast", "-topo", "torus"}, 2, "", `unknown -topo "torus"`},
 		{"removed scheduler knob", []string{"-exp", "fig2", "-sched", "heap"}, 2, "", "not defined: -sched"},
 		{"unknown experiment", []string{"-exp", "nope"}, 1, "", "nope"},
+		{"fault scenario with obs", []string{"-faults", "none", "-scale", "0.1", "-obs", faultObs}, 0, "== Fault matrix", ""},
+		{"unknown fault scenario", []string{"-faults", "bogus"}, 1, "", `unknown fault scenario "bogus"`},
+		{"missing flow file", []string{"-flows-from", missing}, 1, "", "missing.ndjson"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -126,5 +133,9 @@ func TestRunCLI(t *testing.T) {
 	reports, err := filepath.Glob(filepath.Join(obs, "fig2", "*.forensics.ndjson"))
 	if err != nil || len(reports) == 0 {
 		t.Fatalf("-obs -forensics wrote no %s/fig2/*.forensics.ndjson (err %v)", obs, err)
+	}
+	metrics, err := filepath.Glob(filepath.Join(faultObs, "adhoc", "*.metrics.ndjson"))
+	if err != nil || len(metrics) == 0 {
+		t.Fatalf("-faults none -obs wrote no %s/adhoc/*.metrics.ndjson (err %v)", faultObs, err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"floodgate/internal/sim"
+	"floodgate/internal/stats"
 	"floodgate/internal/units"
 )
 
@@ -120,18 +121,11 @@ func (w *latWindow) add(d units.Duration) {
 // sort runs over a stack copy in deterministic ring order, so the
 // result depends only on the observation sequence.
 func (w *latWindow) p95() units.Duration {
-	if w.n == 0 {
-		return 0
-	}
 	var tmp [32]units.Duration
 	vals := tmp[:w.n]
 	copy(vals, w.buf[:w.n])
 	sort.Slice(vals, func(a, b int) bool { return vals[a] < vals[b] })
-	idx := (95*w.n + 99) / 100
-	if idx < 1 {
-		idx = 1
-	}
-	return vals[idx-1]
+	return stats.NearestRank(vals, 950)
 }
 
 // breakerState is one client's circuit breaker: a ring of recent

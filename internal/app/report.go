@@ -3,6 +3,7 @@ package app
 import (
 	"sort"
 
+	"floodgate/internal/stats"
 	"floodgate/internal/units"
 )
 
@@ -87,9 +88,9 @@ func BuildSLO(recs []Record, dur units.Duration) SLO {
 	}
 	if len(lats) > 0 {
 		sort.Slice(lats, func(a, b int) bool { return lats[a] < lats[b] })
-		s.P50 = pctl(lats, 500)
-		s.P99 = pctl(lats, 990)
-		s.P999 = pctl(lats, 999)
+		s.P50 = stats.NearestRank(lats, 500)
+		s.P99 = stats.NearestRank(lats, 990)
+		s.P999 = stats.NearestRank(lats, 999)
 	}
 	if n := s.Requests - s.Unfired; n > 0 {
 		s.TimeoutRate = float64(timedOut) / float64(n)
@@ -100,13 +101,4 @@ func BuildSLO(recs []Record, dur units.Duration) SLO {
 	}
 	s.Goodput = units.Rate(bytes, dur)
 	return s
-}
-
-// pctl is the nearest-rank permille percentile of sorted values.
-func pctl(sorted []units.Duration, permille int) units.Duration {
-	idx := (permille*len(sorted) + 999) / 1000
-	if idx < 1 {
-		idx = 1
-	}
-	return sorted[idx-1]
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 
 	"floodgate/internal/core"
 	"floodgate/internal/stats"
@@ -25,7 +26,6 @@ import (
 //   - no-isolation:   parked packets go to the egress queue anyway
 //     (approximated by an effectively infinite window)
 func AblationFloodgate(o Options) []Table {
-	o = o.norm()
 	t := Table{
 		Title:  "Ablation: Floodgate design choices (WebServer incastmix)",
 		Header: []string{"variant", "maxSwitch", "ToR-Up", "Core", "ToR-Down", "poisson p99", "VOQs"},
@@ -49,7 +49,7 @@ func AblationFloodgate(o Options) []Table {
 			s = DCQCN(o)
 			s.Name = "DCQCN (no Floodgate)"
 		} else {
-			cfg := FloodgateConfig(o, baseBDPOf(tp))
+			cfg := core.DefaultConfig(baseBDPOf(tp))
 			if v.name == "per-packet credits" {
 				// Ideal credit timing but the practical window value: set
 				// M so m·BDP_nextHop equals BDP+C·T on the uplink.
@@ -62,15 +62,10 @@ func AblationFloodgate(o Options) []Table {
 			v.mut(&cfg)
 			s = WithFloodgateCfg(DCQCN(o), cfg, "+FG["+v.name+"]")
 		}
-		res := runMixWith(o, tp, workload.WebServer, s)
+		res := Run(mixRun(o, tp, workload.WebServer, s))
 		_, p99 := stats.FCTStats(res.Stats.PoissonFCTs())
-		return []string{v.name,
-			fmtBytes(res.Stats.MaxSwitchBuffer()),
-			fmtBytes(res.Stats.MaxClassBuffer(topo.ClassToRUp)),
-			fmtBytes(res.Stats.MaxClassBuffer(topo.ClassCore)),
-			fmtBytes(res.Stats.MaxClassBuffer(topo.ClassToRDown)),
-			fmtDur(p99),
-			fmt.Sprintf("%d", res.Stats.MaxVOQInUse)}
+		return slices.Concat([]string{v.name, fmtBytes(res.Stats.MaxSwitchBuffer())}, bufCells(res, hops...),
+			[]string{fmtDur(p99), fmt.Sprintf("%d", res.Stats.MaxVOQInUse)})
 	})
 	t.Comment = "each mechanism earns its keep: delayCredit caps cores, aggregation saves bandwidth at equal buffers, the VOQ pool isolates concurrent incasts"
 	return []Table{t}
@@ -92,33 +87,22 @@ func findUplink(tp *topo.Topology) *topo.Port {
 // no-Floodgate FCT on pure Poisson traffic while cutting the incast
 // mix's victim tail.
 func CompatMatrix(o Options) []Table {
-	o = o.norm()
 	t := Table{
 		Title:  "Compatibility: Floodgate under four congestion controls (WebServer)",
 		Header: []string{"cc", "mix p99 (plain)", "mix p99 (+FG)", "pure p99 (plain)", "pure p99 (+FG)"},
 	}
 	bases := []func(Options) Scheme{DCQCN, DCTCP, TIMELY, HPCC}
-	// Four runs per congestion control; all 16 overlap in the pool and
-	// each row reduces its own four p99s at assembly.
+	// Four runs per congestion control ({plain, +FG} under the mix, then
+	// pure Poisson); all 16 overlap in the pool and each row reduces its
+	// own four p99s at assembly.
 	p99s := runJobs(o, len(bases)*4, func(idx int) units.Duration {
-		base := bases[idx/4]
-		bdp := baseBDPOf(o.leafSpine())
-		var res *RunResult
-		switch idx % 4 {
-		case 0:
-			res = runMixWith(o, o.leafSpine(), workload.WebServer, base(o))
-		case 1:
-			res = runMixWith(o, o.leafSpine(), workload.WebServer, WithFloodgate(o, base(o), bdp))
-		case 2:
-			res = runPurePoisson(o, base(o))
-		default:
-			res = runPurePoisson(o, WithFloodgate(o, base(o), bdp))
+		tp := o.leafSpine()
+		s := schemePair(o, bases[idx/4], tp)[idx%2]
+		if idx%4 < 2 {
+			_, p99 := stats.FCTStats(Run(mixRun(o, tp, workload.WebServer, s)).Stats.PoissonFCTs())
+			return p99
 		}
-		samples := res.Stats.PoissonFCTs()
-		if idx%4 >= 2 {
-			samples = res.Stats.AllFCTs()
-		}
-		_, p99 := stats.FCTStats(samples)
+		_, p99 := stats.FCTStats(Run(poissonRun(o, tp, workload.WebServer, s)).Stats.AllFCTs())
 		return p99
 	})
 	for bi, base := range bases {
@@ -129,47 +113,21 @@ func CompatMatrix(o Options) []Table {
 	return []Table{t}
 }
 
-func runPurePoisson(o Options, s Scheme) *RunResult {
-	tp := o.leafSpine()
-	dur := o.duration(fullIncastMixDuration)
-	hostRate := tp.Node(tp.Hosts[0]).Ports[0].Rate
-	specs := workload.Poisson(workload.PoissonConfig{
-		CDF: workload.WebServer, Load: 0.8, Hosts: tp.Hosts, HostRate: hostRate, Until: dur,
-	}, newRand(o.Seed))
-	return Run(RunConfig{Topo: tp, Scheme: s, Specs: specs, Duration: dur, Seed: o.Seed, Opt: o})
-}
-
 // IncastDegreeSweep explores how the win scales with fan-in — an
 // extension the paper's intro motivates but never plots.
 func IncastDegreeSweep(o Options) []Table {
-	o = o.norm()
 	t := Table{
 		Title:  "Extension: buffer relief vs incast degree (pure incast bursts)",
 		Header: []string{"degree", "DCQCN ToR-Down", "+FG ToR-Down", "relief"},
 	}
 	fracs := []int{4, 2, 1} // 1/4, 1/2, all cross-rack hosts
 	bufs := runJobs(o, len(fracs)*2, func(idx int) units.ByteSize {
-		frac := fracs[idx/2]
-		withFG := idx%2 == 1
 		tp := o.leafSpine()
-		s := DCQCN(o)
-		if withFG {
-			s = WithFloodgate(o, DCQCN(o), baseBDPOf(tp))
-		}
-		dst := tp.Hosts[len(tp.Hosts)-1]
-		senders := workload.CrossRackSenders(tp, dst)
-		n := len(senders) / frac
-		if n < 2 {
-			n = 2
-		}
-		r := newRand(o.Seed)
-		var specs []workload.FlowSpec
-		for i := 0; i < n; i++ {
-			size := 30*mtu + units.ByteSize(r.Int63n(int64(10*mtu)+1))
-			specs = append(specs, workload.FlowSpec{Src: senders[i], Dst: dst, Size: size, Cat: catIncast})
-		}
+		senders := incastSenders(tp)
+		senders = senders[:max(len(senders)/fracs[idx/2], 2)]
 		res := Run(RunConfig{
-			Topo: tp, Scheme: s, Specs: specs,
+			Topo: tp, Scheme: schemePair(o, DCQCN, tp)[idx%2],
+			Specs:    burstSpecs(tp, o.Seed, senders),
 			Duration: 2 * units.Millisecond, Seed: o.Seed, Opt: o,
 			Drain: 300 * units.Millisecond,
 		})

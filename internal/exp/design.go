@@ -2,7 +2,10 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 
+	"floodgate/internal/cc/dcqcn"
+	"floodgate/internal/core"
 	"floodgate/internal/device"
 	"floodgate/internal/stats"
 	"floodgate/internal/topo"
@@ -16,7 +19,6 @@ import (
 // per-hop buffer occupancy as the flow count grows — DCQCN's ToR-Down
 // keeps climbing with the flow count while Floodgate converges.
 func Fig16(o Options) []Table {
-	o = o.norm()
 	settings := []struct {
 		name       string
 		kmin, kmax units.ByteSize
@@ -34,24 +36,19 @@ func Fig16(o Options) []Table {
 		s := DCQCN(o)
 		cfg := dcqcnConfigScaled(o)
 		cfg.MinRateFraction = 100
-		s.CC = dcqcnNew(cfg)
+		s.CC = dcqcn.New(cfg)
 		return s
-	}
-	mks := []func(tp *topo.Topology) Scheme{
-		func(tp *topo.Topology) Scheme { return dcqcnFloor(o) },
-		func(tp *topo.Topology) Scheme { return WithIdeal(o, dcqcnFloor(o), baseBDPOf(tp)) },
-		func(tp *topo.Topology) Scheme { return WithFloodgate(o, dcqcnFloor(o), baseBDPOf(tp)) },
 	}
 	// Submit every (ECN setting × scheme) run to the pool; rows are
 	// assembled in submission order below, so the tables match the
 	// serial path byte for byte.
-	rows := runJobs(o, len(settings)*len(mks), func(idx int) []string {
-		set := settings[idx/len(mks)]
-		mkScheme := mks[idx%len(mks)]
+	const nSchemes = 3
+	rows := runJobs(o, len(settings)*nSchemes, func(idx int) []string {
+		set := settings[idx/nSchemes]
 		tp := o.leafSpine()
-		s := mkScheme(tp)
+		s := schemeTriple(o, dcqcnFloor, tp)[idx%nSchemes]
 		dst := tp.Hosts[len(tp.Hosts)-1]
-		senders := workload.CrossRackSenders(tp, dst)
+		senders := incastSenders(tp)
 		// Long-lived flows: sized far beyond the window so every
 		// arrived flow stays active to the end (the paper's x-axis is
 		// the number of concurrently active flows).
@@ -83,8 +80,7 @@ func Fig16(o Options) []Table {
 			}
 			return fmtBytes(series[idx])
 		}
-		return []string{s.Name, q(0.25), q(0.5), q(0.75), q(1),
-			fmtBytes(res.Stats.MaxClassBuffer(topo.ClassToRDown))}
+		return append([]string{s.Name, q(0.25), q(0.5), q(0.75), q(1)}, bufCells(res, topo.ClassToRDown)...)
 	})
 	var tables []Table
 	for si, set := range settings {
@@ -92,8 +88,8 @@ func Fig16(o Options) []Table {
 			Title:  "Fig 16: buffer vs #arrived flows, ECN " + set.name,
 			Header: []string{"scheme", "after 1/4", "after 1/2", "after 3/4", "end", "ToR-Down max"},
 		}
-		for mi := range mks {
-			t.AddRow(rows[si*len(mks)+mi]...)
+		for mi := 0; mi < nSchemes; mi++ {
+			t.AddRow(rows[si*nSchemes+mi]...)
 		}
 		t.Comment = "paper: DCQCN's ToR-Down buffer keeps growing with flow count (≥1 in-flight packet per flow); Floodgate converges to window x topology; ideal is ECN-insensitive"
 		tables = append(tables, t)
@@ -105,36 +101,29 @@ func Fig16(o Options) []Table {
 // (overhead, buffer, FCT) and the delayCredit threshold (buffer).
 // Both sweeps' runs overlap through one pool submission.
 func Fig17(o Options) []Table {
-	o = o.norm()
 	timers := []int{10, 20, 30, 40, 50}
 	mults := []int{1, 10, 25, 50, 75, 100}
 	rows := runJobs(o, len(timers)+len(mults), func(idx int) []string {
 		if idx < len(timers) {
 			tUs := timers[idx]
 			tp := o.leafSpine()
-			cfg := FloodgateConfig(o, baseBDPOf(tp))
+			cfg := core.DefaultConfig(baseBDPOf(tp))
 			cfg.CreditTimer = units.Duration(tUs) * units.Microsecond
 			s := WithFloodgateCfg(DCQCN(o), cfg, "+Floodgate")
-			res := runMixWith(o, tp, workload.WebServer, s)
+			res := Run(mixRun(o, tp, workload.WebServer, s))
 			avg, p99 := stats.FCTStats(res.Stats.PoissonFCTs())
-			return []string{fmt.Sprintf("%dus", tUs),
-				fmtRate(res.Stats.AvgWireRate(stats.WireCredit, res.Duration)),
-				fmtBytes(res.Stats.MaxClassBuffer(topo.ClassToRUp)),
-				fmtBytes(res.Stats.MaxClassBuffer(topo.ClassCore)),
-				fmtBytes(res.Stats.MaxClassBuffer(topo.ClassToRDown)),
-				fmtDur(avg), fmtDur(p99)}
+			return slices.Concat([]string{fmt.Sprintf("%dus", tUs),
+				fmtRate(res.Stats.AvgWireRate(stats.WireCredit, res.Duration))},
+				bufCells(res, hops...), []string{fmtDur(avg), fmtDur(p99)})
 		}
 		mult := mults[idx-len(timers)]
 		tp := o.leafSpine()
 		bdp := baseBDPOf(tp)
-		cfg := FloodgateConfig(o, bdp)
+		cfg := core.DefaultConfig(bdp)
 		cfg.DelayCreditThresh = units.ByteSize(mult) * bdp
 		s := WithFloodgateCfg(DCQCN(o), cfg, "+Floodgate")
-		res := runMixWith(o, tp, workload.WebServer, s)
-		return []string{fmt.Sprintf("%dBDP", mult),
-			fmtBytes(res.Stats.MaxClassBuffer(topo.ClassToRUp)),
-			fmtBytes(res.Stats.MaxClassBuffer(topo.ClassCore)),
-			fmtBytes(res.Stats.MaxClassBuffer(topo.ClassToRDown))}
+		res := Run(mixRun(o, tp, workload.WebServer, s))
+		return append([]string{fmt.Sprintf("%dBDP", mult)}, bufCells(res, hops...)...)
 	})
 	tt := Table{
 		Title:  "Fig 17a-c: credit timer T sweep (DCQCN+Floodgate, WebServer incastmix)",
@@ -151,24 +140,17 @@ func Fig17(o Options) []Table {
 	return []Table{tt, td}
 }
 
-func runMixWith(o Options, tp *topo.Topology, cdf *workload.CDF, s Scheme) *RunResult {
-	dur := o.duration(fullIncastMixDuration)
-	specs := incastMixSpecs(tp, cdf, dur, o.Seed, incastDegree(tp))
-	return Run(RunConfig{Topo: tp, Scheme: s, Specs: specs, Duration: dur, Seed: o.Seed, Opt: o})
-}
-
 // Fig18 reproduces the bandwidth stacking diagram: on-wire bytes split
 // into data / ctrl (ACK+CNP) / credit classes for ideal vs practical
 // Floodgate.
 func Fig18(o Options) []Table {
-	o = o.norm()
 	t := Table{
 		Title:  "Fig 18: wire bandwidth by class (WebServer incastmix)",
 		Header: []string{"scheme", "data", "ctrl", "credit", "credit share"},
 	}
 	mks := []func(tp *topo.Topology) Scheme{
 		func(tp *topo.Topology) Scheme {
-			cfg := IdealFloodgateConfig(o, baseBDPOf(tp))
+			cfg := core.IdealConfig(baseBDPOf(tp))
 			cfg.PerDstPause = false
 			return WithFloodgateCfg(DCQCN(o), cfg, "+ideal")
 		},
@@ -177,7 +159,7 @@ func Fig18(o Options) []Table {
 	t.Rows = runJobs(o, len(mks), func(idx int) []string {
 		tp := o.leafSpine()
 		s := mks[idx](tp)
-		res := runMixWith(o, tp, workload.WebServer, s)
+		res := Run(mixRun(o, tp, workload.WebServer, s))
 		data := res.Stats.WireTotal(stats.WireData)
 		ctrl := res.Stats.WireTotal(stats.WireCtrl)
 		credit := res.Stats.WireTotal(stats.WireCredit)
@@ -195,7 +177,6 @@ func Fig18(o Options) []Table {
 // Fig20 reproduces the BFC comparison: HPCC, HPCC+Floodgate and three
 // BFC variants under Memcached and Web Server incast-mix.
 func Fig20(o Options) []Table {
-	o = o.norm()
 	cdfs := []*workload.CDF{workload.Memcached, workload.WebServer}
 	mks := []func(tp *topo.Topology) Scheme{
 		func(tp *topo.Topology) Scheme { return HPCC(o) },
@@ -208,7 +189,7 @@ func Fig20(o Options) []Table {
 		cdf := cdfs[idx/len(mks)]
 		tp := o.leafSpine()
 		s := mks[idx%len(mks)](tp)
-		res := runMixWith(o, tp, cdf, s)
+		res := Run(mixRun(o, tp, cdf, s))
 		samples := res.Stats.PoissonFCTs()
 		xs, ys := stats.CDF(samples, 200)
 		avg, _ := stats.FCTStats(samples)
@@ -236,18 +217,13 @@ func bfcThresh(tp *topo.Topology) units.ByteSize {
 // Fig23 reproduces the NDP comparison (Appendix B): non-incast and
 // incast FCT under Memcached and WebServer incast-mix.
 func Fig23(o Options) []Table {
-	o = o.norm()
 	cdfs := []*workload.CDF{workload.Memcached, workload.WebServer}
-	mks := []func(tp *topo.Topology) Scheme{
-		func(tp *topo.Topology) Scheme { return DCQCN(o) },
-		func(tp *topo.Topology) Scheme { return WithFloodgate(o, DCQCN(o), baseBDPOf(tp)) },
-		func(tp *topo.Topology) Scheme { return NDP(o) },
-	}
-	rows := runJobs(o, len(cdfs)*len(mks), func(idx int) []string {
-		cdf := cdfs[idx/len(mks)]
+	const nSchemes = 3 // DCQCN, DCQCN+Floodgate, NDP
+	rows := runJobs(o, len(cdfs)*nSchemes, func(idx int) []string {
+		cdf := cdfs[idx/nSchemes]
 		tp := o.leafSpine()
-		s := mks[idx%len(mks)](tp)
-		res := runMixWith(o, tp, cdf, s)
+		s := append(schemePair(o, DCQCN, tp), NDP(o))[idx%nSchemes]
+		res := Run(mixRun(o, tp, cdf, s))
 		avgN, p99N := stats.FCTStats(res.Stats.PoissonFCTs())
 		avgI, p99I := stats.FCTStats(res.Stats.FCTs(stats.CatIncast))
 		return []string{s.Name, fmtDur(avgN), fmtDur(p99N), fmtDur(avgI), fmtDur(p99I),
@@ -258,7 +234,7 @@ func Fig23(o Options) []Table {
 		t := Table{
 			Title:  "Fig 23: vs NDP, " + cdf.Name + " incastmix",
 			Header: []string{"scheme", "non-incast avg", "non-incast p99", "incast avg", "incast p99", "trims"},
-			Rows:   rows[ci*len(mks) : (ci+1)*len(mks)],
+			Rows:   rows[ci*nSchemes : (ci+1)*nSchemes],
 		}
 		t.Comment = "paper: NDP beats DCQCN (small buffers) but loses to DCQCN+Floodgate — trimming hits non-incast flows and header bandwidth inflates incast FCT"
 		tables = append(tables, t)
@@ -269,31 +245,15 @@ func Fig23(o Options) []Table {
 // Fig24 reproduces the PFC w/ tag comparison (Appendix B) on the
 // non-blocking and the 4:1 oversubscribed fabric.
 func Fig24(o Options) []Table {
-	o = o.norm()
 	oversubs := []int{1, 4}
-	kinds := []string{"DCQCN", "DCQCN+Floodgate", "DCQCN+PFC w/ tag"}
-	rows := runJobs(o, len(oversubs)*len(kinds), func(idx int) []string {
-		oversub := oversubs[idx/len(kinds)]
-		kind := kinds[idx%len(kinds)]
-		c := topo.DefaultLeafSpine()
-		c.HostsPerToR = o.hostsPerToR()
-		c.Spines = o.spines()
-		c.HostRate = o.rate(c.HostRate)
-		c.SpineRate = o.rate(c.SpineRate)
-		c.Prop = o.stretch(c.Prop)
-		c.Oversubscription = oversub
+	const nSchemes = 3 // DCQCN, DCQCN+Floodgate, DCQCN+PFC w/ tag
+	rows := runJobs(o, len(oversubs)*nSchemes, func(idx int) []string {
+		c := o.leafSpineConfig()
+		c.Oversubscription = oversubs[idx/nSchemes]
 		tp := c.Build()
-		var s Scheme
-		switch kind {
-		case "DCQCN":
-			s = DCQCN(o)
-		case "DCQCN+Floodgate":
-			s = WithFloodgate(o, DCQCN(o), baseBDPOf(tp))
-		default:
-			oneHop := tp.Node(tp.Hosts[0]).Ports[0].BDP()
-			s = WithPFCTag(DCQCN(o), oneHop)
-		}
-		res := runMixWith(o, tp, workload.WebServer, s)
+		oneHop := tp.Node(tp.Hosts[0]).Ports[0].BDP()
+		s := append(schemePair(o, DCQCN, tp), WithPFCTag(DCQCN(o), oneHop))[idx%nSchemes]
+		res := Run(mixRun(o, tp, workload.WebServer, s))
 		avg, p99 := stats.FCTStats(res.Stats.PoissonFCTs())
 		return []string{s.Name, fmtDur(avg), fmtDur(p99), fmt.Sprintf("%d", res.Stats.MaxVOQInUse)}
 	})
@@ -306,7 +266,7 @@ func Fig24(o Options) []Table {
 		t := Table{
 			Title:  "Fig 24: vs PFC w/ tag — " + name,
 			Header: []string{"scheme", "avgFCT", "p99FCT", "maxVOQs"},
-			Rows:   rows[oi*len(kinds) : (oi+1)*len(kinds)],
+			Rows:   rows[oi*nSchemes : (oi+1)*nSchemes],
 		}
 		t.Comment = "paper: comparable on non-blocking fabric but PFC w/ tag uses 10x more VOQs; Floodgate wins when the first hop congests (oversubscription)"
 		tables = append(tables, t)

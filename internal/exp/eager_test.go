@@ -34,8 +34,9 @@ func TestEagerVsLazyDevices(t *testing.T) {
 	o := smoke.norm()
 	cases := []oracleCase{
 		{"incastmix", false, func() []Table {
-			fg := WithFloodgate(o, DCQCN(o), baseBDPOf(o.leafSpine()))
-			return []Table{resultTable(runIncastMix(o, workload.WebServer, fg))}
+			tp := o.leafSpine()
+			fg := WithFloodgate(o, DCQCN(o), baseBDPOf(tp))
+			return []Table{resultTable(Run(mixRun(o, tp, workload.WebServer, fg)))}
 		}},
 		{"sloincast", false, func() []Table {
 			c := sloCell{"8", 8, "tight(1.5x)", 1.5, DCQCN(o), app.ExpBackoff{Base: o.stretch(25 * units.Microsecond)}}

@@ -2,8 +2,11 @@ package exp
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
+	"floodgate/internal/device"
+	"floodgate/internal/units"
 	"floodgate/internal/workload"
 )
 
@@ -20,9 +23,6 @@ func TestRegistryLookup(t *testing.T) {
 	}
 	if _, err := Lookup("fig99"); err == nil {
 		t.Fatal("unknown id accepted")
-	}
-	if len(IDs()) != len(List()) {
-		t.Fatal("IDs/List mismatch")
 	}
 }
 
@@ -44,18 +44,59 @@ func TestFig7NoSim(t *testing.T) {
 	}
 }
 
-// TestSmokeAllExperiments executes every registered experiment once at
-// minimal scale; it validates that each one runs to completion and
-// produces non-empty tables. Heavier figures are exercised in
-// (skippable) dedicated tests below.
-func TestSmokeAllExperiments(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment smoke is not short")
+// smokeTables caches the smoke pass's tables by experiment id, so
+// TestPaperShapes reads the tables TestSmokeAllExperiments rendered
+// instead of simulating again.
+var smokeTables = map[string][]Table{}
+
+// smokeRun runs one registered experiment at smoke scale, once per
+// process, and checks that every run it made built its network with the
+// caller's stretched RTO, so an Options value dropped on the way to Run
+// shows up here. fig6 is the testbed, at Scale 1 by design.
+func smokeRun(t *testing.T, id string) []Table {
+	t.Helper()
+	if tabs, ok := smokeTables[id]; ok {
+		return tabs
+	}
+	e, err := Lookup(id)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// Budget the pass: a quarter-length workload window keeps the whole
 	// registry under the default go-test timeout on one core.
 	windowOverride = fullIncastMixDuration / 4
-	defer func() { windowOverride = 0 }()
+	want := smokeOpts.stretch(units.Millisecond)
+	if id == "fig6" {
+		want = units.Millisecond
+	}
+	var mu sync.Mutex
+	var wrong []units.Duration
+	clusterBuilt = func(c *device.Cluster) {
+		if rto := c.Nets[0].Cfg.RTO; rto != want {
+			mu.Lock()
+			wrong = append(wrong, rto)
+			mu.Unlock()
+		}
+	}
+	defer func() { windowOverride, clusterBuilt = 0, nil }()
+	tabs := e.Run(smokeOpts)
+	if len(wrong) > 0 {
+		t.Errorf("%s: %d runs built with RTO %v, want the caller's stretched %v: Options were dropped on the way to Run",
+			id, len(wrong), wrong[0], want)
+	}
+	smokeTables[id] = tabs
+	return tabs
+}
+
+// TestSmokeAllExperiments executes every registered experiment once at
+// minimal scale; it validates that each one runs to completion and
+// produces non-empty tables, and (smokeRun) that each ran at the scale
+// it was asked for. Heavier figures are exercised in (skippable)
+// dedicated tests below.
+func TestSmokeAllExperiments(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment smoke is not short")
+	}
 	skip := map[string]bool{
 		"fig8": true, // covered by the per-CC variants below
 	}
@@ -65,7 +106,7 @@ func TestSmokeAllExperiments(t *testing.T) {
 		}
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			tabs := e.Run(smokeOpts)
+			tabs := smokeRun(t, e.ID)
 			if len(tabs) == 0 {
 				t.Fatalf("%s produced no tables", e.ID)
 			}
@@ -85,7 +126,7 @@ func TestIncastMixCompletes(t *testing.T) {
 	}
 	o := smokeOpts
 	tp := o.leafSpine()
-	res := runIncastMix(o, workload.WebServer, WithFloodgate(o, DCQCN(o), baseBDPOf(tp)))
+	res := Run(mixRun(o, tp, workload.WebServer, WithFloodgate(o, DCQCN(o), baseBDPOf(tp))))
 	if res.Completed != res.Total {
 		t.Fatalf("flows incomplete: %d/%d", res.Completed, res.Total)
 	}

@@ -24,7 +24,7 @@ func faultTestFabric() *topo.Topology {
 // faultTestSpecs is the pure incast scaled 10x, so the run (bottleneck
 // drain ~220us) comfortably outlasts every fault schedule below.
 func faultTestSpecs(tp *topo.Topology, seed uint64) []workload.FlowSpec {
-	specs := pureIncastSpecs(tp, seed)
+	specs := burstSpecs(tp, seed, incastSenders(tp))
 	for i := range specs {
 		specs[i].Size *= 10
 	}

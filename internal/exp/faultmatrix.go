@@ -100,7 +100,7 @@ func FaultMatrix(o Options) []Table {
 func RunFaultScenario(name string, o Options) ([]Table, error) {
 	for _, sc := range faultScenarios() {
 		if sc.name == name {
-			return faultTables([]faultScenario{sc}, o), nil
+			return faultTables([]faultScenario{sc}, o.norm()), nil
 		}
 	}
 	return nil, fmt.Errorf("exp: unknown fault scenario %q (have: %s)",
@@ -108,7 +108,6 @@ func RunFaultScenario(name string, o Options) ([]Table, error) {
 }
 
 func faultTables(scs []faultScenario, o Options) []Table {
-	o = o.norm()
 	hdr := []string{"scenario", "scheme", "completed", "goodput", "linkEvts", "restarts", "resyncs", "stalled"}
 	if o.Obs.Forensics {
 		// Attribution columns ride along only when forensics is on, so
@@ -127,18 +126,11 @@ func faultTables(scs []faultScenario, o Options) []Table {
 	rows := runJobs(o, 2*len(scs), func(idx int) []string {
 		sc := scs[idx/2]
 		tp := o.leafSpine()
-		s := DCQCN(o)
-		if idx%2 == 0 {
-			s = WithFloodgate(o, DCQCN(o), baseBDPOf(tp))
-		}
-		dur := o.duration(fullIncastMixDuration)
-		specs := incastMixSpecs(tp, workload.WebServer, dur, o.Seed, incastDegree(tp))
-		rcfg := RunConfig{
-			Topo: tp, Scheme: s, Specs: specs, Duration: dur,
-			Seed: o.Seed, Opt: o,
-			Faults: sc.plan(tp, dur),
-			Drain:  10 * dur,
-		}
+		s := schemePair(o, DCQCN, tp)[1-idx%2] // Floodgate first
+		rcfg := mixRun(o, tp, workload.WebServer, s)
+		dur := rcfg.Duration
+		rcfg.Faults = sc.plan(tp, dur)
+		rcfg.Drain = 10 * dur
 		if o.App {
 			// A modest partition-aggregate overlay (quarter fan-in, loose
 			// deadline): the question here is how faults, not congestion,

@@ -16,17 +16,13 @@ import (
 // victim-of-incast delivery delay and the victim-of-PFC dip without
 // Floodgate.
 func Fig2(o Options) []Table {
-	o = o.norm()
 	// One job per scheme, each building its own topology and run; the
 	// per-scheme tables assemble in submission order. With forensics on,
 	// each scheme also yields an FCT attribution table.
 	groups := runJobs(o, 2, func(idx int) []Table {
 		tp := o.leafSpine()
-		s := DCQCN(o)
-		if idx == 1 {
-			s = WithFloodgate(o, DCQCN(o), baseBDPOf(tp))
-		}
-		res := runIncastMixStress(o, workload.WebServer, s)
+		s := schemePair(o, DCQCN, tp)[idx]
+		res := Run(stormRun(o, tp, workload.WebServer, s))
 		t := Table{
 			Title:  "Fig 2: realtime throughput, WebServer incastmix — " + s.Name,
 			Header: []string{"bin", "incast", "victim-of-incast", "victim-of-PFC"},
@@ -34,7 +30,7 @@ func Fig2(o Options) []Table {
 		inc := res.Stats.RxThroughput(stats.CatIncast)
 		vi := res.Stats.RxThroughput(stats.CatVictimIncast)
 		vp := res.Stats.RxThroughput(stats.CatVictimPFC)
-		bins := maxLen(len(inc), len(vi), len(vp))
+		bins := max(len(inc), len(vi), len(vp))
 		// Aggregate into at most 16 coarse rows.
 		step := bins/16 + 1
 		for b := 0; b < bins; b += step {
@@ -65,16 +61,6 @@ func Fig2(o Options) []Table {
 		tables = append(tables, g...)
 	}
 	return tables
-}
-
-func maxLen(ns ...int) int {
-	m := 0
-	for _, n := range ns {
-		if n > m {
-			m = n
-		}
-	}
-	return m
 }
 
 func avgRate(series []units.BitRate, from, n int) units.BitRate {

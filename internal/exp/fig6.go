@@ -2,6 +2,7 @@ package exp
 
 import (
 	"floodgate/internal/cc"
+	"floodgate/internal/core"
 	"floodgate/internal/sim"
 	"floodgate/internal/stats"
 	"floodgate/internal/topo"
@@ -17,7 +18,6 @@ import (
 // only DCQCN's first-RTT behaviour). Reported: non-incast FCT and
 // per-hop max buffer, with and without Floodgate.
 func Fig6(o Options) []Table {
-	o = o.norm()
 	fct := Table{
 		Title:  "Fig 6a: testbed FCT of non-incast flows",
 		Header: []string{"scheme", "avgFCT", "p99FCT", "victimAvg", "victimP99"},
@@ -34,7 +34,7 @@ func Fig6(o Options) []Table {
 		s := Scheme{Name: "w/o Floodgate", CC: cc.NewFixedWindow()}
 		if withFG {
 			s = WithFloodgateCfg(Scheme{Name: "w/", CC: cc.NewFixedWindow()},
-				FloodgateConfig(o, bdp), " Floodgate")
+				core.DefaultConfig(bdp), " Floodgate")
 		}
 		dur := 20 * units.Millisecond
 		r := sim.NewRand(o.Seed)
@@ -42,7 +42,7 @@ func Fig6(o Options) []Table {
 		// Periodic cross-rack BDP-sized incast from the four hosts in the
 		// other two racks.
 		incast := workload.Incast(workload.IncastConfig{
-			Dst: dst, Senders: workload.CrossRackSenders(tp, dst),
+			Dst: dst, Senders: incastSenders(tp),
 			Degree: 4, MinSize: bdp, MaxSize: bdp + 1,
 			Load: 0.5, DstRate: 10 * units.Gbps, Until: dur,
 		}, r.Fork())
@@ -53,22 +53,21 @@ func Fig6(o Options) []Table {
 			Until:      dur,
 			Categorize: workload.RackVictimCategorizer(tp, dst),
 		}, r.Fork())
+		testbed := o
+		testbed.Scale = 1 // the testbed runs at its own full scale
 		res := Run(RunConfig{
 			Topo: tp, Scheme: s,
 			Specs:      workload.Merge(poisson, incast),
 			Duration:   dur,
 			Seed:       o.Seed,
-			Opt:        Options{Scale: 1, Seed: o.Seed, Obs: o.Obs}, // testbed runs at its own full scale
-			BufferSize: 2 * units.MB,                                // software-switch buffer
+			Opt:        testbed,
+			BufferSize: 2 * units.MB, // software-switch buffer
 		})
 		avg, p99 := stats.FCTStats(res.Stats.PoissonFCTs())
 		vAvg, vP99 := stats.FCTStats(res.Stats.FCTs(stats.CatVictimIncast))
 		return fig6Rows{
 			fct: []string{s.Name, fmtDur(avg), fmtDur(p99), fmtDur(vAvg), fmtDur(vP99)},
-			buf: []string{s.Name,
-				fmtBytes(res.Stats.MaxClassBuffer(topo.ClassToRUp)),
-				fmtBytes(res.Stats.MaxClassBuffer(topo.ClassCore)),
-				fmtBytes(res.Stats.MaxClassBuffer(topo.ClassToRDown))},
+			buf: append([]string{s.Name}, bufCells(res, hops...)...),
 		}
 	})
 	for _, r := range rows {

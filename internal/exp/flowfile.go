@@ -63,7 +63,7 @@ func RunFlowFile(path string, o Options) ([]Table, error) {
 		Title:  fmt.Sprintf("Flow-file replay: %s (%d flows)", label, n),
 		Header: []string{"scheme", "completed", "goodput", "avgFCT", "p99FCT"},
 	}
-	schemes := []Scheme{DCQCN(o), WithFloodgate(o, DCQCN(o), baseBDPOf(tp))}
+	schemes := schemePair(o, DCQCN, tp)
 	t.Rows = runJobs(o, len(schemes), func(i int) []string {
 		src, err := workload.OpenSpecFile(path)
 		if err != nil {

@@ -19,7 +19,7 @@ func TestRunFlowFileRoundTrip(t *testing.T) {
 	}
 	o := Options{Scale: 0.1, Seed: 1, Parallelism: 1}.norm()
 	tp := o.leafSpine()
-	specs := pureIncastSpecs(tp, o.Seed)
+	specs := burstSpecs(tp, o.Seed, incastSenders(tp))
 	path := filepath.Join(t.TempDir(), "flows.ndjson")
 	f, err := os.Create(path)
 	if err != nil {

@@ -24,7 +24,7 @@ func forensicsIncastRun(t *testing.T, o Options, fg bool) *RunResult {
 		s = WithFloodgate(o, DCQCN(o), baseBDPOf(tp))
 	}
 	res := Run(RunConfig{
-		Topo: tp, Scheme: s, Specs: pureIncastSpecs(tp, o.Seed),
+		Topo: tp, Scheme: s, Specs: burstSpecs(tp, o.Seed, incastSenders(tp)),
 		Duration: 2 * units.Millisecond, Seed: o.Seed, Opt: o,
 	})
 	if res.Completed != res.Total {
@@ -210,7 +210,7 @@ func TestForensicsNoSimImpact(t *testing.T) {
 			tp := oo.leafSpine()
 			return Run(RunConfig{
 				Topo: tp, Scheme: WithFloodgate(oo, DCQCN(oo), baseBDPOf(tp)),
-				Specs:    pureIncastSpecs(tp, oo.Seed),
+				Specs:    burstSpecs(tp, oo.Seed, incastSenders(tp)),
 				Duration: 2 * units.Millisecond, Seed: oo.Seed, Opt: oo,
 			})
 		}

@@ -17,21 +17,7 @@ const fullIncastMixDuration = 4 * units.Millisecond
 // participates (the Fig 14/15 convention; §6.1 does not fix a degree,
 // and only an all-hosts fan-in reproduces the paper's multi-MB
 // last-hop buffers).
-func incastDegree(tp *topo.Topology) int {
-	return len(workload.CrossRackSenders(tp, tp.Hosts[len(tp.Hosts)-1]))
-}
-
-// runIncastMix executes one scheme under the §6.1 incast-mix workload.
-func runIncastMix(o Options, cdf *workload.CDF, s Scheme) *RunResult {
-	o = o.norm()
-	tp := o.leafSpine()
-	dur := o.duration(fullIncastMixDuration)
-	specs := incastMixSpecs(tp, cdf, dur, o.Seed, incastDegree(tp))
-	return Run(RunConfig{
-		Topo: tp, Scheme: s, Specs: specs,
-		Duration: dur, Seed: o.Seed, Opt: o,
-	})
-}
+func incastDegree(tp *topo.Topology) int { return len(incastSenders(tp)) }
 
 // stressBuffer sizes the shared buffer to one incast event's volume.
 // At paper scale the 20 MB buffer saturates because overlapping events
@@ -41,19 +27,6 @@ func runIncastMix(o Options, cdf *workload.CDF, s Scheme) *RunResult {
 // reproducing the paper's buffer-pressure ratio directly.
 func stressBuffer(tp *topo.Topology) units.ByteSize {
 	return units.ByteSize(incastDegree(tp)) * 35 * mtu
-}
-
-// runIncastMixStress is runIncastMix in the PFC-storm regime.
-func runIncastMixStress(o Options, cdf *workload.CDF, s Scheme) *RunResult {
-	o = o.norm()
-	tp := o.leafSpine()
-	dur := o.duration(fullIncastMixDuration)
-	specs := incastMixSpecs(tp, cdf, dur, o.Seed, incastDegree(tp))
-	return Run(RunConfig{
-		Topo: tp, Scheme: s, Specs: specs,
-		Duration: dur, Seed: o.Seed, Opt: o,
-		BufferSize: stressBuffer(tp),
-	})
 }
 
 // baseBDPOf computes the fabric's base BDP for Floodgate thresholds
@@ -76,12 +49,16 @@ func schemeTriple(o Options, base func(Options) Scheme, tp *topo.Topology) []Sch
 	}
 }
 
+// schemePair returns {base, base+Floodgate} for a CC.
+func schemePair(o Options, base func(Options) Scheme, tp *topo.Topology) []Scheme {
+	return []Scheme{base(o), WithFloodgate(o, base(o), baseBDPOf(tp))}
+}
+
 // Fig8 reproduces the average and 99th-tail FCT of Poisson flows under
 // incast-mix, for each congestion control × {plain, +ideal,
 // +Floodgate} × workload. ccName filters to one CC ("DCQCN", "TIMELY",
 // "HPCC") or "" for all.
 func Fig8(o Options, ccName string) []Table {
-	o = o.norm()
 	bases := map[string]func(Options) Scheme{"DCQCN": DCQCN, "TIMELY": TIMELY, "HPCC": HPCC}
 	var order []string
 	for _, cc := range []string{"DCQCN", "TIMELY", "HPCC"} {
@@ -96,8 +73,9 @@ func Fig8(o Options, ccName string) []Table {
 	rows := runJobs(o, len(order)*perCC, func(idx int) []string {
 		cc := order[idx/perCC]
 		cdf := workload.Workloads[(idx%perCC)/nS]
-		s := schemeTriple(o, bases[cc], o.leafSpine())[idx%nS]
-		res := runIncastMixStress(o, cdf, s)
+		tp := o.leafSpine()
+		s := schemeTriple(o, bases[cc], tp)[idx%nS]
+		res := Run(stormRun(o, tp, cdf, s))
 		avg, p99 := stats.FCTStats(res.Stats.PoissonFCTs())
 		return []string{cdf.Name, s.Name, fmtDur(avg), fmtDur(p99),
 			fmt.Sprintf("%d/%d", res.Completed, res.Total)}
@@ -118,10 +96,10 @@ func Fig8(o Options, ccName string) []Table {
 // Fig9 reproduces the per-category FCT CDFs (incast, victim of incast,
 // victim of PFC) under the Web Server incast-mix.
 func Fig9(o Options) []Table {
-	o = o.norm()
 	return runJobs(o, 3, func(idx int) Table {
-		s := schemeTriple(o, DCQCN, o.leafSpine())[idx]
-		res := runIncastMixStress(o, workload.WebServer, s)
+		tp := o.leafSpine()
+		s := schemeTriple(o, DCQCN, tp)[idx]
+		res := Run(stormRun(o, tp, workload.WebServer, s))
 		t := Table{
 			Title:  "Fig 9: FCT CDF by category, Web Server incastmix — " + s.Name,
 			Header: []string{"category", "p50", "p90", "p99", "n"},
@@ -150,7 +128,6 @@ func pickQ(xs []units.Duration, ys []float64, q float64) string {
 
 // Fig10 reproduces maximum switch buffer occupancy across workloads.
 func Fig10(o Options) []Table {
-	o = o.norm()
 	t := Table{
 		Title:  "Fig 10: maximum switch buffer occupancy, incastmix",
 		Header: []string{"workload", "scheme", "maxSwitchBuf", "vs plain"},
@@ -163,8 +140,9 @@ func Fig10(o Options) []Table {
 	}
 	results := runJobs(o, len(workload.Workloads)*3, func(idx int) fig10Res {
 		cdf := workload.Workloads[idx/3]
-		s := schemeTriple(o, DCQCN, o.leafSpine())[idx%3]
-		res := runIncastMix(o, cdf, s)
+		tp := o.leafSpine()
+		s := schemeTriple(o, DCQCN, tp)[idx%3]
+		res := Run(mixRun(o, tp, cdf, s))
 		return fig10Res{cdf.Name, s.Name, res.Stats.MaxSwitchBuffer()}
 	})
 	for ci := range workload.Workloads {
@@ -184,18 +162,15 @@ func Fig10(o Options) []Table {
 // Table2 reproduces the PFC triggered time per fabric layer for plain
 // DCQCN (Floodgate rows are included to show zero).
 func Table2(o Options) []Table {
-	o = o.norm()
 	t := Table{
 		Title:  "Table 2: PFC triggered time (DCQCN), incastmix",
 		Header: []string{"workload", "scheme", "Host", "ToR", "Core"},
 	}
 	t.Rows = runJobs(o, len(workload.Workloads)*2, func(idx int) []string {
 		cdf := workload.Workloads[idx/2]
-		s := DCQCN(o)
-		if idx%2 == 1 {
-			s = WithFloodgate(o, DCQCN(o), baseBDPOf(o.leafSpine()))
-		}
-		res := runIncastMixStress(o, cdf, s)
+		tp := o.leafSpine()
+		s := schemePair(o, DCQCN, tp)[idx%2]
+		res := Run(stormRun(o, tp, cdf, s))
 		return []string{cdf.Name, s.Name,
 			fmtDur(res.Stats.PFCPauseTime(topo.LayerHost)),
 			fmtDur(res.Stats.PFCPauseTime(topo.LayerToR)),
@@ -208,18 +183,15 @@ func Table2(o Options) []Table {
 // Fig11 reproduces the per-hop buffer reallocation (a) and queuing
 // time split (b) for Web Server and Hadoop.
 func Fig11(o Options) []Table {
-	o = o.norm()
 	cdfs := []*workload.CDF{workload.WebServer, workload.Hadoop}
 	type fig11Rows struct{ a, b []string }
 	rows := runJobs(o, len(cdfs)*3, func(idx int) fig11Rows {
 		cdf := cdfs[idx/3]
-		s := schemeTriple(o, DCQCN, o.leafSpine())[idx%3]
-		res := runIncastMixStress(o, cdf, s)
+		tp := o.leafSpine()
+		s := schemeTriple(o, DCQCN, tp)[idx%3]
+		res := Run(stormRun(o, tp, cdf, s))
 		return fig11Rows{
-			a: []string{s.Name,
-				fmtBytes(res.Stats.MaxClassBuffer(topo.ClassToRUp)),
-				fmtBytes(res.Stats.MaxClassBuffer(topo.ClassCore)),
-				fmtBytes(res.Stats.MaxClassBuffer(topo.ClassToRDown))},
+			a: append([]string{s.Name}, bufCells(res, hops...)...),
 			b: []string{s.Name,
 				fmtDur(res.Stats.AvgQueueDelay(topo.ClassToRUp)),
 				fmtDur(res.Stats.AvgQueueDelay(topo.ClassCore)),
@@ -250,15 +222,15 @@ func Fig11(o Options) []Table {
 // Fig21 reproduces the appendix A.1 result: incast flows' own FCT is
 // not hurt by Floodgate.
 func Fig21(o Options) []Table {
-	o = o.norm()
 	t := Table{
 		Title:  "Fig 21: FCT of incast flows under incastmix",
 		Header: []string{"workload", "scheme", "avgFCT", "p99FCT"},
 	}
 	t.Rows = runJobs(o, len(workload.Workloads)*3, func(idx int) []string {
 		cdf := workload.Workloads[idx/3]
-		s := schemeTriple(o, DCQCN, o.leafSpine())[idx%3]
-		res := runIncastMixStress(o, cdf, s)
+		tp := o.leafSpine()
+		s := schemeTriple(o, DCQCN, tp)[idx%3]
+		res := Run(stormRun(o, tp, cdf, s))
 		avg, p99 := stats.FCTStats(res.Stats.FCTs(stats.CatIncast))
 		return []string{cdf.Name, s.Name, fmtDur(avg), fmtDur(p99)}
 	})
@@ -269,7 +241,6 @@ func Fig21(o Options) []Table {
 // Fig22 reproduces appendix A.2: pure Poisson traffic (no incast) —
 // Floodgate must not hurt.
 func Fig22(o Options) []Table {
-	o = o.norm()
 	t := Table{
 		Title:  "Fig 22: avg/p99 FCT under pure Poisson (no incast)",
 		Header: []string{"workload", "scheme", "avgFCT", "p99FCT", "VOQs"},
@@ -277,13 +248,8 @@ func Fig22(o Options) []Table {
 	t.Rows = runJobs(o, len(workload.Workloads)*3, func(idx int) []string {
 		cdf := workload.Workloads[idx/3]
 		tp := o.leafSpine()
-		dur := o.duration(fullIncastMixDuration)
-		hostRate := tp.Node(tp.Hosts[0]).Ports[0].Rate
 		s := schemeTriple(o, DCQCN, tp)[idx%3]
-		specs := workload.Poisson(workload.PoissonConfig{
-			CDF: cdf, Load: 0.8, Hosts: tp.Hosts, HostRate: hostRate, Until: dur,
-		}, newRand(o.Seed))
-		res := Run(RunConfig{Topo: o.leafSpine(), Scheme: s, Specs: specs, Duration: dur, Seed: o.Seed, Opt: Options{Obs: o.Obs}})
+		res := Run(poissonRun(o, tp, cdf, s))
 		avg, p99 := stats.FCTStats(res.Stats.AllFCTs())
 		return []string{cdf.Name, s.Name, fmtDur(avg), fmtDur(p99),
 			fmt.Sprintf("%d", res.Stats.MaxVOQInUse)}

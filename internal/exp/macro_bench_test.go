@@ -39,7 +39,7 @@ func BenchmarkRunIncast(b *testing.B) {
 	var simSec, events, live float64
 	for i := 0; i < b.N; i++ {
 		tp := o.leafSpine()
-		specs := pureIncastSpecs(tp, o.Seed)
+		specs := burstSpecs(tp, o.Seed, incastSenders(tp))
 		res := Run(RunConfig{
 			Topo: tp, Scheme: WithFloodgate(o, DCQCN(o), baseBDPOf(tp)),
 			Specs: specs, Duration: 2 * units.Millisecond,
@@ -92,7 +92,7 @@ func BenchmarkRunIncastSharded(b *testing.B) {
 			var simSec, events, windows, critical float64
 			for i := 0; i < b.N; i++ {
 				tp := o.leafSpine()
-				specs := pureIncastSpecs(tp, o.Seed)
+				specs := burstSpecs(tp, o.Seed, incastSenders(tp))
 				res := Run(RunConfig{
 					Topo: tp, Scheme: WithFloodgate(o, DCQCN(o), baseBDPOf(tp)),
 					Specs: specs, Duration: 2 * units.Millisecond,
@@ -130,7 +130,7 @@ func BenchmarkRunFig2Row(b *testing.B) {
 	b.ReportAllocs()
 	var simSec, events float64
 	for i := 0; i < b.N; i++ {
-		res := runIncastMixStress(o, workload.WebServer, DCQCN(o))
+		res := Run(stormRun(o, o.leafSpine(), workload.WebServer, DCQCN(o)))
 		if res.Completed == 0 {
 			b.Fatal("no flows completed")
 		}
@@ -156,7 +156,7 @@ func BenchmarkRunFaulted(b *testing.B) {
 	var simSec, events float64
 	for i := 0; i < b.N; i++ {
 		tp := o.leafSpine()
-		specs := pureIncastSpecs(tp, o.Seed)
+		specs := burstSpecs(tp, o.Seed, incastSenders(tp))
 		res := Run(RunConfig{
 			Topo: tp, Scheme: WithFloodgate(o, DCQCN(o), baseBDPOf(tp)),
 			Specs: specs, Duration: 2 * units.Millisecond,
@@ -261,7 +261,7 @@ func scaleIncastFloodgateConfig(tb testing.TB, o Options) RunConfig {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	specs := scaleIncastSpecs(tp, o.Seed, scaleIncastDegree)
+	specs := burstSpecs(tp, o.Seed, spreadSenders(tp, scaleIncastDegree))
 	return RunConfig{
 		Topo: tp, Scheme: WithFloodgate(o, DCQCN(o), baseBDPOf(tp)),
 		Specs: specs, Duration: fullScaleIncastDuration,

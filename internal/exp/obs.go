@@ -253,9 +253,8 @@ func TablesHash(tables []Table) string {
 // WriteObsManifest writes <dir>/<experiment>/manifest.json describing
 // the experiment's observability output and returns its path. The
 // file list is the directory's data files in sorted (deterministic)
-// order.
+// order. o is taken as given (RunByID normalised it).
 func WriteObsManifest(o Options, experiment string, tables []Table) (string, error) {
-	o = o.norm()
 	dir := filepath.Join(o.Obs.Dir, experiment)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
@@ -300,7 +299,7 @@ func RunByID(id string, o Options) ([]Table, error) {
 	}
 	o = o.norm()
 	o.Obs.Experiment = id
-	tables := e.Run(o)
+	tables := e.run(o)
 	if o.Obs.Enabled() {
 		if _, err := WriteObsManifest(o, id, tables); err != nil {
 			return tables, fmt.Errorf("exp: writing obs manifest for %s: %w", id, err)

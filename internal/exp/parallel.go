@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 )
 
 // This file is the run-level parallel executor. Every experiment's
@@ -172,7 +171,7 @@ func RunMany(rcs []RunConfig) []*RunResult {
 	if len(rcs) == 0 {
 		return nil
 	}
-	return runJobs(rcs[0].Opt.norm(), len(rcs), func(i int) *RunResult {
+	return runJobs(rcs[0].Opt, len(rcs), func(i int) *RunResult {
 		return Run(rcs[i])
 	})
 }
@@ -184,7 +183,6 @@ func RunMany(rcs []RunConfig) []*RunResult {
 // one after another exactly as before. emit is always called from the
 // calling goroutine.
 func RunExperiments(ids []string, o Options, emit func(id string, tables []Table, err error)) {
-	o = o.norm()
 	if o.parallelism() <= 1 {
 		for _, id := range ids {
 			tables, err := runByID(id, o)
@@ -210,22 +208,14 @@ func RunExperiments(ids []string, o Options, emit func(id string, tables []Table
 	}
 }
 
-// recoveredPanics counts panics converted into errors at the
-// experiment boundary (observability for tests and operators).
-var recoveredPanics atomic.Int64
-
-// RecoveredPanics reports how many experiment runs panicked and were
-// isolated into errors instead of crashing the process.
-func RecoveredPanics() int64 { return recoveredPanics.Load() }
-
 // runByID is the isolation boundary: a panic anywhere inside one
 // experiment — a faulting Run (already wrapped as *RunError with the
 // run's config hash) or the figure's own assembly code — becomes that
 // experiment's error, and the rest of an `-exp all` sweep proceeds.
+// RunByID normalises o.
 func runByID(id string, o Options) (tables []Table, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			recoveredPanics.Add(1)
 			re, ok := v.(*RunError)
 			if !ok {
 				re = &RunError{ConfigHash: "experiment:" + id, Value: v, Stack: string(debug.Stack())}

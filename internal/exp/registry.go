@@ -1,19 +1,17 @@
 package exp
 
-import (
-	"fmt"
-	"sort"
-)
-
-// Runner produces the tables of one paper figure or table.
-type Runner func(Options) []Table
+import "fmt"
 
 // Experiment describes one reproducible result.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   Runner
+	run   func(Options) []Table
 }
+
+// Run produces the experiment's tables. It normalises o once; the
+// runner and everything it calls take the Options as given.
+func (e Experiment) Run(o Options) []Table { return e.run(o.norm()) }
 
 // registry maps experiment ids to runners, in paper order.
 var registry = []Experiment{
@@ -66,14 +64,4 @@ func List() []Experiment {
 	out := make([]Experiment, len(registry))
 	copy(out, registry)
 	return out
-}
-
-// IDs returns the sorted experiment ids.
-func IDs() []string {
-	ids := make([]string, len(registry))
-	for i, e := range registry {
-		ids[i] = e.ID
-	}
-	sort.Strings(ids)
-	return ids
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"floodgate/internal/packet"
+	"floodgate/internal/topo"
 	"floodgate/internal/units"
 )
 
@@ -69,6 +70,18 @@ func fmtBytes(b units.ByteSize) string { return b.String() }
 
 // fmtRate renders a bit rate for table cells.
 func fmtRate(r units.BitRate) string { return r.String() }
+
+// hops is the 2-tier fabric's per-hop reporting order.
+var hops = []topo.PortClass{topo.ClassToRUp, topo.ClassCore, topo.ClassToRDown}
+
+// bufCells renders the run's max per-port buffer for each class.
+func bufCells(res *RunResult, classes ...topo.PortClass) []string {
+	cells := make([]string, len(classes))
+	for i, c := range classes {
+		cells[i] = fmtBytes(res.Stats.MaxClassBuffer(c))
+	}
+	return cells
+}
 
 // fmtRatio renders a× comparisons.
 func fmtRatio(a, b float64) string {

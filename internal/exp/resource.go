@@ -19,14 +19,12 @@ func SWIFT(o Options) Scheme {
 // run: the peak per-switch window-table size (stateful memory), peak
 // VOQ usage, and the bandwidth shares of credit and control traffic.
 func ResourceOverhead(o Options) []Table {
-	o = o.norm()
 	t := Table{
 		Title:  "§7.4 resource overhead (WebServer incastmix, DCQCN+Floodgate)",
 		Header: []string{"metric", "value", "paper"},
 	}
 	tp := o.leafSpine()
-	s := WithFloodgate(o, DCQCN(o), baseBDPOf(tp))
-	res := runMixWith(o, tp, workload.WebServer, s)
+	res := Run(mixRun(o, tp, workload.WebServer, WithFloodgate(o, DCQCN(o), baseBDPOf(tp))))
 
 	maxWins := 0
 	for _, n := range res.Cluster.Nets {
@@ -61,17 +59,14 @@ func ResourceOverhead(o Options) []Table {
 // SwiftCompat runs Swift with and without Floodgate on the incast mix
 // (extension beyond the paper's three carried protocols).
 func SwiftCompat(o Options) []Table {
-	o = o.norm()
 	t := Table{
 		Title:  "Extension: Swift ± Floodgate (WebServer incastmix)",
 		Header: []string{"scheme", "poisson avg", "poisson p99", "maxSwitchBuf"},
 	}
 	t.Rows = runJobs(o, 2, func(idx int) []string {
-		s := SWIFT(o)
-		if idx == 1 {
-			s = WithFloodgate(o, SWIFT(o), baseBDPOf(o.leafSpine()))
-		}
-		res := runMixWith(o, o.leafSpine(), workload.WebServer, s)
+		tp := o.leafSpine()
+		s := schemePair(o, SWIFT, tp)[idx]
+		res := Run(mixRun(o, tp, workload.WebServer, s))
 		avg, p99 := stats.FCTStats(res.Stats.PoissonFCTs())
 		return []string{s.Name, fmtDur(avg), fmtDur(p99), fmtBytes(res.Stats.MaxSwitchBuffer())}
 	})

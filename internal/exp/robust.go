@@ -2,8 +2,11 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 
+	"floodgate/internal/core"
 	"floodgate/internal/fault"
+	"floodgate/internal/sim"
 	"floodgate/internal/stats"
 	"floodgate/internal/topo"
 	"floodgate/internal/units"
@@ -15,7 +18,6 @@ import (
 // switch-to-switch links. Reported: delivered throughput over time —
 // the shape to check is that goodput stays near the lossless level.
 func Fig12(o Options) []Table {
-	o = o.norm()
 	t := Table{
 		Title:  "Fig 12: throughput under injected credit loss (DCQCN+Floodgate)",
 		Header: []string{"lossRate", "avg goodput", "vs lossless", "drops", "completed"},
@@ -46,15 +48,9 @@ func Fig12(o Options) []Table {
 	results := runJobs(o, len(cases), func(idx int) fig12Res {
 		c := cases[idx]
 		tp := o.leafSpine()
-		dur := o.duration(fullIncastMixDuration)
-		specs := incastMixSpecs(tp, workload.WebServer, dur, o.Seed, incastDegree(tp))
-		rc := RunConfig{
-			Topo:   tp,
-			Scheme: WithFloodgate(o, DCQCN(o), baseBDPOf(tp)),
-			Specs:  specs, Duration: dur, Seed: o.Seed, Opt: o,
-			CreditLossRate: c.uniform,
-			Drain:          10 * dur,
-		}
+		rc := mixRun(o, tp, workload.WebServer, WithFloodgate(o, DCQCN(o), baseBDPOf(tp)))
+		rc.CreditLossRate = c.uniform
+		rc.Drain = 10 * rc.Duration
 		if c.burst > 0 {
 			rc.Faults = &fault.Plan{Burst: fault.BurstWithMeanLoss(c.burst)}
 		}
@@ -65,7 +61,7 @@ func Fig12(o Options) []Table {
 				rx += b
 			}
 		}
-		return fig12Res{units.Rate(rx, dur), res.Stats.Drops, res.Completed, res.Total}
+		return fig12Res{units.Rate(rx, rc.Duration), res.Stats.Drops, res.Completed, res.Total}
 	})
 	lossless := float64(results[0].goodput)
 	for i, c := range cases {
@@ -83,7 +79,6 @@ func Fig12(o Options) []Table {
 // and Hadoop plus Hadoop's per-hop buffer occupancy across the five
 // port classes.
 func Fig13(o Options) []Table {
-	o = o.norm()
 	tp := o.fatTree()
 	bdp := units.BDP(tp.Node(tp.Hosts[0]).Ports[0].Rate,
 		2*6*(tp.Node(tp.Hosts[0]).Ports[0].Prop+units.TxTime(mtu, tp.Node(tp.Hosts[0]).Ports[0].Rate)))
@@ -107,16 +102,12 @@ func Fig13(o Options) []Table {
 	rows := runJobs(o, len(cdfs)*len(schemes), func(idx int) fig13Rows {
 		cdf := cdfs[idx/len(schemes)]
 		s := schemes[idx%len(schemes)]
-		res := runFatTreeMix(o, tp, cdf, s)
+		res := Run(mixRun(o, tp, cdf, s))
 		avg, p99 := stats.FCTStats(res.Stats.PoissonFCTs())
 		out := fig13Rows{fct: []string{cdf.Name, s.Name, fmtDur(avg), fmtDur(p99)}}
 		if cdf == workload.Hadoop {
-			out.buf = []string{s.Name,
-				fmtBytes(res.Stats.MaxClassBuffer(topo.ClassToRUp)),
-				fmtBytes(res.Stats.MaxClassBuffer(topo.ClassAggUp)),
-				fmtBytes(res.Stats.MaxClassBuffer(topo.ClassCore)),
-				fmtBytes(res.Stats.MaxClassBuffer(topo.ClassAggDown)),
-				fmtBytes(res.Stats.MaxClassBuffer(topo.ClassToRDown))}
+			out.buf = append([]string{s.Name}, bufCells(res, topo.ClassToRUp, topo.ClassAggUp,
+				topo.ClassCore, topo.ClassAggDown, topo.ClassToRDown)...)
 		}
 		return out
 	})
@@ -131,48 +122,25 @@ func Fig13(o Options) []Table {
 	return []Table{fct, buf}
 }
 
-func runFatTreeMix(o Options, tp *topo.Topology, cdf *workload.CDF, s Scheme) *RunResult {
-	dur := o.duration(fullIncastMixDuration)
-	specs := incastMixSpecs(tp, cdf, dur, o.Seed, incastDegree(tp))
-	return Run(RunConfig{
-		Topo: tp, Scheme: s, Specs: specs, Duration: dur,
-		Seed: o.Seed, Opt: o,
-	})
-}
-
 // Fig14 reproduces the ToR-scaling experiment: pure incast (every
 // cross-rack host sends one 30–40 MTU flow) as the fabric grows to
 // 20/40/60/80 ToRs. Reported: per-hop max buffer for DCQCN and
 // DCQCN+Floodgate.
 func Fig14(o Options) []Table {
-	o = o.norm()
 	torCounts := []int{20, 40, 60, 80}
 	rows := runJobs(o, 2*len(torCounts), func(idx int) []string {
-		fg := idx/len(torCounts) == 1
 		tors := torCounts[idx%len(torCounts)]
-		c := topo.DefaultLeafSpine()
+		c := o.leafSpineConfig()
 		c.ToRs = tors
-		c.HostsPerToR = o.hostsPerToR()
-		c.Spines = o.spines()
-		c.HostRate = o.rate(c.HostRate)
-		c.SpineRate = o.rate(c.SpineRate)
-		c.Prop = o.stretch(c.Prop)
 		tp := c.Build()
-		s := DCQCN(o)
-		if fg {
-			s = WithFloodgate(o, DCQCN(o), baseBDPOf(tp))
-		}
-		specs := pureIncastSpecs(tp, o.Seed)
 		res := Run(RunConfig{
-			Topo: tp, Scheme: s, Specs: specs,
+			Topo: tp, Scheme: schemePair(o, DCQCN, tp)[idx/len(torCounts)],
+			Specs:    burstSpecs(tp, o.Seed, incastSenders(tp)),
 			Duration: 2 * units.Millisecond, Seed: o.Seed, Opt: o,
 			Drain: 100 * units.Millisecond,
 		})
-		return []string{fmt.Sprintf("%d", tors),
-			fmtBytes(res.Stats.MaxClassBuffer(topo.ClassToRUp)),
-			fmtBytes(res.Stats.MaxClassBuffer(topo.ClassCore)),
-			fmtBytes(res.Stats.MaxClassBuffer(topo.ClassToRDown)),
-			fmtBytes(res.Stats.MaxSwitchBuffer())}
+		return slices.Concat([]string{fmt.Sprintf("%d", tors)}, bufCells(res, hops...),
+			[]string{fmtBytes(res.Stats.MaxSwitchBuffer())})
 	})
 	var tables []Table
 	for fi, name := range []string{"DCQCN", "DCQCN+Floodgate"} {
@@ -191,34 +159,21 @@ func Fig14(o Options) []Table {
 // to distinct destinations, comparing DCQCN, practical Floodgate and
 // Floodgate with per-dst PAUSE.
 func Fig15(o Options) []Table {
-	o = o.norm()
 	var tables []Table
-	mk := func(name string) func(tp *topo.Topology) Scheme {
-		return func(tp *topo.Topology) Scheme {
-			switch name {
-			case "DCQCN":
-				return DCQCN(o)
-			case "DCQCN+Floodgate":
-				return WithFloodgate(o, DCQCN(o), baseBDPOf(tp))
-			default:
-				cfg := FloodgateConfig(o, baseBDPOf(tp))
-				cfg.PerDstPause = true
-				return WithFloodgateCfg(DCQCN(o), cfg, "+Floodgate (per-dst PAUSE)")
-			}
-		}
-	}
 	names := []string{"DCQCN", "DCQCN+Floodgate", "DCQCN+Floodgate (per-dst PAUSE)"}
 	counts := []int{4, 8, 12, 16, 20, 24}
 	rows := runJobs(o, len(names)*len(counts), func(idx int) []string {
-		name := names[idx/len(counts)]
 		times := counts[idx%len(counts)]
 		tp := o.leafSpine()
-		s := mk(name)(tp)
+		perDst := core.DefaultConfig(baseBDPOf(tp))
+		perDst.PerDstPause = true
+		s := append(schemePair(o, DCQCN, tp),
+			WithFloodgateCfg(DCQCN(o), perDst, "+Floodgate (per-dst PAUSE)"))[idx/len(counts)]
 		hostRate := tp.Node(tp.Hosts[0]).Ports[0].Rate
 		// Gap = nominal drain time of one event, so events pile up.
 		event := units.ByteSize(len(tp.Hosts)-1) * 35 * mtu
 		gap := units.TxTime(event, hostRate) / 4 // successive: events arrive faster than they drain
-		specs := workload.SuccessiveIncast(tp.Hosts, times, gap, 30*mtu, 40*mtu, newRand(o.Seed))
+		specs := workload.SuccessiveIncast(tp.Hosts, times, gap, 30*mtu, 40*mtu, sim.NewRand(o.Seed))
 		res := Run(RunConfig{
 			Topo: tp, Scheme: s, Specs: specs,
 			Duration: units.Duration(times+2) * gap,
@@ -226,10 +181,7 @@ func Fig15(o Options) []Table {
 			Seed:     o.Seed, Opt: o,
 			BufferSize: stressBuffer(tp), // the storm regime (see stressBuffer)
 		})
-		return []string{fmt.Sprintf("%d", times),
-			fmtBytes(res.Stats.MaxClassBuffer(topo.ClassToRUp)),
-			fmtBytes(res.Stats.MaxClassBuffer(topo.ClassCore)),
-			fmtBytes(res.Stats.MaxClassBuffer(topo.ClassToRDown))}
+		return append([]string{fmt.Sprintf("%d", times)}, bufCells(res, hops...)...)
 	})
 	for ni, name := range names {
 		t := Table{

@@ -57,9 +57,11 @@ type Options struct {
 	Topo string
 }
 
-// DefaultOptions returns a laptop-friendly scale.
-func DefaultOptions() Options { return Options{Scale: 0.25, Seed: 1} }
-
+// norm fills the defaults (Scale 0.25, Seed 1) and clamps Scale to 1.
+// Options are normalised once, where they enter the package: the
+// Experiment.Run method, RunByID, RunExperiments, RunMany, Run,
+// RunFlowFile, RunFaultScenario and DCQCN. Runners and helpers take
+// them as given.
 func (o Options) norm() Options {
 	if o.Scale <= 0 {
 		o.Scale = 0.25
@@ -144,28 +146,26 @@ func (o Options) bufferSize() units.ByteSize {
 	return units.ByteSize(float64(20*units.MB) * float64(o.hostsPerToR()) / 16)
 }
 
-// leafSpine builds the §6 fabric at this scale.
-func (o Options) leafSpine() *topo.Topology {
+// leafSpineConfig is the §6 fabric's config at this scale. Figures that
+// vary the fabric (ToR count, oversubscription) tweak it and Build.
+func (o Options) leafSpineConfig() topo.LeafSpineConfig {
 	c := topo.DefaultLeafSpine()
 	c.HostsPerToR = o.hostsPerToR()
 	c.Spines = o.spines()
 	c.HostRate = o.rate(c.HostRate)
 	c.SpineRate = o.rate(c.SpineRate)
 	c.Prop = o.stretch(c.Prop)
-	return c.Build()
+	return c
 }
+
+// leafSpine builds the §6 fabric at this scale.
+func (o Options) leafSpine() *topo.Topology { return o.leafSpineConfig().Build() }
 
 // fatTree builds the §6.2 8-ary fabric at this scale.
 func (o Options) fatTree() *topo.Topology {
 	c := topo.DefaultFatTree()
-	c.Rate = o.rate(c.Rate)
-	c.Prop = o.stretch(c.Prop)
-	h := int(4*o.Scale + 0.5)
-	if h < 2 {
-		h = 2
-	}
-	c.HostsPerEdge = h
-	return c.Build()
+	c.HostsPerEdge = max(int(4*o.Scale+0.5), 2)
+	return buildFatTree(c, o)
 }
 
 // RunConfig assembles one simulation run.
@@ -327,26 +327,24 @@ func Run(rc RunConfig) *RunResult {
 	}
 	opt := rc.Opt.norm()
 	k := opt.shards()
-	binW := rc.BinWidth
-	if binW == 0 {
-		binW = 10 * units.Microsecond
-	}
 	engines := make([]*sim.Engine, k)
 	for i := range engines {
 		engines[i] = sim.NewEngine()
 	}
-	ecn := device.ECNConfig{Enable: rc.Scheme.ECN, KMin: 40 * units.KB, KMax: 160 * units.KB, PMax: 0.2}
+	// Unset RED/ECN thresholds, PFC alpha and the bin width take
+	// device.Config's and stats.NewCollector's paper defaults.
+	ecn := device.ECNConfig{Enable: rc.Scheme.ECN}
 	if rc.ECN != nil {
 		ecn = *rc.ECN
 	}
 	cfg := device.Config{
 		Topo:           rc.Topo,
-		Stats:          stats.NewCollector(binW),
+		Stats:          stats.NewCollector(rc.BinWidth),
 		Seed:           rc.Seed ^ 0x5eed,
 		BufferSize:     rc.BufferSize,
 		RTO:            opt.stretch(units.Millisecond),
 		CNPInterval:    opt.stretch(50 * units.Microsecond),
-		PFC:            device.PFCConfig{Enable: !rc.PFCOff && !rc.Scheme.NDP, Alpha: 2},
+		PFC:            device.PFCConfig{Enable: !rc.PFCOff && !rc.Scheme.NDP},
 		ECN:            ecn,
 		INT:            rc.Scheme.INT,
 		CC:             rc.Scheme.CC,
@@ -521,6 +519,39 @@ func Run(rc RunConfig) *RunResult {
 	return res
 }
 
+// The run vocabulary every experiment is built from: the §6.1 incast
+// mix (mixRun), the same mix in the PFC-storm regime (stormRun), pure
+// Poisson (poissonRun), and the t=0 burst (burstSpecs) from a sender
+// list. Each returns a value the caller adjusts (BufferSize, Drain,
+// Faults, CreditLossRate, ...) before handing it to Run.
+
+// mixRun is the §6.1 incast-mix run of s on tp over the standard window.
+func mixRun(o Options, tp *topo.Topology, cdf *workload.CDF, s Scheme) RunConfig {
+	dur := o.duration(fullIncastMixDuration)
+	return RunConfig{
+		Topo: tp, Scheme: s, Specs: incastMixSpecs(tp, cdf, dur, o.Seed, incastDegree(tp)),
+		Duration: dur, Seed: o.Seed, Opt: o,
+	}
+}
+
+// stormRun is mixRun in the PFC-storm regime: the buffer pinned to one
+// incast event's volume (see stressBuffer).
+func stormRun(o Options, tp *topo.Topology, cdf *workload.CDF, s Scheme) RunConfig {
+	rc := mixRun(o, tp, cdf, s)
+	rc.BufferSize = stressBuffer(tp)
+	return rc
+}
+
+// poissonRun is the pure-Poisson run (Fig 22, compat): cdf at 0.8 load
+// among every host, no incast, over the standard window.
+func poissonRun(o Options, tp *topo.Topology, cdf *workload.CDF, s Scheme) RunConfig {
+	dur := o.duration(fullIncastMixDuration)
+	specs := workload.Poisson(workload.PoissonConfig{
+		CDF: cdf, Load: 0.8, Hosts: tp.Hosts, HostRate: tp.Node(tp.Hosts[0]).Ports[0].Rate, Until: dur,
+	}, sim.NewRand(o.Seed))
+	return RunConfig{Topo: tp, Scheme: s, Specs: specs, Duration: dur, Seed: o.Seed, Opt: o}
+}
+
 // incastMixSpecs builds the paper's default §6 workload: Poisson
 // background at 0.8 load over the given CDF, plus periodic 30–40 MTU
 // incast at destination load 0.5, victims categorised by rack.
@@ -536,25 +567,29 @@ func incastMixSpecs(tp *topo.Topology, cdf *workload.CDF, dur units.Duration, se
 		Categorize: workload.RackVictimCategorizer(tp, dst),
 	}, r.Fork())
 	incast := workload.Incast(workload.IncastConfig{
-		Dst: dst, Senders: workload.CrossRackSenders(tp, dst),
+		Dst: dst, Senders: incastSenders(tp),
 		Degree: degree, MinSize: 30 * mtu, MaxSize: 40 * mtu,
 		Load: 0.5, DstRate: hostRate, Until: dur,
 	}, r.Fork())
 	return workload.Merge(poisson, incast)
 }
 
-// pureIncastSpecs: every host outside dst's rack sends one 30–40 MTU
-// flow at t=0 (Fig 14).
-func pureIncastSpecs(tp *topo.Topology, seed uint64) []workload.FlowSpec {
+// incastSenders is the incast destination's (the last host's)
+// cross-rack sender set: every host outside its rack.
+func incastSenders(tp *topo.Topology) []topoNodeID {
+	return workload.CrossRackSenders(tp, tp.Hosts[len(tp.Hosts)-1])
+}
+
+// burstSpecs is the pure incast burst: each of srcs sends one 30–40
+// MTU flow to the last host at t=0, sizes drawn from seed in srcs
+// order.
+func burstSpecs(tp *topo.Topology, seed uint64, srcs []topoNodeID) []workload.FlowSpec {
 	r := sim.NewRand(seed)
 	dst := tp.Hosts[len(tp.Hosts)-1]
-	var specs []workload.FlowSpec
-	for _, src := range workload.CrossRackSenders(tp, dst) {
+	specs := make([]workload.FlowSpec, 0, len(srcs))
+	for _, src := range srcs {
 		size := 30*mtu + units.ByteSize(r.Int63n(int64(10*mtu)+1))
 		specs = append(specs, workload.FlowSpec{Src: src, Dst: dst, Size: size, Cat: catIncast})
 	}
 	return specs
 }
-
-// newRand builds a seeded source (exp helpers).
-func newRand(seed uint64) *sim.Rand { return sim.NewRand(seed) }

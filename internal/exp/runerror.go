@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"floodgate/internal/device"
 	"floodgate/internal/units"
 )
 
@@ -34,21 +35,13 @@ func (e *RunError) Error() string {
 // horizon, so instead of burning the remaining time bound the run
 // stops and explains where the bytes are stuck.
 type StallDiagnosis struct {
-	At      units.Time     // sim time the watchdog tripped
-	Horizon units.Duration // progress horizon that elapsed without delivery
-
-	DeliveredBytes  units.ByteSize // payload delivered before the stall
+	At              units.Time     // sim time the watchdog tripped
+	Horizon         units.Duration // progress horizon that elapsed without delivery
 	IncompleteFlows int            // flows still unfinished
 
-	// Floodgate window state, summed over switches.
-	ExhaustedWindows int            // per-dst windows with < 1 MTU available
-	WindowDeficit    units.ByteSize // un-credited bytes across all windows
-	ParkedBytes      units.ByteSize // bytes parked in VOQs
-
-	// Pause and link state.
-	PausedSwitchPorts int // switch ports PFC-paused
-	PausedHosts       int // hosts PFC-paused
-	LinksDown         int // links currently failed
+	// Delivered bytes, Floodgate window state, pause and link state,
+	// summed over every shard.
+	device.StallSnapshot
 
 	// Application plane state at the stall (HasApp gates the fields: a
 	// closed-loop run stuck behind an open breaker or a long backoff

@@ -12,7 +12,7 @@ import (
 // (byte-identity across shards × par × schedulers) a regression gate
 // for the router swap itself, not just for the executor.
 func TestExperimentFabricsUseStructuralRouter(t *testing.T) {
-	o := DefaultOptions().norm()
+	o := Options{Scale: 0.25, Seed: 1}
 	if got := o.leafSpine().RouterKind(); got != "structural" {
 		t.Errorf("leafSpine router = %q, want structural", got)
 	}
@@ -165,7 +165,7 @@ func TestScaleGauges(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := Run(RunConfig{
-		Topo: tp, Scheme: DCQCN(o), Specs: scaleIncastSpecs(tp, o.Seed, 32),
+		Topo: tp, Scheme: DCQCN(o), Specs: burstSpecs(tp, o.Seed, spreadSenders(tp, 32)),
 		Duration: o.duration(fullScaleIncastDuration), Seed: o.Seed, Opt: o,
 	})
 	m := res.Net.Metrics

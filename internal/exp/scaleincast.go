@@ -6,7 +6,6 @@ import (
 	"floodgate/internal/stats"
 	"floodgate/internal/topo"
 	"floodgate/internal/units"
-	"floodgate/internal/workload"
 )
 
 // The scaleincast experiment: the canonical incast burst on a
@@ -94,25 +93,17 @@ func (o Options) scaleTopo(def string) (*topo.Topology, string, error) {
 	return nil, "", fmt.Errorf("exp: unknown topology preset %q (have %v)", name, names)
 }
 
-// scaleIncastSpecs builds the bounded-degree burst: `degree`
-// cross-rack senders spread evenly over the host range (so every pod
-// contributes), each firing one 30–40 MTU flow at t=0 toward the
-// last host — the same per-flow shape as the paper-scale pure
-// incast, sampled deterministically from the seed.
-func scaleIncastSpecs(tp *topo.Topology, seed uint64, degree int) []workload.FlowSpec {
-	r := newRand(seed)
-	dst := tp.Hosts[len(tp.Hosts)-1]
-	eligible := workload.CrossRackSenders(tp, dst)
-	if degree > len(eligible) {
-		degree = len(eligible)
+// spreadSenders picks the bounded-degree burst's senders: `degree`
+// cross-rack hosts spread evenly over the host range, so every pod
+// contributes. burstSpecs then gives them the paper-scale pure
+// incast's per-flow shape.
+func spreadSenders(tp *topo.Topology, degree int) []topoNodeID {
+	eligible := incastSenders(tp)
+	picks := make([]topoNodeID, min(degree, len(eligible)))
+	for i := range picks {
+		picks[i] = eligible[i*len(eligible)/len(picks)]
 	}
-	specs := make([]workload.FlowSpec, 0, degree)
-	for i := 0; i < degree; i++ {
-		src := eligible[i*len(eligible)/degree]
-		size := 30*mtu + units.ByteSize(r.Int63n(int64(10*mtu)+1))
-		specs = append(specs, workload.FlowSpec{Src: src, Dst: dst, Size: size, Cat: catIncast})
-	}
-	return specs
+	return picks
 }
 
 // ScaleIncast runs the canonical incast on the selected large-fabric
@@ -124,7 +115,6 @@ func scaleIncastSpecs(tp *topo.Topology, seed uint64, degree int) []workload.Flo
 // and benchmarks instead, keeping this table byte-identical across
 // shards, parallelism and schedulers.
 func ScaleIncast(o Options) []Table {
-	o = o.norm()
 	tp, preset, err := o.scaleTopo("clos100k")
 	if err != nil {
 		panic(err)
@@ -148,23 +138,19 @@ func ScaleIncast(o Options) []Table {
 	mem.AddRow("route_bytes", fmt.Sprintf("%d", routeBytes))
 	mem.AddRow("route bytes/port", fmt.Sprintf("%.1f", float64(routeBytes)/float64(ports)))
 	mem.AddRow("dense headers (est)", fmt.Sprintf("%d", denseHeaders))
-	mem.AddRow("dense/structural", fmt.Sprintf("%dx", denseHeaders/max64(routeBytes, 1)))
-	mem.AddRow("topo+route bytes/host", fmt.Sprintf("%d", (tp.StructBytes()+routeBytes)/max64(hosts, 1)))
+	mem.AddRow("dense/structural", fmt.Sprintf("%dx", denseHeaders/max(routeBytes, 1)))
+	mem.AddRow("topo+route bytes/host", fmt.Sprintf("%d", (tp.StructBytes()+routeBytes)/max(hosts, 1)))
 	mem.Comment = "deterministic accounting; live-heap budget asserted by TestScaleIncastCompletes / BenchmarkRunScaleIncast"
 
 	dur := o.duration(fullScaleIncastDuration)
 	// Both schemes share one immutable Topology — at 100k hosts,
 	// building it twice would double the dominant memory term for no
 	// isolation benefit (parallel runs share topologies everywhere
-	// else too).
+	// else too), and so do their specs.
+	specs := burstSpecs(tp, o.Seed, spreadSenders(tp, scaleIncastDegree))
 	runs := runJobs(o, 2, func(idx int) *RunResult {
-		s := DCQCN(o)
-		if idx == 1 {
-			s = WithFloodgate(o, DCQCN(o), baseBDPOf(tp))
-		}
-		specs := scaleIncastSpecs(tp, o.Seed, scaleIncastDegree)
 		return Run(RunConfig{
-			Topo: tp, Scheme: s, Specs: specs,
+			Topo: tp, Scheme: schemePair(o, DCQCN, tp)[idx], Specs: specs,
 			Duration: dur, Seed: o.Seed, Opt: o,
 			BufferSize: units.ByteSize(len(specs)) * 35 * mtu,
 		})
@@ -181,11 +167,4 @@ func ScaleIncast(o Options) []Table {
 			fmt.Sprintf("%d", res.Stats.Drops), fmt.Sprintf("%d", res.Stats.PFCEventCount()))
 	}
 	return []Table{mem, run}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

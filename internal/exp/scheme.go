@@ -5,7 +5,8 @@
 //
 // Schemes are constructed against an Options value because the
 // slow-motion scale model stretches every protocol time constant
-// (DCQCN timers, Floodgate's credit timer, CNP pacing) by 1/Scale.
+// (DCQCN timers, CNP pacing) by 1/Scale; Floodgate's credit timer is
+// the deliberate exception (see WithFloodgate).
 package exp
 
 import (
@@ -38,7 +39,8 @@ type Scheme struct {
 }
 
 // dcqcnConfigScaled returns the DCQCN binding with timers stretched to
-// the scale's slow-motion clock.
+// the scale's slow-motion clock. DCQCN is a library entry point (the
+// facade, bench/), so its Options are normalised here.
 func dcqcnConfigScaled(o Options) dcqcn.Config {
 	o = o.norm()
 	cfg := dcqcn.DefaultConfig()
@@ -49,9 +51,6 @@ func dcqcnConfigScaled(o Options) dcqcn.Config {
 	cfg.RateHAI = o.rate(cfg.RateHAI)
 	return cfg
 }
-
-// dcqcnNew re-exports the factory for experiment-local overrides.
-var dcqcnNew = dcqcn.New
 
 // DCQCN returns plain DCQCN (ECN marking, CNP reaction) with timers
 // stretched to the scale's slow-motion clock.
@@ -82,32 +81,23 @@ func NDP(o Options) Scheme {
 	return Scheme{Name: "NDP", CC: cc.NewFixedWindow(), NDP: true}
 }
 
-// FloodgateConfig returns the §6 practical binding: T = 10 µs,
-// thre_credit = 10 base BDP, 100 VOQs. The credit timer deliberately
-// stays at its wall-clock value across scales: the window's C_out·T
-// term then shrinks with the scaled link rate, preserving the paper's
-// ratio between per-dst windows and a rack's incast share (the
-// engagement condition of the mechanism). The relative credit-packet
-// overhead is higher at small scale as a result; EXPERIMENTS.md notes
-// this where it shows.
-func FloodgateConfig(o Options, baseBDP units.ByteSize) core.Config {
-	return core.DefaultConfig(baseBDP)
-}
-
-// IdealFloodgateConfig returns the strawman binding (per-packet
-// credits, m·BDP windows, per-dst PAUSE).
-func IdealFloodgateConfig(o Options, baseBDP units.ByteSize) core.Config {
-	return core.IdealConfig(baseBDP)
-}
-
-// WithFloodgate layers practical Floodgate over a scheme.
+// WithFloodgate layers practical Floodgate over a scheme: the §6
+// binding core.DefaultConfig (T = 10 µs, thre_credit = 10 base BDP, 100
+// VOQs). The credit timer deliberately stays at its wall-clock value
+// across scales, so o goes unused: the window's C_out·T term then
+// shrinks with the scaled link rate, preserving the paper's ratio
+// between per-dst windows and a rack's incast share (the engagement
+// condition of the mechanism). The relative credit-packet overhead is
+// higher at small scale as a result; EXPERIMENTS.md notes this where
+// it shows.
 func WithFloodgate(o Options, s Scheme, baseBDP units.ByteSize) Scheme {
-	return WithFloodgateCfg(s, FloodgateConfig(o, baseBDP), "+Floodgate")
+	return WithFloodgateCfg(s, core.DefaultConfig(baseBDP), "+Floodgate")
 }
 
-// WithIdeal layers strawman Floodgate over a scheme.
+// WithIdeal layers strawman Floodgate over a scheme (core.IdealConfig:
+// per-packet credits, m·BDP windows, per-dst PAUSE).
 func WithIdeal(o Options, s Scheme, baseBDP units.ByteSize) Scheme {
-	return WithFloodgateCfg(s, IdealFloodgateConfig(o, baseBDP), "+ideal")
+	return WithFloodgateCfg(s, core.IdealConfig(baseBDP), "+ideal")
 }
 
 // WithFloodgateCfg layers an explicit Floodgate config (sweeps).

@@ -103,19 +103,12 @@ func runWindows(c *device.Cluster, tEnd units.Time, horizon units.Duration, done
 			if d := c.DeliveredBytes(); d != lastDelivered {
 				lastDelivered, lastProgress = d, u
 			} else if u.Sub(lastProgress) >= horizon {
-				ss := c.StallSnapshot()
 				res.stalled = true
 				res.diagnosis = &StallDiagnosis{
-					At:                u,
-					Horizon:           horizon,
-					DeliveredBytes:    ss.DeliveredBytes,
-					IncompleteFlows:   total - done(),
-					ExhaustedWindows:  ss.ExhaustedWindows,
-					WindowDeficit:     ss.WindowDeficit,
-					ParkedBytes:       ss.ParkedBytes,
-					PausedSwitchPorts: ss.PausedSwitchPorts,
-					PausedHosts:       ss.PausedHosts,
-					LinksDown:         ss.LinksDown,
+					At:              u,
+					Horizon:         horizon,
+					IncompleteFlows: total - done(),
+					StallSnapshot:   c.StallSnapshot(),
 				}
 				if appState != nil {
 					res.diagnosis.HasApp = true

@@ -54,7 +54,7 @@ func sloStormSpecs(tp *topo.Topology, dur units.Duration, seed uint64) []workloa
 	hostRate := tp.Node(tp.Hosts[0]).Ports[0].Rate
 	dst := tp.Hosts[len(tp.Hosts)-1]
 	return workload.Incast(workload.IncastConfig{
-		Dst: dst, Senders: workload.CrossRackSenders(tp, dst),
+		Dst: dst, Senders: incastSenders(tp),
 		Degree: incastDegree(tp), MinSize: 30 * mtu, MaxSize: 40 * mtu,
 		Load: 0.8, DstRate: hostRate, Until: dur,
 	}, r.Fork())
@@ -149,7 +149,7 @@ var sloHeader = []string{"fanin", "deadline", "scheme", "policy", "ok",
 // deadline with exponential backoff, plus a retry-policy comparison
 // at the tightest cell.
 func SLOIncast(o Options) []Table {
-	o = o.norm()
+	pair := schemePair(o, DCQCN, o.leafSpine())
 	backoff := func() app.RetryPolicy {
 		return app.ExpBackoff{Base: o.stretch(25 * units.Microsecond)}
 	}
@@ -159,7 +159,7 @@ func SLOIncast(o Options) []Table {
 			label string
 			mult  float64
 		}{{"tight(1.5x)", 1.5}, {"loose(8x)", 8}} {
-			for _, s := range []Scheme{DCQCN(o), WithFloodgate(o, DCQCN(o), baseBDPOf(o.leafSpine()))} {
+			for _, s := range pair {
 				cells = append(cells, sloCell{fmt.Sprintf("%d", fan), fan, dl.label, dl.mult, s, backoff()})
 			}
 		}
@@ -180,7 +180,7 @@ func SLOIncast(o Options) []Table {
 		app.Hedged{ExpBackoff: app.ExpBackoff{Base: o.stretch(25 * units.Microsecond)}},
 	}
 	var pcells []sloCell
-	for _, s := range []Scheme{DCQCN(o), WithFloodgate(o, DCQCN(o), baseBDPOf(o.leafSpine()))} {
+	for _, s := range pair {
 		for _, p := range policies {
 			pcells = append(pcells, sloCell{"8", 8, "tight(1.5x)", 1.5, s, p})
 		}

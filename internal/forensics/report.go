@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"floodgate/internal/packet"
+	"floodgate/internal/stats"
 	"floodgate/internal/units"
 )
 
@@ -151,18 +152,9 @@ func (rep *Report) ComponentQuantiles() [NumComps]Quantile {
 			continue
 		}
 		sort.Slice(vals, func(a, b int) bool { return vals[a] < vals[b] })
-		out[c] = Quantile{P50: rank(vals, 50), P99: rank(vals, 99)}
+		out[c] = Quantile{P50: stats.NearestRank(vals, 500), P99: stats.NearestRank(vals, 990)}
 	}
 	return out
-}
-
-// rank is the nearest-rank percentile of sorted values.
-func rank(sorted []units.Duration, pct int) units.Duration {
-	idx := (pct*len(sorted) + 99) / 100
-	if idx < 1 {
-		idx = 1
-	}
-	return sorted[idx-1]
 }
 
 // Summary renders the human-readable "why was p99 slow" digest: the

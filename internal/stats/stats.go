@@ -293,8 +293,11 @@ func FCTStats(samples []FCTSample) (avg, p99 units.Duration) {
 	return sum / units.Duration(len(samples)), Percentile(ds, 0.99)
 }
 
-// Percentile returns the p-quantile (0..1) of sorted durations using
-// nearest-rank.
+// Percentile returns the p-quantile (0..1) of sorted durations: the
+// value at rank round(p·n), clamped to [1, n]. That is not nearest-rank
+// (NearestRank's ⌈p·n⌉): at n = 174 and p = 0.99 it picks the 172nd
+// value where nearest-rank picks the 173rd. Every FCT table rests on
+// this rounding, so it stays.
 func Percentile(sorted []units.Duration, p float64) units.Duration {
 	if len(sorted) == 0 {
 		return 0
@@ -307,6 +310,17 @@ func Percentile(sorted []units.Duration, p float64) units.Duration {
 		idx = len(sorted) - 1
 	}
 	return sorted[idx]
+}
+
+// NearestRank returns the nearest-rank permille quantile of sorted
+// durations: the ⌈permille·n/1000⌉-th smallest, at least the first.
+// Zero samples yield 0.
+func NearestRank(sorted []units.Duration, permille int) units.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	idx := max((permille*len(sorted)+999)/1000, 1)
+	return sorted[idx-1]
 }
 
 // CDF reduces samples to (value, cumulative fraction) points suitable

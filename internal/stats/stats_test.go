@@ -51,6 +51,36 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
+// TestPercentileVsNearestRank pins both rank formulas on 1..n: the
+// rounded rank every FCT table uses, and the nearest-rank ceiling the
+// SLO, hedging and forensics quantiles use. They part at n = 174, p99.
+func TestPercentileVsNearestRank(t *testing.T) {
+	cases := []struct {
+		n, permille         int
+		rounded, nearestRnk units.Duration
+	}{
+		{1, 500, 1, 1}, {1, 990, 1, 1},
+		{2, 500, 1, 1}, {2, 950, 2, 2}, {2, 999, 2, 2},
+		{174, 500, 87, 87}, {174, 950, 165, 166}, {174, 990, 172, 173}, {174, 999, 174, 174},
+		{1040, 500, 520, 520}, {1040, 950, 988, 988}, {1040, 990, 1030, 1030}, {1040, 999, 1039, 1039},
+	}
+	for _, c := range cases {
+		ds := make([]units.Duration, c.n)
+		for i := range ds {
+			ds[i] = units.Duration(i + 1) // the value is its rank
+		}
+		if got := Percentile(ds, float64(c.permille)/1000); got != c.rounded {
+			t.Errorf("n=%d: Percentile(%d‰) = rank %d, want %d", c.n, c.permille, got, c.rounded)
+		}
+		if got := NearestRank(ds, c.permille); got != c.nearestRnk {
+			t.Errorf("n=%d: NearestRank(%d‰) = rank %d, want %d", c.n, c.permille, got, c.nearestRnk)
+		}
+	}
+	if NearestRank(nil, 990) != 0 {
+		t.Error("empty nearest rank")
+	}
+}
+
 func TestPercentileWithinRange(t *testing.T) {
 	f := func(raw []uint16, pRaw uint8) bool {
 		if len(raw) == 0 {
