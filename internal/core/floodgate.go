@@ -29,7 +29,9 @@ type Module struct {
 	live []packet.NodeID
 
 	// Downstream role: credit generation per (ingress port, dst), one
-	// paged table per ingress port (host-facing ports never credit).
+	// paged table per ingress port up to the last switch-facing one
+	// (host-facing ports never credit, and a ToR wires its uplinks
+	// first, so it holds one table per uplink).
 	down      []paged[downChan]
 	pending   [][]packet.NodeID // per ingress port: dsts with pending credits (insertion order)
 	timerArm  []bool            // per ingress port: credit timer scheduled
@@ -81,28 +83,47 @@ func fireSYNFn(a any) {
 	w.m.fireSYN(w)
 }
 
-// paged is a table indexed by destination NodeID whose 256-entry value
-// pages are minted on first touch under a root that grows to the
-// highest page touched (the PR 10 port arena's idea applied to
-// per-destination state): lookups are two array indexes, entries never
-// move, and an idle table costs nothing.
-type paged[T any] struct{ pages []*[pageSize]T }
+// paged is a table indexed by destination NodeID. The first destination
+// touched lives inline in the table value; every later one lives in a
+// 256-entry value page minted on first touch under a root that grows to
+// the highest page touched. Most switches and ingress ports only ever
+// serve one destination — every one on an incast's path does — so they
+// pay no page at all. Lookups are a compare, then two array indexes;
+// entries never move, and an idle table costs nothing.
+type paged[T any] struct {
+	firstKey packet.NodeID // first's destination + 1; 0 while first is unclaimed
+	first    T
+	pages    []*[pageSize]T
+}
 
 const (
 	pageBits = 8
 	pageSize = 1 << pageBits
 )
 
-// get returns dst's entry, or nil if its page was never minted.
+// get returns dst's entry, or nil if dst was never touched and its page
+// was never minted. Callers treat nil like a zero entry.
 func (t *paged[T]) get(dst packet.NodeID) *T {
+	if t.firstKey == dst+1 {
+		return &t.first
+	}
 	if pi := int(dst >> pageBits); pi < len(t.pages) && t.pages[pi] != nil {
 		return &t.pages[pi][dst&(pageSize-1)]
 	}
 	return nil
 }
 
-// at returns dst's entry, minting its page (zero values) if needed.
+// at returns dst's entry: the inline one if dst holds it or it is
+// unclaimed, else dst's page slot, minting the page (zero values) if
+// needed.
 func (t *paged[T]) at(dst packet.NodeID) *T {
+	switch t.firstKey {
+	case dst + 1:
+		return &t.first
+	case 0:
+		t.firstKey = dst + 1
+		return &t.first
+	}
 	pi := int(dst >> pageBits)
 	if pi >= len(t.pages) {
 		t.pages = append(t.pages, make([]*[pageSize]T, pi+1-len(t.pages))...)
@@ -179,7 +200,6 @@ func newModule(cfg Config, sw *device.Switch) *Module {
 	m := &Module{
 		cfg:       cfg,
 		sw:        sw,
-		down:      make([]paged[downChan], len(node.Ports)),
 		pending:   make([][]packet.NodeID, len(node.Ports)),
 		timerArm:  make([]bool, len(node.Ports)),
 		tickArgs:  make([]tickArg, len(node.Ports)),
@@ -187,11 +207,16 @@ func newModule(cfg Config, sw *device.Switch) *Module {
 		facesHost: make([]bool, len(node.Ports)),
 		epoch:     1,
 	}
+	credited := 0
 	for i := range node.Ports {
 		m.facesHost[i] = sw.PortFacesHost(i)
 		m.facesSw[i] = !m.facesHost[i]
 		m.tickArgs[i] = tickArg{m: m, in: i}
+		if m.facesSw[i] {
+			credited = i + 1
+		}
 	}
+	m.down = make([]paged[downChan], credited)
 	// VOQ grouping applies to middle-layer switches only (3-tier aggs),
 	// which forward both upstream and windowed downstream traffic.
 	m.grouped = cfg.VOQGrouping && node.Layer == topo.LayerAgg
@@ -290,6 +315,7 @@ func (m *Module) forward(w *dstState, p *packet.Packet, outPort int) {
 	m.sw.Net().FGWindow(0, p.Size)
 	up := w.port(outPort)
 	up.sent += p.Size
+	m.checkWindow(w)
 	p.PSN = up.sent
 	p.FGEpoch = m.epoch
 	if m.cfg.EscapeTimeout > 0 {
@@ -597,8 +623,10 @@ func (m *Module) applyCredit(port int, e packet.CreditEntry) {
 	up.lastCum = e.Cum
 	if up.lastCum > up.sent {
 		// The downstream cumulative includes bytes from before our own
-		// restart (our sent counter rebased): clamp so outstanding can
-		// never go negative and inflate the window.
+		// restart (our sent counter rebased), or — with INT on — the
+		// 8 B record this switch added to each packet after forward
+		// counted it: clamp so outstanding can never go negative and
+		// inflate the window.
 		up.lastCum = up.sent
 	}
 	// Recompute availability: init minus bytes still outstanding on any
@@ -609,6 +637,7 @@ func (m *Module) applyCredit(port int, e packet.CreditEntry) {
 	}
 	availOld := w.avail
 	w.avail = w.init - outstanding
+	m.checkWindow(w)
 	m.sw.Net().FGWindow(0, availOld-w.avail)
 	w.lastCredit = m.now()
 	w.synDeadline = 0 // lazy disarm: the pending timer finds it and dies

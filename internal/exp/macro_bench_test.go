@@ -205,13 +205,14 @@ func BenchmarkRunScaleIncast(b *testing.B) {
 // builds topo.Clos100k and runs the 256-way incast, fed through a
 // source that notes when it runs dry — everything before that instant
 // (the topology, NewCluster, registration and the devices it mints) is
-// set-up. Beside allocs/op it reports that set-up time, the live heap,
-// and how many hosts and switches the run ever built: what set-up is
-// meant to be sized by (DESIGN.md §3).
+// set-up, and everything after it until Run returns is the run (the
+// ledger's run_s). Beside allocs/op it reports those two times, the live
+// heap, and how many hosts and switches the run ever built: what set-up
+// is meant to be sized by (DESIGN.md §3).
 func BenchmarkClosSetup(b *testing.B) {
 	o := Options{Scale: 0.25, Seed: 1, Topo: "clos100k"}.norm()
 	b.ReportAllocs()
-	var setup time.Duration
+	var setup, run time.Duration
 	var heap, hosts, switches float64
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
@@ -219,6 +220,7 @@ func BenchmarkClosSetup(b *testing.B) {
 		src := &drySource{SliceSource: workload.SliceSource{Specs: rc.Specs}}
 		rc.Specs, rc.Source, rc.SourceLabel = nil, src, "clossetup"
 		res := Run(rc)
+		run += time.Since(src.dry)
 		if res.Completed != res.Total {
 			b.Fatalf("flows incomplete at 100k hosts: %d/%d", res.Completed, res.Total)
 		}
@@ -234,6 +236,7 @@ func BenchmarkClosSetup(b *testing.B) {
 		}
 	}
 	b.ReportMetric(setup.Seconds()*1e3/float64(b.N), "setup-ms/run")
+	b.ReportMetric(run.Seconds()*1e3/float64(b.N), "run-ms/op")
 	b.ReportMetric(heap, "heap_bytes/run")
 	b.ReportMetric(hosts, "hosts/run")
 	b.ReportMetric(switches, "switches/run")

@@ -52,7 +52,7 @@ func ResourceOverhead(o Options) []Table {
 		"dozens suffice; mostly 1 (§6.1)")
 	t.AddRow("credit bandwidth share", fmt.Sprintf("%.3f%%", 100*credit/total), "0.175% (practical)")
 	t.AddRow("ctrl (ACK/CNP) bandwidth share", fmt.Sprintf("%.2f%%", 100*ctrl/total), "~4.5%")
-	t.Comment = "window entries stay well below the host count because non-incast destinations settle quickly"
+	t.Comment = "a window is kept from its destination's first packet until the switch restarts (retiring idle windows is ROADMAP item 3), so the peak counts every destination a switch forwarded to, up to the host count"
 	return []Table{t}
 }
 

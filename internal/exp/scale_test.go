@@ -56,12 +56,14 @@ func TestScaleIncastSmoke(t *testing.T) {
 // process with route memory that would be impossible dense, and the
 // Floodgate cell's live heap — fabric, devices, flow-control tables and
 // collectors, measured while its result is still referenced — stays
-// inside 96 MB: the topology, plus devices for the few hundred nodes the
-// incast touches. With every device of the fabric built up front it held
-// ≈160 MB. (The budget used to be read after ScaleIncast had
-// returned only strings, when HeapAlloc is ≈90 KB whatever the run
-// held; per-ingress-port credit rows sized by node count put this cell
-// at 553 MB and it passed.)
+// inside 56 MB: the topology, plus devices for the few hundred nodes the
+// incast touches, each holding its one destination's Floodgate state
+// inline. With a 256-entry page minted per touched switch and windowed
+// ingress port for that one destination it held ≈63 MB; with every
+// device of the fabric built up front, ≈160 MB. (The budget used to be
+// read after ScaleIncast had returned only strings, when HeapAlloc is
+// ≈90 KB whatever the run held; per-ingress-port credit rows sized by
+// node count put this cell at 553 MB and it passed.)
 func TestScaleIncastCompletes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-host simulation")
@@ -80,7 +82,7 @@ func TestScaleIncastCompletes(t *testing.T) {
 	}
 	res := runScaleIncastFloodgate(t, o.norm())
 	runtime.GC()
-	const budget = 96 << 20
+	const budget = 56 << 20
 	heap := res.Net.SnapshotMemStats()
 	t.Logf("live heap %d bytes (budget %d)", heap, budget)
 	if heap > budget {
