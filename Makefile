@@ -18,13 +18,14 @@ test:
 # shard mailboxes) both live in internal/exp — the rest of the suite is
 # single-goroutine per shard, enforced by the floodlint goroutine rule.
 # The simdebug tag arms the packet-pool and flow-pool lifecycle
-# assertions and Floodgate's window conservation law, so the same run
-# also catches double-release / use-after-release bugs and a leaked or
-# inflated window — which is why the fault plane, the engine, the device
+# assertions, Floodgate's window conservation law and the switches'
+# shared-buffer law, so the same run also catches double-release /
+# use-after-release bugs, a leaked or inflated window and unbalanced
+# buffer books — which is why the fault plane, the engine, the device
 # lifecycle and the Floodgate tests ride along: seeded recovery runs
 # (loss, flaps, restarts, the wedged-run watchdog) are where a packet or
 # a recycled flow is most likely to be released twice, and where a
-# window is most likely to drift.
+# window or a buffer is most likely to drift.
 race:
 	$(GO) test -race -tags simdebug -timeout 3600s ./internal/exp/... ./internal/fault ./internal/sim ./internal/device ./internal/core
 

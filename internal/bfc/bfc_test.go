@@ -28,7 +28,7 @@ func bfcNet(queues int, ideal bool) (*device.Network, *topo.Topology) {
 		Engine:        sim.NewEngine(),
 		Stats:         stats.NewCollector(10 * units.Microsecond),
 		Seed:          2,
-		PFC:           device.PFCConfig{Enable: true, Alpha: 2},
+		PFC:           true,
 		CC:            cc.NewFixedWindow(),
 		QueuesPerPort: qpp,
 		FC: bfc.New(bfc.Config{
@@ -81,7 +81,7 @@ func TestBFCBoundsQueues(t *testing.T) {
 		Topo: cfgTopo, Engine: sim.NewEngine(),
 		Stats: stats.NewCollector(10 * units.Microsecond),
 		Seed:  2,
-		PFC:   device.PFCConfig{Enable: true, Alpha: 2},
+		PFC:   true,
 		CC:    cc.NewFixedWindow(),
 	})
 	runIncast(t, nPlain, tpPlain, 16)
@@ -105,7 +105,7 @@ func TestBFCPausesHostFlows(t *testing.T) {
 		Topo: tp, Engine: sim.NewEngine(),
 		Stats:         stats.NewCollector(10 * units.Microsecond),
 		Seed:          4,
-		PFC:           device.PFCConfig{Enable: true, Alpha: 2},
+		PFC:           true,
 		CC:            cc.NewFixedWindow(),
 		QueuesPerPort: 8,
 		FC:            bfc.New(bfc.Config{NumQueues: 8, PauseThresh: 2 * packet.MTU}),

@@ -25,7 +25,7 @@ func testNet(hostsPerToR int, fgCfg *core.Config) (*device.Network, device.Confi
 		Engine: sim.NewEngine(),
 		Stats:  stats.NewCollector(10 * units.Microsecond),
 		Seed:   7,
-		PFC:    device.PFCConfig{Enable: true, Alpha: 2},
+		PFC:    true,
 	}
 	if fgCfg != nil {
 		cfg.FC = core.New(*fgCfg)
@@ -209,7 +209,7 @@ func TestLossRecoveryViaPSN(t *testing.T) {
 		Topo: tp, Engine: sim.NewEngine(),
 		Stats:    stats.NewCollector(10 * units.Microsecond),
 		Seed:     3,
-		PFC:      device.PFCConfig{Enable: true, Alpha: 2},
+		PFC:      true,
 		FC:       core.New(*fg),
 		LossRate: 0.05,
 		RTO:      300 * units.Microsecond,
@@ -295,7 +295,7 @@ func TestFatTreeBidirectionalIncastNoDeadlock(t *testing.T) {
 		Topo: tp, Engine: sim.NewEngine(),
 		Stats: stats.NewCollector(10 * units.Microsecond),
 		Seed:  5,
-		PFC:   device.PFCConfig{Enable: true, Alpha: 2},
+		PFC:   true,
 		FC:    core.New(fg),
 	}
 	n := device.New(cfg)
@@ -332,7 +332,7 @@ func TestSwitchSYNResyncsAfterTotalCreditLoss(t *testing.T) {
 		Topo: tp, Engine: sim.NewEngine(),
 		Stats:    stats.NewCollector(10 * units.Microsecond),
 		Seed:     11,
-		PFC:      device.PFCConfig{Enable: true, Alpha: 2},
+		PFC:      true,
 		FC:       core.New(*fg),
 		LossRate: 0.3,
 		RTO:      300 * units.Microsecond,

@@ -177,7 +177,7 @@ func TestQueueSignalOverrideForVOQPackets(t *testing.T) {
 		Topo: tp, Engine: sim.NewEngine(),
 		Stats: stats.NewCollector(10 * units.Microsecond),
 		Seed:  1,
-		PFC:   device.PFCConfig{Enable: true, Alpha: 2},
+		PFC:   true,
 		INT:   true,
 		FC:    core.New(*fg),
 	}

@@ -1,0 +1,56 @@
+//go:build simdebug
+
+package device
+
+import (
+	"fmt"
+
+	"floodgate/internal/units"
+)
+
+// checkBuffer is the simdebug variant: it asserts the books of a
+// switch's shared buffer (§6: one pool per switch, dynamic-threshold
+// PFC) wherever they must balance — after a frame is admitted, a data
+// frame is dequeued, a serialization completes, a parked frame is
+// re-injected, and a restart (where the modules' Restart hooks release
+// what they parked). Every charged byte is counted
+// once by ingress port, and once either by egress port (queued or
+// parked) or as the frame mid-serialization whose release txDone owes.
+// A violation panics there, naming the time, switch, call site, law and
+// the two numbers, instead of surfacing later as a skewed PFC threshold
+// or buffer maximum.
+func (s *Switch) checkBuffer(where string) {
+	if s.used < 0 {
+		s.lawBroken(where, "bounds: 0 ≤ used", s.used, 0)
+	}
+	if limit := s.net.Cfg.BufferSize; s.used > limit {
+		s.lawBroken(where, "bounds: used ≤ BufferSize", s.used, limit)
+	}
+	var in, out units.ByteSize
+	for i, b := range s.ingress {
+		if b < 0 {
+			s.lawBroken(where, fmt.Sprintf("bounds: ingress[%d] ≥ 0", i), b, 0)
+		}
+		in += b
+	}
+	if in != s.used {
+		s.lawBroken(where, "ingress: used == Σ ingress", in, s.used)
+	}
+	for i, b := range s.portBytes {
+		if b < 0 {
+			s.lawBroken(where, fmt.Sprintf("bounds: portBytes[%d] ≥ 0", i), b, 0)
+		}
+		out += b
+		if o := &s.out[i]; o.busy && o.pendCharged {
+			out += o.pendSize
+		}
+	}
+	if out != s.used {
+		s.lawBroken(where, "egress: used == Σ portBytes + serialising", out, s.used)
+	}
+}
+
+func (s *Switch) lawBroken(where, law string, got, want units.ByteSize) {
+	panic(fmt.Sprintf("device: buffer law broken at %v on switch %d (%s): %s: %d vs %d",
+		s.net.Eng.Now(), s.node.ID, where, law, got, want))
+}

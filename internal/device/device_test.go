@@ -106,7 +106,7 @@ func TestManyFlowsAllComplete(t *testing.T) {
 
 func TestIncastFillsLastHopWithoutFlowControl(t *testing.T) {
 	cfg := sizedCfg(8)
-	cfg.PFC = PFCConfig{Enable: true, Alpha: 2}
+	cfg.PFC = true
 	n := New(cfg)
 	hosts := cfg.Topo.Hosts
 	dst := hosts[len(hosts)-1]
@@ -133,7 +133,7 @@ func TestIncastFillsLastHopWithoutFlowControl(t *testing.T) {
 func TestPFCTriggersUnderSevereIncast(t *testing.T) {
 	cfg := sizedCfg(8)
 	cfg.BufferSize = 150 * units.KB // tiny buffer forces PFC
-	cfg.PFC = PFCConfig{Enable: true, Alpha: 2}
+	cfg.PFC = true
 	n := New(cfg)
 	hosts := cfg.Topo.Hosts
 	dst := hosts[len(hosts)-1]
@@ -162,7 +162,7 @@ func TestPFCTriggersUnderSevereIncast(t *testing.T) {
 func TestBufferOverflowDropsAndRTORecovers(t *testing.T) {
 	cfg := sizedCfg(8)
 	cfg.BufferSize = 100 * units.KB
-	cfg.PFC.Enable = false // lossy: must overflow
+	cfg.PFC = false // lossy: must overflow
 	cfg.RTO = 200 * units.Microsecond
 	n := New(cfg)
 	hosts := cfg.Topo.Hosts
@@ -346,7 +346,7 @@ func TestHostPerDstPause(t *testing.T) {
 func TestNDPTrimsAndRecovers(t *testing.T) {
 	cfg := smallCfg()
 	cfg.NDP = NDPConfig{Enable: true, TrimThresh: 8 * packet.MTU}
-	cfg.PFC.Enable = false
+	cfg.PFC = false
 	n := New(cfg)
 	hosts := cfg.Topo.Hosts
 	dst := hosts[5]

@@ -363,6 +363,7 @@ func (n *Network) restartSwitch(id packet.NodeID) {
 	} else if n.Cfg.FC != nil {
 		s.fc = n.Cfg.FC(s)
 	}
+	s.checkBuffer("restart")
 }
 
 // onPeerReset drops per-link pause state toward a restarted neighbor:

@@ -26,7 +26,7 @@ func ccIncast(t *testing.T, factory cc.Factory, int_ bool, ecn bool) (*Network, 
 	if ecn {
 		cfg.ECN = ECNConfig{Enable: true, KMin: 20 * units.KB, KMax: 80 * units.KB, PMax: 0.2}
 	}
-	cfg.PFC = PFCConfig{Enable: true, Alpha: 2}
+	cfg.PFC = true
 	n := New(cfg)
 	hosts := cfg.Topo.Hosts
 	dst := hosts[len(hosts)-1]
@@ -56,8 +56,11 @@ func TestTimelyUnderIncast(t *testing.T) {
 	}
 }
 
+// TestHPCCUnderIncast also checks the buffer books: an INT frame must
+// release exactly what admission charged it, not its grown size (8 B
+// more per hop), so after the incast drains every switch reads zero.
 func TestHPCCUnderIncast(t *testing.T) {
-	_, flows := ccIncast(t, hpcc.Default(), true, false)
+	n, flows := ccIncast(t, hpcc.Default(), true, false)
 	shrunk := false
 	for _, f := range flows {
 		if f.Controller().Window() < 13*units.KB { // below the ~13.5KB BDP
@@ -66,6 +69,18 @@ func TestHPCCUnderIncast(t *testing.T) {
 	}
 	if !shrunk {
 		t.Fatal("HPCC never shrank a window under 16:1 incast")
+	}
+	for _, s := range n.Switches {
+		if s == nil {
+			continue
+		}
+		dirty := s.used != 0
+		for i := range s.ingress {
+			dirty = dirty || s.ingress[i] != 0 || s.portBytes[i] != 0
+		}
+		if dirty {
+			t.Errorf("switch %d after drain: used %d, ingress %v, port bytes %v", s.node.ID, s.used, s.ingress, s.portBytes)
+		}
 	}
 }
 
@@ -170,7 +185,7 @@ func TestPFCPauseTimeMonotonicWithPressure(t *testing.T) {
 	run := func(senders int) units.Duration {
 		cfg := sizedCfg(8)
 		cfg.BufferSize = 120 * units.KB
-		cfg.PFC = PFCConfig{Enable: true, Alpha: 2}
+		cfg.PFC = true
 		n := New(cfg)
 		hosts := cfg.Topo.Hosts
 		dst := hosts[len(hosts)-1]
@@ -254,7 +269,7 @@ func TestNDPSmallFlowsRecoverTrims(t *testing.T) {
 	// receive pulls for retransmissions of their trimmed segments.
 	cfg := sizedCfg(8)
 	cfg.NDP = NDPConfig{Enable: true, TrimThresh: 4 * packet.MTU}
-	cfg.PFC.Enable = false
+	cfg.PFC = false
 	n := New(cfg)
 	hosts := cfg.Topo.Hosts
 	dst := hosts[len(hosts)-1]

@@ -58,7 +58,7 @@ type NetMetrics struct {
 	// confirm the lazily allocated host maps stay small relative to
 	// the host count even at 100k hosts.
 	ScaleHosts        metrics.Gauge // topology host count
-	ScaleRouteBytes   metrics.Gauge // resident route-state memory (topo.Router.Bytes)
+	ScaleRouteBytes   metrics.Gauge // resident route-state memory (topo.Topology.RouteBytes)
 	ScaleBytesPerHost metrics.Gauge // topology+route bytes amortized per host
 	ScaleHeapBytes    metrics.Gauge // runtime HeapAlloc at the last explicit snapshot
 	HostPausedDsts    metrics.Gauge // per-host paused-destination entries (Floodgate per-dst pause)

@@ -64,7 +64,7 @@ func TestStateFollowsTouchedDevices(t *testing.T) {
 		for i := range engines {
 			engines[i] = sim.NewEngine()
 		}
-		c := NewCluster(Config{Topo: tp, PFC: PFCConfig{Enable: true}}, engines, assign)
+		c := NewCluster(Config{Topo: tp, PFC: true}, engines, assign)
 
 		want := map[packet.NodeID]bool{}
 		for _, node := range tp.Nodes {

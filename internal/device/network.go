@@ -20,16 +20,13 @@ import (
 	"floodgate/internal/units"
 )
 
-// PFCConfig controls Priority Flow Control on switches.
-type PFCConfig struct {
-	Enable bool
-	// Alpha is the dynamic-threshold factor: an ingress port pauses its
-	// upstream when its occupancy exceeds Alpha × free buffer (§6: α=2).
-	Alpha float64
-	// ResumeFraction scales the pause threshold down for resume
-	// hysteresis (resume below Alpha × free × ResumeFraction).
-	ResumeFraction float64
-}
+// Dynamic-threshold PFC (§6: α = 2): an ingress port pauses its
+// upstream when its occupancy exceeds pfcAlpha × free buffer, and
+// resumes it below pfcAlpha × free × pfcResume (hysteresis).
+const (
+	pfcAlpha  = 2
+	pfcResume = 0.8
+)
 
 // ECNConfig controls RED/ECN marking on switch egress queues.
 type ECNConfig struct {
@@ -72,14 +69,13 @@ type Config struct {
 	Shard *ShardSpec
 
 	BufferSize units.ByteSize // per-switch shared buffer (default 20MB)
-	PFC        PFCConfig
+	PFC        bool           // Priority Flow Control on switches (see pfcAlpha)
 	ECN        ECNConfig
 	INT        bool // append HPCC telemetry at egress
 	NDP        NDPConfig
 
-	CC      cc.Factory
-	BaseRTT units.Duration // per-flow Env.BaseRTT (default: derived)
-	RTO     units.Duration // go-back-N retransmission timeout (default 1ms)
+	CC  cc.Factory
+	RTO units.Duration // go-back-N retransmission timeout (default 1ms)
 
 	// CNPInterval rate-limits DCQCN notification packets per flow.
 	CNPInterval units.Duration
@@ -123,12 +119,6 @@ func (c *Config) defaults() {
 	if c.BufferSize == 0 {
 		c.BufferSize = 20 * units.MB
 	}
-	if c.PFC.Alpha == 0 {
-		c.PFC.Alpha = 2
-	}
-	if c.PFC.ResumeFraction == 0 {
-		c.PFC.ResumeFraction = 0.8
-	}
 	if c.ECN.KMin == 0 {
 		c.ECN.KMin = 40 * units.KB
 	}
@@ -167,7 +157,8 @@ type Network struct {
 	Topo *topo.Topology
 	Eng  *sim.Engine
 	observers
-	nextID uint64
+	nextID  uint64
+	baseRTT units.Duration // per-flow Env.BaseRTT (deriveBaseRTT)
 
 	// dirBase[id] is the number of directed ports owned by nodes with
 	// smaller IDs: wire delivery priorities are sim.WirePri(dirBase
@@ -247,9 +238,7 @@ func newNetwork(cfg Config) *Network {
 	if uint64(sim.PriWireBase)+uint64(dirCnt) >= uint64(sim.PriTimer) {
 		panic("device: topology has too many directed ports for wire priorities")
 	}
-	if n.Cfg.BaseRTT == 0 {
-		n.Cfg.BaseRTT = n.deriveBaseRTT()
-	}
+	n.baseRTT = n.deriveBaseRTT()
 	n.built()
 	return n
 }
@@ -307,14 +296,14 @@ func (n *Network) deriveBaseRTT() units.Duration {
 }
 
 // BaseRTT returns the flow-level base RTT in use.
-func (n *Network) BaseRTT() units.Duration { return n.Cfg.BaseRTT }
+func (n *Network) BaseRTT() units.Duration { return n.baseRTT }
 
 // BaseBDP returns host line rate × base RTT for the topology's first
 // host. Derived from the topology (not the shard's own host list) so
 // every shard computes the same value.
 func (n *Network) BaseBDP() units.ByteSize {
 	p := &n.Topo.Node(n.Topo.Hosts[0]).Ports[0]
-	return units.BDP(p.Rate, n.Cfg.BaseRTT)
+	return units.BDP(p.Rate, n.baseRTT)
 }
 
 // Owns reports whether this network builds the device for a node.
@@ -419,7 +408,7 @@ func (n *Network) markDone(id packet.FlowID) {
 // recycled; the simulator owns the rest from mint to Host.release.
 func (n *Network) mintFlow(id packet.FlowID, held bool) *Flow {
 	s := n.spec(id)
-	rate, rtt := n.HostsByID[s.Src].port.Rate, n.Cfg.BaseRTT
+	rate, rtt := n.HostsByID[s.Src].port.Rate, n.baseRTT
 	env := cc.Env{LinkRate: rate, BaseRTT: rtt, BDP: units.BDP(rate, rtt)}
 	var f *Flow
 	if m := len(n.flowPool); m > 0 {

@@ -39,6 +39,7 @@ func txDoneFn(a any) {
 		o.sw.release(o.pendSize, o.pendInPort)
 	}
 	o.sw.kick(o.tp.Index)
+	o.sw.checkBuffer("txDone")
 }
 
 func (o *outPort) dataBytes() units.ByteSize {
@@ -126,6 +127,7 @@ func (s *Switch) receive(p *packet.Packet, inPort int) {
 		return
 	case packet.Data:
 		s.receiveData(p, inPort)
+		s.checkBuffer("receiveData")
 		return
 	}
 	// Module control traffic (credits, per-queue/per-dst pauses).
@@ -151,9 +153,9 @@ func (s *Switch) receiveData(p *packet.Packet, inPort int) {
 	p.HopCount++
 
 	// PFC threshold check after charging.
-	if n.Cfg.PFC.Enable && !s.pausedUpstream[inPort] {
+	if n.Cfg.PFC && !s.pausedUpstream[inPort] {
 		free := n.Cfg.BufferSize - s.used
-		if float64(s.ingress[inPort]) > n.Cfg.PFC.Alpha*float64(free) {
+		if float64(s.ingress[inPort]) > pfcAlpha*float64(free) {
 			s.pausedUpstream[inPort] = true
 			s.pausedUpCount++
 			s.sendCtrl(n.NewCtrl(packet.PFCPause, 0, s.node.ID, s.node.Ports[inPort].Peer), inPort)
@@ -202,6 +204,7 @@ func (s *Switch) enqueueData(p *packet.Packet, out, queue int) {
 func (s *Switch) InjectEgress(p *packet.Packet, out, queue int) {
 	s.notePort(out, -p.Size)
 	s.enqueueData(p, out, queue)
+	s.checkBuffer("InjectEgress")
 }
 
 // ReleaseParked discards a parked packet, returning its buffer share.
@@ -267,14 +270,14 @@ func (s *Switch) release(b units.ByteSize, inPort int) {
 		s.ingress[inPort] -= b
 	}
 	s.net.buffered(s.node.ID, s.used)
-	if s.net.Cfg.PFC.Enable && s.pausedUpCount > 0 {
+	if s.net.Cfg.PFC && s.pausedUpCount > 0 {
 		s.maybeResumeUpstream()
 	}
 }
 
 func (s *Switch) maybeResumeUpstream() {
 	free := s.net.Cfg.BufferSize - s.used
-	limit := s.net.Cfg.PFC.Alpha * float64(free) * s.net.Cfg.PFC.ResumeFraction
+	limit := pfcAlpha * float64(free) * pfcResume
 	for i, paused := range s.pausedUpstream {
 		if !paused {
 			continue
@@ -354,7 +357,10 @@ func (s *Switch) transmit(p *packet.Packet, i, queue int) {
 	now := n.Eng.Now()
 	isData := p.Kind == packet.Data // trimmed headers keep Kind Data
 
-	hopSize := p.Size // INT grows the frame after the module saw it
+	// INT grows the frame after admission charged it: the buffer books
+	// (port bytes, the release at txDone) keep the charged hopSize, the
+	// wire and the serialization time the grown size.
+	hopSize := p.Size
 	if isData {
 		s.fc.OnDequeue(p, i, queue)
 		if n.Cfg.INT && !p.Trimmed {
@@ -371,11 +377,15 @@ func (s *Switch) transmit(p *packet.Packet, i, queue int) {
 	n.transmitted(s, i, p, hopSize, now)
 
 	ser := units.TxTime(p.Size, o.tp.Rate)
-	o.pendSize = p.Size
+	o.pendSize = hopSize
 	o.pendInPort = int(p.InPort)
 	o.pendCharged = isData
 	if isData {
-		s.notePort(i, -p.Size)
+		s.notePort(i, -hopSize)
+		// Only a data dequeue is checked here: a control frame can go out
+		// from inside receiveData, while the arriving frame is charged but
+		// not yet queued or parked.
+		s.checkBuffer("transmit")
 	}
 	n.Eng.AfterArg(ser, txDoneFn, o)
 

@@ -177,7 +177,7 @@ func obsLabel(rc RunConfig) string {
 		fmt.Sprintf("buf=%d", int64(rc.BufferSize)),
 		fmt.Sprintf("scale=%g", rc.Opt.Scale),
 		fmt.Sprintf("loss=%g/%g", rc.LossRate, rc.CreditLossRate),
-		fmt.Sprintf("pfcoff=%t", rc.PFCOff),
+		"pfcoff=false", // a retired knob, kept so no -obs file name moves
 		fmt.Sprintf("binw=%d", int64(rc.BinWidth)),
 		fmt.Sprintf("nspecs=%d", len(rc.Specs)),
 	}

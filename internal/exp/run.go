@@ -179,7 +179,6 @@ type RunConfig struct {
 	Opt      Options // supplies the time-stretch for protocol timers
 
 	BufferSize     units.ByteSize
-	PFCOff         bool
 	LossRate       float64
 	CreditLossRate float64
 	ECN            *device.ECNConfig // override scheme default
@@ -344,7 +343,7 @@ func Run(rc RunConfig) *RunResult {
 		BufferSize:     rc.BufferSize,
 		RTO:            opt.stretch(units.Millisecond),
 		CNPInterval:    opt.stretch(50 * units.Microsecond),
-		PFC:            device.PFCConfig{Enable: !rc.PFCOff && !rc.Scheme.NDP},
+		PFC:            !rc.Scheme.NDP,
 		ECN:            ecn,
 		INT:            rc.Scheme.INT,
 		CC:             rc.Scheme.CC,

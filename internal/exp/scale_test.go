@@ -6,23 +6,8 @@ import (
 	"testing"
 )
 
-// TestExperimentFabricsUseStructuralRouter pins that the fabrics the
-// paper figures run on froze with the structural router — which is
-// what makes TestShardDeterminism / TestShardFaultMatrixBitIdentical
-// (byte-identity across shards × par × schedulers) a regression gate
-// for the router swap itself, not just for the executor.
-func TestExperimentFabricsUseStructuralRouter(t *testing.T) {
-	o := Options{Scale: 0.25, Seed: 1}
-	if got := o.leafSpine().RouterKind(); got != "structural" {
-		t.Errorf("leafSpine router = %q, want structural", got)
-	}
-	if got := o.fatTree().RouterKind(); got != "structural" {
-		t.Errorf("fatTree router = %q, want structural", got)
-	}
-}
-
 // TestScaleIncastSmoke runs the experiment on the 128-host Clos
-// preset and checks the table contract: structural routing, a
+// preset and checks the table contract: the route-memory rows, a
 // positive memory ratio, and full completion under both schemes.
 func TestScaleIncastSmoke(t *testing.T) {
 	windowOverride = fullScaleIncastDuration / 2
@@ -33,7 +18,7 @@ func TestScaleIncastSmoke(t *testing.T) {
 		t.Fatalf("got %d tables, want 2", len(tables))
 	}
 	mem := tables[0].String()
-	for _, want := range []string{"router", "structural", "route_bytes", "dense/structural"} {
+	for _, want := range []string{"route_bytes", "dense/structural"} {
 		if !strings.Contains(mem, want) {
 			t.Errorf("memory table missing %q:\n%s", want, mem)
 		}

@@ -10,7 +10,7 @@ import (
 
 // The scaleincast experiment: the canonical incast burst on a
 // datacenter-sized Clos. Its point is not a new congestion result —
-// it is the scale demonstration the structural router buys: a
+// it is the scale demonstration structural routing buys: a
 // 100k-host fabric builds, routes and completes an incast in one
 // process, with route memory O(total ports) where the dense tables
 // would need hundreds of gigabytes for slice headers alone.
@@ -109,11 +109,11 @@ func spreadSenders(tp *topo.Topology, degree int) []topoNodeID {
 // ScaleIncast runs the canonical incast on the selected large-fabric
 // preset (default: the 100k-host Clos) under DCQCN with and without
 // Floodgate, and reports two tables: the fabric's route-memory
-// accounting and the burst's completion stats. Route memory is
-// checked structurally here (kind + O(total ports) bound); the live
-// heap budget is nondeterministic and asserted by the scale tests
-// and benchmarks instead, keeping this table byte-identical across
-// shards, parallelism and schedulers.
+// accounting and the burst's completion stats. Route memory is the
+// deterministic count (O(total ports) vs the dense tables' estimate);
+// the live heap budget is nondeterministic and asserted by the scale
+// tests and benchmarks instead, keeping this table byte-identical
+// across shards, parallelism and schedulers.
 func ScaleIncast(o Options) []Table {
 	tp, preset, err := o.scaleTopo("clos100k")
 	if err != nil {
@@ -134,7 +134,6 @@ func ScaleIncast(o Options) []Table {
 	mem.AddRow("hosts", fmt.Sprintf("%d", hosts))
 	mem.AddRow("switches", fmt.Sprintf("%d", nodes-hosts))
 	mem.AddRow("directed ports", fmt.Sprintf("%d", ports))
-	mem.AddRow("router", tp.RouterKind())
 	mem.AddRow("route_bytes", fmt.Sprintf("%d", routeBytes))
 	mem.AddRow("route bytes/port", fmt.Sprintf("%.1f", float64(routeBytes)/float64(ports)))
 	mem.AddRow("dense headers (est)", fmt.Sprintf("%d", denseHeaders))

@@ -10,6 +10,8 @@
 package pfctag
 
 import (
+	"slices"
+
 	"floodgate/internal/device"
 	"floodgate/internal/packet"
 	"floodgate/internal/units"
@@ -42,10 +44,17 @@ func New(cfg Config) device.FCFactory {
 
 type dstState struct {
 	paused    bool // downstream told us to hold this destination
-	q         []*packet.Packet
+	q         []parked
 	bytes     units.ByteSize
 	upstreams map[int]bool           // switch ingress ports we paused
 	hosts     map[packet.NodeID]bool // hosts we paused (first hop)
+}
+
+// parked is one VOQ entry: the packet plus the egress port its bytes
+// are attributed to (a link fault may reroute it by drain time).
+type parked struct {
+	p   *packet.Packet
+	out int
 }
 
 type module struct {
@@ -94,7 +103,7 @@ func (m *module) park(st *dstState, p *packet.Packet, outPort int) {
 	}
 	p.ViaVOQ = true
 	p.EnqueuedAt = m.sw.Net().Eng.Now()
-	st.q = append(st.q, p)
+	st.q = append(st.q, parked{p, outPort})
 	st.bytes += p.Size
 	m.sw.NotePortBytes(outPort, p.Size)
 }
@@ -154,9 +163,14 @@ func (m *module) OnCtrl(p *packet.Packet, inPort int) bool {
 // no window gating) and resumes our own upstreams.
 func (m *module) drain(st *dstState, dst packet.NodeID) {
 	net := m.sw.Net()
-	for _, p := range st.q {
+	for _, e := range st.q {
+		p := e.p
 		out := net.Route(m.sw.Node().ID, p.Src, p.Dst)
 		st.bytes -= p.Size
+		if e.out != out { // rerouted while parked: move the attribution
+			m.sw.NotePortBytes(e.out, -p.Size)
+			m.sw.NotePortBytes(out, p.Size)
+		}
 		m.sw.InjectEgress(p, out, 0)
 	}
 	if len(st.q) > 0 {
@@ -217,4 +231,26 @@ func (m *module) QueueSignal(p *packet.Packet, outPort int) units.ByteSize {
 		sum += st.bytes
 	}
 	return sum + m.sw.PortBacklog(outPort)
+}
+
+// Restart implements device.Restarter: parked packets die with the
+// switch (their port attribution and buffer share returned, each counted
+// as a drop, in destination order) and every destination's pause state
+// is forgotten, as in a freshly built module.
+func (m *module) Restart() {
+	dsts := make([]packet.NodeID, 0, len(m.dsts))
+	for d := range m.dsts { //lint:allow maprange keys are sorted before use
+		dsts = append(dsts, d)
+	}
+	slices.Sort(dsts)
+	node := m.sw.Node().ID
+	for _, d := range dsts {
+		for _, e := range m.dsts[d].q {
+			m.sw.NotePortBytes(e.out, -e.p.Size)
+			m.sw.ReleaseParked(e.p)
+			m.sw.Net().Drop(node, e.p)
+		}
+	}
+	clear(m.dsts)
+	m.voqs = 0
 }

@@ -5,6 +5,8 @@ import (
 
 	"floodgate/internal/cc"
 	"floodgate/internal/device"
+	"floodgate/internal/fault"
+	"floodgate/internal/metrics"
 	"floodgate/internal/packet"
 	"floodgate/internal/pfctag"
 	"floodgate/internal/sim"
@@ -24,9 +26,10 @@ func tagNet(thresh units.ByteSize, pauseHosts bool) (*device.Network, *topo.Topo
 		Engine:      sim.NewEngine(),
 		Stats:       stats.NewCollector(10 * units.Microsecond),
 		Seed:        5,
-		PFC:         device.PFCConfig{Enable: true, Alpha: 2},
+		PFC:         true,
 		CC:          cc.NewFixedWindow(),
 		PerDstPause: pauseHosts,
+		Metrics:     device.NewNetMetrics(metrics.NewRegistry()),
 		FC: pfctag.New(pfctag.Config{
 			PauseThresh: thresh, ResumeThresh: thresh / 2, PauseHosts: pauseHosts,
 		}),
@@ -52,6 +55,41 @@ func TestTagIncastCompletes(t *testing.T) {
 	}
 }
 
+// TestTagRestartReleasesParked restarts every switch every 20 µs through
+// a 16→1 incast: the packets parked at each restart must leave the
+// switch's books with it (a module rebuilt from its factory would lose
+// them), so the drained run holds zero queued or parked bytes.
+func TestTagRestartReleasesParked(t *testing.T) {
+	n, tp := tagNet(4*packet.MTU, true)
+	dst := tp.Hosts[len(tp.Hosts)-1]
+	for i := 0; i < 16; i++ {
+		n.AddFlow(tp.Hosts[i], dst, 200*units.KB, 0, packet.CatIncast)
+	}
+	var plan fault.Plan
+	for at := 20 * units.Microsecond; at <= 400*units.Microsecond; at += 20 * units.Microsecond {
+		for _, node := range tp.Nodes {
+			if node.Kind == topo.SwitchNode {
+				plan.Events = append(plan.Events, fault.Event{At: units.Time(at), Kind: fault.SwitchRestart, Node: node.ID})
+			}
+		}
+	}
+	n.InstallFaults(&plan, 1)
+	n.Run(units.Time(500 * units.Millisecond))
+	for i, f := range n.Flows() {
+		if !f.Done() {
+			t.Fatalf("flow %d incomplete", i)
+		}
+	}
+	if n.Stats.Drops == 0 {
+		t.Fatal("no restart caught a parked or queued packet")
+	}
+	for c := topo.PortClass(0); c < topo.NumPortClasses; c++ {
+		if b := n.Metrics.QueuedBytes[c].Value(); b != 0 {
+			t.Errorf("%v ports hold %d bytes after the run drained", c, b)
+		}
+	}
+}
+
 func TestTagBoundsLastHop(t *testing.T) {
 	run := func(withTag bool) units.ByteSize {
 		var n *device.Network
@@ -68,7 +106,7 @@ func TestTagBoundsLastHop(t *testing.T) {
 				Topo: tp, Engine: sim.NewEngine(),
 				Stats: stats.NewCollector(10 * units.Microsecond),
 				Seed:  5,
-				PFC:   device.PFCConfig{Enable: true, Alpha: 2},
+				PFC:   true,
 				CC:    cc.NewFixedWindow(),
 			})
 		}

@@ -243,12 +243,10 @@ func DefaultTestbed() TestbedConfig {
 	}
 }
 
-// Build constructs the testbed star-of-ToRs topology. The testbed
-// mirrors physical hardware rather than a canonical Clos, so it
-// freezes with the dense BFS router — the reference implementation
-// irregular and faulted-asymmetric validation fabrics fall back to.
+// Build constructs the testbed star-of-ToRs topology: a two-tier Clos
+// with one core, so it routes structurally like every other builder.
 func (c TestbedConfig) Build() *Topology {
-	b := &builder{forceDense: true}
+	b := &builder{}
 	core := b.addNode(SwitchNode, LayerCore, -1, -1, c.ToRs)
 	for r := 0; r < c.ToRs; r++ {
 		tor := b.addNode(SwitchNode, LayerToR, r, r, 1+c.HostsPerToR)

@@ -4,20 +4,80 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"floodgate/internal/packet"
 	"floodgate/internal/units"
 )
 
-// routerPair builds both implementations for one topology, regardless
-// of which one it froze with.
-func routerPair(t *testing.T, tp *Topology) (*StructuralRouter, *DenseRouter) {
-	t.Helper()
-	sr, err := NewStructuralRouter(tp)
-	if err != nil {
-		t.Fatalf("structural inference failed: %v", err)
+// denseRoutes is the BFS oracle: the per-(node, host) candidate tables
+// structural routing replaced, built with one reverse BFS per host.
+// Memory is O(nodes × hosts) slice headers plus the candidate entries —
+// fine to a few thousand hosts, hundreds of GB at datacenter scale.
+type denseRoutes struct {
+	routes [][][]int // [nodeID][hostIdx] -> candidate egress port indices
+	bytes  int64
+}
+
+func newDenseRoutes(t *Topology) *denseRoutes {
+	n := len(t.Nodes)
+	r := &denseRoutes{routes: make([][][]int, n)}
+	for i := range r.routes {
+		r.routes[i] = make([][]int, len(t.Hosts))
 	}
-	return sr, NewDenseRouter(tp)
+	dist := make([]int, n)
+	queue := make([]packet.NodeID, 0, n)
+	entries := 0
+	for hi, h := range t.Hosts {
+		entries += bfsColumn(t, h, dist, queue, func(node packet.NodeID, ports []int) {
+			r.routes[node][hi] = ports
+		})
+	}
+	const sliceHeader = int64(unsafe.Sizeof([]int{}))
+	r.bytes = sliceHeader*int64(n) + // outer [nodeID] headers
+		sliceHeader*int64(n)*int64(len(t.Hosts)) + // per-(node,host) headers
+		8*int64(entries) // candidate port entries
+	return r
+}
+
+// bfsColumn runs one reverse BFS from host h and hands every node its
+// candidate next-hop ports (ascending port index) via emit: all ports
+// whose peer is one step closer to h. dist and queue are caller-owned
+// scratch (len(dist) == len(t.Nodes)); the emitted slices share one
+// arena. Returns the number of candidate entries emitted. It is also the
+// per-host oracle sampled at scales where a full dense table would not
+// fit.
+func bfsColumn(t *Topology, h packet.NodeID, dist []int, queue []packet.NodeID, emit func(packet.NodeID, []int)) int {
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[h] = 0
+	queue = append(queue[:0], h)
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		for _, p := range t.Nodes[cur].Ports {
+			// Traverse the reverse direction: peer can reach cur.
+			if peer := p.Peer; dist[peer] == -1 {
+				dist[peer] = dist[cur] + 1
+				queue = append(queue, peer)
+			}
+		}
+	}
+	arena := make([]int, 0, t.TotalPorts())
+	for _, node := range t.Nodes {
+		if node.ID == h || dist[node.ID] == -1 {
+			continue
+		}
+		lo := len(arena)
+		for i, p := range node.Ports {
+			if d := dist[p.Peer]; d >= 0 && d == dist[node.ID]-1 {
+				arena = append(arena, i)
+			}
+		}
+		emit(node.ID, arena[lo:len(arena):len(arena)])
+	}
+	return len(arena)
 }
 
 func equalPorts(a, b []int) bool {
@@ -32,11 +92,10 @@ func equalPorts(a, b []int) bool {
 	return true
 }
 
-// TestRouterEquivalence asserts, for every builder, that the
-// structural router returns the identical ordered candidate set as
-// the dense BFS oracle at every (node, host) pair. This is the proof
-// obligation that lets freeze() swap implementations without
-// disturbing a single ECMP choice.
+// TestRouterEquivalence asserts, for every builder, that structural
+// routing returns the identical ordered candidate set as the dense BFS
+// oracle at every (node, host) pair: the proof obligation that replacing
+// the tables did not disturb a single ECMP choice.
 func TestRouterEquivalence(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -54,21 +113,17 @@ func TestRouterEquivalence(t *testing.T) {
 		{"fattree-k8", func() *Topology { return DefaultFatTree().Build() }},
 		{"fattree-k16", func() *Topology { return FatTree16().Build() }},
 		{"clos", func() *Topology { return DefaultClos().Build() }},
-		// The testbed freezes dense by policy, but its star shape is
-		// regular enough that structural inference succeeds — the
-		// equivalence still holds, proving the fallback is a policy
-		// choice, not a correctness requirement there.
 		{"testbed", func() *Topology { return DefaultTestbed().Build() }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tp := tc.build()
-			sr, dr := routerPair(t, tp)
+			dr := newDenseRoutes(tp)
 			for _, n := range tp.Nodes {
-				for hi := range tp.Hosts {
-					got, want := sr.NextPorts(n.ID, hi), dr.NextPorts(n.ID, hi)
+				for hi, h := range tp.Hosts {
+					got, want := tp.NextPorts(n.ID, h), dr.routes[n.ID][hi]
 					if !equalPorts(got, want) {
-						t.Fatalf("%s -> host[%d]: structural %v != dense %v", n.Name(), hi, want, got)
+						t.Fatalf("%s -> host[%d]: structural %v != dense %v", n.Name(), hi, got, want)
 					}
 				}
 			}
@@ -78,9 +133,8 @@ func TestRouterEquivalence(t *testing.T) {
 
 // TestRouterEquivalenceSampled covers the sizes where a full dense
 // table no longer fits (k=32 fat tree ~1.9 GB of headers, the 100k
-// Clos ~250 TB): the structural router is checked against per-host
-// BFS columns for a deterministic sample of destinations, at every
-// node.
+// Clos ~250 TB): structural routing is checked against per-host BFS
+// columns for a deterministic sample of destinations, at every node.
 func TestRouterEquivalenceSampled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-topology sampling skipped in -short")
@@ -95,10 +149,6 @@ func TestRouterEquivalenceSampled(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tp := tc.build()
-			if got := tp.RouterKind(); got != "structural" {
-				t.Fatalf("RouterKind = %q, want structural", got)
-			}
-			sr := tp.router.(*StructuralRouter)
 			dist := make([]int, len(tp.Nodes))
 			queue := make([]packet.NodeID, 0, len(tp.Nodes))
 			// Deterministic sample: a fixed stride plus the edges of
@@ -112,7 +162,7 @@ func TestRouterEquivalenceSampled(t *testing.T) {
 				checked := make([]bool, len(tp.Nodes))
 				bfsColumn(tp, h, dist, queue, func(n packet.NodeID, want []int) {
 					checked[n] = true
-					if got := sr.NextPorts(n, hi); !equalPorts(got, want) {
+					if got := tp.NextPorts(n, h); !equalPorts(got, want) {
 						t.Fatalf("%s -> host[%d]: structural %v != bfs %v", tp.Nodes[n].Name(), hi, got, want)
 					}
 				})
@@ -126,26 +176,25 @@ func TestRouterEquivalenceSampled(t *testing.T) {
 	}
 }
 
-// TestRouterSelection pins which implementation each builder freezes
-// with: structural for every regular Clos, dense for the testbed (by
-// policy) and for irregular fabrics (by inference failure).
+// TestRouterSelection pins that every builder, the §5.2 testbed
+// included, routes structurally — route memory within the O(total
+// ports) bound and far below the dense oracle's — and that a fabric
+// failing a structural check panics at freeze naming the check.
 func TestRouterSelection(t *testing.T) {
 	for name, tp := range map[string]*Topology{
 		"leafspine": DefaultLeafSpine().Build(),
 		"fattree":   DefaultFatTree().Build(),
 		"clos":      DefaultClos().Build(),
+		"testbed":   DefaultTestbed().Build(),
 	} {
-		if got := tp.RouterKind(); got != "structural" {
-			t.Errorf("%s: RouterKind = %q, want structural", name, got)
+		b := tp.RouteBytes()
+		if b > 32*int64(tp.TotalPorts()) || b >= newDenseRoutes(tp).bytes {
+			t.Errorf("%s: route bytes %d are not structural (%d ports)", name, b, tp.TotalPorts())
 		}
-	}
-	if got := DefaultTestbed().Build().RouterKind(); got != "dense" {
-		t.Errorf("testbed: RouterKind = %q, want dense (forced)", got)
 	}
 
 	// An asymmetric fabric — one spine wired to only half the racks —
-	// must fail structural inference (unequal up-peer coverage) and
-	// fall back to dense, which routes it correctly.
+	// fails the symmetric-up-coverage check.
 	b := &builder{}
 	s0 := b.addNode(SwitchNode, LayerCore, -1, -1, 2)
 	s1 := b.addNode(SwitchNode, LayerCore, -1, -1, 1)
@@ -160,33 +209,26 @@ func TestRouterSelection(t *testing.T) {
 			b.connect(tor, host, 100*units.Gbps, units.Microsecond, ClassToRDown, ClassHost)
 		}
 	}
-	tp := b.freeze()
-	if got := tp.RouterKind(); got != "dense" {
-		t.Fatalf("asymmetric fabric: RouterKind = %q, want dense fallback", got)
-	}
-	if _, err := NewStructuralRouter(tp); err == nil {
-		t.Fatal("structural inference accepted an asymmetric fabric")
-	}
-	// Cross-rack reachability still works through the fallback.
-	if ports := tp.NextPorts(tp.Hosts[0], tp.Hosts[3]); len(ports) != 1 {
-		t.Fatalf("dense fallback broken: host uplink candidates = %v", ports)
-	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, checkUpCover) {
+			t.Fatalf("asymmetric fabric: freeze panic %q, want one naming %q", msg, checkUpCover)
+		}
+	}()
+	b.freeze()
 }
 
-// TestRouteBytesRatio is the acceptance gate's memory claim: at the
-// k=16 fat tree the structural router must be at least 100x smaller
-// than the dense table it replaces.
+// TestRouteBytesRatio is the scale claim: at the k=16 fat tree
+// structural routing is at least 100x smaller than the dense table it
+// replaced.
 func TestRouteBytesRatio(t *testing.T) {
 	tp := FatTree16().Build()
-	sr, dr := routerPair(t, tp)
-	if sr.Bytes() <= 0 || dr.Bytes() <= 0 {
-		t.Fatalf("non-positive route bytes: structural %d, dense %d", sr.Bytes(), dr.Bytes())
+	sb, db := tp.RouteBytes(), newDenseRoutes(tp).bytes
+	if sb <= 0 || db <= 0 {
+		t.Fatalf("non-positive route bytes: structural %d, dense %d", sb, db)
 	}
-	if ratio := dr.Bytes() / sr.Bytes(); ratio < 100 {
-		t.Fatalf("dense/structural route bytes = %d/%d = %dx, want >= 100x", dr.Bytes(), sr.Bytes(), ratio)
-	}
-	if got := tp.RouteBytes(); got != sr.Bytes() {
-		t.Fatalf("Topology.RouteBytes = %d, want structural %d", got, sr.Bytes())
+	if ratio := db / sb; ratio < 100 {
+		t.Fatalf("dense/structural route bytes = %d/%d = %dx, want >= 100x", db, sb, ratio)
 	}
 }
 
@@ -200,9 +242,6 @@ func TestStructuralBytesLinearInPorts(t *testing.T) {
 	tp := Clos100k().Build()
 	if got, want := tp.NumHosts(), 102400; got != want {
 		t.Fatalf("Clos100k hosts = %d, want %d", got, want)
-	}
-	if got := tp.RouterKind(); got != "structural" {
-		t.Fatalf("Clos100k RouterKind = %q, want structural", got)
 	}
 	ports := int64(tp.TotalPorts())
 	if b := tp.RouteBytes(); b > 32*ports {

@@ -108,19 +108,18 @@ func (n *Node) Name() string {
 }
 
 // Topology is an immutable network graph with multipath routes from
-// every node to every host, answered by a Router chosen at freeze():
-// structural index arithmetic for regular Clos fabrics (O(total
-// ports) memory), dense BFS tables as the fallback for irregular
-// ones (see router.go). Immutability is load-bearing: after Build()
-// nothing writes to nodes, ports or router state (the device layer
-// only takes pointers into them), so one Topology may be shared by
-// concurrent simulation runs (exp.RunMany) without synchronisation.
+// every node to every host, answered by structural index arithmetic
+// (O(total ports) memory; see router.go). Immutability is load-bearing:
+// after Build() nothing writes to nodes, ports or router state (the
+// device layer only takes pointers into them), so one Topology may be
+// shared by concurrent simulation runs (exp.RunMany) without
+// synchronisation.
 type Topology struct {
 	Nodes []*Node
 	Hosts []packet.NodeID // all host IDs in ID order
 
 	hostIdx []int // NodeID -> dense host index, -1 for switches
-	router  Router
+	router  router
 }
 
 // Node returns the node with the given ID.
@@ -140,7 +139,7 @@ func (t *Topology) NumHosts() int { return len(t.Hosts) }
 // "index out of range [-1]". The returned slice is shared and
 // immutable; callers must not modify it.
 func (t *Topology) NextPorts(n, dst packet.NodeID) []int {
-	return t.router.NextPorts(n, t.mustHostIndex(dst))
+	return t.router.nextPorts(n, t.mustHostIndex(dst))
 }
 
 // mustHostIndex resolves dst to its dense host index, panicking with
@@ -152,18 +151,9 @@ func (t *Topology) mustHostIndex(dst packet.NodeID) int {
 	return t.hostIdx[dst]
 }
 
-// Router exposes the route implementation the topology froze with
-// (the scale gauges and equivalence tests read it; the device layer
-// goes through NextPorts/ECMP).
-func (t *Topology) Router() Router { return t.router }
-
-// RouterKind names the active route implementation: "structural" for
-// the O(total ports) Clos router, "dense" for the BFS fallback.
-func (t *Topology) RouterKind() string { return t.router.Kind() }
-
-// RouteBytes is the resident memory of the active router — the
-// route_bytes scale gauge.
-func (t *Topology) RouteBytes() int64 { return t.router.Bytes() }
+// RouteBytes is the resident memory of the router — the route_bytes
+// scale gauge.
+func (t *Topology) RouteBytes() int64 { return t.router.bytes() }
 
 // TotalPorts counts directed ports across all nodes (two per link).
 func (t *Topology) TotalPorts() int {
@@ -233,10 +223,6 @@ type builder struct {
 	nodes     []*Node
 	nodeSlab  []Node
 	hostPorts []Port
-	// forceDense skips structural inference at freeze(): set by
-	// builders that model irregular fabrics (the DPDK testbed) where
-	// the dense BFS tables are the validation reference.
-	forceDense bool
 }
 
 // addNode adds a node that will have exactly nports ports (every
@@ -276,12 +262,9 @@ func (b *builder) connect(a, bb packet.NodeID, rate units.BitRate, prop units.Du
 	nb.Ports = append(nb.Ports, pb)
 }
 
-// freeze indexes the hosts, chooses the router and returns the
-// immutable topology. Structural routing is preferred whenever
-// inference recognises a regular Clos shape (every built-in builder
-// except the testbed, which forces the dense reference); otherwise
-// the dense BFS fallback keeps irregular fabrics routable at the old
-// O(nodes × hosts) cost.
+// freeze indexes the hosts, builds the router and returns the immutable
+// topology. newRouter panics, naming the structural check, on a fabric
+// that is not a regular Clos; no exported builder produces one.
 func (b *builder) freeze() *Topology {
 	t := &Topology{Nodes: b.nodes}
 	t.hostIdx = make([]int, len(b.nodes))
@@ -294,12 +277,6 @@ func (b *builder) freeze() *Topology {
 			t.Hosts = append(t.Hosts, n.ID)
 		}
 	}
-	if !b.forceDense {
-		if r, err := NewStructuralRouter(t); err == nil {
-			t.router = r
-			return t
-		}
-	}
-	t.router = NewDenseRouter(t)
+	t.router = newRouter(t)
 	return t
 }
