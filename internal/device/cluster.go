@@ -212,10 +212,10 @@ func (c *Cluster) SealFlows() {
 // is recycled. Held (application) flows add what only the object knows:
 // whether and when they launched, and their attempt number.
 func (c *Cluster) FlowMetas() []forensics.FlowMeta {
-	finish := make([]units.Time, c.specs.Len()+1)
+	fct := make([]units.Duration, c.specs.Len()+1)
 	for _, n := range c.Nets {
 		for _, s := range n.Stats.AllFCTs() {
-			finish[s.Flow] = s.Finish
+			fct[s.Flow] = s.FCT
 		}
 	}
 	metas := make([]forensics.FlowMeta, 0, c.specs.Len())
@@ -223,7 +223,7 @@ func (c *Cluster) FlowMetas() []forensics.FlowMeta {
 		id, s := packet.FlowID(i+1), c.specs.At(i)
 		m := forensics.FlowMeta{
 			ID: id, Src: s.Src, Dst: s.Dst, Size: s.Size, Start: s.Start,
-			Finish: finish[id], Done: c.Nets[c.Assign[s.Dst]].isDone(id),
+			FCT: fct[id], Done: c.Nets[c.Assign[s.Dst]].isDone(id),
 		}
 		if s.manual {
 			f := c.Nets[0].live[id]

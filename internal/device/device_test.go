@@ -67,7 +67,7 @@ func TestFCTRecorded(t *testing.T) {
 		t.Fatal("victim FCT missing")
 	}
 	s := n.Stats.FCTs(stats.CatIncast)[0]
-	if s.Size != 30*units.KB || s.FCT <= 0 {
+	if n.spec(packet.FlowID(s.Flow)).Size != 30*units.KB || s.FCT <= 0 {
 		t.Fatalf("bad sample %+v", s)
 	}
 }

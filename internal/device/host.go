@@ -495,7 +495,7 @@ func (h *Host) completeFlow(f *Flow, now units.Time) {
 	f.done = true
 	f.Finish = now
 	h.net.markDone(f.ID)
-	h.net.flowDone(f, now, h.port.Rate)
+	h.net.flowDone(f, now)
 }
 
 func (h *Host) receiveAck(p *packet.Packet, now units.Time) {

@@ -103,7 +103,7 @@ func TestLostFinalAcksReAckedFromLog(t *testing.T) {
 	}
 
 	type outcome struct {
-		finish           units.Time
+		fct              units.Duration
 		rtx, drops       int64
 		data, ctrl       units.ByteSize
 		delivered        units.ByteSize
@@ -122,7 +122,7 @@ func TestLostFinalAcksReAckedFromLog(t *testing.T) {
 			t.Fatalf("held=%v: %d FCT samples, want 1", held, len(samples))
 		}
 		o := outcome{
-			finish: samples[0].Finish, rtx: n.Stats.Retransmits, drops: n.Stats.Drops,
+			fct: samples[0].FCT, rtx: n.Stats.Retransmits, drops: n.Stats.Drops,
 			data: n.Stats.WireTotal(stats.WireData), ctrl: n.Stats.WireTotal(stats.WireCtrl),
 			delivered: n.DeliveredBytes(), retransmitTimes: rt, done: n.isDone(1),
 			senderDone: n.HostsByID[src].senders == nil,
@@ -134,8 +134,8 @@ func TestLostFinalAcksReAckedFromLog(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("recycled run differs from the held run:\n got %+v\nwant %+v", got, want)
 	}
-	if got.finish != finish || !got.done || got.delivered != size {
-		t.Errorf("receiver: finish %v (dry run %v), done %v, delivered %v", got.finish, finish, got.done, got.delivered)
+	if got.fct != dry.Flows()[0].FCT() || !got.done || got.delivered != size {
+		t.Errorf("receiver: FCT %v (dry run %v), done %v, delivered %v", got.fct, dry.Flows()[0].FCT(), got.done, got.delivered)
 	}
 	if got.drops != 2 || got.rtx != 1 {
 		t.Errorf("drops = %d, RTO retransmissions = %d; want the two final ACKs lost and one timeout", got.drops, got.rtx)

@@ -301,9 +301,10 @@ func (n *Network) received(f *Flow, payload units.ByteSize, now units.Time) {
 	n.Stats.Received(now, f.Cat, payload)
 }
 
-// flowDone: f's last byte arrived at a receiver with NIC rate rate.
-func (n *Network) flowDone(f *Flow, now units.Time, rate units.BitRate) {
-	n.Stats.FlowDone(uint64(f.ID), f.Cat, f.Size, f.Start, now, rate)
+// flowDone: f's last byte arrived at its receiver. The collector keeps
+// the ID and FCT only and takes no line rate.
+func (n *Network) flowDone(f *Flow, now units.Time) {
+	n.Stats.FlowDone(uint64(f.ID), f.Cat, f.Size, f.Start, now, 0)
 	n.Metrics.FCT.Observe(int64(now.Sub(f.Start)))
 	if n.OnFlowDone != nil {
 		n.OnFlowDone(f, now)

@@ -55,14 +55,17 @@ func TestFlowStateFollowsLiveFlows(t *testing.T) {
 		t.Errorf("registration allocated %.1f B/flow, want <= 48 (a 32 B log record): something per-flow is built before the flow starts", perFlow)
 	}
 
-	// Peak of flows started and not yet finished, from the FCT samples.
+	// Peak of flows started and not yet finished, from the finished flows'
+	// metadata (the registration log joined with the FCT samples).
 	type edge struct {
 		at    units.Time
 		delta int
 	}
 	var edges []edge
-	for _, s := range res.Stats.AllFCTs() {
-		edges = append(edges, edge{s.Start, +1}, edge{s.Finish, -1})
+	for _, m := range res.Cluster.FlowMetas() {
+		if m.Done {
+			edges = append(edges, edge{m.Start, +1}, edge{m.Start.Add(m.FCT), -1})
+		}
 	}
 	sort.Slice(edges, func(i, j int) bool {
 		if edges[i].at != edges[j].at {

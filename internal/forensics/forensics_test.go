@@ -178,7 +178,7 @@ func TestBuildReportMergesShards(t *testing.T) {
 	a.EpisodeStart(3, 50, tm(2)) // same start, lower switch id: sorts first
 	a.EpisodeEnd(3, 50, tm(7))
 
-	metas := []FlowMeta{{ID: 1, Src: 10, Dst: 50, Size: 3000, Start: tm(0), Finish: tm(12), Done: true}}
+	metas := []FlowMeta{{ID: 1, Src: 10, Dst: 50, Size: 3000, Start: tm(0), FCT: 12 * us, Done: true}}
 	rep := BuildReport([]*Recorder{a, b}, metas)
 	if len(rep.Flows) != 1 {
 		t.Fatalf("flows = %d", len(rep.Flows))
@@ -238,7 +238,7 @@ func TestWriteNDJSONShape(t *testing.T) {
 	r.EpisodeStart(9, 50, tm(2))
 	r.EpisodeEnd(9, 50, tm(6))
 	rep := BuildReport([]*Recorder{r},
-		[]FlowMeta{{ID: 1, Src: 10, Dst: 50, Size: 3000, Start: tm(0), Finish: tm(8), Done: true}})
+		[]FlowMeta{{ID: 1, Src: 10, Dst: 50, Size: 3000, Start: tm(0), FCT: 8 * us, Done: true}})
 	var b strings.Builder
 	if err := rep.WriteNDJSON(&b); err != nil {
 		t.Fatal(err)

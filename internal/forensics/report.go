@@ -15,13 +15,13 @@ import (
 // FlowMeta is the identity of one flow, supplied by the experiment
 // layer (the recorder itself never sees flow objects).
 type FlowMeta struct {
-	ID     packet.FlowID
-	Src    packet.NodeID
-	Dst    packet.NodeID
-	Size   units.ByteSize
-	Start  units.Time
-	Finish units.Time
-	Done   bool
+	ID    packet.FlowID
+	Src   packet.NodeID
+	Dst   packet.NodeID
+	Size  units.ByteSize
+	Start units.Time
+	FCT   units.Duration // zero unless Done; the finish is Start + FCT
+	Done  bool
 	// Attempt is the application-plane attempt number (0 for open-loop
 	// flows, 1 for original requests/responses, 2+ for retries and
 	// hedges) — the causal tag retry-amplification analysis keys on.
@@ -33,7 +33,6 @@ type FlowBudget struct {
 	FlowMeta
 	Comp   [NumComps]units.Duration
 	Parked units.Duration // total parked time over all segments
-	FCT    units.Duration // Finish - Start; zero unless Done
 }
 
 // Report is the merged, deterministic forensic result of one run.
@@ -65,7 +64,6 @@ func BuildReport(recs []*Recorder, metas []FlowMeta) *Report {
 		}
 		rep.TotalParked += fb.Parked
 		if meta.Done {
-			fb.FCT = meta.Finish.Sub(meta.Start)
 			var sum units.Duration
 			for c := CompSerialization; c < CompWire; c++ {
 				sum += fb.Comp[c]
@@ -111,8 +109,12 @@ func (rep *Report) WriteNDJSON(w io.Writer) error {
 		len(rep.Flows), len(rep.Episodes), int64(rep.TotalParked))
 	for i := range rep.Flows {
 		f := &rep.Flows[i]
+		var finish units.Time
+		if f.Done {
+			finish = f.Start.Add(f.FCT)
+		}
 		fmt.Fprintf(bw, `{"type":"flow","flow":%d,"src":%d,"dst":%d,"size":%d,"start_ps":%d,"finish_ps":%d,"done":%t,"attempt":%d,"fct_ps":%d`,
-			f.ID, f.Src, f.Dst, int64(f.Size), int64(f.Start), int64(f.Finish), f.Done, f.Attempt, int64(f.FCT))
+			f.ID, f.Src, f.Dst, int64(f.Size), int64(f.Start), int64(finish), f.Done, f.Attempt, int64(f.FCT))
 		for c := CompSerialization; c < NumComps; c++ {
 			fmt.Fprintf(bw, `,"%s_ps":%d`, compNames[c], int64(f.Comp[c]))
 		}

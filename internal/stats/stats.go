@@ -41,15 +41,13 @@ var wireNames = [NumWireClasses]string{"data", "ctrl", "credit"}
 
 func (c WireClass) String() string { return wireNames[c] }
 
-// FCTSample records one completed flow.
+// FCTSample records one completed flow: only what completion adds. What
+// the flow is (category, size, endpoints, start) has one store, the
+// device's registration log, keyed by the same ID, and the category is
+// also the log a sample is filed in; the finish time is Start + FCT.
 type FCTSample struct {
-	Flow     uint64
-	Cat      Category
-	Size     units.ByteSize
-	Start    units.Time
-	Finish   units.Time
-	FCT      units.Duration
-	Slowdown float64 // FCT / ideal transfer time at host line rate
+	Flow uint64
+	FCT  units.Duration
 }
 
 // Collector accumulates a simulation run's measurements.
@@ -109,18 +107,11 @@ func grow(s []units.ByteSize, idx int) []units.ByteSize {
 	return s
 }
 
-// FlowDone records a completed flow. lineRate is the destination host
-// link rate, used for the slowdown normalisation.
-func (c *Collector) FlowDone(flow uint64, cat Category, size units.ByteSize, start, finish units.Time, lineRate units.BitRate) {
-	fct := finish.Sub(start)
-	ideal := units.TxTime(size, lineRate)
-	slow := 0.0
-	if ideal > 0 {
-		slow = float64(fct) / float64(ideal)
-	}
-	c.fcts[cat].Append(FCTSample{
-		Flow: flow, Cat: cat, Size: size, Start: start, Finish: finish, FCT: fct, Slowdown: slow,
-	})
+// FlowDone records a completed flow in its category's log. The size and
+// the destination's line rate are not kept (see FCTSample); the
+// parameters stay for the benchmark module's callers.
+func (c *Collector) FlowDone(flow uint64, cat Category, _ units.ByteSize, start, finish units.Time, _ units.BitRate) {
+	c.fcts[cat].Append(FCTSample{Flow: flow, FCT: finish.Sub(start)})
 }
 
 // SwitchBuffer reports a switch's new total buffer occupancy. Only the
