@@ -40,9 +40,7 @@ func benchExperiment(b *testing.B, id string) {
 func BenchmarkFig2Throughput(b *testing.B)        { benchExperiment(b, "fig2") }
 func BenchmarkFig6Testbed(b *testing.B)           { benchExperiment(b, "fig6") }
 func BenchmarkFig7WorkloadCDF(b *testing.B)       { benchExperiment(b, "fig7") }
-func BenchmarkFig8FCTDCQCN(b *testing.B)          { benchExperiment(b, "fig8-dcqcn") }
-func BenchmarkFig8FCTTIMELY(b *testing.B)         { benchExperiment(b, "fig8-timely") }
-func BenchmarkFig8FCTHPCC(b *testing.B)           { benchExperiment(b, "fig8-hpcc") }
+func BenchmarkFig8FCT(b *testing.B)               { benchExperiment(b, "fig8") }
 func BenchmarkFig9VictimCDF(b *testing.B)         { benchExperiment(b, "fig9") }
 func BenchmarkFig10Buffer(b *testing.B)           { benchExperiment(b, "fig10") }
 func BenchmarkTable2PFCTime(b *testing.B)         { benchExperiment(b, "table2") }

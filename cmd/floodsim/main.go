@@ -41,6 +41,7 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -83,20 +84,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	if *shards < 0 {
-		fmt.Fprintf(stderr, "floodsim: -shards must be non-negative, got %d\n", *shards)
-		return 2
+	var usage error // the first refused flag combination: exit 2
+	switch {
+	case !(*scale > 0 && *scale <= 1): // NaN too
+		usage = fmt.Errorf("-scale must be in (0, 1], got %v", *scale)
+	case *par < 0:
+		usage = fmt.Errorf("-par must be non-negative, got %d", *par)
+	case *shards < 0:
+		usage = fmt.Errorf("-shards must be non-negative, got %d", *shards)
+	case *shards > 1 && *obsDir != "":
+		usage = errors.New("-obs does not compose with -shards > 1 (per-shard metric export is not merged; see DESIGN.md §10)")
+	default:
+		usage = cmp.Or(validateConcurrency(*par, *shards, runtime.GOMAXPROCS(0)),
+			validateForensics(*forensics, *obsDir), validateTopo(*topoName))
 	}
-	if *shards > 1 && *obsDir != "" {
-		fmt.Fprintln(stderr, "floodsim: -obs does not compose with -shards > 1 (per-shard metric export is not merged; see DESIGN.md §10)")
-		return 2
-	}
-	if err := validateConcurrency(*par, *shards, runtime.GOMAXPROCS(0)); err != nil {
-		fmt.Fprintln(stderr, "floodsim:", err)
-		return 2
-	}
-	if err := validateForensics(*forensics, *obsDir); err != nil {
-		fmt.Fprintln(stderr, "floodsim:", err)
+	if usage != nil {
+		fmt.Fprintln(stderr, "floodsim:", usage)
 		return 2
 	}
 
@@ -133,10 +136,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "  %-10s %s\n", p[0], p[1])
 		}
 		return 0
-	}
-	if err := validateTopo(*topoName); err != nil {
-		fmt.Fprintln(stderr, "floodsim:", err)
-		return 2
 	}
 
 	if *faults == "list" {
@@ -195,9 +194,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *expID == "all" {
 			ids = nil
 			for _, e := range floodgate.Experiments() {
-				if e.ID != "fig8" { // the per-CC variants cover it without tripling runtime
-					ids = append(ids, e.ID)
-				}
+				ids = append(ids, e.ID)
 			}
 		}
 		floodgate.RunExperiments(ids, o, emit)
@@ -226,7 +223,7 @@ func validateForensics(forensics bool, obsDir string) error {
 // experiments pin the paper fabrics), so a typo would otherwise
 // surface minutes into an -exp all batch.
 func validateTopo(name string) error {
-	if name == "" {
+	if name == "" || name == "list" {
 		return nil
 	}
 	var names []string

@@ -111,6 +111,9 @@ func TestRunCLI(t *testing.T) {
 		{"obs with shards", []string{"-exp", "fig2", "-obs", obs, "-shards", "2"}, 2, "", "-obs does not compose with -shards"},
 		{"unknown topo", []string{"-exp", "scaleincast", "-topo", "torus"}, 2, "", `unknown -topo "torus"`},
 		{"removed scheduler knob", []string{"-exp", "fig2", "-sched", "heap"}, 2, "", "not defined: -sched"},
+		{"scale above one", []string{"-exp", "fig2", "-scale", "5"}, 2, "", "-scale must be in (0, 1], got 5"},
+		{"scale not a number", []string{"-exp", "fig2", "-scale", "NaN"}, 2, "", "-scale must be in (0, 1], got NaN"},
+		{"negative par", []string{"-exp", "fig2", "-par", "-3"}, 2, "", "-par must be non-negative, got -3"},
 		{"unknown experiment", []string{"-exp", "nope"}, 1, "", "nope"},
 		{"fault scenario with obs", []string{"-faults", "none", "-scale", "0.1", "-obs", faultObs}, 0, "== Fault matrix", ""},
 		{"unknown fault scenario", []string{"-faults", "bogus"}, 1, "", `unknown fault scenario "bogus"`},

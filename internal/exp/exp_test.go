@@ -46,8 +46,16 @@ func TestFig7NoSim(t *testing.T) {
 
 // smokeTables caches the smoke pass's tables by experiment id, so
 // TestPaperShapes reads the tables TestSmokeAllExperiments rendered
-// instead of simulating again.
-var smokeTables = map[string][]Table{}
+// instead of simulating again; smokeClusters counts the clusters each
+// id built.
+var (
+	smokeTables   = map[string][]Table{}
+	smokeClusters = map[string]int{}
+)
+
+// smokeWindow budgets the smoke pass: a quarter-length workload window
+// keeps the whole registry under the default go-test timeout on one core.
+const smokeWindow = fullIncastMixDuration / 4
 
 // smokeRun runs one registered experiment at smoke scale, once per
 // process, and checks that every run it made built its network with the
@@ -62,20 +70,20 @@ func smokeRun(t *testing.T, id string) []Table {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Budget the pass: a quarter-length workload window keeps the whole
-	// registry under the default go-test timeout on one core.
-	windowOverride = fullIncastMixDuration / 4
+	windowOverride = smokeWindow
 	want := smokeOpts.stretch(units.Millisecond)
 	if id == "fig6" {
 		want = units.Millisecond
 	}
 	var mu sync.Mutex
 	var wrong []units.Duration
+	built := 0
 	clusterBuilt = func(c *device.Cluster) {
+		mu.Lock()
+		defer mu.Unlock()
+		built++
 		if rto := c.Nets[0].Cfg.RTO; rto != want {
-			mu.Lock()
 			wrong = append(wrong, rto)
-			mu.Unlock()
 		}
 	}
 	defer func() { windowOverride, clusterBuilt = 0, nil }()
@@ -84,7 +92,7 @@ func smokeRun(t *testing.T, id string) []Table {
 		t.Errorf("%s: %d runs built with RTO %v, want the caller's stretched %v: Options were dropped on the way to Run",
 			id, len(wrong), wrong[0], want)
 	}
-	smokeTables[id] = tabs
+	smokeTables[id], smokeClusters[id] = tabs, built
 	return tabs
 }
 
@@ -97,13 +105,7 @@ func TestSmokeAllExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke is not short")
 	}
-	skip := map[string]bool{
-		"fig8": true, // covered by the per-CC variants below
-	}
 	for _, e := range List() {
-		if skip[e.ID] {
-			continue
-		}
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			tabs := smokeRun(t, e.ID)
@@ -115,6 +117,26 @@ func TestSmokeAllExperiments(t *testing.T) {
 					t.Fatalf("%s produced an empty table %q", e.ID, tab.Title)
 				}
 				t.Log("\n" + tab.String())
+			}
+		})
+	}
+	// Each congestion control's slice of Fig 8 renders its own non-empty
+	// table, one row per workload × scheme.
+	for _, cc := range []string{"DCQCN", "TIMELY", "HPCC"} {
+		cc := cc
+		t.Run("fig8-"+strings.ToLower(cc), func(t *testing.T) {
+			prefix := "Fig 8 (" + cc + "):"
+			var found []Table
+			for _, tab := range smokeRun(t, "fig8") {
+				if strings.HasPrefix(tab.Title, prefix) {
+					found = append(found, tab)
+				}
+			}
+			if len(found) != 1 {
+				t.Fatalf("fig8 rendered %d tables titled %q, want 1", len(found), prefix)
+			}
+			if want := 3 * len(workload.Workloads); len(found[0].Rows) != want {
+				t.Fatalf("%s has %d rows, want %d", found[0].Title, len(found[0].Rows), want)
 			}
 		})
 	}

@@ -2,6 +2,8 @@ package exp
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"floodgate/internal/stats"
 	"floodgate/internal/topo"
@@ -54,41 +56,143 @@ func schemePair(o Options, base func(Options) Scheme, tp *topo.Topology) []Schem
 	return []Scheme{base(o), WithFloodgate(o, base(o), baseBDPOf(tp))}
 }
 
-// Fig8 reproduces the average and 99th-tail FCT of Poisson flows under
-// incast-mix, for each congestion control × {plain, +ideal,
-// +Floodgate} × workload. ccName filters to one CC ("DCQCN", "TIMELY",
-// "HPCC") or "" for all.
-func Fig8(o Options, ccName string) []Table {
-	bases := map[string]func(Options) Scheme{"DCQCN": DCQCN, "TIMELY": TIMELY, "HPCC": HPCC}
-	var order []string
-	for _, cc := range []string{"DCQCN", "TIMELY", "HPCC"} {
-		if ccName == "" || cc == ccName {
-			order = append(order, cc)
+// stormCell is one §6.1 storm run, keyed by CC, workload and index in
+// schemeTriple. Fig 8, Fig 9, Table 2, Fig 11 and Fig 21 are views over
+// a grid of them: a cell is simulated at most once per RunExperiments
+// batch (Options.grid), or once per view when an experiment runs alone,
+// and keeps only the rendered reductions the views read.
+type stormCell struct {
+	cdf             *workload.CDF
+	name, flows     string                        // scheme; flows done/total
+	poisson, incast []string                      // avg, p99 FCT
+	cats            [stats.NumCategories][]string // category; 100-point CDF p50, p90, p99; n
+	pfc, buf, queue []string                      // PFC time per layer; max buffer, queuing per hop
+
+	ready chan struct{}
+	fail  any // the run's panic, raised again by every view that reads the cell
+}
+
+// stormCells returns the cells of ccs × cdfs × schemes in that order. It
+// simulates on the pool the cells no view has claimed, then waits,
+// holding no slot, for those another experiment is computing. Under
+// -obs the experiment label joins a cell's key, so every experiment
+// still writes its own run files.
+func stormCells(o Options, cdfs []*workload.CDF, schemes []int, ccs ...func(Options) Scheme) []*stormCell {
+	grid, label := o.grid, ""
+	if grid == nil {
+		grid = new(sync.Map)
+	}
+	if o.Obs.Enabled() {
+		label = o.Obs.experiment()
+	}
+	var cells []*stormCell
+	var own []func()
+	for _, base := range ccs {
+		cc := base(o).Name
+		for _, cdf := range cdfs {
+			for _, si := range schemes {
+				key := fmt.Sprint(cc, "/", cdf.Name, "/", si, "/", label)
+				v, seen := grid.LoadOrStore(key, &stormCell{cdf: cdf, ready: make(chan struct{})})
+				c := v.(*stormCell)
+				if !seen {
+					own = append(own, func() { c.compute(o, base, si) })
+				}
+				cells = append(cells, c)
+			}
 		}
 	}
-	// Flatten every (cc × workload × scheme) run into one pool
-	// submission; per-CC tables slice the rows back out in order.
-	nW, nS := len(workload.Workloads), 3
-	perCC := nW * nS
-	rows := runJobs(o, len(order)*perCC, func(idx int) []string {
-		cc := order[idx/perCC]
-		cdf := workload.Workloads[(idx%perCC)/nS]
-		tp := o.leafSpine()
-		s := schemeTriple(o, bases[cc], tp)[idx%nS]
-		res := Run(stormRun(o, tp, cdf, s))
-		avg, p99 := stats.FCTStats(res.Stats.PoissonFCTs())
-		return []string{cdf.Name, s.Name, fmtDur(avg), fmtDur(p99),
-			fmt.Sprintf("%d/%d", res.Completed, res.Total)}
-	})
-	var tables []Table
-	for ci, cc := range order {
-		t := Table{
-			Title:  fmt.Sprintf("Fig 8 (%s): avg/p99 FCT of Poisson flows, incastmix", cc),
-			Header: []string{"workload", "scheme", "avgFCT", "p99FCT", "flows"},
-			Rows:   rows[ci*perCC : (ci+1)*perCC],
+	runJobs(o, len(own), func(i int) struct{} { own[i](); return struct{}{} })
+	for _, c := range cells {
+		<-c.ready
+		if c.fail != nil {
+			panic(c.fail)
 		}
-		t.Comment = "paper: Floodgate cuts avg FCT 10.1%-98.1%, p99 1.1x-207x (largest on Memcached/WebServer)"
-		tables = append(tables, t)
+	}
+	return cells
+}
+
+// compute simulates the cell and reduces it. A panic stays in the cell,
+// so every cell a view claimed settles even when one fails.
+func (c *stormCell) compute(o Options, base func(Options) Scheme, scheme int) {
+	defer close(c.ready)
+	defer func() { c.fail = recover() }()
+	tp := o.leafSpine()
+	res := Run(stormRun(o, tp, c.cdf, schemeTriple(o, base, tp)[scheme]))
+	st := res.Stats
+	c.name, c.flows = res.Scheme, fmt.Sprintf("%d/%d", res.Completed, res.Total)
+	// Each category is sorted once and Poisson merges the two victim
+	// classes: one sort of the run's samples in all.
+	var byCat [stats.NumCategories][]units.Duration
+	for cat := range byCat {
+		ds := sortedFCTs(st.FCTs(stats.Category(cat)))
+		xs, ys := stats.CDF(ds, 100)
+		c.cats[cat] = []string{stats.Category(cat).String(), pickQ(xs, ys, 0.5), pickQ(xs, ys, 0.9), pickQ(xs, ys, 0.99), fmt.Sprint(len(ds))}
+		byCat[cat] = ds
+	}
+	c.poisson = fctCells(mergeSorted(byCat[stats.CatVictimIncast], byCat[stats.CatVictimPFC]))
+	c.incast = fctCells(byCat[stats.CatIncast])
+	c.pfc = []string{fmtDur(st.PFCPauseTime(topo.LayerHost)), fmtDur(st.PFCPauseTime(topo.LayerToR)), fmtDur(st.PFCPauseTime(topo.LayerCore))}
+	c.buf = bufCells(res, hops...)
+	for _, h := range hops {
+		c.queue = append(c.queue, fmtDur(st.AvgQueueDelay(h)))
+	}
+}
+
+// sortedFCTs returns the samples' FCTs in ascending order.
+func sortedFCTs(samples []stats.FCTSample) []units.Duration {
+	ds := make([]units.Duration, len(samples))
+	for i, s := range samples {
+		ds[i] = s.FCT
+	}
+	slices.Sort(ds)
+	return ds
+}
+
+// mergeSorted merges two ascending lists into one.
+func mergeSorted(a, b []units.Duration) []units.Duration {
+	out := make([]units.Duration, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if a[0] <= b[0] {
+			out, a = append(out, a[0]), a[1:]
+		} else {
+			out, b = append(out, b[0]), b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
+}
+
+// fctCells renders sorted FCTs' average and p99 as stats.FCTStats does.
+func fctCells(sorted []units.Duration) []string {
+	var sum units.Duration
+	for _, d := range sorted {
+		sum += d
+	}
+	return []string{fmtDur(sum / units.Duration(max(len(sorted), 1))), fmtDur(stats.Percentile(sorted, 0.99))}
+}
+
+// stormTable is a table with one row per cell: workload, scheme, then
+// the cell's cols.
+func stormTable(title string, cols []string, comment string, cells []*stormCell, row func(*stormCell) []string) Table {
+	t := Table{Title: title, Header: append([]string{"workload", "scheme"}, cols...), Comment: comment}
+	for _, c := range cells {
+		t.AddRow(append([]string{c.cdf.Name, c.name}, row(c)...)...)
+	}
+	return t
+}
+
+// Fig8 reproduces the average and 99th-tail FCT of Poisson flows under
+// incast-mix, for each congestion control × {plain, +ideal,
+// +Floodgate} × workload.
+func Fig8(o Options) []Table {
+	ccs := []func(Options) Scheme{DCQCN, TIMELY, HPCC}
+	cells := stormCells(o, workload.Workloads, []int{0, 1, 2}, ccs...)
+	per := len(cells) / len(ccs)
+	var tables []Table
+	for i, base := range ccs {
+		tables = append(tables, stormTable(fmt.Sprintf("Fig 8 (%s): avg/p99 FCT of Poisson flows, incastmix", base(o).Name),
+			[]string{"avgFCT", "p99FCT", "flows"},
+			"paper: Floodgate cuts avg FCT 10.1%-98.1%, p99 1.1x-207x (largest on Memcached/WebServer)",
+			cells[i*per:(i+1)*per], func(c *stormCell) []string { return []string{c.poisson[0], c.poisson[1], c.flows} }))
 	}
 	return tables
 }
@@ -96,22 +200,16 @@ func Fig8(o Options, ccName string) []Table {
 // Fig9 reproduces the per-category FCT CDFs (incast, victim of incast,
 // victim of PFC) under the Web Server incast-mix.
 func Fig9(o Options) []Table {
-	return runJobs(o, 3, func(idx int) Table {
-		tp := o.leafSpine()
-		s := schemeTriple(o, DCQCN, tp)[idx]
-		res := Run(stormRun(o, tp, workload.WebServer, s))
-		t := Table{
-			Title:  "Fig 9: FCT CDF by category, Web Server incastmix — " + s.Name,
-			Header: []string{"category", "p50", "p90", "p99", "n"},
-		}
-		for _, cat := range []stats.Category{stats.CatIncast, stats.CatVictimIncast, stats.CatVictimPFC} {
-			xs, ys := stats.CDF(res.Stats.FCTs(cat), 100)
-			t.AddRow(cat.String(), pickQ(xs, ys, 0.5), pickQ(xs, ys, 0.9), pickQ(xs, ys, 0.99),
-				fmt.Sprintf("%d", len(res.Stats.FCTs(cat))))
-		}
-		t.Comment = "paper: Floodgate removes the HOL-blocking tail for both victim classes without hurting incast flows"
-		return t
-	})
+	var tables []Table
+	for _, c := range stormCells(o, []*workload.CDF{workload.WebServer}, []int{0, 1, 2}, DCQCN) {
+		tables = append(tables, Table{
+			Title:   "Fig 9: FCT CDF by category, Web Server incastmix — " + c.name,
+			Header:  []string{"category", "p50", "p90", "p99", "n"},
+			Rows:    c.cats[:],
+			Comment: "paper: Floodgate removes the HOL-blocking tail for both victim classes without hurting incast flows",
+		})
+	}
+	return tables
 }
 
 func pickQ(xs []units.Duration, ys []float64, q float64) string {
@@ -162,58 +260,31 @@ func Fig10(o Options) []Table {
 // Table2 reproduces the PFC triggered time per fabric layer for plain
 // DCQCN (Floodgate rows are included to show zero).
 func Table2(o Options) []Table {
-	t := Table{
-		Title:  "Table 2: PFC triggered time (DCQCN), incastmix",
-		Header: []string{"workload", "scheme", "Host", "ToR", "Core"},
-	}
-	t.Rows = runJobs(o, len(workload.Workloads)*2, func(idx int) []string {
-		cdf := workload.Workloads[idx/2]
-		tp := o.leafSpine()
-		s := schemePair(o, DCQCN, tp)[idx%2]
-		res := Run(stormRun(o, tp, cdf, s))
-		return []string{cdf.Name, s.Name,
-			fmtDur(res.Stats.PFCPauseTime(topo.LayerHost)),
-			fmtDur(res.Stats.PFCPauseTime(topo.LayerToR)),
-			fmtDur(res.Stats.PFCPauseTime(topo.LayerCore))}
-	})
-	t.Comment = "paper: DCQCN pauses cores on every workload (frame storm on Web Server); Floodgate triggers no PFC"
-	return []Table{t}
+	return []Table{stormTable("Table 2: PFC triggered time (DCQCN), incastmix", []string{"Host", "ToR", "Core"},
+		"paper: DCQCN pauses cores on every workload (frame storm on Web Server); Floodgate triggers no PFC",
+		stormCells(o, workload.Workloads, []int{0, 2}, DCQCN), func(c *stormCell) []string { return c.pfc })}
 }
 
 // Fig11 reproduces the per-hop buffer reallocation (a) and queuing
 // time split (b) for Web Server and Hadoop.
 func Fig11(o Options) []Table {
-	cdfs := []*workload.CDF{workload.WebServer, workload.Hadoop}
-	type fig11Rows struct{ a, b []string }
-	rows := runJobs(o, len(cdfs)*3, func(idx int) fig11Rows {
-		cdf := cdfs[idx/3]
-		tp := o.leafSpine()
-		s := schemeTriple(o, DCQCN, tp)[idx%3]
-		res := Run(stormRun(o, tp, cdf, s))
-		return fig11Rows{
-			a: append([]string{s.Name}, bufCells(res, hops...)...),
-			b: []string{s.Name,
-				fmtDur(res.Stats.AvgQueueDelay(topo.ClassToRUp)),
-				fmtDur(res.Stats.AvgQueueDelay(topo.ClassCore)),
-				fmtDur(res.Stats.AvgQueueDelay(topo.ClassToRDown))},
-		}
-	})
+	cells := stormCells(o, []*workload.CDF{workload.WebServer, workload.Hadoop}, []int{0, 1, 2}, DCQCN)
 	var tables []Table
-	for ci, cdf := range cdfs {
+	for i := 0; i < len(cells); i += 3 {
 		a := Table{
-			Title:  "Fig 11a: max per-port buffer by hop — " + cdf.Name,
-			Header: []string{"scheme", "ToR-Up", "Core", "ToR-Down"},
+			Title:   "Fig 11a: max per-port buffer by hop — " + cells[i].cdf.Name,
+			Header:  []string{"scheme", "ToR-Up", "Core", "ToR-Down"},
+			Comment: "paper: Floodgate shifts buffer from Core/ToR-Down to ToR-Up (source-side taming)",
 		}
 		b := Table{
-			Title:  "Fig 11b: avg queuing time of non-incast flows by hop — " + cdf.Name,
-			Header: []string{"scheme", "ToR-Up", "Core", "ToR-Down"},
+			Title:   "Fig 11b: avg queuing time of non-incast flows by hop — " + cells[i].cdf.Name,
+			Header:  a.Header,
+			Comment: "paper: queuing time at every hop shrinks; parked incast bytes do not delay non-incast flows",
 		}
-		for si := 0; si < 3; si++ {
-			a.AddRow(rows[ci*3+si].a...)
-			b.AddRow(rows[ci*3+si].b...)
+		for _, c := range cells[i : i+3] {
+			a.AddRow(append([]string{c.name}, c.buf...)...)
+			b.AddRow(append([]string{c.name}, c.queue...)...)
 		}
-		a.Comment = "paper: Floodgate shifts buffer from Core/ToR-Down to ToR-Up (source-side taming)"
-		b.Comment = "paper: queuing time at every hop shrinks; parked incast bytes do not delay non-incast flows"
 		tables = append(tables, a, b)
 	}
 	return tables
@@ -222,20 +293,9 @@ func Fig11(o Options) []Table {
 // Fig21 reproduces the appendix A.1 result: incast flows' own FCT is
 // not hurt by Floodgate.
 func Fig21(o Options) []Table {
-	t := Table{
-		Title:  "Fig 21: FCT of incast flows under incastmix",
-		Header: []string{"workload", "scheme", "avgFCT", "p99FCT"},
-	}
-	t.Rows = runJobs(o, len(workload.Workloads)*3, func(idx int) []string {
-		cdf := workload.Workloads[idx/3]
-		tp := o.leafSpine()
-		s := schemeTriple(o, DCQCN, tp)[idx%3]
-		res := Run(stormRun(o, tp, cdf, s))
-		avg, p99 := stats.FCTStats(res.Stats.FCTs(stats.CatIncast))
-		return []string{cdf.Name, s.Name, fmtDur(avg), fmtDur(p99)}
-	})
-	t.Comment = "paper: Floodgate leaves incast FCT intact (slight gain); ideal trades a bit of incast FCT for victims"
-	return []Table{t}
+	return []Table{stormTable("Fig 21: FCT of incast flows under incastmix", []string{"avgFCT", "p99FCT"},
+		"paper: Floodgate leaves incast FCT intact (slight gain); ideal trades a bit of incast FCT for victims",
+		stormCells(o, workload.Workloads, []int{0, 1, 2}, DCQCN), func(c *stormCell) []string { return c.incast })}
 }
 
 // Fig22 reproduces appendix A.2: pure Poisson traffic (no incast) —

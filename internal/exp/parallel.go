@@ -32,6 +32,9 @@ import (
 //     per-flow / per-switch state.
 //   - The two mutable package variables, windowOverride and
 //     clusterBuilt, are test-only and set before any runs start.
+//   - A RunExperiments batch's storm cells (Options.grid) are claimed
+//     through a sync.Map and read only after the cell's ready channel
+//     closes; see stormCells.
 
 // limiter is a resizable counting semaphore. All simulation fan-out in
 // this package draws from one instance, so nested parallelism —
@@ -180,9 +183,11 @@ func RunMany(rcs []RunConfig) []*RunResult {
 // simulations through the same shared pool, and streams each
 // experiment's tables to emit strictly in the order given (paper
 // order for floodsim -exp all). With parallelism 1 experiments run
-// one after another exactly as before. emit is always called from the
-// calling goroutine.
+// one after another exactly as before. The batch shares one storm
+// grid, so a cell two views read is simulated once. emit is always
+// called from the calling goroutine.
 func RunExperiments(ids []string, o Options, emit func(id string, tables []Table, err error)) {
+	o.grid = new(sync.Map)
 	if o.parallelism() <= 1 {
 		for _, id := range ids {
 			tables, err := runByID(id, o)

@@ -2,9 +2,14 @@ package exp
 
 import (
 	"reflect"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"floodgate/internal/device"
 	"floodgate/internal/topo"
+	"floodgate/internal/units"
 	"floodgate/internal/workload"
 )
 
@@ -71,38 +76,49 @@ func TestRunManyMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRunExperimentsOrder checks that overlapped experiments emit in
-// submission order with the same tables as direct calls.
+// TestRunExperimentsOrder runs the five storm-grid views as one batch,
+// overlapped on four workers beside fig7 and an unknown id: they emit
+// in submission order, each prints exactly the tables it printed alone
+// in the smoke pass, and the batch builds one cluster per distinct storm
+// cell (3 CCs × 4 workloads × 3 schemes) where the five alone build 65.
 func TestRunExperimentsOrder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
-	windowOverride = fullIncastMixDuration / 8
-	defer func() { windowOverride = 0 }()
-	o := Options{Scale: 0.1, Seed: 1, Parallelism: 4}
-	ids := []string{"fig7", "fig9", "fig22", "nope"}
+	ids := []string{"fig7", "fig8", "fig9", "nope", "table2", "fig11", "fig21"}
+	alone, aloneClusters := map[string]string{}, 0
+	for _, id := range ids {
+		if id != "nope" {
+			alone[id] = renderAll(smokeRun(t, id))
+			aloneClusters += smokeClusters[id]
+		}
+	}
+	var built atomic.Int64
+	windowOverride, clusterBuilt = smokeWindow, func(*device.Cluster) { built.Add(1) }
+	defer func() { windowOverride, clusterBuilt = 0, nil }()
+	o := smokeOpts
+	o.Parallelism = 4
 	var gotIDs []string
-	var rendered []string
-	var errs []error
 	RunExperiments(ids, o, func(id string, tables []Table, err error) {
 		gotIDs = append(gotIDs, id)
-		rendered = append(rendered, renderAll(tables))
-		errs = append(errs, err)
+		if id == "nope" {
+			if err == nil {
+				t.Error("unknown experiment id did not error")
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if got := renderAll(tables); got != alone[id] {
+			t.Errorf("%s: batch output differs from the run alone:\n--- alone ---\n%s\n--- batch ---\n%s", id, alone[id], got)
+		}
 	})
 	if !reflect.DeepEqual(gotIDs, ids) {
 		t.Fatalf("emit order %v, want %v", gotIDs, ids)
 	}
-	if errs[0] != nil || errs[1] != nil || errs[2] != nil {
-		t.Fatalf("unexpected errors: %v", errs)
-	}
-	if errs[3] == nil {
-		t.Fatal("unknown experiment id did not error")
-	}
-	for i, id := range ids[:3] {
-		e, _ := Lookup(id)
-		if want := renderAll(e.Run(o)); want != rendered[i] {
-			t.Fatalf("%s: overlapped output differs from direct call", id)
-		}
+	if n := built.Load(); n != 36 || aloneClusters != 65 {
+		t.Errorf("the batch built %d clusters and the five alone %d, want 36 and 65", n, aloneClusters)
 	}
 }
 
@@ -166,4 +182,52 @@ func snapshotPorts(tp *topo.Topology) []topo.Port {
 		out = append(out, n.Ports...)
 	}
 	return out
+}
+
+// TestStormCellsClaimOnce asks one grid for overlapping storm cells from
+// several goroutines at once: each cell is simulated once and every
+// caller reads the same cell. A cell whose run fails raises its panic in
+// every caller that reads it, and none is left waiting.
+func TestStormCellsClaimOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation test")
+	}
+	var built atomic.Int64
+	windowOverride, clusterBuilt = 20*units.Microsecond, func(*device.Cluster) { built.Add(1) }
+	defer func() { windowOverride, clusterBuilt = 0, nil }()
+	o := smokeOpts
+	o.Parallelism, o.grid = 2, new(sync.Map)
+	cdfs := []*workload.CDF{workload.WebServer, workload.Hadoop}
+	broken := func(o Options) Scheme { // its first switch panics the run
+		s := DCQCN(o)
+		s.Name, s.FC = "broken", func(*device.Switch) device.FlowControl { panic("broken switch") }
+		return s
+	}
+	got := make([][]*stormCell, 6)
+	fails := make([]any, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { fails[i] = recover() }()
+			if i < 4 {
+				got[i] = stormCells(o, cdfs[i%2:], []int{0, 2}, DCQCN)
+			} else {
+				stormCells(o, cdfs[:1], []int{0}, broken)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := built.Load(); n != 5 {
+		t.Errorf("built %d clusters, want 5: four DCQCN cells and the broken one, each once", n)
+	}
+	for i := range got {
+		if _, ok := fails[i].(*RunError); ok != (i >= 4) {
+			t.Errorf("caller %d: panic %v", i, fails[i])
+		}
+	}
+	if !slices.Equal(got[0], got[2]) || !slices.Equal(got[1], got[3]) || !slices.Equal(got[0][2:], got[1]) {
+		t.Error("callers asking for the same cells read different ones")
+	}
 }

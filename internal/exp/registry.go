@@ -18,10 +18,7 @@ var registry = []Experiment{
 	{"fig2", "realtime throughput under incastmix (motivation)", Fig2},
 	{"fig6", "testbed FCT and per-hop buffer (§5.2)", Fig6},
 	{"fig7", "workload flow-size distributions", Fig7},
-	{"fig8", "avg/p99 FCT of Poisson flows (DCQCN/TIMELY/HPCC)", func(o Options) []Table { return Fig8(o, "") }},
-	{"fig8-dcqcn", "Fig 8 restricted to DCQCN", func(o Options) []Table { return Fig8(o, "DCQCN") }},
-	{"fig8-timely", "Fig 8 restricted to TIMELY", func(o Options) []Table { return Fig8(o, "TIMELY") }},
-	{"fig8-hpcc", "Fig 8 restricted to HPCC", func(o Options) []Table { return Fig8(o, "HPCC") }},
+	{"fig8", "avg/p99 FCT of Poisson flows (DCQCN/TIMELY/HPCC)", Fig8},
 	{"fig9", "victim-class FCT CDFs (WebServer)", Fig9},
 	{"fig10", "maximum switch buffer occupancy", Fig10},
 	{"table2", "PFC triggered time per layer", Table2},

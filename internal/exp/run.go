@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"runtime/debug"
+	"sync"
 
 	"floodgate/internal/app"
 	"floodgate/internal/device"
@@ -55,6 +56,8 @@ type Options struct {
 	// (clos100k is 102,400 hosts at any Scale); Scale still applies
 	// the slow-motion rate/time model on top.
 	Topo string
+
+	grid *sync.Map // the storm cells a RunExperiments batch shares (stormCells)
 }
 
 // norm fills the defaults (Scale 0.25, Seed 1) and clamps Scale to 1.

@@ -83,6 +83,25 @@ func TestPaperShapes(t *testing.T) {
 				s.atMost(r[0]+" pure p99 +FG / plain", ratio, 1.1)
 			}
 		}},
+		{"fig11", func(s *shapeCheck) {
+			// Floodgate moves the incast's buffer from the last hop to the first.
+			for _, tab := range s.tables("Fig 11a") {
+				w := strings.TrimPrefix(tab.Title, "Fig 11a: max per-port buffer by hop — ")
+				plain, fg := s.row(tab, "DCQCN"), s.row(tab, "DCQCN+Floodgate")
+				s.atLeast(w+" DCQCN / +Floodgate ToR-Down", s.val(tab, plain, "ToR-Down")/s.val(tab, fg, "ToR-Down"), 5)
+				s.atLeast(w+" +Floodgate - DCQCN ToR-Up", s.val(tab, fg, "ToR-Up")-s.val(tab, plain, "ToR-Up"), 1)
+			}
+		}},
+		{"fig21", func(s *shapeCheck) {
+			// Floodgate does not hurt incast flows' own tail.
+			tab := s.table("Fig 21")
+			for _, r := range tab.Rows {
+				if r[1] == "DCQCN" {
+					fg := s.row(tab, r[0], "DCQCN+Floodgate")
+					s.atMost(r[0]+" +Floodgate / DCQCN incast p99", s.val(tab, fg, "p99FCT")/s.val(tab, r, "p99FCT"), 1.02)
+				}
+			}
+		}},
 		{"fig12", func(s *shapeCheck) {
 			// Credit loss is harmless: goodput stays at the lossless level.
 			tab := s.table("Fig 12")

@@ -314,24 +314,17 @@ func NearestRank(sorted []units.Duration, permille int) units.Duration {
 	return sorted[idx-1]
 }
 
-// CDF reduces samples to (value, cumulative fraction) points suitable
-// for plotting; at most maxPoints evenly spaced ranks.
-func CDF(samples []FCTSample, maxPoints int) (xs []units.Duration, ys []float64) {
-	if len(samples) == 0 {
-		return nil, nil
-	}
-	ds := make([]units.Duration, len(samples))
-	for i, s := range samples {
-		ds[i] = s.FCT
-	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-	if maxPoints <= 0 || maxPoints > len(ds) {
-		maxPoints = len(ds)
+// CDF reduces sorted durations to (value, cumulative fraction) points
+// suitable for plotting; at most maxPoints evenly spaced ranks.
+func CDF(sorted []units.Duration, maxPoints int) (xs []units.Duration, ys []float64) {
+	n := len(sorted)
+	if maxPoints <= 0 || maxPoints > n {
+		maxPoints = n
 	}
 	for i := 0; i < maxPoints; i++ {
-		rank := (i + 1) * len(ds) / maxPoints
-		xs = append(xs, ds[rank-1])
-		ys = append(ys, float64(rank)/float64(len(ds)))
+		rank := (i + 1) * n / maxPoints
+		xs = append(xs, sorted[rank-1])
+		ys = append(ys, float64(rank)/float64(n))
 	}
 	return xs, ys
 }

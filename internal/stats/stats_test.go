@@ -118,7 +118,11 @@ func TestCDFShape(t *testing.T) {
 	for i := 1; i <= 50; i++ {
 		c.FlowDone(uint64(i), CatVictimPFC, units.KB, 0, units.Time(i)*units.Time(units.Microsecond), units.Gbps)
 	}
-	xs, ys := CDF(c.FCTs(CatVictimPFC), 10)
+	var ds []units.Duration
+	for _, s := range c.FCTs(CatVictimPFC) {
+		ds = append(ds, s.FCT)
+	}
+	xs, ys := CDF(ds, 10)
 	if len(xs) != 10 || len(ys) != 10 {
 		t.Fatalf("CDF points = %d/%d", len(xs), len(ys))
 	}
