@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt test race vet lint bench bench-test profile loc ci
+.PHONY: build fmt test race vet lint fuzz bench bench-test profile loc ci
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,12 @@ vet:
 # finding; //lint:allow <rule> <reason> is the one suppression.
 lint: vet
 	$(GO) run ./cmd/floodlint ./...
+
+# Fuzz the flow-file reader (the tree's fuzz target) for 30 s. Its seed
+# corpus already runs in `make test`; this explores beyond it, so it
+# stays out of ci. A crasher lands in internal/workload/testdata/fuzz.
+fuzz:
+	$(GO) test ./internal/workload -run '^$$' -fuzz FuzzSpecReader -fuzztime 30s
 
 # The performance ledger (bench/README.md): every BENCHMARK.json
 # workload with the setup/run split and the per-layer rungs. This is the

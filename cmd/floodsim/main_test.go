@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -87,8 +88,8 @@ func TestValidateForensics(t *testing.T) {
 // execution surface (sharded, obs+forensics, app plane, -topo preset,
 // a single fault scenario) exits 0 with a table, every usage error
 // exits 2 with a message naming the offending flag, and a run that
-// cannot start (unknown experiment or scenario, missing flow file)
-// exits 1 naming it. Every mode shares one Options value, so -obs
+// cannot start (unknown experiment or scenario, missing flow file, a
+// flow file with a bad line) exits 1 naming it. Every mode shares one Options value, so -obs
 // reaches a -faults run too.
 func TestRunCLI(t *testing.T) {
 	if testing.Short() {
@@ -96,6 +97,11 @@ func TestRunCLI(t *testing.T) {
 	}
 	obs, faultObs := t.TempDir(), t.TempDir()
 	missing := filepath.Join(t.TempDir(), "missing.ndjson")
+	badCat := filepath.Join(t.TempDir(), "badcat.ndjson")
+	if err := os.WriteFile(badCat, []byte(`{"src":3,"dst":71,"size":64000,"start_ps":0,"cat":1}`+"\n"+
+		`{"src":3,"dst":71,"size":64000,"start_ps":0,"cat":9}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name       string
 		args       []string
@@ -118,6 +124,7 @@ func TestRunCLI(t *testing.T) {
 		{"fault scenario with obs", []string{"-faults", "none", "-scale", "0.1", "-obs", faultObs}, 0, "== Fault matrix", ""},
 		{"unknown fault scenario", []string{"-faults", "bogus"}, 1, "", `unknown fault scenario "bogus"`},
 		{"missing flow file", []string{"-flows-from", missing}, 1, "", "missing.ndjson"},
+		{"flow file bad category", []string{"-flows-from", badCat}, 1, "", "flow file line 2: cat 9"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

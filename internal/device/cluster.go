@@ -107,7 +107,7 @@ func (c *Cluster) AddFlow(src, dst packet.NodeID, size units.ByteSize, start uni
 		panic("device: AddFlow starts must be non-decreasing (sort specs by Start)")
 	}
 	c.lastStart = start
-	c.register(flowSpec{Start: start, Size: size, Src: src, Dst: dst, Cat: cat})
+	c.register(flowSpec{Start: start, Src: src, Dst: dst, Cat: cat}, size)
 }
 
 // AddAppFlow registers a deferred application-plane flow: the per-shard
@@ -122,18 +122,19 @@ func (c *Cluster) AddAppFlow(src, dst packet.NodeID, size units.ByteSize, start 
 	if attempt < 1 {
 		panic("device: AddAppFlow attempt must be >= 1")
 	}
-	id := c.register(flowSpec{Start: start, Size: size, Src: src, Dst: dst, Cat: cat, manual: true})
+	id := c.register(flowSpec{Start: start, Src: src, Dst: dst, Cat: cat, manual: true}, size)
 	f := c.Nets[c.Assign[src]].mintFlow(id, true)
 	f.Attempt = attempt
 	c.held = append(c.held, f)
 	return f
 }
 
-func (c *Cluster) register(s flowSpec) packet.FlowID {
+func (c *Cluster) register(s flowSpec, size units.ByteSize) packet.FlowID {
 	if c.sealed {
 		panic("device: AddFlow after SealFlows")
 	}
-	id := logFlow(c.Topo, c.specs, s)
+	id := logFlow(c.Topo, c.specs, s, size)
+	c.Nets[c.Assign[s.Dst]].fcts[s.Cat]++ // the receiver's shard files its FCT
 	// The log's first mention of a host mints it and the ToR on its one port
 	// (same shard: host links are never cut), where its first frame lands;
 	// minting at first frame would move the cost into the timed run.
@@ -222,7 +223,7 @@ func (c *Cluster) FlowMetas() []forensics.FlowMeta {
 	for i := 0; i < c.specs.Len(); i++ {
 		id, s := packet.FlowID(i+1), c.specs.At(i)
 		m := forensics.FlowMeta{
-			ID: id, Src: s.Src, Dst: s.Dst, Size: s.Size, Start: s.Start,
+			ID: id, Src: s.Src, Dst: s.Dst, Size: s.size(), Start: s.Start,
 			FCT: fct[id], Done: c.Nets[c.Assign[s.Dst]].isDone(id),
 		}
 		if s.manual {

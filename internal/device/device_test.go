@@ -1,7 +1,10 @@
 package device
 
 import (
+	"fmt"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"floodgate/internal/cc"
 	"floodgate/internal/cc/dcqcn"
@@ -31,6 +34,46 @@ func sizedCfg(hostsPerToR int) Config {
 		Engine: sim.NewEngine(),
 		Stats:  stats.NewCollector(10 * units.Microsecond),
 		Seed:   1,
+	}
+}
+
+// TestFlowSpecSize pins the registration log's cost per flow ever
+// registered, 24 bytes, and that packing loses nothing a flow may carry:
+// a 2^40-byte flow (Fig 16's never-finishing background) reads back
+// whole beside its category and manual bit, and 2^48 bytes is refused
+// with a message naming the size.
+func TestFlowSpecSize(t *testing.T) {
+	if sz := unsafe.Sizeof(flowSpec{}); sz != 24 {
+		t.Fatalf("flowSpec is %d bytes, want 24", sz)
+	}
+	cfg := smallCfg()
+	hosts := cfg.Topo.Hosts
+	c := NewCluster(cfg, []*sim.Engine{cfg.Engine}, make([]int, len(cfg.Topo.Nodes)))
+	c.AddFlow(hosts[0], hosts[5], 1<<40, 0, packet.CatVictimPFC)
+	c.AddAppFlow(hosts[1], hosts[4], 1<<48-1, 0, packet.CatVictimIncast, 1)
+	n := c.Nets[0]
+	if s := n.spec(1); s.size() != 1<<40 || s.Cat != packet.CatVictimPFC || s.manual || s.Src != hosts[0] || s.Dst != hosts[5] {
+		t.Fatalf("flow 1 reads back as %+v, size %d", *s, s.size())
+	}
+	if s := n.spec(2); s.size() != 1<<48-1 || s.Cat != packet.CatVictimIncast || !s.manual {
+		t.Fatalf("flow 2 reads back as %+v, size %d", *s, s.size())
+	}
+	for _, bad := range []struct {
+		size units.ByteSize
+		cat  packet.Category
+		want string
+	}{
+		{1 << 48, packet.CatIncast, fmt.Sprint(1 << 48)},
+		{units.KB, packet.NumCategories, "category 3"},
+	} {
+		func() {
+			defer func() {
+				if r := fmt.Sprint(recover()); !strings.Contains(r, bad.want) {
+					t.Errorf("registering size %d cat %d: panic %q, want one naming %q", bad.size, bad.cat, r, bad.want)
+				}
+			}()
+			c.AddFlow(hosts[0], hosts[5], bad.size, 0, bad.cat)
+		}()
 	}
 }
 
@@ -67,7 +110,7 @@ func TestFCTRecorded(t *testing.T) {
 		t.Fatal("victim FCT missing")
 	}
 	s := n.Stats.FCTs(stats.CatIncast)[0]
-	if n.spec(packet.FlowID(s.Flow)).Size != 30*units.KB || s.FCT <= 0 {
+	if n.spec(packet.FlowID(s.Flow)).size() != 30*units.KB || s.FCT <= 0 {
 		t.Fatalf("bad sample %+v", s)
 	}
 }

@@ -4,6 +4,7 @@ package device
 
 import (
 	"fmt"
+	"slices"
 
 	"floodgate/internal/cc"
 	"floodgate/internal/forensics"
@@ -57,9 +58,8 @@ type Flow struct {
 	nextSend       units.Time
 	lastProgress   units.Time // last cumulative-ACK advance (lazy RTO)
 	senderDone     bool
-	queued         bool   // in (or owed to) the host send queue
-	inRtoQ         bool   // in the host's retransmission-timeout queue
-	rtoSeq         uint64 // its entry there: an absolute sequence number (see Host.rtoBase)
+	queued         bool // in (or owed to) the host send queue
+	rtoSeq         int  // 1 + its index in the host's timeout queue; 0 if absent
 
 	// NDP sender state.
 	pullCredits int
@@ -126,10 +126,10 @@ type Host struct {
 	// entry behind as a tombstone (the zero flowRef) that pops when it
 	// surfaces, as the finished sender would have; stepping aside early
 	// would re-arm the timer for, and so re-time, the flows behind it.
-	// rtoBase counts entries compacted away: entry i is number rtoBase+i.
+	// A full queue reclaims popped slots and tombstones (compactRTO), so
+	// live senders size it, not every flow the host ever sent.
 	rtoQ     []flowRef
 	rtoHead  int
-	rtoBase  uint64
 	rtoTimer sim.Handle
 
 	pfc pauseClock // the ToR's PFC pause of this NIC
@@ -231,8 +231,8 @@ func (h *Host) release(f *Flow) {
 	if f.held {
 		return
 	}
-	if f.inRtoQ {
-		h.rtoQ[f.rtoSeq-h.rtoBase] = flowRef{}
+	if f.rtoSeq > 0 {
+		h.rtoQ[f.rtoSeq-1] = flowRef{}
 	}
 	h.net.live[f.ID] = nil
 	f.poolReleased()
@@ -390,7 +390,7 @@ func (h *Host) receiveData(p *packet.Packet, now units.Time) {
 		if !ndp {
 			s := h.net.spec(p.Flow)
 			ack := h.net.NewCtrl(packet.Ack, p.Flow, h.node.ID, s.Src)
-			ack.AckSeq = s.Size
+			ack.AckSeq = s.size()
 			h.sendCtrl(ack)
 		}
 		return
@@ -537,7 +537,7 @@ func (h *Host) receiveNack(p *packet.Packet) {
 
 // armRTO places the flow on the host's timeout queue if absent.
 func (h *Host) armRTO(f *Flow) {
-	if h.net.Cfg.NDP.Enable || f.inRtoQ {
+	if h.net.Cfg.NDP.Enable || f.rtoSeq > 0 {
 		return // NDP recovers via NACK/pull, not timeouts
 	}
 	f.lastProgress = h.net.Eng.Now()
@@ -546,9 +546,29 @@ func (h *Host) armRTO(f *Flow) {
 }
 
 func (h *Host) pushRTO(f *Flow) {
-	f.inRtoQ = true
-	f.rtoSeq = h.rtoBase + uint64(len(h.rtoQ))
+	if len(h.rtoQ) == cap(h.rtoQ) {
+		h.compactRTO()
+	}
 	h.rtoQ = append(h.rtoQ, refOf(f))
+	f.rtoSeq = len(h.rtoQ)
+}
+
+// compactRTO drops the popped slots and the tombstones behind the head
+// (popping one has no effect, so no timeout moves), renumbers the
+// survivors and leaves them as much room again. The head keeps its slot:
+// the armed timer is its deadline.
+func (h *Host) compactRTO() {
+	q := h.rtoQ[:0]
+	for i, r := range h.rtoQ[h.rtoHead:] {
+		if f := r.take("compactRTO"); f != nil {
+			f.rtoSeq = len(q) + 1
+		} else if i > 0 {
+			continue
+		}
+		q = append(q, r)
+	}
+	clear(h.rtoQ[len(q):])
+	h.rtoQ, h.rtoHead = slices.Grow(q, len(q)), 0
 }
 
 func (h *Host) ensureRTOTimer() {
@@ -576,7 +596,7 @@ func (h *Host) serviceRTO() {
 		if f == nil {
 			continue // tombstone of a released (finished) sender
 		}
-		f.inRtoQ = false
+		f.rtoSeq = 0
 		// senderDone alone gates here: done is receiver-side state, which
 		// may live on another shard. A sender that never saw its final
 		// ACK retransmits and the receiver re-ACKs (see receiveData).
@@ -592,13 +612,6 @@ func (h *Host) serviceRTO() {
 		h.pushRTO(f)
 		h.enqueue(f)
 		fired = true
-	}
-	if h.rtoHead > 64 && h.rtoHead*2 >= len(h.rtoQ) {
-		n := copy(h.rtoQ, h.rtoQ[h.rtoHead:])
-		clear(h.rtoQ[n:])
-		h.rtoQ = h.rtoQ[:n]
-		h.rtoBase += uint64(h.rtoHead)
-		h.rtoHead = 0
 	}
 	h.ensureRTOTimer()
 	if fired {
@@ -741,6 +754,6 @@ func (h *Host) transmit(p *packet.Packet) {
 
 // DebugString reports a flow's transfer state (diagnostics).
 func (f *Flow) DebugString() string {
-	return fmt.Sprintf("flow %d %d->%d size=%v start=%v sndNxt=%v sndUna=%v rcvNxt=%v queued=%v inRtoQ=%v senderDone=%v",
-		f.ID, f.Src, f.Dst, f.Size, f.Start, f.sndNxt, f.sndUna, f.rcvNxt, f.queued, f.inRtoQ, f.senderDone)
+	return fmt.Sprintf("flow %d %d->%d size=%v start=%v sndNxt=%v sndUna=%v rcvNxt=%v queued=%v rtoSeq=%v senderDone=%v",
+		f.ID, f.Src, f.Dst, f.Size, f.Start, f.sndNxt, f.sndUna, f.rcvNxt, f.queued, f.rtoSeq, f.senderDone)
 }

@@ -281,3 +281,39 @@ func TestHeldFlowsKeepTheirObject(t *testing.T) {
 		t.Error("finished held flow still on the sender list")
 	}
 }
+
+// TestRTOQueueFollowsLiveSenders: one host starts 1,200 one-segment
+// flows inside a single RTO, so its timer never fires and no entry ever
+// surfaces; every flow finishes and is released, leaving a tombstone.
+// A full queue reclaims them before it grows, so at every step its
+// length stays within a small multiple of the peak number of senders
+// live at once — never one entry per flow ever sent.
+func TestRTOQueueFollowsLiveSenders(t *testing.T) {
+	const nflows = 1200
+	cfg := smallCfg()
+	cfg.RTO = 10 * units.Millisecond
+	hosts := cfg.Topo.Hosts
+	src := hosts[0]
+	flows := make([]lifecycleSpec, nflows)
+	for i := range flows {
+		flows[i] = lifecycleSpec{src, hosts[1+i%5], units.KB, units.Time(i) * units.Time(units.Microsecond)}
+	}
+	n := lifecycleNet(cfg, false, nil, flows)
+	h := n.HostsByID[src]
+	peak, longest := 0, 0
+	for at := units.Time(units.Microsecond); at <= units.Time(2*units.Millisecond); at = at.Add(units.Microsecond) {
+		n.Run(at)
+		live := 0
+		for f := h.senders; f != nil; f = f.snext {
+			live++
+		}
+		peak, longest = max(peak, live), max(longest, len(h.rtoQ))
+		if len(h.rtoQ) > 4*(peak+1) {
+			t.Fatalf("at %v: rtoQ holds %d entries with at most %d senders ever live at once", at, len(h.rtoQ), peak)
+		}
+	}
+	if got := len(n.Stats.AllFCTs()); got != nflows || n.Stats.Retransmits != 0 || h.senders != nil {
+		t.Fatalf("%d of %d flows finished with %d retransmits; want all, none, and no sender left", got, nflows, n.Stats.Retransmits)
+	}
+	t.Logf("peak live senders %d, longest rtoQ %d", peak, longest)
+}

@@ -181,6 +181,7 @@ type Network struct {
 	// objects with their controllers; minted counts objects ever built. A
 	// Cluster's shards share specs (read-only once sealed) and live.
 	specs    *stats.ChunkLog[flowSpec]
+	fcts     [stats.NumCategories]int // registrations this shard receives, by category
 	live     []*Flow
 	done     []uint64
 	flowPool []*Flow
@@ -347,30 +348,36 @@ func (n *Network) deliver(to packet.NodeID, p *packet.Packet, inPort int) {
 }
 
 // flowSpec is one registration-log record: what a flow is before (and
-// after) it has an object.
+// after) it has an object. It is 24 bytes, the log's cost per flow ever
+// registered, so the size is stored in 48 bits (read it with size).
 type flowSpec struct {
-	Start  units.Time
-	Size   units.ByteSize
-	Src    packet.NodeID
-	Dst    packet.NodeID
-	Cat    packet.Category
-	manual bool // application-launched (Network.Launch), not injected
+	Start    units.Time
+	Src, Dst packet.NodeID
+	sizeLo   uint32
+	sizeHi   uint16
+	Cat      packet.Category
+	manual   bool // application-launched (Network.Launch), not injected
+}
+
+func (s *flowSpec) size() units.ByteSize {
+	return units.ByteSize(s.sizeHi)<<32 | units.ByteSize(s.sizeLo)
 }
 
 // logFlow validates a registration against the topology and appends it
 // to the log. FlowIDs are dense from 1, in registration order.
-func logFlow(t *topo.Topology, log *stats.ChunkLog[flowSpec], s flowSpec) packet.FlowID {
+func logFlow(t *topo.Topology, log *stats.ChunkLog[flowSpec], s flowSpec, size units.ByteSize) packet.FlowID {
 	if s.Src == s.Dst {
 		panic("device: flow with src == dst")
 	}
-	if s.Size <= 0 {
-		panic("device: flow with non-positive size")
+	if size <= 0 || size >= 1<<48 || s.Cat >= packet.NumCategories {
+		panic(fmt.Sprintf("device: flow size %d outside (0, 2^48) or category %d out of range", size, s.Cat))
 	}
 	for _, id := range [2]packet.NodeID{s.Src, s.Dst} {
 		if id < 0 || int(id) >= len(t.Nodes) || t.Nodes[id].Kind != topo.HostNode {
 			panic(fmt.Sprintf("device: flow endpoints must be hosts (%d -> %d)", s.Src, s.Dst))
 		}
 	}
+	s.sizeLo, s.sizeHi = uint32(size), uint16(size>>32)
 	log.Append(s)
 	return packet.FlowID(log.Len())
 }
@@ -421,7 +428,7 @@ func (n *Network) mintFlow(id packet.FlowID, held bool) *Flow {
 		f = &Flow{ctrl: n.Cfg.CC(env)}
 		n.minted++
 	}
-	f.ID, f.Src, f.Dst, f.Size, f.Cat, f.Start = id, s.Src, s.Dst, s.Size, s.Cat, s.Start
+	f.ID, f.Src, f.Dst, f.Size, f.Cat, f.Start = id, s.Src, s.Dst, s.size(), s.Cat, s.Start
 	f.net, f.held, f.manual = n, held, s.manual
 	return f
 }
@@ -430,7 +437,7 @@ func (n *Network) mintFlow(id packet.FlowID, held bool) *Flow {
 // on a stand-alone network. The returned flow is caller-owned (held):
 // minted here and never recycled, so it may be inspected after the run.
 func (n *Network) AddFlow(src, dst packet.NodeID, size units.ByteSize, start units.Time, cat packet.Category) *Flow {
-	id := logFlow(n.Topo, n.specs, flowSpec{Start: start, Size: size, Src: src, Dst: dst, Cat: cat})
+	id := logFlow(n.Topo, n.specs, flowSpec{Start: start, Src: src, Dst: dst, Cat: cat}, size)
 	f := n.mintFlow(id, true)
 	n.live = append(n.live, f)
 	if start == n.Eng.Now() {

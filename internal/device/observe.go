@@ -108,8 +108,10 @@ func (n *Network) built() {
 	}
 }
 
-// sealed: registration closed with nflows flow IDs.
+// sealed: registration closed with nflows flow IDs; the collector makes
+// room for every completion this shard's receivers may file.
 func (n *Network) sealed(nflows int) {
+	n.Stats.Reserve(n.fcts)
 	if n.frx != nil {
 		n.frx.Seal(nflows)
 	}

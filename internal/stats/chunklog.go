@@ -7,8 +7,8 @@ const chunkLen = 4096
 // chunks. Appending never moves an entry already stored, so a log of
 // millions of entries costs one allocation per chunk instead of
 // re-copying itself at every doubling, and entry addresses stay valid.
-// The collector keeps FCT samples in one, device the registered flow
-// specs in another. The zero value is an empty log.
+// The device keeps its registration log, whose length nothing knows in
+// advance, in one. The zero value is an empty log.
 type ChunkLog[T any] struct {
 	chunks [][]T // every chunk but the last is full
 	n      int
@@ -29,20 +29,3 @@ func (l *ChunkLog[T]) Append(v T) {
 
 // At returns entry i (0 <= i < Len()).
 func (l *ChunkLog[T]) At(i int) *T { return &l.chunks[i/chunkLen][i%chunkLen] }
-
-// AppendTo appends every entry, in order, to dst and returns it.
-func (l *ChunkLog[T]) AppendTo(dst []T) []T {
-	for _, c := range l.chunks {
-		dst = append(dst, c...)
-	}
-	return dst
-}
-
-// Extend appends every entry of o, in order.
-func (l *ChunkLog[T]) Extend(o *ChunkLog[T]) {
-	for _, c := range o.chunks {
-		for i := range c {
-			l.Append(c[i])
-		}
-	}
-}

@@ -8,6 +8,7 @@
 package stats
 
 import (
+	"slices"
 	"sort"
 
 	"floodgate/internal/packet"
@@ -44,7 +45,7 @@ func (c WireClass) String() string { return wireNames[c] }
 // FCTSample records one completed flow: only what completion adds. What
 // the flow is (category, size, endpoints, start) has one store, the
 // device's registration log, keyed by the same ID, and the category is
-// also the log a sample is filed in; the finish time is Start + FCT.
+// also the store a sample is filed in; the finish time is Start + FCT.
 type FCTSample struct {
 	Flow uint64
 	FCT  units.Duration
@@ -54,7 +55,7 @@ type FCTSample struct {
 type Collector struct {
 	binWidth units.Duration
 
-	fcts [NumCategories]ChunkLog[FCTSample] // chunked: appends never re-copy
+	fcts [NumCategories][]FCTSample // one store per category, sized by Reserve
 
 	// Buffer occupancy maxima.
 	maxClassBuf  [topo.NumPortClasses]units.ByteSize
@@ -111,7 +112,15 @@ func grow(s []units.ByteSize, idx int) []units.ByteSize {
 // the destination's line rate are not kept (see FCTSample); the
 // parameters stay for the benchmark module's callers.
 func (c *Collector) FlowDone(flow uint64, cat Category, _ units.ByteSize, start, finish units.Time, _ units.BitRate) {
-	c.fcts[cat].Append(FCTSample{Flow: flow, FCT: finish.Sub(start)})
+	c.fcts[cat] = append(c.fcts[cat], FCTSample{Flow: flow, FCT: finish.Sub(start)})
+}
+
+// Reserve makes room for n[cat] more samples of each category; a run
+// reserves once, from its registration counts, so no store regrows.
+func (c *Collector) Reserve(n [NumCategories]int) {
+	for cat, k := range n {
+		c.fcts[cat] = slices.Grow(c.fcts[cat], k)
+	}
 }
 
 // SwitchBuffer reports a switch's new total buffer occupancy. Only the
@@ -184,7 +193,7 @@ func (c *Collector) VOQInUse(n int) {
 // executor relies on this to aggregate results.
 func (c *Collector) Merge(o *Collector) {
 	for i := Category(0); i < NumCategories; i++ {
-		c.fcts[i].Extend(&o.fcts[i])
+		c.fcts[i] = append(c.fcts[i], o.fcts[i]...)
 		c.rxSeries[i] = mergeBins(c.rxSeries[i], o.rxSeries[i], false)
 	}
 	for cl := topo.PortClass(0); cl < topo.NumPortClasses; cl++ {
@@ -234,25 +243,34 @@ func mergeBins(dst, src []units.ByteSize, byMax bool) []units.ByteSize {
 
 // ---- Accessors / reductions ----
 
-// flatFCTs copies the given categories' samples, in the order given,
-// into one exactly sized slice (nil when there are none).
+// flatFCTs returns the given categories' samples, in the order given:
+// a view when one category holds them all, else one exactly sized copy.
 func (c *Collector) flatFCTs(cats ...Category) []FCTSample {
 	n := 0
 	for _, cat := range cats {
-		n += c.fcts[cat].Len()
+		n += len(c.fcts[cat])
 	}
-	if n == 0 {
-		return nil
+	for _, cat := range cats {
+		if len(c.fcts[cat]) == n {
+			return c.FCTs(cat) // nil when n == 0
+		}
 	}
 	all := make([]FCTSample, 0, n)
 	for _, cat := range cats {
-		all = c.fcts[cat].AppendTo(all)
+		all = append(all, c.fcts[cat]...)
 	}
 	return all
 }
 
-// FCTs returns the samples of one category.
-func (c *Collector) FCTs(cat Category) []FCTSample { return c.flatFCTs(cat) }
+// FCTs returns the samples of one category, nil when there are none.
+// Like AllFCTs and PoissonFCTs it may return a view of the store: read
+// it, never write it (its capacity is clipped, so an append copies).
+func (c *Collector) FCTs(cat Category) []FCTSample {
+	if s := c.fcts[cat]; len(s) > 0 {
+		return s[:len(s):len(s)]
+	}
+	return nil
+}
 
 // AllFCTs returns every sample across categories.
 func (c *Collector) AllFCTs() []FCTSample {

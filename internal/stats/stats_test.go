@@ -1,6 +1,9 @@
 package stats
 
 import (
+	"reflect"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -27,10 +30,57 @@ func TestFlowDoneAndStats(t *testing.T) {
 
 // TestFCTSampleSize pins the per-flow cost of a completion: a flow ID and
 // an FCT. Everything else about a flow lives in the registration log, and
-// a run of half a million flows keeps (and copies, in AllFCTs) every sample.
+// a run of half a million flows keeps every sample until it is read.
 func TestFCTSampleSize(t *testing.T) {
 	if sz := unsafe.Sizeof(FCTSample{}); sz != 16 {
 		t.Fatalf("FCTSample is %d bytes, want 16", sz)
+	}
+}
+
+// TestFCTReadsAreViews: once reserved, a category's store takes its
+// completions without moving, and on a run whose samples fall in one
+// category FCTs and AllFCTs return that store — no allocation, capacity
+// clipped to length so a caller's append cannot write into it. With
+// samples in several categories AllFCTs (and PoissonFCTs) still return
+// the category-ordered concatenation.
+func TestFCTReadsAreViews(t *testing.T) {
+	const n = 100
+	c := NewCollector(0)
+	c.Reserve([NumCategories]int{CatVictimPFC: n})
+	var first *FCTSample
+	for i := 1; i <= n; i++ {
+		c.FlowDone(uint64(i), CatVictimPFC, units.KB, 0, units.Time(i)*units.Time(units.Microsecond), units.Gbps)
+		if i == 1 {
+			first = &c.FCTs(CatVictimPFC)[0]
+		}
+	}
+	if &c.FCTs(CatVictimPFC)[0] != first {
+		t.Fatal("a reserved store moved while taking its completions")
+	}
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if a := testing.AllocsPerRun(20, func() {
+		_, _, _ = c.FCTs(CatVictimPFC), c.AllFCTs(), c.PoissonFCTs()
+	}); a != 0 {
+		t.Fatalf("single-category reads allocate %v times per run, want 0", a)
+	}
+	for name, s := range map[string][]FCTSample{"FCTs": c.FCTs(CatVictimPFC), "AllFCTs": c.AllFCTs(), "PoissonFCTs": c.PoissonFCTs()} {
+		if len(s) != n || cap(s) != n || &s[0] != first {
+			t.Fatalf("%s: len %d cap %d, want a view of the store with cap == len == %d", name, len(s), cap(s), n)
+		}
+	}
+	if s := c.FCTs(CatIncast); s != nil {
+		t.Fatalf("an empty category reads %v, want nil", s)
+	}
+	c.FlowDone(n+1, CatIncast, 1, 0, 1, units.Gbps)
+	c.FlowDone(n+2, CatVictimIncast, 1, 0, 2, units.Gbps)
+	pfc := c.FCTs(CatVictimPFC)
+	want := append([]FCTSample{{Flow: n + 1, FCT: 1}, {Flow: n + 2, FCT: 2}}, pfc...)
+	if got := c.AllFCTs(); !reflect.DeepEqual(got, want) || cap(got) != len(want) {
+		t.Fatalf("multi-category AllFCTs is not the category-ordered concatenation")
+	}
+	if got := c.PoissonFCTs(); !reflect.DeepEqual(got, want[1:]) {
+		t.Fatalf("multi-category PoissonFCTs is not the category-ordered concatenation")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"floodgate/internal/packet"
@@ -20,6 +21,12 @@ import (
 // non-decreasing start_ps — the same contract Cluster.AddFlow enforces
 // for generated workloads. Blank lines and lines starting with '#' are
 // skipped, so files can carry a header comment.
+// Each line must also meet flow registration's other preconditions
+// (specLine.check); which ids are hosts depends on the fabric, so the
+// replay checks that.
+
+// maxSize bounds a flow's size: registration packs it into 48 bits.
+const maxSize = 1 << 48
 
 // SpecSource streams flow specs one at a time; implementations must
 // never require the full list in memory. Next returns ok=false at the
@@ -37,9 +44,9 @@ type specLine struct {
 	Cat   int   `json:"cat"`
 }
 
-// SpecReader streams FlowSpecs from NDJSON. It validates monotone
-// starts as it goes so a mis-sorted file fails at the offending line,
-// not deep inside the simulator.
+// SpecReader streams FlowSpecs from NDJSON. It validates each line and
+// monotone starts as it goes, so a bad or mis-sorted file fails at the
+// offending line, not deep inside the simulator.
 type SpecReader struct {
 	sc        *bufio.Scanner
 	closer    io.Closer
@@ -76,7 +83,11 @@ func (sr *SpecReader) Next() (FlowSpec, bool, error) {
 			continue
 		}
 		var l specLine
-		if err := json.Unmarshal(b, &l); err != nil {
+		err := json.Unmarshal(b, &l)
+		if err == nil {
+			err = l.check()
+		}
+		if err != nil {
 			return FlowSpec{}, false, fmt.Errorf("workload: flow file line %d: %w", sr.line, err)
 		}
 		s := FlowSpec{
@@ -86,9 +97,6 @@ func (sr *SpecReader) Next() (FlowSpec, bool, error) {
 			Start: units.Time(l.Start),
 			Cat:   packet.Category(l.Cat),
 		}
-		if s.Size <= 0 {
-			return FlowSpec{}, false, fmt.Errorf("workload: flow file line %d: non-positive size %d", sr.line, l.Size)
-		}
 		if sr.started && s.Start < sr.lastStart {
 			return FlowSpec{}, false, fmt.Errorf("workload: flow file line %d: start %d before previous %d (sort by start_ps)",
 				sr.line, l.Start, int64(sr.lastStart))
@@ -97,9 +105,28 @@ func (sr *SpecReader) Next() (FlowSpec, bool, error) {
 		return s, true, nil
 	}
 	if err := sr.sc.Err(); err != nil {
-		return FlowSpec{}, false, err
+		return FlowSpec{}, false, fmt.Errorf("workload: flow file line %d: %w", sr.line+1, err)
 	}
 	return FlowSpec{}, false, nil
+}
+
+// check reports the first field that breaks a registration precondition.
+func (l *specLine) check() error {
+	switch {
+	case l.Src < 0 || l.Src > math.MaxInt32:
+		return fmt.Errorf("src %d is not a node id", l.Src)
+	case l.Dst < 0 || l.Dst > math.MaxInt32:
+		return fmt.Errorf("dst %d is not a node id", l.Dst)
+	case l.Src == l.Dst:
+		return fmt.Errorf("dst %d equals src", l.Dst)
+	case l.Size <= 0 || l.Size >= maxSize:
+		return fmt.Errorf("size %d outside (0, 2^48)", l.Size)
+	case l.Start < 0:
+		return fmt.Errorf("start_ps %d is negative", l.Start)
+	case l.Cat < 0 || l.Cat >= int(packet.NumCategories):
+		return fmt.Errorf("cat %d is not a category (0..%d)", l.Cat, packet.NumCategories-1)
+	}
+	return nil
 }
 
 // Close releases the underlying file when the reader owns one.

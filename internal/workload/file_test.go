@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -91,17 +92,71 @@ func TestSpecReaderRejectsUnsorted(t *testing.T) {
 	}
 }
 
-// TestSpecReaderRejectsBadInput: malformed JSON and non-positive sizes
-// are errors, not silent skips.
+// TestSpecReaderRejectsBadInput: malformed JSON and every field that
+// breaks a registration precondition fail at the offending line, naming
+// the field — not as a panic mid-run.
 func TestSpecReaderRejectsBadInput(t *testing.T) {
-	for name, in := range map[string]string{
-		"garbage":  "not json\n",
-		"zerosize": `{"src":1,"dst":2,"size":0,"start_ps":0,"cat":0}` + "\n",
-		"negsize":  `{"src":1,"dst":2,"size":-5,"start_ps":0,"cat":0}` + "\n",
+	const good = `{"src":1,"dst":2,"size":1500,"start_ps":0,"cat":0}` + "\n"
+	for _, tc := range []struct{ name, line, want string }{
+		{"garbage", "not json", "line 2: invalid character"},
+		{"zerosize", `{"src":1,"dst":2,"size":0,"start_ps":0,"cat":0}`, "line 2: size 0"},
+		{"negsize", `{"src":1,"dst":2,"size":-5,"start_ps":0,"cat":0}`, "line 2: size -5"},
+		{"size 2^48", `{"src":1,"dst":2,"size":281474976710656,"start_ps":0,"cat":0}`, "line 2: size 281474976710656"},
+		{"cat 9", `{"src":1,"dst":2,"size":1500,"start_ps":0,"cat":9}`, "line 2: cat 9"},
+		{"cat -1", `{"src":1,"dst":2,"size":1500,"start_ps":0,"cat":-1}`, "line 2: cat -1"},
+		{"src == dst", `{"src":2,"dst":2,"size":1500,"start_ps":0,"cat":0}`, "line 2: dst 2 equals src"},
+		{"negative start", `{"src":1,"dst":2,"size":1500,"start_ps":-5,"cat":0}`, "line 2: start_ps -5"},
+		{"negative src", `{"src":-1,"dst":2,"size":1500,"start_ps":0,"cat":0}`, "line 2: src -1"},
+		{"dst beyond int32", `{"src":1,"dst":4294967298,"size":1500,"start_ps":0,"cat":0}`, "line 2: dst 4294967298"},
 	} {
-		sr := NewSpecReader(strings.NewReader(in))
-		if _, _, err := sr.Next(); err == nil {
-			t.Errorf("%s: accepted", name)
+		sr := NewSpecReader(strings.NewReader(good + tc.line + "\n"))
+		if _, _, err := sr.Next(); err != nil {
+			t.Fatalf("%s: first line: %v", tc.name, err)
+		}
+		_, _, err := sr.Next()
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q, want it to contain %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// FuzzSpecReader: on arbitrary bytes Next never panics, every spec it
+// returns meets flow registration's preconditions (the ones a flow file
+// can break without knowing the fabric), and every error names its
+// line. The seeds are the four lines that once crashed a replay mid-run.
+func FuzzSpecReader(f *testing.F) {
+	for _, seed := range []string{
+		`{"src":3,"dst":71,"size":64000,"start_ps":0,"cat":9}`,
+		`{"src":3,"dst":71,"size":64000,"start_ps":0,"cat":-1}`,
+		`{"src":3,"dst":3,"size":64000,"start_ps":0,"cat":1}`,
+		`{"src":3,"dst":71,"size":64000,"start_ps":-5,"cat":1}`,
+		"# header\n" + `{"src":3,"dst":71,"size":64000,"start_ps":0,"cat":1}` + "\n\n" +
+			`{"src":4,"dst":70,"size":281474976710655,"start_ps":7,"cat":2}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	lineErr := regexp.MustCompile(`^workload: flow file line [1-9][0-9]*: `)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sr := NewSpecReader(bytes.NewReader(data))
+		var last units.Time
+		for {
+			s, ok, err := sr.Next()
+			if err != nil {
+				if !lineErr.MatchString(err.Error()) {
+					t.Fatalf("error does not name its line: %v", err)
+				}
+				return
+			}
+			if !ok {
+				return
+			}
+			if s.Size <= 0 || s.Size >= 1<<48 || s.Cat >= packet.NumCategories || s.Start < last ||
+				s.Src == s.Dst || s.Src < 0 || s.Dst < 0 {
+				t.Fatalf("spec %+v (previous start %d) breaks a registration precondition", s, last)
+			}
+			last = s.Start
+		}
+	})
 }

@@ -171,10 +171,20 @@ func RackVictimCategorizer(tp *topo.Topology, incastDst packet.NodeID) func(src,
 	}
 }
 
-// CrossRackSenders returns every host outside dst's rack.
+// CrossRackSenders returns every host outside dst's rack, in host
+// order, in one exactly sized slice (nil when there is none).
 func CrossRackSenders(tp *topo.Topology, dst packet.NodeID) []packet.NodeID {
 	rack := tp.Node(dst).Rack
-	var out []packet.NodeID
+	n := 0
+	for _, h := range tp.Hosts {
+		if tp.Node(h).Rack != rack {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]packet.NodeID, 0, n)
 	for _, h := range tp.Hosts {
 		if tp.Node(h).Rack != rack {
 			out = append(out, h)

@@ -285,8 +285,13 @@ func TestRackVictimCategorizer(t *testing.T) {
 		t.Fatal("other-rack dst should be victim of PFC")
 	}
 	senders := CrossRackSenders(tp, dst)
-	if len(senders) != 2 {
-		t.Fatalf("cross-rack senders = %d, want 2", len(senders))
+	if len(senders) != 2 || cap(senders) != 2 {
+		t.Fatalf("cross-rack senders = %d (cap %d), want 2 exactly sized", len(senders), cap(senders))
+	}
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if a := testing.AllocsPerRun(10, func() { CrossRackSenders(tp, dst) }); a != 1 {
+		t.Fatalf("CrossRackSenders allocates %v times, want once", a)
 	}
 }
 
