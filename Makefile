@@ -77,9 +77,10 @@ profile:
 	@echo "profiles written: cpu.out mem.out cpu.churn.out mem.churn.out cpu.clos.out mem.clos.out cpu.sim.out (go tool pprof <file>)"
 
 # ROADMAP's size count: non-test Go lines outside bench/, in total and
-# per internal package (the "small" aim, read from one command).
+# per internal package, command and the examples (the "small" aim, read
+# from one command; the linter is internal/lint plus cmd/floodlint).
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l | xargs echo total
-	@for d in internal/*/; do find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l | xargs echo $$d; done
+	@for d in internal/*/ cmd/*/ examples/; do find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l | xargs echo $$d; done
 
 ci: build fmt lint test race bench-test

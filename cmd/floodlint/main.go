@@ -4,7 +4,7 @@
 // invariants that ordinary vet/tests cannot express. It type-checks
 // every package of the enclosing module with the standard library.
 //
-//	floodlint ./...     lint the whole module (the argument is implied)
+//	floodlint [./...]   lint the whole module (the only target)
 //	floodlint -rules    list the rules
 //
 // Findings print as file:line: [rule] message, relative to the module
@@ -17,41 +17,68 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
 	"floodgate/internal/lint"
 )
 
-func main() {
-	listRules := flag.Bool("rules", false, "list the rules and exit")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole CLI behind an exit code, so the tests drive it
+// in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("floodlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	listRules := fs.Bool("rules", false, "list the rules and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *listRules {
 		for _, r := range lint.Rules() {
-			fmt.Printf("%-12s %s\n", r.Name, r.Doc)
+			fmt.Fprintf(stdout, "%-12s %s\n", r.Name, r.Doc)
 		}
-		return
+		return 0
 	}
-	root := check(moduleRoot())
-	l := check(lint.NewLoader(root))
-	pkgs := check(l.LoadModule())
-	diags := lint.Run(l, pkgs, lint.DefaultConfig(l.Module()))
+	for _, arg := range fs.Args() {
+		if arg != "./..." {
+			fmt.Fprintf(stderr, "floodlint: cannot lint %q: the only target is the whole module (./...)\n", arg)
+			return 2
+		}
+	}
+	root, diags, err := lintModule()
+	if err != nil {
+		fmt.Fprintln(stderr, "floodlint:", err)
+		return 2
+	}
 	for _, d := range diags {
-		fmt.Println(d.Rel(root))
+		fmt.Fprintln(stdout, d.Rel(root))
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "floodlint: %d finding(s)\n", len(diags))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "floodlint: %d finding(s)\n", len(diags))
+		return 1
 	}
+	return 0
 }
 
-// check exits with status 2 on a load error.
-func check[T any](v T, err error) T {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "floodlint:", err)
-		os.Exit(2)
+// lintModule lints the module enclosing the working directory.
+func lintModule() (root string, diags []lint.Diagnostic, err error) {
+	if root, err = moduleRoot(); err != nil {
+		return "", nil, err
 	}
-	return v
+	l, err := lint.NewLoader(root)
+	if err != nil {
+		return "", nil, err
+	}
+	pkgs, err := l.LoadModule()
+	if err != nil {
+		return "", nil, err
+	}
+	return root, lint.Run(l, pkgs, lint.DefaultConfig(l.Module())), nil
 }
 
 // moduleRoot walks up from the working directory to the nearest go.mod.

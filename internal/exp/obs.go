@@ -24,9 +24,11 @@ import (
 	"path/filepath"
 	"strings"
 
+	"floodgate/internal/core"
 	"floodgate/internal/forensics"
 	"floodgate/internal/metrics"
 	"floodgate/internal/sim"
+	"floodgate/internal/topo"
 	"floodgate/internal/trace"
 	"floodgate/internal/units"
 )
@@ -216,6 +218,35 @@ func obsLabel(rc RunConfig) string {
 	}
 	if rc.Source != nil {
 		parts = append(parts, "src="+rc.SourceLabel)
+	}
+	// Inputs only a sweep varies join the hash only where they leave
+	// what other runs use, so other labels stay put: Fig 16's ECN
+	// thresholds, Fig 17's credit timer and delayCredit threshold (off
+	// the §6 defaults for the BDP the config was built for), and Fig
+	// 24b's leaf-spine, whose ToRs offer their hosts more than their
+	// spine uplinks carry (the larger Clos presets' ToRs reach
+	// aggregation switches, not spines).
+	if e := rc.ECN; e != nil {
+		parts = append(parts, fmt.Sprintf("ecn=%t/%d/%d/%g", e.Enable, int64(e.KMin), int64(e.KMax), e.PMax))
+	}
+	if fg := rc.Scheme.fg; fg != nil {
+		if def := core.DefaultConfig(fg.PauseThreshOff); fg.CreditTimer != def.CreditTimer || fg.DelayCreditThresh != def.DelayCreditThresh {
+			parts = append(parts, fmt.Sprintf("fg=%d/%d", int64(fg.CreditTimer), int64(fg.DelayCreditThresh)))
+		}
+	}
+	if tp := rc.Topo; tp != nil && len(tp.Hosts) > 0 {
+		var up, down units.BitRate
+		for _, p := range tp.Node(tp.Node(tp.Hosts[0]).Ports[0].Peer).Ports {
+			switch {
+			case p.Class == topo.ClassToRDown:
+				down += p.Rate
+			case tp.Node(p.Peer).Layer == topo.LayerCore:
+				up += p.Rate
+			}
+		}
+		if 0 < up && up < down {
+			parts = append(parts, fmt.Sprintf("oversub=%d/%d", int64(down), int64(up)))
+		}
 	}
 	return sanitizeLabel(rc.Scheme.Name) + "-" + metrics.HashStrings(parts...)
 }

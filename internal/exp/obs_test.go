@@ -8,7 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"floodgate/internal/core"
+	"floodgate/internal/device"
 	"floodgate/internal/metrics"
+	"floodgate/internal/topo"
 	"floodgate/internal/units"
 )
 
@@ -256,4 +259,64 @@ func TestObsLabelDeterminism(t *testing.T) {
 	if obsLabel(rc2) == a {
 		t.Error("different seeds collide")
 	}
+}
+
+// TestObsLabelSweeps: runs that differ only in what Fig 16 (ECN
+// thresholds), Fig 17 (credit timer, delayCredit threshold) or Fig 24
+// (oversubscription) sweeps get different labels, so -obs writes one
+// file set per configuration, while identical configurations share one.
+func TestObsLabelSweeps(t *testing.T) {
+	o := smokeOpts
+	label := func(tp *topo.Topology, s Scheme, ecn *device.ECNConfig) string {
+		return obsLabel(RunConfig{Topo: tp, Scheme: s, ECN: ecn, Seed: 1, Duration: units.Millisecond, Opt: o})
+	}
+	distinct := func(fig string, labels []string, want int) {
+		t.Helper()
+		set := map[string]bool{}
+		for _, l := range labels {
+			set[l] = true
+		}
+		if len(set) != want {
+			t.Errorf("%s: %d runs take %d labels, want %d: %v", fig, len(labels), len(set), want, labels)
+		}
+	}
+	tp := o.leafSpine()
+	bdp := baseBDPOf(tp)
+
+	var fig16 []string
+	for _, kmax := range []units.ByteSize{160 * units.KB, 41 * units.KB} {
+		for _, s := range schemeTriple(o, DCQCN, tp) {
+			ecn := device.ECNConfig{Enable: s.ECN, KMin: 40 * units.KB, KMax: kmax, PMax: 0.2}
+			fig16 = append(fig16, label(tp, s, &ecn))
+		}
+	}
+	distinct("fig16", fig16, 6)
+
+	fg := func(mut func(*core.Config)) string {
+		cfg := core.DefaultConfig(bdp)
+		mut(&cfg)
+		return label(tp, WithFloodgateCfg(DCQCN(o), cfg, "+Floodgate"), nil)
+	}
+	var fig17 []string
+	for _, us := range []int{10, 20, 30, 40, 50} {
+		fig17 = append(fig17, fg(func(c *core.Config) { c.CreditTimer = units.Duration(us) * units.Microsecond }))
+	}
+	for _, m := range []int{1, 10, 25, 50, 75, 100} {
+		fig17 = append(fig17, fg(func(c *core.Config) { c.DelayCreditThresh = units.ByteSize(m) * bdp }))
+	}
+	distinct("fig17", fig17, 10)
+	if def := label(tp, WithFloodgate(o, DCQCN(o), bdp), nil); fig17[0] != def || fig17[6] != def {
+		t.Errorf("fig17's T = 10us and 10 BDP rows run the default config: labels %s and %s, want %s", fig17[0], fig17[6], def)
+	}
+
+	var fig24 []string
+	for _, oversub := range []int{1, 4} {
+		c := o.leafSpineConfig()
+		c.Oversubscription = oversub
+		tp := c.Build()
+		for _, s := range append(schemePair(o, DCQCN, tp), WithPFCTag(DCQCN(o), tp.Node(tp.Hosts[0]).Ports[0].BDP())) {
+			fig24 = append(fig24, label(tp, s, nil))
+		}
+	}
+	distinct("fig24", fig24, 6)
 }

@@ -36,6 +36,11 @@ type Scheme struct {
 	QueuesPerPort int
 	PerDstPause   bool
 	NDP           bool
+
+	// fg is the Floodgate config FC was built from, nil without
+	// Floodgate. Only obsLabel reads it: the name does not tell a
+	// sweep's configs apart.
+	fg *core.Config
 }
 
 // dcqcnConfigScaled returns the DCQCN binding with timers stretched to
@@ -104,6 +109,7 @@ func WithIdeal(o Options, s Scheme, baseBDP units.ByteSize) Scheme {
 func WithFloodgateCfg(s Scheme, cfg core.Config, suffix string) Scheme {
 	s.Name += suffix
 	s.FC = core.New(cfg)
+	s.fg = &cfg
 	s.PerDstPause = cfg.PerDstPause
 	return s
 }

@@ -61,30 +61,36 @@ func fileMarked(f *ast.File, marker string) bool {
 	return false
 }
 
-// captures lists the variables a func literal closes over: variables
-// declared in an enclosing function scope (package-level state and the
-// literal's own locals/params are capture-free).
+// captures lists the variables a func literal closes over: those an
+// enclosing function declares (package-level state is referenced
+// directly, not captured).
 func captures(pkg *Package, lit *ast.FuncLit) []string {
-	seen := make(map[types.Object]bool)
 	var names []string
+	for _, id := range outerRefs(pkg.Info, lit) {
+		if v := pkg.Info.Uses[id]; v.Parent() != pkg.Types.Scope() && v.Parent() != types.Universe {
+			names = append(names, v.Name())
+		}
+	}
+	return names
+}
+
+// outerRefs returns, in source order, the first identifier naming each
+// variable a func literal references but does not declare (fields
+// excluded). hotpath reads it as the captures that allocate,
+// shardsafety as the state a per-shard callback reaches.
+func outerRefs(info *types.Info, lit *ast.FuncLit) []*ast.Ident {
+	seen := make(map[types.Object]bool)
+	var ids []*ast.Ident
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
 		if !ok {
 			return true
 		}
-		v, ok := pkg.Info.Uses[id].(*types.Var)
-		if !ok || v.IsField() || seen[v] {
-			return true
+		if v, ok := info.Uses[id].(*types.Var); ok && !v.IsField() && !seen[v] && !declaredIn(v, lit) {
+			seen[v] = true
+			ids = append(ids, id)
 		}
-		if v.Pos() >= lit.Pos() && v.Pos() < lit.End() {
-			return true // the literal's own local or parameter
-		}
-		if v.Parent() == pkg.Types.Scope() || v.Parent() == types.Universe {
-			return true // package-level: referenced directly, not captured
-		}
-		seen[v] = true
-		names = append(names, v.Name())
 		return true
 	})
-	return names
+	return ids
 }

@@ -16,6 +16,7 @@
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -23,7 +24,6 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -101,20 +101,20 @@ type Rule struct {
 
 // Rules returns the registry in execution order. The order is part of
 // the contract: Run drives each rule over every package before the
-// next rule starts, so a rule may consume facts exported by the rules
-// before it (detwrite reads shardsafety's escape facts).
+// next rule starts, so detwrite sees every object shardsafety found
+// shared across shards. checkBan rules are rows of the ban table.
 func Rules() []Rule {
 	return []Rule{
-		{"walltime", "no wall-clock reads (time.Now/Since/Until) in deterministic code", checkWalltime},
-		{"mathrand", "no math/rand; every draw must come from the seeded sim.Rand", checkMathRand},
-		{"envread", "no environment reads; runs are configured by (config, seed) only", checkEnvRead},
-		{"multiselect", "no select over multiple channels; the runtime picks cases at random", checkMultiSelect},
-		{"maprange", "no ranging over maps where order can reach tables or event scheduling", checkMapRange},
+		{"walltime", "no wall-clock reads (time.Now/Since/Until) in deterministic code", checkBan},
+		{"mathrand", "no math/rand; every draw must come from the seeded sim.Rand", checkBan},
+		{"envread", "no environment reads; runs are configured by (config, seed) only", checkBan},
+		{"multiselect", "no select over multiple channels; the runtime picks cases at random", checkBan},
+		{"maprange", "no ranging over maps where order can reach tables or event scheduling", checkBan},
 		{"pool", "packets come from and return to the Network pool", checkPool},
 		{"hotpath", "no capturing closures scheduled from //lint:hotpath files", checkHotpath},
 		{"unitsmix", "no raw arithmetic mixing units dimensions via conversions", checkUnitsMix},
-		{"recover", "no bare recover() outside the experiment executor's run boundary", checkRecover},
-		{"goroutine", "no go statements outside the experiment executor; deterministic layers are single-goroutine", checkGoroutine},
+		{"recover", "no bare recover() outside the experiment executor's run boundary", checkBan},
+		{"goroutine", "no go statements outside the experiment executor; deterministic layers are single-goroutine", checkBan},
 		{"shardsafety", "no mutable value reachable from two shard Networks outside the Cluster coupling layer", checkShardSafety},
 		{"ordering", "same-timestamp event priorities come from the sim.Pri* ladder, never from nondeterministic state", checkOrdering},
 		{"detwrite", "no nondeterministic value (map order, wall clock, pointer identity, GOMAXPROCS) written to stats, metrics or tables", checkDetWrite},
@@ -130,15 +130,23 @@ type Ctx struct {
 	out  *runState
 }
 
-// Facts returns the run-wide fact store shared by all rules.
-func (c *Ctx) Facts() *Facts { return c.out.facts }
+// taint returns the taint fixpoint of a function body, computed at
+// most once per run: ordering and detwrite share it.
+func (c *Ctx) taint(body *ast.BlockStmt) *taintState {
+	if c.out.taints[body] == nil {
+		c.out.taints[body] = taintFunc(c.Pkg, body)
+	}
+	return c.out.taints[body]
+}
 
 // Report files a diagnostic at pos unless an allow entry suppresses it.
 func (c *Ctx) Report(pos token.Pos, format string, args ...any) {
 	p := c.fset.Position(pos)
-	if a := c.out.allows.match(p.Filename, p.Line, c.rule); a != nil {
-		a.used = true
-		return
+	for _, a := range c.out.allows {
+		if a.rule == c.rule && a.line == p.Line && a.pos.Filename == p.Filename {
+			a.used = true
+			return
+		}
 	}
 	c.out.diags = append(c.out.diags, Diagnostic{Pos: p, Rule: c.rule, Msg: fmt.Sprintf(format, args...)})
 }
@@ -148,7 +156,6 @@ func (c *Ctx) Report(pos token.Pos, format string, args ...any) {
 var allowRE = regexp.MustCompile(`^//lint:allow\s+([a-z]+)\s+(\S.*)$`)
 
 type allowEntry struct {
-	file   string
 	line   int // line the allow applies to
 	rule   string
 	pos    token.Position
@@ -156,57 +163,35 @@ type allowEntry struct {
 	tagged bool // lives in a build-tag-excluded file; exempt from staleness
 }
 
-type allowIndex struct{ entries []*allowEntry }
-
-func (ai *allowIndex) match(file string, line int, rule string) *allowEntry {
-	for _, a := range ai.entries {
-		if a.rule == rule && a.line == line && a.file == file {
-			return a
-		}
-	}
-	return nil
-}
-
-// collectAllows indexes every //lint:allow comment of a package. A
+// collectAllows indexes every //lint:allow comment of some files. A
 // comment trailing code suppresses on its own line; a comment alone on
 // its line suppresses the following line. Allows in build-tag-excluded
-// files (pkg.TagFiles, e.g. //go:build simdebug sources) are indexed
-// as tagged: their code is not linted in this build, so they can never
-// match a diagnostic and must not be reported stale.
-func collectAllows(fset *token.FileSet, src func(string) []byte, pkg *Package, ai *allowIndex) {
-	collect := func(files []*ast.File, tagged bool) {
-		for _, f := range files {
-			for _, cg := range f.Comments {
-				for _, cm := range cg.List {
-					m := allowRE.FindStringSubmatch(cm.Text)
-					if m == nil {
-						continue
+// files (Package.TagFiles, e.g. //go:build simdebug sources) are
+// indexed as tagged: their code is not linted in this build, so they
+// can never match a diagnostic and must not be reported stale.
+func (st *runState) collectAllows(l *Loader, files []*ast.File, tagged bool) {
+	for _, f := range files {
+		for _, cg := range f.Comments {
+			for _, cm := range cg.List {
+				if m := allowRE.FindStringSubmatch(cm.Text); m != nil {
+					pos := l.Fset.Position(cm.Pos())
+					a := &allowEntry{line: pos.Line, rule: m[1], pos: pos, tagged: tagged}
+					if standalone(l.Source(pos.Filename), pos) {
+						a.line++
 					}
-					pos := fset.Position(cm.Pos())
-					line := pos.Line
-					if standalone(src(pos.Filename), pos) {
-						line++
-					}
-					ai.entries = append(ai.entries, &allowEntry{
-						file: pos.Filename, line: line, rule: m[1], pos: pos, tagged: tagged,
-					})
+					st.allows = append(st.allows, a)
 				}
 			}
 		}
 	}
-	collect(pkg.Files, false)
-	collect(pkg.TagFiles, true)
 }
 
 // standalone reports whether only whitespace precedes the comment on
 // its line.
 func standalone(src []byte, pos token.Position) bool {
-	if len(src) == 0 {
-		return pos.Column == 1
-	}
 	start := pos.Offset - (pos.Column - 1)
 	if start < 0 || pos.Offset > len(src) {
-		return pos.Column == 1
+		return pos.Column == 1 // unknown source (or a //line-adjusted column)
 	}
 	return strings.TrimSpace(string(src[start:pos.Offset])) == ""
 }
@@ -215,28 +200,32 @@ func standalone(src []byte, pos token.Position) bool {
 
 type runState struct {
 	diags  []Diagnostic
-	allows allowIndex
-	facts  *Facts
+	allows []*allowEntry
+	// shared maps each object shardsafety found aliased by more than
+	// one shard Network (allowed sites too) to its first sharing site;
+	// detwrite treats a nondeterministic write into one as a finding.
+	shared map[types.Object]string
+	taints map[*ast.BlockStmt]*taintState
 }
 
 // Run executes every rule over the given packages and returns the
 // diagnostics sorted by position. Rules run in registry order, each
-// over every package, so later rules can consume facts exported by
-// earlier ones. Unused //lint:allow entries are reported under the
+// over every package. Unused //lint:allow entries are reported under the
 // pseudo-rule "allow"; allows living in build-tag-excluded files (e.g.
 // simdebug) are collected but exempt from staleness, since the code
 // they suppress is not part of the lint build.
 func Run(l *Loader, pkgs []*Package, cfg *Config) []Diagnostic {
-	st := &runState{facts: NewFacts()}
+	st := &runState{shared: map[types.Object]string{}, taints: map[*ast.BlockStmt]*taintState{}}
 	for _, pkg := range pkgs {
-		collectAllows(l.Fset, l.Source, pkg, &st.allows)
+		st.collectAllows(l, pkg.Files, false)
+		st.collectAllows(l, pkg.TagFiles, true)
 	}
 	for _, r := range Rules() {
 		for _, pkg := range pkgs {
 			r.Check(&Ctx{Cfg: cfg, Pkg: pkg, fset: l.Fset, rule: r.Name, out: st})
 		}
 	}
-	for _, a := range st.allows.entries {
+	for _, a := range st.allows {
 		if !a.used && !a.tagged {
 			st.diags = append(st.diags, Diagnostic{
 				Pos:  a.pos,
@@ -245,15 +234,8 @@ func Run(l *Loader, pkgs []*Package, cfg *Config) []Diagnostic {
 			})
 		}
 	}
-	sort.Slice(st.diags, func(i, j int) bool {
-		a, b := st.diags[i], st.diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		return a.Rule < b.Rule
+	slices.SortStableFunc(st.diags, func(a, b Diagnostic) int {
+		return cmp.Or(strings.Compare(a.Pos.Filename, b.Pos.Filename), cmp.Compare(a.Pos.Line, b.Pos.Line), strings.Compare(a.Rule, b.Rule))
 	})
 	return st.diags
 }
@@ -279,15 +261,7 @@ func callee(info *types.Info, call *ast.CallExpr) *types.Func {
 // isPkgFunc reports whether fn is one of the named functions (or
 // methods) declared in the package with the given import path.
 func isPkgFunc(fn *types.Func, pkgPath string, names ...string) bool {
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != pkgPath {
-		return false
-	}
-	for _, n := range names {
-		if fn.Name() == n {
-			return true
-		}
-	}
-	return false
+	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath && slices.Contains(names, fn.Name())
 }
 
 // recvNamed returns the name of fn's receiver type ("" for plain

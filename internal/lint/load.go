@@ -1,26 +1,28 @@
 package lint
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
+	"path"
 	"path/filepath"
-	"runtime"
-	"sort"
+	"slices"
 	"strings"
 )
 
 // Package is one loaded, type-checked package of the module (or a test
 // fixture). Files holds the non-test sources in filename order.
 // TagFiles holds sources excluded by build constraints (e.g.
-// //go:build simdebug): they are parsed but not type-checked, and
-// exist only so their //lint:allow comments are visible to the
-// staleness report (which exempts them — their code is not linted).
+// //go:build simdebug, or a _windows.go name on Linux): they are parsed
+// but not type-checked, and exist only so their //lint:allow comments
+// are visible to the staleness report (which exempts them — their code
+// is not linted).
 type Package struct {
 	Path     string // import path
 	Dir      string
@@ -80,46 +82,39 @@ func (l *Loader) Module() string { return l.module }
 // Source returns the raw bytes of a loaded file (empty if unknown).
 func (l *Loader) Source(filename string) []byte { return l.sources[filename] }
 
+// errNoGo marks a directory holding no file `go build` would compile.
+var errNoGo = errors.New("no buildable Go files")
+
 // LoadModule loads every package under the module root (skipping
 // testdata and hidden directories) and returns them sorted by path.
 func (l *Loader) LoadModule() ([]*Package, error) {
-	var dirs []string
-	err := filepath.WalkDir(l.root, func(path string, d os.DirEntry, err error) error {
+	var out []*Package
+	err := filepath.WalkDir(l.root, func(dir string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		name := d.Name()
+		if dir != l.root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		rel, err := filepath.Rel(l.root, dir)
 		if err != nil {
 			return err
 		}
-		if !d.IsDir() {
-			return nil
+		pkg, err := l.load(path.Join(l.module, filepath.ToSlash(rel)))
+		switch {
+		case errors.Is(err, errNoGo):
+			return nil // not a package: `go build` compiles nothing here
+		case err != nil:
+			return err
 		}
-		name := d.Name()
-		if path != l.root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
-		}
-		if hasGoFiles(path) {
-			dirs = append(dirs, path)
-		}
+		out = append(out, pkg)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	var out []*Package
-	for _, dir := range dirs {
-		rel, err := filepath.Rel(l.root, dir)
-		if err != nil {
-			return nil, err
-		}
-		path := l.module
-		if rel != "." {
-			path = l.module + "/" + filepath.ToSlash(rel)
-		}
-		pkg, err := l.load(path)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pkg)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
+	slices.SortFunc(out, func(a, b *Package) int { return strings.Compare(a.Path, b.Path) })
 	return out, nil
 }
 
@@ -131,20 +126,6 @@ func (l *Loader) LoadDir(dir, asPath string) (*Package, error) {
 		return p, nil
 	}
 	return l.check(asPath, dir)
-}
-
-func hasGoFiles(dir string) bool {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range ents {
-		name := e.Name()
-		if !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
-			return true
-		}
-	}
-	return false
 }
 
 // Import implements types.Importer: module packages load from source,
@@ -180,41 +161,34 @@ func (l *Loader) check(path, dir string) (*Package, error) {
 	l.loading[path] = true
 	defer delete(l.loading, path)
 
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("lint: %v", err)
+	// go/build picks the files `go build` would: GOOS/GOARCH file-name
+	// suffixes, //go:build lines with every release and platform tag.
+	// Its errors are not fatal; a file that does not parse or
+	// type-check fails below, by name.
+	bp, _ := build.Default.ImportDir(dir, 0)
+	if len(bp.GoFiles) == 0 {
+		if _, err := os.Stat(dir); err != nil {
+			return nil, fmt.Errorf("lint: %v", err)
+		}
+		return nil, fmt.Errorf("lint: %w in %s", errNoGo, dir)
 	}
 	var files, tagFiles []*ast.File
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		filename := filepath.Join(dir, name)
-		src, err := os.ReadFile(filename)
+	for _, name := range bp.GoFiles {
+		f, err := l.parse(filepath.Join(dir, name))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("lint: parsing %s: %v", name, err)
 		}
-		if !buildIncluded(src) {
-			// Excluded by a build constraint: parse for comments only, so
-			// //lint:allow entries under the tag stay visible (and exempt
-			// from staleness). A file that fails to parse — e.g. another
-			// platform's syntax experiment — is simply skipped.
-			if f, err := parser.ParseFile(l.Fset, filename, src, parser.ParseComments); err == nil {
-				l.sources[filename] = src
-				tagFiles = append(tagFiles, f)
-			}
-			continue
-		}
-		f, err := parser.ParseFile(l.Fset, filename, src, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("lint: parsing %s: %v", filename, err)
-		}
-		l.sources[filename] = src
 		files = append(files, f)
 	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no buildable Go files in %s", dir)
+	// Excluded files are parsed for comments only, so //lint:allow
+	// entries under a tag stay visible (and exempt from staleness). One
+	// that does not parse — another platform's syntax — is skipped.
+	for _, name := range bp.IgnoredGoFiles {
+		if !strings.HasSuffix(name, "_test.go") {
+			if f, err := l.parse(filepath.Join(dir, name)); err == nil {
+				tagFiles = append(tagFiles, f)
+			}
+		}
 	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -232,25 +206,13 @@ func (l *Loader) check(path, dir string) (*Package, error) {
 	return p, nil
 }
 
-// buildIncluded evaluates a file's //go:build line against the host
-// platform with no extra tags set (so e.g. simdebug files are skipped,
-// matching the default build).
-func buildIncluded(src []byte) bool {
-	for _, line := range strings.Split(string(src), "\n") {
-		trimmed := strings.TrimSpace(line)
-		if trimmed == "" || strings.HasPrefix(trimmed, "//") {
-			if constraint.IsGoBuild(trimmed) {
-				expr, err := constraint.Parse(trimmed)
-				if err != nil {
-					return true
-				}
-				return expr.Eval(func(tag string) bool {
-					return tag == runtime.GOOS || tag == runtime.GOARCH || tag == "gc"
-				})
-			}
-			continue
-		}
-		break // reached the package clause: no constraint
+// parse reads and parses one file, keeping its bytes for the allow
+// column check.
+func (l *Loader) parse(filename string) (*ast.File, error) {
+	src, err := os.ReadFile(filename)
+	if err != nil {
+		return nil, err
 	}
-	return true
+	l.sources[filename] = src
+	return parser.ParseFile(l.Fset, filename, src, parser.ParseComments)
 }

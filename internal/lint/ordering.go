@@ -22,8 +22,9 @@ import (
 //   - a constant sim.Pri expression that mentions no sim.Pri*
 //     constant is a raw number (an untyped literal converts silently).
 //
-// The per-function taint engine (taint.go) then rejects a priority or
-// an event time derived from a nondeterminism source.
+// The per-function taint pass (taint.go, shared with detwrite) then
+// rejects a priority or an event time derived from a nondeterminism
+// source.
 func checkOrdering(c *Ctx) {
 	simPath := c.Cfg.path("sim")
 	info := c.Pkg.Info
@@ -60,7 +61,6 @@ func checkOrdering(c *Ctx) {
 // checkSchedTaint rejects engine scheduling calls whose event time, or
 // AtArgPri priority, derives from a nondeterminism source.
 func checkSchedTaint(c *Ctx, fd *ast.FuncDecl) {
-	var tt *taintState
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || len(call.Args) == 0 {
@@ -70,9 +70,7 @@ func checkSchedTaint(c *Ctx, fd *ast.FuncDecl) {
 		if !isPkgFunc(fn, c.Cfg.path("sim"), "At", "After", "AtArg", "AfterArg", "AtArgPri") || recvNamed(fn) != "Engine" {
 			return true
 		}
-		if tt == nil {
-			tt = taintFunc(c.Pkg, fd.Body)
-		}
+		tt := c.taint(fd.Body)
 		// A tainted time reorders the whole schedule, not just a tie.
 		if r := tt.ExprTaint(call.Args[0]); r != nil {
 			c.Report(call.Pos(), "event time derives from %s; schedule times must be a pure function of (config, seed)", r.Why)

@@ -34,11 +34,7 @@ func checkPool(c *Ctx) {
 					c.Report(n.Pos(), "packet.%s allocates outside the pool; acquire through the Network pool (Network.NewCtrl / newData) so the packet is recycled", fn.Name())
 				}
 			case *ast.CompositeLit:
-				tv, ok := info.Types[ast.Expr(n)]
-				if !ok {
-					return true
-				}
-				if isNamed(tv.Type, c.Cfg.path("packet"), "Packet") {
+				if isNamed(info.TypeOf(n), c.Cfg.path("packet"), "Packet") {
 					c.Report(n.Pos(), "packet.Packet literal allocates outside the pool; acquire through the Network pool so the packet is recycled")
 				}
 			case *ast.FuncDecl:
@@ -98,34 +94,27 @@ func checkPoolLeaks(c *Ctx, fd *ast.FuncDecl) {
 	// element. Method calls on the packet itself and field reads/writes
 	// keep it local and do not count.
 	handedOff := make(map[types.Object]bool)
+	handOff := func(es ...ast.Expr) {
+		for _, e := range es {
+			if obj := identObj(info, e); obj != nil && acquired[obj] != nil {
+				handedOff[obj] = true
+			}
+		}
+	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			for _, arg := range n.Args {
-				if obj := identObj(info, arg); obj != nil && acquired[obj] != nil {
-					handedOff[obj] = true
-				}
-			}
+			handOff(n.Args...)
 		case *ast.ReturnStmt:
-			for _, r := range n.Results {
-				if obj := identObj(info, r); obj != nil && acquired[obj] != nil {
-					handedOff[obj] = true
-				}
-			}
+			handOff(n.Results...)
 		case *ast.AssignStmt:
-			for _, rhs := range n.Rhs {
-				if obj := identObj(info, rhs); obj != nil && acquired[obj] != nil {
-					handedOff[obj] = true
-				}
-			}
+			handOff(n.Rhs...)
 		case *ast.CompositeLit:
 			for _, el := range n.Elts {
 				if kv, ok := el.(*ast.KeyValueExpr); ok {
 					el = kv.Value
 				}
-				if obj := identObj(info, el); obj != nil && acquired[obj] != nil {
-					handedOff[obj] = true
-				}
+				handOff(el)
 			}
 		}
 		return true

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"slices"
 )
 
 // checkShardSafety enforces the sharded executor's shared-nothing
@@ -29,10 +30,10 @@ import (
 // The file that declares the Cluster type is the sanctioned coupling
 // layer — its mailbox exchange exists precisely to move state between
 // shards under the barrier protocol — and is skipped. Every shared
-// object the rule sees (reported or allowlisted) is exported to the
-// fact store as FactShardShared, so detwrite can flag nondeterministic
-// writes into shard-shared state even when the sharing itself was
-// deliberately allowed.
+// object the rule sees (reported or allowlisted) goes into the run's
+// shared set, so detwrite can flag nondeterministic writes into
+// shard-shared state even when the sharing itself was deliberately
+// allowed.
 func checkShardSafety(c *Ctx) {
 	for _, f := range c.Pkg.Files {
 		if c.Pkg.Path == c.Cfg.path("device") && declaresType(f, "Cluster") {
@@ -112,12 +113,7 @@ func checkShardLoop(c *Ctx, rng *ast.RangeStmt) {
 		}
 	}
 
-	skip := map[types.Object]bool{}
-	for _, o := range []types.Object{valObj, keyObj, sliceRoot} {
-		if o != nil {
-			skip[o] = true
-		}
-	}
+	skip := map[types.Object]bool{valObj: true, keyObj: true, sliceRoot: true}
 
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -126,11 +122,11 @@ func checkShardLoop(c *Ctx, rng *ast.RangeStmt) {
 				return true
 			}
 			for i, lhs := range n.Lhs {
-				if _, isSel := lhs.(*ast.SelectorExpr); !isSel && !isIndex(lhs) {
-					continue // plain rebinding, not a store into shard state
-				}
-				if shardNetRooted(lhs) {
-					reportShared(c, rng, skip, n.Rhs[i], "stored into every shard Network")
+				switch lhs.(type) {
+				case *ast.SelectorExpr, *ast.IndexExpr: // a store, not a plain rebinding
+					if shardNetRooted(lhs) {
+						reportShared(c, rng, skip, n.Rhs[i], "stored into every shard Network")
+					}
 				}
 			}
 		case *ast.CallExpr:
@@ -146,10 +142,8 @@ func checkShardLoop(c *Ctx, rng *ast.RangeStmt) {
 	})
 }
 
-func isIndex(e ast.Expr) bool { _, ok := e.(*ast.IndexExpr); return ok }
-
 // reportShared flags v when it makes an outer mutable value reachable
-// from every shard, and exports the shared object as a fact either way.
+// from every shard, and records the object as shared either way.
 func reportShared(c *Ctx, rng *ast.RangeStmt, skip map[types.Object]bool, v ast.Expr, how string) {
 	v = ast.Unparen(v)
 	if u, ok := v.(*ast.UnaryExpr); ok {
@@ -168,7 +162,7 @@ func reportShared(c *Ctx, rng *ast.RangeStmt, skip map[types.Object]bool, v ast.
 	if !sharedMutable(t) || immutableListed(c.Cfg, t) {
 		return
 	}
-	c.Facts().Export(vr, FactShardShared, shortPos(c, v.Pos()))
+	share(c, vr, v.Pos())
 	c.Report(v.Pos(), "mutable value %s (%s) %s; shard state must be private to its shard or move through the Cluster mailbox exchange (allocate per shard inside the loop, or list the type in SharedImmutable if it is immutable by contract)",
 		vr.Name(), shortType(t), how)
 }
@@ -178,40 +172,24 @@ func reportShared(c *Ctx, rng *ast.RangeStmt, skip map[types.Object]bool, v ast.
 // callback on each shard's goroutine, so everything it can reach is
 // reachable from all shards at once.
 func reportCallbackRefs(c *Ctx, rng *ast.RangeStmt, skip map[types.Object]bool, lit *ast.FuncLit) {
-	info := c.Pkg.Info
-	seen := map[types.Object]bool{}
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
+	for _, id := range outerRefs(c.Pkg.Info, lit) {
+		vr := c.Pkg.Info.Uses[id]
+		if t := vr.Type(); !skip[vr] && !declaredIn(vr, rng.Body) && sharedMutable(t) && !immutableListed(c.Cfg, t) {
+			share(c, vr, id.Pos())
+			c.Report(id.Pos(), "callback installed on every shard references %s (%s), aliasing it across shards; give each shard its own copy allocated inside the loop, or route the state through the Cluster mailbox exchange",
+				vr.Name(), shortType(t))
 		}
-		vr, ok := info.Uses[id].(*types.Var)
-		if !ok || vr.IsField() || seen[vr] || skip[vr] {
-			return true
-		}
-		if vr.Pos() >= lit.Pos() && vr.Pos() < lit.End() {
-			return true // the literal's own local or parameter
-		}
-		if declaredIn(vr, rng.Body) {
-			return true // fresh per shard
-		}
-		t := vr.Type()
-		if !sharedMutable(t) || immutableListed(c.Cfg, t) {
-			return true
-		}
-		seen[vr] = true
-		c.Facts().Export(vr, FactShardShared, shortPos(c, id.Pos()))
-		c.Report(id.Pos(), "callback installed on every shard references %s (%s), aliasing it across shards; give each shard its own copy allocated inside the loop, or route the state through the Cluster mailbox exchange",
-			vr.Name(), shortType(t))
-		return true
-	})
+	}
 }
 
-// shortPos renders a position as base-filename:line — stable across
-// checkouts, so fact details can appear in diagnostics and goldens.
-func shortPos(c *Ctx, pos token.Pos) string {
-	p := c.fset.Position(pos)
-	return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
+// share records obj in the run's shared set; the first sharing site
+// (base-filename:line, stable across checkouts) is the one detwrite
+// names.
+func share(c *Ctx, obj types.Object, pos token.Pos) {
+	if _, ok := c.out.shared[obj]; !ok {
+		p := c.fset.Position(pos)
+		c.out.shared[obj] = fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
+	}
 }
 
 // declaredIn reports whether the object's declaration lies inside the
@@ -240,25 +218,5 @@ func immutableListed(cfg *Config, t types.Type) bool {
 	if !ok || n.Obj().Pkg() == nil {
 		return false
 	}
-	full := n.Obj().Pkg().Path() + "." + n.Obj().Name()
-	for _, im := range cfg.SharedImmutable {
-		if im == full {
-			return true
-		}
-	}
-	return false
-}
-
-// shardShared reports whether the expression's root object was marked
-// shard-shared by this rule (query helper for later rules).
-func shardShared(c *Ctx, e ast.Expr) (types.Object, string, bool) {
-	obj := identObj(c.Pkg.Info, rootIdent(e))
-	if obj == nil {
-		return nil, "", false
-	}
-	detail, ok := c.Facts().Get(obj, FactShardShared)
-	if !ok {
-		return nil, "", false
-	}
-	return obj, detail, true
+	return slices.Contains(cfg.SharedImmutable, n.Obj().Pkg().Path()+"."+n.Obj().Name())
 }

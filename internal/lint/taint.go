@@ -99,7 +99,7 @@ func (t *taintState) assign(as *ast.AssignStmt) bool {
 	if len(as.Lhs) == len(as.Rhs) {
 		for i := range as.Lhs {
 			if r := t.ExprTaint(as.Rhs[i]); r != nil {
-				changed = t.taintTarget(as.Lhs[i], r) || changed
+				changed = t.taintIdent(rootIdent(as.Lhs[i]), r) || changed
 			}
 		}
 		return changed
@@ -108,7 +108,7 @@ func (t *taintState) assign(as *ast.AssignStmt) bool {
 	for _, rhs := range as.Rhs {
 		if r := t.ExprTaint(rhs); r != nil {
 			for _, lhs := range as.Lhs {
-				changed = t.taintTarget(lhs, r) || changed
+				changed = t.taintIdent(rootIdent(lhs), r) || changed
 			}
 			break
 		}
@@ -116,13 +116,9 @@ func (t *taintState) assign(as *ast.AssignStmt) bool {
 	return changed
 }
 
-// taintTarget taints the object behind an assignment target: a bare
-// identifier, or the root variable of a selector/index chain (writing
-// a tainted element makes the whole container suspect for later reads).
-func (t *taintState) taintTarget(e ast.Expr, r *TaintReason) bool {
-	return t.taintIdent(rootIdent(e), r)
-}
-
+// taintIdent taints the variable an identifier names. Assignments pass
+// the root of a selector/index chain: writing a tainted element makes
+// the whole container suspect for later reads.
 func (t *taintState) taintIdent(e ast.Expr, r *TaintReason) bool {
 	id, ok := e.(*ast.Ident)
 	if !ok || id.Name == "_" {
@@ -167,7 +163,7 @@ func (t *taintState) ExprTaint(e ast.Expr) *TaintReason {
 // nondeterminism source.
 func callTaint(pkg *Package, call *ast.CallExpr) *TaintReason {
 	if fn := callee(pkg.Info, call); fn != nil {
-		if isPkgFunc(fn, "time", "Now", "Since", "Until") {
+		if isPkgFunc(fn, "time", wallClock...) {
 			return &TaintReason{Why: "wall clock (time." + fn.Name() + ")", Pos: call.Pos()}
 		}
 		if isPkgFunc(fn, "runtime", "GOMAXPROCS", "NumGoroutine", "NumCPU") {

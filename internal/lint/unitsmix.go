@@ -23,10 +23,10 @@ import (
 // Same-dimension normalisation (float64(fct) / float64(ideal)) stays
 // legal: it is how reporting code computes ratios.
 func checkUnitsMix(c *Ctx) {
-	if c.Pkg.Path == c.Cfg.path("units") {
+	units := c.Cfg.path("units")
+	if c.Pkg.Path == units {
 		return
 	}
-	info := c.Pkg.Info
 	for _, f := range c.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -36,28 +36,13 @@ func checkUnitsMix(c *Ctx) {
 				default:
 					return true
 				}
-				ldim := convDim(c, n.X)
-				rdim := convDim(c, n.Y)
+				ldim, rdim := convDim(c, n.X), convDim(c, n.Y)
 				if ldim != "" && rdim != "" && ldim != rdim {
 					c.Report(n.Pos(), "raw arithmetic mixes %s and %s stripped of their units; use the units helpers (TxTime/BytesOver/Rate) or keep the typed values", ldim, rdim)
 				}
 			case *ast.CallExpr:
-				if len(n.Args) != 1 {
-					return true
-				}
-				tv, ok := info.Types[n.Fun]
-				if !ok || !tv.IsType() {
-					return true
-				}
-				dst := unitsDim(tv.Type, c.Cfg.path("units"))
-				if dst == "" {
-					return true
-				}
-				argT, ok := info.Types[n.Args[0]]
-				if !ok {
-					return true
-				}
-				if src := unitsDim(argT.Type, c.Cfg.path("units")); src != "" && src != dst {
+				to, from := conversion(c.Pkg.Info, n)
+				if dst, src := unitsDim(to, units), unitsDim(from, units); dst != "" && src != "" && src != dst {
 					c.Report(n.Pos(), "conversion from %s to %s changes units dimension without arithmetic; use the units helpers (TxTime/BytesOver/Rate)", src, dst)
 				}
 			}
@@ -69,20 +54,20 @@ func checkUnitsMix(c *Ctx) {
 // convDim classifies an operand: a conversion to a basic numeric type
 // whose argument is a units value returns that value's dimension.
 func convDim(c *Ctx, e ast.Expr) string {
+	if to, from := conversion(c.Pkg.Info, e); to != nil {
+		if _, ok := to.Underlying().(*types.Basic); ok {
+			return unitsDim(from, c.Cfg.path("units"))
+		}
+	}
+	return ""
+}
+
+// conversion returns the target and operand types of a conversion
+// T(x), or nils when e is not one.
+func conversion(info *types.Info, e ast.Expr) (to, from types.Type) {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok || len(call.Args) != 1 {
-		return ""
+	if !ok || len(call.Args) != 1 || !info.Types[call.Fun].IsType() {
+		return nil, nil
 	}
-	tv, ok := c.Pkg.Info.Types[call.Fun]
-	if !ok || !tv.IsType() {
-		return ""
-	}
-	if _, ok := tv.Type.Underlying().(*types.Basic); !ok {
-		return ""
-	}
-	argT, ok := c.Pkg.Info.Types[call.Args[0]]
-	if !ok {
-		return ""
-	}
-	return unitsDim(argT.Type, c.Cfg.path("units"))
+	return info.TypeOf(call.Fun), info.TypeOf(call.Args[0])
 }
