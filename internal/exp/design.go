@@ -82,19 +82,9 @@ func Fig16(o Options) []Table {
 		}
 		return append([]string{s.Name, q(0.25), q(0.5), q(0.75), q(1)}, bufCells(res, topo.ClassToRDown)...)
 	})
-	var tables []Table
-	for si, set := range settings {
-		t := Table{
-			Title:  "Fig 16: buffer vs #arrived flows, ECN " + set.name,
-			Header: []string{"scheme", "after 1/4", "after 1/2", "after 3/4", "end", "ToR-Down max"},
-		}
-		for mi := 0; mi < nSchemes; mi++ {
-			t.AddRow(rows[si*nSchemes+mi]...)
-		}
-		t.Comment = "paper: DCQCN's ToR-Down buffer keeps growing with flow count (≥1 in-flight packet per flow); Floodgate converges to window x topology; ideal is ECN-insensitive"
-		tables = append(tables, t)
-	}
-	return tables
+	return split("Fig 16: buffer vs #arrived flows, ECN %s", []string{settings[0].name, settings[1].name},
+		[]string{"scheme", "after 1/4", "after 1/2", "after 3/4", "end", "ToR-Down max"},
+		"paper: DCQCN's ToR-Down buffer keeps growing with flow count (≥1 in-flight packet per flow); Floodgate converges to window x topology; ideal is ECN-insensitive", rows)
 }
 
 // Fig17 reproduces the parameter-selection sweeps: credit timer T
@@ -194,17 +184,9 @@ func Fig20(o Options) []Table {
 		xs, ys := stats.CDF(ds, 200)
 		return []string{s.Name, pickQ(xs, ys, 0.5), pickQ(xs, ys, 0.9), pickQ(xs, ys, 0.99), fctCells(ds)[0]}
 	})
-	var tables []Table
-	for ci, cdf := range cdfs {
-		t := Table{
-			Title:  "Fig 20: vs BFC, " + cdf.Name + " incastmix — Poisson flow FCT",
-			Header: []string{"scheme", "p50", "p90", "p99", "avg"},
-			Rows:   rows[ci*len(mks) : (ci+1)*len(mks)],
-		}
-		t.Comment = "paper: BFC-32Q/128Q suffer HOL via shared queues; BFC-ideal beats Floodgate on Memcached (INT overhead), loses on WebServer"
-		tables = append(tables, t)
-	}
-	return tables
+	return split("Fig 20: vs BFC, %s incastmix — Poisson flow FCT", []string{cdfs[0].Name, cdfs[1].Name},
+		[]string{"scheme", "p50", "p90", "p99", "avg"},
+		"paper: BFC-32Q/128Q suffer HOL via shared queues; BFC-ideal beats Floodgate on Memcached (INT overhead), loses on WebServer", rows)
 }
 
 // bfcThresh is BFC's per-queue pause threshold: one hop's BDP.
@@ -228,17 +210,9 @@ func Fig23(o Options) []Table {
 		return []string{s.Name, fmtDur(avgN), fmtDur(p99N), fmtDur(avgI), fmtDur(p99I),
 			fmt.Sprintf("%d", res.Stats.Trims)}
 	})
-	var tables []Table
-	for ci, cdf := range cdfs {
-		t := Table{
-			Title:  "Fig 23: vs NDP, " + cdf.Name + " incastmix",
-			Header: []string{"scheme", "non-incast avg", "non-incast p99", "incast avg", "incast p99", "trims"},
-			Rows:   rows[ci*nSchemes : (ci+1)*nSchemes],
-		}
-		t.Comment = "paper: NDP beats DCQCN (small buffers) but loses to DCQCN+Floodgate — trimming hits non-incast flows and header bandwidth inflates incast FCT"
-		tables = append(tables, t)
-	}
-	return tables
+	return split("Fig 23: vs NDP, %s incastmix", []string{cdfs[0].Name, cdfs[1].Name},
+		[]string{"scheme", "non-incast avg", "non-incast p99", "incast avg", "incast p99", "trims"},
+		"paper: NDP beats DCQCN (small buffers) but loses to DCQCN+Floodgate — trimming hits non-incast flows and header bandwidth inflates incast FCT", rows)
 }
 
 // Fig24 reproduces the PFC w/ tag comparison (Appendix B) on the
@@ -256,19 +230,7 @@ func Fig24(o Options) []Table {
 		avg, p99 := stats.FCTStats(res.Stats.PoissonFCTs())
 		return []string{s.Name, fmtDur(avg), fmtDur(p99), fmt.Sprintf("%d", res.Stats.MaxVOQInUse)}
 	})
-	var tables []Table
-	for oi, oversub := range oversubs {
-		name := "non-blocking"
-		if oversub > 1 {
-			name = fmt.Sprintf("%d:1 oversubscribed", oversub)
-		}
-		t := Table{
-			Title:  "Fig 24: vs PFC w/ tag — " + name,
-			Header: []string{"scheme", "avgFCT", "p99FCT", "maxVOQs"},
-			Rows:   rows[oi*nSchemes : (oi+1)*nSchemes],
-		}
-		t.Comment = "paper: comparable on non-blocking fabric but PFC w/ tag uses 10x more VOQs; Floodgate wins when the first hop congests (oversubscription)"
-		tables = append(tables, t)
-	}
-	return tables
+	return split("Fig 24: vs PFC w/ tag — %s", []string{"non-blocking", "4:1 oversubscribed"},
+		[]string{"scheme", "avgFCT", "p99FCT", "maxVOQs"},
+		"paper: comparable on non-blocking fabric but PFC w/ tag uses 10x more VOQs; Floodgate wins when the first hop congests (oversubscription)", rows)
 }

@@ -45,9 +45,9 @@ func TestFig7NoSim(t *testing.T) {
 }
 
 // smokeTables caches the smoke pass's tables by experiment id, so
-// TestPaperShapes reads the tables TestSmokeAllExperiments rendered
-// instead of simulating again; smokeClusters counts the clusters each
-// id built.
+// TestPaperShapes and the claims experiment read the tables
+// TestSmokeAllExperiments rendered instead of simulating again;
+// smokeClusters counts the clusters each id built.
 var (
 	smokeTables   = map[string][]Table{}
 	smokeClusters = map[string]int{}
@@ -60,7 +60,8 @@ const smokeWindow = fullIncastMixDuration / 4
 // smokeRun runs one registered experiment at smoke scale, once per
 // process, and checks that every run it made built its network with the
 // caller's stretched RTO, so an Options value dropped on the way to Run
-// shows up here. fig6 is the testbed, at Scale 1 by design.
+// shows up here. fig6 is the testbed, at Scale 1 by design. The run's
+// grid holds the tables already rendered, so claims reads them.
 func smokeRun(t *testing.T, id string) []Table {
 	t.Helper()
 	if tabs, ok := smokeTables[id]; ok {
@@ -87,7 +88,13 @@ func smokeRun(t *testing.T, id string) []Table {
 		}
 	}
 	defer func() { windowOverride, clusterBuilt = 0, nil }()
-	tabs := e.Run(smokeOpts)
+	o := smokeOpts
+	o.grid = new(sync.Map)
+	for id, tabs := range smokeTables {
+		m, _ := claimMemo[outcome](o.grid, "exp/"+id)
+		m.fill(func() outcome { return outcome{tables: tabs} })
+	}
+	tabs := e.Run(o)
 	if len(wrong) > 0 {
 		t.Errorf("%s: %d runs built with RTO %v, want the caller's stretched %v: Options were dropped on the way to Run",
 			id, len(wrong), wrong[0], want)

@@ -67,14 +67,12 @@ type stormCell struct {
 	poisson, incast []string                      // avg, p99 FCT
 	cats            [stats.NumCategories][]string // category; 100-point CDF p50, p90, p99; n
 	pfc, buf, queue []string                      // PFC time per layer; max buffer, queuing per hop
-
-	ready chan struct{}
-	fail  any // the run's panic, raised again by every view that reads the cell
 }
 
 // stormCells returns the cells of ccs × cdfs × schemes in that order. It
 // simulates on the pool the cells no view has claimed, then waits,
-// holding no slot, for those another experiment is computing. Under
+// holding no slot, for those another experiment is computing; a cell
+// whose run failed raises its panic in every view that reads it. Under
 // -obs the experiment label joins a cell's key, so every experiment
 // still writes its own run files.
 func stormCells(o Options, cdfs []*workload.CDF, schemes []int, ccs ...func(Options) Scheme) []*stormCell {
@@ -85,41 +83,34 @@ func stormCells(o Options, cdfs []*workload.CDF, schemes []int, ccs ...func(Opti
 	if o.Obs.Enabled() {
 		label = o.Obs.experiment()
 	}
-	var cells []*stormCell
+	var memos []*memo[*stormCell]
 	var own []func()
 	for _, base := range ccs {
 		cc := base(o).Name
 		for _, cdf := range cdfs {
 			for _, si := range schemes {
-				key := fmt.Sprint(cc, "/", cdf.Name, "/", si, "/", label)
-				v, seen := grid.LoadOrStore(key, &stormCell{cdf: cdf, ready: make(chan struct{})})
-				c := v.(*stormCell)
-				if !seen {
-					own = append(own, func() { c.compute(o, base, si) })
+				m, mine := claimMemo[*stormCell](grid, fmt.Sprint(cc, "/", cdf.Name, "/", si, "/", label))
+				if mine {
+					own = append(own, func() { m.fill(func() *stormCell { return newStormCell(o, base, cdf, si) }) })
 				}
-				cells = append(cells, c)
+				memos = append(memos, m)
 			}
 		}
 	}
 	runJobs(o, len(own), func(i int) struct{} { own[i](); return struct{}{} })
-	for _, c := range cells {
-		<-c.ready
-		if c.fail != nil {
-			panic(c.fail)
-		}
+	cells := make([]*stormCell, len(memos))
+	for i, m := range memos {
+		cells[i] = m.wait()
 	}
 	return cells
 }
 
-// compute simulates the cell and reduces it. A panic stays in the cell,
-// so every cell a view claimed settles even when one fails.
-func (c *stormCell) compute(o Options, base func(Options) Scheme, scheme int) {
-	defer close(c.ready)
-	defer func() { c.fail = recover() }()
+// newStormCell simulates the cell and reduces it.
+func newStormCell(o Options, base func(Options) Scheme, cdf *workload.CDF, scheme int) *stormCell {
 	tp := o.leafSpine()
-	res := Run(stormRun(o, tp, c.cdf, schemeTriple(o, base, tp)[scheme]))
+	res := Run(stormRun(o, tp, cdf, schemeTriple(o, base, tp)[scheme]))
 	st := res.Stats
-	c.name, c.flows = res.Scheme, fmt.Sprintf("%d/%d", res.Completed, res.Total)
+	c := &stormCell{cdf: cdf, name: res.Scheme, flows: fmt.Sprintf("%d/%d", res.Completed, res.Total)}
 	// Each category is sorted once and Poisson merges the two victim
 	// classes: one sort of the run's samples in all.
 	var byCat [stats.NumCategories][]units.Duration
@@ -136,6 +127,7 @@ func (c *stormCell) compute(o Options, base func(Options) Scheme, scheme int) {
 	for _, h := range hops {
 		c.queue = append(c.queue, fmtDur(st.AvgQueueDelay(h)))
 	}
+	return c
 }
 
 // sortedFCTs returns the samples' FCTs in ascending order.

@@ -32,9 +32,9 @@ import (
 //     per-flow / per-switch state.
 //   - The two mutable package variables, windowOverride and
 //     clusterBuilt, are test-only and set before any runs start.
-//   - A RunExperiments batch's storm cells (Options.grid) are claimed
-//     through a sync.Map and read only after the cell's ready channel
-//     closes; see stormCells.
+//   - A RunExperiments batch's grid (Options.grid) holds its storm
+//     cells and experiments' tables; each entry is claimed through a
+//     sync.Map and read only after its ready channel closes (memo).
 
 // limiter is a resizable counting semaphore. All simulation fan-out in
 // this package draws from one instance, so nested parallelism —
@@ -183,50 +183,85 @@ func RunMany(rcs []RunConfig) []*RunResult {
 // simulations through the same shared pool, and streams each
 // experiment's tables to emit strictly in the order given (paper
 // order for floodsim -exp all). With parallelism 1 experiments run
-// one after another exactly as before. The batch shares one storm
-// grid, so a cell two views read is simulated once. emit is always
-// called from the calling goroutine.
+// one after another exactly as before. The batch shares one grid
+// (Options.grid): an experiment's tables, and a storm cell two views
+// read, are computed once. emit is always called from the calling
+// goroutine.
 func RunExperiments(ids []string, o Options, emit func(id string, tables []Table, err error)) {
-	o.grid = new(sync.Map)
-	if o.parallelism() <= 1 {
+	if o.grid == nil {
+		o.grid = new(sync.Map)
+	}
+	if o.parallelism() > 1 {
 		for _, id := range ids {
-			tables, err := runByID(id, o)
-			emit(id, tables, err)
+			go runByID(id, o)
 		}
-		return
 	}
-	type outcome struct {
-		tables []Table
-		err    error
-	}
-	done := make([]chan outcome, len(ids))
-	for i, id := range ids {
-		done[i] = make(chan outcome, 1)
-		go func(id string, ch chan outcome) {
-			tables, err := runByID(id, o)
-			ch <- outcome{tables, err}
-		}(id, done[i])
-	}
-	for i, id := range ids {
-		r := <-done[i]
-		emit(id, r.tables, r.err)
+	for _, id := range ids {
+		tables, err := runByID(id, o)
+		emit(id, tables, err)
 	}
 }
 
-// runByID is the isolation boundary: a panic anywhere inside one
-// experiment — a faulting Run (already wrapped as *RunError with the
-// run's config hash) or the figure's own assembly code — becomes that
-// experiment's error, and the rest of an `-exp all` sweep proceeds.
-// RunByID normalises o.
-func runByID(id string, o Options) (tables []Table, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			re, ok := v.(*RunError)
-			if !ok {
-				re = &RunError{ConfigHash: "experiment:" + id, Value: v, Stack: string(debug.Stack())}
-			}
-			tables, err = nil, re
-		}
-	}()
-	return RunByID(id, o)
+// outcome is an experiment's tables, or its error.
+type outcome struct {
+	tables []Table
+	err    error
+}
+
+// memo is one entry of a batch's grid: the first caller to claim its
+// key fills it, and every caller reads it once ready closes. A panic
+// while filling stays in the entry and is raised again in every reader,
+// so the entry settles even when its computation fails.
+type memo[T any] struct {
+	ready chan struct{}
+	val   T
+	fail  any
+}
+
+// claimMemo returns key's entry in grid and whether the caller owns
+// filling it.
+func claimMemo[T any](grid *sync.Map, key string) (*memo[T], bool) {
+	v, seen := grid.LoadOrStore(key, &memo[T]{ready: make(chan struct{})})
+	return v.(*memo[T]), !seen
+}
+
+func (m *memo[T]) fill(f func() T) {
+	defer close(m.ready)
+	defer func() { m.fail = recover() }()
+	m.val = f()
+}
+
+func (m *memo[T]) wait() T {
+	<-m.ready
+	if m.fail != nil {
+		panic(m.fail)
+	}
+	return m.val
+}
+
+// runByID runs one experiment of a batch once, memoising its outcome in
+// the grid for every caller. It is the isolation boundary: a panic
+// anywhere inside the experiment — a faulting Run (already wrapped as
+// *RunError with the run's config hash) or the figure's own assembly
+// code — becomes that experiment's error, and the rest of an `-exp all`
+// sweep proceeds. RunByID normalises o.
+func runByID(id string, o Options) ([]Table, error) {
+	m, own := claimMemo[outcome](o.grid, "exp/"+id)
+	if own {
+		m.fill(func() (r outcome) {
+			defer func() {
+				if v := recover(); v != nil {
+					re, ok := v.(*RunError)
+					if !ok {
+						re = &RunError{ConfigHash: "experiment:" + id, Value: v, Stack: string(debug.Stack())}
+					}
+					r = outcome{err: re}
+				}
+			}()
+			tables, err := RunByID(id, o)
+			return outcome{tables, err}
+		})
+	}
+	r := m.wait()
+	return r.tables, r.err
 }

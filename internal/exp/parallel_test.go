@@ -77,18 +77,26 @@ func TestRunManyMatchesSerial(t *testing.T) {
 }
 
 // TestRunExperimentsOrder runs the five storm-grid views as one batch,
-// overlapped on four workers beside fig7 and an unknown id: they emit
-// in submission order, each prints exactly the tables it printed alone
-// in the smoke pass, and the batch builds one cluster per distinct storm
-// cell (3 CCs × 4 workloads × 3 schemes) where the five alone build 65.
+// overlapped on four workers beside fig7, an unknown id and table2
+// again: they emit in submission order, each prints exactly the tables
+// it printed alone in the smoke pass, and the batch builds one cluster
+// per distinct storm cell (3 CCs × 4 workloads × 3 schemes) where the
+// five alone build 65. The smoke pass's claims builds none: it reads
+// the tables its experiments rendered.
 func TestRunExperimentsOrder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
-	ids := []string{"fig7", "fig8", "fig9", "nope", "table2", "fig11", "fig21"}
+	for _, c := range claims {
+		smokeRun(t, c.id)
+	}
+	if smokeRun(t, "claims"); smokeClusters["claims"] != 0 {
+		t.Errorf("the smoke pass's claims built %d clusters, want 0", smokeClusters["claims"])
+	}
+	ids := []string{"fig7", "fig8", "table2", "fig9", "nope", "table2", "fig11", "fig21"}
 	alone, aloneClusters := map[string]string{}, 0
 	for _, id := range ids {
-		if id != "nope" {
+		if _, seen := alone[id]; id != "nope" && !seen {
 			alone[id] = renderAll(smokeRun(t, id))
 			aloneClusters += smokeClusters[id]
 		}

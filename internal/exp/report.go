@@ -83,6 +83,16 @@ func bufCells(res *RunResult, classes ...topo.PortClass) []string {
 	return cells
 }
 
+// split deals rows, in order, into one table per name, titled
+// fmt.Sprintf(title, name).
+func split(title string, names, header []string, comment string, rows [][]string) []Table {
+	per, tables := len(rows)/len(names), make([]Table, len(names))
+	for i, name := range names {
+		tables[i] = Table{Title: fmt.Sprintf(title, name), Header: header, Rows: rows[i*per : (i+1)*per], Comment: comment}
+	}
+	return tables
+}
+
 // fmtRatio renders a× comparisons.
 func fmtRatio(a, b float64) string {
 	if b == 0 {

@@ -142,24 +142,15 @@ func Fig14(o Options) []Table {
 		return slices.Concat([]string{fmt.Sprintf("%d", tors)}, bufCells(res, hops...),
 			[]string{fmtBytes(res.Stats.MaxSwitchBuffer())})
 	})
-	var tables []Table
-	for fi, name := range []string{"DCQCN", "DCQCN+Floodgate"} {
-		t := Table{
-			Title:  "Fig 14: buffer vs fabric size (pure incast) — " + name,
-			Header: []string{"#ToR", "ToR-Up", "Core", "ToR-Down", "maxSwitch"},
-			Rows:   rows[fi*len(torCounts) : (fi+1)*len(torCounts)],
-		}
-		t.Comment = "paper: DCQCN's ToR-Down grows with #flows (PFC at 20+ ToRs); Floodgate stays flat (delayCredit caps cores)"
-		tables = append(tables, t)
-	}
-	return tables
+	return split("Fig 14: buffer vs fabric size (pure incast) — %s", []string{"DCQCN", "DCQCN+Floodgate"},
+		[]string{"#ToR", "ToR-Up", "Core", "ToR-Down", "maxSwitch"},
+		"paper: DCQCN's ToR-Down grows with #flows (PFC at 20+ ToRs); Floodgate stays flat (delayCredit caps cores)", rows)
 }
 
 // Fig15 reproduces successive incast: K back-to-back all-host incasts
 // to distinct destinations, comparing DCQCN, practical Floodgate and
 // Floodgate with per-dst PAUSE.
 func Fig15(o Options) []Table {
-	var tables []Table
 	names := []string{"DCQCN", "DCQCN+Floodgate", "DCQCN+Floodgate (per-dst PAUSE)"}
 	counts := []int{4, 8, 12, 16, 20, 24}
 	rows := runJobs(o, len(names)*len(counts), func(idx int) []string {
@@ -183,14 +174,6 @@ func Fig15(o Options) []Table {
 		})
 		return append([]string{fmt.Sprintf("%d", times)}, bufCells(res, hops...)...)
 	})
-	for ni, name := range names {
-		t := Table{
-			Title:  "Fig 15: successive incast — " + name,
-			Header: []string{"#incasts", "ToR-Up", "Core", "ToR-Down"},
-			Rows:   rows[ni*len(counts) : (ni+1)*len(counts)],
-		}
-		t.Comment = "paper: DCQCN fills ToR-Down/Core (storm by 12 incasts); Floodgate's ToR-Up grows with #incasts; per-dst PAUSE keeps everything tiny"
-		tables = append(tables, t)
-	}
-	return tables
+	return split("Fig 15: successive incast — %s", names, []string{"#incasts", "ToR-Up", "Core", "ToR-Down"},
+		"paper: DCQCN fills ToR-Down/Core (storm by 12 incasts); Floodgate's ToR-Up grows with #incasts; per-dst PAUSE keeps everything tiny", rows)
 }

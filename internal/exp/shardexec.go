@@ -41,7 +41,7 @@ type windowResult struct {
 }
 
 // BarrierCensus is what the barrier windows of a sharded run cost
-// (ROADMAP item 3's instrument). The counts are deterministic; the
+// (ROADMAP item 6's instrument). The counts are deterministic; the
 // wall-clock split is not and, like SnapshotMemStats, never reaches a
 // table, fingerprint or -obs artifact.
 type BarrierCensus struct {
