@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"floodgate/internal/core"
-	"floodgate/internal/stats"
 	"floodgate/internal/topo"
 	"floodgate/internal/units"
 	"floodgate/internal/workload"
@@ -62,10 +61,9 @@ func AblationFloodgate(o Options) []Table {
 			v.mut(&cfg)
 			s = WithFloodgateCfg(DCQCN(o), cfg, "+FG["+v.name+"]")
 		}
-		res := Run(mixRun(o, tp, workload.WebServer, s))
-		_, p99 := stats.FCTStats(res.Stats.PoissonFCTs())
-		return slices.Concat([]string{v.name, fmtBytes(res.Stats.MaxSwitchBuffer())}, bufCells(res, hops...),
-			[]string{fmtDur(p99), fmt.Sprintf("%d", res.Stats.MaxVOQInUse)})
+		c := cellOf(o, mixRun(o, tp, workload.WebServer, s))
+		return slices.Concat([]string{v.name, fmtBytes(c.maxBuf)}, c.bufs(hops...),
+			[]string{fmtDur(c.poisson[1]), fmt.Sprintf("%d", c.voqs)})
 	})
 	t.Comment = "each mechanism earns its keep: delayCredit caps cores, aggregation saves bandwidth at equal buffers, the VOQ pool isolates concurrent incasts"
 	return []Table{t}
@@ -99,11 +97,9 @@ func CompatMatrix(o Options) []Table {
 		tp := o.leafSpine()
 		s := schemePair(o, bases[idx/4], tp)[idx%2]
 		if idx%4 < 2 {
-			_, p99 := stats.FCTStats(Run(mixRun(o, tp, workload.WebServer, s)).Stats.PoissonFCTs())
-			return p99
+			return cellOf(o, mixRun(o, tp, workload.WebServer, s)).poisson[1]
 		}
-		_, p99 := stats.FCTStats(Run(poissonRun(o, tp, workload.WebServer, s)).Stats.AllFCTs())
-		return p99
+		return cellOf(o, poissonRun(o, tp, workload.WebServer, s)).all[1]
 	})
 	for bi, base := range bases {
 		t.AddRow(base(o).Name, fmtDur(p99s[bi*4]), fmtDur(p99s[bi*4+1]),
@@ -125,13 +121,12 @@ func IncastDegreeSweep(o Options) []Table {
 		tp := o.leafSpine()
 		senders := incastSenders(tp)
 		senders = senders[:max(len(senders)/fracs[idx/2], 2)]
-		res := Run(RunConfig{
+		return cellOf(o, RunConfig{
 			Topo: tp, Scheme: schemePair(o, DCQCN, tp)[idx%2],
 			Specs:    burstSpecs(tp, o.Seed, senders),
 			Duration: 2 * units.Millisecond, Seed: o.Seed, Opt: o,
 			Drain: 300 * units.Millisecond,
-		})
-		return res.Stats.MaxClassBuffer(topo.ClassToRDown)
+		}).buf[topo.ClassToRDown]
 	})
 	for fi, frac := range fracs {
 		plain, fg := bufs[fi*2], bufs[fi*2+1]

@@ -164,16 +164,16 @@ func init() {
 	registry = append(registry, Experiment{"claims", "headline claims: verdicts on this run's tables", claimsTable})
 }
 
-type cell struct {
+type tableCell struct {
 	name string
 	v    float64 // base units: ps, bytes, bit/s, or a ratio
 }
 
 // verdict is a claim checked on its experiment's tables.
 type verdict struct {
-	cells, fails []cell // every cell read; those that break the bound
-	worst        cell   // the cell furthest past, or nearest to, the bound
-	err          error  // the experiment's, or what the claim could not read
+	cells, fails []tableCell // every cell read; those that break the bound
+	worst        tableCell   // the cell furthest past, or nearest to, the bound
+	err          error       // the experiment's, or what the claim could not read
 }
 
 // check evaluates c on tabs, the tables of c.id, or on the error that
@@ -237,10 +237,10 @@ func (c claim) render(v verdict) []string {
 // number, which fails the claim (check).
 type reader struct {
 	tabs  []Table
-	cells []cell
+	cells []tableCell
 }
 
-func (r *reader) add(name string, v float64) { r.cells = append(r.cells, cell{name, v}) }
+func (r *reader) add(name string, v float64) { r.cells = append(r.cells, tableCell{name, v}) }
 
 // tables returns the tables whose title contains sub.
 func (r *reader) tables(sub string) []Table {

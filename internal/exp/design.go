@@ -36,7 +36,7 @@ func Fig16(o Options) []Table {
 		s := DCQCN(o)
 		cfg := dcqcnConfigScaled(o)
 		cfg.MinRateFraction = 100
-		s.CC = dcqcn.New(cfg)
+		s.CC, s.cc = dcqcn.New(cfg), cfg
 		return s
 	}
 	// Submit every (ECN setting × scheme) run to the pool; rows are
@@ -80,7 +80,7 @@ func Fig16(o Options) []Table {
 			}
 			return fmtBytes(series[idx])
 		}
-		return append([]string{s.Name, q(0.25), q(0.5), q(0.75), q(1)}, bufCells(res, topo.ClassToRDown)...)
+		return append([]string{s.Name, q(0.25), q(0.5), q(0.75), q(1)}, fmtBytes(res.Stats.MaxClassBuffer(topo.ClassToRDown)))
 	})
 	return split("Fig 16: buffer vs #arrived flows, ECN %s", []string{settings[0].name, settings[1].name},
 		[]string{"scheme", "after 1/4", "after 1/2", "after 3/4", "end", "ToR-Down max"},
@@ -94,26 +94,20 @@ func Fig17(o Options) []Table {
 	timers := []int{10, 20, 30, 40, 50}
 	mults := []int{1, 10, 25, 50, 75, 100}
 	rows := runJobs(o, len(timers)+len(mults), func(idx int) []string {
-		if idx < len(timers) {
-			tUs := timers[idx]
-			tp := o.leafSpine()
-			cfg := core.DefaultConfig(baseBDPOf(tp))
-			cfg.CreditTimer = units.Duration(tUs) * units.Microsecond
-			s := WithFloodgateCfg(DCQCN(o), cfg, "+Floodgate")
-			res := Run(mixRun(o, tp, workload.WebServer, s))
-			avg, p99 := stats.FCTStats(res.Stats.PoissonFCTs())
-			return slices.Concat([]string{fmt.Sprintf("%dus", tUs),
-				fmtRate(res.Stats.AvgWireRate(stats.WireCredit, res.Duration))},
-				bufCells(res, hops...), []string{fmtDur(avg), fmtDur(p99)})
-		}
-		mult := mults[idx-len(timers)]
 		tp := o.leafSpine()
 		bdp := baseBDPOf(tp)
 		cfg := core.DefaultConfig(bdp)
-		cfg.DelayCreditThresh = units.ByteSize(mult) * bdp
-		s := WithFloodgateCfg(DCQCN(o), cfg, "+Floodgate")
-		res := Run(mixRun(o, tp, workload.WebServer, s))
-		return append([]string{fmt.Sprintf("%dBDP", mult)}, bufCells(res, hops...)...)
+		if idx < len(timers) {
+			cfg.CreditTimer = units.Duration(timers[idx]) * units.Microsecond
+		} else {
+			cfg.DelayCreditThresh = units.ByteSize(mults[idx-len(timers)]) * bdp
+		}
+		c := cellOf(o, mixRun(o, tp, workload.WebServer, WithFloodgateCfg(DCQCN(o), cfg, "+Floodgate")))
+		if idx < len(timers) {
+			return slices.Concat([]string{fmt.Sprintf("%dus", timers[idx]), fmtRate(units.Rate(c.wire[stats.WireCredit], c.dur))},
+				c.bufs(hops...), []string{fmtDur(c.poisson[0]), fmtDur(c.poisson[1])})
+		}
+		return append([]string{fmt.Sprintf("%dBDP", mults[idx-len(timers)])}, c.bufs(hops...)...)
 	})
 	tt := Table{
 		Title:  "Fig 17a-c: credit timer T sweep (DCQCN+Floodgate, WebServer incastmix)",
@@ -148,17 +142,12 @@ func Fig18(o Options) []Table {
 	}
 	t.Rows = runJobs(o, len(mks), func(idx int) []string {
 		tp := o.leafSpine()
-		s := mks[idx](tp)
-		res := Run(mixRun(o, tp, workload.WebServer, s))
-		data := res.Stats.WireTotal(stats.WireData)
-		ctrl := res.Stats.WireTotal(stats.WireCtrl)
-		credit := res.Stats.WireTotal(stats.WireCredit)
-		total := data + ctrl + credit
-		return []string{s.Name,
-			fmtRate(units.Rate(data, res.Duration)),
-			fmtRate(units.Rate(ctrl, res.Duration)),
-			fmtRate(units.Rate(credit, res.Duration)),
-			fmt.Sprintf("%.3f%%", 100*float64(credit)/float64(total))}
+		c := cellOf(o, mixRun(o, tp, workload.WebServer, mks[idx](tp)))
+		row := []string{c.name}
+		for _, b := range c.wire {
+			row = append(row, fmtRate(units.Rate(b, c.dur)))
+		}
+		return append(row, fmt.Sprintf("%.3f%%", 100*c.share(stats.WireCredit)))
 	})
 	t.Comment = "paper: credits are 0.175% of bandwidth for Floodgate vs 3.0% for ideal; ctrl (ACK/CNP) ~4.5% for both"
 	return []Table{t}
@@ -176,13 +165,9 @@ func Fig20(o Options) []Table {
 		func(tp *topo.Topology) Scheme { return BFC(0, true, bfcThresh(tp)) },
 	}
 	rows := runJobs(o, len(cdfs)*len(mks), func(idx int) []string {
-		cdf := cdfs[idx/len(mks)]
 		tp := o.leafSpine()
-		s := mks[idx%len(mks)](tp)
-		res := Run(mixRun(o, tp, cdf, s))
-		ds := sortedFCTs(res.Stats.PoissonFCTs())
-		xs, ys := stats.CDF(ds, 200)
-		return []string{s.Name, pickQ(xs, ys, 0.5), pickQ(xs, ys, 0.9), pickQ(xs, ys, 0.99), fctCells(ds)[0]}
+		c := cellOf(o, mixRun(o, tp, cdfs[idx/len(mks)], mks[idx%len(mks)](tp)))
+		return append(append([]string{c.name}, c.poissonQ...), fmtDur(c.poisson[0]))
 	})
 	return split("Fig 20: vs BFC, %s incastmix — Poisson flow FCT", []string{cdfs[0].Name, cdfs[1].Name},
 		[]string{"scheme", "p50", "p90", "p99", "avg"},
@@ -201,14 +186,10 @@ func Fig23(o Options) []Table {
 	cdfs := []*workload.CDF{workload.Memcached, workload.WebServer}
 	const nSchemes = 3 // DCQCN, DCQCN+Floodgate, NDP
 	rows := runJobs(o, len(cdfs)*nSchemes, func(idx int) []string {
-		cdf := cdfs[idx/nSchemes]
 		tp := o.leafSpine()
-		s := append(schemePair(o, DCQCN, tp), NDP(o))[idx%nSchemes]
-		res := Run(mixRun(o, tp, cdf, s))
-		avgN, p99N := stats.FCTStats(res.Stats.PoissonFCTs())
-		avgI, p99I := stats.FCTStats(res.Stats.FCTs(stats.CatIncast))
-		return []string{s.Name, fmtDur(avgN), fmtDur(p99N), fmtDur(avgI), fmtDur(p99I),
-			fmt.Sprintf("%d", res.Stats.Trims)}
+		c := cellOf(o, mixRun(o, tp, cdfs[idx/nSchemes], append(schemePair(o, DCQCN, tp), NDP(o))[idx%nSchemes]))
+		return []string{c.name, fmtDur(c.poisson[0]), fmtDur(c.poisson[1]), fmtDur(c.fct[catIncast][0]), fmtDur(c.fct[catIncast][1]),
+			fmt.Sprintf("%d", c.trims)}
 	})
 	return split("Fig 23: vs NDP, %s incastmix", []string{cdfs[0].Name, cdfs[1].Name},
 		[]string{"scheme", "non-incast avg", "non-incast p99", "incast avg", "incast p99", "trims"},
@@ -226,9 +207,8 @@ func Fig24(o Options) []Table {
 		tp := c.Build()
 		oneHop := tp.Node(tp.Hosts[0]).Ports[0].BDP()
 		s := append(schemePair(o, DCQCN, tp), WithPFCTag(DCQCN(o), oneHop))[idx%nSchemes]
-		res := Run(mixRun(o, tp, workload.WebServer, s))
-		avg, p99 := stats.FCTStats(res.Stats.PoissonFCTs())
-		return []string{s.Name, fmtDur(avg), fmtDur(p99), fmt.Sprintf("%d", res.Stats.MaxVOQInUse)}
+		r := cellOf(o, mixRun(o, tp, workload.WebServer, s))
+		return []string{r.name, fmtDur(r.poisson[0]), fmtDur(r.poisson[1]), fmt.Sprintf("%d", r.voqs)}
 	})
 	return split("Fig 24: vs PFC w/ tag — %s", []string{"non-blocking", "4:1 oversubscribed"},
 		[]string{"scheme", "avgFCT", "p99FCT", "maxVOQs"},

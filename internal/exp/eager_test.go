@@ -40,9 +40,7 @@ func TestEagerVsLazyDevices(t *testing.T) {
 		}},
 		{"sloincast", false, func() []Table {
 			c := sloCell{"8", 8, "tight(1.5x)", 1.5, DCQCN(o), app.ExpBackoff{Base: o.stretch(25 * units.Microsecond)}}
-			t := Table{Header: sloHeader}
-			t.Rows = append(t.Rows, sloRow(c, sloRun(o, c)))
-			return []Table{t}
+			return []Table{{Header: sloHeader, Rows: sloRows(o.inBatch(), []sloCell{c})}}
 		}},
 		{"restart-off-path", true, func() []Table { return []Table{resultTable(offPathRestartRun(o))} }},
 	}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -47,10 +48,14 @@ func TestFig7NoSim(t *testing.T) {
 // smokeTables caches the smoke pass's tables by experiment id, so
 // TestPaperShapes and the claims experiment read the tables
 // TestSmokeAllExperiments rendered instead of simulating again;
-// smokeClusters counts the clusters each id built.
+// smokeClusters counts the clusters each id built. The pass shares one
+// grid, smokeGrid, so the test process simulates each distinct run
+// once; smokeBuilds lists, per run key, the ids that built its cluster.
 var (
 	smokeTables   = map[string][]Table{}
 	smokeClusters = map[string]int{}
+	smokeGrid     = new(sync.Map)
+	smokeBuilds   = map[string][]string{}
 )
 
 // smokeWindow budgets the smoke pass: a quarter-length workload window
@@ -58,10 +63,11 @@ var (
 const smokeWindow = fullIncastMixDuration / 4
 
 // smokeRun runs one registered experiment at smoke scale, once per
-// process, and checks that every run it made built its network with the
-// caller's stretched RTO, so an Options value dropped on the way to Run
-// shows up here. fig6 is the testbed, at Scale 1 by design. The run's
-// grid holds the tables already rendered, so claims reads them.
+// process, on the shared grid, and checks that every run it made built
+// its network with the caller's stretched RTO, so an Options value
+// dropped on the way to Run shows up here. fig6 is the testbed, at Scale
+// 1 by design. The grid keeps the experiment's tables, so claims reads
+// them.
 func smokeRun(t *testing.T, id string) []Table {
 	t.Helper()
 	if tabs, ok := smokeTables[id]; ok {
@@ -79,22 +85,23 @@ func smokeRun(t *testing.T, id string) []Table {
 	var mu sync.Mutex
 	var wrong []units.Duration
 	built := 0
-	clusterBuilt = func(c *device.Cluster) {
+	clusterBuilt = func(rc RunConfig, c *device.Cluster) {
+		key := runKey(rc)
 		mu.Lock()
 		defer mu.Unlock()
 		built++
+		smokeBuilds[key] = append(smokeBuilds[key], id)
 		if rto := c.Nets[0].Cfg.RTO; rto != want {
 			wrong = append(wrong, rto)
 		}
 	}
 	defer func() { windowOverride, clusterBuilt = 0, nil }()
 	o := smokeOpts
-	o.grid = new(sync.Map)
-	for id, tabs := range smokeTables {
-		m, _ := claimMemo[outcome](o.grid, "exp/"+id)
+	o.grid = smokeGrid
+	tabs := e.Run(o)
+	if m, own := claimMemo[outcome](smokeGrid, "exp/"+id); own {
 		m.fill(func() outcome { return outcome{tables: tabs} })
 	}
-	tabs := e.Run(o)
 	if len(wrong) > 0 {
 		t.Errorf("%s: %d runs built with RTO %v, want the caller's stretched %v: Options were dropped on the way to Run",
 			id, len(wrong), wrong[0], want)
@@ -106,8 +113,11 @@ func smokeRun(t *testing.T, id string) []Table {
 // TestSmokeAllExperiments executes every registered experiment once at
 // minimal scale; it validates that each one runs to completion and
 // produces non-empty tables, and (smokeRun) that each ran at the scale
-// it was asked for. Heavier figures are exercised in (skippable)
-// dedicated tests below.
+// it was asked for. On the shared grid every distinct run is simulated
+// once, but for the runs two experiments reduce differently: Fig 2's
+// two storm runs (it reads time series and forensics, Fig 8 a cell) and
+// the two faulted runs Fig 12 and faultmatrix share. Heavier figures
+// are exercised in (skippable) dedicated tests below.
 func TestSmokeAllExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke is not short")
@@ -126,6 +136,17 @@ func TestSmokeAllExperiments(t *testing.T) {
 				t.Log("\n" + tab.String())
 			}
 		})
+	}
+	builds, repeats := 0, map[string]int{}
+	for _, ids := range smokeBuilds {
+		builds += len(ids)
+		if len(ids) > 1 {
+			repeats[strings.Join(ids, "+")]++
+		}
+	}
+	t.Logf("the smoke pass built %d clusters for %d distinct runs", builds, len(smokeBuilds))
+	if want := map[string]int{"fig2+fig8": 2, "fig12+faultmatrix": 2}; !reflect.DeepEqual(repeats, want) {
+		t.Errorf("runs built more than once, by the ids that built them: %v, want %v", repeats, want)
 	}
 	// Each congestion control's slice of Fig 8 renders its own non-empty
 	// table, one row per workload × scheme.

@@ -30,7 +30,7 @@ type observed struct {
 func observe(eager bool, f func() []Table) observed {
 	var mu sync.Mutex
 	var clusters []*device.Cluster
-	clusterBuilt = func(c *device.Cluster) {
+	clusterBuilt = func(_ RunConfig, c *device.Cluster) {
 		if eager {
 			for _, n := range c.Nets {
 				n.MintAll()

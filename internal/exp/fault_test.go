@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -210,6 +211,8 @@ func TestRunConfigValidation(t *testing.T) {
 		{"negative loss", func(rc *RunConfig) { rc.LossRate = -0.1 }, "LossRate"},
 		{"loss above one", func(rc *RunConfig) { rc.LossRate = 1.5 }, "LossRate"},
 		{"credit loss above one", func(rc *RunConfig) { rc.CreditLossRate = 2 }, "CreditLossRate"},
+		{"NaN loss", func(rc *RunConfig) { rc.LossRate = math.NaN() }, "LossRate"},
+		{"NaN credit loss", func(rc *RunConfig) { rc.CreditLossRate = math.NaN() }, "CreditLossRate"},
 		{"negative horizon", func(rc *RunConfig) { rc.StallHorizon = -1 }, "StallHorizon"},
 		{"bad fault plan", func(rc *RunConfig) {
 			rc.Faults = &fault.Plan{Events: []fault.Event{{Kind: fault.LinkDown}}}
@@ -237,8 +240,8 @@ func TestRunPanicsWithRunError(t *testing.T) {
 		if !ok {
 			t.Fatal("Run did not panic with *RunError")
 		}
-		if re.ConfigHash != obsLabel(rc) {
-			t.Fatalf("RunError hash %q != config hash %q", re.ConfigHash, obsLabel(rc))
+		if re.ConfigHash != runKey(rc) {
+			t.Fatalf("RunError hash %q != run key %q", re.ConfigHash, runKey(rc))
 		}
 		if !strings.Contains(re.Error(), "Topo") {
 			t.Fatalf("RunError message not descriptive: %q", re.Error())

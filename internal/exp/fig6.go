@@ -26,14 +26,13 @@ func Fig6(o Options) []Table {
 		Title:  "Fig 6b: testbed max per-port buffer",
 		Header: []string{"scheme", "ToR-Up", "Core", "ToR-Down"},
 	}
-	type fig6Rows struct{ fct, buf []string }
-	rows := runJobs(o, 2, func(idx int) fig6Rows {
+	cells := runJobs(o, 2, func(idx int) *cell {
 		withFG := idx == 1
 		tp := topo.DefaultTestbed().Build()
 		bdp := units.BDP(10*units.Gbps, 8*4500*units.Nanosecond) // 45KB
-		s := Scheme{Name: "w/o Floodgate", CC: cc.NewFixedWindow()}
+		s := Scheme{Name: "w/o Floodgate", CC: cc.NewFixedWindow(), cc: fixedWindow}
 		if withFG {
-			s = WithFloodgateCfg(Scheme{Name: "w/", CC: cc.NewFixedWindow()},
+			s = WithFloodgateCfg(Scheme{Name: "w/", CC: cc.NewFixedWindow(), cc: fixedWindow},
 				core.DefaultConfig(bdp), " Floodgate")
 		}
 		dur := 20 * units.Millisecond
@@ -55,7 +54,7 @@ func Fig6(o Options) []Table {
 		}, r.Fork())
 		testbed := o
 		testbed.Scale = 1 // the testbed runs at its own full scale
-		res := Run(RunConfig{
+		return cellOf(o, RunConfig{
 			Topo: tp, Scheme: s,
 			Specs:      workload.Merge(poisson, incast),
 			Duration:   dur,
@@ -63,16 +62,11 @@ func Fig6(o Options) []Table {
 			Opt:        testbed,
 			BufferSize: 2 * units.MB, // software-switch buffer
 		})
-		avg, p99 := stats.FCTStats(res.Stats.PoissonFCTs())
-		vAvg, vP99 := stats.FCTStats(res.Stats.FCTs(stats.CatVictimIncast))
-		return fig6Rows{
-			fct: []string{s.Name, fmtDur(avg), fmtDur(p99), fmtDur(vAvg), fmtDur(vP99)},
-			buf: append([]string{s.Name}, bufCells(res, hops...)...),
-		}
 	})
-	for _, r := range rows {
-		fct.AddRow(r.fct...)
-		buf.AddRow(r.buf...)
+	for _, c := range cells {
+		v := c.fct[stats.CatVictimIncast]
+		fct.AddRow(c.name, fmtDur(c.poisson[0]), fmtDur(c.poisson[1]), fmtDur(v[0]), fmtDur(v[1]))
+		buf.AddRow(append([]string{c.name}, c.bufs(hops...)...)...)
 	}
 	fct.Comment = "paper: avg FCT -30.6%, p99 1.6x lower; at simulated line rates the HOL term is below Poisson noise (see EXPERIMENTS.md)"
 	buf.Comment = "paper: ToR-Down 17.2x and Core 1.8x smaller; ToR-Up slightly larger (source-side taming)"

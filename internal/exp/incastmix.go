@@ -3,8 +3,8 @@ package exp
 import (
 	"fmt"
 	"slices"
-	"sync"
 
+	"floodgate/internal/core"
 	"floodgate/internal/stats"
 	"floodgate/internal/topo"
 	"floodgate/internal/units"
@@ -56,78 +56,100 @@ func schemePair(o Options, base func(Options) Scheme, tp *topo.Topology) []Schem
 	return []Scheme{base(o), WithFloodgate(o, base(o), baseBDPOf(tp))}
 }
 
-// stormCell is one §6.1 storm run, keyed by CC, workload and index in
-// schemeTriple. Fig 8, Fig 9, Table 2, Fig 11 and Fig 21 are views over
-// a grid of them: a cell is simulated at most once per RunExperiments
-// batch (Options.grid), or once per view when an experiment runs alone,
-// and keeps only the rendered reductions the views read.
-type stormCell struct {
-	cdf             *workload.CDF
-	name, flows     string                        // scheme; flows done/total
-	poisson, incast []string                      // avg, p99 FCT
-	cats            [stats.NumCategories][]string // category; 100-point CDF p50, p90, p99; n
-	pfc, buf, queue []string                      // PFC time per layer; max buffer, queuing per hop
+// cell is the reduction of one run that every view of it reads: Fig 8,
+// Fig 9, Table 2, Fig 11 and Fig 21 read the §6 storm-regime runs; Fig
+// 10, 17, 18, 20, 22, 23, 24, the ablation, compat, resource and swift
+// the §6 incast-mix and pure-Poisson ones; Fig 6, 13, 14, 15 and degree
+// their own. cellOf computes a run's cell once per batch. It keeps
+// numbers and a few rendered CDF picks, never the samples: a scale-1
+// storm run has millions of flows.
+type cell struct {
+	name, flows  string                                 // scheme; flows done/total
+	dur          units.Duration                         // workload window, for rates
+	fct          [stats.NumCategories][2]units.Duration // avg and p99 FCT by category
+	poisson, all [2]units.Duration                      // the same of Poisson (victim) flows, of every flow
+	poissonQ     []string                               // Poisson flows' 200-point CDF p50, p90, p99 (Fig 20)
+	cats         [stats.NumCategories][]string          // category; 100-point CDF p50, p90, p99; n (Fig 9)
+	pfc          [topo.LayerCore + 1]units.Duration
+	buf          [topo.NumPortClasses]units.ByteSize // max per-port buffer by class
+	queue        [topo.NumPortClasses]units.Duration // avg queuing delay by class
+	maxBuf       units.ByteSize                      // max per-switch buffer
+	wire         [stats.NumWireClasses]units.ByteSize
+	voqs         int   // peak VOQs in use on one switch
+	trims        int64 // NDP trims
+	windows      int   // peak Floodgate window entries on one switch
 }
 
-// stormCells returns the cells of ccs × cdfs × schemes in that order. It
-// simulates on the pool the cells no view has claimed, then waits,
-// holding no slot, for those another experiment is computing; a cell
-// whose run failed raises its panic in every view that reads it. Under
-// -obs the experiment label joins a cell's key, so every experiment
-// still writes its own run files.
-func stormCells(o Options, cdfs []*workload.CDF, schemes []int, ccs ...func(Options) Scheme) []*stormCell {
-	grid, label := o.grid, ""
-	if grid == nil {
-		grid = new(sync.Map)
-	}
-	if o.Obs.Enabled() {
-		label = o.Obs.experiment()
-	}
-	var memos []*memo[*stormCell]
-	var own []func()
-	for _, base := range ccs {
-		cc := base(o).Name
-		for _, cdf := range cdfs {
-			for _, si := range schemes {
-				m, mine := claimMemo[*stormCell](grid, fmt.Sprint(cc, "/", cdf.Name, "/", si, "/", label))
-				if mine {
-					own = append(own, func() { m.fill(func() *stormCell { return newStormCell(o, base, cdf, si) }) })
-				}
-				memos = append(memos, m)
-			}
-		}
-	}
-	runJobs(o, len(own), func(i int) struct{} { own[i](); return struct{}{} })
-	cells := make([]*stormCell, len(memos))
-	for i, m := range memos {
-		cells[i] = m.wait()
-	}
-	return cells
-}
+// cellOf returns rc's cell, simulating rc only if no job of the batch
+// has claimed its key (reduced). Call it from a runJobs job.
+func cellOf(o Options, rc RunConfig) *cell { return reduced(o, "cell", rc, newCell) }
 
-// newStormCell simulates the cell and reduces it.
-func newStormCell(o Options, base func(Options) Scheme, cdf *workload.CDF, scheme int) *stormCell {
-	tp := o.leafSpine()
-	res := Run(stormRun(o, tp, cdf, schemeTriple(o, base, tp)[scheme]))
+// newCell reduces a run. Each category is sorted once and the merged
+// lists come from merging sorted ones: one sort of the run's samples.
+func newCell(res *RunResult) *cell {
 	st := res.Stats
-	c := &stormCell{cdf: cdf, name: res.Scheme, flows: fmt.Sprintf("%d/%d", res.Completed, res.Total)}
-	// Each category is sorted once and Poisson merges the two victim
-	// classes: one sort of the run's samples in all.
+	c := &cell{name: res.Scheme, flows: fmt.Sprintf("%d/%d", res.Completed, res.Total), dur: res.Duration,
+		maxBuf: st.MaxSwitchBuffer(), voqs: st.MaxVOQInUse, trims: st.Trims}
 	var byCat [stats.NumCategories][]units.Duration
 	for cat := range byCat {
 		ds := sortedFCTs(st.FCTs(stats.Category(cat)))
 		xs, ys := stats.CDF(ds, 100)
 		c.cats[cat] = []string{stats.Category(cat).String(), pickQ(xs, ys, 0.5), pickQ(xs, ys, 0.9), pickQ(xs, ys, 0.99), fmt.Sprint(len(ds))}
-		byCat[cat] = ds
+		byCat[cat], c.fct[cat] = ds, fctStats(ds)
 	}
-	c.poisson = fctCells(mergeSorted(byCat[stats.CatVictimIncast], byCat[stats.CatVictimPFC]))
-	c.incast = fctCells(byCat[stats.CatIncast])
-	c.pfc = []string{fmtDur(st.PFCPauseTime(topo.LayerHost)), fmtDur(st.PFCPauseTime(topo.LayerToR)), fmtDur(st.PFCPauseTime(topo.LayerCore))}
-	c.buf = bufCells(res, hops...)
-	for _, h := range hops {
-		c.queue = append(c.queue, fmtDur(st.AvgQueueDelay(h)))
+	poisson := mergeSorted(byCat[stats.CatVictimIncast], byCat[stats.CatVictimPFC])
+	xs, ys := stats.CDF(poisson, 200)
+	c.poissonQ = []string{pickQ(xs, ys, 0.5), pickQ(xs, ys, 0.9), pickQ(xs, ys, 0.99)}
+	c.poisson = fctStats(poisson)
+	c.all = fctStats(mergeSorted(poisson, byCat[stats.CatIncast]))
+	for l := range c.pfc {
+		c.pfc[l] = st.PFCPauseTime(topo.Layer(l))
+	}
+	for pc := range c.buf {
+		c.buf[pc], c.queue[pc] = st.MaxClassBuffer(topo.PortClass(pc)), st.AvgQueueDelay(topo.PortClass(pc))
+	}
+	for w := range c.wire {
+		c.wire[w] = st.WireTotal(stats.WireClass(w))
+	}
+	for _, n := range res.Cluster.Nets {
+		for _, sw := range n.Switches {
+			if sw == nil {
+				continue
+			}
+			if m, ok := sw.FC().(*core.Module); ok {
+				c.windows = max(c.windows, m.MaxWindows())
+			}
+		}
 	}
 	return c
+}
+
+// bufs renders the cell's max per-port buffer for each class.
+func (c *cell) bufs(classes ...topo.PortClass) []string {
+	cells := make([]string, len(classes))
+	for i, pc := range classes {
+		cells[i] = fmtBytes(c.buf[pc])
+	}
+	return cells
+}
+
+// share is wire class w's share of the cell's bytes on the wire.
+func (c *cell) share(w stats.WireClass) float64 {
+	var total units.ByteSize
+	for _, b := range c.wire {
+		total += b
+	}
+	return float64(c.wire[w]) / float64(total)
+}
+
+// tripleCells returns the cells of run (stormRun, mixRun or poissonRun)
+// for ccs × cdfs × schemes (indices into schemeTriple), in that order.
+func tripleCells(o Options, run func(Options, *topo.Topology, *workload.CDF, Scheme) RunConfig, cdfs []*workload.CDF, schemes []int, ccs ...func(Options) Scheme) []*cell {
+	per := len(cdfs) * len(schemes)
+	return runJobs(o, len(ccs)*per, func(i int) *cell {
+		tp := o.leafSpine()
+		return cellOf(o, run(o, tp, cdfs[i%per/len(schemes)], schemeTriple(o, ccs[i/per], tp)[schemes[i%len(schemes)]]))
+	})
 }
 
 // sortedFCTs returns the samples' FCTs in ascending order.
@@ -153,21 +175,22 @@ func mergeSorted(a, b []units.Duration) []units.Duration {
 	return append(append(out, a...), b...)
 }
 
-// fctCells renders sorted FCTs' average and p99 as stats.FCTStats does.
-func fctCells(sorted []units.Duration) []string {
+// fctStats is sorted FCTs' average and p99, as stats.FCTStats reduces
+// them.
+func fctStats(sorted []units.Duration) [2]units.Duration {
 	var sum units.Duration
 	for _, d := range sorted {
 		sum += d
 	}
-	return []string{fmtDur(sum / units.Duration(max(len(sorted), 1))), fmtDur(stats.Percentile(sorted, 0.99))}
+	return [2]units.Duration{sum / units.Duration(max(len(sorted), 1)), stats.Percentile(sorted, 0.99)}
 }
 
-// stormTable is a table with one row per cell: workload, scheme, then
-// the cell's cols.
-func stormTable(title string, cols []string, comment string, cells []*stormCell, row func(*stormCell) []string) Table {
+// stormTable is a table with one row per cell of cdfs × schemes:
+// workload, scheme, then the cell's cols.
+func stormTable(title string, cols []string, comment string, cdfs []*workload.CDF, cells []*cell, row func(*cell) []string) Table {
 	t := Table{Title: title, Header: append([]string{"workload", "scheme"}, cols...), Comment: comment}
-	for _, c := range cells {
-		t.AddRow(append([]string{c.cdf.Name, c.name}, row(c)...)...)
+	for i, c := range cells {
+		t.AddRow(append([]string{cdfs[i*len(cdfs)/len(cells)].Name, c.name}, row(c)...)...)
 	}
 	return t
 }
@@ -177,14 +200,14 @@ func stormTable(title string, cols []string, comment string, cells []*stormCell,
 // +Floodgate} × workload.
 func Fig8(o Options) []Table {
 	ccs := []func(Options) Scheme{DCQCN, TIMELY, HPCC}
-	cells := stormCells(o, workload.Workloads, []int{0, 1, 2}, ccs...)
+	cells := tripleCells(o, stormRun, workload.Workloads, []int{0, 1, 2}, ccs...)
 	per := len(cells) / len(ccs)
 	var tables []Table
 	for i, base := range ccs {
 		tables = append(tables, stormTable(fmt.Sprintf("Fig 8 (%s): avg/p99 FCT of Poisson flows, incastmix", base(o).Name),
 			[]string{"avgFCT", "p99FCT", "flows"},
 			"paper: Floodgate cuts avg FCT 10.1%-98.1%, p99 1.1x-207x (largest on Memcached/WebServer)",
-			cells[i*per:(i+1)*per], func(c *stormCell) []string { return []string{c.poisson[0], c.poisson[1], c.flows} }))
+			workload.Workloads, cells[i*per:(i+1)*per], func(c *cell) []string { return []string{fmtDur(c.poisson[0]), fmtDur(c.poisson[1]), c.flows} }))
 	}
 	return tables
 }
@@ -193,7 +216,7 @@ func Fig8(o Options) []Table {
 // victim of PFC) under the Web Server incast-mix.
 func Fig9(o Options) []Table {
 	var tables []Table
-	for _, c := range stormCells(o, []*workload.CDF{workload.WebServer}, []int{0, 1, 2}, DCQCN) {
+	for _, c := range tripleCells(o, stormRun, []*workload.CDF{workload.WebServer}, []int{0, 1, 2}, DCQCN) {
 		tables = append(tables, Table{
 			Title:   "Fig 9: FCT CDF by category, Web Server incastmix — " + c.name,
 			Header:  []string{"category", "p50", "p90", "p99", "n"},
@@ -222,28 +245,10 @@ func Fig10(o Options) []Table {
 		Title:  "Fig 10: maximum switch buffer occupancy, incastmix",
 		Header: []string{"workload", "scheme", "maxSwitchBuf", "vs plain"},
 	}
-	// The "vs plain" column needs each workload's first (plain) result,
-	// so jobs return raw buffers and the ratio is computed at assembly.
-	type fig10Res struct {
-		cdf, scheme string
-		buf         units.ByteSize
-	}
-	results := runJobs(o, len(workload.Workloads)*3, func(idx int) fig10Res {
-		cdf := workload.Workloads[idx/3]
-		tp := o.leafSpine()
-		s := schemeTriple(o, DCQCN, tp)[idx%3]
-		res := Run(mixRun(o, tp, cdf, s))
-		return fig10Res{cdf.Name, s.Name, res.Stats.MaxSwitchBuffer()}
-	})
-	for ci := range workload.Workloads {
-		var plain float64
-		for si := 0; si < 3; si++ {
-			r := results[ci*3+si]
-			if plain == 0 {
-				plain = float64(r.buf)
-			}
-			t.AddRow(r.cdf, r.scheme, fmtBytes(r.buf), fmtRatio(plain, float64(r.buf)))
-		}
+	cells := tripleCells(o, mixRun, workload.Workloads, []int{0, 1, 2}, DCQCN)
+	for i, c := range cells {
+		plain := float64(cells[i-i%3].maxBuf)
+		t.AddRow(workload.Workloads[i/3].Name, c.name, fmtBytes(c.maxBuf), fmtRatio(plain, float64(c.maxBuf)))
 	}
 	t.Comment = "paper: Floodgate reduces max buffer 2.4x-3.7x; ideal reduces it further"
 	return []Table{t}
@@ -254,28 +259,35 @@ func Fig10(o Options) []Table {
 func Table2(o Options) []Table {
 	return []Table{stormTable("Table 2: PFC triggered time (DCQCN), incastmix", []string{"Host", "ToR", "Core"},
 		"paper: DCQCN pauses cores on every workload (frame storm on Web Server); Floodgate triggers no PFC",
-		stormCells(o, workload.Workloads, []int{0, 2}, DCQCN), func(c *stormCell) []string { return c.pfc })}
+		workload.Workloads, tripleCells(o, stormRun, workload.Workloads, []int{0, 2}, DCQCN), func(c *cell) []string {
+			return []string{fmtDur(c.pfc[topo.LayerHost]), fmtDur(c.pfc[topo.LayerToR]), fmtDur(c.pfc[topo.LayerCore])}
+		})}
 }
 
 // Fig11 reproduces the per-hop buffer reallocation (a) and queuing
 // time split (b) for Web Server and Hadoop.
 func Fig11(o Options) []Table {
-	cells := stormCells(o, []*workload.CDF{workload.WebServer, workload.Hadoop}, []int{0, 1, 2}, DCQCN)
+	cdfs := []*workload.CDF{workload.WebServer, workload.Hadoop}
+	cells := tripleCells(o, stormRun, cdfs, []int{0, 1, 2}, DCQCN)
 	var tables []Table
-	for i := 0; i < len(cells); i += 3 {
+	for i, cdf := range cdfs {
 		a := Table{
-			Title:   "Fig 11a: max per-port buffer by hop — " + cells[i].cdf.Name,
+			Title:   "Fig 11a: max per-port buffer by hop — " + cdf.Name,
 			Header:  []string{"scheme", "ToR-Up", "Core", "ToR-Down"},
 			Comment: "paper: Floodgate shifts buffer from Core/ToR-Down to ToR-Up (source-side taming)",
 		}
 		b := Table{
-			Title:   "Fig 11b: avg queuing time of non-incast flows by hop — " + cells[i].cdf.Name,
+			Title:   "Fig 11b: avg queuing time of non-incast flows by hop — " + cdf.Name,
 			Header:  a.Header,
 			Comment: "paper: queuing time at every hop shrinks; parked incast bytes do not delay non-incast flows",
 		}
-		for _, c := range cells[i : i+3] {
-			a.AddRow(append([]string{c.name}, c.buf...)...)
-			b.AddRow(append([]string{c.name}, c.queue...)...)
+		for _, c := range cells[3*i : 3*i+3] {
+			a.AddRow(append([]string{c.name}, c.bufs(hops...)...)...)
+			row := []string{c.name}
+			for _, h := range hops {
+				row = append(row, fmtDur(c.queue[h]))
+			}
+			b.AddRow(row...)
 		}
 		tables = append(tables, a, b)
 	}
@@ -287,7 +299,9 @@ func Fig11(o Options) []Table {
 func Fig21(o Options) []Table {
 	return []Table{stormTable("Fig 21: FCT of incast flows under incastmix", []string{"avgFCT", "p99FCT"},
 		"paper: Floodgate leaves incast FCT intact (slight gain); ideal trades a bit of incast FCT for victims",
-		stormCells(o, workload.Workloads, []int{0, 1, 2}, DCQCN), func(c *stormCell) []string { return c.incast })}
+		workload.Workloads, tripleCells(o, stormRun, workload.Workloads, []int{0, 1, 2}, DCQCN), func(c *cell) []string {
+			return []string{fmtDur(c.fct[catIncast][0]), fmtDur(c.fct[catIncast][1])}
+		})}
 }
 
 // Fig22 reproduces appendix A.2: pure Poisson traffic (no incast) —
@@ -297,15 +311,9 @@ func Fig22(o Options) []Table {
 		Title:  "Fig 22: avg/p99 FCT under pure Poisson (no incast)",
 		Header: []string{"workload", "scheme", "avgFCT", "p99FCT", "VOQs"},
 	}
-	t.Rows = runJobs(o, len(workload.Workloads)*3, func(idx int) []string {
-		cdf := workload.Workloads[idx/3]
-		tp := o.leafSpine()
-		s := schemeTriple(o, DCQCN, tp)[idx%3]
-		res := Run(poissonRun(o, tp, cdf, s))
-		avg, p99 := stats.FCTStats(res.Stats.AllFCTs())
-		return []string{cdf.Name, s.Name, fmtDur(avg), fmtDur(p99),
-			fmt.Sprintf("%d", res.Stats.MaxVOQInUse)}
-	})
+	for i, c := range tripleCells(o, poissonRun, workload.Workloads, []int{0, 1, 2}, DCQCN) {
+		t.AddRow(workload.Workloads[i/3].Name, c.name, fmtDur(c.all[0]), fmtDur(c.all[1]), fmt.Sprintf("%d", c.voqs))
+	}
 	t.Comment = "paper: no false incast identification; Floodgate FCT == DCQCN, ideal slightly worse (credit overhead)"
 	return []Table{t}
 }

@@ -295,7 +295,7 @@ func BenchmarkRunClosedLoop(b *testing.B) {
 		c := sloCell{"8", 8, "tight(1.5x)", 1.5,
 			WithFloodgate(o, DCQCN(o), baseBDPOf(o.leafSpine())),
 			app.ExpBackoff{Base: o.stretch(25 * units.Microsecond)}}
-		res := sloRun(o, c)
+		res := Run(sloRun(o, c))
 		if res.SLO == nil || res.SLO.Completed == 0 {
 			b.Fatal("closed loop resolved nothing")
 		}

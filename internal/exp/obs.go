@@ -10,8 +10,8 @@ package exp
 // manifest.json beside them records what produced the files and a
 // content hash of the rendered tables.
 //
-// Determinism: run files are named by a content hash of the RunConfig
-// (never a global counter), sampling is driven by the simulation
+// Determinism: run files are named by the RunConfig's content hash,
+// runKey (never a global counter), sampling is driven by the simulation
 // clock, and exports walk instruments in registration order — so all
 // data files are byte-identical at any parallelism, and concurrent
 // identical writers are made safe by atomic temp-file renames. The
@@ -19,16 +19,19 @@ package exp
 // between -par settings.
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash"
+	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 
-	"floodgate/internal/core"
 	"floodgate/internal/forensics"
 	"floodgate/internal/metrics"
 	"floodgate/internal/sim"
-	"floodgate/internal/topo"
 	"floodgate/internal/trace"
 	"floodgate/internal/units"
 )
@@ -100,7 +103,7 @@ func newObsRun(rc RunConfig, o Options, eng *sim.Engine) *obsRun {
 		cfg:          o.Obs,
 		reg:          r,
 		tbuf:         trace.NewBuffer(obsTraceCap, trace.Filter{}),
-		label:        obsLabel(rc),
+		label:        sanitizeLabel(rc.Scheme.Name) + "-" + runKey(rc),
 		engProcessed: r.Gauge("engine.events_processed", "events"),
 		engLive:      r.Gauge("engine.live_events", "events"),
 		engHeapLen:   r.Gauge("engine.heap_len", "entries"),
@@ -165,90 +168,85 @@ func (ob *obsRun) export(rep *forensics.Report) error {
 	return nil
 }
 
-// obsLabel derives a deterministic, parallelism-independent file label
-// from the run's content: a sanitized scheme name plus a hash over
-// everything that shapes the simulation. Identical configs map to the
-// same label (and, by determinism, identical bytes); a global counter
-// would instead depend on completion order.
-func obsLabel(rc RunConfig) string {
-	parts := []string{
-		rc.Scheme.Name,
-		fmt.Sprintf("seed=%d", rc.Seed),
-		fmt.Sprintf("dur=%d", int64(rc.Duration)),
-		fmt.Sprintf("drain=%d", int64(rc.Drain)),
-		fmt.Sprintf("buf=%d", int64(rc.BufferSize)),
-		fmt.Sprintf("scale=%g", rc.Opt.Scale),
-		fmt.Sprintf("loss=%g/%g", rc.LossRate, rc.CreditLossRate),
-		"pfcoff=false", // a retired knob, kept so no -obs file name moves
-		fmt.Sprintf("binw=%d", int64(rc.BinWidth)),
-		fmt.Sprintf("nspecs=%d", len(rc.Specs)),
+// runKey is the content hash of every input of rc that reaches the
+// simulation, written in binary through one FNV-1a hasher: the
+// topology's nodes and ports (its host list and router derive from
+// them), the specs, the configs the scheme's factories were built from
+// (Scheme.cc, Scheme.fc) and every other field, walked by reflection so
+// that a field added later joins the key without a list to keep. It
+// leaves out what cannot change output by design (Options.Parallelism,
+// Shards and Obs) and what stands for something it hashes (the
+// factories, and Source, which SourceLabel names). Identical runs share
+// a key and, by determinism, their output: -obs names a run's files by
+// it, RunError reports it and a batch memoises runs under it (reduced).
+func runKey(rc RunConfig) string {
+	k := keyWriter{h: fnv.New64a()}
+	if rc.Topo != nil {
+		k.put(reflect.ValueOf(rc.Topo.Nodes))
 	}
-	if rc.Faults != nil {
-		for _, ev := range rc.Faults.SortedEvents() {
-			parts = append(parts, fmt.Sprintf("fault=%d:%d:%d-%d@%d",
-				int(ev.Kind), int64(ev.Link.A), int64(ev.Link.B), int64(ev.Node), int64(ev.At)))
+	rc.Topo, rc.Source, rc.Scheme.CC, rc.Scheme.FC = nil, nil, nil, nil
+	rc.Opt.Parallelism, rc.Opt.Shards, rc.Opt.Obs, rc.Opt.grid = 0, 0, ObsConfig{}, nil
+	k.put(reflect.ValueOf(rc))
+	k.h.Write(k.buf)
+	return fmt.Sprintf("%016x", k.h.Sum64())
+}
+
+// keyWriter encodes values for runKey: every number as 8 little-endian
+// bytes, a string, slice or array as its length and then its contents,
+// a pointer or interface as a nil mark, then its dynamic type's name
+// and value.
+type keyWriter struct {
+	h   hash.Hash64
+	buf []byte
+}
+
+func (k *keyWriter) u64(x uint64) {
+	if len(k.buf) >= 4096 {
+		k.h.Write(k.buf)
+		k.buf = k.buf[:0]
+	}
+	k.buf = binary.LittleEndian.AppendUint64(k.buf, x)
+}
+
+func (k *keyWriter) put(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Bool:
+		if v.Bool() {
+			k.u64(1)
+		} else {
+			k.u64(0)
 		}
-		if g := rc.Faults.Burst; g != nil {
-			parts = append(parts, fmt.Sprintf("burst=%g/%g/%g/%g",
-				g.PGoodBad, g.PBadGood, g.LossGood, g.LossBad))
-			for _, l := range rc.Faults.BurstLinks {
-				parts = append(parts, fmt.Sprintf("burstlink=%d-%d", int64(l.A), int64(l.B)))
-			}
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		k.u64(uint64(v.Int()))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		k.u64(v.Uint())
+	case reflect.Float32, reflect.Float64:
+		k.u64(math.Float64bits(v.Float()))
+	case reflect.String:
+		k.u64(uint64(v.Len()))
+		k.buf = append(k.buf, v.String()...)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			k.put(v.Field(i))
 		}
-	}
-	for _, s := range rc.Specs {
-		parts = append(parts, fmt.Sprintf("%d>%d:%d@%d/%d",
-			int64(s.Src), int64(s.Dst), int64(s.Size), int64(s.Start), int(s.Cat)))
-	}
-	// App-plane and streamed-source runs fold their shaping parameters
-	// into the hash; both additions are gated so every pre-existing
-	// config keeps its label.
-	if a := rc.App; a != nil {
-		parts = append(parts, fmt.Sprintf("app=%d/%d/%d/%d/%d:%d,%d-%d,dl=%d,ma=%d,rb=%d",
-			a.Requests, int64(a.Interval), a.Clients, a.FanIn, a.Quorum,
-			int64(a.ReqSize), int64(a.RespMin), int64(a.RespMax),
-			int64(a.Deadline), a.MaxAttempts, a.RetryBudget))
-		if a.Policy != nil {
-			parts = append(parts, "policy="+a.Policy.Name())
+	case reflect.Slice, reflect.Array:
+		k.u64(uint64(v.Len()))
+		for i := 0; i < v.Len(); i++ {
+			k.put(v.Index(i))
 		}
-		if a.Breaker.Enabled() {
-			parts = append(parts, fmt.Sprintf("brk=%d/%g/%d",
-				a.Breaker.Window, a.Breaker.Threshold, int64(a.Breaker.Cooldown)))
+	case reflect.Pointer, reflect.Interface, reflect.Func:
+		if v.IsNil() {
+			k.u64(0)
+			return
 		}
-	}
-	if rc.Source != nil {
-		parts = append(parts, "src="+rc.SourceLabel)
-	}
-	// Inputs only a sweep varies join the hash only where they leave
-	// what other runs use, so other labels stay put: Fig 16's ECN
-	// thresholds, Fig 17's credit timer and delayCredit threshold (off
-	// the §6 defaults for the BDP the config was built for), and Fig
-	// 24b's leaf-spine, whose ToRs offer their hosts more than their
-	// spine uplinks carry (the larger Clos presets' ToRs reach
-	// aggregation switches, not spines).
-	if e := rc.ECN; e != nil {
-		parts = append(parts, fmt.Sprintf("ecn=%t/%d/%d/%g", e.Enable, int64(e.KMin), int64(e.KMax), e.PMax))
-	}
-	if fg := rc.Scheme.fg; fg != nil {
-		if def := core.DefaultConfig(fg.PauseThreshOff); fg.CreditTimer != def.CreditTimer || fg.DelayCreditThresh != def.DelayCreditThresh {
-			parts = append(parts, fmt.Sprintf("fg=%d/%d", int64(fg.CreditTimer), int64(fg.DelayCreditThresh)))
+		if v.Kind() == reflect.Func {
+			panic(fmt.Sprintf("exp: runKey cannot hash a %s: key the config it was built from", v.Type()))
 		}
+		k.put(reflect.ValueOf(v.Elem().Type().String()))
+		k.put(v.Elem())
+	default:
+		panic(fmt.Sprintf("exp: runKey cannot hash a %s", v.Type()))
 	}
-	if tp := rc.Topo; tp != nil && len(tp.Hosts) > 0 {
-		var up, down units.BitRate
-		for _, p := range tp.Node(tp.Node(tp.Hosts[0]).Ports[0].Peer).Ports {
-			switch {
-			case p.Class == topo.ClassToRDown:
-				down += p.Rate
-			case tp.Node(p.Peer).Layer == topo.LayerCore:
-				up += p.Rate
-			}
-		}
-		if 0 < up && up < down {
-			parts = append(parts, fmt.Sprintf("oversub=%d/%d", int64(down), int64(up)))
-		}
-	}
-	return sanitizeLabel(rc.Scheme.Name) + "-" + metrics.HashStrings(parts...)
 }
 
 // sanitizeLabel maps a scheme name to a filesystem-safe slug.
@@ -328,7 +326,7 @@ func RunByID(id string, o Options) ([]Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	o = o.norm()
+	o = o.norm().inBatch()
 	o.Obs.Experiment = id
 	tables := e.run(o)
 	if o.Obs.Enabled() {

@@ -5,14 +5,18 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"floodgate/internal/app"
 	"floodgate/internal/core"
 	"floodgate/internal/device"
+	"floodgate/internal/fault"
 	"floodgate/internal/metrics"
 	"floodgate/internal/topo"
 	"floodgate/internal/units"
+	"floodgate/internal/workload"
 )
 
 // obsSmokeOpts keeps the observed runs fast: coarse sampling still
@@ -242,52 +246,180 @@ func TestObsParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestObsLabelDeterminism: the run-file label is a pure function of the
-// run's content — no counters, no completion-order dependence.
+// perturb changes each leaf reachable from v (exported fields, non-nil
+// pointers and interfaces, a slice's first element) in turn, calls
+// check with the leaf's path, and restores it. A path in skip, with the
+// reason it may leave the key alone, is not entered; an unexported field
+// must be in skip.
+func perturb(t *testing.T, v reflect.Value, path string, skip map[string]string, check func(path string)) {
+	t.Helper()
+	if _, ok := skip[path]; ok {
+		return
+	}
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			f, p := v.Type().Field(i), strings.TrimPrefix(path+"."+v.Type().Field(i).Name, ".")
+			if _, ok := skip[p]; !f.IsExported() && !ok {
+				t.Errorf("%s is unexported: walk it, or name why it may leave the key alone", p)
+				continue
+			}
+			perturb(t, v.Field(i), p, skip, check)
+		}
+	case reflect.Pointer, reflect.Slice, reflect.Interface:
+		if v.IsNil() || v.Kind() == reflect.Slice && v.Len() == 0 {
+			t.Errorf("%s is empty in the base run: give it a value so its fields are walked", path)
+		} else if v.Kind() == reflect.Pointer {
+			perturb(t, v.Elem(), path, skip, check)
+		} else if v.Kind() == reflect.Slice {
+			perturb(t, v.Index(0), path+"[0]", skip, check)
+		} else {
+			old, cp := v.Elem(), reflect.New(v.Elem().Type()).Elem()
+			cp.Set(old)
+			perturb(t, cp, path, skip, func(p string) { v.Set(cp); check(p); v.Set(old) })
+		}
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+		check(path)
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+		check(path)
+		v.SetInt(v.Int() - 1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+		check(path)
+		v.SetUint(v.Uint() - 1)
+	case reflect.Float32, reflect.Float64:
+		old := v.Float()
+		v.SetFloat(old + 0.25)
+		check(path)
+		v.SetFloat(old)
+	case reflect.String:
+		old := v.String()
+		v.SetString(old + "x")
+		check(path)
+		v.SetString(old)
+	default:
+		t.Errorf("%s: cannot perturb a %s", path, v.Type())
+	}
+}
+
+// TestRunKeyComplete changes one input of a run at a time, walking
+// RunConfig and every scheme config by reflection, and requires a new
+// key for each, so a field added later that does not reach runKey fails
+// here.
+func TestRunKeyComplete(t *testing.T) {
+	o := smokeOpts
+	tp := o.leafSpine()
+	bdp := baseBDPOf(tp)
+	rc := mixRun(o, tp, workload.WebServer, WithFloodgate(o, DCQCN(o), bdp))
+	rc.Specs = rc.Specs[:2]
+	rc.ECN = &device.ECNConfig{}
+	rc.Faults = &fault.Plan{Events: []fault.Event{{}}, Burst: &fault.GilbertElliott{}, BurstLinks: []fault.Link{{}}}
+	rc.App = &app.Config{Policy: app.ExpBackoff{}}
+	base := runKey(rc)
+	changes := func(path string) {
+		if runKey(rc) == base {
+			t.Errorf("changing %s leaves the run key alone", path)
+		}
+	}
+	perturb(t, reflect.ValueOf(&rc).Elem(), "", map[string]string{
+		"Topo.Hosts":      "the host list derives from the nodes",
+		"Topo.hostIdx":    "the host index derives from the nodes",
+		"Topo.router":     "the router derives from the nodes",
+		"Scheme.CC":       "a factory is keyed by Scheme.cc, walked below",
+		"Scheme.FC":       "a factory is keyed by Scheme.fc, walked below",
+		"Scheme.cc":       "walked below",
+		"Scheme.fc":       "walked below",
+		"Opt.Parallelism": "cannot change output",
+		"Opt.Shards":      "cannot change output",
+		"Opt.Obs":         "cannot change output",
+		"Opt.grid":        "the batch's memo, not an input",
+		"Source":          "SourceLabel names the stream",
+	}, changes)
+
+	// Every config a scheme constructor builds its factories from.
+	for _, rc.Scheme = range []Scheme{DCQCN(o), DCTCP(o), TIMELY(o), HPCC(o), SWIFT(o), WithFloodgate(o, DCQCN(o), bdp),
+		BFC(32, false, bfcThresh(tp)), WithPFCTag(DCQCN(o), bdp)} {
+		for _, cfg := range []*any{&rc.Scheme.cc, &rc.Scheme.fc} {
+			if *cfg != nil {
+				base = runKey(rc)
+				perturb(t, reflect.ValueOf(cfg).Elem(), rc.Scheme.Name+" "+reflect.TypeOf(*cfg).String(), nil, changes)
+			}
+		}
+	}
+
+	// The memo refuses a factory set without its config: the key could
+	// not tell the run from the one it was copied from.
+	rc.Scheme = DCQCN(o)
+	rc.Scheme.FC = core.New(core.DefaultConfig(bdp))
+	defer func() {
+		if v, _ := recover().(string); !strings.Contains(v, "without the config") {
+			t.Errorf("reduced memoised a run whose FC has no config beside it (panic %q)", v)
+		}
+	}()
+	reduced(o.inBatch(), "cell", rc, newCell)
+}
+
+// TestObsLabelDeterminism requires the -obs label, the scheme's slug and
+// the run key, to be a function of the run: the same run labels the
+// same, a new seed labels anew, and Parallelism, Shards and Obs, which
+// cannot change output, leave it alone.
 func TestObsLabelDeterminism(t *testing.T) {
-	rc := RunConfig{Seed: 7, Duration: units.Duration(5 * units.Millisecond)}
-	rc.Scheme.Name = "DCQCN+Floodgate"
-	a, b := obsLabel(rc), obsLabel(rc)
-	if a != b {
+	o := smokeOpts
+	tp := o.leafSpine()
+	rc := mixRun(o, tp, workload.WebServer, WithFloodgate(o, DCQCN(o), baseBDPOf(tp)))
+	label := func(rc RunConfig) string { return sanitizeLabel(rc.Scheme.Name) + "-" + runKey(rc) }
+	a := label(rc)
+	if b := label(rc); a != b {
 		t.Fatalf("label not deterministic: %q vs %q", a, b)
 	}
 	if !strings.HasPrefix(a, "dcqcn-floodgate-") {
 		t.Errorf("label slug = %q", a)
 	}
 	rc2 := rc
-	rc2.Seed = 8
-	if obsLabel(rc2) == a {
+	rc2.Seed++
+	if label(rc2) == a {
 		t.Error("different seeds collide")
+	}
+	rc2 = rc
+	rc2.Opt.Parallelism, rc2.Opt.Shards, rc2.Opt.Obs = 4, 2, ObsConfig{Dir: "obs", Period: 1, Experiment: "x", Forensics: true}
+	if label(rc2) != a {
+		t.Error("Parallelism, Shards or Obs moved the label")
 	}
 }
 
-// TestObsLabelSweeps: runs that differ only in what Fig 16 (ECN
-// thresholds), Fig 17 (credit timer, delayCredit threshold) or Fig 24
-// (oversubscription) sweeps get different labels, so -obs writes one
-// file set per configuration, while identical configurations share one.
+// TestObsLabelSweeps requires the runs of Fig 10 and Fig 18 and of Fig
+// 16, 17 and 24's sweeps to keep apart under their run keys, and Fig
+// 17's default rows to be the default run.
 func TestObsLabelSweeps(t *testing.T) {
 	o := smokeOpts
-	label := func(tp *topo.Topology, s Scheme, ecn *device.ECNConfig) string {
-		return obsLabel(RunConfig{Topo: tp, Scheme: s, ECN: ecn, Seed: 1, Duration: units.Millisecond, Opt: o})
-	}
-	distinct := func(fig string, labels []string, want int) {
-		t.Helper()
-		set := map[string]bool{}
-		for _, l := range labels {
-			set[l] = true
-		}
-		if len(set) != want {
-			t.Errorf("%s: %d runs take %d labels, want %d: %v", fig, len(labels), len(set), want, labels)
-		}
-	}
 	tp := o.leafSpine()
 	bdp := baseBDPOf(tp)
+	key := func(tp *topo.Topology, s Scheme, ecn *device.ECNConfig) string {
+		return runKey(RunConfig{Topo: tp, Scheme: s, ECN: ecn, Seed: 1, Duration: units.Millisecond, Opt: o})
+	}
+	distinct := func(fig string, keys []string, want int) {
+		t.Helper()
+		set := map[string]bool{}
+		for _, k := range keys {
+			set[k] = true
+		}
+		if len(set) != want {
+			t.Errorf("%s: %d runs take %d keys, want %d: %v", fig, len(keys), len(set), want, keys)
+		}
+	}
+	ideal := core.IdealConfig(bdp)
+	ideal.PerDstPause = false // Fig 18's +ideal
+	distinct("fig10/fig18 +ideal", []string{key(tp, WithIdeal(o, DCQCN(o), bdp), nil),
+		key(tp, WithFloodgateCfg(DCQCN(o), ideal, "+ideal"), nil)}, 2)
 
 	var fig16 []string
 	for _, kmax := range []units.ByteSize{160 * units.KB, 41 * units.KB} {
 		for _, s := range schemeTriple(o, DCQCN, tp) {
 			ecn := device.ECNConfig{Enable: s.ECN, KMin: 40 * units.KB, KMax: kmax, PMax: 0.2}
-			fig16 = append(fig16, label(tp, s, &ecn))
+			fig16 = append(fig16, key(tp, s, &ecn))
 		}
 	}
 	distinct("fig16", fig16, 6)
@@ -295,7 +427,7 @@ func TestObsLabelSweeps(t *testing.T) {
 	fg := func(mut func(*core.Config)) string {
 		cfg := core.DefaultConfig(bdp)
 		mut(&cfg)
-		return label(tp, WithFloodgateCfg(DCQCN(o), cfg, "+Floodgate"), nil)
+		return key(tp, WithFloodgateCfg(DCQCN(o), cfg, "+Floodgate"), nil)
 	}
 	var fig17 []string
 	for _, us := range []int{10, 20, 30, 40, 50} {
@@ -305,8 +437,8 @@ func TestObsLabelSweeps(t *testing.T) {
 		fig17 = append(fig17, fg(func(c *core.Config) { c.DelayCreditThresh = units.ByteSize(m) * bdp }))
 	}
 	distinct("fig17", fig17, 10)
-	if def := label(tp, WithFloodgate(o, DCQCN(o), bdp), nil); fig17[0] != def || fig17[6] != def {
-		t.Errorf("fig17's T = 10us and 10 BDP rows run the default config: labels %s and %s, want %s", fig17[0], fig17[6], def)
+	if def := key(tp, WithFloodgate(o, DCQCN(o), bdp), nil); fig17[0] != def || fig17[6] != def {
+		t.Errorf("fig17's T = 10us and 10 BDP rows run the default config: keys %s and %s, want %s", fig17[0], fig17[6], def)
 	}
 
 	var fig24 []string
@@ -315,7 +447,7 @@ func TestObsLabelSweeps(t *testing.T) {
 		c.Oversubscription = oversub
 		tp := c.Build()
 		for _, s := range append(schemePair(o, DCQCN, tp), WithPFCTag(DCQCN(o), tp.Node(tp.Hosts[0]).Ports[0].BDP())) {
-			fig24 = append(fig24, label(tp, s, nil))
+			fig24 = append(fig24, key(tp, s, nil))
 		}
 	}
 	distinct("fig24", fig24, 6)

@@ -32,9 +32,9 @@ import (
 //     per-flow / per-switch state.
 //   - The two mutable package variables, windowOverride and
 //     clusterBuilt, are test-only and set before any runs start.
-//   - A RunExperiments batch's grid (Options.grid) holds its storm
-//     cells and experiments' tables; each entry is claimed through a
-//     sync.Map and read only after its ready channel closes (memo).
+//   - A batch's grid (Options.grid) holds its runs' reductions and its
+//     experiments' tables; each entry is claimed through a sync.Map and
+//     read only after its ready channel closes (memo).
 
 // limiter is a resizable counting semaphore. All simulation fan-out in
 // this package draws from one instance, so nested parallelism —
@@ -71,6 +71,12 @@ func (l *limiter) acquire() {
 	}
 	l.used++
 	l.mu.Unlock()
+}
+
+func (l *limiter) inUse() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.used
 }
 
 func (l *limiter) release() {
@@ -121,14 +127,15 @@ func (o Options) parallelism() int {
 var warnOversub sync.Once
 
 // runJobs executes job(0..n-1) on the shared pool and returns the
-// results indexed by submission order. With parallelism 1 (or a single
-// job) everything runs inline on the caller's goroutine — byte-for-byte
-// the serial path. Each job must build its own topology, workload and
-// scheme; nothing may be written to shared state (see the audit above).
+// results indexed by submission order. With parallelism 1 everything
+// runs inline on the caller's goroutine — byte-for-byte the serial path;
+// above it every job holds a slot (reduced relies on that). Each job
+// must build its own topology, workload and scheme; nothing may be
+// written to shared state (see the audit above).
 func runJobs[T any](o Options, n int, job func(i int) T) []T {
 	out := make([]T, n)
 	par := o.parallelism()
-	if par <= 1 || n <= 1 {
+	if par <= 1 {
 		for i := 0; i < n; i++ {
 			out[i] = job(i)
 		}
@@ -184,13 +191,11 @@ func RunMany(rcs []RunConfig) []*RunResult {
 // experiment's tables to emit strictly in the order given (paper
 // order for floodsim -exp all). With parallelism 1 experiments run
 // one after another exactly as before. The batch shares one grid
-// (Options.grid): an experiment's tables, and a storm cell two views
-// read, are computed once. emit is always called from the calling
+// (Options.grid): an experiment's tables, and a run two views read
+// (reduced), are computed once. emit is always called from the calling
 // goroutine.
 func RunExperiments(ids []string, o Options, emit func(id string, tables []Table, err error)) {
-	if o.grid == nil {
-		o.grid = new(sync.Map)
-	}
+	o = o.inBatch()
 	if o.parallelism() > 1 {
 		for _, id := range ids {
 			go runByID(id, o)
@@ -200,6 +205,14 @@ func RunExperiments(ids []string, o Options, emit func(id string, tables []Table
 		tables, err := runByID(id, o)
 		emit(id, tables, err)
 	}
+}
+
+// inBatch returns o with a grid: the batch's it shares, or a new one.
+func (o Options) inBatch() Options {
+	if o.grid == nil {
+		o.grid = new(sync.Map)
+	}
+	return o
 }
 
 // outcome is an experiment's tables, or its error.
@@ -237,6 +250,38 @@ func (m *memo[T]) wait() T {
 		panic(m.fail)
 	}
 	return m.val
+}
+
+// reduced returns reduce(Run(rc)), computed once per batch for each
+// name (one per kind of reduction) and run key. Under -obs the
+// experiment label joins the key, so every experiment still writes its
+// own run files. The job that claims an entry first simulates; a job
+// that finds it claimed hands its pool slot back while it waits, so a
+// waiter costs no simulation slot. Call it from a runJobs job of a
+// batch (Experiment.Run gives a lone experiment one): it panics without
+// a grid, and above parallelism 1 when no job holds a slot.
+func reduced[T any](o Options, name string, rc RunConfig, reduce func(*RunResult) T) T {
+	if o.grid == nil {
+		panic("exp: reduced outside a batch: give the Options a grid (inBatch)")
+	}
+	if s := rc.Scheme; (s.CC != nil && s.cc == nil) || (s.FC != nil && s.fc == nil) {
+		panic(fmt.Sprintf("exp: scheme %q sets a factory without the config it was built from (Scheme.cc, Scheme.fc): runKey could not tell its runs apart", s.Name))
+	}
+	if o.parallelism() > 1 && simSlots.inUse() == 0 {
+		panic("exp: reduced outside a runJobs job: it would give back a slot it does not hold")
+	}
+	key := name + "/" + runKey(rc)
+	if o.Obs.Enabled() {
+		key += "/" + o.Obs.experiment()
+	}
+	m, own := claimMemo[T](o.grid, key)
+	if own {
+		m.fill(func() T { return reduce(Run(rc)) })
+	} else if o.parallelism() > 1 {
+		simSlots.release()
+		defer simSlots.acquire()
+	}
+	return m.wait()
 }
 
 // runByID runs one experiment of a batch once, memoising its outcome in

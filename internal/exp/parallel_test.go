@@ -3,9 +3,11 @@ package exp
 import (
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"floodgate/internal/device"
 	"floodgate/internal/topo"
@@ -34,8 +36,9 @@ func TestParallelDeterminism(t *testing.T) {
 	defer func() { windowOverride = 0 }()
 	serial := Options{Scale: 0.1, Seed: 1, Parallelism: 1}
 	parallel := Options{Scale: 0.1, Seed: 1, Parallelism: 4}
-	want := renderAll(Fig10(serial))
-	got := renderAll(Fig10(parallel))
+	e, _ := Lookup("fig10")
+	want := renderAll(e.Run(serial))
+	got := renderAll(e.Run(parallel))
 	if want != got {
 		t.Fatalf("parallel output diverges from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", want, got)
 	}
@@ -76,13 +79,16 @@ func TestRunManyMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRunExperimentsOrder runs the five storm-grid views as one batch,
-// overlapped on four workers beside fig7, an unknown id and table2
-// again: they emit in submission order, each prints exactly the tables
-// it printed alone in the smoke pass, and the batch builds one cluster
-// per distinct storm cell (3 CCs × 4 workloads × 3 schemes) where the
-// five alone build 65. The smoke pass's claims builds none: it reads
-// the tables its experiments rendered.
+// TestRunExperimentsOrder runs the five storm views and Fig 10 and Fig
+// 23, which share mix runs, as one batch overlapped on four workers
+// beside fig7, an unknown id and table2 again: they emit in submission
+// order, each prints exactly the tables it prints alone on a grid of
+// its own, and the batch builds one cluster per distinct run (3 CCs × 4
+// workloads × 3 schemes of storm runs, Fig 10's 12 mix runs and Fig
+// 23's two NDP runs) where the seven alone build 83. The runs are a
+// tenth of the smoke window, so the test also holds every table to
+// telling the schemes apart (tellsApart). The smoke pass's claims
+// builds none: it reads the tables its experiments rendered.
 func TestRunExperimentsOrder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
@@ -93,19 +99,19 @@ func TestRunExperimentsOrder(t *testing.T) {
 	if smokeRun(t, "claims"); smokeClusters["claims"] != 0 {
 		t.Errorf("the smoke pass's claims built %d clusters, want 0", smokeClusters["claims"])
 	}
-	ids := []string{"fig7", "fig8", "table2", "fig9", "nope", "table2", "fig11", "fig21"}
-	alone, aloneClusters := map[string]string{}, 0
-	for _, id := range ids {
-		if _, seen := alone[id]; id != "nope" && !seen {
-			alone[id] = renderAll(smokeRun(t, id))
-			aloneClusters += smokeClusters[id]
-		}
-	}
 	var built atomic.Int64
-	windowOverride, clusterBuilt = smokeWindow, func(*device.Cluster) { built.Add(1) }
+	windowOverride, clusterBuilt = smokeWindow/10, func(RunConfig, *device.Cluster) { built.Add(1) }
 	defer func() { windowOverride, clusterBuilt = 0, nil }()
 	o := smokeOpts
 	o.Parallelism = 4
+	ids := []string{"fig7", "fig8", "table2", "fig9", "nope", "table2", "fig11", "fig21", "fig10", "fig23"}
+	alone := map[string]string{}
+	for _, id := range ids {
+		if e, err := Lookup(id); err == nil && alone[id] == "" {
+			alone[id] = renderAll(e.Run(o)) // a grid of its own
+		}
+	}
+	aloneClusters := built.Swap(0)
 	var gotIDs []string
 	RunExperiments(ids, o, func(id string, tables []Table, err error) {
 		gotIDs = append(gotIDs, id)
@@ -118,6 +124,11 @@ func TestRunExperimentsOrder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
+		for _, tab := range tables {
+			if !tellsApart(tab) {
+				t.Errorf("%s: %q has no done flows or no +Floodgate row that differs from its base scheme's", id, tab.Title)
+			}
+		}
 		if got := renderAll(tables); got != alone[id] {
 			t.Errorf("%s: batch output differs from the run alone:\n--- alone ---\n%s\n--- batch ---\n%s", id, alone[id], got)
 		}
@@ -125,9 +136,36 @@ func TestRunExperimentsOrder(t *testing.T) {
 	if !reflect.DeepEqual(gotIDs, ids) {
 		t.Fatalf("emit order %v, want %v", gotIDs, ids)
 	}
-	if n := built.Load(); n != 36 || aloneClusters != 65 {
-		t.Errorf("the batch built %d clusters and the five alone %d, want 36 and 65", n, aloneClusters)
+	if n := built.Load(); n != 50 || aloneClusters != 83 {
+		t.Errorf("the batch built %d clusters and the seven alone %d, want 50 and 83", n, aloneClusters)
 	}
+}
+
+// tellsApart reports whether a table shows its runs did something: no
+// "flows" cell reads 0 done, and where rows name a scheme, some
+// +Floodgate row differs after the scheme column from the base
+// scheme's row above it.
+func tellsApart(tab Table) bool {
+	scheme, flows := slices.Index(tab.Header, "scheme"), slices.Index(tab.Header, "flows")
+	plain := map[string]string{}
+	pairs, differ := 0, 0
+	for _, row := range tab.Rows {
+		if flows >= 0 && strings.HasPrefix(row[flows], "0/") {
+			return false
+		}
+		if scheme < 0 {
+			continue
+		}
+		at, rest := strings.Join(row[:scheme], "|")+"|", strings.Join(row[scheme+1:], "|")
+		plain[at+row[scheme]] = rest
+		if base, ok := strings.CutSuffix(row[scheme], "+Floodgate"); ok && plain[at+base] != "" {
+			pairs++
+			if plain[at+base] != rest {
+				differ++
+			}
+		}
+	}
+	return pairs == 0 || differ > 0
 }
 
 // TestSharedNothing pins the audit in parallel.go: the values that
@@ -192,26 +230,59 @@ func snapshotPorts(tp *topo.Topology) []topo.Port {
 	return out
 }
 
-// TestStormCellsClaimOnce asks one grid for overlapping storm cells from
-// several goroutines at once: each cell is simulated once and every
-// caller reads the same cell. A cell whose run fails raises its panic in
-// every caller that reads it, and none is left waiting.
-func TestStormCellsClaimOnce(t *testing.T) {
+// TestCellOfClaimsOnce asks one grid for overlapping cells from several
+// views at once: each run is simulated once and every view reads the
+// same cell; a job waiting on a cell another job is simulating holds no
+// pool slot, and a call from outside a job panics; and a run that fails
+// raises its panic in every view that reads it, none left waiting.
+func TestCellOfClaimsOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
 	var built atomic.Int64
-	windowOverride, clusterBuilt = 20*units.Microsecond, func(*device.Cluster) { built.Add(1) }
+	simulating, held := make(chan struct{}), -1
+	windowOverride, clusterBuilt = 20*units.Microsecond, func(RunConfig, *device.Cluster) {
+		if built.Add(1) > 1 {
+			return
+		}
+		// The first run: its twin job claims the same cell meanwhile
+		// and must give its slot back, leaving this run's alone in use.
+		close(simulating)
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if held = simSlots.inUse(); held == 1 {
+				break
+			}
+		}
+	}
 	defer func() { windowOverride, clusterBuilt = 0, nil }()
 	o := smokeOpts
 	o.Parallelism, o.grid = 2, new(sync.Map)
+	tp := o.leafSpine()
+	twins := runJobs(o, 2, func(i int) *cell {
+		if i == 1 {
+			<-simulating
+		}
+		return cellOf(o, stormRun(o, tp, workload.WebServer, DCQCN(o)))
+	})
+	if held != 1 || twins[0] != twins[1] {
+		t.Errorf("twin jobs: %d slots in use while one simulated and the other waited, want 1; same cell: %t", held, twins[0] == twins[1])
+	}
+	func() { // outside a job there is no slot to give back
+		defer func() {
+			if recover() == nil {
+				t.Error("cellOf outside a runJobs job did not panic")
+			}
+		}()
+		cellOf(o, stormRun(o, tp, workload.WebServer, DCQCN(o)))
+	}()
+
 	cdfs := []*workload.CDF{workload.WebServer, workload.Hadoop}
 	broken := func(o Options) Scheme { // its first switch panics the run
 		s := DCQCN(o)
-		s.Name, s.FC = "broken", func(*device.Switch) device.FlowControl { panic("broken switch") }
+		s.Name, s.FC, s.fc = "broken", func(*device.Switch) device.FlowControl { panic("broken switch") }, "broken"
 		return s
 	}
-	got := make([][]*stormCell, 6)
+	got := make([][]*cell, 6)
 	fails := make([]any, len(got))
 	var wg sync.WaitGroup
 	for i := range got {
@@ -220,22 +291,22 @@ func TestStormCellsClaimOnce(t *testing.T) {
 			defer wg.Done()
 			defer func() { fails[i] = recover() }()
 			if i < 4 {
-				got[i] = stormCells(o, cdfs[i%2:], []int{0, 2}, DCQCN)
+				got[i] = tripleCells(o, stormRun, cdfs[i%2:], []int{0, 2}, DCQCN)
 			} else {
-				stormCells(o, cdfs[:1], []int{0}, broken)
+				tripleCells(o, stormRun, cdfs[:1], []int{0}, broken)
 			}
 		}()
 	}
 	wg.Wait()
 	if n := built.Load(); n != 5 {
-		t.Errorf("built %d clusters, want 5: four DCQCN cells and the broken one, each once", n)
+		t.Errorf("built %d clusters, want 5: the twins' cell, three more DCQCN cells and the broken one, each once", n)
 	}
 	for i := range got {
 		if _, ok := fails[i].(*RunError); ok != (i >= 4) {
 			t.Errorf("caller %d: panic %v", i, fails[i])
 		}
 	}
-	if !slices.Equal(got[0], got[2]) || !slices.Equal(got[1], got[3]) || !slices.Equal(got[0][2:], got[1]) {
+	if !slices.Equal(got[0], got[2]) || !slices.Equal(got[1], got[3]) || !slices.Equal(got[0][2:], got[1]) || got[0][0] != twins[0] {
 		t.Error("callers asking for the same cells read different ones")
 	}
 }

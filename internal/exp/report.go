@@ -74,15 +74,6 @@ func fmtRate(r units.BitRate) string { return r.String() }
 // hops is the 2-tier fabric's per-hop reporting order.
 var hops = []topo.PortClass{topo.ClassToRUp, topo.ClassCore, topo.ClassToRDown}
 
-// bufCells renders the run's max per-port buffer for each class.
-func bufCells(res *RunResult, classes ...topo.PortClass) []string {
-	cells := make([]string, len(classes))
-	for i, c := range classes {
-		cells[i] = fmtBytes(res.Stats.MaxClassBuffer(c))
-	}
-	return cells
-}
-
 // split deals rows, in order, into one table per name, titled
 // fmt.Sprintf(title, name).
 func split(title string, names, header []string, comment string, rows [][]string) []Table {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"floodgate/internal/cc/swift"
-	"floodgate/internal/core"
 	"floodgate/internal/stats"
 	"floodgate/internal/workload"
 )
@@ -12,7 +11,7 @@ import (
 // SWIFT returns the delay-based Swift congestion control (§2.3 cites
 // it among the reactive protocols; included as an extension).
 func SWIFT(o Options) Scheme {
-	return Scheme{Name: "Swift", CC: swift.Default()}
+	return Scheme{Name: "Swift", CC: swift.Default(), cc: swift.DefaultConfig()}
 }
 
 // ResourceOverhead reproduces §7.4's resource accounting on a live
@@ -24,34 +23,15 @@ func ResourceOverhead(o Options) []Table {
 		Header: []string{"metric", "value", "paper"},
 	}
 	tp := o.leafSpine()
-	res := Run(mixRun(o, tp, workload.WebServer, WithFloodgate(o, DCQCN(o), baseBDPOf(tp))))
-
-	maxWins := 0
-	for _, n := range res.Cluster.Nets {
-		for _, sw := range n.Switches {
-			if sw == nil {
-				continue
-			}
-			m, ok := sw.FC().(*core.Module)
-			if !ok {
-				continue
-			}
-			if m.MaxWindows() > maxWins {
-				maxWins = m.MaxWindows()
-			}
-		}
-	}
-	data := float64(res.Stats.WireTotal(stats.WireData))
-	ctrl := float64(res.Stats.WireTotal(stats.WireCtrl))
-	credit := float64(res.Stats.WireTotal(stats.WireCredit))
-	total := data + ctrl + credit
-
-	t.AddRow("peak window entries / switch", fmt.Sprintf("%d", maxWins),
+	c := runJobs(o, 1, func(int) *cell {
+		return cellOf(o, mixRun(o, tp, workload.WebServer, WithFloodgate(o, DCQCN(o), baseBDPOf(tp))))
+	})[0]
+	t.AddRow("peak window entries / switch", fmt.Sprintf("%d", c.windows),
 		fmt.Sprintf("<= hosts (%d); worst case scales with host count", tp.NumHosts()))
-	t.AddRow("peak VOQs / switch", fmt.Sprintf("%d", res.Stats.MaxVOQInUse),
+	t.AddRow("peak VOQs / switch", fmt.Sprintf("%d", c.voqs),
 		"dozens suffice; mostly 1 (§6.1)")
-	t.AddRow("credit bandwidth share", fmt.Sprintf("%.3f%%", 100*credit/total), "0.175% (practical)")
-	t.AddRow("ctrl (ACK/CNP) bandwidth share", fmt.Sprintf("%.2f%%", 100*ctrl/total), "~4.5%")
+	t.AddRow("credit bandwidth share", fmt.Sprintf("%.3f%%", 100*c.share(stats.WireCredit)), "0.175% (practical)")
+	t.AddRow("ctrl (ACK/CNP) bandwidth share", fmt.Sprintf("%.2f%%", 100*c.share(stats.WireCtrl)), "~4.5%")
 	t.Comment = "a window is kept from its destination's first packet until the switch restarts (retiring idle windows is ROADMAP item 3), so the peak counts every destination a switch forwarded to, up to the host count"
 	return []Table{t}
 }
@@ -65,10 +45,8 @@ func SwiftCompat(o Options) []Table {
 	}
 	t.Rows = runJobs(o, 2, func(idx int) []string {
 		tp := o.leafSpine()
-		s := schemePair(o, SWIFT, tp)[idx]
-		res := Run(mixRun(o, tp, workload.WebServer, s))
-		avg, p99 := stats.FCTStats(res.Stats.PoissonFCTs())
-		return []string{s.Name, fmtDur(avg), fmtDur(p99), fmtBytes(res.Stats.MaxSwitchBuffer())}
+		c := cellOf(o, mixRun(o, tp, workload.WebServer, schemePair(o, SWIFT, tp)[idx]))
+		return []string{c.name, fmtDur(c.poisson[0]), fmtDur(c.poisson[1]), fmtBytes(c.maxBuf)}
 	})
 	t.Comment = "the hop-by-hop layer composes with a fourth, delay-based CC unchanged"
 	return []Table{t}

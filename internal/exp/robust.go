@@ -96,25 +96,17 @@ func Fig13(o Options) []Table {
 		Header: []string{"scheme", "Edge-Up", "Agg-Up", "Core", "Agg-Down", "Edge-Down"},
 	}
 	cdfs := []*workload.CDF{workload.Memcached, workload.Hadoop}
-	type fig13Rows struct{ fct, buf []string }
 	// All six runs share one built fat tree: Topology is immutable
 	// after Build() (see topo.Topology), so concurrent runs only read it.
-	rows := runJobs(o, len(cdfs)*len(schemes), func(idx int) fig13Rows {
-		cdf := cdfs[idx/len(schemes)]
-		s := schemes[idx%len(schemes)]
-		res := Run(mixRun(o, tp, cdf, s))
-		avg, p99 := stats.FCTStats(res.Stats.PoissonFCTs())
-		out := fig13Rows{fct: []string{cdf.Name, s.Name, fmtDur(avg), fmtDur(p99)}}
-		if cdf == workload.Hadoop {
-			out.buf = append([]string{s.Name}, bufCells(res, topo.ClassToRUp, topo.ClassAggUp,
-				topo.ClassCore, topo.ClassAggDown, topo.ClassToRDown)...)
-		}
-		return out
+	cells := runJobs(o, len(cdfs)*len(schemes), func(idx int) *cell {
+		return cellOf(o, mixRun(o, tp, cdfs[idx/len(schemes)], schemes[idx%len(schemes)]))
 	})
-	for _, r := range rows {
-		fct.AddRow(r.fct...)
-		if r.buf != nil {
-			buf.AddRow(r.buf...)
+	for i, c := range cells {
+		cdf := cdfs[i/len(schemes)]
+		fct.AddRow(cdf.Name, c.name, fmtDur(c.poisson[0]), fmtDur(c.poisson[1]))
+		if cdf == workload.Hadoop {
+			buf.AddRow(append([]string{c.name}, c.bufs(topo.ClassToRUp, topo.ClassAggUp,
+				topo.ClassCore, topo.ClassAggDown, topo.ClassToRDown)...)...)
 		}
 	}
 	fct.Comment = "paper: Floodgate still wins, by less than in 2-tier (fewer hosts per rack, fewer victims)"
@@ -133,14 +125,13 @@ func Fig14(o Options) []Table {
 		c := o.leafSpineConfig()
 		c.ToRs = tors
 		tp := c.Build()
-		res := Run(RunConfig{
+		r := cellOf(o, RunConfig{
 			Topo: tp, Scheme: schemePair(o, DCQCN, tp)[idx/len(torCounts)],
 			Specs:    burstSpecs(tp, o.Seed, incastSenders(tp)),
 			Duration: 2 * units.Millisecond, Seed: o.Seed, Opt: o,
 			Drain: 100 * units.Millisecond,
 		})
-		return slices.Concat([]string{fmt.Sprintf("%d", tors)}, bufCells(res, hops...),
-			[]string{fmtBytes(res.Stats.MaxSwitchBuffer())})
+		return slices.Concat([]string{fmt.Sprintf("%d", tors)}, r.bufs(hops...), []string{fmtBytes(r.maxBuf)})
 	})
 	return split("Fig 14: buffer vs fabric size (pure incast) — %s", []string{"DCQCN", "DCQCN+Floodgate"},
 		[]string{"#ToR", "ToR-Up", "Core", "ToR-Down", "maxSwitch"},
@@ -165,14 +156,14 @@ func Fig15(o Options) []Table {
 		event := units.ByteSize(len(tp.Hosts)-1) * 35 * mtu
 		gap := units.TxTime(event, hostRate) / 4 // successive: events arrive faster than they drain
 		specs := workload.SuccessiveIncast(tp.Hosts, times, gap, 30*mtu, 40*mtu, sim.NewRand(o.Seed))
-		res := Run(RunConfig{
+		c := cellOf(o, RunConfig{
 			Topo: tp, Scheme: s, Specs: specs,
 			Duration: units.Duration(times+2) * gap,
 			Drain:    200 * units.Millisecond,
 			Seed:     o.Seed, Opt: o,
 			BufferSize: stressBuffer(tp), // the storm regime (see stressBuffer)
 		})
-		return append([]string{fmt.Sprintf("%d", times)}, bufCells(res, hops...)...)
+		return append([]string{fmt.Sprintf("%d", times)}, c.bufs(hops...)...)
 	})
 	return split("Fig 15: successive incast — %s", names, []string{"#incasts", "ToR-Up", "Core", "ToR-Down"},
 		"paper: DCQCN fills ToR-Down/Core (storm by 12 incasts); Floodgate's ToR-Up grows with #incasts; per-dst PAUSE keeps everything tiny", rows)

@@ -57,7 +57,7 @@ type Options struct {
 	// the slow-motion rate/time model on top.
 	Topo string
 
-	grid *sync.Map // the storm cells a RunExperiments batch shares (stormCells)
+	grid *sync.Map // the runs and tables a batch shares (reduced, runByID)
 }
 
 // norm fills the defaults (Scale 0.25, Seed 1) and clamps Scale to 1.
@@ -112,10 +112,10 @@ func (o Options) stretch(full units.Duration) units.Duration {
 // experiments on a budget; production paths never set it.
 var windowOverride units.Duration
 
-// clusterBuilt, when set, is handed every run's cluster before anything
-// is registered on it. Test-only, like windowOverride: the eager-vs-lazy
+// clusterBuilt, when set, is handed every run's config and cluster
+// before anything is registered on the cluster. Test-only, like windowOverride: the eager-vs-lazy
 // oracle (export_test.go) mints every device through it.
-var clusterBuilt func(*device.Cluster)
+var clusterBuilt func(RunConfig, *device.Cluster)
 
 // duration is the workload window. It stays at the paper's wall-clock
 // value at every scale: with the slow-motion clock this covers fewer
@@ -220,10 +220,10 @@ func (rc RunConfig) Validate() error {
 	if rc.Drain < 0 {
 		return fmt.Errorf("exp: RunConfig.Drain must be non-negative, got %v", rc.Drain)
 	}
-	if rc.LossRate < 0 || rc.LossRate > 1 {
+	if !(rc.LossRate >= 0 && rc.LossRate <= 1) { // NaN too
 		return fmt.Errorf("exp: RunConfig.LossRate %g outside [0, 1]", rc.LossRate)
 	}
-	if rc.CreditLossRate < 0 || rc.CreditLossRate > 1 {
+	if !(rc.CreditLossRate >= 0 && rc.CreditLossRate <= 1) {
 		return fmt.Errorf("exp: RunConfig.CreditLossRate %g outside [0, 1]", rc.CreditLossRate)
 	}
 	if rc.StallHorizon < 0 {
@@ -321,7 +321,7 @@ func Run(rc RunConfig) *RunResult {
 			if _, ok := v.(*RunError); ok {
 				panic(v)
 			}
-			panic(&RunError{ConfigHash: obsLabel(rc), Value: v, Stack: string(debug.Stack())})
+			panic(&RunError{ConfigHash: runKey(rc), Value: v, Stack: string(debug.Stack())})
 		}
 	}()
 	if err := rc.Validate(); err != nil {
@@ -377,7 +377,7 @@ func Run(rc RunConfig) *RunResult {
 	}
 	cluster := device.NewCluster(cfg, engines, topo.Partition(rc.Topo, k))
 	if clusterBuilt != nil {
-		clusterBuilt(cluster)
+		clusterBuilt(rc, cluster)
 	}
 	cluster.InstallFaults(rc.Faults, rc.Seed)
 	if obs != nil {

@@ -14,9 +14,9 @@ import (
 // run's config content hash, and lets the remaining runs of a sweep
 // proceed — one faulting configuration no longer kills `-exp all`.
 type RunError struct {
-	// ConfigHash is the content hash of the RunConfig that faulted
-	// (same obsLabel scheme the observability exporter uses), so the
-	// failing run can be identified and replayed exactly.
+	// ConfigHash is the faulting RunConfig's content hash (runKey, which
+	// also names its -obs files), so the failing run can be identified
+	// and replayed exactly.
 	ConfigHash string
 	// Value is the recovered panic value.
 	Value any

@@ -37,11 +37,18 @@ type Scheme struct {
 	PerDstPause   bool
 	NDP           bool
 
-	// fg is the Floodgate config FC was built from, nil without
-	// Floodgate. Only obsLabel reads it: the name does not tell a
-	// sweep's configs apart.
-	fg *core.Config
+	// cc and fc are the config values CC and FC were built from
+	// (fixedWindow for cc.NewFixedWindow, which takes none). runKey
+	// hashes them in place of the factories, and reduced refuses a
+	// Scheme whose CC or FC has no config beside it, so code here that
+	// sets a factory sets its config too. A Scheme built outside the
+	// package never reaches the memo; its -obs label and RunError tell
+	// it apart by Name.
+	cc, fc any
 }
+
+// fixedWindow stands for the config of cc.NewFixedWindow.
+const fixedWindow = "fixed-window"
 
 // dcqcnConfigScaled returns the DCQCN binding with timers stretched to
 // the scale's slow-motion clock. DCQCN is a library entry point (the
@@ -60,30 +67,31 @@ func dcqcnConfigScaled(o Options) dcqcn.Config {
 // DCQCN returns plain DCQCN (ECN marking, CNP reaction) with timers
 // stretched to the scale's slow-motion clock.
 func DCQCN(o Options) Scheme {
-	return Scheme{Name: "DCQCN", CC: dcqcn.New(dcqcnConfigScaled(o)), ECN: true}
+	cfg := dcqcnConfigScaled(o)
+	return Scheme{Name: "DCQCN", CC: dcqcn.New(cfg), cc: cfg, ECN: true}
 }
 
 // DCTCP returns window-based DCTCP (ECN-fraction reaction, §8's third
 // ECN-signal congestion control).
 func DCTCP(o Options) Scheme {
-	return Scheme{Name: "DCTCP", CC: dctcp.Default(), ECN: true}
+	return Scheme{Name: "DCTCP", CC: dctcp.Default(), cc: dctcp.DefaultConfig(), ECN: true}
 }
 
 // TIMELY returns plain TIMELY; its thresholds derive from the base
 // RTT, which the slow-motion model stretches automatically.
 func TIMELY(o Options) Scheme {
-	return Scheme{Name: "TIMELY", CC: timely.Default()}
+	return Scheme{Name: "TIMELY", CC: timely.Default(), cc: timely.DefaultConfig()}
 }
 
 // HPCC returns plain HPCC (INT driven); its reference window derives
 // from base RTT × line rate, which is scale-invariant.
 func HPCC(o Options) Scheme {
-	return Scheme{Name: "HPCC", CC: hpcc.Default(), INT: true}
+	return Scheme{Name: "HPCC", CC: hpcc.Default(), cc: hpcc.DefaultConfig(), INT: true}
 }
 
 // NDP returns the receiver-driven NDP baseline (cut-payload trimming).
 func NDP(o Options) Scheme {
-	return Scheme{Name: "NDP", CC: cc.NewFixedWindow(), NDP: true}
+	return Scheme{Name: "NDP", CC: cc.NewFixedWindow(), cc: fixedWindow, NDP: true}
 }
 
 // WithFloodgate layers practical Floodgate over a scheme: the §6
@@ -108,8 +116,7 @@ func WithIdeal(o Options, s Scheme, baseBDP units.ByteSize) Scheme {
 // WithFloodgateCfg layers an explicit Floodgate config (sweeps).
 func WithFloodgateCfg(s Scheme, cfg core.Config, suffix string) Scheme {
 	s.Name += suffix
-	s.FC = core.New(cfg)
-	s.fg = &cfg
+	s.FC, s.fc = core.New(cfg), cfg
 	s.PerDstPause = cfg.PerDstPause
 	return s
 }
@@ -123,19 +130,16 @@ func BFC(queues int, ideal bool, pauseThresh units.ByteSize) Scheme {
 		name = fmt.Sprintf("BFC-%dQ", queues)
 		qpp = queues
 	}
-	return Scheme{
-		Name:          name,
-		CC:            cc.NewFixedWindow(),
-		FC:            bfc.New(bfc.Config{NumQueues: queues, Ideal: ideal, PauseThresh: pauseThresh}),
-		QueuesPerPort: qpp,
-	}
+	cfg := bfc.Config{NumQueues: queues, Ideal: ideal, PauseThresh: pauseThresh}
+	return Scheme{Name: name, CC: cc.NewFixedWindow(), cc: fixedWindow, FC: bfc.New(cfg), fc: cfg, QueuesPerPort: qpp}
 }
 
 // WithPFCTag layers the PFC w/ tag derivative over a scheme
 // (Appendix B).
 func WithPFCTag(s Scheme, oneHopBDP units.ByteSize) Scheme {
 	s.Name += "+PFC w/ tag"
-	s.FC = pfctag.New(pfctag.DefaultConfig(oneHopBDP))
+	cfg := pfctag.DefaultConfig(oneHopBDP)
+	s.FC, s.fc = pfctag.New(cfg), cfg
 	s.PerDstPause = true
 	return s
 }

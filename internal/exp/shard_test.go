@@ -23,15 +23,10 @@ func TestShardDeterminism(t *testing.T) {
 	windowOverride = fullIncastMixDuration / 8
 	defer func() { windowOverride = 0 }()
 
-	for _, fig := range []struct {
-		name string
-		run  func(Options) []Table
-	}{
-		{"fig2", Fig2},
-		{"fig6", Fig6},
-	} {
+	for _, id := range []string{"fig2", "fig6"} {
+		fig, _ := Lookup(id)
 		base := Options{Scale: 0.1, Seed: 1, Parallelism: 1, Shards: 1}
-		want := renderAll(fig.run(base))
+		want := renderAll(fig.Run(base))
 		for _, shards := range []int{1, 2, 4} {
 			for _, par := range []int{1, 4} {
 				o := base
@@ -39,9 +34,9 @@ func TestShardDeterminism(t *testing.T) {
 				if o == base {
 					continue
 				}
-				if got := renderAll(fig.run(o)); got != want {
+				if got := renderAll(fig.Run(o)); got != want {
 					t.Fatalf("%s: shards=%d par=%d diverges from serial unsharded:\n--- want ---\n%s\n--- got ---\n%s",
-						fig.name, shards, par, want, got)
+						id, shards, par, want, got)
 				}
 			}
 		}
@@ -86,8 +81,9 @@ func TestShardMinFrameLookahead(t *testing.T) {
 	t.Run("fig23", func(t *testing.T) {
 		windowOverride = fullIncastMixDuration / 8
 		defer func() { windowOverride = 0 }()
-		want := renderAll(Fig23(Options{Scale: 0.1, Seed: 1, Shards: 1}))
-		if got := renderAll(Fig23(Options{Scale: 0.1, Seed: 1, Shards: 2})); got != want {
+		e, _ := Lookup("fig23")
+		want := renderAll(e.Run(Options{Scale: 0.1, Seed: 1, Shards: 1}))
+		if got := renderAll(e.Run(Options{Scale: 0.1, Seed: 1, Shards: 2})); got != want {
 			t.Fatalf("fig23 at shards=2 diverges from unsharded:\n--- want ---\n%s\n--- got ---\n%s", want, got)
 		}
 	})

@@ -97,12 +97,12 @@ func sloAppConfig(tp *topo.Topology, c sloCell, dur units.Duration) *app.Config 
 	}
 }
 
-// sloRun executes one cell: the open-loop storm in the stress-buffer
+// sloRun is one cell's run: the open-loop storm in the stress-buffer
 // regime (the same buffer-pressure ratio the Fig 2/9/Table 2 runs
 // use) with the closed-loop plane overlaid as victim traffic. The
 // simulation window extends past the storm so the last request can
 // burn all its attempts before scoring.
-func sloRun(o Options, c sloCell) *RunResult {
+func sloRun(o Options, c sloCell) RunConfig {
 	tp := o.leafSpine()
 	dur := o.duration(fullIncastMixDuration)
 	cfg := sloAppConfig(tp, c, dur)
@@ -111,26 +111,35 @@ func sloRun(o Options, c sloCell) *RunResult {
 		last = dur
 	}
 	tail := units.Duration(cfg.MaxAttempts)*cfg.Deadline + o.stretch(200*units.Microsecond)
-	return Run(RunConfig{
+	return RunConfig{
 		Topo: tp, Scheme: c.scheme,
 		Specs:    sloStormSpecs(tp, dur, o.Seed),
 		Duration: last + tail,
 		Seed:     o.Seed, Opt: o,
 		BufferSize: stressBuffer(tp),
 		App:        cfg,
+	}
+}
+
+// sloRows renders the cells' SLO scorecards. A cell two tables list
+// runs once per batch (reduced).
+func sloRows(o Options, cells []sloCell) [][]string {
+	return runJobs(o, len(cells), func(i int) []string {
+		c := cells[i]
+		return append([]string{c.fanLabel, c.dlLabel, c.scheme.Name, c.policy.Name()},
+			reduced(o, "slo", sloRun(o, c), sloScore)...)
 	})
 }
 
-// sloRow renders one cell's SLO scorecard. The trailing pfc column is
-// the run's total PFC pause time — the causal covariate the timeout
-// rate tracks.
-func sloRow(c sloCell, res *RunResult) []string {
+// sloScore is a run's scorecard columns. The trailing pfc column is the
+// run's total PFC pause time — the causal covariate the timeout rate
+// tracks.
+func sloScore(res *RunResult) []string {
 	s := res.SLO
 	pfc := res.Stats.PFCPauseTime(topo.LayerHost) +
 		res.Stats.PFCPauseTime(topo.LayerToR) +
 		res.Stats.PFCPauseTime(topo.LayerCore)
 	return []string{
-		c.fanLabel, c.dlLabel, c.scheme.Name, c.policy.Name(),
 		fmt.Sprintf("%d/%d", s.Completed, s.Requests),
 		fmtDur(s.P50), fmtDur(s.P99), fmtDur(s.P999),
 		fmt.Sprintf("%.1f%%", 100*s.TimeoutRate),
@@ -168,9 +177,7 @@ func SLOIncast(o Options) []Table {
 		Title:  "Closed-loop SLO under a PFC storm: schemes x fan-in x deadline",
 		Header: sloHeader,
 	}
-	matrix.Rows = runJobs(o, len(cells), func(i int) []string {
-		return sloRow(cells[i], sloRun(o, cells[i]))
-	})
+	matrix.Rows = sloRows(o, cells)
 	matrix.Comment = "extension: with tight deadlines DCQCN's PFC storm turns into timeouts and the app retries into it (amp > 1.00x); Floodgate pauses nothing, so the same fan-in stays inside the deadline"
 
 	// Policy comparison at the hardest cell: widest fan-in, tight deadline.
@@ -189,9 +196,7 @@ func SLOIncast(o Options) []Table {
 		Title:  "Retry policy comparison (fan-in 8, tight deadline)",
 		Header: sloHeader,
 	}
-	ptab.Rows = runJobs(o, len(pcells), func(i int) []string {
-		return sloRow(pcells[i], sloRun(o, pcells[i]))
-	})
+	ptab.Rows = sloRows(o, pcells)
 	ptab.Comment = "fixed immediate retry re-joins the storm; jittered backoff decorrelates it; hedging trades extra attempts for tail latency"
 	return []Table{matrix, ptab}
 }

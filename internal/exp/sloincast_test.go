@@ -21,8 +21,9 @@ func TestSLOIncastShardDeterminism(t *testing.T) {
 	windowOverride = fullIncastMixDuration / 8
 	defer func() { windowOverride = 0 }()
 
+	e, _ := Lookup("sloincast")
 	base := Options{Scale: 0.1, Seed: 1, Parallelism: 1, Shards: 1}
-	want := renderAll(SLOIncast(base))
+	want := renderAll(e.Run(base))
 	for _, shards := range []int{1, 2, 4} {
 		for _, par := range []int{1, 4} {
 			o := base
@@ -30,7 +31,7 @@ func TestSLOIncastShardDeterminism(t *testing.T) {
 			if o == base {
 				continue
 			}
-			if got := renderAll(SLOIncast(o)); got != want {
+			if got := renderAll(e.Run(o)); got != want {
 				t.Fatalf("sloincast: shards=%d par=%d diverges from serial unsharded:\n--- want ---\n%s\n--- got ---\n%s",
 					shards, par, want, got)
 			}
@@ -53,8 +54,8 @@ func TestSLOIncastDifferentiates(t *testing.T) {
 		return sloCell{"8", 8, "tight(1.5x)", 1.5, s,
 			app.ExpBackoff{Base: o.stretch(25 * units.Microsecond)}}
 	}
-	dcqcn := sloRun(o, mk(DCQCN(o)))
-	fg := sloRun(o, mk(WithFloodgate(o, DCQCN(o), baseBDPOf(o.leafSpine()))))
+	dcqcn := Run(sloRun(o, mk(DCQCN(o))))
+	fg := Run(sloRun(o, mk(WithFloodgate(o, DCQCN(o), baseBDPOf(o.leafSpine())))))
 
 	if dcqcn.SLO.TimeoutRate == 0 {
 		t.Fatal("DCQCN under the storm shows no deadline expiries; the cell is not stressed")
@@ -89,7 +90,8 @@ func TestSLOIncastSmoke(t *testing.T) {
 	}
 	windowOverride = fullIncastMixDuration / 8
 	defer func() { windowOverride = 0 }()
-	tabs := SLOIncast(smokeOpts)
+	e, _ := Lookup("sloincast")
+	tabs := e.Run(smokeOpts)
 	if len(tabs) != 2 {
 		t.Fatalf("got %d tables, want 2", len(tabs))
 	}

@@ -156,7 +156,7 @@ func (p *Plan) Validate() error {
 			{"PGoodBad", g.PGoodBad}, {"PBadGood", g.PBadGood},
 			{"LossGood", g.LossGood}, {"LossBad", g.LossBad},
 		} {
-			if pr.v < 0 || pr.v > 1 {
+			if !(pr.v >= 0 && pr.v <= 1) { // NaN too
 				return fmt.Errorf("fault: burst %s = %v outside [0, 1]", pr.name, pr.v)
 			}
 		}

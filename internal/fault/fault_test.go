@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"floodgate/internal/units"
@@ -38,17 +39,19 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 	cases := []struct {
 		name string
 		plan Plan
+		want string // the error names it
 	}{
-		{"negative time", Plan{Events: []Event{{At: -1, Kind: LinkDown, Link: Link{A: 1, B: 2}}}}},
-		{"degenerate link", Plan{Events: []Event{{Kind: LinkUp, Link: Link{A: 4, B: 4}}}}},
-		{"unknown kind", Plan{Events: []Event{{Kind: Kind(99)}}}},
-		{"burst prob out of range", Plan{Burst: &GilbertElliott{PGoodBad: 1.5}}},
-		{"negative burst prob", Plan{Burst: &GilbertElliott{PBadGood: -0.1}}},
-		{"degenerate burst link", Plan{Burst: &GilbertElliott{}, BurstLinks: []Link{{A: 2, B: 2}}}},
+		{"negative time", Plan{Events: []Event{{At: -1, Kind: LinkDown, Link: Link{A: 1, B: 2}}}}, "negative time"},
+		{"degenerate link", Plan{Events: []Event{{Kind: LinkUp, Link: Link{A: 4, B: 4}}}}, "degenerate link"},
+		{"unknown kind", Plan{Events: []Event{{Kind: Kind(99)}}}, "unknown kind"},
+		{"burst prob out of range", Plan{Burst: &GilbertElliott{PGoodBad: 1.5}}, "PGoodBad"},
+		{"negative burst prob", Plan{Burst: &GilbertElliott{PBadGood: -0.1}}, "PBadGood"},
+		{"NaN burst prob", Plan{Burst: &GilbertElliott{LossBad: math.NaN()}}, "LossBad"},
+		{"degenerate burst link", Plan{Burst: &GilbertElliott{}, BurstLinks: []Link{{A: 2, B: 2}}}, "degenerate"},
 	}
 	for _, c := range cases {
-		if err := c.plan.Validate(); err == nil {
-			t.Errorf("%s: Validate accepted an invalid plan", c.name)
+		if err := c.plan.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate returned %v, want an error naming %q", c.name, err, c.want)
 		}
 	}
 	empty := &Plan{}

@@ -32,7 +32,7 @@ func NewCDF(name string, pts []CDFPoint) *CDF {
 		panic("workload: CDF needs at least two points")
 	}
 	for i, p := range pts {
-		if p.P < 0 || p.P > 1 {
+		if !(p.P >= 0 && p.P <= 1) { // NaN too
 			panic(fmt.Sprintf("workload: CDF %s point %d probability %v out of range", name, i, p.P))
 		}
 		if i > 0 && (p.Size <= pts[i-1].Size || p.P < pts[i-1].P) {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -14,11 +15,12 @@ import (
 
 func TestCDFValidation(t *testing.T) {
 	for _, bad := range [][]CDFPoint{
-		{{100, 0}},                         // too few
-		{{100, 0.1}, {200, 1}},             // does not start at 0
-		{{100, 0}, {200, 0.9}},             // does not end at 1
-		{{100, 0}, {50, 1}},                // sizes not increasing
-		{{100, 0}, {200, 0.5}, {300, 0.4}}, // P not monotone
+		{{100, 0}},                              // too few
+		{{100, 0.1}, {200, 1}},                  // does not start at 0
+		{{100, 0}, {200, 0.9}},                  // does not end at 1
+		{{100, 0}, {50, 1}},                     // sizes not increasing
+		{{100, 0}, {200, 0.5}, {300, 0.4}},      // P not monotone
+		{{100, 0}, {200, math.NaN()}, {300, 1}}, // P is NaN
 	} {
 		func() {
 			defer func() {
