@@ -29,8 +29,10 @@ test:
 race:
 	$(GO) test -race -tags simdebug -timeout 3600s ./internal/exp/... ./internal/fault ./internal/sim ./internal/device ./internal/core
 
+# bench/ is its own module, outside ./...: vet it too.
 vet:
 	$(GO) vet ./...
+	$(GO) -C bench vet ./...
 
 # Static analysis: go vet plus floodlint, the in-tree analyzer suite
 # that enforces the determinism, pooling, units, shard-safety and

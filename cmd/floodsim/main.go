@@ -69,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		shards     = fs.Int("shards", 1, "engine shards per simulation (conservative-window PDES); output is identical at any count")
 		list       = fs.Bool("list", false, "list available experiments")
 		obsDir     = fs.String("obs", "", "write per-run metrics/timeline files under this directory")
-		sample     = fs.Duration("sample", 0, "metrics sampling period on the simulation clock (e.g. 10us); 0 = default")
+		sample     = fs.Duration("sample", 0, "metrics sampling period on the simulation clock (e.g. 10us; requires -obs); 0 = default")
 		faults     = fs.String("faults", "", "run one fault-injection scenario, or 'list'")
 		topoName   = fs.String("topo", "", "large-fabric preset for -exp scaleincast (clos, clos100k, fattree16, fattree32), or 'list'")
 		forensics  = fs.Bool("forensics", false, "causal flow forensics: FCT time-budget attribution + incast episodes (requires -obs; writes <label>.forensics.ndjson)")
@@ -92,6 +92,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		usage = fmt.Errorf("-par must be non-negative, got %d", *par)
 	case *shards < 0:
 		usage = fmt.Errorf("-shards must be non-negative, got %d", *shards)
+	case *sample < 0:
+		usage = fmt.Errorf("-sample must be non-negative, got %v", *sample)
+	case *sample != 0 && *obsDir == "":
+		usage = errors.New("-sample needs -obs <dir>: it is the sampling period of the -obs metrics export")
 	case *shards > 1 && *obsDir != "":
 		usage = errors.New("-obs does not compose with -shards > 1 (per-shard metric export is not merged; see DESIGN.md §10)")
 	default:

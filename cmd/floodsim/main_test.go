@@ -114,6 +114,8 @@ func TestRunCLI(t *testing.T) {
 		{"app plane", []string{"-exp", "sloincast", "-scale", "0.1"}, 0, "[sloincast done in", ""},
 		{"topo preset", []string{"-exp", "scaleincast", "-topo", "clos"}, 0, "structural", ""},
 		{"forensics without obs", []string{"-exp", "fig2", "-forensics"}, 2, "", "-forensics needs -obs"},
+		{"negative sample", []string{"-exp", "fig2", "-obs", obs, "-sample", "-5us"}, 2, "", "-sample must be non-negative, got -5µs"},
+		{"sample without obs", []string{"-exp", "fig2", "-sample", "10us"}, 2, "", "-sample needs -obs"},
 		{"obs with shards", []string{"-exp", "fig2", "-obs", obs, "-shards", "2"}, 2, "", "-obs does not compose with -shards"},
 		{"unknown topo", []string{"-exp", "scaleincast", "-topo", "torus"}, 2, "", `unknown -topo "torus"`},
 		{"removed scheduler knob", []string{"-exp", "fig2", "-sched", "heap"}, 2, "", "not defined: -sched"},

@@ -29,15 +29,10 @@ type Module struct {
 	live []packet.NodeID
 
 	// Downstream role: credit generation per (ingress port, dst), one
-	// paged table per ingress port up to the last switch-facing one
-	// (host-facing ports never credit, and a ToR wires its uplinks
-	// first, so it holds one table per uplink).
-	down      []paged[downChan]
-	pending   [][]packet.NodeID // per ingress port: dsts with pending credits (insertion order)
-	timerArm  []bool            // per ingress port: credit timer scheduled
-	tickArgs  []tickArg         // per ingress port: pre-built AfterArg payloads
-	facesSw   []bool            // port peer is a switch
-	facesHost []bool
+	// entry per switch-facing port. Host-facing ports never credit and
+	// come last (only ToRs have hosts, below their uplinks;
+	// creditedPorts checks), so facesHost is an index compare.
+	down []downPort
 
 	// VOQ pool, built by the first allocVOQ (nil until then).
 	voqs    []*voq
@@ -64,17 +59,21 @@ type Module struct {
 	creditFrom   packet.NodeID
 }
 
-// tickArg is the pre-built payload for the per-ingress-port credit
-// timer, so arming it allocates nothing.
-type tickArg struct {
-	m  *Module
-	in int
+// downPort is one switch-facing ingress port's credit state: a channel
+// per destination, those with credits pending (insertion order) and the
+// port's credit timer, whose capture-free payload it is (m, in).
+type downPort struct {
+	chans   paged[downChan]
+	pending []packet.NodeID
+	m       *Module
+	in      int32
+	armed   bool // credit timer scheduled
 }
 
 // creditTickFn is the capture-free credit-timer callback.
 func creditTickFn(a any) {
-	t := a.(*tickArg)
-	t.m.creditTick(t.in)
+	d := a.(*downPort)
+	d.m.creditTick(int(d.in))
 }
 
 // fireSYNFn is the capture-free switchSYN-timeout callback.
@@ -197,30 +196,30 @@ func New(cfg Config) device.FCFactory {
 
 func newModule(cfg Config, sw *device.Switch) *Module {
 	node := sw.Node()
-	m := &Module{
-		cfg:       cfg,
-		sw:        sw,
-		pending:   make([][]packet.NodeID, len(node.Ports)),
-		timerArm:  make([]bool, len(node.Ports)),
-		tickArgs:  make([]tickArg, len(node.Ports)),
-		facesSw:   make([]bool, len(node.Ports)),
-		facesHost: make([]bool, len(node.Ports)),
-		epoch:     1,
+	m := &Module{cfg: cfg, sw: sw, epoch: 1}
+	m.down = make([]downPort, creditedPorts(len(node.Ports), sw.PortFacesHost))
+	for i := range m.down {
+		m.down[i].m, m.down[i].in = m, int32(i)
 	}
-	credited := 0
-	for i := range node.Ports {
-		m.facesHost[i] = sw.PortFacesHost(i)
-		m.facesSw[i] = !m.facesHost[i]
-		m.tickArgs[i] = tickArg{m: m, in: i}
-		if m.facesSw[i] {
-			credited = i + 1
-		}
-	}
-	m.down = make([]paged[downChan], credited)
 	// VOQ grouping applies to middle-layer switches only (3-tier aggs),
 	// which forward both upstream and windowed downstream traffic.
 	m.grouped = cfg.VOQGrouping && node.Layer == topo.LayerAgg
 	return m
+}
+
+// creditedPorts counts a switch's switch-facing ports and panics unless
+// they come first, as Module.facesHost's index compare assumes.
+func creditedPorts(n int, facesHost func(int) bool) int {
+	credited := 0
+	for i := range n {
+		if !facesHost(i) {
+			if credited < i {
+				panic("core: a switch-facing port follows a host-facing one")
+			}
+			credited = i + 1
+		}
+	}
+	return credited
 }
 
 // buildPool builds the VOQ pool — one backing array for the structs —
@@ -287,7 +286,7 @@ func (m *Module) WindowDeficit() units.ByteSize {
 // a switch-facing egress port.
 func (m *Module) OnIngress(p *packet.Packet, inPort, outPort int) device.Verdict {
 	m.checkPSNGap(p, inPort)
-	if m.facesHost[outPort] {
+	if m.facesHost(outPort) {
 		// Last hop: buffering here does nothing for the network (§3.2).
 		return device.Verdict{}
 	}
@@ -504,37 +503,49 @@ func (m *Module) freeVOQ(v *voq) {
 // arrived from hosts need none (§3.2).
 func (m *Module) OnDequeue(p *packet.Packet, outPort, queue int) {
 	in := int(p.InPort)
-	if in < 0 || !m.facesSw[in] {
+	if in < 0 || m.facesHost(in) {
 		return
 	}
-	ch := m.down[in].at(p.Dst)
+	ch := m.down[in].chans.at(p.Dst)
 	ch.cumFwd += p.Size
 	if m.cfg.Mode == Ideal {
 		// Strawman: one credit per packet, immediately.
 		m.emitCredit(in, p.Dst, ch)
 		return
 	}
+	m.owe(in, p.Dst, ch, p.Size)
+}
+
+// facesHost reports whether port i leads to a host: it lies past the
+// switch-facing ports down covers.
+func (m *Module) facesHost(i int) bool { return i >= len(m.down) }
+
+// owe adds b bytes to the credit dst's channel on ingress port in owes
+// upstream, listing dst as pending and arming the port's credit tick.
+func (m *Module) owe(in int, dst packet.NodeID, ch *downChan, b units.ByteSize) {
+	d := &m.down[in]
 	if ch.pending == 0 {
-		m.pending[in] = append(m.pending[in], p.Dst)
+		d.pending = append(d.pending, dst)
 	}
-	ch.pending += p.Size
+	ch.pending += b
 	m.armTimer(in)
 }
 
 // armTimer schedules the per-ingress-port credit tick if idle.
 func (m *Module) armTimer(in int) {
-	if m.timerArm[in] {
+	d := &m.down[in]
+	if d.armed {
 		return
 	}
-	m.timerArm[in] = true
-	m.sw.Net().Eng.AfterArg(m.cfg.CreditTimer, creditTickFn, &m.tickArgs[in])
+	d.armed = true
+	m.sw.Net().Eng.AfterArg(m.cfg.CreditTimer, creditTickFn, d)
 }
 
 // creditTick emits aggregated credit packets for every destination
 // pending on this ingress port, honouring delayCredit (§4.1).
 func (m *Module) creditTick(in int) {
-	m.timerArm[in] = false
-	dsts := m.pending[in]
+	m.down[in].armed = false
+	dsts := m.down[in].pending
 	if len(dsts) == 0 {
 		return
 	}
@@ -543,7 +554,7 @@ func (m *Module) creditTick(in int) {
 	// ticks allocate nothing.
 	retained := dsts[:0]
 	for _, d := range dsts {
-		ch := m.down[in].get(d)
+		ch := m.down[in].chans.get(d)
 		if ch == nil || ch.pending == 0 {
 			continue
 		}
@@ -555,7 +566,7 @@ func (m *Module) creditTick(in int) {
 		}
 		m.emitCredit(in, d, ch)
 	}
-	m.pending[in] = retained
+	m.down[in].pending = retained
 	if len(retained) > 0 {
 		m.armTimer(in)
 	}
@@ -597,7 +608,7 @@ func (m *Module) OnCtrl(p *packet.Packet, inPort int) bool {
 		// sent count; anything we have not seen by now is presumed lost
 		// (the timeout is much larger than one hop's flight time) and is
 		// credited as gone, then the channel is resynced immediately.
-		ch := m.down[inPort].at(p.Dst)
+		ch := m.down[inPort].chans.at(p.Dst)
 		if p.PSN > ch.lastPSN {
 			ch.cumFwd += p.PSN - ch.lastPSN
 			ch.lastPSN = p.PSN
@@ -712,10 +723,10 @@ func (m *Module) armSYNAgain(w *dstState) {
 // checkPSNGap detects data lost on the upstream wire: the missing
 // bytes can never be credited by forwarding, so credit them as gone.
 func (m *Module) checkPSNGap(p *packet.Packet, inPort int) {
-	if p.PSN == 0 || !m.facesSw[inPort] {
+	if p.PSN == 0 || m.facesHost(inPort) {
 		return
 	}
-	ch := m.down[inPort].at(p.Dst)
+	ch := m.down[inPort].chans.at(p.Dst)
 	if p.FGEpoch != ch.epoch {
 		if ch.epoch != 0 {
 			// The upstream switch restarted: its PSN sequence rebased,
@@ -738,11 +749,7 @@ func (m *Module) checkPSNGap(p *packet.Packet, inPort int) {
 		if m.cfg.Mode == Ideal {
 			m.emitCredit(inPort, p.Dst, ch)
 		} else {
-			if ch.pending == 0 {
-				m.pending[inPort] = append(m.pending[inPort], p.Dst)
-			}
-			ch.pending += lost
-			m.armTimer(inPort)
+			m.owe(inPort, p.Dst, ch, lost)
 		}
 	}
 	if p.PSN > ch.lastPSN {
@@ -774,7 +781,7 @@ func (m *Module) maybeDstPause(w *dstState, p *packet.Packet) {
 		return
 	}
 	in := p.InPort
-	if in < 0 || !m.facesHost[in] {
+	if in < 0 || !m.facesHost(int(in)) {
 		return // only first-hop ToRs pause, and only their own hosts
 	}
 	if w.parked <= m.cfg.PauseThreshOff || slices.Contains(w.paused, in) {
@@ -854,10 +861,9 @@ func (m *Module) Restart() {
 	// Downstream credit state: channels and pending credits are gone.
 	// Stale credit timers may still fire; creditTick no-ops on an empty
 	// pending list, so just reset the arm flags for new traffic.
-	clear(m.down)
-	for i := range m.pending {
-		m.pending[i] = m.pending[i][:0]
-		m.timerArm[i] = false
+	for i := range m.down {
+		d := &m.down[i]
+		d.chans, d.pending, d.armed = paged[downChan]{}, d.pending[:0], false
 	}
 
 	m.epoch++

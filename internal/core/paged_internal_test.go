@@ -12,7 +12,7 @@ import (
 // ones arrive, a never-touched destination off every minted page reads
 // nil, and clear empties the inline entry and the pages alike.
 func TestPagedTable(t *testing.T) {
-	tabs := make([]paged[downChan], 1) // as Module.down, which Restart clears
+	tabs := make([]paged[downChan], 1) // as a downPort's chans, which Restart zeroes
 	tb := &tabs[0]
 	if tb.get(0) != nil || tb.get(700) != nil {
 		t.Fatal("an empty table returned an entry")
@@ -56,4 +56,23 @@ func TestPagedTable(t *testing.T) {
 	if tb.get(2) != nil {
 		t.Fatal("destination 2 reads the inline entry of destination 3")
 	}
+}
+
+// TestCreditedPortsNeedSwitchPortsFirst pins the port layout Module.down
+// relies on: switch-facing ports come first, so a port faces a host
+// exactly when its index is past them, and a switch-facing port behind a
+// host-facing one panics instead of being windowed as a last hop.
+func TestCreditedPortsNeedSwitchPortsFirst(t *testing.T) {
+	if got := creditedPorts(5, func(i int) bool { return i >= 2 }); got != 2 {
+		t.Fatalf("two uplinks, three hosts: %d credited ports, want 2", got)
+	}
+	if got := creditedPorts(3, func(int) bool { return false }); got != 3 {
+		t.Fatalf("all switch-facing: %d credited ports, want 3", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a switch-facing port behind a host-facing one did not panic")
+		}
+	}()
+	creditedPorts(3, func(i int) bool { return i == 1 }) // switch, host, switch
 }

@@ -22,8 +22,9 @@ import (
 // xlink is one cross-shard directed link: the sending shard's wire
 // stages frames into pend (instead of arming a local timer), and the
 // receiving shard's mirror chain delivers them after the exchange. The
-// mirror reuses the link's global wire priority, so delivery order is
-// exactly what a single-shard run would execute.
+// mirror models the same port, so it delivers under the link's global
+// wire priority: delivery order is exactly what a single-shard run
+// would execute.
 type xlink struct {
 	pend   []wireEnt
 	mirror wire
@@ -32,7 +33,7 @@ type xlink struct {
 // Cluster is a partitioned network: one shard Network per engine.
 type Cluster struct {
 	Topo   *topo.Topology
-	Assign []int      // NodeID -> shard index
+	Assign []int      // NodeID -> shard index; nil at one shard (topo.Partition)
 	Nets   []*Network // one per shard
 
 	specs     *stats.ChunkLog[flowSpec] // the shards' shared registration log
@@ -45,13 +46,14 @@ type Cluster struct {
 // NewCluster builds one shard network per engine over one topology. base
 // supplies everything but Engine and Shard; its observers are shard 0's and
 // fork for the rest (Config.forShard). assign must come from a partition
-// that never cuts a host-ToR link (topo.Partition guarantees this).
+// that never cuts a host-ToR link (topo.Partition guarantees this); it
+// may be nil at one shard.
 func NewCluster(base Config, engines []*sim.Engine, assign []int) *Cluster {
 	k := len(engines)
 	if k < 1 {
 		panic("device: NewCluster needs at least one engine")
 	}
-	if len(assign) != len(base.Topo.Nodes) {
+	if (assign != nil || k > 1) && len(assign) != len(base.Topo.Nodes) {
 		panic("device: shard assignment length must match node count")
 	}
 	c := &Cluster{
@@ -69,29 +71,38 @@ func NewCluster(base Config, engines []*sim.Engine, assign []int) *Cluster {
 	// mints the switch that owns a cut link, devices minted back to back
 	// lie back to back in memory, and two shards' switches interleaved
 	// there cost a two-shard run 6-8 % in contended cache lines (DESIGN §3).
-	for s, n := range c.Nets {
-		for _, node := range c.Topo.Nodes {
-			if assign[node.ID] != s {
+	for _, n := range c.Nets {
+		for id := range c.Topo.Nodes {
+			node := &c.Topo.Nodes[id]
+			if !n.Owns(node.ID) {
 				continue
 			}
 			for pi := range node.Ports {
 				pt := &node.Ports[pi]
-				d := assign[pt.Peer]
-				if s == d {
+				if n.Owns(pt.Peer) {
 					continue
 				}
+				d := assign[pt.Peer]
 				if node.Kind == topo.HostNode || c.Topo.Node(pt.Peer).Kind == topo.HostNode {
 					panic(fmt.Sprintf("device: host link %d-%d crosses shard boundary", node.ID, pt.Peer))
 				}
 				xl := &xlink{}
 				w := n.wireOf(node.ID, pi)
 				w.staged = xl
-				xl.mirror.init(c.Nets[d], pt.Peer, pt.PeerPort, w.pri)
+				xl.mirror = newWire(c.Nets[d], pt)
 				c.xlinks = append(c.xlinks, xl)
 			}
 		}
 	}
 	return c
+}
+
+// netOf returns the shard network that owns node id.
+func (c *Cluster) netOf(id packet.NodeID) *Network {
+	if c.K() == 1 {
+		return c.Nets[0] // Assign may be nil
+	}
+	return c.Nets[c.Assign[id]]
 }
 
 // K returns the shard count.
@@ -123,7 +134,7 @@ func (c *Cluster) AddAppFlow(src, dst packet.NodeID, size units.ByteSize, start 
 		panic("device: AddAppFlow attempt must be >= 1")
 	}
 	id := c.register(flowSpec{Start: start, Src: src, Dst: dst, Cat: cat, manual: true}, size)
-	f := c.Nets[c.Assign[src]].mintFlow(id, true)
+	f := c.netOf(src).mintFlow(id, true)
 	f.Attempt = attempt
 	c.held = append(c.held, f)
 	return f
@@ -134,12 +145,12 @@ func (c *Cluster) register(s flowSpec, size units.ByteSize) packet.FlowID {
 		panic("device: AddFlow after SealFlows")
 	}
 	id := logFlow(c.Topo, c.specs, s, size)
-	c.Nets[c.Assign[s.Dst]].fcts[s.Cat]++ // the receiver's shard files its FCT
+	c.netOf(s.Dst).fcts[s.Cat]++ // the receiver's shard files its FCT
 	// The log's first mention of a host mints it and the ToR on its one port
 	// (same shard: host links are never cut), where its first frame lands;
 	// minting at first frame would move the cost into the timed run.
 	for _, h := range [2]packet.NodeID{s.Src, s.Dst} {
-		if n := c.Nets[c.Assign[h]]; n.HostsByID[h] == nil {
+		if n := c.netOf(h); n.HostsByID[h] == nil {
 			n.mint(h)
 			n.mint(c.Topo.Node(h).Ports[0].Peer)
 		}
@@ -224,7 +235,7 @@ func (c *Cluster) FlowMetas() []forensics.FlowMeta {
 		id, s := packet.FlowID(i+1), c.specs.At(i)
 		m := forensics.FlowMeta{
 			ID: id, Src: s.Src, Dst: s.Dst, Size: s.size(), Start: s.Start,
-			FCT: fct[id], Done: c.Nets[c.Assign[s.Dst]].isDone(id),
+			FCT: fct[id], Done: c.netOf(s.Dst).isDone(id),
 		}
 		if s.manual {
 			f := c.Nets[0].live[id]

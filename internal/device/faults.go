@@ -74,10 +74,10 @@ func nudgeFn(a any) {
 // faultState is the network's mutable fault-plane state.
 type faultState struct {
 	plan      *fault.Plan
-	linkUp    [][]bool // [node][port]: port's link is in service
-	ge        [][]geChain
-	downPorts int     // own directed ports currently out of service
-	downAt    []int32 // [node]: locally down ports — Route's fast-path gate
+	down      []bool    // by directed port (topo.PortID): the port's link is out of service
+	ge        []geChain // by directed port; nil without a burst-loss model
+	downPorts int       // own directed ports currently out of service
+	downAt    []int32   // [node]: locally down ports — Route's fast-path gate
 
 	linkEvents int // link state transitions applied (primary halves)
 	linksDown  int // bidirectional links currently down (primary halves)
@@ -99,30 +99,20 @@ func (n *Network) InstallFaults(p *fault.Plan, seed uint64) {
 	if n.faults != nil {
 		panic("device: InstallFaults called twice")
 	}
-	f := &faultState{plan: p}
-	f.linkUp = make([][]bool, len(n.Topo.Nodes))
-	f.ge = make([][]geChain, len(n.Topo.Nodes))
-	f.downAt = make([]int32, len(n.Topo.Nodes))
-	for _, node := range n.Topo.Nodes {
-		up := make([]bool, len(node.Ports))
-		for i := range up {
-			up[i] = true
-		}
-		f.linkUp[node.ID] = up
-		chains := make([]geChain, len(node.Ports))
-		if p.Burst != nil && node.Kind == topo.SwitchNode && n.Owns(node.ID) {
-			for i := range node.Ports {
-				pt := &node.Ports[i]
-				if n.Topo.Node(pt.Peer).Kind != topo.SwitchNode || !p.BurstApplies(node.ID, pt.Peer) {
-					continue
-				}
-				// Seeded from (run seed, node, port) alone — never from a
-				// shared stream — so chains are identical at any shard count.
-				mix := uint64(node.ID)<<20 | uint64(i)
-				chains[i] = geChain{on: true, rnd: *sim.NewRand(seed ^ mix*0x9e3779b97f4a7c15)}
+	f := &faultState{plan: p, down: make([]bool, n.Topo.TotalPorts()), downAt: make([]int32, len(n.Topo.Nodes))}
+	if p.Burst != nil {
+		f.ge = make([]geChain, n.Topo.TotalPorts())
+		for i := range f.ge {
+			pt := n.Topo.Port(i)
+			if n.Topo.Node(pt.Owner).Kind != topo.SwitchNode || n.Topo.Node(pt.Peer).Kind != topo.SwitchNode ||
+				!n.Owns(pt.Owner) || !p.BurstApplies(pt.Owner, pt.Peer) {
+				continue
 			}
+			// Seeded from (run seed, node, port) alone — never from a
+			// shared stream — so chains are identical at any shard count.
+			mix := uint64(pt.Owner)<<20 | uint64(pt.Index)
+			f.ge[i] = geChain{on: true, rnd: *sim.NewRand(seed ^ mix*0x9e3779b97f4a7c15)}
 		}
-		f.ge[node.ID] = chains
 	}
 	// Every owned device the plan names is minted here: restarting a switch
 	// no frame ever reached runs the same teardown and counts the same.
@@ -152,7 +142,7 @@ func (n *Network) InstallFaults(p *fault.Plan, seed uint64) {
 				pt := &ports[pi]
 				if n.Owns(pt.Peer) {
 					n.mint(pt.Peer)
-					n.Eng.AtArgPri(ev.At, nudgeFn, &nudgeArg{n: n, peer: pt.Peer, port: pt.PeerPort}, sim.PriFault)
+					n.Eng.AtArgPri(ev.At, nudgeFn, &nudgeArg{n: n, peer: pt.Peer, port: int(pt.PeerPort)}, sim.PriFault)
 				}
 			}
 		}
@@ -207,10 +197,10 @@ func (n *Network) Route(node, src, dst packet.NodeID) int {
 	if len(ports) == 1 {
 		return ports[0]
 	}
-	up := f.linkUp[node]
+	down := f.down[n.Topo.PortID(&n.Topo.Nodes[node].Ports[0]):]
 	live := 0
 	for _, pt := range ports {
-		if up[pt] {
+		if !down[pt] {
 			live++
 		}
 	}
@@ -220,7 +210,7 @@ func (n *Network) Route(node, src, dst packet.NodeID) int {
 	}
 	k := topo.PairHash(uint64(src), uint64(dst)) % uint64(live)
 	for _, pt := range ports {
-		if !up[pt] {
+		if down[pt] {
 			continue
 		}
 		if k == 0 {
@@ -232,21 +222,19 @@ func (n *Network) Route(node, src, dst packet.NodeID) int {
 }
 
 // linkDropped decides, at the end of serialization, whether the frame
-// leaving node via port is lost to a fault: a downed link swallows
+// leaving via port pt is lost to a fault: a downed link swallows
 // everything (control included — the wire is dead); a burst-lossy link
 // advances its Gilbert–Elliott chain once per data/credit/SYN frame.
-func (n *Network) linkDropped(node packet.NodeID, port int, k packet.Kind) bool {
+func (n *Network) linkDropped(pt *topo.Port, k packet.Kind) bool {
 	f := n.faults
-	if f == nil {
-		return false
-	}
-	if !f.linkUp[node][port] {
+	id := n.Topo.PortID(pt)
+	if f.down[id] {
 		return true
 	}
-	g := &f.ge[node][port]
-	if !g.on || !lossyKind(k) {
+	if f.ge == nil || !f.ge[id].on || !lossyKind(k) {
 		return false
 	}
+	g := &f.ge[id]
 	ch := f.plan.Burst
 	if g.bad {
 		lost := ch.LossBad > 0 && g.rnd.Float64() < ch.LossBad
@@ -281,10 +269,11 @@ func lossyKind(k packet.Kind) bool {
 // aggregated counters match the old whole-link accounting.
 func (n *Network) applyLinkHalf(a *linkHalfArg) {
 	f := n.faults
-	if f.linkUp[a.node][a.port] == a.up {
+	id := n.Topo.PortID(&n.Topo.Nodes[a.node].Ports[a.port])
+	if f.down[id] != a.up {
 		return // redundant plan event; both halves agree and skip
 	}
-	f.linkUp[a.node][a.port] = a.up
+	f.down[id] = !a.up
 	down := 1
 	if a.up {
 		down = -1
@@ -345,14 +334,15 @@ func (n *Network) restartSwitch(id packet.NodeID) {
 			}
 			n.Drop(s.node.ID, p)
 		}
-		for q := range o.data {
-			for !o.data[q].empty() {
-				p := o.data[q].pop()
+		data := s.data(i)
+		for q := range data {
+			for !data[q].empty() {
+				p := data[q].pop()
 				s.release(p.Size, int(p.InPort))
 				s.notePort(i, -p.Size)
 				n.Drop(s.node.ID, p)
 			}
-			o.data[q].paused = false
+			data[q].paused = false
 		}
 		o.rr = 0
 	}

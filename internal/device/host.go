@@ -188,7 +188,7 @@ func newHost(n *Network, node *topo.Node) *Host {
 	h := &n.hostSlab[0]
 	n.hostSlab = n.hostSlab[1:]
 	h.net, h.node, h.port = n, node, &node.Ports[0]
-	h.wire.init(n, h.port.Peer, h.port.PeerPort, n.wirePri(node.ID, 0))
+	h.wire = newWire(n, h.port)
 	return h
 }
 
@@ -745,7 +745,7 @@ func (h *Host) transmit(p *packet.Packet) {
 	h.busy = true
 	ser := units.TxTime(p.Size, h.port.Rate)
 	h.net.Eng.AfterArg(ser, hostTxDoneFn, h)
-	if h.net.faults != nil && h.net.linkDropped(h.node.ID, 0, p.Kind) {
+	if h.net.faults != nil && h.net.linkDropped(h.port, p.Kind) {
 		h.net.Drop(h.node.ID, p)
 		return
 	}

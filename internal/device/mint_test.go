@@ -21,8 +21,8 @@ func mintedSet(t *testing.T, c *Cluster) map[packet.NodeID]bool {
 			if !sw && !h {
 				continue
 			}
-			if c.Assign[node.ID] != si || sw != (node.Kind == topo.SwitchNode) {
-				t.Fatalf("shard %d holds a device for %s (owner: shard %d)", si, node.Name(), c.Assign[node.ID])
+			if !n.Owns(node.ID) || sw != (node.Kind == topo.SwitchNode) {
+				t.Fatalf("shard %d holds a device for %s, which it does not own or of the wrong kind", si, node.Name())
 			}
 			got[node.ID] = true
 		}
@@ -69,7 +69,7 @@ func TestStateFollowsTouchedDevices(t *testing.T) {
 		want := map[packet.NodeID]bool{}
 		for _, node := range tp.Nodes {
 			for _, p := range node.Ports {
-				if assign[node.ID] != assign[p.Peer] {
+				if assign != nil && assign[node.ID] != assign[p.Peer] {
 					want[node.ID] = true
 				}
 			}

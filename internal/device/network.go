@@ -160,12 +160,6 @@ type Network struct {
 	nextID  uint64
 	baseRTT units.Duration // per-flow Env.BaseRTT (deriveBaseRTT)
 
-	// dirBase[id] is the number of directed ports owned by nodes with
-	// smaller IDs: wire delivery priorities are sim.WirePri(dirBase
-	// [owner] + port index), giving every directed link a globally
-	// unique same-timestamp priority (partition-invariant ordering).
-	dirBase []uint32
-
 	// Devices, indexed by NodeID, minted on first touch (DESIGN.md §3): a
 	// nil entry is a node of the other kind, one another shard owns, or one
 	// nothing has touched yet — ask Owns or Topo.Node(id).Kind, never nil.
@@ -230,13 +224,7 @@ func newNetwork(cfg Config) *Network {
 		// uniqueness, not density, is what matters).
 		n.nextID = uint64(sp.Index) << 56
 	}
-	n.dirBase = make([]uint32, len(cfg.Topo.Nodes))
-	var dirCnt uint32
-	for _, node := range cfg.Topo.Nodes {
-		n.dirBase[node.ID] = dirCnt
-		dirCnt += uint32(len(node.Ports))
-	}
-	if uint64(sim.PriWireBase)+uint64(dirCnt) >= uint64(sim.PriTimer) {
+	if uint64(sim.PriWireBase)+uint64(cfg.Topo.TotalPorts()) >= uint64(sim.PriTimer) {
 		panic("device: topology has too many directed ports for wire priorities")
 	}
 	n.baseRTT = n.deriveBaseRTT()
@@ -311,11 +299,6 @@ func (n *Network) BaseBDP() units.ByteSize {
 func (n *Network) Owns(id packet.NodeID) bool {
 	s := n.Cfg.Shard
 	return s == nil || s.Assign[id] == s.Index
-}
-
-// wirePri is the engine priority of the directed link (owner, port).
-func (n *Network) wirePri(owner packet.NodeID, port int) sim.Pri {
-	return sim.WirePri(n.dirBase[owner] + uint32(port))
 }
 
 // wireOf returns the in-flight chain of port `port` of switch owner,

@@ -38,7 +38,10 @@ func (c *Config) observers() observers {
 // MergedStats and forensics.BuildReport fold back in shard order. Registry
 // handles and the ring are shared as they are: exp keeps -obs to one engine.
 func (c Config) forShard(i int, eng *sim.Engine, assign []int) Config {
-	c.Engine, c.Shard = eng, &ShardSpec{Index: i, Assign: assign}
+	c.Engine, c.Shard = eng, nil
+	if assign != nil { // nil is topo.Partition's one shard: own the whole topology
+		c.Shard = &ShardSpec{Index: i, Assign: assign}
+	}
 	if i > 0 {
 		c.Stats = stats.NewCollector(c.Stats.BinWidth())
 		if c.Forensics != nil {

@@ -5,13 +5,13 @@ import (
 	"floodgate/internal/units"
 )
 
-// fifo is a byte-accounted packet queue. The ring grows on demand and
-// never shrinks below its high-water mark, which keeps the hot path
-// allocation-free after warm-up.
+// fifo is a byte-accounted packet queue. Its power-of-two ring grows on
+// demand and never shrinks below its high-water mark, which keeps the
+// hot path allocation-free after warm-up.
 type fifo struct {
 	buf   []*packet.Packet
-	head  int
-	count int
+	head  uint32
+	count uint32
 	bytes units.ByteSize
 
 	// paused gates dequeue (BFC per-queue pause, Floodgate VOQ without
@@ -19,15 +19,15 @@ type fifo struct {
 	paused bool
 }
 
-func (q *fifo) len() int             { return q.count }
+func (q *fifo) len() int             { return int(q.count) }
 func (q *fifo) size() units.ByteSize { return q.bytes }
 func (q *fifo) empty() bool          { return q.count == 0 }
 
 func (q *fifo) push(p *packet.Packet) {
-	if q.count == len(q.buf) {
+	if int(q.count) == len(q.buf) {
 		q.grow()
 	}
-	q.buf[(q.head+q.count)%len(q.buf)] = p
+	q.buf[(q.head+q.count)&uint32(len(q.buf)-1)] = p
 	q.count++
 	q.bytes += p.Size
 }
@@ -38,7 +38,7 @@ func (q *fifo) pop() *packet.Packet {
 	}
 	p := q.buf[q.head]
 	q.buf[q.head] = nil
-	q.head = (q.head + 1) % len(q.buf)
+	q.head = (q.head + 1) & uint32(len(q.buf)-1)
 	q.count--
 	q.bytes -= p.Size
 	return p
@@ -57,8 +57,8 @@ func (q *fifo) grow() {
 		n = 16
 	}
 	nb := make([]*packet.Packet, n)
-	for i := 0; i < q.count; i++ {
-		nb[i] = q.buf[(q.head+i)%len(q.buf)]
+	for i := uint32(0); i < q.count; i++ {
+		nb[i] = q.buf[(q.head+i)&uint32(len(q.buf)-1)]
 	}
 	q.buf = nb
 	q.head = 0

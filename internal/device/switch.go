@@ -9,24 +9,24 @@ import (
 	"floodgate/internal/units"
 )
 
-// outPort is the transmit side of one switch (or host) port: a strict-
-// priority control queue over QueuesPerPort round-robin data queues,
-// and a busy-until transmitter.
+// outPort is the transmit side of one switch port: a strict-priority
+// control queue over QueuesPerPort round-robin data queues, and a
+// busy-until transmitter. A minted switch holds one per port, most of
+// which never carry a frame, so it keeps nothing the topology or the
+// switch already says: the link is wire.port, the data queues are the
+// switch's (Switch.data).
 type outPort struct {
-	tp      *topo.Port
 	ctrl    fifo
-	data    []fifo
-	rr      int
-	busy    bool
 	txBytes units.ByteSize // cumulative, for INT telemetry
 
 	// The in-flight chain toward the peer plus the single outstanding
 	// transmission's release state (one packet serialises at a time, so
 	// scalar fields suffice — no per-packet closure allocation).
-	sw          *Switch
 	wire        wire
 	pendSize    units.ByteSize
-	pendInPort  int
+	pendInPort  int32
+	rr          int32
+	busy        bool
 	pendCharged bool
 }
 
@@ -34,20 +34,13 @@ type outPort struct {
 // share and restart the transmitter.
 func txDoneFn(a any) {
 	o := a.(*outPort)
+	s := o.wire.net.Switches[o.wire.port.Owner]
 	o.busy = false
 	if o.pendCharged {
-		o.sw.release(o.pendSize, o.pendInPort)
+		s.release(o.pendSize, int(o.pendInPort))
 	}
-	o.sw.kick(o.tp.Index)
-	o.sw.checkBuffer("txDone")
-}
-
-func (o *outPort) dataBytes() units.ByteSize {
-	var b units.ByteSize
-	for i := range o.data {
-		b += o.data[i].size()
-	}
-	return b
+	s.kick(int(o.wire.port.Index))
+	s.checkBuffer("txDone")
 }
 
 // Switch is a shared-buffer output-queued switch with PFC, ECN and a
@@ -65,6 +58,7 @@ type Switch struct {
 	rnd sim.Rand
 
 	out     []outPort
+	queues  []fifo           // data queues, QueuesPerPort per egress port: see data
 	used    units.ByteSize   // shared buffer occupancy (data only)
 	ingress []units.ByteSize // per ingress port occupancy (PFC accounting)
 
@@ -82,19 +76,32 @@ func newSwitch(n *Network, node *topo.Node) *Switch {
 		fc:             nopFC{},
 		rnd:            *sim.NewRand(n.Cfg.Seed ^ uint64(node.ID)*0x9e3779b97f4a7c15),
 		out:            make([]outPort, len(node.Ports)),
+		queues:         make([]fifo, len(node.Ports)*n.Cfg.QueuesPerPort),
 		ingress:        make([]units.ByteSize, len(node.Ports)),
 		pausedUpstream: make([]bool, len(node.Ports)),
 		pfc:            make([]pauseClock, len(node.Ports)),
 		portBytes:      make([]units.ByteSize, len(node.Ports)),
 	}
 	for i := range sw.out {
-		o := &sw.out[i]
-		o.tp = &node.Ports[i]
-		o.data = make([]fifo, n.Cfg.QueuesPerPort)
-		o.sw = sw
-		o.wire.init(n, o.tp.Peer, o.tp.PeerPort, n.wirePri(node.ID, i))
+		sw.out[i].wire = newWire(n, &node.Ports[i])
 	}
 	return sw
+}
+
+// data returns egress port i's data queues.
+func (s *Switch) data(i int) []fifo {
+	nq := s.net.Cfg.QueuesPerPort
+	return s.queues[i*nq : (i+1)*nq : (i+1)*nq]
+}
+
+// dataBytes is egress port i's data backlog.
+func (s *Switch) dataBytes(i int) units.ByteSize {
+	var b units.ByteSize
+	data := s.data(i)
+	for q := range data {
+		b += data[q].size()
+	}
+	return b
 }
 
 // Node returns the topology node this switch realises.
@@ -166,7 +173,7 @@ func (s *Switch) receiveData(p *packet.Packet, inPort int) {
 
 	// NDP cut-payload: when the egress backlog exceeds the trim
 	// threshold, forward only the header in the priority class.
-	if n.Cfg.NDP.Enable && !p.Trimmed && s.out[out].dataBytes() >= n.Cfg.NDP.TrimThresh {
+	if n.Cfg.NDP.Enable && !p.Trimmed && s.dataBytes(out) >= n.Cfg.NDP.TrimThresh {
 		cut := p.Size - packet.HeaderSize
 		p.Trim()
 		s.release(cut, inPort) // header keeps only its own share charged
@@ -184,15 +191,15 @@ func (s *Switch) receiveData(p *packet.Packet, inPort int) {
 // ECN marking, and kicks the transmitter. Exposed to flow-control
 // modules via InjectEgress.
 func (s *Switch) enqueueData(p *packet.Packet, out, queue int) {
-	o := &s.out[out]
-	if queue >= len(o.data) {
-		queue = len(o.data) - 1
+	data := s.data(out)
+	if queue >= len(data) {
+		queue = len(data) - 1
 	}
 	if s.net.Cfg.ECN.Enable {
 		s.maybeMark(p, out)
 	}
 	p.EnqueuedAt = s.net.Eng.Now()
-	o.data[queue].push(p)
+	data[queue].push(p)
 	s.notePort(out, p.Size)
 	s.net.enqueued(s, out, p)
 	s.kick(out)
@@ -220,7 +227,7 @@ func (s *Switch) NotePortBytes(out int, delta units.ByteSize) { s.notePort(out, 
 // maybeMark applies RED-style ECN based on the egress backlog (or the
 // module's override signal, whichever is larger — §8).
 func (s *Switch) maybeMark(p *packet.Packet, out int) {
-	q := s.out[out].dataBytes()
+	q := s.dataBytes(out)
 	if sig := s.fc.QueueSignal(p, out); sig > q {
 		q = sig
 	}
@@ -323,14 +330,15 @@ func (s *Switch) pick(i int) (*packet.Packet, int) {
 	if s.pfc[i].paused {
 		return nil, -1
 	}
-	nq := len(o.data)
+	data := s.data(i)
+	nq := len(data)
 	for k := 0; k < nq; k++ {
-		qi := (o.rr + k) % nq
-		q := &o.data[qi]
+		qi := (int(o.rr) + k) % nq
+		q := &data[qi]
 		if q.paused || q.empty() {
 			continue
 		}
-		o.rr = (qi + 1) % nq
+		o.rr = int32((qi + 1) % nq)
 		return q.pop(), qi
 	}
 	return nil, -1
@@ -338,17 +346,17 @@ func (s *Switch) pick(i int) (*packet.Packet, int) {
 
 // PauseQueue marks a data queue paused/unpaused (BFC) and kicks.
 func (s *Switch) PauseQueue(out, queue int, paused bool) {
-	s.out[out].data[queue].paused = paused
+	s.data(out)[queue].paused = paused
 	if !paused {
 		s.kick(out)
 	}
 }
 
 // QueueBytes reports the backlog of one egress data queue.
-func (s *Switch) QueueBytes(out, queue int) units.ByteSize { return s.out[out].data[queue].size() }
+func (s *Switch) QueueBytes(out, queue int) units.ByteSize { return s.data(out)[queue].size() }
 
 // PortBacklog reports the summed data backlog of an egress port.
-func (s *Switch) PortBacklog(out int) units.ByteSize { return s.out[out].dataBytes() }
+func (s *Switch) PortBacklog(out int) units.ByteSize { return s.dataBytes(out) }
 
 // transmit serialises p on port i and schedules its arrival.
 func (s *Switch) transmit(p *packet.Packet, i, queue int) {
@@ -364,11 +372,11 @@ func (s *Switch) transmit(p *packet.Packet, i, queue int) {
 	if isData {
 		s.fc.OnDequeue(p, i, queue)
 		if n.Cfg.INT && !p.Trimmed {
-			q := s.out[i].dataBytes()
+			q := s.dataBytes(i)
 			if sig := s.fc.QueueSignal(p, i); sig > q {
 				q = sig
 			}
-			p.AddInt(packet.IntHop{TxBytes: o.txBytes, QLen: q, TS: now, LinkRate: o.tp.Rate})
+			p.AddInt(packet.IntHop{TxBytes: o.txBytes, QLen: q, TS: now, LinkRate: o.wire.port.Rate})
 		}
 	}
 
@@ -376,9 +384,9 @@ func (s *Switch) transmit(p *packet.Packet, i, queue int) {
 	o.txBytes += p.Size
 	n.transmitted(s, i, p, hopSize, now)
 
-	ser := units.TxTime(p.Size, o.tp.Rate)
+	ser := units.TxTime(p.Size, o.wire.port.Rate)
 	o.pendSize = hopSize
-	o.pendInPort = int(p.InPort)
+	o.pendInPort = p.InPort
 	o.pendCharged = isData
 	if isData {
 		s.notePort(i, -hopSize)
@@ -397,11 +405,11 @@ func (s *Switch) transmit(p *packet.Packet, i, queue int) {
 	}
 	// Fault plane: dead links swallow everything, burst-lossy links
 	// advance their Gilbert–Elliott chain (see faults.go).
-	if n.faults != nil && n.linkDropped(s.node.ID, i, p.Kind) {
+	if n.faults != nil && n.linkDropped(o.wire.port, p.Kind) {
 		n.Drop(s.node.ID, p)
 		return
 	}
-	o.wire.push(now.Add(ser+o.tp.Prop), p)
+	o.wire.push(now.Add(ser+o.wire.port.Prop), p)
 }
 
 func (s *Switch) lossRateFor(k packet.Kind) float64 {

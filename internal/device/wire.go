@@ -5,6 +5,7 @@ package device
 import (
 	"floodgate/internal/packet"
 	"floodgate/internal/sim"
+	"floodgate/internal/topo"
 	"floodgate/internal/units"
 )
 
@@ -20,15 +21,8 @@ import (
 // enter the chain, and a switch restart leaves it untouched — frames
 // already on the wire survive, matching the old per-frame semantics.
 type wire struct {
-	net      *Network
-	peer     packet.NodeID
-	peerPort int
-
-	// pri is the link's engine priority (sim.WirePri of its global
-	// directed-port index): every directed link delivers under its own
-	// same-timestamp priority, so equal-time deliveries on different
-	// links order identically at any shard count.
-	pri sim.Pri
+	net  *Network   // the owner's shard, or for a mirror chain the peer's
+	port *topo.Port // the link direction: frames land at port.Peer's port.PeerPort
 
 	// staged, when non-nil, marks the peer as living on another shard:
 	// pushes divert into the cross-shard mailbox instead of arming a
@@ -36,8 +30,9 @@ type wire struct {
 	staged *xlink
 
 	buf   []wireEnt
-	head  int
-	count int
+	head  uint32
+	count uint32
+	pri   sim.Pri // sim.WirePri(port's directed-port index): ties order alike at any shard count
 }
 
 type wireEnt struct {
@@ -45,11 +40,9 @@ type wireEnt struct {
 	p  *packet.Packet
 }
 
-func (w *wire) init(n *Network, peer packet.NodeID, peerPort int, pri sim.Pri) {
-	w.net = n
-	w.peer = peer
-	w.peerPort = peerPort
-	w.pri = pri
+// newWire returns the chain of link direction p, run in network n.
+func newWire(n *Network, p *topo.Port) wire {
+	return wire{net: n, port: p, pri: sim.WirePri(uint32(n.Topo.PortID(p)))}
 }
 
 // wireDeliverFn delivers the chain head. Re-arming happens before the
@@ -62,7 +55,7 @@ func wireDeliverFn(a any) {
 	if w.count > 0 {
 		w.net.Eng.AtArgPri(w.buf[w.head].at, wireDeliverFn, w, w.pri)
 	}
-	w.net.deliver(w.peer, p, w.peerPort)
+	w.net.deliver(w.port.Peer, p, int(w.port.PeerPort))
 }
 
 // push appends a frame arriving at `at` (≥ every arrival already
@@ -77,17 +70,17 @@ func (w *wire) push(at units.Time, p *packet.Packet) {
 	if w.count == 0 {
 		w.net.Eng.AtArgPri(at, wireDeliverFn, w, w.pri)
 	}
-	if w.count == len(w.buf) {
+	if int(w.count) == len(w.buf) {
 		w.grow()
 	}
-	w.buf[(w.head+w.count)&(len(w.buf)-1)] = wireEnt{at, p}
+	w.buf[(w.head+w.count)&uint32(len(w.buf)-1)] = wireEnt{at, p}
 	w.count++
 }
 
 func (w *wire) pop() *packet.Packet {
 	ent := w.buf[w.head]
 	w.buf[w.head] = wireEnt{} // drop the frame reference (pool hygiene)
-	w.head = (w.head + 1) & (len(w.buf) - 1)
+	w.head = (w.head + 1) & uint32(len(w.buf)-1)
 	w.count--
 	return ent.p
 }
@@ -99,8 +92,8 @@ func (w *wire) grow() {
 		n = 16
 	}
 	nb := make([]wireEnt, n)
-	for i := 0; i < w.count; i++ {
-		nb[i] = w.buf[(w.head+i)&(len(w.buf)-1)]
+	for i := uint32(0); i < w.count; i++ {
+		nb[i] = w.buf[(w.head+i)&uint32(len(w.buf)-1)]
 	}
 	w.buf = nb
 	w.head = 0

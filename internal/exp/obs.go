@@ -181,8 +181,11 @@ func (ob *obsRun) export(rep *forensics.Report) error {
 // it, RunError reports it and a batch memoises runs under it (reduced).
 func runKey(rc RunConfig) string {
 	k := keyWriter{h: fnv.New64a()}
-	if rc.Topo != nil {
-		k.put(reflect.ValueOf(rc.Topo.Nodes))
+	if rc.Topo != nil { // hashed as the []*Node it was: -obs names stay put (TestRunKeyPinned)
+		k.u64(uint64(len(rc.Topo.Nodes)))
+		for i := range rc.Topo.Nodes {
+			k.put(reflect.ValueOf(&rc.Topo.Nodes[i]))
+		}
 	}
 	rc.Topo, rc.Source, rc.Scheme.CC, rc.Scheme.FC = nil, nil, nil, nil
 	rc.Opt.Parallelism, rc.Opt.Shards, rc.Opt.Obs, rc.Opt.grid = 0, 0, ObsConfig{}, nil

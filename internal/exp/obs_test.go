@@ -326,7 +326,7 @@ func TestRunKeyComplete(t *testing.T) {
 	}
 	perturb(t, reflect.ValueOf(&rc).Elem(), "", map[string]string{
 		"Topo.Hosts":      "the host list derives from the nodes",
-		"Topo.hostIdx":    "the host index derives from the nodes",
+		"Topo.ports":      "the port arena is the nodes' Ports, walked with them",
 		"Topo.router":     "the router derives from the nodes",
 		"Scheme.CC":       "a factory is keyed by Scheme.cc, walked below",
 		"Scheme.FC":       "a factory is keyed by Scheme.fc, walked below",
@@ -360,6 +360,28 @@ func TestRunKeyComplete(t *testing.T) {
 		}
 	}()
 	reduced(o.inBatch(), "cell", rc, newCell)
+}
+
+// TestRunKeyPinned pins two run keys to the values they had when
+// Topology held its nodes as a []*Node of 64-bit records: runKey walks
+// the nodes by reflection, so a change to how a Topology lays out its
+// nodes and ports must not move -obs file names or the memo's keys
+// unnoticed.
+func TestRunKeyPinned(t *testing.T) {
+	o := smokeOpts
+	tp := o.leafSpine()
+	rc := mixRun(o, tp, workload.WebServer, WithFloodgate(o, DCQCN(o), baseBDPOf(tp)))
+	clos := rc
+	clos.Topo = topo.DefaultClos().Build()
+	for _, c := range []struct {
+		name string
+		rc   RunConfig
+		want string
+	}{{"leaf-spine", rc, "5b11e52a660c3f57"}, {"clos", clos, "b2a7d88bfdd5c8d7"}} {
+		if got := runKey(c.rc); got != c.want {
+			t.Errorf("%s run key = %s, want %s", c.name, got, c.want)
+		}
+	}
 }
 
 // TestObsLabelDeterminism requires the -obs label, the scheme's slug and

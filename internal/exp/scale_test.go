@@ -41,11 +41,13 @@ func TestScaleIncastSmoke(t *testing.T) {
 // process with route memory that would be impossible dense, and the
 // Floodgate cell's live heap — fabric, devices, flow-control tables and
 // collectors, measured while its result is still referenced — stays
-// inside 56 MB: the topology, plus devices for the few hundred nodes the
-// incast touches, each holding its one destination's Floodgate state
-// inline. With a 256-entry page minted per touched switch and windowed
-// ingress port for that one destination it held ≈63 MB; with every
-// device of the fabric built up front, ≈160 MB. (The budget used to be
+// inside 35 MB: the topology's node and port arenas, plus devices for
+// the few hundred nodes the incast touches, each holding its one
+// destination's Floodgate state inline. It measures 31.4 MB; with
+// 64-bit topology records and per-port copies of them in every switch
+// port it held ≈43 MB, with a 256-entry page minted per touched switch
+// and windowed ingress port for that one destination ≈63 MB, and with
+// every device of the fabric built up front ≈160 MB. (The budget used to be
 // read after ScaleIncast had returned only strings, when HeapAlloc is
 // ≈90 KB whatever the run held; per-ingress-port credit rows sized by
 // node count put this cell at 553 MB and it passed.)
@@ -67,7 +69,7 @@ func TestScaleIncastCompletes(t *testing.T) {
 	}
 	res := runScaleIncastFloodgate(t, o.norm())
 	runtime.GC()
-	const budget = 56 << 20
+	const budget = 35_000_000
 	heap := res.Net.SnapshotMemStats()
 	t.Logf("live heap %d bytes (budget %d)", heap, budget)
 	if heap > budget {

@@ -91,49 +91,47 @@ func newRouter(t *Topology) router {
 	n := len(t.Nodes)
 	r := router{sw: make([]swEntry, n)}
 	maxPorts := 0
-	// Pass 1: classify ports and check the up-prefix layout (1, 2).
-	upCount := make([]int, n)
-	for _, node := range t.Nodes {
+	// Pass 1: classify ports and check the up-prefix layout (1, 2). A
+	// node's up-port count u is its upHi (and, for a switch, downBase).
+	for id := range t.Nodes {
+		node := &t.Nodes[id]
 		maxPorts = max(maxPorts, len(node.Ports))
-		u := 0
+		var u int32
 		for i, p := range node.Ports {
-			peer := t.Nodes[p.Peer]
-			switch {
-			case peer.Layer > node.Layer: // up
-				if i != u {
+			switch peer := t.Nodes[p.Peer].Layer; {
+			case peer > node.Layer: // up
+				if int32(i) != u {
 					broken(checkUpPrefix, "%s port %d is an up port after a down port", node.Name(), i)
 				}
 				u++
-			case peer.Layer == node.Layer:
+			case peer == node.Layer:
 				broken(checkLayering, "%s port %d links within layer %s", node.Name(), i, node.Layer)
 			}
 		}
-		upCount[node.ID] = u
+		r.sw[id] = swEntry{downBase: u, upHi: u}
 	}
-	// Pass 2: subtree host ranges bottom-up, layer by layer (3).
-	done := make([]bool, n)
-	for _, node := range t.Nodes {
-		if node.Kind == HostNode {
-			hi := int32(t.hostIdx[node.ID])
-			r.sw[node.ID] = swEntry{hostLo: hi, hostHi: hi + 1, upHi: int32(len(node.Ports))}
-			done[node.ID] = true
+	// Pass 2: subtree host ranges bottom-up, layer by layer (3). Hosts
+	// take dense indexes in ID order (HostIndex reads them back); an entry
+	// with an empty host range is a node not placed yet.
+	var hi int32
+	for id := range t.Nodes {
+		if t.Nodes[id].Kind == HostNode {
+			r.sw[id] = swEntry{hostLo: hi, hostHi: hi + 1, upHi: r.sw[id].upHi}
+			hi++
 		}
 	}
 	for layer := LayerToR; layer <= LayerCore; layer++ {
-		for _, node := range t.Nodes {
+		for id := range t.Nodes {
+			node := &t.Nodes[id]
 			if node.Layer != layer || node.Kind == HostNode {
 				continue
 			}
-			u := upCount[node.ID]
-			e := swEntry{downBase: int32(u), upHi: int32(u)}
-			for _, p := range node.Ports[u:] {
-				if !done[p.Peer] {
-					broken(checkLayering, "%s has a down link skipping a layer to %s", node.Name(), t.Nodes[p.Peer].Name())
-				}
+			e := r.sw[id]
+			for _, p := range node.Ports[e.upHi:] {
 				c := r.sw[p.Peer]
 				size := c.hostHi - c.hostLo
 				if size <= 0 {
-					broken(checkSubtrees, "%s subtree under %s holds no hosts", node.Name(), t.Nodes[p.Peer].Name())
+					broken(checkLayering, "%s has a down link skipping a layer to %s", node.Name(), t.Nodes[p.Peer].Name())
 				}
 				if e.stride == 0 {
 					e.hostLo, e.hostHi, e.stride = c.hostLo, c.hostHi, size
@@ -148,14 +146,14 @@ func newRouter(t *Topology) router {
 				broken(checkSubtrees, "switch %s has no down ports", node.Name())
 			}
 			r.sw[node.ID] = e
-			done[node.ID] = true
 		}
 	}
 	// Pass 3: symmetric up coverage (4).
-	for _, node := range t.Nodes {
+	for id := range t.Nodes {
+		node := &t.Nodes[id]
 		e := r.sw[node.ID]
 		var lo, hi int32
-		for i := 0; i < upCount[node.ID]; i++ {
+		for i := int32(0); i < e.upHi; i++ {
 			p := r.sw[node.Ports[i].Peer]
 			if i == 0 {
 				lo, hi = p.hostLo, p.hostHi

@@ -194,8 +194,9 @@ func TestRouterSelection(t *testing.T) {
 	}
 
 	// An asymmetric fabric — one spine wired to only half the racks —
-	// fails the symmetric-up-coverage check.
-	b := &builder{}
+	// fails the symmetric-up-coverage check: 2 spines, 2 ToRs, 4 hosts
+	// and 7 links.
+	b := newBuilder(8, 4, 7)
 	s0 := b.addNode(SwitchNode, LayerCore, -1, -1, 2)
 	s1 := b.addNode(SwitchNode, LayerCore, -1, -1, 1)
 	for r := 0; r < 2; r++ {

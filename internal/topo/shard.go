@@ -14,15 +14,16 @@ import (
 // the barrier window by the minimum switch-switch wire latency.
 //
 // The assignment is a pure function of (topology, k): byte-identical
-// runs at any GOMAXPROCS depend on it.
+// runs at any GOMAXPROCS depend on it. One shard (k <= 1) needs no
+// table: Partition returns nil, which places every node on shard 0.
 func Partition(t *Topology, k int) []int {
-	if k < 1 {
-		k = 1
+	if k <= 1 {
+		return nil
 	}
 	assign := make([]int, len(t.Nodes))
 	nextToR, nextUpper := 0, 0
-	for _, n := range t.Nodes {
-		switch {
+	for i := range t.Nodes {
+		switch n := &t.Nodes[i]; {
 		case n.Kind == HostNode:
 			// Hosts are assigned after their ToR below; a host's single
 			// port faces its ToR, whose ID may be larger, so defer.
@@ -36,9 +37,7 @@ func Partition(t *Topology, k int) []int {
 		}
 	}
 	for _, id := range t.Hosts {
-		n := t.Nodes[id]
-		tor := n.Ports[0].Peer
-		assign[id] = assign[tor]
+		assign[id] = assign[t.Nodes[id].Ports[0].Peer]
 	}
 	return assign
 }
@@ -55,24 +54,19 @@ func Partition(t *Topology, k int) []int {
 // constrain the window. A degenerate topology with no switch-switch
 // links falls back to the minimum over all links.
 func Lookahead(t *Topology) units.Duration {
-	minLatency := func(switchLinksOnly bool) units.Duration {
-		min := units.Duration(0)
-		for _, n := range t.Nodes {
-			for i := range n.Ports {
-				p := &n.Ports[i]
-				if switchLinksOnly && (n.Kind == HostNode || p.Class == ClassHost || t.Nodes[p.Peer].Kind == HostNode) {
-					continue
-				}
-				d := p.Prop + units.TxTime(packet.MinFrameSize, p.Rate)
-				if min == 0 || d < min {
-					min = d
-				}
-			}
+	var all, switches units.Duration
+	for i := range t.ports {
+		p := &t.ports[i]
+		d := p.Prop + units.TxTime(packet.MinFrameSize, p.Rate)
+		if all == 0 || d < all {
+			all = d
 		}
-		return min
+		if t.Nodes[p.Owner].Kind == SwitchNode && t.Nodes[p.Peer].Kind == SwitchNode && (switches == 0 || d < switches) {
+			switches = d
+		}
 	}
-	if l := minLatency(true); l > 0 {
-		return l
+	if switches > 0 {
+		return switches
 	}
-	return minLatency(false)
+	return all
 }

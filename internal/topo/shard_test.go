@@ -22,10 +22,13 @@ func shardTestTopologies() map[string]*Topology {
 // ToR's shard (so no host link ever crosses a shard cut); switches of
 // each layer spread round-robin (no shard is left empty when k is at
 // most the ToR count); and the assignment is a pure function of
-// (topology, k).
+// (topology, k). One shard stores no table at all.
 func TestPartitionInvariants(t *testing.T) {
 	for name, tp := range shardTestTopologies() {
-		for _, k := range []int{1, 2, 3, 4} {
+		if a := Partition(tp, 1); a != nil {
+			t.Fatalf("%s k=1: got a %d-entry assignment, want nil (every node on shard 0)", name, len(a))
+		}
+		for _, k := range []int{2, 3, 4} {
 			a := Partition(tp, k)
 			if len(a) != len(tp.Nodes) {
 				t.Fatalf("%s k=%d: assignment covers %d of %d nodes", name, k, len(a), len(tp.Nodes))
@@ -63,10 +66,8 @@ func TestPartitionInvariants(t *testing.T) {
 // shard rather than panicking.
 func TestPartitionClampsDegenerateK(t *testing.T) {
 	tp := DefaultLeafSpine().Build()
-	for _, s := range Partition(tp, 0) {
-		if s != 0 {
-			t.Fatal("Partition(tp, 0) produced a non-zero shard")
-		}
+	if a := Partition(tp, 0); a != nil {
+		t.Fatalf("Partition(tp, 0) = %d entries, want nil (one shard)", len(a))
 	}
 }
 

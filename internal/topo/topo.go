@@ -73,11 +73,13 @@ func (c PortClass) String() string {
 }
 
 // Port is one direction of a link: the transmit side owned by Owner.
+// Counts and indexes are 32-bit, as in Node: the two records are the
+// bulk of a 100k-host fabric's memory.
 type Port struct {
 	Owner    packet.NodeID
-	Index    int // position within Owner's port list
+	Index    int32 // position within Owner's port list
 	Peer     packet.NodeID
-	PeerPort int // the reverse-direction port index at Peer
+	PeerPort int32 // the reverse-direction port index at Peer
 	Rate     units.BitRate
 	Prop     units.Duration
 	Class    PortClass
@@ -96,9 +98,9 @@ type Node struct {
 	ID    packet.NodeID
 	Kind  NodeKind
 	Layer Layer
-	Pod   int // pod/zone index (3-tier); -1 when not applicable
-	Rack  int // rack index for ToRs and hosts; -1 otherwise
-	Ports []Port
+	Pod   int32  // pod/zone index (3-tier); -1 when not applicable
+	Rack  int32  // rack index for ToRs and hosts; -1 otherwise
+	Ports []Port // a window of the topology's port arena
 }
 
 // Name labels the node in error and test-failure messages, its only
@@ -113,20 +115,26 @@ func (n *Node) Name() string {
 // after Build() nothing writes to nodes, ports or router state (the
 // device layer only takes pointers into them), so one Topology may be
 // shared by concurrent simulation runs (exp.RunMany) without
-// synchronisation.
+// synchronisation. Nodes and the port arena are each allocated once at
+// exact size; a node's Ports are its window of the arena, in ID order.
 type Topology struct {
-	Nodes []*Node
+	Nodes []Node
 	Hosts []packet.NodeID // all host IDs in ID order
 
-	hostIdx []int // NodeID -> dense host index, -1 for switches
-	router  router
+	ports  []Port
+	router router
 }
 
 // Node returns the node with the given ID.
-func (t *Topology) Node(id packet.NodeID) *Node { return t.Nodes[id] }
+func (t *Topology) Node(id packet.NodeID) *Node { return &t.Nodes[id] }
 
-// HostIndex returns the dense index of a host node, or -1.
-func (t *Topology) HostIndex(id packet.NodeID) int { return t.hostIdx[id] }
+// HostIndex returns a host's dense index (its router record's hostLo), or -1.
+func (t *Topology) HostIndex(id packet.NodeID) int {
+	if e := &t.router.sw[id]; e.stride == 0 {
+		return int(e.hostLo)
+	}
+	return -1
+}
 
 // NumHosts returns the number of hosts.
 func (t *Topology) NumHosts() int { return len(t.Hosts) }
@@ -134,8 +142,8 @@ func (t *Topology) NumHosts() int { return len(t.Hosts) }
 // NextPorts returns every shortest-path egress port index at node n
 // toward destination host dst, in ascending port order. Empty only
 // if n == dst. Panics with a clear message when dst is not a host —
-// a switch or out-of-range ID here is always a caller bug, and the
-// old unchecked hostIdx lookup surfaced it as a cryptic
+// a switch or out-of-range ID here is always a caller bug, and an
+// unchecked lookup would surface it as a cryptic
 // "index out of range [-1]". The returned slice is shared and
 // immutable; callers must not modify it.
 func (t *Topology) NextPorts(n, dst packet.NodeID) []int {
@@ -145,10 +153,10 @@ func (t *Topology) NextPorts(n, dst packet.NodeID) []int {
 // mustHostIndex resolves dst to its dense host index, panicking with
 // an actionable message for switches and out-of-range IDs.
 func (t *Topology) mustHostIndex(dst packet.NodeID) int {
-	if int(dst) < 0 || int(dst) >= len(t.hostIdx) || t.hostIdx[dst] < 0 {
+	if uint(dst) >= uint(len(t.router.sw)) || t.router.sw[dst].stride != 0 {
 		panic(fmt.Sprintf("topo: dst %d is not a host", dst))
 	}
-	return t.hostIdx[dst]
+	return int(t.router.sw[dst].hostLo)
 }
 
 // RouteBytes is the resident memory of the router — the route_bytes
@@ -156,26 +164,30 @@ func (t *Topology) mustHostIndex(dst packet.NodeID) int {
 func (t *Topology) RouteBytes() int64 { return t.router.bytes() }
 
 // TotalPorts counts directed ports across all nodes (two per link).
-func (t *Topology) TotalPorts() int {
-	total := 0
-	for _, n := range t.Nodes {
-		total += len(n.Ports)
+func (t *Topology) TotalPorts() int { return len(t.ports) }
+
+// Port returns the port with directed-port index id (PortID's inverse).
+func (t *Topology) Port(id int) *Port { return &t.ports[id] }
+
+// PortID returns p's offset in the port arena: its global directed-port
+// index in [0, TotalPorts()), numbered in node ID order, then port
+// order. p must point into this topology.
+func (t *Topology) PortID(p *Port) int {
+	id := int((uintptr(unsafe.Pointer(p)) - uintptr(unsafe.Pointer(unsafe.SliceData(t.ports)))) / unsafe.Sizeof(Port{}))
+	if id < 0 || id >= len(t.ports) || &t.ports[id] != p {
+		panic("topo: PortID of a port outside this topology's port arena")
 	}
-	return total
+	return id
 }
 
-// StructBytes estimates the topology graph's own resident memory —
-// node and port structs plus the host index — excluding the router
+// StructBytes is the topology graph's own resident memory — the node
+// and port arenas plus the host list — excluding the router
 // (RouteBytes). Together they give the deterministic bytes-per-host
 // scale gauge.
 func (t *Topology) StructBytes() int64 {
-	var node Node
-	var port Port
-	b := int64(len(t.Nodes)) * int64(unsafe.Sizeof(&node)+unsafe.Sizeof(node))
-	b += int64(t.TotalPorts()) * int64(unsafe.Sizeof(port))
-	b += int64(len(t.hostIdx)) * int64(unsafe.Sizeof(int(0)))
-	b += int64(len(t.Hosts)) * int64(unsafe.Sizeof(packet.NodeID(0)))
-	return b
+	return int64(cap(t.Nodes))*int64(unsafe.Sizeof(Node{})) +
+		int64(cap(t.ports))*int64(unsafe.Sizeof(Port{})) +
+		int64(cap(t.Hosts))*int64(unsafe.Sizeof(packet.NodeID(0)))
 }
 
 // ECMP picks one egress port for a (src, dst) pair among the
@@ -213,70 +225,62 @@ func (t *Topology) SamePod(n, dst packet.NodeID) bool {
 	return t.Nodes[n].Pod >= 0 && t.Nodes[n].Pod == t.Nodes[dst].Pod
 }
 
-// slabChunk is how many Nodes (and hosts' single Ports) one backing
-// allocation holds: a builder makes two allocations per 256 nodes, not
-// two per node, and a ten-node fabric wastes under 30 KB.
-const slabChunk = 256
-
 // builder assembles nodes and links then freezes them into a Topology.
+// newBuilder sizes the arenas exactly, so each is allocated once: adding
+// past a count it was given panics, and so does freezing short of one.
 type builder struct {
-	nodes     []*Node
-	nodeSlab  []Node
-	hostPorts []Port
+	nodes []Node
+	hosts []packet.NodeID
+	ports []Port
+}
+
+// newBuilder returns a builder for exactly nodes nodes, hosts of them
+// hosts, and links full-duplex links.
+func newBuilder(nodes, hosts, links int) *builder {
+	return &builder{nodes: make([]Node, 0, nodes), hosts: make([]packet.NodeID, 0, hosts), ports: make([]Port, 0, 2*links)}
 }
 
 // addNode adds a node that will have exactly nports ports (every
-// builder knows: a Clos ToR has AggsPerPod + HostsPerToR), so connect
-// never re-grows a port list.
+// builder knows: a Clos ToR has AggsPerPod + HostsPerToR), reserving
+// its window of the port arena.
 func (b *builder) addNode(kind NodeKind, layer Layer, pod, rack, nports int) packet.NodeID {
-	if len(b.nodeSlab) == 0 {
-		b.nodeSlab = make([]Node, slabChunk)
+	off := len(b.ports)
+	if len(b.nodes) == cap(b.nodes) || off+nports > cap(b.ports) || kind == HostNode && len(b.hosts) == cap(b.hosts) {
+		panic(fmt.Sprintf("topo: node %d exceeds the node, host or link count newBuilder was given", len(b.nodes)))
 	}
-	n := &b.nodeSlab[0]
-	b.nodeSlab = b.nodeSlab[1:]
-	*n = Node{ID: packet.NodeID(len(b.nodes)), Kind: kind, Layer: layer, Pod: pod, Rack: rack}
-	if nports == 1 {
-		if len(b.hostPorts) == 0 {
-			b.hostPorts = make([]Port, slabChunk)
-		}
-		n.Ports, b.hostPorts = b.hostPorts[:0:1], b.hostPorts[1:]
-	} else {
-		n.Ports = make([]Port, 0, nports)
+	b.ports = b.ports[:off+nports]
+	id := packet.NodeID(len(b.nodes))
+	b.nodes = append(b.nodes, Node{ID: id, Kind: kind, Layer: layer, Pod: int32(pod), Rack: int32(rack),
+		Ports: b.ports[off : off : off+nports]})
+	if kind == HostNode {
+		b.hosts = append(b.hosts, id)
 	}
-	b.nodes = append(b.nodes, n)
-	return n.ID
+	return id
 }
 
 // connect adds a full-duplex link between a and b as two directed
 // ports with the given rate, propagation delay and per-direction class.
 func (b *builder) connect(a, bb packet.NodeID, rate units.BitRate, prop units.Duration, aClass, bClass PortClass) {
-	na, nb := b.nodes[a], b.nodes[bb]
+	na, nb := &b.nodes[a], &b.nodes[bb]
 	if len(na.Ports) == cap(na.Ports) || len(nb.Ports) == cap(nb.Ports) {
 		panic(fmt.Sprintf("topo: link %s - %s exceeds the port count addNode was given", na.Name(), nb.Name()))
 	}
-	pa := Port{Owner: a, Index: len(na.Ports), Peer: bb, Rate: rate, Prop: prop, Class: aClass}
-	pb := Port{Owner: bb, Index: len(nb.Ports), Peer: a, Rate: rate, Prop: prop, Class: bClass}
+	pa := Port{Owner: a, Index: int32(len(na.Ports)), Peer: bb, Rate: rate, Prop: prop, Class: aClass}
+	pb := Port{Owner: bb, Index: int32(len(nb.Ports)), Peer: a, Rate: rate, Prop: prop, Class: bClass}
 	pa.PeerPort = pb.Index
 	pb.PeerPort = pa.Index
 	na.Ports = append(na.Ports, pa)
 	nb.Ports = append(nb.Ports, pb)
 }
 
-// freeze indexes the hosts, builds the router and returns the immutable
-// topology. newRouter panics, naming the structural check, on a fabric
-// that is not a regular Clos; no exported builder produces one.
+// freeze builds the router and returns the immutable topology.
+// newRouter panics, naming the structural check, on a fabric that is not
+// a regular Clos; no exported builder produces one.
 func (b *builder) freeze() *Topology {
-	t := &Topology{Nodes: b.nodes}
-	t.hostIdx = make([]int, len(b.nodes))
-	for i := range t.hostIdx {
-		t.hostIdx[i] = -1
+	if len(b.nodes) != cap(b.nodes) || len(b.hosts) != cap(b.hosts) || len(b.ports) != cap(b.ports) {
+		panic("topo: fabric has fewer nodes, hosts or links than newBuilder was given")
 	}
-	for _, n := range b.nodes {
-		if n.Kind == HostNode {
-			t.hostIdx[n.ID] = len(t.Hosts)
-			t.Hosts = append(t.Hosts, n.ID)
-		}
-	}
+	t := &Topology{Nodes: b.nodes, Hosts: b.hosts, ports: b.ports}
 	t.router = newRouter(t)
 	return t
 }

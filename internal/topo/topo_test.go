@@ -1,8 +1,11 @@
 package topo
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"floodgate/internal/packet"
 	"floodgate/internal/units"
@@ -45,11 +48,11 @@ func TestPortSymmetry(t *testing.T) {
 	} {
 		for _, n := range tp.Nodes {
 			for i, p := range n.Ports {
-				if p.Owner != n.ID || p.Index != i {
+				if p.Owner != n.ID || p.Index != int32(i) {
 					t.Fatalf("%s port %d: bad owner/index", n.Name(), i)
 				}
 				back := tp.Node(p.Peer).Ports[p.PeerPort]
-				if back.Peer != n.ID || back.PeerPort != i {
+				if back.Peer != n.ID || back.PeerPort != int32(i) {
 					t.Fatalf("%s port %d: asymmetric reverse port", n.Name(), i)
 				}
 				if back.Rate != p.Rate || back.Prop != p.Prop {
@@ -339,4 +342,104 @@ func TestBuildersSizePortsExactly(t *testing.T) {
 			names[n.Name()] = true
 		}
 	}
+}
+
+// TestArenasAreTheTopology pins the flat layout: every builder allocates
+// its node arena, host list and port arena once at exact size; each
+// node's Ports are its window of the port arena in ID order, so a port's
+// arena offset (PortID) counts the directed ports before it; and
+// StructBytes reports exactly those arenas.
+func TestArenasAreTheTopology(t *testing.T) {
+	for name, tp := range map[string]*Topology{
+		"leafspine": DefaultLeafSpine().Build(),
+		"fattree":   DefaultFatTree().Build(),
+		"clos":      DefaultClos().Build(),
+		"clos-odd":  ClosConfig{Pods: 3, AggsPerPod: 2, SpinesPerPlane: 5, ToRsPerPod: 3, HostsPerToR: 300, HostRate: units.Gbps, FabricRate: units.Gbps, Prop: units.Nanosecond}.Build(),
+		"testbed":   DefaultTestbed().Build(),
+	} {
+		if cap(tp.Nodes) != len(tp.Nodes) || cap(tp.Hosts) != len(tp.Hosts) || cap(tp.ports) != len(tp.ports) {
+			t.Fatalf("%s: arenas sized %d/%d/%d for %d nodes, %d hosts, %d ports", name,
+				cap(tp.Nodes), cap(tp.Hosts), cap(tp.ports), len(tp.Nodes), len(tp.Hosts), len(tp.ports))
+		}
+		next := 0
+		for _, n := range tp.Nodes {
+			for i := range n.Ports {
+				if id := tp.PortID(&n.Ports[i]); id != next || tp.Port(id) != &n.Ports[i] {
+					t.Fatalf("%s: %s port %d has directed-port index %d, want %d", name, n.Name(), i, id, next)
+				}
+				next++
+			}
+		}
+		if next != tp.TotalPorts() {
+			t.Fatalf("%s: nodes hold %d ports, TotalPorts says %d", name, next, tp.TotalPorts())
+		}
+		want := int64(len(tp.Nodes))*int64(unsafe.Sizeof(Node{})) + int64(next)*int64(unsafe.Sizeof(Port{})) +
+			int64(len(tp.Hosts))*int64(unsafe.Sizeof(packet.NodeID(0)))
+		if got := tp.StructBytes(); got != want {
+			t.Fatalf("%s: StructBytes = %d, arenas hold %d", name, got, want)
+		}
+	}
+	if unsafe.Sizeof(Node{}) != 40 || unsafe.Sizeof(Port{}) != 40 {
+		t.Errorf("Node is %d bytes and Port %d, want 40 and 40 (32-bit counts and indexes)", unsafe.Sizeof(Node{}), unsafe.Sizeof(Port{}))
+	}
+}
+
+// TestBuilderRejectsWrongCounts pins that a wrong newBuilder hint fails
+// loudly instead of re-growing an arena: one node, host or link too many
+// panics at addNode, and a fabric short of its counts panics at freeze.
+func TestBuilderRejectsWrongCounts(t *testing.T) {
+	// A one-link fabric: a ToR and its host.
+	wire := func(b *builder, hosts int) {
+		tor := b.addNode(SwitchNode, LayerToR, 0, 0, hosts)
+		for h := 0; h < hosts; h++ {
+			b.connect(tor, b.addNode(HostNode, LayerHost, 0, 0, 1), units.Gbps, units.Nanosecond, ClassToRDown, ClassHost)
+		}
+	}
+	for name, c := range map[string]struct {
+		nodes, hosts, links, wired int
+		want                       string
+	}{
+		"one node too many": {1, 1, 1, 1, "exceeds"},
+		"one host too many": {2, 0, 1, 1, "exceeds"},
+		"one link too many": {3, 2, 1, 2, "exceeds"},
+		"nodes short":       {3, 1, 1, 1, "fewer"},
+		"links short":       {2, 1, 2, 1, "fewer"},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, c.want) {
+					t.Errorf("%s: panic %q, want one containing %q", name, msg, c.want)
+				}
+			}()
+			b := newBuilder(c.nodes, c.hosts, c.links)
+			wire(b, c.wired)
+			b.freeze()
+		}()
+	}
+}
+
+// TestClos100kFootprint is the datacenter-scale memory claim, read from
+// the live heap: building the 102,400-host Clos retains what
+// StructBytes + RouteBytes report, to within allocator rounding, and
+// that is under 160 bytes per host (213 with 64-bit records, a
+// []*Node and a separate host index).
+func TestClos100kFootprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("100k-host build skipped in -short")
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tp := Clos100k().Build()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	reported := tp.StructBytes() + tp.RouteBytes()
+	live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if slack := live - reported; slack < -64<<10 || slack > 64<<10 {
+		t.Errorf("building Clos100k retained %d bytes, StructBytes + RouteBytes report %d", live, reported)
+	}
+	if perHost := reported / int64(tp.NumHosts()); perHost >= 160 {
+		t.Errorf("topology + router hold %d bytes per host, want under 160", perHost)
+	}
+	runtime.KeepAlive(tp)
 }
