@@ -84,7 +84,8 @@ func Experiments() []Experiment { return exp.List() }
 // RunExperiment reproduces one figure/table by id (e.g. "fig10",
 // "table2"); see Experiments for the catalogue. Independent
 // simulations within the experiment run across a worker pool sized by
-// Options.Parallelism.
+// Options.Parallelism. Bad options return Options.Validate's error,
+// and a panic inside the experiment returns as a *RunError.
 func RunExperiment(id string, o Options) ([]Table, error) {
 	return exp.RunByID(id, o)
 }

@@ -1,7 +1,11 @@
 package exp
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -229,5 +233,101 @@ func TestOptionsScaling(t *testing.T) {
 		if up < down {
 			t.Fatalf("scale %v: blocking fabric (up %v < down %v)", s, up, down)
 		}
+	}
+}
+
+// TestOptionsValidate pins the one home of the option rules: each bad
+// field fails with a message naming the Options field and the floodsim
+// flag, from every entry point and before any simulation, and every
+// combination the rules do not name runs.
+func TestOptionsValidate(t *testing.T) {
+	clusterBuilt = func(RunConfig, *device.Cluster) { t.Error("an invalid Options reached a simulation") }
+	defer func() { clusterBuilt = nil }()
+	nan := math.NaN()
+	cases := []struct {
+		name        string
+		o           Options
+		field, flag string // both "" = valid
+	}{
+		{"both off", Options{}, "", ""},
+		{"obs alone", Options{Obs: ObsConfig{Dir: "out"}}, "", ""},
+		{"forensics with obs", Options{Obs: ObsConfig{Dir: "out", Forensics: true}}, "", ""},
+		{"forensics without obs", Options{Obs: ObsConfig{Forensics: true}}, "", ""},
+		{"obs with shards", Options{Shards: 2, Obs: ObsConfig{Dir: "out", Period: units.Microsecond}}, "", ""},
+		{"paper scale and a preset", Options{Scale: 1, Topo: "clos100k"}, "", ""},
+		{"scale not a number", Options{Scale: nan}, "Options.Scale", "(-scale)"},
+		{"scale below zero", Options{Scale: -1}, "Options.Scale", "(-scale)"},
+		{"scale above one", Options{Scale: 2}, "Options.Scale", "(-scale)"},
+		{"negative parallelism", Options{Parallelism: -1}, "Options.Parallelism", "(-par)"},
+		{"negative shards", Options{Shards: -1}, "Options.Shards", "(-shards)"},
+		{"negative period", Options{Obs: ObsConfig{Dir: "out", Period: -units.Microsecond}}, "Options.Obs.Period", "(-sample)"},
+		{"period without dir", Options{Obs: ObsConfig{Period: units.Microsecond}}, "Options.Obs.Dir", "(-obs)"},
+		{"unknown topo", Options{Topo: "torus"}, "Options.Topo", "(-topo)"},
+	}
+	fig2, _ := Lookup("fig2")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := c.o.Validate()
+			if c.field == "" {
+				if err != nil {
+					t.Fatalf("Validate(%+v) = %v, want accept", c.o, err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), c.field) || !strings.Contains(err.Error(), c.flag) {
+				t.Fatalf("Validate(%+v) = %v, want an error naming %s and %s", c.o, err, c.field, c.flag)
+			}
+			want := err.Error()
+			check := func(entry string, err error) {
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s: error %v, want %q", entry, err, want)
+				}
+			}
+			_, err = RunByID("scaleincast", c.o)
+			check("RunByID", err)
+			RunExperiments([]string{"fig2", "fig6"}, c.o, func(id string, _ []Table, err error) { check("RunExperiments "+id, err) })
+			_, err = RunFlowFile("missing.ndjson", c.o)
+			check("RunFlowFile", err)
+			_, err = RunFaultScenario("none", c.o)
+			check("RunFaultScenario", err)
+			check("Experiment.Run", panicErr(func() { fig2.Run(c.o) }))
+			check("Run", panicErr(func() { Run(RunConfig{Topo: faultTestFabric(), Duration: units.Millisecond, Opt: c.o}) }))
+		})
+	}
+}
+
+// panicErr runs f and returns the error it panicked with, unwrapping a
+// *RunError; nil if it returned.
+func panicErr(f func()) (err error) {
+	defer func() {
+		v := recover()
+		if re, ok := v.(*RunError); ok {
+			v = re.Value
+		}
+		err, _ = v.(error)
+	}()
+	f()
+	return nil
+}
+
+// TestExperimentPanicIsRunError: an experiment that panics fails with a
+// *RunError naming it from both entry points, RunByID (the facade's
+// RunExperiment) and a RunExperiments batch, and does not panic the
+// caller.
+func TestExperimentPanicIsRunError(t *testing.T) {
+	defer func(saved []Experiment) { registry = saved }(registry)
+	registry = append(slices.Clip(registry), Experiment{"panics", "always panics", func(Options) []Table { panic("boom") }})
+	check := func(entry string, err error) {
+		var re *RunError
+		if !errors.As(err, &re) || re.ConfigHash != "experiment:panics" || re.Value != "boom" {
+			t.Errorf("%s: error %v, want a *RunError for experiment:panics carrying boom", entry, err)
+		}
+	}
+	_, err := RunByID("panics", Options{})
+	check("RunByID", err)
+	for _, par := range []int{1, 2} {
+		RunExperiments([]string{"panics"}, Options{Parallelism: par}, func(_ string, _ []Table, err error) {
+			check(fmt.Sprintf("RunExperiments at parallelism %d", par), err)
+		})
 	}
 }

@@ -98,6 +98,9 @@ func FaultMatrix(o Options) []Table {
 
 // RunFaultScenario runs a single named scenario (floodsim -faults).
 func RunFaultScenario(name string, o Options) ([]Table, error) {
+	if err := o.Validate(); err != nil {
+		return nil, err
+	}
 	for _, sc := range faultScenarios() {
 		if sc.name == name {
 			return faultTables([]faultScenario{sc}, o.norm()), nil

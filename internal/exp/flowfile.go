@@ -19,6 +19,9 @@ import (
 // spec list. The workload window is the last spec's start plus one
 // incast-mix window; the default drain covers laggards.
 func RunFlowFile(path string, o Options) ([]Table, error) {
+	if err := o.Validate(); err != nil {
+		return nil, err
+	}
 	o = o.norm()
 	// One cheap pass for the workload window (max start); the replay
 	// passes stream again from disk.

@@ -27,6 +27,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime/debug"
 	"strings"
 
 	"floodgate/internal/forensics"
@@ -39,9 +40,12 @@ import (
 // ObsConfig switches on observability output for experiment runs.
 type ObsConfig struct {
 	// Dir is the output root; empty disables observability entirely.
+	// An observed run uses one engine whatever Options.Shards says: the
+	// sampler and the trace ring read one engine, and every output is
+	// the same at any shard count.
 	Dir string
-	// Period is the sampling period on the simulation clock
-	// (non-positive falls back to metrics.DefaultPeriod).
+	// Period is the sampling period on the simulation clock (0 picks
+	// metrics.DefaultPeriod). Setting it without Dir is an error.
 	Period units.Duration
 	// Experiment labels the output subdirectory (set by RunByID; adhoc
 	// runs land in "adhoc").
@@ -50,7 +54,7 @@ type ObsConfig struct {
 	// time-budget attribution and incast-episode detection (see
 	// internal/forensics). Independent of Dir — with Dir set the report
 	// is also written as <label>.forensics.ndjson; without it the
-	// report is only attached to RunResult. Unlike Dir, Forensics
+	// report is only attached to RunResult. Without Dir, Forensics
 	// composes with Shards > 1 (each shard records into a sibling
 	// recorder, merged deterministically at the end of the run).
 	Forensics bool
@@ -323,15 +327,31 @@ func WriteObsManifest(o Options, experiment string, tables []Table) (string, err
 }
 
 // RunByID runs one registered experiment, labelling any observability
-// output with the experiment id and writing its manifest.
-func RunByID(id string, o Options) ([]Table, error) {
+// output with the experiment id and writing its manifest. It is the
+// experiment's isolation boundary: a panic anywhere inside — a faulting
+// Run (already a *RunError naming the run's key) or the figure's own
+// assembly code — becomes its *RunError, so the rest of an -exp all
+// batch proceeds.
+func RunByID(id string, o Options) (tables []Table, err error) {
+	if err := o.Validate(); err != nil {
+		return nil, err
+	}
 	e, err := Lookup(id)
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if v := recover(); v != nil {
+			re, ok := v.(*RunError)
+			if !ok {
+				re = &RunError{ConfigHash: "experiment:" + id, Value: v, Stack: string(debug.Stack())}
+			}
+			tables, err = nil, re
+		}
+	}()
 	o = o.norm().inBatch()
 	o.Obs.Experiment = id
-	tables := e.run(o)
+	tables = e.run(o)
 	if o.Obs.Enabled() {
 		if _, err := WriteObsManifest(o, id, tables); err != nil {
 			return tables, fmt.Errorf("exp: writing obs manifest for %s: %w", id, err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/debug"
 	"sync"
 )
 
@@ -147,7 +146,7 @@ func runJobs[T any](o Options, n int, job func(i int) T) []T {
 	// recovers, the panic is stored, and after every job settles the
 	// lowest-index panic re-raises on the calling goroutine — the same
 	// panic the serial path would have raised first, independent of
-	// worker scheduling. The experiment boundary (runByID) recovers it.
+	// worker scheduling. The experiment boundary (RunByID) recovers it.
 	panics := make([]any, n)
 	var wg sync.WaitGroup
 	wg.Add(n)
@@ -195,6 +194,12 @@ func RunMany(rcs []RunConfig) []*RunResult {
 // (reduced), are computed once. emit is always called from the calling
 // goroutine.
 func RunExperiments(ids []string, o Options, emit func(id string, tables []Table, err error)) {
+	if err := o.Validate(); err != nil {
+		for _, id := range ids {
+			emit(id, nil, err)
+		}
+		return
+	}
 	o = o.inBatch()
 	if o.parallelism() > 1 {
 		for _, id := range ids {
@@ -284,25 +289,12 @@ func reduced[T any](o Options, name string, rc RunConfig, reduce func(*RunResult
 	return m.wait()
 }
 
-// runByID runs one experiment of a batch once, memoising its outcome in
-// the grid for every caller. It is the isolation boundary: a panic
-// anywhere inside the experiment — a faulting Run (already wrapped as
-// *RunError with the run's config hash) or the figure's own assembly
-// code — becomes that experiment's error, and the rest of an `-exp all`
-// sweep proceeds. RunByID normalises o.
+// runByID runs one experiment of a batch once, memoising its outcome
+// (RunByID's tables, or its error) in the grid for every caller.
 func runByID(id string, o Options) ([]Table, error) {
 	m, own := claimMemo[outcome](o.grid, "exp/"+id)
 	if own {
-		m.fill(func() (r outcome) {
-			defer func() {
-				if v := recover(); v != nil {
-					re, ok := v.(*RunError)
-					if !ok {
-						re = &RunError{ConfigHash: "experiment:" + id, Value: v, Stack: string(debug.Stack())}
-					}
-					r = outcome{err: re}
-				}
-			}()
+		m.fill(func() outcome {
 			tables, err := RunByID(id, o)
 			return outcome{tables, err}
 		})

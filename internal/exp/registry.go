@@ -9,10 +9,16 @@ type Experiment struct {
 	run   func(Options) []Table
 }
 
-// Run produces the experiment's tables. It normalises o once and gives
-// the experiment a grid unless o shares a batch's; the runner and
-// everything it calls take the Options as given.
-func (e Experiment) Run(o Options) []Table { return e.run(o.norm().inBatch()) }
+// Run produces the experiment's tables. It panics with o.Validate's
+// error, normalises o once and gives the experiment a grid unless o
+// shares a batch's; the runner and everything it calls take the Options
+// as given.
+func (e Experiment) Run(o Options) []Table {
+	if err := o.Validate(); err != nil {
+		panic(err)
+	}
+	return e.run(o.norm().inBatch())
+}
 
 // registry maps experiment ids to runners, in paper order.
 var registry = []Experiment{

@@ -1,9 +1,11 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"runtime/debug"
+	"slices"
 	"sync"
 
 	"floodgate/internal/app"
@@ -25,7 +27,7 @@ import (
 // and the buffer/FCT *shapes* are preserved. Rack width also shrinks
 // with Scale. Scale 1 is the paper's 160-host, 100/400 Gbps fabric.
 type Options struct {
-	// Scale in (0,1].
+	// Scale in (0,1]; 0 picks the default 0.25.
 	Scale float64
 	// Seed drives workload generation and every stochastic tie-break.
 	Seed uint64
@@ -40,7 +42,8 @@ type Options struct {
 	// Shards splits each run's topology into this many partitions, one
 	// engine per partition, advanced in conservative lookahead windows
 	// (see shardexec.go and DESIGN.md §10). 0 and 1 both mean a single
-	// unsharded engine. Output is bit-identical at every shard count.
+	// unsharded engine, and so does an observed run (Obs.Dir set).
+	// Output is bit-identical at every shard count.
 	Shards int
 	// App overlays a small closed-loop request workload on experiments
 	// that support it (currently faultmatrix), appending SLO columns to
@@ -60,17 +63,42 @@ type Options struct {
 	grid *sync.Map // the runs and tables a batch shares (reduced, runByID)
 }
 
-// norm fills the defaults (Scale 0.25, Seed 1) and clamps Scale to 1.
-// Options are normalised once, where they enter the package: the
-// Experiment.Run method, RunByID, RunExperiments, RunMany, Run,
-// RunFlowFile, RunFaultScenario and DCQCN. Runners and helpers take
-// them as given.
-func (o Options) norm() Options {
-	if o.Scale <= 0 {
-		o.Scale = 0.25
+// Validate is the one home of the option rules: it names every bad
+// field, each with the floodsim flag that sets it. Every entry point
+// checks it before it simulates: RunByID, RunExperiments, RunFlowFile
+// and RunFaultScenario return its error; Experiment.Run and Run (through
+// RunConfig.Validate) panic with it.
+func (o Options) Validate() error {
+	var errs []error
+	bad := func(format string, args ...any) { errs = append(errs, fmt.Errorf("exp: "+format, args...)) }
+	if !(o.Scale >= 0 && o.Scale <= 1) { // NaN too
+		bad("Options.Scale (-scale) must be in (0, 1], or 0 for the default 0.25; got %v", o.Scale)
 	}
-	if o.Scale > 1 {
-		o.Scale = 1
+	if o.Parallelism < 0 {
+		bad("Options.Parallelism (-par) must be non-negative, got %d", o.Parallelism)
+	}
+	if o.Shards < 0 {
+		bad("Options.Shards (-shards) must be non-negative, got %d", o.Shards)
+	}
+	if o.Obs.Period < 0 {
+		bad("Options.Obs.Period (-sample) must be non-negative, got %v", o.Obs.Period)
+	}
+	if o.Obs.Period > 0 && !o.Obs.Enabled() {
+		bad("Options.Obs.Period (-sample) needs Options.Obs.Dir (-obs): it is the sampling period of the metrics export")
+	}
+	if o.Topo != "" && !slices.Contains(presetNames(), o.Topo) {
+		bad("unknown Options.Topo (-topo) %q (have %v)", o.Topo, presetNames())
+	}
+	return errors.Join(errs...)
+}
+
+// norm fills the defaults (Scale 0.25, Seed 1). Options are normalised
+// once, where they enter the package: the Experiment.Run method,
+// RunByID, RunExperiments, Run, RunFlowFile, RunFaultScenario and
+// DCQCN. Runners and helpers take them as given.
+func (o Options) norm() Options {
+	if o.Scale == 0 {
+		o.Scale = 0.25
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -78,9 +106,11 @@ func (o Options) norm() Options {
 	return o
 }
 
-// shards normalises the shard count (0 means unsharded).
+// shards is the engine count of one run: Shards, or 1 when it is 0 or
+// the run is observed (the sampler and the trace ring read one engine;
+// every output is the same at any shard count).
 func (o Options) shards() int {
-	if o.Shards < 1 {
+	if o.Shards < 1 || o.Obs.Enabled() {
 		return 1
 	}
 	return o.Shards
@@ -234,9 +264,6 @@ func (rc RunConfig) Validate() error {
 			return err
 		}
 	}
-	if rc.Opt.Shards < 0 {
-		return fmt.Errorf("exp: Options.Shards must be non-negative, got %d", rc.Opt.Shards)
-	}
 	if rc.App != nil {
 		if rc.App.Requests <= 0 {
 			return fmt.Errorf("exp: RunConfig.App.Requests must be positive, got %d", rc.App.Requests)
@@ -248,10 +275,7 @@ func (rc RunConfig) Validate() error {
 			return fmt.Errorf("exp: RunConfig.App.Deadline must be positive, got %v", rc.App.Deadline)
 		}
 	}
-	if rc.Opt.Obs.Enabled() && rc.Opt.shards() > 1 {
-		return fmt.Errorf("exp: Obs requires Shards <= 1 (the sampler and trace ring are single-engine)")
-	}
-	return nil
+	return rc.Opt.Validate()
 }
 
 // RunResult carries the collector plus run metadata.
@@ -365,8 +389,8 @@ func Run(rc RunConfig) *RunResult {
 	// Shard 0's observers; NewCluster forks them per shard (device/observe.go).
 	// The registry, sampler and ring are private to the run; sampler ticks
 	// only read state, so -obs cannot change the outcome (DESIGN.md §8), and
-	// Validate keeps it to one engine. The recorder forks and is read back
-	// only after Finalize, so forensics composes with Shards > 1.
+	// shards() keeps an observed run to one engine. The recorder forks and
+	// is read back only after Finalize, so forensics composes with Shards > 1.
 	var obs *obsRun
 	if opt.Obs.Enabled() {
 		obs = newObsRun(rc, opt, engines[0])

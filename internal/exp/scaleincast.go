@@ -86,11 +86,16 @@ func (o Options) scaleTopo(def string) (*topo.Topology, string, error) {
 			return p.build(o), name, nil
 		}
 	}
-	var names []string
-	for _, p := range topoPresets {
-		names = append(names, p.name)
+	return nil, "", fmt.Errorf("exp: unknown topology preset %q (have %v)", name, presetNames())
+}
+
+// presetNames lists the preset names in menu order.
+func presetNames() []string {
+	names := make([]string, len(topoPresets))
+	for i, p := range topoPresets {
+		names[i] = p.name
 	}
-	return nil, "", fmt.Errorf("exp: unknown topology preset %q (have %v)", name, names)
+	return names
 }
 
 // spreadSenders picks the bounded-degree burst's senders: `degree`

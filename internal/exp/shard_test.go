@@ -2,6 +2,7 @@ package exp
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"floodgate/internal/fault"
@@ -250,47 +251,63 @@ func TestShardWatchdogDiagnosesWedgedShard(t *testing.T) {
 	}
 }
 
-// TestShardOversubscriptionClamp pins the par × shards guard: when the
-// product exceeds GOMAXPROCS the run-level parallelism is clamped to
-// GOMAXPROCS/shards (floor 1) instead of thrashing barrier-synchronized
-// workers against each other.
+// TestShardOversubscriptionClamp pins the par × shards policy, which is
+// the executor's alone: when the product exceeds GOMAXPROCS the
+// run-level parallelism is clamped to GOMAXPROCS/shards (floor 1)
+// instead of thrashing barrier-synchronized workers against each other,
+// -par 0 sizes the pool from the cores, and an observed run (one
+// engine) is never clamped.
 func TestShardOversubscriptionClamp(t *testing.T) {
-	prev := runtime.GOMAXPROCS(8)
+	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 	cases := []struct {
-		par, shards, want int
+		name            string
+		par, shards, mp int
+		obs             bool
+		want            int
 	}{
-		{8, 1, 8},  // unsharded: untouched
-		{2, 4, 2},  // product exactly GOMAXPROCS: untouched
-		{8, 4, 2},  // oversubscribed: clamped to GOMAXPROCS/shards
-		{0, 2, 4},  // par 0 = all cores, then clamped for the shards
-		{3, 16, 1}, // shards alone exceed GOMAXPROCS: floor of 1
+		{"serial default", 0, 1, 8, false, 8},
+		{"unsharded any par", 16, 1, 8, false, 16}, // no shard goroutines to oversubscribe
+		{"auto par with shards", 0, 4, 8, false, 2},
+		{"auto par absorbs any shard count", 0, 16, 8, false, 1}, // time-sliced but bit-exact
+		{"exact fit", 2, 4, 8, false, 2},
+		{"serial run of wide shards", 1, 8, 8, false, 1},
+		{"oversubscribed product", 4, 4, 8, false, 2},
+		{"barely oversubscribed", 3, 3, 8, false, 2},
+		{"explicit serial still oversubscribed", 1, 9, 8, false, 1},
+		{"zero shards falls back to serial", 4, 0, 2, false, 4},
+		{"observed runs use one engine", 8, 4, 8, true, 8},
 	}
 	for _, c := range cases {
-		o := Options{Parallelism: c.par, Shards: c.shards}
-		if got := o.parallelism(); got != c.want {
-			t.Fatalf("par=%d shards=%d: parallelism() = %d, want %d", c.par, c.shards, got, c.want)
-		}
+		t.Run(c.name, func(t *testing.T) {
+			runtime.GOMAXPROCS(c.mp)
+			o := Options{Parallelism: c.par, Shards: c.shards}
+			if c.obs {
+				o.Obs.Dir = "obs"
+			}
+			if got := o.parallelism(); got != c.want {
+				t.Fatalf("par=%d shards=%d GOMAXPROCS=%d: parallelism() = %d, want %d", c.par, c.shards, c.mp, got, c.want)
+			}
+		})
 	}
 }
 
-// TestShardValidation covers the config surface: negative shard counts
-// are rejected, and Obs (single-engine by design) refuses to combine
-// with sharding instead of silently sampling one shard.
+// TestShardValidation covers the shard config surface: RunConfig.Validate
+// rejects a negative shard count naming the field, and Obs (one engine
+// by design) combines with Shards > 1 by running that one engine, which
+// every output's bit-identity across shard counts makes invisible.
 func TestShardValidation(t *testing.T) {
-	tp := faultTestFabric()
-	rc := RunConfig{Topo: tp, Duration: units.Millisecond}
+	rc := RunConfig{Topo: faultTestFabric(), Duration: units.Millisecond}
 	rc.Opt.Shards = -1
-	if err := rc.Validate(); err == nil {
-		t.Fatal("negative Shards accepted")
+	if err := rc.Validate(); err == nil || !strings.Contains(err.Error(), "Options.Shards (-shards)") {
+		t.Fatalf("negative Shards: Validate() = %v, want an error naming Options.Shards (-shards)", err)
 	}
 	rc.Opt.Shards = 2
-	rc.Opt.Obs = ObsConfig{Dir: t.TempDir()}
-	if err := rc.Validate(); err == nil {
-		t.Fatal("Obs with Shards > 1 accepted")
+	if err := rc.Validate(); err != nil || rc.Opt.shards() != 2 {
+		t.Fatalf("Shards 2: Validate() = %v, shards() = %d; want accepted with 2 engines", err, rc.Opt.shards())
 	}
-	rc.Opt.Obs = ObsConfig{}
-	if err := rc.Validate(); err != nil {
-		t.Fatalf("valid sharded config rejected: %v", err)
+	rc.Opt.Obs = ObsConfig{Dir: t.TempDir()}
+	if err := rc.Validate(); err != nil || rc.Opt.shards() != 1 {
+		t.Fatalf("Obs with Shards 2: Validate() = %v, shards() = %d; want accepted with 1 engine", err, rc.Opt.shards())
 	}
 }

@@ -73,11 +73,10 @@ type Collector struct {
 	queueDelaySum   [topo.NumPortClasses]units.Duration
 	queueDelayCount [topo.NumPortClasses]int64
 
-	// Received-byte time series per category (Fig 2) and wire-byte time
-	// series per wire class summed over switch egress ports (Fig 18).
-	rxSeries   [NumCategories][]units.ByteSize
-	wireSeries [NumWireClasses][]units.ByteSize
-	wireTotal  [NumWireClasses]units.ByteSize
+	// Received-byte time series per category (Fig 2) and wire-byte
+	// totals per wire class summed over switch egress ports (Fig 18).
+	rxSeries  [NumCategories][]units.ByteSize
+	wireTotal [NumWireClasses]units.ByteSize
 
 	Drops       int64
 	Trims       int64
@@ -164,11 +163,9 @@ func (c *Collector) Received(now units.Time, cat Category, bytes units.ByteSize)
 	c.rxSeries[cat][idx] += bytes
 }
 
-// OnWire adds transmitted bytes (switch egress only) to the wire series.
-func (c *Collector) OnWire(now units.Time, class WireClass, bytes units.ByteSize) {
-	idx := c.bin(now)
-	c.wireSeries[class] = grow(c.wireSeries[class], idx)
-	c.wireSeries[class][idx] += bytes
+// OnWire adds transmitted bytes (switch egress only) to the wire
+// class's total. The time is not kept: nothing reads wire bytes per bin.
+func (c *Collector) OnWire(_ units.Time, class WireClass, bytes units.ByteSize) {
 	c.wireTotal[class] += bytes
 }
 
@@ -212,7 +209,6 @@ func (c *Collector) Merge(o *Collector) {
 	}
 	c.pfcEvents += o.pfcEvents
 	for w := WireClass(0); w < NumWireClasses; w++ {
-		c.wireSeries[w] = mergeBins(c.wireSeries[w], o.wireSeries[w], false)
 		c.wireTotal[w] += o.wireTotal[w]
 	}
 	c.Drops += o.Drops
@@ -243,28 +239,9 @@ func mergeBins(dst, src []units.ByteSize, byMax bool) []units.ByteSize {
 
 // ---- Accessors / reductions ----
 
-// flatFCTs returns the given categories' samples, in the order given:
-// a view when one category holds them all, else one exactly sized copy.
-func (c *Collector) flatFCTs(cats ...Category) []FCTSample {
-	n := 0
-	for _, cat := range cats {
-		n += len(c.fcts[cat])
-	}
-	for _, cat := range cats {
-		if len(c.fcts[cat]) == n {
-			return c.FCTs(cat) // nil when n == 0
-		}
-	}
-	all := make([]FCTSample, 0, n)
-	for _, cat := range cats {
-		all = append(all, c.fcts[cat]...)
-	}
-	return all
-}
-
 // FCTs returns the samples of one category, nil when there are none.
-// Like AllFCTs and PoissonFCTs it may return a view of the store: read
-// it, never write it (its capacity is clipped, so an append copies).
+// Like AllFCTs it may return a view of the store: read it, never write
+// it (its capacity is clipped, so an append copies).
 func (c *Collector) FCTs(cat Category) []FCTSample {
 	if s := c.fcts[cat]; len(s) > 0 {
 		return s[:len(s):len(s)]
@@ -272,18 +249,23 @@ func (c *Collector) FCTs(cat Category) []FCTSample {
 	return nil
 }
 
-// AllFCTs returns every sample across categories.
+// AllFCTs returns every sample, in category order: a view when one
+// category holds them all, else one exactly sized copy.
 func (c *Collector) AllFCTs() []FCTSample {
-	var cats [NumCategories]Category
-	for i := range cats {
-		cats[i] = Category(i)
+	n := 0
+	for _, s := range c.fcts {
+		n += len(s)
 	}
-	return c.flatFCTs(cats[:]...)
-}
-
-// PoissonFCTs returns the non-incast (background) samples.
-func (c *Collector) PoissonFCTs() []FCTSample {
-	return c.flatFCTs(CatVictimIncast, CatVictimPFC)
+	for cat, s := range c.fcts {
+		if len(s) == n {
+			return c.FCTs(Category(cat)) // nil when n == 0
+		}
+	}
+	all := make([]FCTSample, 0, n)
+	for _, s := range c.fcts {
+		all = append(all, s...)
+	}
+	return all
 }
 
 // FCTStats reduces samples to (average, p99) durations. Zero samples
@@ -377,11 +359,6 @@ func (c *Collector) RxThroughput(cat Category) []units.BitRate {
 	return toRates(c.rxSeries[cat], c.binWidth)
 }
 
-// WireThroughput converts a wire class's bins to bit rates.
-func (c *Collector) WireThroughput(class WireClass) []units.BitRate {
-	return toRates(c.wireSeries[class], c.binWidth)
-}
-
 // BufSeries returns the per-bin max port occupancy of a class.
 func (c *Collector) BufSeries(class topo.PortClass) []units.ByteSize {
 	return c.bufSeries[class]
@@ -389,11 +366,6 @@ func (c *Collector) BufSeries(class topo.PortClass) []units.ByteSize {
 
 // WireTotal returns total bytes placed on switch egress wires per class.
 func (c *Collector) WireTotal(class WireClass) units.ByteSize { return c.wireTotal[class] }
-
-// AvgWireRate returns the average rate of a wire class over the run.
-func (c *Collector) AvgWireRate(class WireClass, runtime units.Duration) units.BitRate {
-	return units.Rate(c.wireTotal[class], runtime)
-}
 
 func toRates(bins []units.ByteSize, w units.Duration) []units.BitRate {
 	out := make([]units.BitRate, len(bins))

@@ -41,8 +41,8 @@ func TestFCTSampleSize(t *testing.T) {
 // completions without moving, and on a run whose samples fall in one
 // category FCTs and AllFCTs return that store — no allocation, capacity
 // clipped to length so a caller's append cannot write into it. With
-// samples in several categories AllFCTs (and PoissonFCTs) still return
-// the category-ordered concatenation.
+// samples in several categories AllFCTs still returns the
+// category-ordered concatenation.
 func TestFCTReadsAreViews(t *testing.T) {
 	const n = 100
 	c := NewCollector(0)
@@ -60,11 +60,11 @@ func TestFCTReadsAreViews(t *testing.T) {
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	if a := testing.AllocsPerRun(20, func() {
-		_, _, _ = c.FCTs(CatVictimPFC), c.AllFCTs(), c.PoissonFCTs()
+		_, _ = c.FCTs(CatVictimPFC), c.AllFCTs()
 	}); a != 0 {
 		t.Fatalf("single-category reads allocate %v times per run, want 0", a)
 	}
-	for name, s := range map[string][]FCTSample{"FCTs": c.FCTs(CatVictimPFC), "AllFCTs": c.AllFCTs(), "PoissonFCTs": c.PoissonFCTs()} {
+	for name, s := range map[string][]FCTSample{"FCTs": c.FCTs(CatVictimPFC), "AllFCTs": c.AllFCTs()} {
 		if len(s) != n || cap(s) != n || &s[0] != first {
 			t.Fatalf("%s: len %d cap %d, want a view of the store with cap == len == %d", name, len(s), cap(s), n)
 		}
@@ -78,9 +78,6 @@ func TestFCTReadsAreViews(t *testing.T) {
 	want := append([]FCTSample{{Flow: n + 1, FCT: 1}, {Flow: n + 2, FCT: 2}}, pfc...)
 	if got := c.AllFCTs(); !reflect.DeepEqual(got, want) || cap(got) != len(want) {
 		t.Fatalf("multi-category AllFCTs is not the category-ordered concatenation")
-	}
-	if got := c.PoissonFCTs(); !reflect.DeepEqual(got, want[1:]) {
-		t.Fatalf("multi-category PoissonFCTs is not the category-ordered concatenation")
 	}
 }
 
@@ -258,22 +255,6 @@ func TestRxAndWireSeries(t *testing.T) {
 	if c.WireTotal(WireCredit) != 64 || c.WireTotal(WireData) != 1500 {
 		t.Fatal("wire totals wrong")
 	}
-	if c.AvgWireRate(WireData, 10*units.Microsecond) != units.Rate(1500, 10*units.Microsecond) {
-		t.Fatal("avg wire rate wrong")
-	}
-}
-
-func TestPoissonFCTsCombines(t *testing.T) {
-	c := NewCollector(0)
-	c.FlowDone(1, CatVictimIncast, 1, 0, 1, units.Gbps)
-	c.FlowDone(2, CatVictimPFC, 1, 0, 1, units.Gbps)
-	c.FlowDone(3, CatIncast, 1, 0, 1, units.Gbps)
-	if got := len(c.PoissonFCTs()); got != 2 {
-		t.Fatalf("poisson samples = %d", got)
-	}
-	if got := len(c.AllFCTs()); got != 3 {
-		t.Fatalf("all samples = %d", got)
-	}
 }
 
 func TestCounters(t *testing.T) {
@@ -293,8 +274,7 @@ func TestCounters(t *testing.T) {
 // WireCredit, everything else non-data (ACKs, pauses, pulls) is
 // WireCtrl, and the two never bleed into each other's totals.
 func TestWireClassAccounting(t *testing.T) {
-	bin := 10 * units.Microsecond
-	c := NewCollector(bin)
+	c := NewCollector(10 * units.Microsecond)
 	// Two bins of data, one credit burst, scattered control.
 	c.OnWire(units.Time(1*units.Microsecond), WireData, 1500)
 	c.OnWire(units.Time(12*units.Microsecond), WireData, 1500)
@@ -310,33 +290,6 @@ func TestWireClassAccounting(t *testing.T) {
 	}
 	if got := c.WireTotal(WireCtrl); got != 64 {
 		t.Errorf("ctrl total = %d, want 64", got)
-	}
-
-	// Per-bin throughput: bin 0 carries 1500B data, bin 1 the other 1500B.
-	tp := c.WireThroughput(WireData)
-	if len(tp) < 2 {
-		t.Fatalf("throughput bins = %d, want >= 2", len(tp))
-	}
-	wantRate := units.Rate(1500, bin)
-	if tp[0] != wantRate || tp[1] != wantRate {
-		t.Errorf("data throughput = %v,%v, want %v each", tp[0], tp[1], wantRate)
-	}
-	// Credit bytes land only in bin 0.
-	ctp := c.WireThroughput(WireCredit)
-	if ctp[0] != units.Rate(128, bin) {
-		t.Errorf("credit throughput[0] = %v, want %v", ctp[0], units.Rate(128, bin))
-	}
-	if len(ctp) > 1 && ctp[1] != 0 {
-		t.Errorf("credit bled into bin 1: %v", ctp[1])
-	}
-
-	// Average rates over the run are totals over runtime.
-	run := 20 * units.Microsecond
-	if got := c.AvgWireRate(WireCredit, run); got != units.Rate(128, run) {
-		t.Errorf("avg credit rate = %v, want %v", got, units.Rate(128, run))
-	}
-	if got := c.AvgWireRate(WireData, run); got != units.Rate(3000, run) {
-		t.Errorf("avg data rate = %v, want %v", got, units.Rate(3000, run))
 	}
 }
 
