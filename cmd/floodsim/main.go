@@ -151,6 +151,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// meaningful.
 	start := time.Now() //lint:allow walltime progress reporting times the real run, not the simulation
 	failed := false
+	used := o.Scale
+	if used == 0 {
+		used = 0.25 // the scale Options documents for Scale 0
+	}
 	emit := func(label string, tables []floodgate.Table, err error) {
 		if err != nil {
 			fmt.Fprintln(stderr, "floodsim:", err)
@@ -161,7 +165,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, t.String())
 		}
 		fmt.Fprintf(stdout, "[%s done in %v at scale %.2f]\n\n", label,
-			time.Since(start).Round(time.Millisecond), *scale) //lint:allow walltime progress reporting times the real run, not the simulation
+			time.Since(start).Round(time.Millisecond), used) //lint:allow walltime progress reporting times the real run, not the simulation
 	}
 	switch {
 	case *flowsFrom != "":

@@ -118,6 +118,7 @@ func TestRunCLI(t *testing.T) {
 		{"negative sample", []string{"-exp", "fig2", "-obs", obs, "-sample", "-5us"}, 2, "", "Options.Obs.Period (-sample) must be non-negative, got -5us"},
 		{"sample without obs", []string{"-exp", "fig2", "-sample", "10us"}, 2, "", "Options.Obs.Period (-sample) needs Options.Obs.Dir (-obs)"},
 		{"obs with shards", []string{"-exp", "fig2", "-scale", "0.1", "-obs", obsSharded, "-forensics", "-shards", "2"}, 0, "FCT time budget", ""},
+		{"default scale", []string{"-exp", "fig7", "-scale", "0"}, 0, "at scale 0.25]", ""},
 		{"oversubscribed par x shards", []string{"-exp", "fig7", "-par", "8", "-shards", "4"}, 0, "[fig7 done in", ""},
 		{"unknown topo", []string{"-exp", "scaleincast", "-topo", "torus"}, 2, "", `unknown Options.Topo (-topo) "torus"`},
 		{"removed scheduler knob", []string{"-exp", "fig2", "-sched", "heap"}, 2, "", "not defined: -sched"},

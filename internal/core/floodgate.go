@@ -29,10 +29,11 @@ type Module struct {
 	live []packet.NodeID
 
 	// Downstream role: credit generation per (ingress port, dst), one
-	// entry per switch-facing port. Host-facing ports never credit and
-	// come last (only ToRs have hosts, below their uplinks;
-	// creditedPorts checks), so facesHost is an index compare.
-	down []downPort
+	// slot per switch-facing port, minted at the port's first credited
+	// frame (downAt). Host-facing ports never credit and come last (only
+	// ToRs have hosts, below their uplinks; creditedPorts checks), so
+	// facesHost is an index compare.
+	down []*downPort
 
 	// VOQ pool, built by the first allocVOQ (nil until then).
 	voqs    []*voq
@@ -197,10 +198,7 @@ func New(cfg Config) device.FCFactory {
 func newModule(cfg Config, sw *device.Switch) *Module {
 	node := sw.Node()
 	m := &Module{cfg: cfg, sw: sw, epoch: 1}
-	m.down = make([]downPort, creditedPorts(len(node.Ports), sw.PortFacesHost))
-	for i := range m.down {
-		m.down[i].m, m.down[i].in = m, int32(i)
-	}
+	m.down = make([]*downPort, creditedPorts(len(node.Ports), sw.PortFacesHost))
 	// VOQ grouping applies to middle-layer switches only (3-tier aggs),
 	// which forward both upstream and windowed downstream traffic.
 	m.grouped = cfg.VOQGrouping && node.Layer == topo.LayerAgg
@@ -506,7 +504,7 @@ func (m *Module) OnDequeue(p *packet.Packet, outPort, queue int) {
 	if in < 0 || m.facesHost(in) {
 		return
 	}
-	ch := m.down[in].chans.at(p.Dst)
+	ch := m.downAt(in).chans.at(p.Dst)
 	ch.cumFwd += p.Size
 	if m.cfg.Mode == Ideal {
 		// Strawman: one credit per packet, immediately.
@@ -520,10 +518,22 @@ func (m *Module) OnDequeue(p *packet.Packet, outPort, queue int) {
 // switch-facing ports down covers.
 func (m *Module) facesHost(i int) bool { return i >= len(m.down) }
 
+// downAt returns switch-facing port in's credit state, minting it on
+// the port's first credited frame: most ports of a big fabric never
+// carry one.
+func (m *Module) downAt(in int) *downPort {
+	if d := m.down[in]; d != nil {
+		return d
+	}
+	d := &downPort{m: m, in: int32(in)}
+	m.down[in] = d
+	return d
+}
+
 // owe adds b bytes to the credit dst's channel on ingress port in owes
 // upstream, listing dst as pending and arming the port's credit tick.
 func (m *Module) owe(in int, dst packet.NodeID, ch *downChan, b units.ByteSize) {
-	d := &m.down[in]
+	d := m.down[in]
 	if ch.pending == 0 {
 		d.pending = append(d.pending, dst)
 	}
@@ -533,7 +543,7 @@ func (m *Module) owe(in int, dst packet.NodeID, ch *downChan, b units.ByteSize) 
 
 // armTimer schedules the per-ingress-port credit tick if idle.
 func (m *Module) armTimer(in int) {
-	d := &m.down[in]
+	d := m.down[in]
 	if d.armed {
 		return
 	}
@@ -544,8 +554,9 @@ func (m *Module) armTimer(in int) {
 // creditTick emits aggregated credit packets for every destination
 // pending on this ingress port, honouring delayCredit (§4.1).
 func (m *Module) creditTick(in int) {
-	m.down[in].armed = false
-	dsts := m.down[in].pending
+	d := m.down[in]
+	d.armed = false
+	dsts := d.pending
 	if len(dsts) == 0 {
 		return
 	}
@@ -553,20 +564,20 @@ func (m *Module) creditTick(in int) {
 	// passes the read index, and keeping the capacity means steady-state
 	// ticks allocate nothing.
 	retained := dsts[:0]
-	for _, d := range dsts {
-		ch := m.down[in].chans.get(d)
+	for _, dst := range dsts {
+		ch := d.chans.get(dst)
 		if ch == nil || ch.pending == 0 {
 			continue
 		}
 		// delayCredit: withhold while this destination's VOQ here is
 		// overloaded — absorbing more would only build buffer.
-		if w := m.dsts.get(d); w != nil && w.parked > m.cfg.DelayCreditThresh {
-			retained = append(retained, d)
+		if w := m.dsts.get(dst); w != nil && w.parked > m.cfg.DelayCreditThresh {
+			retained = append(retained, dst)
 			continue
 		}
-		m.emitCredit(in, d, ch)
+		m.emitCredit(in, dst, ch)
 	}
-	m.down[in].pending = retained
+	d.pending = retained
 	if len(retained) > 0 {
 		m.armTimer(in)
 	}
@@ -608,7 +619,7 @@ func (m *Module) OnCtrl(p *packet.Packet, inPort int) bool {
 		// sent count; anything we have not seen by now is presumed lost
 		// (the timeout is much larger than one hop's flight time) and is
 		// credited as gone, then the channel is resynced immediately.
-		ch := m.down[inPort].chans.at(p.Dst)
+		ch := m.downAt(inPort).chans.at(p.Dst)
 		if p.PSN > ch.lastPSN {
 			ch.cumFwd += p.PSN - ch.lastPSN
 			ch.lastPSN = p.PSN
@@ -726,7 +737,7 @@ func (m *Module) checkPSNGap(p *packet.Packet, inPort int) {
 	if p.PSN == 0 || m.facesHost(inPort) {
 		return
 	}
-	ch := m.down[inPort].chans.at(p.Dst)
+	ch := m.downAt(inPort).chans.at(p.Dst)
 	if p.FGEpoch != ch.epoch {
 		if ch.epoch != 0 {
 			// The upstream switch restarted: its PSN sequence rebased,
@@ -861,9 +872,10 @@ func (m *Module) Restart() {
 	// Downstream credit state: channels and pending credits are gone.
 	// Stale credit timers may still fire; creditTick no-ops on an empty
 	// pending list, so just reset the arm flags for new traffic.
-	for i := range m.down {
-		d := &m.down[i]
-		d.chans, d.pending, d.armed = paged[downChan]{}, d.pending[:0], false
+	for _, d := range m.down {
+		if d != nil {
+			d.chans, d.pending, d.armed = paged[downChan]{}, d.pending[:0], false
+		}
 	}
 
 	m.epoch++

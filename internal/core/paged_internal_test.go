@@ -3,7 +3,10 @@ package core
 import (
 	"testing"
 
+	"floodgate/internal/device"
 	"floodgate/internal/packet"
+	"floodgate/internal/sim"
+	"floodgate/internal/topo"
 	"floodgate/internal/units"
 )
 
@@ -75,4 +78,70 @@ func TestCreditedPortsNeedSwitchPortsFirst(t *testing.T) {
 		}
 	}()
 	creditedPorts(3, func(i int) bool { return i == 1 }) // switch, host, switch
+}
+
+// TestPortStateFollowsTouchedPorts is the per-port twin of
+// TestStateFollowsActiveDestinations: after one flow through a Cluster,
+// a switch holds a port record exactly where a frame was charged or
+// queued — its data path's ingress and egress, and its ACKs' egress on
+// the reverse path — and a Floodgate credit port exactly where data
+// arrived from a switch.
+func TestPortStateFollowsTouchedPorts(t *testing.T) {
+	tp := topo.DefaultClos().Build()
+	src, dst := tp.Hosts[3], tp.Hosts[len(tp.Hosts)-1] // different pods
+	c := device.NewCluster(device.Config{Topo: tp, FC: New(DefaultConfig(64 * units.KB))},
+		[]*sim.Engine{sim.NewEngine()}, nil)
+	c.AddFlow(src, dst, 40*units.KB, 0, packet.CatIncast)
+	c.SealFlows()
+	n := c.Nets[0]
+	n.Run(units.Time(units.Millisecond))
+	if got := c.DeliveredBytes(); got != 40*units.KB {
+		t.Fatalf("delivered %v of the flow's %v", got, 40*units.KB)
+	}
+
+	type port struct {
+		node packet.NodeID
+		i    int
+	}
+	ports, credited := map[port]bool{}, map[port]bool{}
+	// walk follows from's frames to `to`, marking each switch's egress
+	// and, for data, its ingress (a credit port when it faces a switch).
+	walk := func(from, to packet.NodeID, data bool) {
+		in := -1
+		for cur := from; cur != to; {
+			out := tp.ECMP(cur, from, to)
+			if tp.Node(cur).Kind == topo.SwitchNode {
+				ports[port{cur, out}] = true
+				if data {
+					ports[port{cur, in}] = true
+					if tp.Node(tp.Node(cur).Ports[in].Peer).Kind == topo.SwitchNode {
+						credited[port{cur, in}] = true
+					}
+				}
+			}
+			p := tp.Node(cur).Ports[out]
+			cur, in = p.Peer, int(p.PeerPort)
+		}
+	}
+	walk(src, dst, true)
+	walk(dst, src, false)
+
+	if len(credited) == 0 {
+		t.Fatal("the walk found no switch-facing ingress: the flow never crossed a switch-to-switch link")
+	}
+	for id, sw := range n.Switches {
+		if sw == nil {
+			continue
+		}
+		m := sw.FC().(*Module)
+		for i := range tp.Nodes[id].Ports {
+			at := port{packet.NodeID(id), i}
+			if sw.PortMinted(i) != ports[at] {
+				t.Errorf("%s port %d: minted %v, on the flow's path %v", tp.Nodes[id].Name(), i, sw.PortMinted(i), ports[at])
+			}
+			if i < len(m.down) && (m.down[i] != nil) != credited[at] {
+				t.Errorf("%s port %d: credit state minted %v, credited %v", tp.Nodes[id].Name(), i, m.down[i] != nil, credited[at])
+			}
+		}
+	}
 }

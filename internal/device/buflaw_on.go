@@ -26,24 +26,27 @@ func (s *Switch) checkBuffer(where string) {
 	if limit := s.net.Cfg.BufferSize; s.used > limit {
 		s.lawBroken(where, "bounds: used ≤ BufferSize", s.used, limit)
 	}
+	// A port never minted holds no bytes either way: only minted ones are
+	// walked.
 	var in, out units.ByteSize
-	for i, b := range s.ingress {
-		if b < 0 {
-			s.lawBroken(where, fmt.Sprintf("bounds: ingress[%d] ≥ 0", i), b, 0)
+	for i, o := range s.ports {
+		if o == nil {
+			continue
 		}
-		in += b
+		if o.ingress < 0 {
+			s.lawBroken(where, fmt.Sprintf("bounds: ingress[%d] ≥ 0", i), o.ingress, 0)
+		}
+		if o.bytes < 0 {
+			s.lawBroken(where, fmt.Sprintf("bounds: portBytes[%d] ≥ 0", i), o.bytes, 0)
+		}
+		in += o.ingress
+		out += o.bytes
+		if o.busy && o.pendCharged {
+			out += o.pendSize
+		}
 	}
 	if in != s.used {
 		s.lawBroken(where, "ingress: used == Σ ingress", in, s.used)
-	}
-	for i, b := range s.portBytes {
-		if b < 0 {
-			s.lawBroken(where, fmt.Sprintf("bounds: portBytes[%d] ≥ 0", i), b, 0)
-		}
-		out += b
-		if o := &s.out[i]; o.busy && o.pendCharged {
-			out += o.pendSize
-		}
 	}
 	if out != s.used {
 		s.lawBroken(where, "egress: used == Σ portBytes + serialising", out, s.used)

@@ -31,8 +31,8 @@ func TestBufferLawFires(t *testing.T) {
 		}
 		n.Run(at)
 		for _, s := range n.Switches {
-			for i := 0; s != nil && broken == nil && i < len(s.out); i++ {
-				if o := &s.out[i]; o.busy && o.pendCharged {
+			for i := 0; s != nil && broken == nil && i < len(s.ports); i++ {
+				if o := s.ports[i]; o != nil && o.busy && o.pendCharged {
 					o.pendSize += packet.IntHopSize
 					s.notePort(i, -packet.IntHopSize)
 					broken = s

@@ -312,20 +312,21 @@ func (n *Network) restartSwitch(id packet.NodeID) {
 	n.switchRestarted()
 
 	// Forget upstream-pause bookkeeping first, so the buffer releases
-	// below cannot emit PFC resumes from a half-torn-down switch.
-	for i := range s.pausedUpstream {
-		s.pausedUpstream[i] = false
+	// below cannot emit PFC resumes from a half-torn-down switch, and
+	// clear our own paused egresses without kicking (queues drain next).
+	for _, o := range s.ports {
+		if o != nil {
+			o.pausedUp = false
+			o.pfc.resume(n, s.node.Layer)
+		}
 	}
 	s.pausedUpCount = 0
 
-	// Clear our own paused egresses without kicking (queues drain next).
-	for i := range s.pfc {
-		s.pfc[i].resume(n, s.node.Layer)
-	}
-
 	// Drop everything queued; buffer and per-port accounting go with it.
-	for i := range s.out {
-		o := &s.out[i]
+	for i, o := range s.ports {
+		if o == nil {
+			continue
+		}
 		for !o.ctrl.empty() {
 			p := o.ctrl.pop()
 			if p.Kind == packet.Data { // NDP trimmed header: still charged
@@ -334,7 +335,7 @@ func (n *Network) restartSwitch(id packet.NodeID) {
 			}
 			n.Drop(s.node.ID, p)
 		}
-		data := s.data(i)
+		data := o.queues
 		for q := range data {
 			for !data[q].empty() {
 				p := data[q].pop()
@@ -361,8 +362,8 @@ func (n *Network) restartSwitch(id packet.NodeID) {
 // (clear it), and a pause we sent it is no longer in effect (forget it).
 func (s *Switch) onPeerReset(port int) {
 	s.resumeSelf(port)
-	if s.pausedUpstream[port] {
-		s.pausedUpstream[port] = false
+	if o := s.ports[port]; o != nil && o.pausedUp {
+		o.pausedUp = false
 		s.pausedUpCount--
 	}
 	s.kick(port)
@@ -414,8 +415,8 @@ func (n *Network) StallSnapshot() StallSnapshot {
 		if sw == nil {
 			continue
 		}
-		for i := range sw.pfc {
-			if sw.pfc[i].paused {
+		for _, o := range sw.ports {
+			if o != nil && o.pfc.paused {
 				ss.PausedSwitchPorts++
 			}
 		}

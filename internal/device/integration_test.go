@@ -74,12 +74,13 @@ func TestHPCCUnderIncast(t *testing.T) {
 		if s == nil {
 			continue
 		}
-		dirty := s.used != 0
-		for i := range s.ingress {
-			dirty = dirty || s.ingress[i] != 0 || s.portBytes[i] != 0
+		if s.used != 0 {
+			t.Errorf("switch %d after drain: used %d", s.node.ID, s.used)
 		}
-		if dirty {
-			t.Errorf("switch %d after drain: used %d, ingress %v, port bytes %v", s.node.ID, s.used, s.ingress, s.portBytes)
+		for i, o := range s.ports {
+			if o != nil && (o.ingress != 0 || o.bytes != 0) {
+				t.Errorf("switch %d port %d after drain: ingress %d, port bytes %d", s.node.ID, i, o.ingress, o.bytes)
+			}
 		}
 	}
 }

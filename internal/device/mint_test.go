@@ -2,6 +2,7 @@ package device
 
 import (
 	"testing"
+	"unsafe"
 
 	"floodgate/internal/fault"
 	"floodgate/internal/packet"
@@ -153,5 +154,50 @@ func TestFaultPlanMintsWhatItNames(t *testing.T) {
 	// The idle ToR, its 8 hosts and 2 aggs, plus the flow's own path.
 	if named := 1 + len(tp.Node(idle).Ports); minted < named || minted >= all/2 {
 		t.Fatalf("lazy run minted %d devices; want at least the %d the plan names and far fewer than all %d", minted, named, all)
+	}
+}
+
+// TestWarmPortForwardZeroAlloc: once the ports a frame crosses a switch
+// by are minted, forwarding it — admission, PFC and ECN checks,
+// routing, enqueue, transmit and the serialization's completion —
+// allocates nothing. The egress chain is staged, so frames stop in its
+// mailbox instead of running on to the spine.
+func TestWarmPortForwardZeroAlloc(t *testing.T) {
+	cfg := smallCfg()
+	cfg.PFC, cfg.ECN.Enable = true, true
+	n := New(cfg)
+	tp := cfg.Topo
+	src, dst := tp.Hosts[0], tp.Hosts[len(tp.Hosts)-1]
+	up := &tp.Node(src).Ports[0]
+	s := n.Switches[up.Peer]
+	xl := &xlink{}
+	s.port(n.Route(up.Peer, src, dst)).wire.staged = xl
+	op := func() {
+		p := n.NewCtrl(packet.Data, 1, src, dst)
+		p.Size = packet.MTU
+		s.receive(p, int(up.PeerPort))
+		n.Run(n.Eng.Now().Add(2 * units.Microsecond))
+		for _, e := range xl.pend {
+			n.Recycle(e.p)
+		}
+		xl.pend = xl.pend[:0]
+	}
+	for i := 0; i < 64; i++ {
+		op()
+	}
+	if allocs := testing.AllocsPerRun(1000, op); allocs != 0 {
+		t.Fatalf("forwarding through warm ports allocates %.1f allocs/frame, want 0", allocs)
+	}
+	if s.used != 0 {
+		t.Fatalf("switch holds %v after every frame left", s.used)
+	}
+}
+
+// TestSwPortSize: a port record fits the allocator's 256-byte size class.
+// One byte more and every minted port costs 288 B — on a leaf-spine
+// fabric, whose every port carries frames, 12 % more port memory.
+func TestSwPortSize(t *testing.T) {
+	if sz := unsafe.Sizeof(swPort{}); sz > 256 {
+		t.Fatalf("swPort is %d bytes, want at most 256", sz)
 	}
 }

@@ -305,7 +305,7 @@ func (n *Network) Owns(id packet.NodeID) bool {
 // which this shard owns, minting it (hosts never own a cut link).
 func (n *Network) wireOf(owner packet.NodeID, port int) *wire {
 	n.mint(owner)
-	return &n.Switches[owner].out[port].wire
+	return &n.Switches[owner].port(port).wire
 }
 
 // pktID mints a unique packet id.
@@ -530,8 +530,10 @@ func (n *Network) Run(until units.Time) { n.Eng.Run(until) }
 func (n *Network) Finalize() {
 	for _, sw := range n.Switches {
 		if sw != nil {
-			for i := range sw.pfc {
-				sw.pfc[i].close(n, sw.node.Layer)
+			for _, o := range sw.ports {
+				if o != nil {
+					o.pfc.close(n, sw.node.Layer)
+				}
 			}
 		}
 	}

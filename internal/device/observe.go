@@ -134,16 +134,17 @@ func (n *Network) SnapshotMemStats() int64 {
 
 // ---- Switch points ----
 
-// notePort: egress out's queued + parked bytes (portBytes is kept for this
-// alone) moved by delta; out < 0 is a packet with no egress yet.
+// notePort: egress out's queued + parked bytes (swPort.bytes is kept for
+// this alone) moved by delta; out < 0 is a packet with no egress yet.
 func (s *Switch) notePort(out int, delta units.ByteSize) {
 	if out < 0 {
 		return
 	}
-	s.portBytes[out] += delta
+	o := s.port(out)
+	o.bytes += delta
 	class := s.node.Ports[out].Class
 	s.net.Metrics.QueuedBytes[class].Add(int64(delta))
-	s.net.Stats.PortBuffer(s.net.Eng.Now(), int32(s.node.ID), int32(out), class, s.portBytes[out])
+	s.net.Stats.PortBuffer(s.net.Eng.Now(), int32(s.node.ID), int32(out), class, o.bytes)
 }
 
 // trimmed: NDP cut a payload.
@@ -157,7 +158,7 @@ func (n *Network) trimmed() {
 // into queueing and PFC-blocked time.
 func (n *Network) enqueued(s *Switch, out int, p *packet.Packet) {
 	if n.frx != nil && p.Last && !p.Trimmed {
-		p.EnqPauseCum = s.pfc[out].cumAt(n.Eng.Now())
+		p.EnqPauseCum = s.ports[out].pfc.cumAt(n.Eng.Now())
 	}
 	n.record(trace.OpEnqueue, s.node.ID, p, 0)
 }
@@ -179,7 +180,7 @@ func (n *Network) transmitted(s *Switch, out int, p *packet.Packet, hopSize unit
 		n.Metrics.QueueDelay.Observe(int64(wait))
 	}
 	if n.frx != nil && p.Last && !p.Trimmed {
-		n.frx.Hop(p.Flow, wait, s.pfc[out].cum-p.EnqPauseCum, units.TxTime(hopSize, tp.Rate))
+		n.frx.Hop(p.Flow, wait, s.ports[out].pfc.cum-p.EnqPauseCum, units.TxTime(hopSize, tp.Rate))
 	}
 	n.record(trace.OpTx, s.node.ID, p, 0)
 }

@@ -9,31 +9,44 @@ import (
 	"floodgate/internal/units"
 )
 
-// outPort is the transmit side of one switch port: a strict-priority
-// control queue over QueuesPerPort round-robin data queues, and a
-// busy-until transmitter. A minted switch holds one per port, most of
-// which never carry a frame, so it keeps nothing the topology or the
-// switch already says: the link is wire.port, the data queues are the
-// switch's (Switch.data).
-type outPort struct {
-	ctrl    fifo
-	txBytes units.ByteSize // cumulative, for INT telemetry
+// swPort is everything a switch keeps about one of its ports: the
+// transmit side (a strict-priority control queue over round-robin data
+// queues, a busy-until transmitter and the in-flight chain toward the
+// peer) and the ingress side's PFC books. A switch mints one the first
+// time anything writes the port (Switch.port); most ports of a big
+// fabric never carry a frame and stay nil, and a read of a nil port is
+// a read of zeros. The link is wire.port and the switch
+// wire.net.Switches[wire.port.Owner]. It fits the 256-byte allocation
+// size class (TestSwPortSize).
+type swPort struct {
+	ctrl fifo
+	// queues are the egress data queues: a window of q0, or BFC's
+	// QueuesPerPort in a slice of their own.
+	queues []fifo
+	q0     [1]fifo
 
 	// The in-flight chain toward the peer plus the single outstanding
 	// transmission's release state (one packet serialises at a time, so
 	// scalar fields suffice — no per-packet closure allocation).
-	wire        wire
-	pendSize    units.ByteSize
+	wire     wire
+	txBytes  units.ByteSize // cumulative, for INT telemetry
+	pendSize units.ByteSize
+
+	ingress units.ByteSize // ingress occupancy (PFC accounting)
+	bytes   units.ByteSize // egress queued + parked bytes (stats)
+	pfc     pauseClock     // our egress is paused by the peer's PFC
+
 	pendInPort  int32
 	rr          int32
 	busy        bool
 	pendCharged bool
+	pausedUp    bool // we paused the peer feeding this ingress
 }
 
 // txDoneFn completes a switch port's serialization: free the buffer
 // share and restart the transmitter.
 func txDoneFn(a any) {
-	o := a.(*outPort)
+	o := a.(*swPort)
 	s := o.wire.net.Switches[o.wire.port.Owner]
 	o.busy = false
 	if o.pendCharged {
@@ -57,49 +70,51 @@ type Switch struct {
 	// the property that keeps sharded runs bit-identical.
 	rnd sim.Rand
 
-	out     []outPort
-	queues  []fifo           // data queues, QueuesPerPort per egress port: see data
-	used    units.ByteSize   // shared buffer occupancy (data only)
-	ingress []units.ByteSize // per ingress port occupancy (PFC accounting)
-
-	pausedUpstream []bool // we paused the peer feeding ingress port i
-	pausedUpCount  int
-	pfc            []pauseClock // our egress i is paused by the peer's PFC
-
-	portBytes []units.ByteSize // per egress port: queued + parked bytes (stats)
+	ports         []*swPort      // by port index, minted on first write (port)
+	used          units.ByteSize // shared buffer occupancy (data only)
+	pausedUpCount int            // ports whose pausedUp is set
 }
 
 func newSwitch(n *Network, node *topo.Node) *Switch {
-	sw := &Switch{
-		net:            n,
-		node:           node,
-		fc:             nopFC{},
-		rnd:            *sim.NewRand(n.Cfg.Seed ^ uint64(node.ID)*0x9e3779b97f4a7c15),
-		out:            make([]outPort, len(node.Ports)),
-		queues:         make([]fifo, len(node.Ports)*n.Cfg.QueuesPerPort),
-		ingress:        make([]units.ByteSize, len(node.Ports)),
-		pausedUpstream: make([]bool, len(node.Ports)),
-		pfc:            make([]pauseClock, len(node.Ports)),
-		portBytes:      make([]units.ByteSize, len(node.Ports)),
+	return &Switch{
+		net:   n,
+		node:  node,
+		fc:    nopFC{},
+		rnd:   *sim.NewRand(n.Cfg.Seed ^ uint64(node.ID)*0x9e3779b97f4a7c15),
+		ports: make([]*swPort, len(node.Ports)),
 	}
-	for i := range sw.out {
-		sw.out[i].wire = newWire(n, &node.Ports[i])
-	}
-	return sw
 }
 
-// data returns egress port i's data queues.
-func (s *Switch) data(i int) []fifo {
-	nq := s.net.Cfg.QueuesPerPort
-	return s.queues[i*nq : (i+1)*nq : (i+1)*nq]
+// port returns port i's record, minting it on first use. Every write to
+// a port goes through here; a read takes s.ports[i] and treats nil as a
+// port that never carried a frame.
+func (s *Switch) port(i int) *swPort {
+	if o := s.ports[i]; o != nil {
+		return o
+	}
+	return s.mintPort(i)
+}
+
+func (s *Switch) mintPort(i int) *swPort {
+	o := &swPort{wire: newWire(s.net, &s.node.Ports[i])}
+	if nq := s.net.Cfg.QueuesPerPort; nq > 1 {
+		o.queues = make([]fifo, nq)
+	} else {
+		o.queues = o.q0[:]
+	}
+	s.ports[i] = o
+	return o
 }
 
 // dataBytes is egress port i's data backlog.
 func (s *Switch) dataBytes(i int) units.ByteSize {
+	o := s.ports[i]
+	if o == nil {
+		return 0
+	}
 	var b units.ByteSize
-	data := s.data(i)
-	for q := range data {
-		b += data[q].size()
+	for q := range o.queues {
+		b += o.queues[q].size()
 	}
 	return b
 }
@@ -113,6 +128,10 @@ func (s *Switch) Net() *Network { return s.net }
 // FC returns the attached flow-control module.
 func (s *Switch) FC() FlowControl { return s.fc }
 
+// PortMinted reports whether port i holds a record: whether anything
+// ever wrote it (tests and footprint probes).
+func (s *Switch) PortMinted(i int) bool { return s.ports[i] != nil }
+
 // PortFacesHost reports whether egress port i leads to an end host.
 func (s *Switch) PortFacesHost(i int) bool {
 	return s.net.Topo.Node(s.node.Ports[i].Peer).Kind == topo.HostNode
@@ -125,7 +144,7 @@ func (s *Switch) PortFacesSwitch(i int) bool { return !s.PortFacesHost(i) }
 func (s *Switch) receive(p *packet.Packet, inPort int) {
 	switch p.Kind {
 	case packet.PFCPause:
-		s.pfc[inPort].pause(s.net, s.node.Layer)
+		s.port(inPort).pfc.pause(s.net, s.node.Layer)
 		s.net.Recycle(p)
 		return
 	case packet.PFCResume:
@@ -154,16 +173,17 @@ func (s *Switch) receiveData(p *packet.Packet, inPort int) {
 		n.Drop(s.node.ID, p)
 		return
 	}
-	s.charge(p.Size, inPort)
+	in := s.port(inPort)
+	s.charge(p.Size, in)
 	p.InPort = int32(inPort)
 	p.ViaVOQ = false
 	p.HopCount++
 
 	// PFC threshold check after charging.
-	if n.Cfg.PFC && !s.pausedUpstream[inPort] {
+	if n.Cfg.PFC && !in.pausedUp {
 		free := n.Cfg.BufferSize - s.used
-		if float64(s.ingress[inPort]) > pfcAlpha*float64(free) {
-			s.pausedUpstream[inPort] = true
+		if float64(in.ingress) > pfcAlpha*float64(free) {
+			in.pausedUp = true
 			s.pausedUpCount++
 			s.sendCtrl(n.NewCtrl(packet.PFCPause, 0, s.node.ID, s.node.Ports[inPort].Peer), inPort)
 		}
@@ -191,7 +211,7 @@ func (s *Switch) receiveData(p *packet.Packet, inPort int) {
 // ECN marking, and kicks the transmitter. Exposed to flow-control
 // modules via InjectEgress.
 func (s *Switch) enqueueData(p *packet.Packet, out, queue int) {
-	data := s.data(out)
+	data := s.port(out).queues
 	if queue >= len(data) {
 		queue = len(data) - 1
 	}
@@ -247,7 +267,7 @@ func (s *Switch) maybeMark(p *packet.Packet, out int) {
 
 // sendCtrl enqueues a control frame on the priority queue of a port.
 func (s *Switch) sendCtrl(p *packet.Packet, out int) {
-	s.out[out].ctrl.push(p)
+	s.port(out).ctrl.push(p)
 	s.kick(out)
 }
 
@@ -259,22 +279,22 @@ func (s *Switch) SendCtrl(p *packet.Packet, out int) { s.sendCtrl(p, out) }
 // accounting (NDP trimmed headers stay charged until transmitted).
 func (s *Switch) sendCtrl2(p *packet.Packet, out int) {
 	p.EnqueuedAt = s.net.Eng.Now()
-	s.out[out].ctrl.push(p)
+	s.port(out).ctrl.push(p)
 	s.notePort(out, p.Size)
 	s.kick(out)
 }
 
 // charge/release maintain shared-buffer and ingress accounting.
-func (s *Switch) charge(b units.ByteSize, inPort int) {
+func (s *Switch) charge(b units.ByteSize, in *swPort) {
 	s.used += b
-	s.ingress[inPort] += b
+	in.ingress += b
 	s.net.buffered(s.node.ID, s.used)
 }
 
 func (s *Switch) release(b units.ByteSize, inPort int) {
 	s.used -= b
 	if inPort >= 0 {
-		s.ingress[inPort] -= b
+		s.port(inPort).ingress -= b
 	}
 	s.net.buffered(s.node.ID, s.used)
 	if s.net.Cfg.PFC && s.pausedUpCount > 0 {
@@ -285,12 +305,12 @@ func (s *Switch) release(b units.ByteSize, inPort int) {
 func (s *Switch) maybeResumeUpstream() {
 	free := s.net.Cfg.BufferSize - s.used
 	limit := pfcAlpha * float64(free) * pfcResume
-	for i, paused := range s.pausedUpstream {
-		if !paused {
+	for i, o := range s.ports {
+		if o == nil || !o.pausedUp {
 			continue
 		}
-		if float64(s.ingress[i]) <= limit || s.ingress[i] == 0 {
-			s.pausedUpstream[i] = false
+		if float64(o.ingress) <= limit || o.ingress == 0 {
+			o.pausedUp = false
 			s.pausedUpCount--
 			s.sendCtrl(s.net.NewCtrl(packet.PFCResume, 0, s.node.ID, s.node.Ports[i].Peer), i)
 		}
@@ -298,9 +318,9 @@ func (s *Switch) maybeResumeUpstream() {
 }
 
 // resumeSelf lifts the peer's PFC pause of egress i, if any, and restarts
-// the transmitter.
+// the transmitter. A port never minted was never paused.
 func (s *Switch) resumeSelf(i int) {
-	if s.pfc[i].resume(s.net, s.node.Layer) {
+	if o := s.ports[i]; o != nil && o.pfc.resume(s.net, s.node.Layer) {
 		s.kick(i)
 	}
 }
@@ -308,29 +328,28 @@ func (s *Switch) resumeSelf(i int) {
 // kick starts the transmitter of port i if idle and something is
 // eligible to send.
 func (s *Switch) kick(i int) {
-	o := &s.out[i]
-	if o.busy {
+	o := s.ports[i]
+	if o == nil || o.busy {
 		return
 	}
-	p, queue := s.pick(i)
+	p, queue := o.pick()
 	if p == nil {
 		return
 	}
-	s.transmit(p, i, queue)
+	s.transmit(o, p, i, queue)
 }
 
 // pick chooses the next frame: control strictly first; then, unless
 // PFC-paused, the data queues in round-robin order (skipping paused
 // queues — BFC).
-func (s *Switch) pick(i int) (*packet.Packet, int) {
-	o := &s.out[i]
+func (o *swPort) pick() (*packet.Packet, int) {
 	if !o.ctrl.empty() {
 		return o.ctrl.pop(), -1
 	}
-	if s.pfc[i].paused {
+	if o.pfc.paused {
 		return nil, -1
 	}
-	data := s.data(i)
+	data := o.queues
 	nq := len(data)
 	for k := 0; k < nq; k++ {
 		qi := (int(o.rr) + k) % nq
@@ -346,22 +365,27 @@ func (s *Switch) pick(i int) (*packet.Packet, int) {
 
 // PauseQueue marks a data queue paused/unpaused (BFC) and kicks.
 func (s *Switch) PauseQueue(out, queue int, paused bool) {
-	s.data(out)[queue].paused = paused
+	s.port(out).queues[queue].paused = paused
 	if !paused {
 		s.kick(out)
 	}
 }
 
 // QueueBytes reports the backlog of one egress data queue.
-func (s *Switch) QueueBytes(out, queue int) units.ByteSize { return s.data(out)[queue].size() }
+func (s *Switch) QueueBytes(out, queue int) units.ByteSize {
+	if o := s.ports[out]; o != nil {
+		return o.queues[queue].size()
+	}
+	return 0
+}
 
 // PortBacklog reports the summed data backlog of an egress port.
 func (s *Switch) PortBacklog(out int) units.ByteSize { return s.dataBytes(out) }
 
-// transmit serialises p on port i and schedules its arrival.
-func (s *Switch) transmit(p *packet.Packet, i, queue int) {
+// transmit serialises p on port i, whose record is o, and schedules its
+// arrival.
+func (s *Switch) transmit(o *swPort, p *packet.Packet, i, queue int) {
 	n := s.net
-	o := &s.out[i]
 	now := n.Eng.Now()
 	isData := p.Kind == packet.Data // trimmed headers keep Kind Data
 

@@ -41,11 +41,14 @@ func TestScaleIncastSmoke(t *testing.T) {
 // process with route memory that would be impossible dense, and the
 // Floodgate cell's live heap — fabric, devices, flow-control tables and
 // collectors, measured while its result is still referenced — stays
-// inside 35 MB: the topology's node and port arenas, plus devices for
+// inside 25 MB: the topology's node and port arenas, plus devices for
 // the few hundred nodes the incast touches, each holding its one
-// destination's Floodgate state inline. It measures 31.4 MB; with
+// destination's Floodgate state inline and a record only for the ports
+// a frame crossed (at most 2,000 of the 29,268 those switches have). It
+// measures 21.7 MB; with every port of a minted switch built (and a
+// 24-byte router record per host) it held 31.0 MB, with
 // 64-bit topology records and per-port copies of them in every switch
-// port it held ≈43 MB, with a 256-entry page minted per touched switch
+// port ≈43 MB, with a 256-entry page minted per touched switch
 // and windowed ingress port for that one destination ≈63 MB, and with
 // every device of the fabric built up front ≈160 MB. (The budget used to be
 // read after ScaleIncast had returned only strings, when HeapAlloc is
@@ -69,11 +72,24 @@ func TestScaleIncastCompletes(t *testing.T) {
 	}
 	res := runScaleIncastFloodgate(t, o.norm())
 	runtime.GC()
-	const budget = 35_000_000
+	const budget = 25_000_000
 	heap := res.Net.SnapshotMemStats()
 	t.Logf("live heap %d bytes (budget %d)", heap, budget)
 	if heap > budget {
 		t.Fatalf("live heap %d bytes exceeds the %d-byte scaleincast budget", heap, budget)
+	}
+	records, ports := 0, 0
+	for _, sw := range res.Net.Switches {
+		for i := 0; sw != nil && i < len(sw.Node().Ports); i++ {
+			ports++
+			if sw.PortMinted(i) {
+				records++
+			}
+		}
+	}
+	t.Logf("%d switch-port records of the minted switches' %d ports", records, ports)
+	if records > 2000 {
+		t.Fatalf("%d switch-port records (of %d ports), want at most 2,000: ports mint on first touch", records, ports)
 	}
 	runtime.KeepAlive(res)
 }

@@ -128,13 +128,8 @@ type Topology struct {
 // Node returns the node with the given ID.
 func (t *Topology) Node(id packet.NodeID) *Node { return &t.Nodes[id] }
 
-// HostIndex returns a host's dense index (its router record's hostLo), or -1.
-func (t *Topology) HostIndex(id packet.NodeID) int {
-	if e := &t.router.sw[id]; e.stride == 0 {
-		return int(e.hostLo)
-	}
-	return -1
-}
+// HostIndex returns a host's dense index (its position in Hosts), or -1.
+func (t *Topology) HostIndex(id packet.NodeID) int { return t.router.hostIndex(id) }
 
 // NumHosts returns the number of hosts.
 func (t *Topology) NumHosts() int { return len(t.Hosts) }
@@ -153,10 +148,11 @@ func (t *Topology) NextPorts(n, dst packet.NodeID) []int {
 // mustHostIndex resolves dst to its dense host index, panicking with
 // an actionable message for switches and out-of-range IDs.
 func (t *Topology) mustHostIndex(dst packet.NodeID) int {
-	if uint(dst) >= uint(len(t.router.sw)) || t.router.sw[dst].stride != 0 {
+	hi := t.router.hostIndex(dst)
+	if hi < 0 {
 		panic(fmt.Sprintf("topo: dst %d is not a host", dst))
 	}
-	return int(t.router.sw[dst].hostLo)
+	return hi
 }
 
 // RouteBytes is the resident memory of the router — the route_bytes

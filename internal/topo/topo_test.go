@@ -443,3 +443,27 @@ func TestClos100kFootprint(t *testing.T) {
 	}
 	runtime.KeepAlive(tp)
 }
+
+// TestRouterRejectsMultiHomedHost: the router keeps no record for a
+// host, whose only route is its one port, so freeze refuses a host wired
+// to two ToRs, naming the check, instead of routing it through port 0
+// alone.
+func TestRouterRejectsMultiHomedHost(t *testing.T) {
+	b := newBuilder(4, 1, 4)
+	spine := b.addNode(SwitchNode, LayerCore, -1, -1, 2)
+	var tors [2]packet.NodeID
+	for i := range tors {
+		tors[i] = b.addNode(SwitchNode, LayerToR, 0, i, 2)
+		b.connect(tors[i], spine, 400*units.Gbps, units.Microsecond, ClassToRUp, ClassCore)
+	}
+	host := b.addNode(HostNode, LayerHost, 0, 0, 2)
+	for _, tor := range tors {
+		b.connect(tor, host, 100*units.Gbps, units.Microsecond, ClassToRDown, ClassHost)
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, checkHomed) {
+			t.Fatalf("dual-homed host: freeze panic %q, want one naming %q", msg, checkHomed)
+		}
+	}()
+	b.freeze()
+}
