@@ -49,6 +49,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -117,6 +118,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "floodsim:", err)
 		return 2
 	}
+	if n := o.Oversubscribed(); n != "" {
+		fmt.Fprintln(stderr, n)
+	}
+	// The library logs one notice, a sharded run's barrier census.
+	defer log.SetOutput(log.Writer())
+	defer log.SetFlags(log.Flags())
+	log.SetOutput(stderr)
+	log.SetFlags(0)
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

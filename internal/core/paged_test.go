@@ -172,6 +172,9 @@ func TestWarmDstStateZeroAlloc(t *testing.T) {
 // structs and their free lists, ≈11 KB) when a window first runs dry,
 // not at construction — most switches never park a packet — and the
 // pool's readers (VOQsInUse, StallReport, Restart) take an unbuilt one.
+// Every frame is charged to the switch's buffer as admission charges
+// it, so the bytes Restart releases are bytes the books hold, and they
+// read zero after it.
 func TestVOQPoolBuiltOnFirstPark(t *testing.T) {
 	n := device.New(device.Config{Topo: topo.DefaultClos().Build(), Engine: sim.NewEngine(),
 		FC: core.New(core.DefaultConfig(64 * units.KB))})
@@ -190,7 +193,8 @@ func TestVOQPoolBuiltOnFirstPark(t *testing.T) {
 	parkOne := func() uint64 {
 		for {
 			p := n.NewCtrl(packet.Data, 1, h.src, dst)
-			p.Size, p.InPort = packet.MTU, spineIn
+			p.Size = packet.MTU
+			h.sw.Charge(p, spineIn)
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
 			consumed := h.fc.OnIngress(p, spineIn, out).Consumed
@@ -198,6 +202,7 @@ func TestVOQPoolBuiltOnFirstPark(t *testing.T) {
 			if consumed {
 				return m1.TotalAlloc - m0.TotalAlloc
 			}
+			h.sw.ReleaseParked(p) // forwarded: its bytes go back as at txDone
 			n.Recycle(p)
 		}
 	}
@@ -209,9 +214,20 @@ func TestVOQPoolBuiltOnFirstPark(t *testing.T) {
 	if si := m.StallReport(); si.ParkedBytes != packet.MTU || si.ExhaustedWindows != 1 {
 		t.Fatalf("stall info after one park: %+v", si)
 	}
+	if b := h.sw.Buffered(); b != packet.MTU {
+		t.Fatalf("the switch holds %v with one frame parked, want %v", b, packet.MTU)
+	}
 	m.Restart()
 	if m.VOQsInUse() != 0 || m.StallReport().ParkedBytes != 0 {
 		t.Fatalf("after restart: %d VOQs in use, stall info %+v", m.VOQsInUse(), m.StallReport())
+	}
+	if b := h.sw.Buffered(); b != 0 {
+		t.Fatalf("the switch holds %v after restart, want 0", b)
+	}
+	for c, g := range n.Metrics.QueuedBytes {
+		if v := g.Value(); v != 0 {
+			t.Fatalf("%v ports hold %d queued or parked bytes after restart, want 0", topo.PortClass(c), v)
+		}
 	}
 	if again := parkOne(); m.VOQsInUse() != 1 || again >= pool {
 		t.Fatalf("park after restart: %d VOQs in use, %d B allocated; the pool (%d B) must be reused", m.VOQsInUse(), again, pool)

@@ -2,6 +2,7 @@
 
 package device
 
-// checkBuffer is a no-op without the simdebug tag: the shared-buffer
-// law compiles away.
+// checkBuffer and checkRelease are no-ops without the simdebug tag: the
+// shared-buffer law compiles away.
 func (s *Switch) checkBuffer(string) {}
+func (s *Switch) checkRelease(int)   {}

@@ -53,6 +53,17 @@ func (s *Switch) checkBuffer(where string) {
 	}
 }
 
+// checkRelease bounds every release, also where checkBuffer does not
+// run: only bytes admission charged go back, so no book goes below zero.
+func (s *Switch) checkRelease(inPort int) {
+	if s.used < 0 {
+		s.lawBroken("release", "bounds: 0 ≤ used", s.used, 0)
+	}
+	if inPort >= 0 && s.ports[inPort].ingress < 0 {
+		s.lawBroken("release", fmt.Sprintf("bounds: ingress[%d] ≥ 0", inPort), s.ports[inPort].ingress, 0)
+	}
+}
+
 func (s *Switch) lawBroken(where, law string, got, want units.ByteSize) {
 	panic(fmt.Sprintf("device: buffer law broken at %v on switch %d (%s): %s: %d vs %d",
 		s.net.Eng.Now(), s.node.ID, where, law, got, want))

@@ -195,9 +195,6 @@ func newHost(n *Network, node *topo.Node) *Host {
 // ID returns the host's node id.
 func (h *Host) ID() packet.NodeID { return h.node.ID }
 
-// LineRate returns the NIC rate.
-func (h *Host) LineRate() units.BitRate { return h.port.Rate }
-
 // startFlow registers a new sender flow and kicks the NIC.
 func (h *Host) startFlow(f *Flow) {
 	f.sprev = h.sendersTail

@@ -47,7 +47,7 @@ func TestTimelyUnderIncast(t *testing.T) {
 	n, flows := ccIncast(t, timely.Default(), false, false)
 	slowed := false
 	for _, f := range flows {
-		if f.Controller().Rate() < n.HostsByID[f.Src].LineRate() {
+		if f.Controller().Rate() < n.HostsByID[f.Src].port.Rate {
 			slowed = true
 		}
 	}

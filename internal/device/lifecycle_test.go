@@ -254,7 +254,7 @@ func TestRecycledFlowStartsClean(t *testing.T) {
 	if !reflect.DeepEqual(*f, want) {
 		t.Errorf("recycled flow = %+v\nwant %+v", *f, want)
 	}
-	rate := n.HostsByID[hosts[3]].LineRate()
+	rate := n.HostsByID[hosts[3]].port.Rate
 	env := cc.Env{LinkRate: rate, BaseRTT: n.BaseRTT(), BDP: units.BDP(rate, n.BaseRTT())}
 	if fresh := n.Cfg.CC(env); !reflect.DeepEqual(f.ctrl, fresh) {
 		t.Errorf("recycled controller = %+v, fresh = %+v", f.ctrl, fresh)

@@ -173,9 +173,8 @@ func (s *Switch) receiveData(p *packet.Packet, inPort int) {
 		n.Drop(s.node.ID, p)
 		return
 	}
-	in := s.port(inPort)
-	s.charge(p.Size, in)
-	p.InPort = int32(inPort)
+	s.Charge(p, inPort)
+	in := s.ports[inPort]
 	p.ViaVOQ = false
 	p.HopCount++
 
@@ -284,18 +283,24 @@ func (s *Switch) sendCtrl2(p *packet.Packet, out int) {
 	s.kick(out)
 }
 
-// charge/release maintain shared-buffer and ingress accounting.
-func (s *Switch) charge(b units.ByteSize, in *swPort) {
-	s.used += b
-	in.ingress += b
+// Charge admits p to the shared buffer through ingress port in, as
+// receiveData does every data frame; txDone or ReleaseParked gives it back.
+func (s *Switch) Charge(p *packet.Packet, in int) {
+	s.used += p.Size
+	s.port(in).ingress += p.Size
+	p.InPort = int32(in)
 	s.net.buffered(s.node.ID, s.used)
 }
+
+// Buffered is the switch's shared-buffer occupancy.
+func (s *Switch) Buffered() units.ByteSize { return s.used }
 
 func (s *Switch) release(b units.ByteSize, inPort int) {
 	s.used -= b
 	if inPort >= 0 {
 		s.port(inPort).ingress -= b
 	}
+	s.checkRelease(inPort)
 	s.net.buffered(s.node.ID, s.used)
 	if s.net.Cfg.PFC && s.pausedUpCount > 0 {
 		s.maybeResumeUpstream()

@@ -48,25 +48,14 @@ func readDataFiles(t *testing.T, dir string) map[string][]byte {
 	return out
 }
 
-// TestObsSmoke runs one real experiment with observability enabled and
-// validates the whole export surface: the per-run NDJSON/CSV/trace
-// files exist and parse, and the manifest's table hash matches the
-// tables the run actually returned.
-func TestObsSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation test")
-	}
-	dir := t.TempDir()
-	tables, err := RunByID("fig6", obsSmokeOpts(dir, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+// checkObsExport validates fig6's whole export surface: the per-run
+// NDJSON/CSV/trace files exist and parse, and the manifest's table hash
+// matches the tables the run actually returned.
+func checkObsExport(t *testing.T, tables []Table, files map[string][]byte) {
+	t.Helper()
 	if len(tables) == 0 {
 		t.Fatal("no tables")
 	}
-
-	expDir := filepath.Join(dir, "fig6")
-	files := readDataFiles(t, expDir)
 	var ndjson, csv, traces, manifests int
 	for name := range files {
 		switch {
@@ -83,11 +72,11 @@ func TestObsSmoke(t *testing.T) {
 	// fig6 runs two schemes (with/without Floodgate) → two file triples.
 	if ndjson != 2 || csv != 2 || traces != 2 || manifests != 1 {
 		t.Fatalf("file census ndjson=%d csv=%d trace=%d manifest=%d, want 2/2/2/1 (files: %v)",
-			ndjson, csv, traces, manifests, fileNames(files))
+			ndjson, csv, traces, manifests, sortedKeys(files))
 	}
 
-	m, err := metrics.ReadManifest(filepath.Join(expDir, "manifest.json"))
-	if err != nil {
+	var m metrics.Manifest
+	if err := json.Unmarshal(files["manifest.json"], &m); err != nil {
 		t.Fatal(err)
 	}
 	if m.Format != metrics.ManifestFormat || m.Experiment != "fig6" {
@@ -162,12 +151,21 @@ func TestObsSmoke(t *testing.T) {
 	}
 }
 
-func fileNames(m map[string][]byte) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
+// TestObsSmoke runs one real experiment with observability enabled,
+// validates the whole export surface (checkObsExport) and holds its
+// files to testdata/obs.golden.
+func TestObsSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation test")
 	}
-	return out
+	dir := t.TempDir()
+	tables, err := RunByID("fig6", obsSmokeOpts(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := readDataFiles(t, filepath.Join(dir, "fig6"))
+	checkObsExport(t, tables, files)
+	checkObsGolden(t, files)
 }
 
 // TestObsNoTableImpact pins the core guarantee: enabling observability
@@ -213,7 +211,7 @@ func TestObsParallelDeterminism(t *testing.T) {
 	serial := readDataFiles(t, filepath.Join(dirSerial, "fig6"))
 	par := readDataFiles(t, filepath.Join(dirPar, "fig6"))
 	if len(serial) != len(par) {
-		t.Fatalf("file sets differ: %v vs %v", fileNames(serial), fileNames(par))
+		t.Fatalf("file sets differ: %v vs %v", sortedKeys(serial), sortedKeys(par))
 	}
 	for name, want := range serial {
 		got, ok := par[name]

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 )
@@ -98,32 +97,35 @@ var simSlots = newLimiter()
 // goroutines, so a par×shards product above GOMAXPROCS would
 // oversubscribe the machine with barrier-synchronized workers (the
 // worst kind of oversubscription — every shard waits on the slowest).
-// The knob is clamped to GOMAXPROCS/Shards with a one-time warning;
-// results are unaffected because parallelism never changes output.
+// The knob is clamped to GOMAXPROCS/Shards (Oversubscribed words the
+// notice); results are unaffected because parallelism never changes
+// output.
 func (o Options) parallelism() int {
 	par := o.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
 	if k := o.shards(); k > 1 {
-		max := runtime.GOMAXPROCS(0) / k
-		if max < 1 {
-			max = 1
-		}
-		if par > max {
-			warnOversub.Do(func() {
-				fmt.Fprintf(os.Stderr,
-					"exp: parallelism %d x %d shards oversubscribes GOMAXPROCS=%d; clamping to %d concurrent runs\n",
-					par, k, runtime.GOMAXPROCS(0), max)
-			})
-			par = max
-		}
+		par = min(par, max(runtime.GOMAXPROCS(0)/k, 1))
 	}
 	return par
 }
 
-// warnOversub rate-limits the oversubscription clamp warning.
-var warnOversub sync.Once
+// Oversubscribed is the rule beside Validate that floodsim prints: the
+// notice that a batch runs fewer simulations at once than o asks for,
+// because par × shards exceeds GOMAXPROCS, or "" when nothing is
+// clamped.
+func (o Options) Oversubscribed() string {
+	asked := o.Parallelism
+	if asked <= 0 {
+		asked = runtime.GOMAXPROCS(0)
+	}
+	if runs := o.parallelism(); runs < asked {
+		return fmt.Sprintf("exp: parallelism %d x %d shards oversubscribes GOMAXPROCS=%d; clamping to %d concurrent runs",
+			asked, o.shards(), runtime.GOMAXPROCS(0), runs)
+	}
+	return ""
+}
 
 // runJobs executes job(0..n-1) on the shared pool and returns the
 // results indexed by submission order. With parallelism 1 everything

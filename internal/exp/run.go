@@ -3,7 +3,7 @@ package exp
 import (
 	"errors"
 	"fmt"
-	"os"
+	"log"
 	"runtime/debug"
 	"slices"
 	"sync"
@@ -533,8 +533,8 @@ func Run(rc RunConfig) *RunResult {
 		Census:    w.census,
 	}
 	if w.census != nil && opt.Obs.Experiment != "" {
-		// floodsim's census line (RunByID stamps the id); stderr only.
-		fmt.Fprintf(os.Stderr, "exp: %s %s barrier census (ceiling %.2fx): %+v\n", opt.Obs.Experiment,
+		// floodsim's census line (RunByID stamps the id), on the log.
+		log.Printf("exp: %s %s barrier census (ceiling %.2fx): %+v", opt.Obs.Experiment,
 			rc.Scheme.Name, float64(cluster.Processed())/float64(w.census.Critical), *w.census)
 	}
 	if planes != nil {

@@ -256,7 +256,8 @@ func TestShardWatchdogDiagnosesWedgedShard(t *testing.T) {
 // run-level parallelism is clamped to GOMAXPROCS/shards (floor 1)
 // instead of thrashing barrier-synchronized workers against each other,
 // -par 0 sizes the pool from the cores, and an observed run (one
-// engine) is never clamped.
+// engine) is never clamped. Oversubscribed has a notice exactly when
+// the knob was clamped below what it asked for.
 func TestShardOversubscriptionClamp(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
@@ -287,6 +288,14 @@ func TestShardOversubscriptionClamp(t *testing.T) {
 			}
 			if got := o.parallelism(); got != c.want {
 				t.Fatalf("par=%d shards=%d GOMAXPROCS=%d: parallelism() = %d, want %d", c.par, c.shards, c.mp, got, c.want)
+			}
+			asked := c.par
+			if asked <= 0 {
+				asked = c.mp
+			}
+			if notice := o.Oversubscribed(); (notice != "") != (c.want < asked) {
+				t.Fatalf("par=%d shards=%d GOMAXPROCS=%d: Oversubscribed() = %q, want a notice only below the %d asked for",
+					c.par, c.shards, c.mp, notice, asked)
 			}
 		})
 	}

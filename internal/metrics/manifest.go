@@ -41,19 +41,6 @@ func (m *Manifest) Write(path string) error {
 	return WriteFileAtomic(path, append(data, '\n'))
 }
 
-// ReadManifest loads a manifest written by Write.
-func ReadManifest(path string) (*Manifest, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}
-
 // WriteFileAtomic writes data to path via a temp file and rename, so
 // concurrent writers producing identical content (parallel runs of the
 // same experiment) can never interleave into a torn file.

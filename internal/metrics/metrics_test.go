@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 
@@ -124,10 +125,10 @@ func TestSamplerSeriesAndProbes(t *testing.T) {
 	wantCounter := []int64{1, 2, 3, 4, 5}
 	wantGauge := []int64{10, 20, 30, 40, 50}
 	for i := range wantCounter {
-		if got := s.Series(0)[i]; got != wantCounter[i] {
+		if got := s.series[0][i]; got != wantCounter[i] {
 			t.Errorf("counter series[%d] = %d, want %d", i, got, wantCounter[i])
 		}
-		if got := s.Series(1)[i]; got != wantGauge[i] {
+		if got := s.series[1][i]; got != wantGauge[i] {
 			t.Errorf("gauge series[%d] = %d, want %d", i, got, wantGauge[i])
 		}
 	}
@@ -392,8 +393,12 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err := m.Write(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadManifest(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var got Manifest
+	if err := json.Unmarshal(data, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Experiment != m.Experiment || got.TableHash != m.TableHash ||

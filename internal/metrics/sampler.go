@@ -80,8 +80,3 @@ func (s *Sampler) Ticks() int { return s.ticks }
 
 // Period returns the sampling period.
 func (s *Sampler) Period() units.Duration { return s.period }
-
-// Series returns instrument i's sampled values (counter cumulative
-// total, gauge level, histogram count), one per tick. The slice is the
-// sampler's own storage; callers must not mutate it.
-func (s *Sampler) Series(i int) []int64 { return s.series[i] }

@@ -52,7 +52,7 @@ func TestSamplerOutlivesEngineStop(t *testing.T) {
 	if !strings.Contains(b.String(), `"ticks":2`) {
 		t.Errorf("NDJSON header should record the 2 completed ticks:\n%s", b.String())
 	}
-	series := s.Series(0)
+	series := s.series[0]
 	if len(series) != 2 || series[0] != 7 || series[1] != 7 {
 		t.Errorf("series = %v, want [7 7]", series)
 	}
@@ -83,7 +83,7 @@ func TestSamplerProbeAfterStart(t *testing.T) {
 	if fired != 2 {
 		t.Errorf("late probe fired %d times, want 2", fired)
 	}
-	if series := s.Series(0); len(series) != 3 || series[0] != 0 || series[2] != 2 {
+	if series := s.series[0]; len(series) != 3 || series[0] != 0 || series[2] != 2 {
 		t.Errorf("series = %v, want probe-driven values [0 1 2]", series)
 	}
 }

@@ -78,10 +78,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("KIND(%d)", uint8(k))
 }
 
-// IsControl reports whether the kind travels in the lossless
-// high-priority control class (never window-gated, never VOQ'd).
-func (k Kind) IsControl() bool { return k != Data }
-
 // Wire sizes. MTU is the data segment ceiling including header.
 const (
 	MTU        units.ByteSize = 1500

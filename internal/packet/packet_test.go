@@ -11,14 +11,14 @@ func TestNewData(t *testing.T) {
 	if p.Kind != Data || p.Size != 1500 || p.Seq != 100 || !p.Last {
 		t.Fatalf("bad data packet: %+v", p)
 	}
-	if p.Kind.IsControl() {
+	if p.Kind != Data {
 		t.Fatal("data is not control")
 	}
 }
 
 func TestNewCtrl(t *testing.T) {
 	p := NewCtrl(1, Credit, 0, 3, 4)
-	if p.Size != CtrlSize || !p.Kind.IsControl() {
+	if p.Size != CtrlSize || p.Kind == Data {
 		t.Fatalf("bad ctrl packet: %+v", p)
 	}
 }

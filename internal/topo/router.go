@@ -119,7 +119,7 @@ func newRouter(t *Topology) router {
 	}
 	maxPorts := 0
 	// Pass 1: classify ports and check the up-prefix layout (1, 2, 5).
-	// Hosts take dense indexes in ID order (HostIndex reads them back); a
+	// Hosts take dense indexes in ID order (hostIndex reads them back); a
 	// switch's up-port count u is its upHi and downBase.
 	var hostIdx int32
 	for id := range t.Nodes {

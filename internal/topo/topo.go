@@ -128,9 +128,6 @@ type Topology struct {
 // Node returns the node with the given ID.
 func (t *Topology) Node(id packet.NodeID) *Node { return &t.Nodes[id] }
 
-// HostIndex returns a host's dense index (its position in Hosts), or -1.
-func (t *Topology) HostIndex(id packet.NodeID) int { return t.router.hostIndex(id) }
-
 // NumHosts returns the number of hosts.
 func (t *Topology) NumHosts() int { return len(t.Hosts) }
 

@@ -285,14 +285,14 @@ func TestHostIndexDense(t *testing.T) {
 	tp := DefaultLeafSpine().Build()
 	seen := map[int]bool{}
 	for _, h := range tp.Hosts {
-		idx := tp.HostIndex(h)
+		idx := tp.router.hostIndex(h)
 		if idx < 0 || idx >= tp.NumHosts() || seen[idx] {
 			t.Fatalf("bad host index %d", idx)
 		}
 		seen[idx] = true
 	}
 	for _, n := range tp.Nodes {
-		if n.Kind == SwitchNode && tp.HostIndex(n.ID) != -1 {
+		if n.Kind == SwitchNode && tp.router.hostIndex(n.ID) != -1 {
 			t.Fatal("switch has a host index")
 		}
 	}
