@@ -55,36 +55,40 @@ func New(cfg Config) cc.Factory {
 // Reset implements cc.Controller.
 func (s *state) Reset(e cc.Env) {
 	*s = state{
-		cfg:     s.cfg,
-		link:    e.LinkRate,
-		window:  e.BDP,
-		rc:      float64(e.LinkRate),
-		rt:      float64(e.LinkRate),
-		alpha:   1,
-		minRate: float64(e.LinkRate) / float64(s.cfg.MinRateFraction),
+		cfg:    s.cfg,
+		link:   e.LinkRate,
+		window: e.BDP,
+		rc:     float64(e.LinkRate),
+		rt:     float64(e.LinkRate),
+		alpha:  1,
 	}
 }
 
 // Default returns a factory with DefaultConfig.
 func Default() cc.Factory { return New(DefaultConfig()) }
 
+// state is one flow's reaction point: 96 bytes (TestStateSize), one per
+// flow in flight, so the rate floor is derived (minRate) and the stage
+// counters are 32-bit.
 type state struct {
 	cfg    *Config // the factory's binding, shared by every flow it builds
 	link   units.BitRate
 	window units.ByteSize
 
-	rc, rt  float64 // current and target rate (bps)
-	alpha   float64
-	minRate float64
+	rc, rt float64 // current and target rate (bps)
+	alpha  float64
 
-	everCongested bool       // until the first CNP, stay at line rate
 	lastCNP       units.Time // last rate decrease
 	lastAlpha     units.Time // last alpha update
 	lastTimerInc  units.Time // last timer-driven increase
 	bytesSinceInc units.ByteSize
-	timerStage    int
-	byteStage     int
+	timerStage    int32
+	byteStage     int32
+	everCongested bool // until the first CNP, stay at line rate
 }
+
+// minRate is the rate floor, LinkRate / MinRateFraction.
+func (s *state) minRate() float64 { return float64(s.link) / float64(s.cfg.MinRateFraction) }
 
 func (s *state) Rate() units.BitRate    { return units.BitRate(s.rc) }
 func (s *state) Window() units.ByteSize { return s.window }
@@ -101,8 +105,8 @@ func (s *state) OnCNP(now units.Time) {
 	s.everCongested = true
 	s.rt = s.rc
 	s.rc = s.rc * (1 - s.alpha/2)
-	if s.rc < s.minRate {
-		s.rc = s.minRate
+	if m := s.minRate(); s.rc < m {
+		s.rc = m
 	}
 	s.alpha = (1-s.cfg.G)*s.alpha + s.cfg.G
 	s.lastCNP = now
@@ -152,7 +156,7 @@ func (s *state) catchUp(now units.Time) {
 
 // increase applies one DCQCN increase event in the stage reached.
 func (s *state) increase() {
-	f := s.cfg.FastRecoverySteps
+	f := int32(s.cfg.FastRecoverySteps)
 	switch {
 	case s.timerStage < f && s.byteStage < f:
 		// fast recovery: halve toward target

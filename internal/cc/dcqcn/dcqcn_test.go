@@ -2,6 +2,7 @@ package dcqcn
 
 import (
 	"testing"
+	"unsafe"
 
 	"floodgate/internal/cc"
 	"floodgate/internal/units"
@@ -62,5 +63,13 @@ func TestWindowFixedAtBDP(t *testing.T) {
 	c.OnCNP(0)
 	if c.Window() != 63750 {
 		t.Fatal("DCQCN window must not react (rate-based protocol)")
+	}
+}
+
+// TestStateSize pins the reaction point at 96 bytes: one is live per
+// flow in flight, and a churn run holds tens of thousands.
+func TestStateSize(t *testing.T) {
+	if sz := unsafe.Sizeof(state{}); sz > 96 {
+		t.Fatalf("state is %d bytes, want <= 96", sz)
 	}
 }

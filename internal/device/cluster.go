@@ -63,9 +63,12 @@ func NewCluster(base Config, engines []*sim.Engine, assign []int) *Cluster {
 		specs:  new(stats.ChunkLog[flowSpec]),
 	}
 	base.defaults()
+	peers := make([]*liveTable, k)
 	for i, eng := range engines {
 		c.Nets[i] = newNetwork(base.forShard(i, eng, assign))
 		c.Nets[i].specs = c.specs
+		c.Nets[i].peers = peers
+		peers[i] = &c.Nets[i].live
 	}
 	// Wire up the shard-crossing links, one sending shard at a time: wireOf
 	// mints the switch that owns a cut link, devices minted back to back
@@ -135,7 +138,7 @@ func (c *Cluster) AddAppFlow(src, dst packet.NodeID, size units.ByteSize, start 
 	}
 	id := c.register(flowSpec{Start: start, Src: src, Dst: dst, Cat: cat, manual: true}, size)
 	f := c.netOf(src).mintFlow(id, true)
-	f.Attempt = attempt
+	f.Attempt = int32(attempt)
 	c.held = append(c.held, f)
 	return f
 }
@@ -189,28 +192,34 @@ func flowInjectFn(a any) {
 	s := in.peek()
 	for ; s != nil && s.Start <= now; s = in.peek() {
 		f := n.mintFlow(in.next, false)
-		n.live[in.next] = f
+		n.live.advance(int(in.next / livePageLen))
+		n.live.put(f)
 		in.next++
 		n.HostsByID[s.Src].startFlow(f)
 	}
 	if s != nil {
 		n.Eng.AtArgPri(s.Start, flowInjectFn, in, sim.PriStart)
+	} else {
+		n.live.advance(len(n.live.dir)) // the log is done: every page is passed
 	}
 }
 
-// SealFlows closes registration, publishes the live table (one slot per
-// FlowID, shared by every shard; see DESIGN.md §10 for why that is
-// safe) and arms the per-shard injection chains. Call after the last
+// SealFlows closes registration, sizes each shard's live-table directory
+// (one word per page of FlowIDs; the pages come and go with the flows in
+// flight, see DESIGN.md §10 for why no lock guards them), places the held
+// flows and arms the per-shard injection chains. Call after the last
 // AddFlow and before running.
 func (c *Cluster) SealFlows() {
 	c.sealed = true
-	live := make([]*Flow, c.specs.Len()+1)
+	nflows := c.specs.Len() + 1
+	for _, n := range c.Nets {
+		n.live.dir = make([]*livePage, (nflows+livePageLen-1)/livePageLen)
+	}
 	for _, f := range c.held {
-		live[f.ID] = f
+		c.netOf(f.Src).live.put(f)
 	}
 	for _, n := range c.Nets {
-		n.live = live
-		n.sealed(len(live))
+		n.sealed(nflows)
 		in := &flowInjector{net: n, next: 1}
 		if s := in.peek(); s != nil {
 			n.Eng.AtArgPri(s.Start, flowInjectFn, in, sim.PriStart)
@@ -220,29 +229,35 @@ func (c *Cluster) SealFlows() {
 
 // FlowMetas returns the forensics metadata of every flow that started,
 // in FlowID order: the registration log joined with the receivers' done
-// bits and the collectors' FCT samples, since a finished flow's object
-// is recycled. Held (application) flows add what only the object knows:
-// whether and when they launched, and their attempt number.
+// bits and the forensics recorders' FCTs, since a finished flow's object
+// is recycled. The recorders are the only per-flow FCT store, so it
+// panics on a cluster built without forensics (Config.Forensics) rather
+// than read every FCT as zero. Held (application) flows add what only
+// the object knows: whether and when they launched, and their attempt
+// number.
 func (c *Cluster) FlowMetas() []forensics.FlowMeta {
-	fct := make([]units.Duration, c.specs.Len()+1)
-	for _, n := range c.Nets {
-		for _, s := range n.Stats.AllFCTs() {
-			fct[s.Flow] = s.FCT
-		}
+	recs := c.Recorders()
+	if len(recs) == 0 {
+		panic("device: FlowMetas needs the forensics recorders, the only per-flow FCT store")
 	}
+	held := c.held // the manual records' objects, in FlowID order
 	metas := make([]forensics.FlowMeta, 0, c.specs.Len())
 	for i := 0; i < c.specs.Len(); i++ {
 		id, s := packet.FlowID(i+1), c.specs.At(i)
 		m := forensics.FlowMeta{
 			ID: id, Src: s.Src, Dst: s.Dst, Size: s.size(), Start: s.Start,
-			FCT: fct[id], Done: c.netOf(s.Dst).isDone(id),
+			Done: c.netOf(s.Dst).isDone(id),
+		}
+		for _, r := range recs {
+			m.FCT += r.FCT(id) // only the receiver's shard wrote it
 		}
 		if s.manual {
-			f := c.Nets[0].live[id]
+			f := held[0]
+			held = held[1:]
 			if !f.launched {
 				continue // unused app attempt: registered but never started
 			}
-			m.Start, m.Attempt = f.Start, f.Attempt
+			m.Start, m.Attempt = f.Start, int(f.Attempt)
 		}
 		metas = append(metas, m)
 	}

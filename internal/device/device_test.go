@@ -37,6 +37,19 @@ func sizedCfg(hostsPerToR int) Config {
 	}
 }
 
+// TestFlowSize pins the object of a flow in flight, its controller
+// aside, at 160 bytes, a Go size class: words first, then 32-bit
+// fields, then the flags, no trailing zero-size field, and NDP's state
+// behind one pointer. The simdebug lifecycle stamp adds its own bytes.
+func TestFlowSize(t *testing.T) {
+	if unsafe.Sizeof(flowDebug{}) != 0 {
+		t.Skip("the simdebug lifecycle stamp adds its own bytes")
+	}
+	if sz := unsafe.Sizeof(Flow{}); sz > 160 {
+		t.Fatalf("Flow is %d bytes, want <= 160", sz)
+	}
+}
+
 // TestFlowSpecSize pins the registration log's cost per flow ever
 // registered, 24 bytes, and that packing loses nothing a flow may carry:
 // a 2^40-byte flow (Fig 16's never-finishing background) reads back
@@ -110,8 +123,8 @@ func TestFCTRecorded(t *testing.T) {
 		t.Fatal("victim FCT missing")
 	}
 	s := n.Stats.FCTs(stats.CatIncast)[0]
-	if n.spec(packet.FlowID(s.Flow)).size() != 30*units.KB || s.FCT <= 0 {
-		t.Fatalf("bad sample %+v", s)
+	if f := n.Flows()[0]; s.FCT <= 0 || s.FCT != f.FCT() {
+		t.Fatalf("bad sample %+v (flow FCT %v)", s, f.FCT())
 	}
 }
 
@@ -403,7 +416,7 @@ func TestNDPTrimsAndRecovers(t *testing.T) {
 	}
 	for i, f := range flows {
 		if !f.Done() {
-			t.Fatalf("NDP flow %d incomplete (rcvd %v/%v, trims=%d)", i, f.rcvdBytes, f.Size, n.Stats.Trims)
+			t.Fatalf("NDP flow %d incomplete (rcvd %v/%v, trims=%d)", i, f.ndp.rcvdBytes, f.Size, n.Stats.Trims)
 		}
 	}
 	// Trimming bounds the queue: last-hop occupancy stays near the

@@ -13,6 +13,8 @@ func (d flowDebug) acquired() flowDebug { return d }
 func (f *Flow) poolReleased()           {}
 func (f *Flow) assertIs(packet.FlowID)  {}
 
+func assertPageEmpty(*livePage, packet.FlowID) {}
+
 type flowRef struct{ f *Flow }
 
 func refOf(f *Flow) flowRef { return flowRef{f} }

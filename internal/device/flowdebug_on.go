@@ -4,6 +4,7 @@ package device
 
 import (
 	"fmt"
+	"math/bits"
 
 	"floodgate/internal/packet"
 )
@@ -35,6 +36,18 @@ func (f *Flow) poolReleased() {
 func (f *Flow) assertIs(id packet.FlowID) {
 	if f != nil && (f.dbg.free || f.ID != id) {
 		panic(fmt.Sprintf("device: use after release: live slot of flow %d holds a recycled object (now flow %d)", id, f.ID))
+	}
+}
+
+// assertPageEmpty panics if a live-table page about to be recycled still
+// holds a flow's object, naming the flow (base is the page's first ID).
+func assertPageEmpty(pg *livePage, base packet.FlowID) {
+	j := 0
+	for m := pg.owned; m != 0; m &= m - 1 {
+		if pg.slots[j] != nil {
+			panic(fmt.Sprintf("device: live-table page recycled with flow %d still live", base+packet.FlowID(bits.TrailingZeros64(m))))
+		}
+		j++
 	}
 }
 

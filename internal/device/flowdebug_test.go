@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"floodgate/internal/packet"
 	"floodgate/internal/units"
 )
 
@@ -35,12 +36,12 @@ func recycledPair(t *testing.T) (*Network, *Flow, flowRef) {
 		{hosts[1], hosts[4], 10 * units.KB, units.Time(units.Second)},
 	})
 	n.Run(units.Time(units.Microsecond))
-	stale := refOf(n.live[1])
+	stale := refOf(n.flow(1))
 	n.Run(units.Time(units.Millisecond))
-	if len(n.flowPool) != 1 {
+	if poolLen(n) != 1 {
 		t.Fatal("flow 1 was not released")
 	}
-	return n, n.flowPool[0], stale
+	return n, n.flowPool, stale
 }
 
 func TestFlowDoubleReleasePanics(t *testing.T) {
@@ -54,9 +55,9 @@ func TestFlowDoubleReleasePanics(t *testing.T) {
 func TestFlowUseAfterReleasePanics(t *testing.T) {
 	n, f, stale := recycledPair(t)
 	mustPanic(t, "use after release of flow 1 in popSendq", func() { stale.take("popSendq") })
-	n.live[1] = f // a live slot that was not cleared
+	n.live.put(f) // a live slot that was not cleared
 	mustPanic(t, "live slot of flow 1 holds a recycled object", func() { n.flow(1) })
-	n.live[1] = nil
+	n.live.remove(1)
 
 	g := n.mintFlow(2, false)
 	if g != f {
@@ -66,6 +67,19 @@ func TestFlowUseAfterReleasePanics(t *testing.T) {
 		t.Fatal("a reference taken in the current life must resolve")
 	}
 	mustPanic(t, "use after release of flow 1 in serviceRTO", func() { stale.take("serviceRTO") })
-	n.live[1] = g // the object moved on to flow 2
+	*liveSlot(n, 1) = g // the object moved on to flow 2
 	mustPanic(t, "live slot of flow 1 holds a recycled object (now flow 2)", func() { n.flow(1) })
+}
+
+// liveSlot returns the live-table slot of flow id, whose page is held.
+func liveSlot(n *Network, id packet.FlowID) **Flow {
+	return n.live.slot(id)
+}
+
+// TestRecycledLivePagePanics: a live-table page recycled while one of its
+// slots still holds a flow panics, naming the flow.
+func TestRecycledLivePagePanics(t *testing.T) {
+	var tb liveTable
+	tb.put(&Flow{ID: livePageLen + 6})
+	mustPanic(t, fmt.Sprintf("page recycled with flow %d still live", livePageLen+6), func() { tb.recycle(1) })
 }

@@ -22,28 +22,53 @@ const MSS = packet.MTU - packet.HeaderSize
 // host); the simulator is single-threaded so sharing is safe. Objects
 // live from Network.mintFlow to Host.release and are then recycled, so
 // a pointer may be kept only to a flow the caller was handed (held).
+// Words come first, then 32-bit fields, then the flags, so the struct
+// carries no padding (TestFlowSize: at most 160 bytes).
 type Flow struct {
 	ID    packet.FlowID
-	Src   packet.NodeID
-	Dst   packet.NodeID
 	Size  units.ByteSize
-	Cat   packet.Category
 	Start units.Time
+
+	net  *Network
+	ctrl cc.Controller
+
+	// snext/sprev link the flow into its source host's sender list from
+	// start to release.
+	snext, sprev *Flow
+
+	// Sender state.
+	sndNxt, sndUna units.ByteSize
+	maxSent        units.ByteSize // highest sndNxt reached (go-back-N rtx detection)
+	nextSend       units.Time
+	lastProgress   units.Time // last cumulative-ACK advance (lazy RTO)
+
+	// Receiver state.
+	rcvNxt  units.ByteSize
+	lastCNP units.Time
+	Finish  units.Time
+
+	// ndp is the NDP sender and receiver state, minted only when NDP is
+	// on (nil otherwise).
+	ndp *ndpState
+
+	Src packet.NodeID
+	Dst packet.NodeID
 
 	// Attempt stamps application-plane flows with their attempt number
 	// (1 = the original request, 2+ = retries/hedges) so forensics and
 	// trace can attribute retry amplification causally. Open-loop flows
 	// carry 0.
-	Attempt int
+	Attempt int32
 
-	net  *Network
-	ctrl cc.Controller
+	rtoSeq int32 // 1 + its index in the host's timeout queue; 0 if absent
+
+	dbg flowDebug // simdebug lifecycle stamp (empty without the tag)
+
+	Cat packet.Category
 
 	// held marks a caller-owned flow (Network.AddFlow, AddAppFlow): minted
-	// at registration and never recycled. snext/sprev link the flow into
-	// its source host's sender list from start to release.
-	held         bool
-	snext, sprev *Flow
+	// at registration and never recycled.
+	held bool
 
 	// manual marks a deferred (application-launched) flow: the per-shard
 	// injection chains skip it and Network.Launch starts it at runtime.
@@ -52,33 +77,22 @@ type Flow struct {
 	manual   bool
 	launched bool
 
-	// Sender state.
-	sndNxt, sndUna units.ByteSize
-	maxSent        units.ByteSize // highest sndNxt reached (go-back-N rtx detection)
-	nextSend       units.Time
-	lastProgress   units.Time // last cumulative-ACK advance (lazy RTO)
-	senderDone     bool
-	queued         bool // in (or owed to) the host send queue
-	rtoSeq         int  // 1 + its index in the host's timeout queue; 0 if absent
+	senderDone bool
+	queued     bool // in (or owed to) the host send queue
+	cnpSent    bool
+	done       bool
+}
 
-	// NDP sender state.
-	pullCredits int
+// ndpState is a flow's NDP state: trimmed segments to resend and the
+// pull credit to send them (sender), segments seen and pulls owed
+// (receiver).
+type ndpState struct {
 	rtxQ        []units.ByteSize
-
-	// Receiver state.
-	rcvNxt  units.ByteSize
-	lastCNP units.Time
-	cnpSent bool
-	done    bool
-	Finish  units.Time
-
-	// NDP receiver state.
-	seen      map[units.ByteSize]bool
-	rcvdBytes units.ByteSize
-	pullsSent int
-	trims     int
-
-	dbg flowDebug // simdebug lifecycle stamp (empty without the tag)
+	seen        map[units.ByteSize]bool
+	pullCredits int
+	rcvdBytes   units.ByteSize
+	pullsSent   int
+	trims       int
 }
 
 // Done reports whether the last byte was delivered.
@@ -211,8 +225,9 @@ func (h *Host) startFlow(f *Flow) {
 // release retires a sender that is fully acked and referenced by neither
 // the send queue nor a wake timer: it leaves the sender list and —
 // unless a caller holds it — its rtoQ entry becomes a tombstone, its
-// live slot empties and the object returns to the pool. Late control
-// frames then find no flow, which is how a finished sender treats them.
+// live slot empties (recycling the slot's page if it was the page's last
+// flow) and the object returns to the pool. Late control frames then
+// find no flow, which is how a finished sender treats them.
 func (h *Host) release(f *Flow) {
 	if f.sprev != nil {
 		f.sprev.snext = f.snext
@@ -231,17 +246,18 @@ func (h *Host) release(f *Flow) {
 	if f.rtoSeq > 0 {
 		h.rtoQ[f.rtoSeq-1] = flowRef{}
 	}
-	h.net.live[f.ID] = nil
+	h.net.live.remove(f.ID)
 	f.poolReleased()
-	h.net.flowPool = append(h.net.flowPool, f)
+	f.snext = h.net.flowPool
+	h.net.flowPool = f
 }
 
 // wantsSend reports whether the flow has anything left to emit.
-func (f *Flow) wantsSend(ndp bool) bool {
+func (f *Flow) wantsSend() bool {
 	if f.senderDone {
 		return false
 	}
-	if ndp && len(f.rtxQ) > 0 {
+	if f.ndp != nil && len(f.ndp.rtxQ) > 0 {
 		return true
 	}
 	return f.sndNxt < f.Size
@@ -250,7 +266,7 @@ func (f *Flow) wantsSend(ndp bool) bool {
 // enqueue adds a flow to the send queue unless it is already there
 // (or owed to it via a pending pace timer).
 func (h *Host) enqueue(f *Flow) {
-	if f.queued || !f.wantsSend(h.net.Cfg.NDP.Enable) {
+	if f.queued || !f.wantsSend() {
 		return
 	}
 	f.queued = true
@@ -327,7 +343,7 @@ func (h *Host) receive(p *packet.Packet) {
 		h.receiveNack(p)
 	case packet.Pull:
 		if f := h.net.flow(p.Flow); f != nil && !f.senderDone {
-			f.pullCredits++
+			f.ndp.pullCredits++
 			h.enqueue(f)
 			h.kick()
 		}
@@ -392,7 +408,7 @@ func (h *Host) receiveData(p *packet.Packet, now units.Time) {
 		}
 		return
 	}
-	f := h.net.flow(p.Flow)
+	f := h.net.rcvFlow(p.Src, p.Flow)
 	if f == nil {
 		return
 	}
@@ -428,24 +444,25 @@ func (h *Host) receiveData(p *packet.Packet, now units.Time) {
 }
 
 func (h *Host) receiveDataNDP(f *Flow, p *packet.Packet, now units.Time) {
+	nd := f.ndp
 	if p.Trimmed {
 		// Cut payload: NACK the segment so the sender queues it for
 		// retransmission, then pull it.
-		f.trims++
+		nd.trims++
 		nack := h.net.NewCtrl(packet.Nack, f.ID, h.node.ID, f.Src)
 		nack.AckSeq = p.Seq
 		h.sendCtrl(nack)
 		h.maybePull(f)
 		return
 	}
-	if f.seen == nil {
-		f.seen = make(map[units.ByteSize]bool)
+	if nd.seen == nil {
+		nd.seen = make(map[units.ByteSize]bool)
 	}
-	if !f.seen[p.Seq] {
-		f.seen[p.Seq] = true
-		f.rcvdBytes += p.Payload
+	if !nd.seen[p.Seq] {
+		nd.seen[p.Seq] = true
+		nd.rcvdBytes += p.Payload
 		h.net.received(f, p.Payload, now)
-		if f.rcvdBytes >= f.Size {
+		if nd.rcvdBytes >= f.Size {
 			h.completeFlow(f, now)
 			return
 		}
@@ -463,11 +480,11 @@ func (h *Host) maybePull(f *Flow) {
 	if t := f.totalPkts(); unscheduled > t {
 		unscheduled = t
 	}
-	needed := f.totalPkts() + f.trims - unscheduled
-	if f.pullsSent >= needed || f.done {
+	needed := f.totalPkts() + f.ndp.trims - unscheduled
+	if f.ndp.pullsSent >= needed || f.done {
 		return
 	}
-	f.pullsSent++
+	f.ndp.pullsSent++
 	h.pullQ = append(h.pullQ, f.ID)
 	h.pacePulls()
 }
@@ -480,9 +497,11 @@ func (h *Host) pacePulls() {
 	}
 	id := h.pullQ[0]
 	h.pullQ = h.pullQ[1:]
-	f := h.net.flow(id)
-	if f != nil && !f.done {
-		h.sendCtrl(h.net.NewCtrl(packet.Pull, f.ID, h.node.ID, f.Src))
+	// The done bit gates the read: a done flow's page may be recycled.
+	if !h.net.isDone(id) {
+		if f := h.net.rcvFlow(h.net.spec(id).Src, id); f != nil {
+			h.sendCtrl(h.net.NewCtrl(packet.Pull, f.ID, h.node.ID, f.Src))
+		}
 	}
 	h.pullBusy = true
 	h.net.Eng.AfterArg(units.TxTime(packet.MTU, h.port.Rate), hostPullFn, h)
@@ -526,7 +545,7 @@ func (h *Host) receiveNack(p *packet.Packet) {
 	if f == nil || f.senderDone {
 		return
 	}
-	f.rtxQ = append(f.rtxQ, p.AckSeq)
+	f.ndp.rtxQ = append(f.ndp.rtxQ, p.AckSeq)
 	h.net.resend(h.node.ID, f, false)
 	h.enqueue(f)
 	h.kick()
@@ -547,7 +566,7 @@ func (h *Host) pushRTO(f *Flow) {
 		h.compactRTO()
 	}
 	h.rtoQ = append(h.rtoQ, refOf(f))
-	f.rtoSeq = len(h.rtoQ)
+	f.rtoSeq = int32(len(h.rtoQ))
 }
 
 // compactRTO drops the popped slots and the tombstones behind the head
@@ -558,7 +577,7 @@ func (h *Host) compactRTO() {
 	q := h.rtoQ[:0]
 	for i, r := range h.rtoQ[h.rtoHead:] {
 		if f := r.take("compactRTO"); f != nil {
-			f.rtoSeq = len(q) + 1
+			f.rtoSeq = int32(len(q) + 1)
 		} else if i > 0 {
 			continue
 		}
@@ -647,7 +666,7 @@ func (h *Host) kick() {
 			return
 		}
 		f.queued = false
-		if !f.wantsSend(ndp) {
+		if !f.wantsSend() {
 			h.net.sendState(h, f, forensics.SendNet)
 			if f.senderDone {
 				h.release(f) // fully acked while it sat in the queue
@@ -660,8 +679,8 @@ func (h *Host) kick() {
 			continue // resume re-enqueues
 		}
 		if ndp {
-			canRtx := len(f.rtxQ) > 0 && f.pullCredits > 0
-			canNew := f.sndNxt < f.Size && (f.sndNxt < h.net.BaseBDP() || f.pullCredits > 0)
+			canRtx := len(f.ndp.rtxQ) > 0 && f.ndp.pullCredits > 0
+			canNew := f.sndNxt < f.Size && (f.sndNxt < h.net.BaseBDP() || f.ndp.pullCredits > 0)
 			if !canRtx && !canNew {
 				h.net.sendState(h, f, forensics.SendWindow)
 				continue // a Pull re-enqueues
@@ -693,15 +712,15 @@ func (h *Host) kick() {
 func (h *Host) sendSegment(f *Flow, now units.Time) {
 	var seq units.ByteSize
 	isRtx := false
-	if h.net.Cfg.NDP.Enable && len(f.rtxQ) > 0 && f.pullCredits > 0 {
-		seq = f.rtxQ[0]
-		f.rtxQ = f.rtxQ[1:]
-		f.pullCredits--
+	if nd := f.ndp; nd != nil && len(nd.rtxQ) > 0 && nd.pullCredits > 0 {
+		seq = nd.rtxQ[0]
+		nd.rtxQ = nd.rtxQ[1:]
+		nd.pullCredits--
 		isRtx = true
 	} else {
 		seq = f.sndNxt
-		if h.net.Cfg.NDP.Enable && seq >= h.net.BaseBDP() {
-			f.pullCredits--
+		if nd != nil && seq >= h.net.BaseBDP() {
+			nd.pullCredits--
 		}
 		// Go-back-N resend: the timeout rewound sndNxt below the
 		// furthest byte ever emitted.

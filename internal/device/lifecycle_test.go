@@ -149,8 +149,8 @@ func TestLostFinalAcksReAckedFromLog(t *testing.T) {
 	if !got.senderDone {
 		t.Error("sender never finished: the duplicates were not re-ACKed")
 	}
-	if n.live[1] != nil || len(n.flowPool) != 1 || n.minted != 1 {
-		t.Errorf("flow object not released: live slot %v, pool %d, minted %d", n.live[1], len(n.flowPool), n.minted)
+	if n.flow(1) != nil || poolLen(n) != 1 || n.minted != 1 {
+		t.Errorf("flow object not released: live slot %v, pool %d, minted %d", n.flow(1), poolLen(n), n.minted)
 	}
 }
 
@@ -189,7 +189,7 @@ func TestTombstonedRTOHeadKeepsDeadline(t *testing.T) {
 	// re-armed for it, with F overdue behind it.
 	var hDone units.Time
 	got := retransmitTimes(n, until, func(at units.Time, sofar []units.Time) {
-		if hDone != 0 || n.live[1] != nil {
+		if hDone != 0 || n.flow(1) != nil {
 			return
 		}
 		hDone = at
@@ -199,7 +199,7 @@ func TestTombstonedRTOHeadKeepsDeadline(t *testing.T) {
 		if len(sofar) != 0 {
 			t.Fatalf("F timed out at %v, before H finished at %v: the scenario no longer holds", sofar[0], at)
 		}
-		if f := n.live[2]; f == nil || f.lastProgress.Add(rto) >= at {
+		if f := n.flow(2); f == nil || f.lastProgress.Add(rto) >= at {
 			t.Fatalf("F is not overdue behind H at %v", at)
 		}
 	})
@@ -229,27 +229,28 @@ func TestRecycledFlowStartsClean(t *testing.T) {
 		{hosts[3], hosts[1], 7 * units.KB, far},
 	})
 	n.Run(units.Time(10 * units.Millisecond))
-	if len(n.flowPool) != 1 || n.live[1] != nil || !n.isDone(1) {
-		t.Fatalf("first flow not finished and released (pool %d)", len(n.flowPool))
+	if poolLen(n) != 1 || n.flow(1) != nil || !n.isDone(1) {
+		t.Fatalf("first flow not finished and released (pool %d)", poolLen(n))
 	}
-	old := n.flowPool[0]
+	old := n.flowPool
 	if old.sndUna != 50*units.KB || old.rcvNxt != 50*units.KB || !old.senderDone || !old.done || old.Finish == 0 {
 		t.Fatalf("pooled object does not carry its first life: %s", old.DebugString())
 	}
 	// State the first life could not dirty on this path.
-	old.rtxQ = []units.ByteSize{1, 2}
-	old.seen = map[units.ByteSize]bool{3: true}
-	old.pullCredits, old.rcvdBytes, old.pullsSent, old.trims = 4, 5, 6, 7
+	old.ndp = &ndpState{
+		rtxQ: []units.ByteSize{1, 2}, seen: map[units.ByteSize]bool{3: true},
+		pullCredits: 4, rcvdBytes: 5, pullsSent: 6, trims: 7,
+	}
 	old.Attempt, old.launched, old.cnpSent, old.lastCNP = 8, true, true, 9
 	old.ctrl.OnCNP(10) // FixedWindow ignores it; the controller check below is about identity
 
 	f := n.mintFlow(2, false)
-	if f != old || len(n.flowPool) != 0 || n.minted != 1 {
-		t.Fatalf("mint did not reuse the pooled object (pool %d, minted %d)", len(n.flowPool), n.minted)
+	if f != old || poolLen(n) != 0 || n.minted != 1 {
+		t.Fatalf("mint did not reuse the pooled object (pool %d, minted %d)", poolLen(n), n.minted)
 	}
 	want := Flow{
 		ID: 2, Src: hosts[3], Dst: hosts[1], Size: 7 * units.KB, Cat: packet.CatVictimPFC, Start: far,
-		net: n, ctrl: f.ctrl, dbg: f.dbg,
+		net: n, ctrl: f.ctrl, ndp: &ndpState{}, dbg: f.dbg,
 	}
 	if !reflect.DeepEqual(*f, want) {
 		t.Errorf("recycled flow = %+v\nwant %+v", *f, want)
@@ -274,7 +275,7 @@ func TestHeldFlowsKeepTheirObject(t *testing.T) {
 	if !f.Done() || !f.senderDone || g.senderDone {
 		t.Fatalf("want the short flow finished and the long one in flight: %s / %s", f.DebugString(), g.DebugString())
 	}
-	if n.live[f.ID] != f || len(n.flowPool) != 0 || f.sndUna != f.Size {
+	if n.flow(f.ID) != f || poolLen(n) != 0 || f.sndUna != f.Size {
 		t.Error("held flow was recycled")
 	}
 	if h.senders != g || h.sendersTail != g || g.sprev != nil || g.snext != nil {

@@ -168,17 +168,22 @@ type Network struct {
 	hostSlab  []Host // unminted remainder of the current 64-host chunk
 
 	// Flow lifecycle (DESIGN.md §3). specs is the registration log:
-	// FlowID id is entry id-1. live[id] is the flow's object from mint to
-	// release (a held flow's: from registration, for good). done is this
-	// shard's receiver-side completion bitset, consulted before live so
-	// nothing dereferences a recycled object. flowPool holds released
-	// objects with their controllers; minted counts objects ever built. A
-	// Cluster's shards share specs (read-only once sealed) and live.
+	// FlowID id is entry id-1. live holds the objects of the flows this
+	// shard's hosts send, from mint to release (a held flow's: from
+	// registration, for good); peers are every shard's tables, by shard,
+	// where a receiver finds a flow another shard sends (nil on a network
+	// that owns the whole topology). done is this shard's receiver-side
+	// completion bitset, consulted before any table so nothing dereferences
+	// a recycled object or page. flowPool is the stack of released
+	// objects, with their controllers, linked through snext (a pooled
+	// flow is on no sender list); minted counts objects ever built. A
+	// Cluster's shards share specs (read-only once sealed).
 	specs    *stats.ChunkLog[flowSpec]
 	fcts     [stats.NumCategories]int // registrations this shard receives, by category
-	live     []*Flow
+	live     liveTable
+	peers    []*liveTable
 	done     []uint64
-	flowPool []*Flow
+	flowPool *Flow
 	minted   int
 	pktPool  []*packet.Packet
 
@@ -217,12 +222,12 @@ func newNetwork(cfg Config) *Network {
 		Switches:  make([]*Switch, len(cfg.Topo.Nodes)),
 		HostsByID: make([]*Host, len(cfg.Topo.Nodes)),
 		specs:     new(stats.ChunkLog[flowSpec]),
-		live:      []*Flow{nil}, // FlowID 0 is unused
 	}
 	if sp := cfg.Shard; sp != nil {
 		// Distinct pktID streams per shard (ids are debug/trace labels;
 		// uniqueness, not density, is what matters).
 		n.nextID = uint64(sp.Index) << 56
+		n.live.owned = n.liveMask
 	}
 	if uint64(sim.PriWireBase)+uint64(cfg.Topo.TotalPorts()) >= uint64(sim.PriTimer) {
 		panic("device: topology has too many directed ports for wire priorities")
@@ -368,13 +373,38 @@ func logFlow(t *topo.Topology, log *stats.ChunkLog[flowSpec], s flowSpec, size u
 // spec returns a registered flow's log record.
 func (n *Network) spec(id packet.FlowID) *flowSpec { return n.specs.At(int(id) - 1) }
 
-// flow returns the live object of a flow (receiver and sender side
-// share it): nil before its start and after its release.
-func (n *Network) flow(id packet.FlowID) *Flow {
-	if int(id) >= len(n.live) {
-		return nil
+// liveMask returns the ownership mask of live-table page i: bit j is set
+// when one of this shard's hosts sends FlowID i*livePageLen+j. The log
+// is sealed before any page is minted, so the mask never changes.
+func (n *Network) liveMask(i int) uint64 {
+	var m uint64
+	for j := 0; j < livePageLen; j++ {
+		id := i*livePageLen + j
+		if id >= 1 && id <= n.specs.Len() && n.Owns(n.spec(packet.FlowID(id)).Src) {
+			m |= 1 << j
+		}
 	}
-	f := n.live[id]
+	return m
+}
+
+// flow returns the live object of a flow one of this shard's hosts
+// sends: nil before its start and after its release.
+func (n *Network) flow(id packet.FlowID) *Flow {
+	f := n.live.get(id)
+	f.assertIs(id)
+	return f
+}
+
+// rcvFlow returns the live object of a flow src sends to one of this
+// shard's hosts, from the table of the shard that owns src. Call it only
+// for a flow not yet done at its receiver: until then its sender cannot
+// have released it, so its page is held (DESIGN.md §10).
+func (n *Network) rcvFlow(src packet.NodeID, id packet.FlowID) *Flow {
+	t := &n.live
+	if s := n.Cfg.Shard; s != nil {
+		t = n.peers[s.Assign[src]]
+	}
+	f := t.get(id)
 	f.assertIs(id)
 	return f
 }
@@ -401,14 +431,18 @@ func (n *Network) mintFlow(id packet.FlowID, held bool) *Flow {
 	rate, rtt := n.HostsByID[s.Src].port.Rate, n.baseRTT
 	env := cc.Env{LinkRate: rate, BaseRTT: rtt, BDP: units.BDP(rate, rtt)}
 	var f *Flow
-	if m := len(n.flowPool); m > 0 {
-		f = n.flowPool[m-1]
-		n.flowPool[m-1] = nil
-		n.flowPool = n.flowPool[:m-1]
+	if f = n.flowPool; f != nil {
+		n.flowPool = f.snext
 		f.ctrl.Reset(env)
-		*f = Flow{ctrl: f.ctrl, dbg: f.dbg.acquired()}
+		*f = Flow{ctrl: f.ctrl, ndp: f.ndp, dbg: f.dbg.acquired()}
+		if f.ndp != nil {
+			*f.ndp = ndpState{}
+		}
 	} else {
 		f = &Flow{ctrl: n.Cfg.CC(env)}
+		if n.Cfg.NDP.Enable {
+			f.ndp = new(ndpState)
+		}
 		n.minted++
 	}
 	f.ID, f.Src, f.Dst, f.Size, f.Cat, f.Start = id, s.Src, s.Dst, s.size(), s.Cat, s.Start
@@ -422,7 +456,7 @@ func (n *Network) mintFlow(id packet.FlowID, held bool) *Flow {
 func (n *Network) AddFlow(src, dst packet.NodeID, size units.ByteSize, start units.Time, cat packet.Category) *Flow {
 	id := logFlow(n.Topo, n.specs, flowSpec{Start: start, Src: src, Dst: dst, Cat: cat}, size)
 	f := n.mintFlow(id, true)
-	n.live = append(n.live, f)
+	n.live.put(f)
 	if start == n.Eng.Now() {
 		n.HostsByID[src].startFlow(f)
 	} else {
@@ -544,8 +578,15 @@ func (n *Network) Finalize() {
 	}
 }
 
-// Flows returns a stand-alone network's flows, all held (test helper).
-func (n *Network) Flows() []*Flow { return n.live[1:] }
+// Flows returns a stand-alone network's flows, all held, in FlowID
+// order (test helper).
+func (n *Network) Flows() []*Flow {
+	fs := make([]*Flow, n.specs.Len())
+	for i := range fs {
+		fs[i] = n.live.get(packet.FlowID(i + 1))
+	}
+	return fs
+}
 
 // DeliveredBytes is the total payload delivered to receivers so far —
 // the monotone progress signal the stall watchdog monitors.

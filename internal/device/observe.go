@@ -308,10 +308,14 @@ func (n *Network) received(f *Flow, payload units.ByteSize, now units.Time) {
 }
 
 // flowDone: f's last byte arrived at its receiver. The collector keeps
-// the ID and FCT only and takes no line rate.
+// the FCT only and takes no line rate; the forensics recorder, when on,
+// keeps it per flow for Cluster.FlowMetas.
 func (n *Network) flowDone(f *Flow, now units.Time) {
 	n.Stats.FlowDone(uint64(f.ID), f.Cat, f.Size, f.Start, now, 0)
 	n.Metrics.FCT.Observe(int64(now.Sub(f.Start)))
+	if n.frx != nil {
+		n.frx.Done(f.ID, now.Sub(f.Start))
+	}
 	if n.OnFlowDone != nil {
 		n.OnFlowDone(f, now)
 	}

@@ -24,7 +24,9 @@ func TestEagerVsLazyDevices(t *testing.T) {
 	}
 	windowOverride = fullIncastMixDuration / 8
 	defer func() { windowOverride = 0 }()
-	smoke := Options{Scale: 0.1, Seed: 1, Parallelism: 1, Shards: 1}
+	// Forensics on: its recorders are the per-flow FCT store the flow
+	// metadata digest reads, so a per-flow FCT difference fails the test.
+	smoke := Options{Scale: 0.1, Seed: 1, Parallelism: 1, Shards: 1, Obs: ObsConfig{Forensics: true}}
 
 	type oracleCase struct {
 		name   string

@@ -12,7 +12,8 @@ import (
 // on first touch) and again with every device of every cluster minted
 // before anything is registered — the stand-alone device.New order — and
 // returns what each rendered: f's tables, then one line per cluster with
-// its device count and a digest of its FlowMetas. The two must be equal
+// its device count and a digest of its FlowMetas, FCTs included (f's
+// runs must have forensics on). The two must be equal
 // but for the device counts, which eager reports as the whole fabric. f
 // must run its simulations serially (Parallelism 1): clusters are listed
 // in the order they were built.

@@ -42,7 +42,8 @@ func TestFlowStateFollowsLiveFlows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
-	rc, specs := flowChurnConfig(Options{Scale: 0.1, Seed: 1}.norm())
+	// Forensics on: its recorders are the per-flow FCT store FlowMetas reads.
+	rc, specs := flowChurnConfig(Options{Scale: 0.1, Seed: 1, Obs: ObsConfig{Forensics: true}}.norm())
 	meter := &registrationMeter{SpecSource: &workload.SliceSource{Specs: specs}}
 	rc.Source = meter
 	res := Run(rc)
@@ -56,7 +57,7 @@ func TestFlowStateFollowsLiveFlows(t *testing.T) {
 	}
 
 	// Peak of flows started and not yet finished, from the finished flows'
-	// metadata (the registration log joined with the FCT samples).
+	// metadata (the registration log joined with the recorders' FCTs).
 	type edge struct {
 		at    units.Time
 		delta int

@@ -45,7 +45,7 @@ func TestScaleIncastSmoke(t *testing.T) {
 // the few hundred nodes the incast touches, each holding its one
 // destination's Floodgate state inline and a record only for the ports
 // a frame crossed (at most 2,000 of the 29,268 those switches have). It
-// measures 21.7 MB; with every port of a minted switch built (and a
+// measures 21.1 MB; with every port of a minted switch built (and a
 // 24-byte router record per host) it held 31.0 MB, with
 // 64-bit topology records and per-port copies of them in every switch
 // port ≈43 MB, with a 256-entry page minted per touched switch
@@ -53,7 +53,10 @@ func TestScaleIncastSmoke(t *testing.T) {
 // every device of the fabric built up front ≈160 MB. (The budget used to be
 // read after ScaleIncast had returned only strings, when HeapAlloc is
 // ≈90 KB whatever the run held; per-ingress-port credit rows sized by
-// node count put this cell at 553 MB and it passed.)
+// node count put this cell at 553 MB and it passed.) The budget is the
+// run's own: the live heap after it minus a GC'd baseline taken just
+// before it, so what other tests of the process leave reachable does not
+// count against it.
 func TestScaleIncastCompletes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-host simulation")
@@ -70,11 +73,14 @@ func TestScaleIncastCompletes(t *testing.T) {
 	if got := strings.Count(run, "256/256"); got != 2 {
 		t.Fatalf("want both schemes at 256/256 completions, saw %d:\n%s", got, run)
 	}
+	var base runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&base)
 	res := runScaleIncastFloodgate(t, o.norm())
 	runtime.GC()
 	const budget = 25_000_000
-	heap := res.Net.SnapshotMemStats()
-	t.Logf("live heap %d bytes (budget %d)", heap, budget)
+	heap := res.Net.SnapshotMemStats() - int64(base.HeapAlloc)
+	t.Logf("live heap %d bytes (budget %d; baseline %d)", heap, budget, base.HeapAlloc)
 	if heap > budget {
 		t.Fatalf("live heap %d bytes exceeds the %d-byte scaleincast budget", heap, budget)
 	}

@@ -81,11 +81,12 @@ const (
 
 // flowAcc is one flow's accumulator. comp entries for sender states
 // are written only by the source host's shard; hop and VOQ entries
-// only by the shard owning the switch — so cross-shard merge is a
-// plain element-wise sum.
+// only by the shard owning the switch, fct only by the receiver's — so
+// cross-shard merge is a plain element-wise sum.
 type flowAcc struct {
 	comp       [NumComps]units.Duration
 	parked     units.Duration // total parked time, all segments
+	fct        units.Duration // set at completion (Done); zero before
 	since      units.Time     // start of the open sender-state interval
 	pauseStamp units.Duration // host pause-cum at interval start
 	state      SendState
@@ -194,6 +195,20 @@ func (r *Recorder) FlowState(id packet.FlowID, st SendState, now units.Time, pau
 	a.state = st
 	a.since = now
 	a.pauseStamp = pauseCum
+}
+
+// Done records a flow's completion time at its receiver. The recorder
+// is the run's only per-flow FCT store: the collector's samples name no
+// flow (stats.FCTSample).
+func (r *Recorder) Done(id packet.FlowID, fct units.Duration) { r.acc(id).fct = fct }
+
+// FCT returns the completion time Done recorded for a flow on this
+// shard, or zero.
+func (r *Recorder) FCT(id packet.FlowID) units.Duration {
+	if int(id) >= len(r.flows) {
+		return 0
+	}
+	return r.flows[id].fct
 }
 
 // Hop records the final data segment's dequeue at one switch egress:

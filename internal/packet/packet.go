@@ -114,28 +114,21 @@ type CreditEntry struct {
 // Packet is a simulated frame. Fields beyond the common header are
 // used only by the kinds that need them; they stay inline (no
 // interface indirection) because the simulator allocates millions.
+// Fields are grouped by width — words, then 32-bit, then bytes — so the
+// struct carries no padding (TestPacketSize).
 type Packet struct {
 	ID   uint64
-	Kind Kind
 	Flow FlowID
-	Src  NodeID // originating host
-	Dst  NodeID // destination host (for control frames: the consumer)
 	Size units.ByteSize
 
 	// Data / ACK sequencing: byte offset of the first payload byte and
 	// payload length (Size - HeaderSize for full segments).
 	Seq     units.ByteSize
 	Payload units.ByteSize
-	Last    bool // last segment of the flow
-
-	ECN     bool // CE mark
-	Retrans bool // retransmitted segment
-	Trimmed bool // NDP: payload removed in network
 
 	// Congestion-control feedback carried on ACKs.
-	AckSeq  units.ByteSize // cumulative ack (next expected byte)
-	EchoECN bool
-	Int     []IntHop // INT stack (HPCC); echoed back on ACKs
+	AckSeq units.ByteSize // cumulative ack (next expected byte)
+	Int    []IntHop       // INT stack (HPCC); echoed back on ACKs
 
 	// Floodgate credit payload (Kind == Credit); switchSYN reuses Dst.
 	Credits []CreditEntry
@@ -145,16 +138,27 @@ type Packet struct {
 	// (§4.3 loss recovery). Zero on host-originated hops.
 	PSN units.ByteSize
 
+	// Per-hop transient state, rewritten at every switch: when it
+	// entered the current queue.
+	EnqueuedAt units.Time
+
+	// EnqPauseCum is the egress port's cumulative PFC-paused duration at
+	// the moment this packet was enqueued, stamped only when forensics is
+	// enabled. At dequeue, pauseCum-now minus this value is the portion
+	// of the packet's queueing wait attributable to PFC backpressure.
+	EnqPauseCum units.Duration
+
+	// Bookkeeping for statistics: when the source host first serialised it.
+	SentAt units.Time
+
+	Src NodeID // originating host
+	Dst NodeID // destination host (for control frames: the consumer)
+
 	// FGEpoch is the forwarding switch's Floodgate boot epoch, stamped
 	// alongside PSN. A mid-channel epoch change tells the downstream
 	// switch its upstream restarted and the PSN sequence rebased, so it
 	// must resynchronize instead of crediting a phantom gap.
 	FGEpoch uint32
-
-	// ViaVOQ marks a packet that was parked in a Floodgate VOQ at the
-	// current switch (drives the §8 queue-length signal override).
-	// Reset at every hop.
-	ViaVOQ bool
 
 	// Pause/resume payloads.
 	PauseDst NodeID // DstPause/DstResume/TagPause/TagResume target destination
@@ -163,26 +167,30 @@ type Packet struct {
 	// BFC metadata carried on data packets.
 	UpstreamQ int32
 
+	InPort int32 // ingress port index at the current switch (-1 at origin)
+
+	// debug is zero-size unless built with -tags simdebug, in which
+	// case it tracks pool membership for the lifecycle assertions. It is
+	// not the last field: a trailing zero-size field is padded.
+	debug debugState
+
+	Kind Kind
+	Last bool // last segment of the flow
+
+	ECN     bool // CE mark
+	Retrans bool // retransmitted segment
+	Trimmed bool // NDP: payload removed in network
+	EchoECN bool // the ACK echoes a CE mark
+
+	// ViaVOQ marks a packet that was parked in a Floodgate VOQ at the
+	// current switch (drives the §8 queue-length signal override).
+	// Reset at every hop.
+	ViaVOQ bool
+
 	// Cat is the flow's traffic category (copied onto data packets).
 	Cat Category
 
-	// Per-hop transient state, rewritten at every switch.
-	InPort     int32      // ingress port index at the current switch (-1 at origin)
-	EnqueuedAt units.Time // when it entered the current queue
-
-	// EnqPauseCum is the egress port's cumulative PFC-paused duration at
-	// the moment this packet was enqueued, stamped only when forensics is
-	// enabled. At dequeue, pauseCum-now minus this value is the portion
-	// of the packet's queueing wait attributable to PFC backpressure.
-	EnqPauseCum units.Duration
-
-	// Bookkeeping for statistics.
-	SentAt   units.Time // when the source host first serialised it
 	HopCount int8
-
-	// debug is zero-size unless built with -tags simdebug, in which
-	// case it tracks pool membership for the lifecycle assertions.
-	debug debugState
 }
 
 // ResetKeepBuffers zeroes the packet for reuse, retaining the Int and

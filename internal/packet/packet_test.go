@@ -2,6 +2,7 @@ package packet
 
 import (
 	"testing"
+	"unsafe"
 
 	"floodgate/internal/units"
 )
@@ -79,5 +80,17 @@ func TestPacketString(t *testing.T) {
 	p := NewData(1, 2, 3, 4, 0, 100, false)
 	if p.String() == "" {
 		t.Fatal("empty String()")
+	}
+}
+
+// TestPacketSize pins the pooled packet at 168 bytes: words first, then
+// 32-bit fields, then bytes, and no trailing zero-size field, leave it
+// no padding.
+func TestPacketSize(t *testing.T) {
+	if unsafe.Sizeof(debugState{}) != 0 {
+		t.Skip("the simdebug pool stamp adds its own bytes")
+	}
+	if sz := unsafe.Sizeof(Packet{}); sz > 168 {
+		t.Fatalf("Packet is %d bytes, want <= 168", sz)
 	}
 }

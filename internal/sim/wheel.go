@@ -120,7 +120,7 @@ func (e *Engine) insertWheel(ent heapEnt) {
 
 // A ring bucket chains pointer-free chunks by slab index; chunk 0 reads
 // full (it is an empty chain's tail). Freed chunks go on a LIFO list.
-const chunkLen = 64 // entries per chunk: 64 × 24 B ≈ 1.5 KB
+const chunkLen = 16 // entries per chunk: 16 × 24 B = 384 B
 
 type chunk struct {
 	ents    [chunkLen]heapEnt

@@ -310,9 +310,9 @@ func TestCrossSchedulerIdenticalOrder(t *testing.T) {
 // follows the backlog, not ring size × each bucket's worst burst. The
 // replay engine holds the 2,725-entry backlog for 300 µs — more than two
 // rotations of the 134 µs ring, so every bucket has been filled and
-// drained at least twice. The engine retains ≈ 0.45 MB here (events,
-// entries and chunks together) and allocates ≈ 1 MB; buckets that keep
-// their largest burst read 21.7 / 47.6 MB.
+// drained at least twice. The engine retains 449,600 B here (events,
+// entries and chunks together) and allocates ≈ 1.03 MB; buckets that
+// keep their largest burst read 21.7 / 47.6 MB.
 func TestRingMemoryFollowsBacklog(t *testing.T) {
 	var m0, m1 runtime.MemStats
 	runtime.GC()
@@ -328,11 +328,11 @@ func TestRingMemoryFollowsBacklog(t *testing.T) {
 	retained := int64(m1.HeapAlloc) - int64(m0.HeapAlloc)
 	allocated := m1.TotalAlloc - m0.TotalAlloc
 	t.Logf("retained %d B, allocated %d B over %d events", retained, allocated, e.Processed)
-	if retained > 1<<20 {
-		t.Errorf("engine retains %d B after a forced GC, want <= 1 MiB", retained)
+	if retained > 512<<10 {
+		t.Errorf("engine retains %d B after a forced GC, want <= 512 KiB", retained)
 	}
-	if allocated > 2<<20 {
-		t.Errorf("engine allocated %d B, want <= 2 MiB", allocated)
+	if allocated > 1280<<10 {
+		t.Errorf("engine allocated %d B, want <= 1,280 KiB", allocated)
 	}
 }
 

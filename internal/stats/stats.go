@@ -42,13 +42,14 @@ var wireNames = [NumWireClasses]string{"data", "ctrl", "credit"}
 
 func (c WireClass) String() string { return wireNames[c] }
 
-// FCTSample records one completed flow: only what completion adds. What
-// the flow is (category, size, endpoints, start) has one store, the
-// device's registration log, keyed by the same ID, and the category is
-// also the store a sample is filed in; the finish time is Start + FCT.
+// FCTSample records one completed flow: only what completion adds, its
+// FCT. What the flow is (category, size, endpoints, start) has one
+// store, the device's registration log; the category is also the store a
+// sample is filed in. Every reduction consumes the samples as a multiset,
+// so a sample names no flow: a run of half a million flows keeps every
+// one until it is read, and per-flow FCTs are the forensics recorder's.
 type FCTSample struct {
-	Flow uint64
-	FCT  units.Duration
+	FCT units.Duration
 }
 
 // Collector accumulates a simulation run's measurements.
@@ -107,11 +108,11 @@ func grow(s []units.ByteSize, idx int) []units.ByteSize {
 	return s
 }
 
-// FlowDone records a completed flow in its category's log. The size and
-// the destination's line rate are not kept (see FCTSample); the
-// parameters stay for the benchmark module's callers.
-func (c *Collector) FlowDone(flow uint64, cat Category, _ units.ByteSize, start, finish units.Time, _ units.BitRate) {
-	c.fcts[cat] = append(c.fcts[cat], FCTSample{Flow: flow, FCT: finish.Sub(start)})
+// FlowDone records a completed flow in its category's log. The flow ID,
+// the size and the destination's line rate are not kept (see
+// FCTSample); the parameters stay for the benchmark module's callers.
+func (c *Collector) FlowDone(_ uint64, cat Category, _ units.ByteSize, start, finish units.Time, _ units.BitRate) {
+	c.fcts[cat] = append(c.fcts[cat], FCTSample{FCT: finish.Sub(start)})
 }
 
 // Reserve makes room for n[cat] more samples of each category; a run

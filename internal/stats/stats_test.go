@@ -23,17 +23,17 @@ func TestFlowDoneAndStats(t *testing.T) {
 	if p99 != 300*units.Microsecond {
 		t.Fatalf("p99 = %v", p99)
 	}
-	if s := c.FCTs(CatIncast)[0]; s != (FCTSample{Flow: 1, FCT: 100 * units.Microsecond}) {
+	if s := c.FCTs(CatIncast)[0]; s != (FCTSample{FCT: 100 * units.Microsecond}) {
 		t.Fatalf("sample = %+v", s)
 	}
 }
 
-// TestFCTSampleSize pins the per-flow cost of a completion: a flow ID and
-// an FCT. Everything else about a flow lives in the registration log, and
-// a run of half a million flows keeps every sample until it is read.
+// TestFCTSampleSize pins the per-flow cost of a completion: its FCT.
+// Everything else about a flow lives in the registration log, and a run
+// of half a million flows keeps every sample until it is read.
 func TestFCTSampleSize(t *testing.T) {
-	if sz := unsafe.Sizeof(FCTSample{}); sz != 16 {
-		t.Fatalf("FCTSample is %d bytes, want 16", sz)
+	if sz := unsafe.Sizeof(FCTSample{}); sz != 8 {
+		t.Fatalf("FCTSample is %d bytes, want 8", sz)
 	}
 }
 
@@ -75,7 +75,7 @@ func TestFCTReadsAreViews(t *testing.T) {
 	c.FlowDone(n+1, CatIncast, 1, 0, 1, units.Gbps)
 	c.FlowDone(n+2, CatVictimIncast, 1, 0, 2, units.Gbps)
 	pfc := c.FCTs(CatVictimPFC)
-	want := append([]FCTSample{{Flow: n + 1, FCT: 1}, {Flow: n + 2, FCT: 2}}, pfc...)
+	want := append([]FCTSample{{FCT: 1}, {FCT: 2}}, pfc...)
 	if got := c.AllFCTs(); !reflect.DeepEqual(got, want) || cap(got) != len(want) {
 		t.Fatalf("multi-category AllFCTs is not the category-ordered concatenation")
 	}
