@@ -262,10 +262,6 @@ func (m *Module) Window(dst packet.NodeID) (units.ByteSize, bool) {
 // VOQsInUse reports the number of allocated VOQs (tests/stats).
 func (m *Module) VOQsInUse() int { return m.inUse }
 
-// Grouped reports whether this switch splits its VOQ pool by traffic
-// direction (middle-layer deadlock avoidance, §4.2).
-func (m *Module) Grouped() bool { return m.grouped }
-
 // WindowDeficit sums init−avail over all windows. Once the network is
 // idle and credits have settled it must be zero: any positive residue
 // is leaked window, any negative residue is inflation.

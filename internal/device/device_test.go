@@ -493,3 +493,20 @@ func TestRouteFaultedZeroAlloc(t *testing.T) {
 		t.Fatalf("faulted Route allocates %.1f allocs per %d lookups, want 0", allocs, len(remote))
 	}
 }
+
+// TestInstallFaultsResolvesPlan: a plan naming a node the topology lacks
+// panics at install with fault.Plan.Resolve's error, which names the
+// event, not with an index out of range from the port lookup.
+func TestInstallFaultsResolvesPlan(t *testing.T) {
+	cfg := smallCfg()
+	n := New(cfg)
+	outside := packet.NodeID(len(cfg.Topo.Nodes))
+	defer func() {
+		if err, _ := recover().(error); err == nil || !strings.Contains(err.Error(), "event 0 (link-down)") {
+			t.Errorf("InstallFaults panicked with %v, want the resolver's error naming event 0", err)
+		}
+	}()
+	n.InstallFaults(&fault.Plan{Events: []fault.Event{
+		{Kind: fault.LinkDown, Link: fault.Link{A: cfg.Topo.Hosts[0], B: outside}},
+	}}, cfg.Seed)
+}

@@ -9,8 +9,6 @@
 package device
 
 import (
-	"fmt"
-
 	"floodgate/internal/fault"
 	"floodgate/internal/packet"
 	"floodgate/internal/sim"
@@ -96,6 +94,9 @@ func (n *Network) InstallFaults(p *fault.Plan, seed uint64) {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
+	if err := p.Resolve(n.Topo); err != nil {
+		panic(err)
+	}
 	if n.faults != nil {
 		panic("device: InstallFaults called twice")
 	}
@@ -117,7 +118,6 @@ func (n *Network) InstallFaults(p *fault.Plan, seed uint64) {
 	// Every owned device the plan names is minted here: restarting a switch
 	// no frame ever reached runs the same teardown and counts the same.
 	for _, ev := range p.SortedEvents() {
-		n.mustResolveEvent(ev)
 		switch ev.Kind {
 		case fault.LinkDown, fault.LinkUp:
 			ends := [2]packet.NodeID{ev.Link.A, ev.Link.B}
@@ -126,7 +126,7 @@ func (n *Network) InstallFaults(p *fault.Plan, seed uint64) {
 					continue
 				}
 				n.mint(end)
-				arg := &linkHalfArg{n: n, node: end, port: n.portTo(end, ends[1-i]), up: ev.Kind == fault.LinkUp, primary: i == 0}
+				arg := &linkHalfArg{n: n, node: end, port: n.Topo.PortTo(end, ends[1-i]), up: ev.Kind == fault.LinkUp, primary: i == 0}
 				n.Eng.AtArgPri(ev.At, linkHalfFn, arg, sim.PriFault)
 			}
 		case fault.SwitchRestart:
@@ -148,33 +148,6 @@ func (n *Network) InstallFaults(p *fault.Plan, seed uint64) {
 		}
 	}
 	n.faults = f
-}
-
-// mustResolveEvent panics early (at install, not mid-run) when an event
-// names a link or switch the topology does not have. Resolution is
-// topology-based so every shard applies the same validation.
-func (n *Network) mustResolveEvent(ev fault.Event) {
-	switch ev.Kind {
-	case fault.LinkDown, fault.LinkUp:
-		if n.portTo(ev.Link.A, ev.Link.B) < 0 || n.portTo(ev.Link.B, ev.Link.A) < 0 {
-			panic(fmt.Sprintf("device: fault plan names nonexistent link %v", ev.Link))
-		}
-	case fault.SwitchRestart:
-		if int(ev.Node) >= len(n.Topo.Nodes) || n.Topo.Node(ev.Node).Kind != topo.SwitchNode {
-			panic(fmt.Sprintf("device: fault plan restarts non-switch node %d", ev.Node))
-		}
-	}
-}
-
-// portTo returns a's port index toward b, or -1 if not adjacent.
-func (n *Network) portTo(a, b packet.NodeID) int {
-	ports := n.Topo.Node(a).Ports
-	for i := range ports {
-		if ports[i].Peer == b {
-			return i
-		}
-	}
-	return -1
 }
 
 // Route picks the egress port at node for a (src, dst) pair. Without

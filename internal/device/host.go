@@ -3,7 +3,6 @@
 package device
 
 import (
-	"fmt"
 	"slices"
 
 	"floodgate/internal/cc"
@@ -766,10 +765,4 @@ func (h *Host) transmit(p *packet.Packet) {
 		return
 	}
 	h.wire.push(h.net.Eng.Now().Add(ser+h.port.Prop), p)
-}
-
-// DebugString reports a flow's transfer state (diagnostics).
-func (f *Flow) DebugString() string {
-	return fmt.Sprintf("flow %d %d->%d size=%v start=%v sndNxt=%v sndUna=%v rcvNxt=%v queued=%v rtoSeq=%v senderDone=%v",
-		f.ID, f.Src, f.Dst, f.Size, f.Start, f.sndNxt, f.sndUna, f.rcvNxt, f.queued, f.rtoSeq, f.senderDone)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"floodgate/internal/fault"
+	"floodgate/internal/packet"
 	"floodgate/internal/topo"
 	"floodgate/internal/units"
 	"floodgate/internal/workload"
@@ -192,12 +193,24 @@ func TestWatchdogDiagnosesWedgedRun(t *testing.T) {
 }
 
 // TestRunConfigValidation covers the reject-early satellite: broken
-// configs produce descriptive errors instead of misrunning.
+// configs produce descriptive errors instead of misrunning. A fault plan
+// is resolved against the topology: a link event between nodes that are
+// not adjacent or not nodes, a restart of anything but a switch, and a
+// burst link that is not a switch-to-switch link are each named by index.
 func TestRunConfigValidation(t *testing.T) {
 	tp := faultTestFabric()
 	ok := RunConfig{Topo: tp, Duration: units.Millisecond}
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
+	}
+	h0, h1 := tp.Hosts[0], tp.Hosts[1]
+	tor, far := tp.Node(h0).Ports[0].Peer, dstToR(tp) // two ToRs: no link between them
+	outside := packet.NodeID(len(tp.Nodes))
+	up := fault.Event{At: 1, Kind: fault.LinkUp, Link: fault.Link{A: h0, B: tor}} // a good event ahead of the bad one
+	uplink := fault.Link{A: far, B: dstCrossUplink(t, tp, 2).B}
+	plan := func(p fault.Plan) func(*RunConfig) { return func(rc *RunConfig) { rc.Faults = &p } }
+	burst := func(ls ...fault.Link) func(*RunConfig) {
+		return plan(fault.Plan{Burst: fault.BurstWithMeanLoss(0.05), BurstLinks: ls})
 	}
 	cases := []struct {
 		name string
@@ -217,6 +230,15 @@ func TestRunConfigValidation(t *testing.T) {
 		{"bad fault plan", func(rc *RunConfig) {
 			rc.Faults = &fault.Plan{Events: []fault.Event{{Kind: fault.LinkDown}}}
 		}, "degenerate"},
+		{"link between two hosts", plan(fault.Plan{Events: []fault.Event{up, {Kind: fault.LinkDown, Link: fault.Link{A: h0, B: h1}}}}), "event 1 (link-down) names link"},
+		{"link past the last node", plan(fault.Plan{Events: []fault.Event{up, {Kind: fault.LinkUp, Link: fault.Link{A: tor, B: outside}}}}), "event 1 (link-up) names link"},
+		{"link to a negative node", plan(fault.Plan{Events: []fault.Event{{Kind: fault.LinkDown, Link: fault.Link{A: -1, B: tor}}}}), "event 0 (link-down) names link"},
+		{"restart of a host", plan(fault.Plan{Events: []fault.Event{up, {Kind: fault.SwitchRestart, Node: h0}}}), "event 1 (switch-restart) names node"},
+		{"restart past the last node", plan(fault.Plan{Events: []fault.Event{{Kind: fault.SwitchRestart, Node: outside}}}), "event 0 (switch-restart) names node"},
+		{"restart of a negative node", plan(fault.Plan{Events: []fault.Event{{Kind: fault.SwitchRestart, Node: -3}}}), "event 0 (switch-restart) names node"},
+		{"burst link the fabric lacks", burst(uplink, fault.Link{A: tor, B: far}), "burst link 1"},
+		{"burst link off the fabric", burst(fault.Link{A: tor, B: outside}), "burst link 0"},
+		{"burst link to a host", burst(fault.Link{A: tor, B: h0}), "burst link 0"},
 	}
 	for _, c := range cases {
 		rc := ok

@@ -270,36 +270,32 @@ func TestForensicsShardDeterminism(t *testing.T) {
 }
 
 // TestForensicsNoTableImpact pins the table contract at the experiment
-// level: with forensics on, fig2 appends attribution tables, but the
-// base tables must remain byte-identical.
+// level: with forensics on, fig2 appends one attribution table per
+// scheme, but the base tables must remain byte-identical to the plain
+// serial run recorded in testdata/identity.golden.
 func TestForensicsNoTableImpact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
 	prev := windowOverride
-	windowOverride = fullIncastMixDuration / 8
+	windowOverride = matrixWindow
 	defer func() { windowOverride = prev }()
-	o := Options{Scale: 0.1, Seed: 1, Parallelism: 1}
-	plain := Fig2(o)
-	oF := o
-	oF.Obs.Forensics = true
-	withF := Fig2(oF)
-	if len(withF) != len(plain)+2 {
-		t.Fatalf("fig2 tables = %d with forensics, want %d (base %d + one attribution per scheme)",
-			len(withF), len(plain)+2, len(plain))
-	}
-	var base []Table
-	for _, tb := range withF {
-		if !strings.Contains(tb.Title, "FCT time budget") {
+	o := identitySerial
+	o.Obs.Forensics = true
+	var base, budgets []Table
+	for _, tb := range Fig2(o) {
+		if strings.Contains(tb.Title, "FCT time budget") {
+			budgets = append(budgets, tb)
+		} else {
 			base = append(base, tb)
 		}
 	}
-	if TablesHash(plain) != TablesHash(base) {
-		t.Fatalf("base tables differ with forensics on:\n--- off ---\n%s\n--- on ---\n%s",
-			renderAll(plain), renderAll(base))
+	if len(budgets) != 2 {
+		t.Fatalf("fig2 appends %d attribution tables with forensics, want one per scheme (2)", len(budgets))
 	}
-	for _, tb := range withF {
-		if strings.Contains(tb.Title, "FCT time budget") && len(tb.Rows) != int(forensics.NumComps) {
+	checkIdentity(t, "fig2", "forensics on", base)
+	for _, tb := range budgets {
+		if len(tb.Rows) != int(forensics.NumComps) {
 			t.Errorf("attribution table %q has %d rows, want %d", tb.Title, len(tb.Rows), forensics.NumComps)
 		}
 	}

@@ -9,20 +9,36 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
+
+	"floodgate/internal/units"
 )
 
 // The goldens pin what the simulator prints: testdata/smoke.golden holds
 // every table of the smoke pass, testdata/obs.golden the size and digest
-// of every file of fig6's observed run. A change that moves a cell shows
-// it in `git diff internal/exp/testdata`; a golden changes only in a
-// commit that says why.
-var update = flag.Bool("update", false, "rewrite testdata/smoke.golden and testdata/obs.golden")
+// of every file of fig6's observed run, testdata/identity.golden the
+// serial unsharded tables every determinism and no-impact check compares
+// its cells with. A change that moves a cell shows it in `git diff
+// internal/exp/testdata`; a golden changes only in a commit that says
+// why. `go test ./internal/exp -run 'Golden|ObsSmoke' -update` rewrites
+// all three.
+var update = flag.Bool("update", false, "rewrite testdata/smoke.golden, obs.golden and identity.golden")
 
 const (
-	smokeGolden = "testdata/smoke.golden"
-	obsGolden   = "testdata/obs.golden"
+	smokeGolden    = "testdata/smoke.golden"
+	obsGolden      = "testdata/obs.golden"
+	identityGolden = "testdata/identity.golden"
 )
+
+// TestMain removes the files of the observed fig6 run the obs tests
+// share (observedFig6) once every test has read them.
+func TestMain(m *testing.M) {
+	m.Run()
+	if obsRunDir != "" {
+		os.RemoveAll(obsRunDir)
+	}
+}
 
 // maxMovedLines caps the differing lines printed per moved table.
 const maxMovedLines = 20
@@ -152,6 +168,127 @@ func TestSmokeGolden(t *testing.T) {
 	if moved.Len() > 0 {
 		t.Fatalf("smoke tables differ from %s:\n%s\nIf every move is meant, rewrite it with `%s` and say why in CHANGES.md.",
 			smokeGolden, moved.String(), regen)
+	}
+}
+
+// matrixWindow is the workload window of the shards × par matrices.
+const matrixWindow = fullIncastMixDuration / 8
+
+// identitySerial is the serial, unsharded run identity.golden records.
+var identitySerial = Options{Scale: 0.1, Seed: 1, Parallelism: 1, Shards: 1}
+
+// identityBlocks are identity.golden's blocks, in file order: a block
+// name, the experiment it renders and the workload window it runs at.
+var identityBlocks = []struct {
+	name, id string
+	window   units.Duration
+}{
+	{"fig2", "fig2", matrixWindow},
+	{"fig6", "fig6", matrixWindow},
+	{"fig10", "fig10", matrixWindow},
+	{"fig23", "fig23", matrixWindow},
+	{"faultmatrix", "faultmatrix", matrixWindow},
+	{"sloincast", "sloincast", matrixWindow},
+	{"fig6 at the obs window", "fig6", 0}, // obsSmokeOpts runs at the experiment's own window
+}
+
+const identityRegen = "go test ./internal/exp -run TestIdentityGolden -update"
+
+// identityTables reads identity.golden's blocks by name, once per test
+// binary. Under -update it simulates every block's serial twin instead
+// and rewrites the golden: the only time an identity check simulates its
+// reference.
+var identityTables = sync.OnceValues(func() (map[string]string, error) {
+	if !*update {
+		data, err := os.ReadFile(identityGolden)
+		if err != nil {
+			return nil, fmt.Errorf("%v: write it with `%s`", err, identityRegen)
+		}
+		return goldenSections(string(data)), nil
+	}
+	prev := windowOverride
+	defer func() { windowOverride = prev }()
+	blocks := map[string]string{}
+	var sections []string
+	for _, b := range identityBlocks {
+		e, err := Lookup(b.id)
+		if err != nil {
+			return nil, err
+		}
+		windowOverride = b.window
+		blocks[b.name] = goldenBlock(e.Run(identitySerial))
+		sections = append(sections, "### "+b.name+"\n"+blocks[b.name])
+	}
+	if err := os.WriteFile(identityGolden, []byte(strings.Join(sections, "\n")), 0o644); err != nil {
+		return nil, err
+	}
+	return blocks, nil
+})
+
+// checkIdentity holds tabs, the tables one cell of an identity check
+// rendered, to block's serial unsharded tables in identity.golden. A
+// mismatch names the block, the cell and each moved line.
+func checkIdentity(t *testing.T, block, cell string, tabs []Table) {
+	t.Helper()
+	blocks, err := identityTables()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, ok := blocks[block]
+	if !ok {
+		t.Fatalf("%s has no %q block: write it with `%s`", identityGolden, block, identityRegen)
+	}
+	if got := goldenBlock(tabs); got != want {
+		t.Errorf("%s at %s differs from the serial unsharded tables in %s:\n%s\nIf the serial tables moved on purpose, rewrite it with `%s` and say why in CHANGES.md.",
+			block, cell, identityGolden, movedTables(block+" "+cell, want, got), identityRegen)
+	}
+}
+
+// checkShardParMatrix runs experiment id at every cell of shards ∈ {1,
+// 2, 4} × par ∈ {1, 4} but the serial unsharded one, whose tables the
+// golden holds, and holds each to the golden at the matrices' window.
+func checkShardParMatrix(t *testing.T, id string) {
+	t.Helper()
+	windowOverride = matrixWindow
+	defer func() { windowOverride = 0 }()
+	e, _ := Lookup(id)
+	for _, shards := range []int{1, 2, 4} {
+		for _, par := range []int{1, 4} {
+			o := identitySerial
+			o.Shards, o.Parallelism = shards, par
+			if o != identitySerial {
+				checkIdentity(t, id, fmt.Sprintf("shards=%d par=%d", shards, par), e.Run(o))
+			}
+		}
+	}
+}
+
+// TestIdentityGolden holds identity.golden to its block list: no block
+// missing, none left over. Under -update it rewrites the golden.
+func TestIdentityGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation test")
+	}
+	blocks, err := identityTables()
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, b := range identityBlocks {
+		names[b.name] = true
+		if _, ok := blocks[b.name]; !ok {
+			t.Errorf("%s has no %q block", identityGolden, b.name)
+		}
+	}
+	for _, name := range sortedKeys(blocks) {
+		if !names[name] {
+			t.Errorf("%s holds %q, which no check reads", identityGolden, name)
+		}
+	}
+	if *update {
+		t.Logf("rewrote %s", identityGolden)
+	} else if t.Failed() {
+		t.Logf("rewrite it with `%s`", identityRegen)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"floodgate/internal/app"
@@ -151,6 +152,24 @@ func checkObsExport(t *testing.T, tables []Table, files map[string][]byte) {
 	}
 }
 
+// obsRunDir holds the files of observedFig6's run; TestMain removes it.
+var obsRunDir string
+
+// observedFig6 runs fig6 serially with observability on (obsSmokeOpts at
+// par 1) once per test binary, for TestObsSmoke, TestObsNoTableImpact
+// and TestObsParallelDeterminism, and returns its tables. Its files stay
+// on disk under obsRunDir: each test reads the files it needs and drops
+// them, so none stays reachable for TestScaleIncastCompletes' heap
+// budget to count.
+var observedFig6 = sync.OnceValues(func() ([]Table, error) {
+	dir, err := os.MkdirTemp("", "floodgate-obs-")
+	if err != nil {
+		return nil, err
+	}
+	obsRunDir = dir
+	return RunByID("fig6", obsSmokeOpts(dir, 1))
+})
+
 // TestObsSmoke runs one real experiment with observability enabled,
 // validates the whole export surface (checkObsExport) and holds its
 // files to testdata/obs.golden.
@@ -158,34 +177,27 @@ func TestObsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
-	dir := t.TempDir()
-	tables, err := RunByID("fig6", obsSmokeOpts(dir, 1))
+	tables, err := observedFig6()
 	if err != nil {
 		t.Fatal(err)
 	}
-	files := readDataFiles(t, filepath.Join(dir, "fig6"))
+	files := readDataFiles(t, filepath.Join(obsRunDir, "fig6"))
 	checkObsExport(t, tables, files)
 	checkObsGolden(t, files)
 }
 
 // TestObsNoTableImpact pins the core guarantee: enabling observability
-// must not change a single byte of experiment output.
+// must not change a single byte of experiment output, held to the plain
+// serial run recorded in testdata/identity.golden.
 func TestObsNoTableImpact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
-	plain, err := RunByID("fig6", Options{Scale: 0.1, Seed: 1, Parallelism: 1})
+	observed, err := observedFig6()
 	if err != nil {
 		t.Fatal(err)
 	}
-	observed, err := RunByID("fig6", obsSmokeOpts(t.TempDir(), 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if TablesHash(plain) != TablesHash(observed) {
-		t.Fatalf("tables differ with observability on:\n--- off ---\n%s\n--- on ---\n%s",
-			renderAll(plain), renderAll(observed))
-	}
+	checkIdentity(t, "fig6 at the obs window", "-obs par=1", observed)
 }
 
 // TestObsParallelDeterminism: all observability output must be
@@ -195,11 +207,11 @@ func TestObsParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
-	dirSerial, dirPar := t.TempDir(), t.TempDir()
-	tSerial, err := RunByID("fig6", obsSmokeOpts(dirSerial, 1))
+	tSerial, err := observedFig6()
 	if err != nil {
 		t.Fatal(err)
 	}
+	dirPar := t.TempDir()
 	tPar, err := RunByID("fig6", obsSmokeOpts(dirPar, 4))
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +220,7 @@ func TestObsParallelDeterminism(t *testing.T) {
 		t.Fatal("tables differ across parallelism")
 	}
 
-	serial := readDataFiles(t, filepath.Join(dirSerial, "fig6"))
+	serial := readDataFiles(t, filepath.Join(obsRunDir, "fig6"))
 	par := readDataFiles(t, filepath.Join(dirPar, "fig6"))
 	if len(serial) != len(par) {
 		t.Fatalf("file sets differ: %v vs %v", sortedKeys(serial), sortedKeys(par))

@@ -25,23 +25,18 @@ func renderAll(tables []Table) string {
 }
 
 // TestParallelDeterminism is the executor's core guarantee: a
-// representative experiment produces byte-identical tables serially
-// and with a 4-worker pool. fig10 covers 12 independent runs plus a
-// cross-run reduction (the "vs plain" ratio column).
+// representative experiment produces with a 4-worker pool the tables
+// the serial run recorded in testdata/identity.golden. fig10 covers 12
+// independent runs plus a cross-run reduction (the "vs plain" ratio
+// column).
 func TestParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
-	windowOverride = fullIncastMixDuration / 8
+	windowOverride = matrixWindow
 	defer func() { windowOverride = 0 }()
-	serial := Options{Scale: 0.1, Seed: 1, Parallelism: 1}
-	parallel := Options{Scale: 0.1, Seed: 1, Parallelism: 4}
 	e, _ := Lookup("fig10")
-	want := renderAll(e.Run(serial))
-	got := renderAll(e.Run(parallel))
-	if want != got {
-		t.Fatalf("parallel output diverges from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", want, got)
-	}
+	checkIdentity(t, "fig10", "par=4", e.Run(Options{Scale: 0.1, Seed: 1, Parallelism: 4}))
 }
 
 // TestRunManyMatchesSerial checks RunMany against a loop of Run calls

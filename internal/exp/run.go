@@ -263,6 +263,9 @@ func (rc RunConfig) Validate() error {
 		if err := rc.Faults.Validate(); err != nil {
 			return err
 		}
+		if err := rc.Faults.Resolve(rc.Topo); err != nil {
+			return err
+		}
 	}
 	if rc.App != nil {
 		if rc.App.Requests <= 0 {

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -15,56 +16,33 @@ import (
 // TestShardDeterminism is the sharded executor's acceptance gate
 // (DESIGN.md §10): fig2 and fig6 tables must be byte-identical for
 // every combination of shards ∈ {1, 2, 4} and par ∈ {1, 4}. The
-// baseline is the fully serial unsharded run; every other cell of the
-// matrix must render the same bytes.
+// reference is the fully serial unsharded run, recorded in
+// testdata/identity.golden; every other cell of the matrix must render
+// the same bytes.
 func TestShardDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
-	windowOverride = fullIncastMixDuration / 8
-	defer func() { windowOverride = 0 }()
-
 	for _, id := range []string{"fig2", "fig6"} {
-		fig, _ := Lookup(id)
-		base := Options{Scale: 0.1, Seed: 1, Parallelism: 1, Shards: 1}
-		want := renderAll(fig.Run(base))
-		for _, shards := range []int{1, 2, 4} {
-			for _, par := range []int{1, 4} {
-				o := base
-				o.Shards, o.Parallelism = shards, par
-				if o == base {
-					continue
-				}
-				if got := renderAll(fig.Run(o)); got != want {
-					t.Fatalf("%s: shards=%d par=%d diverges from serial unsharded:\n--- want ---\n%s\n--- got ---\n%s",
-						id, shards, par, want, got)
-				}
-			}
-		}
+		checkShardParMatrix(t, id)
 	}
 }
 
 // TestShardFaultMatrixBitIdentical extends the bit-identity guarantee
 // to the fault plane: the full faultmatrix experiment — link flaps and
 // switch restarts landing on ToR-spine links that cross shard cuts,
-// plus Gilbert–Elliott burst loss — renders byte-identical tables at
-// every shard count.
+// plus Gilbert–Elliott burst loss — renders the serial unsharded
+// tables of testdata/identity.golden at every shard count.
 func TestShardFaultMatrixBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
-	windowOverride = fullIncastMixDuration / 8
+	windowOverride = matrixWindow
 	defer func() { windowOverride = 0 }()
-
-	base := Options{Scale: 0.1, Seed: 1, Parallelism: 1, Shards: 1}
-	want := renderAll(FaultMatrix(base))
 	for _, shards := range []int{2, 4} {
-		o := base
+		o := identitySerial
 		o.Shards = shards
-		if got := renderAll(FaultMatrix(o)); got != want {
-			t.Fatalf("faultmatrix at shards=%d diverges from unsharded:\n--- want ---\n%s\n--- got ---\n%s",
-				shards, want, got)
-		}
+		checkIdentity(t, "faultmatrix", fmt.Sprintf("shards=%d", shards), FaultMatrix(o))
 	}
 }
 
@@ -80,13 +58,10 @@ func TestShardMinFrameLookahead(t *testing.T) {
 	// NDP trims to bare 48 B headers and its incast mix has 49-63 B
 	// data tails: fig23 crashed at -shards 2 before the fix.
 	t.Run("fig23", func(t *testing.T) {
-		windowOverride = fullIncastMixDuration / 8
+		windowOverride = matrixWindow
 		defer func() { windowOverride = 0 }()
 		e, _ := Lookup("fig23")
-		want := renderAll(e.Run(Options{Scale: 0.1, Seed: 1, Shards: 1}))
-		if got := renderAll(e.Run(Options{Scale: 0.1, Seed: 1, Shards: 2})); got != want {
-			t.Fatalf("fig23 at shards=2 diverges from unsharded:\n--- want ---\n%s\n--- got ---\n%s", want, got)
-		}
+		checkIdentity(t, "fig23", "shards=2", e.Run(Options{Scale: 0.1, Seed: 1, Shards: 2}))
 	})
 	// Two 1-byte flows (one 49 B frame each) between racks on different
 	// shards, started so that the frame leaves the source ToR (flow 0)

@@ -12,31 +12,13 @@ import (
 // the closed-loop application plane: the sloincast tables — deadline
 // timers, jittered retries, hedges, and breaker decisions riding on
 // the sharded engine — must render byte-identical for every
-// combination of shards ∈ {1, 2, 4} and par ∈ {1, 4}. The baseline is
-// the fully serial unsharded run.
+// combination of shards ∈ {1, 2, 4} and par ∈ {1, 4}. The reference is
+// the fully serial unsharded run, recorded in testdata/identity.golden.
 func TestSLOIncastShardDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
-	windowOverride = fullIncastMixDuration / 8
-	defer func() { windowOverride = 0 }()
-
-	e, _ := Lookup("sloincast")
-	base := Options{Scale: 0.1, Seed: 1, Parallelism: 1, Shards: 1}
-	want := renderAll(e.Run(base))
-	for _, shards := range []int{1, 2, 4} {
-		for _, par := range []int{1, 4} {
-			o := base
-			o.Shards, o.Parallelism = shards, par
-			if o == base {
-				continue
-			}
-			if got := renderAll(e.Run(o)); got != want {
-				t.Fatalf("sloincast: shards=%d par=%d diverges from serial unsharded:\n--- want ---\n%s\n--- got ---\n%s",
-					shards, par, want, got)
-			}
-		}
-	}
+	checkShardParMatrix(t, "sloincast")
 }
 
 // TestSLOIncastDifferentiates is the experiment's acceptance gate at

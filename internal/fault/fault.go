@@ -13,6 +13,7 @@ import (
 	"sort"
 
 	"floodgate/internal/packet"
+	"floodgate/internal/topo"
 	"floodgate/internal/units"
 )
 
@@ -167,6 +168,42 @@ func (p *Plan) Validate() error {
 		}
 	}
 	return nil
+}
+
+// Resolve checks the plan against the fabric it will run on: every link
+// event names two adjacent nodes, every restart a switch, every burst
+// link a switch-to-switch link (the only links the chain covers). The
+// error names the first event or burst link that does not resolve.
+// device.Network.InstallFaults and exp's RunConfig.Validate both call it,
+// so a plan a run accepts is one the device layer can install.
+func (p *Plan) Resolve(t *topo.Topology) error {
+	for i, ev := range p.Events {
+		switch ev.Kind {
+		case LinkDown, LinkUp:
+			if !linked(t, ev.Link) {
+				return fmt.Errorf("fault: event %d (%s) names link %v, which the topology lacks", i, ev.Kind, ev.Link)
+			}
+		case SwitchRestart:
+			if !inRange(t, ev.Node) || t.Node(ev.Node).Kind != topo.SwitchNode {
+				return fmt.Errorf("fault: event %d (%s) names node %d, which is not a switch of the topology", i, ev.Kind, ev.Node)
+			}
+		}
+	}
+	for i, l := range p.BurstLinks {
+		if !linked(t, l) || t.Node(l.A).Kind != topo.SwitchNode || t.Node(l.B).Kind != topo.SwitchNode {
+			return fmt.Errorf("fault: burst link %d (%v) is not a switch-to-switch link of the topology", i, l)
+		}
+	}
+	return nil
+}
+
+// inRange reports whether id names a node of t.
+func inRange(t *topo.Topology, id packet.NodeID) bool { return id >= 0 && int(id) < len(t.Nodes) }
+
+// linked reports whether t has the link l: both ends are nodes, and
+// each has a port toward the other.
+func linked(t *topo.Topology, l Link) bool {
+	return inRange(t, l.A) && inRange(t, l.B) && t.PortTo(l.A, l.B) >= 0 && t.PortTo(l.B, l.A) >= 0
 }
 
 // SortedEvents returns the events ordered by time (stable, so events at

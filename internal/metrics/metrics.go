@@ -193,14 +193,6 @@ func (h Histogram) Observe(v int64) {
 	in.buckets[len(in.buckets)-1]++
 }
 
-// Count returns the number of observations.
-func (h Histogram) Count() int64 {
-	if h.h == nil {
-		return 0
-	}
-	return h.h.val
-}
-
 // Sum returns the sum of observed values.
 func (h Histogram) Sum() int64 {
 	if h.h == nil {

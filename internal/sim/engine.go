@@ -305,9 +305,6 @@ func (e *Engine) StatsSnapshot() Stats {
 // Stop makes Run return after the event currently executing completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Pending reports the number of live events still queued in O(1).
-func (e *Engine) Pending() int { return e.live }
-
 // NextAt reports the timestamp of the earliest queued entry, or false
 // if the queue is empty. Dead (lazily cancelled) entries count: the
 // sharded executor uses NextAt to pick the next barrier window, and

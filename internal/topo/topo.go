@@ -128,6 +128,17 @@ type Topology struct {
 // Node returns the node with the given ID.
 func (t *Topology) Node(id packet.NodeID) *Node { return &t.Nodes[id] }
 
+// PortTo returns a's port index toward b, or -1 if they are not adjacent.
+func (t *Topology) PortTo(a, b packet.NodeID) int {
+	ports := t.Node(a).Ports
+	for i := range ports {
+		if ports[i].Peer == b {
+			return i
+		}
+	}
+	return -1
+}
+
 // NumHosts returns the number of hosts.
 func (t *Topology) NumHosts() int { return len(t.Hosts) }
 

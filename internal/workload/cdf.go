@@ -129,13 +129,3 @@ var (
 
 // Workloads lists the four Fig 7 distributions in paper order.
 var Workloads = []*CDF{Memcached, WebServer, Hadoop, WebSearch}
-
-// ByName resolves a workload by its Fig 7 name.
-func ByName(name string) (*CDF, error) {
-	for _, c := range Workloads {
-		if c.Name == name {
-			return c, nil
-		}
-	}
-	return nil, fmt.Errorf("workload: unknown distribution %q", name)
-}

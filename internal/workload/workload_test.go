@@ -94,18 +94,6 @@ func TestQuantileMonotone(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, name := range []string{"Memcached", "WebServer", "Hadoop", "WebSearch"} {
-		c, err := ByName(name)
-		if err != nil || c.Name != name {
-			t.Fatalf("ByName(%q) = %v, %v", name, c, err)
-		}
-	}
-	if _, err := ByName("nope"); err == nil {
-		t.Fatal("unknown workload accepted")
-	}
-}
-
 func hosts(n int) []packet.NodeID {
 	out := make([]packet.NodeID, n)
 	for i := range out {
