@@ -20,10 +20,9 @@ func main() {
 	o := floodgate.Options{Scale: *scale, Seed: 3}
 
 	for _, grouping := range []bool{true, false} {
-		c := floodgate.DefaultFatTree()
-		c.K = 4
-		c.HostsPerEdge = 2
-		c.Rate = floodgate.BitRate(float64(c.Rate) * *scale)
+		c := floodgate.FatTree(4)
+		c.HostRate = floodgate.BitRate(float64(c.HostRate) * *scale)
+		c.FabricRate = c.HostRate
 		c.Prop = floodgate.Duration(float64(c.Prop) / *scale)
 		tp := c.Build()
 

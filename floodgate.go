@@ -199,17 +199,16 @@ func RunFaultScenario(name string, o Options) ([]Table, error) {
 
 // ---- Topologies ----
 
-// Topology is an immutable fabric with routing; TestbedConfig builds
-// the paper's small testbed-shaped fabrics.
-type (
-	Topology      = topo.Topology
-	TestbedConfig = topo.TestbedConfig
-)
+// Topology is an immutable fabric with routing, built from a
+// leaf–spine or Clos config (DefaultLeafSpine, FatTree).
+type Topology = topo.Topology
 
-// Paper topologies.
+// Paper topologies: the §6 leaf–spine and the k-ary fat tree, whose
+// §6.2 instance is DefaultFatTree (k=8).
 var (
 	DefaultLeafSpine = topo.DefaultLeafSpine
 	DefaultFatTree   = topo.DefaultFatTree
+	FatTree          = topo.FatTree
 )
 
 // TopoPresets lists the -topo preset names with one-line descriptions,

@@ -115,11 +115,11 @@ func TestPublicFloodgateConfig(t *testing.T) {
 }
 
 func TestRawNetworkAPI(t *testing.T) {
-	tp := floodgate.TestbedConfig{
-		ToRs: 2, HostsPerToR: 2,
-		HostRate: 10 * floodgate.Gbps, CoreRate: 20 * floodgate.Gbps,
-		Prop: 4500 * floodgate.Nanosecond,
-	}.Build()
+	c := floodgate.DefaultLeafSpine()
+	c.Spines, c.ToRs, c.HostsPerToR = 1, 2, 2
+	c.HostRate, c.SpineRate = 10*floodgate.Gbps, 20*floodgate.Gbps
+	c.Prop = 4500 * floodgate.Nanosecond
+	tp := c.Build()
 	eng := floodgate.NewEngine()
 	n := floodgate.NewNetwork(floodgate.NetworkConfig{
 		Topo:   tp,

@@ -290,7 +290,9 @@ func TestFatTreeBidirectionalIncastNoDeadlock(t *testing.T) {
 	fg := core.DefaultConfig(14 * units.KB)
 	fg.MaxVOQs = 2
 	fg.VOQGrouping = true
-	tp := topo.FatTreeConfig{K: 4, HostsPerEdge: 2, Rate: 10 * units.Gbps, Prop: 600 * units.Nanosecond}.Build()
+	c := topo.FatTree(4)
+	c.HostRate, c.FabricRate = 10*units.Gbps, 10*units.Gbps
+	tp := c.Build()
 	cfg := device.Config{
 		Topo: tp, Engine: sim.NewEngine(),
 		Stats: stats.NewCollector(10 * units.Microsecond),

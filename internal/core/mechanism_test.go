@@ -136,7 +136,9 @@ func TestDelayCreditWithholdsUnderDeepVOQ(t *testing.T) {
 }
 
 func TestVOQGroupingSplitsPool(t *testing.T) {
-	tp := topo.FatTreeConfig{K: 4, HostsPerEdge: 2, Rate: 10 * units.Gbps, Prop: 600 * units.Nanosecond}.Build()
+	c := topo.FatTree(4)
+	c.HostRate, c.FabricRate = 10*units.Gbps, 10*units.Gbps
+	tp := c.Build()
 	fg := core.DefaultConfig(14 * units.KB)
 	fg.MaxVOQs = 10
 	fg.VOQGrouping = true

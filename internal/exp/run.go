@@ -197,8 +197,8 @@ func (o Options) leafSpine() *topo.Topology { return o.leafSpineConfig().Build()
 // fatTree builds the §6.2 8-ary fabric at this scale.
 func (o Options) fatTree() *topo.Topology {
 	c := topo.DefaultFatTree()
-	c.HostsPerEdge = max(int(4*o.Scale+0.5), 2)
-	return buildFatTree(c, o)
+	c.HostsPerToR = max(int(4*o.Scale+0.5), 2)
+	return buildClos(c, o)
 }
 
 // RunConfig assembles one simulation run.

@@ -27,40 +27,26 @@ const fullScaleIncastDuration = 8 * units.Millisecond
 // canonical while the fabric scales underneath it.
 const scaleIncastDegree = 256
 
-// topoPreset is one named large-fabric builder.
+// topoPreset is one named large fabric.
 type topoPreset struct {
-	name  string
-	note  string
-	build func(o Options) *topo.Topology
+	name string
+	note string
+	clos topo.ClosConfig
 }
 
 // topoPresets lists the -topo fabrics in menu order. Each preset
 // fixes its dimensions exactly; Options.Scale only applies the
-// slow-motion rate/time model.
+// slow-motion rate/time model (buildClos).
 var topoPresets = []topoPreset{
-	{"clos", "4-pod Clos, 128 hosts (smoke size)", func(o Options) *topo.Topology {
-		return buildClos(topo.DefaultClos(), o)
-	}},
-	{"clos100k", "32-pod Clos, 102,400 hosts", func(o Options) *topo.Topology {
-		return buildClos(topo.Clos100k(), o)
-	}},
-	{"fattree16", "k=16 fat tree, 1,024 hosts", func(o Options) *topo.Topology {
-		return buildFatTree(topo.FatTree16(), o)
-	}},
-	{"fattree32", "k=32 fat tree, 8,192 hosts", func(o Options) *topo.Topology {
-		return buildFatTree(topo.FatTree32(), o)
-	}},
+	{"clos", "4-pod Clos, 128 hosts (smoke size)", topo.DefaultClos()},
+	{"clos100k", "32-pod Clos, 102,400 hosts", topo.Clos100k()},
+	{"fattree16", "k=16 fat tree, 1,024 hosts", topo.FatTree(16)},
+	{"fattree32", "k=32 fat tree, 8,192 hosts", topo.FatTree(32)},
 }
 
 func buildClos(c topo.ClosConfig, o Options) *topo.Topology {
 	c.HostRate = o.rate(c.HostRate)
 	c.FabricRate = o.rate(c.FabricRate)
-	c.Prop = o.stretch(c.Prop)
-	return c.Build()
-}
-
-func buildFatTree(c topo.FatTreeConfig, o Options) *topo.Topology {
-	c.Rate = o.rate(c.Rate)
 	c.Prop = o.stretch(c.Prop)
 	return c.Build()
 }
@@ -83,7 +69,7 @@ func (o Options) scaleTopo(def string) (*topo.Topology, string, error) {
 	}
 	for _, p := range topoPresets {
 		if p.name == name {
-			return p.build(o), name, nil
+			return buildClos(p.clos, o), name, nil
 		}
 	}
 	return nil, "", fmt.Errorf("exp: unknown topology preset %q (have %v)", name, presetNames())

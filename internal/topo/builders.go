@@ -32,6 +32,21 @@ func DefaultLeafSpine() LeafSpineConfig {
 	}
 }
 
+// DefaultTestbed returns the paper's §5.2 DPDK testbed, a one-spine
+// leaf–spine: one core switch, three ToRs with two hosts each, 10 Gbps
+// host links and 20 Gbps uplinks, base BDP 45 KB (software-switch
+// latency dominates, modelled as 4.5 µs per-hop propagation).
+func DefaultTestbed() LeafSpineConfig {
+	return LeafSpineConfig{
+		Spines:      1,
+		ToRs:        3,
+		HostsPerToR: 2,
+		HostRate:    10 * units.Gbps,
+		SpineRate:   20 * units.Gbps,
+		Prop:        4500 * units.Nanosecond,
+	}
+}
+
 // Build constructs the leaf–spine topology. Every ToR connects to
 // every spine. Each rack is its own pod (pods matter only for VOQ
 // grouping, which 2-tier ToRs do not need, but the metadata is kept
@@ -62,86 +77,16 @@ func (c LeafSpineConfig) Build() *Topology {
 	return b.freeze()
 }
 
-// FatTreeConfig describes a k-ary fat tree. The paper's 3-tier fabric
-// (§6.2) is k=8 with 4 hosts per edge: 16 cores, 32 aggs, 32 edges,
-// 128 hosts, 16 hosts per pod.
-type FatTreeConfig struct {
-	K            int // even arity
-	HostsPerEdge int // defaults to K/2
-	Rate         units.BitRate
-	Prop         units.Duration
-}
-
-// DefaultFatTree returns the paper's 8-ary fat tree.
-func DefaultFatTree() FatTreeConfig {
-	return FatTreeConfig{K: 8, HostsPerEdge: 4, Rate: 100 * units.Gbps, Prop: 600 * units.Nanosecond}
-}
-
-// FatTree16 returns a k=16 fat tree: 16 pods × 8 edges × 8 hosts =
-// 1024 hosts, 320 switches. Small enough that the dense BFS table is
-// still buildable, which makes it the benchmark point for the
-// structural-vs-dense route-memory ratio.
-func FatTree16() FatTreeConfig {
-	return FatTreeConfig{K: 16, Rate: 100 * units.Gbps, Prop: 600 * units.Nanosecond}
-}
-
-// FatTree32 returns a k=32 fat tree: 32 pods × 16 edges × 16 hosts =
-// 8192 hosts, 1280 switches. The dense table here would already be
-// ~2 GB of slice headers; only the structural router makes it cheap.
-func FatTree32() FatTreeConfig {
-	return FatTreeConfig{K: 32, Rate: 100 * units.Gbps, Prop: 600 * units.Nanosecond}
-}
-
-// Build constructs the fat tree: K pods of K/2 edge and K/2 agg
-// switches; (K/2)^2 cores. Core c connects to agg (c / (K/2)) in each
-// pod. Edges are ToR-layer, aggs Agg-layer.
-func (c FatTreeConfig) Build() *Topology {
-	if c.K <= 0 || c.K%2 != 0 {
-		panic("topo: fat tree arity must be positive and even")
-	}
-	half := c.K / 2
-	hpe := c.HostsPerEdge
-	if hpe == 0 {
-		hpe = half
-	}
-	b := newBuilder(half*half+c.K*(half+half*(1+hpe)), c.K*half*hpe, c.K*half*(2*half+hpe))
-	cores := make([]packet.NodeID, half*half)
-	for i := range cores {
-		cores[i] = b.addNode(SwitchNode, LayerCore, -1, -1, c.K)
-	}
-	rack := 0
-	for pod := 0; pod < c.K; pod++ {
-		aggs := make([]packet.NodeID, half)
-		for a := 0; a < half; a++ {
-			aggs[a] = b.addNode(SwitchNode, LayerAgg, pod, -1, c.K)
-			for i := 0; i < half; i++ {
-				b.connect(aggs[a], cores[a*half+i], c.Rate, c.Prop, ClassAggUp, ClassCore)
-			}
-		}
-		for e := 0; e < half; e++ {
-			edge := b.addNode(SwitchNode, LayerToR, pod, rack, half+hpe)
-			for _, a := range aggs {
-				b.connect(edge, a, c.Rate, c.Prop, ClassToRUp, ClassAggDown)
-			}
-			for h := 0; h < hpe; h++ {
-				host := b.addNode(HostNode, LayerHost, pod, rack, 1)
-				b.connect(edge, host, c.Rate, c.Prop, ClassToRDown, ClassHost)
-			}
-			rack++
-		}
-	}
-	return b.freeze()
-}
-
 // ClosConfig describes a multi-pod 3-tier Clos at datacenter scale:
 // Pods pods, each with AggsPerPod aggregation switches, ToRsPerPod
 // ToRs and HostsPerToR hosts per ToR. The spine layer is organised
 // in AggsPerPod planes of SpinesPerPlane spines; aggregation switch
 // a of every pod connects to every spine of plane a, so each spine
 // has exactly one down port per pod — the regular shape structural
-// routing compresses to O(total ports). Unlike the k-ary fat tree,
-// the four dimensions scale independently, which is what reaches
-// 100k+ hosts without inflating the switch radix cubically.
+// routing compresses to O(total ports). The k-ary fat tree is the
+// instance FatTree(k); here the four dimensions scale independently,
+// which is what reaches 100k+ hosts without inflating the switch radix
+// cubically.
 type ClosConfig struct {
 	Pods           int
 	AggsPerPod     int // uplink planes per pod
@@ -174,6 +119,29 @@ func Clos100k() ClosConfig {
 		Prop: 600 * units.Nanosecond,
 	}
 }
+
+// FatTree returns the k-ary fat tree as a Clos: k pods of k/2 aggs and
+// k/2 edge ToRs with k/2 hosts each, under k/2 planes of k/2 cores, on
+// 100 Gbps links. k=16 is 1,024 hosts and 320 switches, small enough
+// that the dense BFS table is still buildable (the benchmark point for
+// the structural-vs-dense route-memory ratio); k=32 is 8,192 hosts and
+// 1,280 switches, where the dense table would already be ~2 GB of
+// slice headers.
+func FatTree(k int) ClosConfig {
+	if k <= 0 || k%2 != 0 {
+		panic("topo: fat tree arity must be positive and even")
+	}
+	h := k / 2
+	return ClosConfig{
+		Pods: k, AggsPerPod: h, SpinesPerPlane: h, ToRsPerPod: h, HostsPerToR: h,
+		HostRate: 100 * units.Gbps, FabricRate: 100 * units.Gbps,
+		Prop: 600 * units.Nanosecond,
+	}
+}
+
+// DefaultFatTree returns the paper's 3-tier fabric (§6.2), the 8-ary
+// fat tree: 16 cores, 32 aggs, 32 edges, 128 hosts, 16 hosts per pod.
+func DefaultFatTree() ClosConfig { return FatTree(8) }
 
 // NumHosts returns the host count the config will build.
 func (c ClosConfig) NumHosts() int { return c.Pods * c.ToRsPerPod * c.HostsPerToR }
@@ -216,45 +184,6 @@ func (c ClosConfig) Build() *Topology {
 				b.connect(tor, host, c.HostRate, c.Prop, ClassToRDown, ClassHost)
 			}
 			rack++
-		}
-	}
-	return b.freeze()
-}
-
-// TestbedConfig mirrors the paper's §5.2 DPDK testbed: one core
-// switch, three ToRs with two hosts each, 10 Gbps host links and
-// 20 Gbps uplinks, base BDP 45 KB (software-switch latency dominates,
-// modelled as 4.5 µs per-hop propagation).
-type TestbedConfig struct {
-	ToRs        int
-	HostsPerToR int
-	HostRate    units.BitRate
-	CoreRate    units.BitRate
-	Prop        units.Duration
-}
-
-// DefaultTestbed returns the §5.2 testbed.
-func DefaultTestbed() TestbedConfig {
-	return TestbedConfig{
-		ToRs:        3,
-		HostsPerToR: 2,
-		HostRate:    10 * units.Gbps,
-		CoreRate:    20 * units.Gbps,
-		Prop:        4500 * units.Nanosecond,
-	}
-}
-
-// Build constructs the testbed star-of-ToRs topology: a two-tier Clos
-// with one core, so it routes structurally like every other builder.
-func (c TestbedConfig) Build() *Topology {
-	b := newBuilder(1+c.ToRs*(1+c.HostsPerToR), c.ToRs*c.HostsPerToR, c.ToRs*(1+c.HostsPerToR))
-	core := b.addNode(SwitchNode, LayerCore, -1, -1, c.ToRs)
-	for r := 0; r < c.ToRs; r++ {
-		tor := b.addNode(SwitchNode, LayerToR, r, r, 1+c.HostsPerToR)
-		b.connect(tor, core, c.CoreRate, c.Prop, ClassToRUp, ClassCore)
-		for h := 0; h < c.HostsPerToR; h++ {
-			host := b.addNode(HostNode, LayerHost, r, r, 1)
-			b.connect(tor, host, c.HostRate, c.Prop, ClassToRDown, ClassHost)
 		}
 	}
 	return b.freeze()

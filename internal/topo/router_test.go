@@ -107,11 +107,9 @@ func TestRouterEquivalence(t *testing.T) {
 			c.Oversubscription = 4
 			return c.Build()
 		}},
-		{"fattree-k4", func() *Topology {
-			return FatTreeConfig{K: 4, Rate: 100 * units.Gbps, Prop: 600 * units.Nanosecond}.Build()
-		}},
+		{"fattree-k4", func() *Topology { return FatTree(4).Build() }},
 		{"fattree-k8", func() *Topology { return DefaultFatTree().Build() }},
-		{"fattree-k16", func() *Topology { return FatTree16().Build() }},
+		{"fattree-k16", func() *Topology { return FatTree(16).Build() }},
 		{"clos", func() *Topology { return DefaultClos().Build() }},
 		{"testbed", func() *Topology { return DefaultTestbed().Build() }},
 	}
@@ -143,7 +141,7 @@ func TestRouterEquivalenceSampled(t *testing.T) {
 		name  string
 		build func() *Topology
 	}{
-		{"fattree-k32", func() *Topology { return FatTree32().Build() }},
+		{"fattree-k32", func() *Topology { return FatTree(32).Build() }},
 		{"clos100k", func() *Topology { return Clos100k().Build() }},
 	}
 	for _, tc := range cases {
@@ -223,7 +221,7 @@ func TestRouterSelection(t *testing.T) {
 // structural routing is at least 100x smaller than the dense table it
 // replaced.
 func TestRouteBytesRatio(t *testing.T) {
-	tp := FatTree16().Build()
+	tp := FatTree(16).Build()
 	sb, db := tp.RouteBytes(), newDenseRoutes(tp).bytes
 	if sb <= 0 || db <= 0 {
 		t.Fatalf("non-positive route bytes: structural %d, dense %d", sb, db)
