@@ -35,7 +35,7 @@ func Fig6(o Options) []Table {
 			s = WithFloodgateCfg(Scheme{Name: "w/", CC: cc.NewFixedWindow(), cc: fixedWindow},
 				core.DefaultConfig(bdp), " Floodgate")
 		}
-		dur := 20 * units.Millisecond
+		dur := o.duration(20 * units.Millisecond)
 		r := sim.NewRand(o.Seed)
 		dst := tp.Hosts[len(tp.Hosts)-1]
 		// Periodic cross-rack BDP-sized incast from the four hosts in the
