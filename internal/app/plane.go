@@ -73,10 +73,6 @@ type Plane struct {
 	resolved    int
 	pendingReqs int // launched, unresolved
 	retryTimers int // armed retry/hedge timers
-	totTimeouts int
-	totRetries  int
-	totHedges   int
-	totShed     int
 }
 
 // NewPlane builds the shard's plane and arms its arrival chain. Call
@@ -143,7 +139,6 @@ func (p *Plane) arrive(rs *reqState, now units.Time) {
 		rs.resolved, rs.shed = true, true
 		rs.end = now
 		p.resolved++
-		p.totShed++
 		p.net.AppEvent(device.AppShed)
 		p.net.AppFlow(trace.OpAppDone, cs.node, p.d.attempts[rs.idx][0][0])
 		return
@@ -186,7 +181,6 @@ func reqDeadlineFn(a any) {
 	p := rs.pl
 	now := p.net.Eng.Now()
 	rs.timeouts++
-	p.totTimeouts++
 	p.net.AppEvent(device.AppTimeout)
 	cs := p.clients[rs.ci]
 	p.net.AppFlow(trace.OpAppTimeout, cs.node, p.d.attempts[rs.idx][rs.attempts-1][0])
@@ -209,7 +203,6 @@ func reqRetryFn(a any) {
 	if rs.resolved {
 		return
 	}
-	p.totRetries++
 	p.net.AppEvent(device.AppRetry)
 	p.launch(rs, trace.OpAppRetry)
 }
@@ -230,7 +223,6 @@ func reqHedgeFn(a any) {
 		return
 	}
 	rs.hedges++
-	p.totHedges++
 	p.net.AppEvent(device.AppHedge)
 	p.launch(rs, trace.OpAppHedge)
 }

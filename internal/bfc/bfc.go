@@ -11,6 +11,7 @@ package bfc
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 
 	"floodgate/internal/device"
@@ -21,7 +22,8 @@ import (
 // Config parameterises BFC.
 type Config struct {
 	// NumQueues is the physical queue count per egress port (32/128).
-	// The device.Config.QueuesPerPort must be set to the same value.
+	// Outside Ideal mode it must lie in [1, device.Config.QueuesPerPort];
+	// a switch's module panics at construction otherwise.
 	NumQueues int
 	// Ideal assigns one dedicated queue per flow (requires
 	// QueuesPerPort to be large enough for the flow count).
@@ -29,12 +31,6 @@ type Config struct {
 	// PauseThresh is the per-queue occupancy that triggers a pause to
 	// the upstream queue; Resume at half of it.
 	PauseThresh units.ByteSize
-}
-
-// DefaultConfig returns a 32-queue binding with a one-hop-BDP-ish
-// threshold.
-func DefaultConfig() Config {
-	return Config{NumQueues: 32, PauseThresh: 8 * packet.MTU}
 }
 
 // New returns the per-switch factory.
@@ -45,8 +41,7 @@ func New(cfg Config) device.FCFactory {
 type upstreamRef struct {
 	port int           // our port whose peer is the upstream entity
 	q    int32         // upstream queue index (switches)
-	flow packet.FlowID // upstream flow (hosts expose per-flow queues)
-	host bool
+	flow packet.FlowID // upstream flow when the upstream is a host (per-flow queues); 0 otherwise
 }
 
 type queueKey struct {
@@ -67,6 +62,9 @@ type module struct {
 }
 
 func newModule(cfg Config, sw *device.Switch) *module {
+	if qpp := sw.Net().Cfg.QueuesPerPort; !cfg.Ideal && (cfg.NumQueues < 1 || cfg.NumQueues > qpp) {
+		panic(fmt.Sprintf("bfc: NumQueues %d outside [1, QueuesPerPort %d]", cfg.NumQueues, qpp))
+	}
 	nPorts := len(sw.Node().Ports)
 	m := &module{
 		cfg:      cfg,
@@ -124,7 +122,6 @@ func (m *module) pauseUpstream(p *packet.Packet, inPort int, upQ int32, outPort,
 	ref := upstreamRef{port: inPort, q: upQ}
 	if m.sw.PortFacesHost(inPort) {
 		// Hosts expose per-flow queues: pause the flow itself.
-		ref.host = true
 		ref.flow = p.Flow
 	}
 	for _, r := range m.pausedBy[k] {

@@ -1,6 +1,8 @@
 package bfc_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"floodgate/internal/bfc"
@@ -131,5 +133,36 @@ func TestBFCQueueAssignmentSticky(t *testing.T) {
 	n.Run(units.Time(100 * units.Millisecond))
 	if !f.Done() {
 		t.Fatal("flow incomplete")
+	}
+}
+
+// TestBFCQueueCountMismatch pins that a hashed binding with more queues
+// than the device has, or none, fails when a switch builds its module,
+// naming both counts, instead of clamping packets into the last queue
+// and panicking later on a bare index.
+func TestBFCQueueCountMismatch(t *testing.T) {
+	tp := topo.LeafSpineConfig{
+		Spines: 1, ToRs: 2, HostsPerToR: 2,
+		HostRate: 10 * units.Gbps, SpineRate: 40 * units.Gbps,
+		Prop: 600 * units.Nanosecond,
+	}.Build()
+	for _, c := range []struct{ queues, qpp int }{{8, 4}, {0, 4}, {-1, 1}} {
+		want := fmt.Sprintf("NumQueues %d outside [1, QueuesPerPort %d]", c.queues, c.qpp)
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, want) {
+					t.Errorf("NumQueues %d, QueuesPerPort %d: panic %q, want one containing %q", c.queues, c.qpp, msg, want)
+				}
+			}()
+			n := device.New(device.Config{
+				Topo: tp, Engine: sim.NewEngine(),
+				Stats:         stats.NewCollector(10 * units.Microsecond),
+				CC:            cc.NewFixedWindow(),
+				QueuesPerPort: c.qpp,
+				FC:            bfc.New(bfc.Config{NumQueues: c.queues, PauseThresh: 8 * packet.MTU}),
+			})
+			n.AddFlow(tp.Hosts[0], tp.Hosts[3], 100*units.KB, 0, packet.CatIncast)
+			n.Run(units.Time(10 * units.Millisecond))
+		}()
 	}
 }

@@ -205,9 +205,6 @@ func newHost(n *Network, node *topo.Node) *Host {
 	return h
 }
 
-// ID returns the host's node id.
-func (h *Host) ID() packet.NodeID { return h.node.ID }
-
 // startFlow registers a new sender flow and kicks the NIC.
 func (h *Host) startFlow(f *Flow) {
 	f.sprev = h.sendersTail

@@ -176,7 +176,6 @@ func (s *Switch) receiveData(p *packet.Packet, inPort int) {
 	s.Charge(p, inPort)
 	in := s.ports[inPort]
 	p.ViaVOQ = false
-	p.HopCount++
 
 	// PFC threshold check after charging.
 	if n.Cfg.PFC && !in.pausedUp {

@@ -189,8 +189,6 @@ type Packet struct {
 
 	// Cat is the flow's traffic category (copied onto data packets).
 	Cat Category
-
-	HopCount int8
 }
 
 // ResetKeepBuffers zeroes the packet for reuse, retaining the Int and

@@ -41,17 +41,11 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // Microseconds converts the timestamp to floating-point microseconds.
 func (t Time) Microseconds() float64 { return float64(t) / float64(Microsecond) }
 
-// Milliseconds converts the timestamp to floating-point milliseconds.
-func (t Time) Milliseconds() float64 { return float64(t) / float64(Millisecond) }
-
 // Seconds converts a duration to floating-point seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 
 // Microseconds converts a duration to floating-point microseconds.
 func (d Duration) Microseconds() float64 { return float64(d) / float64(Microsecond) }
-
-// Milliseconds converts a duration to floating-point milliseconds.
-func (d Duration) Milliseconds() float64 { return float64(d) / float64(Millisecond) }
 
 func (t Time) String() string { return Duration(t).String() }
 
