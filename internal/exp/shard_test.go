@@ -32,7 +32,9 @@ func TestShardDeterminism(t *testing.T) {
 // to the fault plane: the full faultmatrix experiment — link flaps and
 // switch restarts landing on ToR-spine links that cross shard cuts,
 // plus Gilbert–Elliott burst loss — renders the serial unsharded
-// tables of testdata/identity.golden at every shard count.
+// tables of testdata/identity.golden at every shard count. One cell
+// adds the closed-loop app overlay, whose SLO columns no other golden
+// holds.
 func TestShardFaultMatrixBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
@@ -44,6 +46,9 @@ func TestShardFaultMatrixBitIdentical(t *testing.T) {
 		o.Shards = shards
 		checkIdentity(t, "faultmatrix", fmt.Sprintf("shards=%d", shards), FaultMatrix(o))
 	}
+	o := identitySerial
+	o.Shards, o.App = 2, true
+	checkIdentity(t, "faultmatrix -app", "shards=2", FaultMatrix(o))
 }
 
 // TestShardMinFrameLookahead pins that the barrier window is sized for
