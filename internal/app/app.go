@@ -6,7 +6,7 @@
 // distinct workers have replied. Every request carries an application
 // deadline; on expiry the client consults a pluggable RetryPolicy
 // (fixed, exponential backoff with deterministic jitter, hedging at
-// the p95 of observed latency), spends from a retry budget, and a
+// the p95 of observed latency) for up to MaxAttempts attempts, and a
 // per-client circuit breaker sheds load when the timeout rate crosses
 // a threshold.
 //
@@ -33,6 +33,18 @@ import (
 	"floodgate/internal/topo"
 	"floodgate/internal/units"
 	"floodgate/internal/workload"
+)
+
+// MaxAttempts bounds the attempts per request, including the first.
+const MaxAttempts = 3
+
+// Flow sizes: a request flow is one KB, and each worker's response is
+// drawn uniformly from [respMin, respMax] (30–40 MTU, the paper's
+// incast flow size).
+const (
+	reqSize = units.KB
+	respMin = 30 * packet.MTU
+	respMax = 40 * packet.MTU
 )
 
 // Breaker configures the per-client circuit breaker. The zero value
@@ -69,20 +81,8 @@ type Config struct {
 	// Quorum is the number of distinct worker replies that complete a
 	// request (0 = all FanIn of them).
 	Quorum int
-	// ReqSize is the per-worker request flow size (default 1 KB).
-	ReqSize units.ByteSize
-	// RespMin/RespMax bound the per-worker response size, drawn
-	// uniformly at generation time (default 30–40 MTU, the paper's
-	// incast flow size).
-	RespMin, RespMax units.ByteSize
 	// Deadline is the application deadline of each attempt window.
 	Deadline units.Duration
-	// MaxAttempts bounds the attempts per request, including the first
-	// (default 3).
-	MaxAttempts int
-	// RetryBudget caps retries (and hedges) per client across the run;
-	// 0 means unlimited.
-	RetryBudget int
 	// Policy governs retry timing (default FixedRetry{0}: immediate).
 	Policy RetryPolicy
 	// Breaker configures load shedding (zero value: disabled).
@@ -96,18 +96,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FanIn < 1 {
 		c.FanIn = 1
-	}
-	if c.ReqSize <= 0 {
-		c.ReqSize = units.KB
-	}
-	if c.RespMin <= 0 {
-		c.RespMin = 30 * packet.MTU
-	}
-	if c.RespMax < c.RespMin {
-		c.RespMax = c.RespMin + 10*packet.MTU
-	}
-	if c.MaxAttempts < 1 {
-		c.MaxAttempts = 3
 	}
 	if c.Policy == nil {
 		c.Policy = FixedRetry{}
@@ -131,7 +119,7 @@ type Request struct {
 // responses are exactly the victim traffic an untamed incast's PFC
 // storm head-of-line blocks. Workers are a fresh random subset of the
 // hosts outside the client's rack, and response sizes are drawn
-// uniformly from [RespMin, RespMax]. Deterministic given (topology,
+// uniformly from [respMin, respMax]. Deterministic given (topology,
 // config, seed).
 func GenerateRequests(tp *topo.Topology, cfg Config, seed uint64) []Request {
 	cfg = cfg.withDefaults()
@@ -160,7 +148,7 @@ func GenerateRequests(tp *topo.Topology, cfg Config, seed uint64) []Request {
 		sizes := make([]units.ByteSize, fan)
 		for w := 0; w < fan; w++ {
 			workers[w] = senders[perm[w]]
-			sizes[w] = cfg.RespMin + units.ByteSize(r.Int63n(int64(cfg.RespMax-cfg.RespMin)+1))
+			sizes[w] = respMin + units.ByteSize(r.Int63n(int64(respMax-respMin)+1))
 		}
 		q := cfg.Quorum
 		if q <= 0 || q > fan {
@@ -206,11 +194,11 @@ func Build(c *device.Cluster, reqs []Request, cfg Config) *Dispatch {
 	d := &Dispatch{Cfg: cfg, Reqs: reqs}
 	d.attempts = make([][][]*device.Flow, len(reqs))
 	for ri, rq := range reqs {
-		d.attempts[ri] = make([][]*device.Flow, cfg.MaxAttempts)
-		for a := 1; a <= cfg.MaxAttempts; a++ {
+		d.attempts[ri] = make([][]*device.Flow, MaxAttempts)
+		for a := 1; a <= MaxAttempts; a++ {
 			row := make([]*device.Flow, len(rq.Workers))
 			for wi, w := range rq.Workers {
-				fq := c.AddAppFlow(rq.Client, w, cfg.ReqSize, rq.Arrival, packet.CatVictimPFC, a)
+				fq := c.AddAppFlow(rq.Client, w, reqSize, rq.Arrival, packet.CatVictimPFC, a)
 				fr := c.AddAppFlow(w, rq.Client, rq.RespSize[wi], rq.Arrival, packet.CatIncast, a)
 				if d.base == 0 {
 					d.base = fq.ID

@@ -34,25 +34,13 @@ type reqState struct {
 	respRecv units.ByteSize // response payload of counted replies
 }
 
-// clientState is one client host's retry budget, jitter stream,
-// breaker and latency observations.
+// clientState is one client host's jitter stream, breaker and latency
+// observations.
 type clientState struct {
 	node    packet.NodeID
 	rng     *sim.Rand // private jitter stream: (seed, client node ID)
-	retries int       // budget remaining; -1 = unlimited
 	breaker breakerState
 	lat     latWindow
-}
-
-func (cs *clientState) takeRetry() bool {
-	if cs.retries < 0 {
-		return true
-	}
-	if cs.retries == 0 {
-		return false
-	}
-	cs.retries--
-	return true
 }
 
 // Plane is one shard's view of the application plane. It owns the
@@ -89,14 +77,9 @@ func NewPlane(n *device.Network, d *Dispatch) *Plane {
 		if !seen {
 			ci = int32(len(p.clients))
 			cidx[rq.Client] = ci
-			budget := -1
-			if d.Cfg.RetryBudget > 0 {
-				budget = d.Cfg.RetryBudget
-			}
 			p.clients = append(p.clients, &clientState{
 				node:    rq.Client,
 				rng:     sim.NewRand(n.Cfg.Seed ^ uint64(rq.Client)*0x9e3779b97f4a7c15),
-				retries: budget,
 				breaker: newBreakerState(d.Cfg.Breaker),
 			})
 		}
@@ -145,7 +128,7 @@ func (p *Plane) arrive(rs *reqState, now units.Time) {
 	}
 	p.pendingReqs++
 	p.launch(rs, trace.OpAppReq)
-	if h, ok := p.d.Cfg.Policy.(Hedger); ok && p.d.Cfg.MaxAttempts > 1 {
+	if h, ok := p.d.Cfg.Policy.(Hedger); ok {
 		delay := h.HedgeDelay(p.d.Cfg.Deadline, cs.lat.p95(), cs.lat.n)
 		p.retryTimers++
 		p.net.Eng.AfterArg(delay, reqHedgeFn, rs)
@@ -185,7 +168,7 @@ func reqDeadlineFn(a any) {
 	cs := p.clients[rs.ci]
 	p.net.AppFlow(trace.OpAppTimeout, cs.node, p.d.attempts[rs.idx][rs.attempts-1][0])
 	cs.breaker.record(true, now)
-	if rs.attempts < p.d.Cfg.MaxAttempts && !cs.breaker.open(now) && cs.takeRetry() {
+	if rs.attempts < MaxAttempts && !cs.breaker.open(now) {
 		delay := p.d.Cfg.Policy.Backoff(rs.attempts+1, cs.rng)
 		p.retryTimers++
 		p.net.Eng.AfterArg(delay, reqRetryFn, rs)
@@ -214,12 +197,12 @@ func reqHedgeFn(a any) {
 	rs := a.(*reqState)
 	p := rs.pl
 	p.retryTimers--
-	if rs.resolved || rs.attempts != 1 || rs.attempts >= p.d.Cfg.MaxAttempts {
+	if rs.resolved || rs.attempts != 1 {
 		return
 	}
 	now := p.net.Eng.Now()
 	cs := p.clients[rs.ci]
-	if cs.breaker.open(now) || !cs.takeRetry() {
+	if cs.breaker.open(now) {
 		return
 	}
 	rs.hedges++

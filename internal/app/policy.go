@@ -77,25 +77,23 @@ func (p ExpBackoff) Backoff(attempt int, r *sim.Rand) units.Duration {
 }
 
 // Hedged races a second attempt at the client's observed p95 request
-// latency (deadline/2 until enough samples accumulate); deadline
-// expiries still back off exponentially via the embedded policy.
+// latency (deadline/2 until hedgeMinSamples completions accumulate);
+// deadline expiries still back off exponentially via the embedded
+// policy.
 type Hedged struct {
 	ExpBackoff
-	// MinSamples is how many completions are needed before trusting the
-	// observed p95 (default 8).
-	MinSamples int
 }
+
+// hedgeMinSamples is how many completions are needed before trusting
+// the observed p95.
+const hedgeMinSamples = 8
 
 // Name implements RetryPolicy.
 func (Hedged) Name() string { return "hedged" }
 
 // HedgeDelay implements Hedger.
-func (p Hedged) HedgeDelay(deadline, p95 units.Duration, samples int) units.Duration {
-	min := p.MinSamples
-	if min <= 0 {
-		min = 8
-	}
-	if samples < min || p95 <= 0 {
+func (Hedged) HedgeDelay(deadline, p95 units.Duration, samples int) units.Duration {
+	if samples < hedgeMinSamples || p95 <= 0 {
 		return deadline / 2
 	}
 	return p95

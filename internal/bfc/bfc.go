@@ -53,9 +53,8 @@ type module struct {
 	sw  *device.Switch
 
 	// Ideal mode: per-port flow → dedicated queue assignment.
-	assign map[queueKey]packet.FlowID // queue -> owning flow
-	flowQ  []map[packet.FlowID]int    // per port: flow -> queue
-	nextQ  []int                      // per port: naive allocator cursor
+	flowQ []map[packet.FlowID]int // per port: flow -> queue
+	nextQ []int                   // per port: naive allocator cursor
 
 	// pausedBy[k] lists upstream queues paused on behalf of local queue k.
 	pausedBy map[queueKey][]upstreamRef
@@ -69,7 +68,6 @@ func newModule(cfg Config, sw *device.Switch) *module {
 	m := &module{
 		cfg:      cfg,
 		sw:       sw,
-		assign:   make(map[queueKey]packet.FlowID),
 		flowQ:    make([]map[packet.FlowID]int, nPorts),
 		nextQ:    make([]int, nPorts),
 		pausedBy: make(map[queueKey][]upstreamRef),

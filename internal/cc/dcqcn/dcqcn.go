@@ -14,32 +14,36 @@ import (
 	"floodgate/internal/units"
 )
 
-// Config holds DCQCN reaction-point parameters. The defaults follow
-// the common simulation bindings of the original paper.
+// The reaction point's fixed binding, from the common simulation
+// bindings of the original paper.
+const (
+	g                 = 1.0 / 256 // alpha EWMA gain
+	fastRecoverySteps = 5         // F, stages of fast recovery
+)
+
+// Config holds the DCQCN reaction-point parameters a caller may move.
+// The defaults follow the common simulation bindings of the original
+// paper.
 type Config struct {
-	G                 float64        // alpha EWMA gain (1/256)
-	AlphaInterval     units.Duration // alpha decay period (55us)
-	RateIncInterval   units.Duration // rate-increase timer period (55us)
-	ByteCounter       units.ByteSize // rate-increase byte period (10MB)
-	FastRecoverySteps int            // F, stages of fast recovery (5)
-	RateAI            units.BitRate  // additive increase step (40Mbps)
-	RateHAI           units.BitRate  // hyper increase step (400Mbps)
-	MinRateFraction   int            // floor = LinkRate / this (1000)
-	DecreaseMinGap    units.Duration // min spacing of rate cuts (50us)
+	AlphaInterval   units.Duration // alpha decay period (55us)
+	RateIncInterval units.Duration // rate-increase timer period (55us)
+	ByteCounter     units.ByteSize // rate-increase byte period (10MB)
+	RateAI          units.BitRate  // additive increase step (40Mbps)
+	RateHAI         units.BitRate  // hyper increase step (400Mbps)
+	MinRateFraction int            // floor = LinkRate / this (1000)
+	DecreaseMinGap  units.Duration // min spacing of rate cuts (50us)
 }
 
 // DefaultConfig returns the standard parameter binding.
 func DefaultConfig() Config {
 	return Config{
-		G:                 1.0 / 256,
-		AlphaInterval:     55 * units.Microsecond,
-		RateIncInterval:   55 * units.Microsecond,
-		ByteCounter:       10 * units.MB,
-		FastRecoverySteps: 5,
-		RateAI:            40 * units.Mbps,
-		RateHAI:           400 * units.Mbps,
-		MinRateFraction:   1000,
-		DecreaseMinGap:    50 * units.Microsecond,
+		AlphaInterval:   55 * units.Microsecond,
+		RateIncInterval: 55 * units.Microsecond,
+		ByteCounter:     10 * units.MB,
+		RateAI:          40 * units.Mbps,
+		RateHAI:         400 * units.Mbps,
+		MinRateFraction: 1000,
+		DecreaseMinGap:  50 * units.Microsecond,
 	}
 }
 
@@ -98,7 +102,7 @@ func (s *state) OnCNP(now units.Time) {
 	s.catchUp(now)
 	if s.everCongested && now.Sub(s.lastCNP) < s.cfg.DecreaseMinGap {
 		// CNPs are already rate-limited at the NP; guard anyway.
-		s.alpha = (1-s.cfg.G)*s.alpha + s.cfg.G
+		s.alpha = (1-g)*s.alpha + g
 		s.lastAlpha = now
 		return
 	}
@@ -108,7 +112,7 @@ func (s *state) OnCNP(now units.Time) {
 	if m := s.minRate(); s.rc < m {
 		s.rc = m
 	}
-	s.alpha = (1-s.cfg.G)*s.alpha + s.cfg.G
+	s.alpha = (1-g)*s.alpha + g
 	s.lastCNP = now
 	s.lastAlpha = now
 	s.lastTimerInc = now
@@ -145,7 +149,7 @@ func (s *state) catchUp(now units.Time) {
 	}
 	for now.Sub(s.lastAlpha) >= s.cfg.AlphaInterval {
 		s.lastAlpha = s.lastAlpha.Add(s.cfg.AlphaInterval)
-		s.alpha *= 1 - s.cfg.G
+		s.alpha *= 1 - g
 	}
 	for now.Sub(s.lastTimerInc) >= s.cfg.RateIncInterval {
 		s.lastTimerInc = s.lastTimerInc.Add(s.cfg.RateIncInterval)
@@ -156,11 +160,10 @@ func (s *state) catchUp(now units.Time) {
 
 // increase applies one DCQCN increase event in the stage reached.
 func (s *state) increase() {
-	f := int32(s.cfg.FastRecoverySteps)
 	switch {
-	case s.timerStage < f && s.byteStage < f:
+	case s.timerStage < fastRecoverySteps && s.byteStage < fastRecoverySteps:
 		// fast recovery: halve toward target
-	case s.timerStage > f && s.byteStage > f:
+	case s.timerStage > fastRecoverySteps && s.byteStage > fastRecoverySteps:
 		s.rt += float64(s.cfg.RateHAI) // hyper increase
 	default:
 		s.rt += float64(s.cfg.RateAI) // additive increase

@@ -13,20 +13,14 @@ import (
 	"floodgate/internal/units"
 )
 
-// Config holds DCTCP parameters.
-type Config struct {
-	G float64 // alpha EWMA gain (1/16)
-	// InitWindowBDP scales the initial window in BDP units (1.0).
-	InitWindowBDP float64
-}
+// g is the alpha EWMA gain, the paper binding. The initial window is
+// one BDP.
+const g = 1.0 / 16
 
-// DefaultConfig returns the paper binding.
-func DefaultConfig() Config { return Config{G: 1.0 / 16, InitWindowBDP: 1} }
-
-// New returns a DCTCP controller factory.
-func New(cfg Config) cc.Factory {
+// Default returns a DCTCP controller factory.
+func Default() cc.Factory {
 	return func(e cc.Env) cc.Controller {
-		s := &state{cfg: cfg}
+		s := &state{}
 		s.Reset(e)
 		return s
 	}
@@ -35,18 +29,13 @@ func New(cfg Config) cc.Factory {
 // Reset implements cc.Controller.
 func (s *state) Reset(e cc.Env) {
 	*s = state{
-		cfg:  s.cfg,
 		link: e.LinkRate,
 		bdp:  float64(e.BDP),
-		cwnd: float64(e.BDP) * s.cfg.InitWindowBDP,
+		cwnd: float64(e.BDP),
 	}
 }
 
-// Default returns a factory with DefaultConfig.
-func Default() cc.Factory { return New(DefaultConfig()) }
-
 type state struct {
-	cfg  Config
 	link units.BitRate
 	bdp  float64
 
@@ -92,7 +81,7 @@ func (s *state) OnAck(_ units.Time, ack *packet.Packet, _ units.Duration) {
 	if s.ackedBytes > 0 {
 		frac = float64(s.markedBytes) / float64(s.ackedBytes)
 	}
-	s.alpha = (1-s.cfg.G)*s.alpha + s.cfg.G*frac
+	s.alpha = (1-g)*s.alpha + g*frac
 	if frac > 0 {
 		s.cwnd *= 1 - s.alpha/2
 	} else {

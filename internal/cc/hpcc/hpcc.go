@@ -13,22 +13,17 @@ import (
 	"floodgate/internal/units"
 )
 
-// Config holds HPCC parameters (paper §5: η=0.95, maxStage=5).
-type Config struct {
-	Eta         float64
-	MaxStage    int
-	WAIFraction float64 // WAI = Winit × WAIFraction
-}
+// The paper's binding (§5: η=0.95, maxStage=5).
+const (
+	eta         = 0.95   // target max-link utilisation
+	maxStage    = 5      // fast-increase stages before a forced recompute
+	waiFraction = 0.0125 // WAI = Winit × waiFraction
+)
 
-// DefaultConfig returns the paper's recommended binding.
-func DefaultConfig() Config {
-	return Config{Eta: 0.95, MaxStage: 5, WAIFraction: 0.0125}
-}
-
-// New returns an HPCC controller factory.
-func New(cfg Config) cc.Factory {
+// Default returns an HPCC controller factory.
+func Default() cc.Factory {
 	return func(e cc.Env) cc.Controller {
-		s := &state{cfg: cfg}
+		s := &state{}
 		s.Reset(e)
 		return s
 	}
@@ -38,22 +33,17 @@ func New(cfg Config) cc.Factory {
 func (s *state) Reset(e cc.Env) {
 	winit := float64(e.BDP)
 	*s = state{
-		cfg:     s.cfg,
 		link:    e.LinkRate,
 		baseRTT: e.BaseRTT,
 		wInit:   winit,
 		w:       winit,
 		wc:      winit,
-		wai:     winit * s.cfg.WAIFraction,
+		wai:     winit * waiFraction,
 		minW:    float64(packet.MTU),
 	}
 }
 
-// Default returns a factory with DefaultConfig.
-func Default() cc.Factory { return New(DefaultConfig()) }
-
 type state struct {
-	cfg     Config
 	link    units.BitRate
 	baseRTT units.Duration
 
@@ -103,8 +93,8 @@ func (s *state) OnAck(now units.Time, ack *packet.Packet, _ units.Duration) {
 	s.lastInt = append(s.lastInt[:0], ack.Int...)
 
 	updateWc := now.Sub(s.lastUpdate) > s.baseRTT
-	if u >= s.cfg.Eta || s.incStage >= s.cfg.MaxStage {
-		s.w = s.wc/(u/s.cfg.Eta) + s.wai
+	if u >= eta || s.incStage >= maxStage {
+		s.w = s.wc/(u/eta) + s.wai
 		if updateWc {
 			s.wc = s.w
 			s.incStage = 0

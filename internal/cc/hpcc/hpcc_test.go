@@ -21,7 +21,7 @@ func ackWith(hops []packet.IntHop) *packet.Packet {
 }
 
 func TestMaxUtilisationPicksWorstHop(t *testing.T) {
-	s := New(DefaultConfig())(env()).(*state)
+	s := Default()(env()).(*state)
 	prev := []packet.IntHop{
 		{TxBytes: 0, QLen: 0, TS: 0, LinkRate: 100 * units.Gbps},
 		{TxBytes: 0, QLen: 200 * units.KB, TS: 0, LinkRate: 100 * units.Gbps},
@@ -39,7 +39,7 @@ func TestMaxUtilisationPicksWorstHop(t *testing.T) {
 }
 
 func TestPathChangeResetsReference(t *testing.T) {
-	s := New(DefaultConfig())(env())
+	s := Default()(env())
 	one := []packet.IntHop{{TxBytes: 1, QLen: 0, TS: 1, LinkRate: units.Gbps}}
 	two := []packet.IntHop{
 		{TxBytes: 1, QLen: 0, TS: 1, LinkRate: units.Gbps},
@@ -55,7 +55,7 @@ func TestPathChangeResetsReference(t *testing.T) {
 }
 
 func TestNoIntNoReaction(t *testing.T) {
-	s := New(DefaultConfig())(env())
+	s := Default()(env())
 	w0 := s.Window()
 	s.OnAck(10, packet.NewCtrl(1, packet.Ack, 1, 0, 1), 0)
 	if s.Window() != w0 {
@@ -64,7 +64,7 @@ func TestNoIntNoReaction(t *testing.T) {
 }
 
 func TestRatePacesWindowOverRTT(t *testing.T) {
-	s := New(DefaultConfig())(env())
+	s := Default()(env())
 	// W = BDP means pacing at exactly line rate (capped).
 	if s.Rate() != 100*units.Gbps {
 		t.Fatalf("rate = %v, want line rate at W = BDP", s.Rate())

@@ -13,27 +13,18 @@ import (
 	"floodgate/internal/units"
 )
 
-// Config holds Swift parameters.
-type Config struct {
-	// BaseTargetFactor scales the flow's target delay from base RTT.
-	BaseTargetFactor float64
-	// AI is the additive increase in bytes per acked window.
-	AI units.ByteSize
-	// Beta is the max multiplicative decrease factor per decision.
-	Beta float64
-	// MaxMDFrequencyRTTs spaces multiplicative decreases (1 per RTT).
-	MaxScale float64 // cap of target scaling range
-}
+// The binding used in the experiments.
+const (
+	baseTargetFactor = 1.25       // target delay = baseTargetFactor × base RTT
+	ai               = packet.MTU // additive increase in bytes per acked window
+	beta             = 0.8        // max multiplicative decrease per decision
+	maxScale         = 4          // window cap in BDPs
+)
 
-// DefaultConfig returns the binding used in the experiments.
-func DefaultConfig() Config {
-	return Config{BaseTargetFactor: 1.25, AI: packet.MTU, Beta: 0.8, MaxScale: 4}
-}
-
-// New returns a Swift controller factory.
-func New(cfg Config) cc.Factory {
+// Default returns a Swift controller factory.
+func Default() cc.Factory {
 	return func(e cc.Env) cc.Controller {
-		s := &state{cfg: cfg}
+		s := &state{}
 		s.Reset(e)
 		return s
 	}
@@ -42,20 +33,15 @@ func New(cfg Config) cc.Factory {
 // Reset implements cc.Controller.
 func (s *state) Reset(e cc.Env) {
 	*s = state{
-		cfg:     s.cfg,
 		link:    e.LinkRate,
 		baseRTT: e.BaseRTT,
-		target:  units.Duration(s.cfg.BaseTargetFactor * float64(e.BaseRTT)),
+		target:  units.Duration(baseTargetFactor * float64(e.BaseRTT)),
 		bdp:     float64(e.BDP),
 		cwnd:    float64(e.BDP),
 	}
 }
 
-// Default returns a factory with DefaultConfig.
-func Default() cc.Factory { return New(DefaultConfig()) }
-
 type state struct {
-	cfg     Config
 	link    units.BitRate
 	baseRTT units.Duration
 	target  units.Duration
@@ -101,16 +87,16 @@ func (s *state) OnAck(now units.Time, ack *packet.Packet, rtt units.Duration) {
 	if rtt <= s.target {
 		// Additive increase, scaled per acked window.
 		if float64(s.ackedSince) >= s.cwnd {
-			s.cwnd += float64(s.cfg.AI)
+			s.cwnd += float64(ai)
 			s.ackedSince = 0
 		}
 	} else if now.Sub(s.lastCut) >= s.baseRTT {
 		// Multiplicative decrease proportional to overshoot, at most
 		// once per RTT.
 		over := 1 - float64(s.target)/float64(rtt)
-		cut := s.cfg.Beta * over
-		if cut > s.cfg.Beta {
-			cut = s.cfg.Beta
+		cut := beta * over
+		if cut > beta {
+			cut = beta
 		}
 		s.cwnd *= 1 - cut
 		s.lastCut = now
@@ -118,8 +104,8 @@ func (s *state) OnAck(now units.Time, ack *packet.Packet, rtt units.Duration) {
 	if s.cwnd < float64(packet.MTU) {
 		s.cwnd = float64(packet.MTU)
 	}
-	if s.cwnd > s.cfg.MaxScale*s.bdp {
-		s.cwnd = s.cfg.MaxScale * s.bdp
+	if s.cwnd > maxScale*s.bdp {
+		s.cwnd = maxScale * s.bdp
 	}
 }
 

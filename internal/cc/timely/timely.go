@@ -14,34 +14,21 @@ import (
 	"floodgate/internal/units"
 )
 
-// Config holds TIMELY parameters.
-type Config struct {
-	EWMA            float64 // alpha for RTT-difference smoothing
-	Beta            float64 // multiplicative decrease factor
-	TLowFactor      float64 // Tlow = TLowFactor × baseRTT
-	THighFactor     float64 // Thigh = THighFactor × baseRTT
-	DeltaFraction   int     // additive step = LinkRate / DeltaFraction
-	HAIAfter        int     // consecutive negative-gradient samples before HAI
-	MinRateFraction int     // floor = LinkRate / this
-}
+// The binding used in the experiments.
+const (
+	ewma            = 0.3  // alpha for RTT-difference smoothing
+	beta            = 0.8  // multiplicative decrease factor
+	tLowFactor      = 1.5  // Tlow = tLowFactor × baseRTT
+	tHighFactor     = 5    // Thigh = tHighFactor × baseRTT
+	deltaFraction   = 200  // additive step = LinkRate / deltaFraction
+	haiAfter        = 5    // consecutive negative-gradient samples before HAI
+	minRateFraction = 1000 // floor = LinkRate / this
+)
 
-// DefaultConfig returns the binding used in the experiments.
-func DefaultConfig() Config {
-	return Config{
-		EWMA:            0.3,
-		Beta:            0.8,
-		TLowFactor:      1.5,
-		THighFactor:     5,
-		DeltaFraction:   200,
-		HAIAfter:        5,
-		MinRateFraction: 1000,
-	}
-}
-
-// New returns a TIMELY controller factory.
-func New(cfg Config) cc.Factory {
+// Default returns a TIMELY controller factory.
+func Default() cc.Factory {
 	return func(e cc.Env) cc.Controller {
-		s := &state{cfg: cfg}
+		s := &state{}
 		s.Reset(e)
 		return s
 	}
@@ -50,23 +37,18 @@ func New(cfg Config) cc.Factory {
 // Reset implements cc.Controller.
 func (s *state) Reset(e cc.Env) {
 	*s = state{
-		cfg:     s.cfg,
 		link:    e.LinkRate,
 		window:  e.BDP,
 		minRTT:  e.BaseRTT,
-		tLow:    units.Duration(s.cfg.TLowFactor * float64(e.BaseRTT)),
-		tHigh:   units.Duration(s.cfg.THighFactor * float64(e.BaseRTT)),
+		tLow:    units.Duration(tLowFactor * float64(e.BaseRTT)),
+		tHigh:   units.Duration(tHighFactor * float64(e.BaseRTT)),
 		rate:    float64(e.LinkRate),
-		delta:   float64(e.LinkRate) / float64(s.cfg.DeltaFraction),
-		minRate: float64(e.LinkRate) / float64(s.cfg.MinRateFraction),
+		delta:   float64(e.LinkRate) / deltaFraction,
+		minRate: float64(e.LinkRate) / minRateFraction,
 	}
 }
 
-// Default returns a factory with DefaultConfig.
-func Default() cc.Factory { return New(DefaultConfig()) }
-
 type state struct {
-	cfg    Config
 	link   units.BitRate
 	window units.ByteSize
 	minRTT units.Duration
@@ -95,7 +77,7 @@ func (s *state) OnAck(_ units.Time, _ *packet.Packet, rtt units.Duration) {
 	}
 	newDiff := float64(rtt - s.prevRTT)
 	s.prevRTT = rtt
-	s.rttDiff = (1-s.cfg.EWMA)*s.rttDiff + s.cfg.EWMA*newDiff
+	s.rttDiff = (1-ewma)*s.rttDiff + ewma*newDiff
 	gradient := s.rttDiff / float64(s.minRTT)
 
 	switch {
@@ -104,11 +86,11 @@ func (s *state) OnAck(_ units.Time, _ *packet.Packet, rtt units.Duration) {
 		s.rate += s.delta
 	case rtt > s.tHigh:
 		s.negCount = 0
-		s.rate *= 1 - s.cfg.Beta*(1-float64(s.tHigh)/float64(rtt))
+		s.rate *= 1 - beta*(1-float64(s.tHigh)/float64(rtt))
 	case gradient <= 0:
 		s.negCount++
 		n := 1.0
-		if s.negCount >= s.cfg.HAIAfter {
+		if s.negCount >= haiAfter {
 			n = 5
 		}
 		s.rate += n * s.delta
@@ -117,7 +99,7 @@ func (s *state) OnAck(_ units.Time, _ *packet.Packet, rtt units.Duration) {
 		if gradient > 1 {
 			gradient = 1
 		}
-		s.rate *= 1 - s.cfg.Beta*gradient
+		s.rate *= 1 - beta*gradient
 	}
 	if s.rate > float64(s.link) {
 		s.rate = float64(s.link)

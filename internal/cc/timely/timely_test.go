@@ -14,7 +14,7 @@ func env() cc.Env {
 }
 
 func TestThresholdsScaleWithBaseRTT(t *testing.T) {
-	s := New(DefaultConfig())(env()).(*state)
+	s := Default()(env()).(*state)
 	if s.tLow != units.Duration(1.5*float64(s.minRTT)) {
 		t.Fatalf("tLow = %v", s.tLow)
 	}
@@ -24,7 +24,7 @@ func TestThresholdsScaleWithBaseRTT(t *testing.T) {
 }
 
 func TestHAIAfterConsecutiveNegativeGradients(t *testing.T) {
-	s := New(DefaultConfig())(env()).(*state)
+	s := Default()(env()).(*state)
 	// Decrease first so there is headroom to observe increases.
 	s.OnAck(0, nil, 10*units.Microsecond)
 	s.OnAck(0, nil, 20*units.Microsecond)
@@ -46,7 +46,7 @@ func TestHAIAfterConsecutiveNegativeGradients(t *testing.T) {
 }
 
 func TestIgnoresNonPositiveRTT(t *testing.T) {
-	s := New(DefaultConfig())(env())
+	s := Default()(env())
 	r0 := s.Rate()
 	s.OnAck(0, nil, 0)
 	s.OnAck(0, nil, -5)
@@ -56,7 +56,7 @@ func TestIgnoresNonPositiveRTT(t *testing.T) {
 }
 
 func TestRateFloor(t *testing.T) {
-	s := New(DefaultConfig())(env())
+	s := Default()(env())
 	for i := 0; i < 500; i++ {
 		s.OnAck(0, nil, units.Millisecond)
 	}

@@ -29,6 +29,13 @@ const (
 	Ideal
 )
 
+// escapeTimeout is the credit-stall escape hatch (robustness
+// extension): a window that has gone this long without any credit
+// while bytes are outstanding probes every downstream channel — even
+// ones the normal SYN condition would skip — so a restarted or
+// desynchronized downstream switch cannot strand the window forever.
+const escapeTimeout = 800 * units.Microsecond
+
 // Config parameterises one switch's Floodgate instance. All byte
 // thresholds are absolute; the experiment layer converts the paper's
 // BDP-denominated defaults.
@@ -58,14 +65,6 @@ type Config struct {
 	// before probing the downstream switch with a switchSYN (§4.3).
 	SYNTimeout units.Duration
 
-	// EscapeTimeout is the credit-stall escape hatch (robustness
-	// extension): a window that has gone this long without any credit
-	// while bytes are outstanding probes every downstream channel —
-	// even ones the normal SYN condition would skip — so a restarted
-	// or desynchronized downstream switch cannot strand the window
-	// forever. Zero disables the hatch.
-	EscapeTimeout units.Duration
-
 	// PerDstPause enables the optional host support (§4.3): first-hop
 	// ToRs pause per-destination NIC queues when a VOQ exceeds
 	// PauseThreshOff and resume below PauseThreshOn (≈ one-hop BDP).
@@ -85,7 +84,6 @@ func DefaultConfig(baseBDP units.ByteSize) Config {
 		MaxVOQs:           100,
 		VOQGrouping:       true,
 		SYNTimeout:        100 * units.Microsecond,
-		EscapeTimeout:     800 * units.Microsecond,
 		PauseThreshOff:    baseBDP,
 		PauseThreshOn:     baseBDP / 2,
 	}

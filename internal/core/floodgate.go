@@ -311,12 +311,10 @@ func (m *Module) forward(w *dstState, p *packet.Packet, outPort int) {
 	m.checkWindow(w)
 	p.PSN = up.sent
 	p.FGEpoch = m.epoch
-	if m.cfg.EscapeTimeout > 0 {
-		// Keep a timer alive while bytes are outstanding, so a credit
-		// stall is eventually escaped even if the window never exhausts
-		// (e.g. the very last credits of a flow are lost).
-		m.armSYN(w)
-	}
+	// Keep a timer alive while bytes are outstanding, so a credit stall
+	// is eventually escaped even if the window never exhausts (e.g. the
+	// very last credits of a flow are lost).
+	m.armSYN(w)
 }
 
 // winFor lazily initialises the per-destination window from the
@@ -693,11 +691,11 @@ func (m *Module) fireSYN(w *dstState) {
 	if w.avail >= w.init {
 		return // fully credited: nothing to recover, let the timer die
 	}
-	// Escape hatch: after EscapeTimeout without any credit, probe every
+	// Escape hatch: after escapeTimeout without any credit, probe every
 	// channel with sent bytes — even ones the stale-duplicate filter or
 	// a restart clamp left looking synced — so a restarted downstream
-	// switch cannot strand the window (see Config.EscapeTimeout).
-	escape := m.cfg.EscapeTimeout > 0 && now.Sub(w.lastCredit) >= m.cfg.EscapeTimeout
+	// switch cannot strand the window (see escapeTimeout).
+	escape := now.Sub(w.lastCredit) >= escapeTimeout
 	if w.avail >= packet.MTU && !escape {
 		// Not exhausted and credits are recent: stay armed so a silent
 		// credit stall is eventually escaped.

@@ -5,6 +5,7 @@ import (
 
 	"floodgate/internal/core"
 	"floodgate/internal/device"
+	"floodgate/internal/fault"
 	"floodgate/internal/packet"
 	"floodgate/internal/sim"
 	"floodgate/internal/stats"
@@ -29,9 +30,15 @@ func testNet(hostsPerToR int, fgCfg *core.Config) (*device.Network, device.Confi
 	}
 	if fgCfg != nil {
 		cfg.FC = core.New(*fgCfg)
-		cfg.PerDstPause = fgCfg.PerDstPause
 	}
 	return device.New(cfg), cfg
+}
+
+// uniformLoss drops data, credit and switchSYN frames with probability
+// p on every switch-to-switch link: a Gilbert–Elliott chain that never
+// leaves its Good state.
+func uniformLoss(p float64) *fault.Plan {
+	return &fault.Plan{Burst: &fault.GilbertElliott{LossGood: p}}
 }
 
 func fgDefault() *core.Config {
@@ -207,14 +214,14 @@ func TestLossRecoveryViaPSN(t *testing.T) {
 	}.Build()
 	cfg := device.Config{
 		Topo: tp, Engine: sim.NewEngine(),
-		Stats:    stats.NewCollector(10 * units.Microsecond),
-		Seed:     3,
-		PFC:      true,
-		FC:       core.New(*fg),
-		LossRate: 0.05,
-		RTO:      300 * units.Microsecond,
+		Stats: stats.NewCollector(10 * units.Microsecond),
+		Seed:  3,
+		PFC:   true,
+		FC:    core.New(*fg),
+		RTO:   300 * units.Microsecond,
 	}
 	n := device.New(cfg)
+	n.InstallFaults(uniformLoss(0.05), cfg.Seed)
 	flows := addIncast(n, tp, 8, 100*units.KB)
 	n.Run(units.Time(500 * units.Millisecond))
 	if n.Stats.Drops == 0 {
@@ -332,16 +339,19 @@ func TestSwitchSYNResyncsAfterTotalCreditLoss(t *testing.T) {
 	}.Build()
 	cfg := device.Config{
 		Topo: tp, Engine: sim.NewEngine(),
-		Stats:    stats.NewCollector(10 * units.Microsecond),
-		Seed:     11,
-		PFC:      true,
-		FC:       core.New(*fg),
-		LossRate: 0.3,
-		RTO:      300 * units.Microsecond,
+		Stats: stats.NewCollector(10 * units.Microsecond),
+		Seed:  11,
+		PFC:   true,
+		FC:    core.New(*fg),
+		RTO:   300 * units.Microsecond,
 	}
 	n := device.New(cfg)
+	n.InstallFaults(uniformLoss(0.3), cfg.Seed)
 	f := n.AddFlow(tp.Hosts[0], tp.Hosts[3], 100*units.KB, 0, packet.CatIncast)
 	n.Run(units.Time(2000 * units.Millisecond))
+	if n.Stats.Drops == 0 {
+		t.Fatal("no injected loss")
+	}
 	if !f.Done() {
 		t.Fatal("flow never completed under 30% loss with switchSYN recovery")
 	}

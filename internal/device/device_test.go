@@ -302,9 +302,11 @@ func TestFixedWindowLimitsInflight(t *testing.T) {
 
 func TestLossInjectionRecovered(t *testing.T) {
 	cfg := smallCfg()
-	cfg.LossRate = 0.05
 	cfg.RTO = 200 * units.Microsecond
 	n := New(cfg)
+	// 5% uniform loss on every switch-to-switch link: a Gilbert–Elliott
+	// chain that never leaves its Good state.
+	n.InstallFaults(&fault.Plan{Burst: &fault.GilbertElliott{LossGood: 0.05}}, cfg.Seed)
 	f := n.AddFlow(cfg.Topo.Hosts[0], cfg.Topo.Hosts[5], 200*units.KB, 0, packet.CatVictimPFC)
 	n.Run(units.Time(200 * units.Millisecond))
 	if n.Stats.Drops == 0 {
@@ -370,9 +372,10 @@ func TestVictimSeparationInThroughputSeries(t *testing.T) {
 	}
 }
 
+// TestHostPerDstPause: a host honours DstPause/DstResume with no
+// setting of its own.
 func TestHostPerDstPause(t *testing.T) {
 	cfg := smallCfg()
-	cfg.PerDstPause = true
 	n := New(cfg)
 	hosts := cfg.Topo.Hosts
 	src := n.HostsByID[hosts[0]]

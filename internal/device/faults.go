@@ -223,8 +223,8 @@ func (n *Network) linkDropped(pt *topo.Port, k packet.Kind) bool {
 	return lost
 }
 
-// lossyKind mirrors the uniform-loss injector's eligibility: payloads
-// and the Floodgate recovery plane, not PFC/ACK control.
+// lossyKind is what a burst-lossy link can lose: payloads and the
+// Floodgate recovery plane, not PFC/ACK control.
 func lossyKind(k packet.Kind) bool {
 	switch k {
 	case packet.Data, packet.Credit, packet.SwitchSYN:

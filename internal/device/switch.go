@@ -425,9 +425,9 @@ func (s *Switch) transmit(o *swPort, p *packet.Packet, i, queue int) {
 	}
 	n.Eng.AfterArg(ser, txDoneFn, o)
 
-	// Loss injection between switches: data and credits at LossRate,
-	// credits additionally at CreditLossRate (Fig 12's isolated stress).
-	if lr := s.lossRateFor(p.Kind); lr > 0 && s.PortFacesSwitch(i) && s.rnd.Float64() < lr {
+	// Credit loss between switches (Fig 12's isolated stress).
+	if cl := n.Cfg.CreditLossRate; cl > 0 && (p.Kind == packet.Credit || p.Kind == packet.SwitchSYN) &&
+		s.PortFacesSwitch(i) && s.rnd.Float64() < cl {
 		n.Drop(s.node.ID, p)
 		return
 	}
@@ -438,17 +438,4 @@ func (s *Switch) transmit(o *swPort, p *packet.Packet, i, queue int) {
 		return
 	}
 	o.wire.push(now.Add(ser+o.wire.port.Prop), p)
-}
-
-func (s *Switch) lossRateFor(k packet.Kind) float64 {
-	switch k {
-	case packet.Data:
-		return s.net.Cfg.LossRate
-	case packet.Credit, packet.SwitchSYN:
-		if s.net.Cfg.CreditLossRate > s.net.Cfg.LossRate {
-			return s.net.Cfg.CreditLossRate
-		}
-		return s.net.Cfg.LossRate
-	}
-	return 0
 }

@@ -71,15 +71,18 @@ func assertZeroResidue(t *testing.T, res *RunResult) {
 }
 
 // TestFloodgateRecoversUnderCombinedLoss runs the incast with 20%
-// uniform loss on BOTH the data and the credit plane: go-back-N plus
-// PSN/switchSYN recovery must still complete every flow, and after the
-// wires drain every switch window must settle to zero residue.
+// uniform loss on BOTH the data and the credit plane (a Gilbert–Elliott
+// chain that never leaves its Good state), plus a further 20% on
+// credits alone: go-back-N plus PSN/switchSYN recovery must still
+// complete every flow without tripping the watchdog the fault plan
+// arms, and after the wires drain every switch window must settle to
+// zero residue.
 func TestFloodgateRecoversUnderCombinedLoss(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
 	res := faultTestRun(t, func(rc *RunConfig) {
-		rc.LossRate = 0.2
+		rc.Faults = &fault.Plan{Burst: &fault.GilbertElliott{LossGood: 0.2}}
 		rc.CreditLossRate = 0.2
 	})
 	if res.Completed != res.Total {
@@ -221,10 +224,8 @@ func TestRunConfigValidation(t *testing.T) {
 		{"zero duration", func(rc *RunConfig) { rc.Duration = 0 }, "Duration"},
 		{"negative duration", func(rc *RunConfig) { rc.Duration = -units.Millisecond }, "Duration"},
 		{"negative drain", func(rc *RunConfig) { rc.Drain = -1 }, "Drain"},
-		{"negative loss", func(rc *RunConfig) { rc.LossRate = -0.1 }, "LossRate"},
-		{"loss above one", func(rc *RunConfig) { rc.LossRate = 1.5 }, "LossRate"},
+		{"negative credit loss", func(rc *RunConfig) { rc.CreditLossRate = -0.1 }, "CreditLossRate"},
 		{"credit loss above one", func(rc *RunConfig) { rc.CreditLossRate = 2 }, "CreditLossRate"},
-		{"NaN loss", func(rc *RunConfig) { rc.LossRate = math.NaN() }, "LossRate"},
 		{"NaN credit loss", func(rc *RunConfig) { rc.CreditLossRate = math.NaN() }, "CreditLossRate"},
 		{"negative horizon", func(rc *RunConfig) { rc.StallHorizon = -1 }, "StallHorizon"},
 		{"bad fault plan", func(rc *RunConfig) {

@@ -23,7 +23,6 @@ import (
 // topology under test and the workload window.
 type faultScenario struct {
 	name string
-	desc string
 	plan func(tp *topo.Topology, dur units.Duration) *fault.Plan
 }
 
@@ -50,29 +49,35 @@ func dstToR(tp *topo.Topology) topoNodeID {
 // faultScenarios returns the matrix rows, mildest first.
 func faultScenarios() []faultScenario {
 	return []faultScenario{
-		{"none", "healthy fabric baseline", func(*topo.Topology, units.Duration) *fault.Plan {
+		// healthy fabric baseline
+		{"none", func(*topo.Topology, units.Duration) *fault.Plan {
 			return nil
 		}},
-		{"linkdown", "dst ToR uplink down for half the window", func(tp *topo.Topology, dur units.Duration) *fault.Plan {
+		// dst ToR uplink down for half the window
+		{"linkdown", func(tp *topo.Topology, dur units.Duration) *fault.Plan {
 			l := dstUplink(tp)
 			return &fault.Plan{Events: []fault.Event{
 				{At: units.Time(dur / 4), Kind: fault.LinkDown, Link: l},
 				{At: units.Time(3 * dur / 4), Kind: fault.LinkUp, Link: l},
 			}}
 		}},
-		{"flap", "dst ToR uplink flaps 4x", func(tp *topo.Topology, dur units.Duration) *fault.Plan {
+		// dst ToR uplink flaps 4x
+		{"flap", func(tp *topo.Topology, dur units.Duration) *fault.Plan {
 			return &fault.Plan{Events: fault.Flap(dstUplink(tp),
 				units.Time(dur/8), dur/16, dur/8, 4)}
 		}},
-		{"restart", "dst ToR restarts mid-incast", func(tp *topo.Topology, dur units.Duration) *fault.Plan {
+		// dst ToR restarts mid-incast
+		{"restart", func(tp *topo.Topology, dur units.Duration) *fault.Plan {
 			return &fault.Plan{Events: []fault.Event{
 				{At: units.Time(dur / 3), Kind: fault.SwitchRestart, Node: dstToR(tp)},
 			}}
 		}},
-		{"burst", "5% Gilbert-Elliott burst loss on all fabric links", func(*topo.Topology, units.Duration) *fault.Plan {
+		// 5% Gilbert-Elliott burst loss on all fabric links
+		{"burst", func(*topo.Topology, units.Duration) *fault.Plan {
 			return &fault.Plan{Burst: fault.BurstWithMeanLoss(0.05)}
 		}},
-		{"storm", "flaps + spine restart + 2% burst loss", func(tp *topo.Topology, dur units.Duration) *fault.Plan {
+		// flaps + spine restart + 2% burst loss
+		{"storm", func(tp *topo.Topology, dur units.Duration) *fault.Plan {
 			l := dstUplink(tp)
 			evs := fault.Flap(l, units.Time(dur/8), dur/16, dur/4, 2)
 			evs = append(evs, fault.Event{At: units.Time(dur / 2), Kind: fault.SwitchRestart, Node: l.B})
@@ -144,9 +149,8 @@ func faultTables(scs []faultScenario, o Options) []Table {
 			}
 			rcfg.App = &app.Config{
 				Requests: 24, Interval: dur / 24, FanIn: fan,
-				Deadline:    8 * sloIdeal(tp, fan),
-				MaxAttempts: 3,
-				Policy:      app.ExpBackoff{Base: o.stretch(50 * units.Microsecond)},
+				Deadline: 8 * sloIdeal(tp, fan),
+				Policy:   app.ExpBackoff{Base: o.stretch(50 * units.Microsecond)},
 			}
 		}
 		res := Run(rcfg)

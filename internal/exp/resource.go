@@ -11,7 +11,7 @@ import (
 // SWIFT returns the delay-based Swift congestion control (§2.3 cites
 // it among the reactive protocols; included as an extension).
 func SWIFT(o Options) Scheme {
-	return Scheme{Name: "Swift", CC: swift.Default(), cc: swift.DefaultConfig()}
+	return Scheme{Name: "Swift", CC: swift.Default(), cc: "swift.Default"}
 }
 
 // ResourceOverhead reproduces §7.4's resource accounting on a live

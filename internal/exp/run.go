@@ -212,8 +212,7 @@ type RunConfig struct {
 	Opt      Options // supplies the time-stretch for protocol timers
 
 	BufferSize     units.ByteSize
-	LossRate       float64
-	CreditLossRate float64
+	CreditLossRate float64           // Fig 12: drop credits and switchSYNs between switches
 	ECN            *device.ECNConfig // override scheme default
 	BinWidth       units.Duration
 
@@ -250,10 +249,7 @@ func (rc RunConfig) Validate() error {
 	if rc.Drain < 0 {
 		return fmt.Errorf("exp: RunConfig.Drain must be non-negative, got %v", rc.Drain)
 	}
-	if !(rc.LossRate >= 0 && rc.LossRate <= 1) { // NaN too
-		return fmt.Errorf("exp: RunConfig.LossRate %g outside [0, 1]", rc.LossRate)
-	}
-	if !(rc.CreditLossRate >= 0 && rc.CreditLossRate <= 1) {
+	if !(rc.CreditLossRate >= 0 && rc.CreditLossRate <= 1) { // NaN too
 		return fmt.Errorf("exp: RunConfig.CreditLossRate %g outside [0, 1]", rc.CreditLossRate)
 	}
 	if rc.StallHorizon < 0 {
@@ -379,8 +375,6 @@ func Run(rc RunConfig) *RunResult {
 		CC:             rc.Scheme.CC,
 		FC:             rc.Scheme.FC,
 		QueuesPerPort:  rc.Scheme.QueuesPerPort,
-		PerDstPause:    rc.Scheme.PerDstPause,
-		LossRate:       rc.LossRate,
 		CreditLossRate: rc.CreditLossRate,
 	}
 	if rc.Scheme.NDP {

@@ -34,16 +34,16 @@ type Scheme struct {
 
 	FC            device.FCFactory
 	QueuesPerPort int
-	PerDstPause   bool
 	NDP           bool
 
-	// cc and fc are the config values CC and FC were built from
-	// (fixedWindow for cc.NewFixedWindow, which takes none). runKey
-	// hashes them in place of the factories, and reduced refuses a
-	// Scheme whose CC or FC has no config beside it, so code here that
-	// sets a factory sets its config too. A Scheme built outside the
-	// package never reaches the memo; its -obs label and RunError tell
-	// it apart by Name.
+	// cc and fc are the config values CC and FC were built from, or the
+	// factory's name when it takes none (fixedWindow for
+	// cc.NewFixedWindow, "dctcp.Default" and the like for the
+	// controllers with a fixed binding). runKey hashes them in place of
+	// the factories, and reduced refuses a Scheme whose CC or FC has no
+	// config beside it, so code here that sets a factory sets its
+	// config too. A Scheme built outside the package never reaches the
+	// memo; its -obs label and RunError tell it apart by Name.
 	cc, fc any
 }
 
@@ -74,19 +74,19 @@ func DCQCN(o Options) Scheme {
 // DCTCP returns window-based DCTCP (ECN-fraction reaction, §8's third
 // ECN-signal congestion control).
 func DCTCP(o Options) Scheme {
-	return Scheme{Name: "DCTCP", CC: dctcp.Default(), cc: dctcp.DefaultConfig(), ECN: true}
+	return Scheme{Name: "DCTCP", CC: dctcp.Default(), cc: "dctcp.Default", ECN: true}
 }
 
 // TIMELY returns plain TIMELY; its thresholds derive from the base
 // RTT, which the slow-motion model stretches automatically.
 func TIMELY(o Options) Scheme {
-	return Scheme{Name: "TIMELY", CC: timely.Default(), cc: timely.DefaultConfig()}
+	return Scheme{Name: "TIMELY", CC: timely.Default(), cc: "timely.Default"}
 }
 
 // HPCC returns plain HPCC (INT driven); its reference window derives
 // from base RTT × line rate, which is scale-invariant.
 func HPCC(o Options) Scheme {
-	return Scheme{Name: "HPCC", CC: hpcc.Default(), cc: hpcc.DefaultConfig(), INT: true}
+	return Scheme{Name: "HPCC", CC: hpcc.Default(), cc: "hpcc.Default", INT: true}
 }
 
 // NDP returns the receiver-driven NDP baseline (cut-payload trimming).
@@ -117,7 +117,6 @@ func WithIdeal(o Options, s Scheme, baseBDP units.ByteSize) Scheme {
 func WithFloodgateCfg(s Scheme, cfg core.Config, suffix string) Scheme {
 	s.Name += suffix
 	s.FC, s.fc = core.New(cfg), cfg
-	s.PerDstPause = cfg.PerDstPause
 	return s
 }
 
@@ -140,6 +139,5 @@ func WithPFCTag(s Scheme, oneHopBDP units.ByteSize) Scheme {
 	s.Name += "+PFC w/ tag"
 	cfg := pfctag.DefaultConfig(oneHopBDP)
 	s.FC, s.fc = pfctag.New(cfg), cfg
-	s.PerDstPause = true
 	return s
 }

@@ -85,15 +85,9 @@ func sloAppConfig(tp *topo.Topology, c sloCell, dur units.Duration) *app.Config 
 		Requests: sloRequests,
 		Interval: interval,
 		FanIn:    c.fan,
-		ReqSize:  units.KB,
-		RespMin:  30 * mtu,
-		RespMax:  40 * mtu,
 		Deadline: units.Duration(c.dlMult * float64(ideal)),
-		// Three strikes, then give up; the budget is per client and
-		// generous enough that the policy, not the cap, shapes retries.
-		MaxAttempts: 3,
-		Policy:      c.policy,
-		Breaker:     app.Breaker{Window: 8, Threshold: 0.75, Cooldown: 8 * ideal},
+		Policy:   c.policy,
+		Breaker:  app.Breaker{Window: 8, Threshold: 0.75, Cooldown: 8 * ideal},
 	}
 }
 
@@ -110,7 +104,7 @@ func sloRun(o Options, c sloCell) RunConfig {
 	if last < dur {
 		last = dur
 	}
-	tail := units.Duration(cfg.MaxAttempts)*cfg.Deadline + o.stretch(200*units.Microsecond)
+	tail := units.Duration(app.MaxAttempts)*cfg.Deadline + o.stretch(200*units.Microsecond)
 	return RunConfig{
 		Topo: tp, Scheme: c.scheme,
 		Specs:    sloStormSpecs(tp, dur, o.Seed),

@@ -24,7 +24,7 @@ type Config struct {
 	PauseThresh  units.ByteSize
 	ResumeThresh units.ByteSize
 	// PauseHosts cascades the last level to source hosts as dstPause
-	// frames (requires device.Config.PerDstPause on the host side).
+	// frames, which every host honours.
 	PauseHosts bool
 }
 

@@ -22,14 +22,13 @@ func tagNet(thresh units.ByteSize, pauseHosts bool) (*device.Network, *topo.Topo
 		Prop: 600 * units.Nanosecond,
 	}.Build()
 	cfg := device.Config{
-		Topo:        tp,
-		Engine:      sim.NewEngine(),
-		Stats:       stats.NewCollector(10 * units.Microsecond),
-		Seed:        5,
-		PFC:         true,
-		CC:          cc.NewFixedWindow(),
-		PerDstPause: pauseHosts,
-		Metrics:     device.NewNetMetrics(metrics.NewRegistry()),
+		Topo:    tp,
+		Engine:  sim.NewEngine(),
+		Stats:   stats.NewCollector(10 * units.Microsecond),
+		Seed:    5,
+		PFC:     true,
+		CC:      cc.NewFixedWindow(),
+		Metrics: device.NewNetMetrics(metrics.NewRegistry()),
 		FC: pfctag.New(pfctag.Config{
 			PauseThresh: thresh, ResumeThresh: thresh / 2, PauseHosts: pauseHosts,
 		}),
