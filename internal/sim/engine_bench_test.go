@@ -63,6 +63,9 @@ func BenchmarkEngineCoreCancel(b *testing.B) {
 // (bench/rungs.go rungReplay) as a go-test benchmark, so queue work can
 // be iterated without a ledger run: no-op events that reschedule
 // themselves hold the backlog steady at the incast-mix workloads' peak.
+// The burst/ cases price the sort's worst case instead: burstLen events
+// at one timestamp with mixed wire priorities, scheduled a granule
+// ahead and run, one op per event.
 func BenchmarkEngineReplay(b *testing.B) {
 	for _, s := range []Scheduler{SchedWheel, SchedHeap} {
 		b.Run(s.String(), func(b *testing.B) {
@@ -75,7 +78,29 @@ func BenchmarkEngineReplay(b *testing.B) {
 			}
 		})
 	}
+	for _, s := range []Scheduler{SchedWheel, SchedHeap} {
+		b.Run("burst/"+s.String(), func(b *testing.B) {
+			e, r := NewEngineWith(s), NewRand(1)
+			burst := func() {
+				at := e.Now().Add(wheelGran)
+				for i := 0; i < burstLen; i++ {
+					e.AtArgPri(at, func(any) {}, nil, WirePri(uint32(r.Intn(burstLen))))
+				}
+				e.Run(at)
+			}
+			burst() // warm the slab, the chunks and the run
+			b.ReportAllocs()
+			b.ResetTimer()
+			for target := e.Processed + uint64(b.N); e.Processed < target; {
+				burst()
+			}
+		})
+	}
 }
+
+// burstLen is the shape of clos100k_incast_fg's start: a few thousand
+// events at one timestamp, which the wheel pops as one sorted run.
+const burstLen = 4096
 
 // replayBacklog is sim.backlog_hw on incastmix_fg, the paper's §6 mix
 // (clos100k_incast_fg peaks at 2,766; memcached_churn_dcqcn at 955).
@@ -112,20 +137,23 @@ func newReplayEngine(s Scheduler, backlog int, seed uint64) *Engine {
 
 // TestActiveHeapDepth pins what the rung under the ring is for: on the
 // replay shape a 131 ns granule holds ≈400 of the 2,725 queued entries
-// (mean depth at pop 413 without the rung, 8.4 with it), and pops must
-// sift a heap of one 2 ns sub-bucket, not of the granule. The depths
-// are counts, so the bound cannot flake.
+// (mean depth at pop 413 without the rung), and pops must touch what is
+// left of one 512 ps sub-bucket's sorted run plus the heap of entries
+// scheduled into its span since, not the granule. The depths are
+// counts, so the bound cannot flake.
 func TestActiveHeapDepth(t *testing.T) {
 	e := newReplayEngine(SchedWheel, replayBacklog, 1)
 	const pops = 200_000
 	depth := 0
 	for i := 0; i < pops; i++ {
 		ent, _ := e.peekWheel()
-		depth += len(e.cur)
+		depth += e.activeLen()
 		e.exec(ent)
 	}
-	if mean := float64(depth) / pops; mean > 32 {
-		t.Fatalf("mean active-heap depth at pop = %.1f, want <= 32", mean)
+	mean := float64(depth) / pops
+	t.Logf("mean active depth at pop %.2f", mean)
+	if mean > 32 {
+		t.Fatalf("mean active depth at pop = %.1f, want <= 32", mean)
 	}
 	if s := e.StatsSnapshot(); s.HeapLen != replayBacklog {
 		t.Fatalf("replay did not hold its %d-entry backlog: %+v", replayBacklog, s)
