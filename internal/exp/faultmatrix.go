@@ -125,7 +125,7 @@ func faultTables(scs []faultScenario, o Options) []Table {
 	if o.App {
 		// Closed-loop overlay: same conditional-column contract — the
 		// base table is untouched with -app off.
-		hdr = append(hdr, "reqOK", "p99req", "timeouts", "retries")
+		hdr = append(hdr, "reqOK", "p99req", "timeouts", "amp")
 	}
 	t := Table{
 		Title:  "Fault matrix: incast mix under injected fabric faults",
