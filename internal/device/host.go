@@ -3,8 +3,6 @@
 package device
 
 import (
-	"slices"
-
 	"floodgate/internal/cc"
 	"floodgate/internal/forensics"
 	"floodgate/internal/packet"
@@ -141,8 +139,7 @@ type Host struct {
 	// would re-arm the timer for, and so re-time, the flows behind it.
 	// A full queue reclaims popped slots and tombstones (compactRTO), so
 	// live senders size it, not every flow the host ever sent.
-	rtoQ     []flowRef
-	rtoHead  int
+	rtoQ     rtoQueue
 	rtoTimer sim.Handle
 
 	pfc pauseClock // the ToR's PFC pause of this NIC
@@ -240,7 +237,7 @@ func (h *Host) release(f *Flow) {
 		return
 	}
 	if f.rtoSeq > 0 {
-		h.rtoQ[f.rtoSeq-1] = flowRef{}
+		*h.rtoQ.at(int(f.rtoSeq - 1)) = flowRef{}
 	}
 	h.net.live.remove(f.ID)
 	f.poolReleased()
@@ -558,38 +555,76 @@ func (h *Host) armRTO(f *Flow) {
 }
 
 func (h *Host) pushRTO(f *Flow) {
-	if len(h.rtoQ) == cap(h.rtoQ) {
+	q := &h.rtoQ
+	if q.n == len(q.segs)*rtoSegLen {
 		h.compactRTO()
 	}
-	h.rtoQ = append(h.rtoQ, refOf(f))
-	f.rtoSeq = int32(len(h.rtoQ))
+	*q.at(q.n) = refOf(f)
+	q.n++
+	f.rtoSeq = int32(q.n)
 }
+
+// rtoQueue holds entries [head, n) in segments of rtoSegLen taken from
+// the network's free list, so a queue grows a segment at a time and
+// never copies itself to grow; compaction hands back the segments its
+// survivors do not need.
+type rtoQueue struct {
+	segs    []*rtoSeg
+	head, n int
+}
+
+const rtoSegLen = 16
+
+type rtoSeg [rtoSegLen]flowRef
+
+func (q *rtoQueue) at(i int) *flowRef { return &q.segs[i/rtoSegLen][i%rtoSegLen] }
 
 // compactRTO drops the popped slots and the tombstones behind the head
 // (popping one has no effect, so no timeout moves), renumbers the
 // survivors and leaves them as much room again. The head keeps its slot:
 // the armed timer is its deadline.
 func (h *Host) compactRTO() {
-	q := h.rtoQ[:0]
-	for i, r := range h.rtoQ[h.rtoHead:] {
+	q := &h.rtoQ
+	w := 0
+	for i := q.head; i < q.n; i++ {
+		r := *q.at(i)
+		*q.at(i) = flowRef{}
 		if f := r.take("compactRTO"); f != nil {
-			f.rtoSeq = int32(len(q) + 1)
-		} else if i > 0 {
+			f.rtoSeq = int32(w + 1)
+		} else if i > q.head {
 			continue
 		}
-		q = append(q, r)
+		*q.at(w) = r
+		w++
 	}
-	clear(h.rtoQ[len(q):])
-	h.rtoQ, h.rtoHead = slices.Grow(q, len(q)), 0
+	q.head, q.n = 0, w
+	need := 2*w/rtoSegLen + 1
+	for len(q.segs) < need {
+		q.segs = append(q.segs, h.net.takeRTOSeg())
+	}
+	for len(q.segs) > need {
+		h.net.rtoFree = append(h.net.rtoFree, q.segs[len(q.segs)-1])
+		q.segs = q.segs[:len(q.segs)-1]
+	}
+}
+
+// takeRTOSeg takes a cleared segment off the free list, or a new one.
+func (n *Network) takeRTOSeg() *rtoSeg {
+	if k := len(n.rtoFree); k > 0 {
+		s := n.rtoFree[k-1]
+		n.rtoFree = n.rtoFree[:k-1]
+		return s
+	}
+	return new(rtoSeg)
 }
 
 func (h *Host) ensureRTOTimer() {
-	if h.rtoTimer.Active() || h.rtoHead >= len(h.rtoQ) {
+	if h.rtoTimer.Active() || h.rtoQ.head >= h.rtoQ.n {
 		return
 	}
 	// Every pass of serviceRTO pops the tombstones and finished senders
 	// it meets, so the head an idle timer finds is a live flow.
-	head := h.rtoQ[h.rtoHead].take("ensureRTOTimer")
+	head := h.rtoQ.at(h.rtoQ.head).take("ensureRTOTimer")
 	h.rtoTimer = h.net.Eng.AtArg(head.lastProgress.Add(h.net.Cfg.RTO), hostRTOFn, h)
 }
 
@@ -598,13 +633,13 @@ func (h *Host) ensureRTOTimer() {
 func (h *Host) serviceRTO() {
 	now := h.net.Eng.Now()
 	fired := false
-	for h.rtoHead < len(h.rtoQ) {
-		f := h.rtoQ[h.rtoHead].take("serviceRTO")
+	for q := &h.rtoQ; q.head < q.n; {
+		f := q.at(q.head).take("serviceRTO")
 		if f != nil && !f.senderDone && f.lastProgress.Add(h.net.Cfg.RTO) > now {
 			break // head not yet due; re-arm for it below
 		}
-		h.rtoQ[h.rtoHead] = flowRef{}
-		h.rtoHead++
+		*q.at(q.head) = flowRef{}
+		q.head++
 		if f == nil {
 			continue // tombstone of a released (finished) sender
 		}

@@ -193,7 +193,7 @@ func TestTombstonedRTOHeadKeepsDeadline(t *testing.T) {
 			return
 		}
 		hDone = at
-		if h.rtoQ[h.rtoHead] != (flowRef{}) || !h.rtoTimer.Active() {
+		if *h.rtoQ.at(h.rtoQ.head) != (flowRef{}) || !h.rtoTimer.Active() {
 			t.Fatalf("at %v: released H is not a tombstone at the rtoQ head under an armed timer", at)
 		}
 		if len(sofar) != 0 {
@@ -308,9 +308,9 @@ func TestRTOQueueFollowsLiveSenders(t *testing.T) {
 		for f := h.senders; f != nil; f = f.snext {
 			live++
 		}
-		peak, longest = max(peak, live), max(longest, len(h.rtoQ))
-		if len(h.rtoQ) > 4*(peak+1) {
-			t.Fatalf("at %v: rtoQ holds %d entries with at most %d senders ever live at once", at, len(h.rtoQ), peak)
+		peak, longest = max(peak, live), max(longest, h.rtoQ.n)
+		if h.rtoQ.n > 4*(peak+1) {
+			t.Fatalf("at %v: rtoQ holds %d entries with at most %d senders ever live at once", at, h.rtoQ.n, peak)
 		}
 	}
 	if got := len(n.Stats.AllFCTs()); got != nflows || n.Stats.Retransmits != 0 || h.senders != nil {

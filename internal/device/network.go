@@ -180,7 +180,9 @@ type Network struct {
 	done     []uint64
 	flowPool *Flow
 	minted   int
-	pktPool  []*packet.Packet
+	pktSegs  []*[pktChunk]*packet.Packet // the free-packet stack (pushPkt)
+	pktFree  int
+	rtoFree  []*rtoSeg // cleared timeout-queue segments (compactRTO)
 
 	// faults is the runtime fault-plane state (nil without a plan); see
 	// faults.go. delivered is the global payload-progress counter the
@@ -523,10 +525,11 @@ func (n *Network) NewCtrl(kind packet.Kind, flow packet.FlowID, src, dst packet.
 const pktChunk = 64
 
 func (n *Network) getPkt() *packet.Packet {
-	if m := len(n.pktPool); m > 0 {
-		p := n.pktPool[m-1]
-		n.pktPool[m-1] = nil
-		n.pktPool = n.pktPool[:m-1]
+	if n.pktFree > 0 {
+		n.pktFree--
+		slot := &n.pktSegs[n.pktFree/pktChunk][n.pktFree%pktChunk]
+		p := *slot
+		*slot = nil
 		p.ResetKeepBuffers()
 		p.PoolAcquired()
 		return p
@@ -535,7 +538,7 @@ func (n *Network) getPkt() *packet.Packet {
 	// cutting both alloc count and GC scan pressure at ramp-up.
 	chunk := make([]packet.Packet, pktChunk)
 	for i := pktChunk - 1; i > 0; i-- {
-		n.pktPool = append(n.pktPool, &chunk[i])
+		n.pushPkt(&chunk[i])
 	}
 	return &chunk[0]
 }
@@ -547,7 +550,19 @@ func (n *Network) Recycle(p *packet.Packet) {
 		return
 	}
 	p.PoolReleased()
-	n.pktPool = append(n.pktPool, p)
+	n.pushPkt(p)
+}
+
+// pushPkt puts p on the free-packet stack. The stack lives in segments
+// of pktChunk pointers and grows by one when full, so it never copies
+// itself to grow; it is not bounded by what this network minted, since
+// a frame that crossed shards is recycled by its receiver's network.
+func (n *Network) pushPkt(p *packet.Packet) {
+	if n.pktFree == len(n.pktSegs)*pktChunk {
+		n.pktSegs = append(n.pktSegs, new([pktChunk]*packet.Packet))
+	}
+	n.pktSegs[n.pktFree/pktChunk][n.pktFree%pktChunk] = p
+	n.pktFree++
 }
 
 // Run advances the simulation to the given time.
