@@ -1,14 +1,14 @@
 // Package app is the deterministic closed-loop application plane: a
 // partition-aggregate / request-response RPC layer on top of the
-// device flow machinery. A client issues a request by fanning small
+// device flow machinery. The client issues a request by fanning small
 // request flows out to N workers; each worker answers with a response
-// flow back to the client, and the request completes when a quorum of
-// distinct workers have replied. Every request carries an application
+// flow back to the client, and the request completes once every worker
+// has replied, from any attempt. Every request carries an application
 // deadline; on expiry the client consults a pluggable RetryPolicy
 // (fixed, exponential backoff with deterministic jitter, hedging at
-// the p95 of observed latency) for up to MaxAttempts attempts, and a
-// per-client circuit breaker sheds load when the timeout rate crosses
-// a threshold.
+// the p95 of observed latency) for up to MaxAttempts attempts, and the
+// client's circuit breaker sheds load when the timeout rate crosses a
+// threshold.
 //
 // The plane exists because incast is born here: the response fan-in IS
 // the incast, and a timeout-driven retry re-joins the very incast that
@@ -19,11 +19,11 @@
 // Determinism under sharding: every attempt flow is pre-registered
 // (Cluster.AddAppFlow) in a fixed global order before SealFlows, so
 // FlowIDs never depend on runtime behaviour; all runtime actions are
-// shard-local (clients launch request flows they own, workers launch
-// response flows they own, timers run on the owning shard's engine at
-// the PriTimer rung); and backoff jitter is drawn from per-client PRNG
-// streams derived from (seed, client node ID), never from a shared
-// source. See DESIGN.md §12 for the full argument.
+// shard-local (the client launches request flows it owns, workers
+// launch response flows they own, timers run on the owning shard's
+// engine at the PriTimer rung); and backoff jitter is drawn from the
+// client's PRNG stream derived from (seed, client node ID), never from
+// a shared source. See DESIGN.md §12 for the full argument.
 package app
 
 import (
@@ -47,22 +47,14 @@ const (
 	respMax = 40 * packet.MTU
 )
 
-// Breaker configures the per-client circuit breaker. The zero value
-// disables it.
+// Breaker configures the client's circuit breaker, which opens when
+// breakerThreshold of the last breakerWindow attempt outcomes timed
+// out. The zero value disables it.
 type Breaker struct {
-	// Window is the number of recent attempt outcomes tracked per
-	// client (0 disables the breaker).
-	Window int
-	// Threshold is the timeout fraction over a full window that opens
-	// the breaker.
-	Threshold float64
 	// Cooldown is how long an open breaker sheds new requests before
-	// closing again.
+	// closing again (0 disables the breaker).
 	Cooldown units.Duration
 }
-
-// Enabled reports whether the breaker is configured.
-func (b Breaker) Enabled() bool { return b.Window > 0 }
 
 // Config describes one closed-loop workload. The zero value is not
 // runnable: Requests, Interval and Deadline must be set.
@@ -71,19 +63,12 @@ type Config struct {
 	Requests int
 	// Interval spaces request arrivals (request i arrives at i·Interval).
 	Interval units.Duration
-	// Clients is the number of distinct client (aggregator) hosts,
-	// taken from the tail of the host list and assigned round-robin
-	// (default 1 — the classic single incast victim).
-	Clients int
 	// FanIn is the number of workers per request (partition-aggregate
 	// width); 1 models a memcached-style request/response pair.
 	FanIn int
-	// Quorum is the number of distinct worker replies that complete a
-	// request (0 = all FanIn of them).
-	Quorum int
 	// Deadline is the application deadline of each attempt window.
 	Deadline units.Duration
-	// Policy governs retry timing (default FixedRetry{0}: immediate).
+	// Policy governs retry timing (default FixedRetry: immediate).
 	Policy RetryPolicy
 	// Breaker configures load shedding (zero value: disabled).
 	Breaker Breaker
@@ -91,9 +76,6 @@ type Config struct {
 
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
-	if c.Clients < 1 {
-		c.Clients = 1
-	}
 	if c.FanIn < 1 {
 		c.FanIn = 1
 	}
@@ -109,36 +91,23 @@ type Request struct {
 	Workers  []packet.NodeID
 	Arrival  units.Time
 	RespSize []units.ByteSize // per worker, fixed across attempts
-	Quorum   int              // replies needed (clamped to len(Workers))
 }
 
-// GenerateRequests pre-generates the request schedule: clients rotate
-// over the Config.Clients hosts just before the last one — the last
-// host is the canonical open-loop incast destination throughout the
-// experiment suite, so clients are its rack mates: their cross-rack
-// responses are exactly the victim traffic an untamed incast's PFC
-// storm head-of-line blocks. Workers are a fresh random subset of the
-// hosts outside the client's rack, and response sizes are drawn
-// uniformly from [respMin, respMax]. Deterministic given (topology,
-// config, seed).
+// GenerateRequests pre-generates the request schedule. Every request's
+// client is the host just before the last one — the last host is the
+// canonical open-loop incast destination throughout the experiment
+// suite, so the client is its rack mate: its cross-rack responses are
+// exactly the victim traffic an untamed incast's PFC storm head-of-line
+// blocks. Workers are a fresh random subset of the hosts outside the
+// client's rack, and response sizes are drawn uniformly from [respMin,
+// respMax]. Deterministic given (topology, config, seed).
 func GenerateRequests(tp *topo.Topology, cfg Config, seed uint64) []Request {
 	cfg = cfg.withDefaults()
 	r := sim.NewRand(seed)
-	nc := cfg.Clients
-	if nc > len(tp.Hosts)-1 {
-		nc = len(tp.Hosts) - 1
-	}
-	if nc < 1 {
-		nc = 1
-	}
-	clients := tp.Hosts[len(tp.Hosts)-1-nc : len(tp.Hosts)-1]
-	if len(tp.Hosts) == 1 {
-		clients = tp.Hosts
-	}
+	client := tp.Hosts[len(tp.Hosts)-2]
+	senders := workload.CrossRackSenders(tp, client)
 	reqs := make([]Request, 0, cfg.Requests)
 	for i := 0; i < cfg.Requests; i++ {
-		client := clients[i%nc]
-		senders := workload.CrossRackSenders(tp, client)
 		fan := cfg.FanIn
 		if fan > len(senders) {
 			fan = len(senders)
@@ -150,14 +119,10 @@ func GenerateRequests(tp *topo.Topology, cfg Config, seed uint64) []Request {
 			workers[w] = senders[perm[w]]
 			sizes[w] = respMin + units.ByteSize(r.Int63n(int64(respMax-respMin)+1))
 		}
-		q := cfg.Quorum
-		if q <= 0 || q > fan {
-			q = fan
-		}
 		reqs = append(reqs, Request{
 			Client: client, Workers: workers,
 			Arrival:  units.Time(int64(i) * int64(cfg.Interval)),
-			RespSize: sizes, Quorum: q,
+			RespSize: sizes,
 		})
 	}
 	return reqs

@@ -20,7 +20,7 @@ func testTopo() *topo.Topology {
 // produce the same jittered backoff sequence — the property the
 // per-client jitter streams rely on for cross-shard bit-identity.
 func TestExpBackoffDeterministic(t *testing.T) {
-	p := ExpBackoff{Base: 100 * units.Microsecond, Max: units.Millisecond}
+	p := ExpBackoff{Base: 100 * units.Microsecond}
 	r1 := sim.NewRand(7)
 	r2 := sim.NewRand(7)
 	for attempt := 2; attempt <= 6; attempt++ {
@@ -31,16 +31,16 @@ func TestExpBackoffDeterministic(t *testing.T) {
 		if a <= 0 {
 			t.Fatalf("attempt %d: non-positive backoff %v", attempt, a)
 		}
-		if a > p.Max {
-			t.Fatalf("attempt %d: backoff %v above cap %v", attempt, a, p.Max)
+		if a > backoffCap*p.Base {
+			t.Fatalf("attempt %d: backoff %v above cap %v", attempt, a, backoffCap*p.Base)
 		}
 	}
 }
 
 // TestExpBackoffGrows: the un-jittered floor (half the nominal delay)
-// must grow geometrically until the cap.
+// must grow geometrically until the cap, which attempt 5 reaches.
 func TestExpBackoffGrows(t *testing.T) {
-	p := ExpBackoff{Base: 100 * units.Microsecond, Max: 10 * units.Millisecond}
+	p := ExpBackoff{Base: 100 * units.Microsecond}
 	r := sim.NewRand(1)
 	prev := units.Duration(0)
 	for attempt := 2; attempt <= 5; attempt++ {
@@ -56,13 +56,13 @@ func TestExpBackoffGrows(t *testing.T) {
 	}
 }
 
-// TestFixedRetryIgnoresRand: the fixed policy must not consume the
-// jitter stream (its delay is attempt- and rand-independent, so a nil
-// stream is fine).
+// TestFixedRetryIgnoresRand: the fixed policy retries at once and must
+// not consume the jitter stream (a nil stream is fine).
 func TestFixedRetryIgnoresRand(t *testing.T) {
-	p := FixedRetry{Delay: 50 * units.Microsecond}
-	if d := p.Backoff(2, nil); d != 50*units.Microsecond {
-		t.Fatalf("fixed backoff = %v, want 50us", d)
+	for attempt := 2; attempt <= MaxAttempts; attempt++ {
+		if d := (FixedRetry{}).Backoff(attempt, nil); d != 0 {
+			t.Fatalf("attempt %d: fixed backoff = %v, want 0", attempt, d)
+		}
 	}
 }
 
@@ -79,75 +79,89 @@ func TestHedgedDelay(t *testing.T) {
 	}
 }
 
-// TestBreakerOpensAndCoolsDown drives the ring through a failure
-// burst: it must stay closed until a full window is observed, open at
-// the threshold, shed during the cooldown, and admit again after.
+// TestBreakerOpensAndCoolsDown drives the 8-outcome ring through a
+// failure burst: it must stay closed until a full window is observed,
+// open once 6 of the 8 timed out, shed during the cooldown, and admit
+// again after.
 func TestBreakerOpensAndCoolsDown(t *testing.T) {
-	cfg := Breaker{Window: 4, Threshold: 0.75, Cooldown: units.Millisecond}
-	b := newBreakerState(cfg)
+	const cooldown = units.Millisecond
+	b := breakerState{cooldown: cooldown}
 	now := units.Time(0)
-	for i := 0; i < 3; i++ {
+	// Two successes, then timeouts: the window fills at the eighth
+	// outcome, the sixth timeout.
+	b.record(false, now)
+	b.record(false, now)
+	for i := 0; i < 5; i++ {
 		b.record(true, now)
 		if b.open(now) {
-			t.Fatalf("breaker opened before a full window (after %d outcomes)", i+1)
+			t.Fatalf("breaker opened before a full window (after %d outcomes)", i+3)
 		}
 	}
 	b.record(true, now)
 	if !b.open(now) {
-		t.Fatal("breaker closed after 4/4 timeouts at threshold 0.75")
+		t.Fatal("breaker closed after 6/8 timeouts at threshold 0.75")
 	}
 	if b.opened != 1 {
 		t.Fatalf("opened count = %d, want 1", b.opened)
 	}
-	if b.open(now.Add(cfg.Cooldown)) {
+	if b.open(now.Add(cooldown)) {
 		t.Fatal("breaker still open after the cooldown elapsed")
 	}
-	// The ring reset on open: a lone success must not re-open it.
-	b.record(false, now.Add(cfg.Cooldown))
-	if b.open(now.Add(cfg.Cooldown)) {
-		t.Fatal("breaker re-opened on a success after reset")
+	// The ring reset on open: seven more timeouts do not fill it.
+	for i := 0; i < 7; i++ {
+		b.record(true, now.Add(cooldown))
+	}
+	if b.open(now.Add(cooldown)) {
+		t.Fatal("breaker re-opened before a fresh full window after reset")
 	}
 }
 
-// TestBreakerBelowThresholdStaysClosed: 2/4 timeouts under a 0.75
-// threshold never opens.
+// TestBreakerBelowThresholdStaysClosed: 5 timeouts in every 8-outcome
+// window, under the 0.75 threshold, never open the breaker; a zero
+// cooldown turns it off even at 8/8.
 func TestBreakerBelowThresholdStaysClosed(t *testing.T) {
-	b := newBreakerState(Breaker{Window: 4, Threshold: 0.75, Cooldown: units.Millisecond})
-	pattern := []bool{true, false, true, false, true, false, true, false}
-	for _, timeout := range pattern {
-		b.record(timeout, 0)
+	b := breakerState{cooldown: units.Millisecond}
+	pattern := []bool{true, false, true, true, false, true, false, true}
+	for i := 0; i < 3*len(pattern); i++ {
+		b.record(pattern[i%len(pattern)], 0)
 	}
 	if b.open(0) {
-		t.Fatal("breaker opened at 50% timeout rate against a 75% threshold")
+		t.Fatal("breaker opened at a 5/8 timeout rate against a 75% threshold")
+	}
+	var off breakerState
+	for i := 0; i < 2*breakerWindow; i++ {
+		off.record(true, 0)
+	}
+	if off.opened != 0 {
+		t.Fatal("a zero Breaker opened")
 	}
 }
 
 // TestGenerateRequests pins the schedule's structural invariants: the
-// canonical incast destination (last host) is never a client, workers
-// are distinct hosts outside the client's rack, arrivals are spaced by
-// Interval, and the same (topo, config, seed) regenerates the same
-// schedule.
+// one client is the host before the canonical incast destination (the
+// last host), workers are all FanIn of them, distinct hosts outside
+// the client's rack, arrivals are spaced by Interval, and the same
+// (topo, config, seed) regenerates the same schedule.
 func TestGenerateRequests(t *testing.T) {
 	tp := testTopo()
 	cfg := Config{
 		Requests: 8, Interval: 100 * units.Microsecond,
-		Clients: 2, FanIn: 4, Quorum: 3,
-		Deadline: units.Millisecond,
+		FanIn: 4, Deadline: units.Millisecond,
 	}
 	reqs := GenerateRequests(tp, cfg, 42)
 	if len(reqs) != 8 {
 		t.Fatalf("got %d requests, want 8", len(reqs))
 	}
-	stormDst := tp.Hosts[len(tp.Hosts)-1]
+	client := tp.Hosts[len(tp.Hosts)-2]
 	for i, rq := range reqs {
-		if rq.Client == stormDst {
-			t.Fatalf("request %d: client is the canonical incast destination", i)
+		if rq.Client != client {
+			t.Fatalf("request %d: client %v, want %v, the host before the canonical incast destination", i, rq.Client, client)
 		}
 		if rq.Arrival != units.Time(int64(i)*int64(cfg.Interval)) {
 			t.Fatalf("request %d: arrival %v, want Interval-spaced", i, rq.Arrival)
 		}
-		if len(rq.Workers) != 4 || rq.Quorum != 3 {
-			t.Fatalf("request %d: fan %d quorum %d, want 4/3", i, len(rq.Workers), rq.Quorum)
+		if len(rq.Workers) != 4 {
+			t.Fatalf("request %d: fan %d, want 4", i, len(rq.Workers))
 		}
 		crack := tp.Node(rq.Client).Rack
 		seen := map[int64]bool{}
@@ -170,17 +184,6 @@ func TestGenerateRequests(t *testing.T) {
 			reqs[i].RespSize[0] != again[i].RespSize[0] {
 			t.Fatalf("request %d: same seed regenerated a different schedule", i)
 		}
-	}
-}
-
-// TestQuorumClamp: a zero or over-fan quorum defaults to all workers.
-func TestQuorumClamp(t *testing.T) {
-	tp := testTopo()
-	cfg := Config{Requests: 1, Interval: units.Microsecond, FanIn: 4, Quorum: 99,
-		Deadline: units.Millisecond}
-	reqs := GenerateRequests(tp, cfg, 1)
-	if reqs[0].Quorum != len(reqs[0].Workers) {
-		t.Fatalf("quorum %d not clamped to fan %d", reqs[0].Quorum, len(reqs[0].Workers))
 	}
 }
 

@@ -17,12 +17,10 @@ import (
 type reqState struct {
 	pl  *Plane
 	idx int32 // request index into Dispatch.Reqs
-	ci  int32 // index into Plane.clients
 
 	attempts int
 	hedges   int
 	timeouts int
-	quorum   int
 	nreplied int
 	replied  []bool // per worker, distinct-reply tracking
 
@@ -34,15 +32,6 @@ type reqState struct {
 	respRecv units.ByteSize // response payload of counted replies
 }
 
-// clientState is one client host's jitter stream, breaker and latency
-// observations.
-type clientState struct {
-	node    packet.NodeID
-	rng     *sim.Rand // private jitter stream: (seed, client node ID)
-	breaker breakerState
-	lat     latWindow
-}
-
 // Plane is one shard's view of the application plane. It owns the
 // requests whose client host the shard owns and the worker side of
 // every request flow the shard receives; the Dispatch table is shared
@@ -52,10 +41,15 @@ type Plane struct {
 	net *device.Network
 	d   *Dispatch
 
-	states  []*reqState // by request index; nil when owned elsewhere
-	order   []*reqState // owned requests in arrival order
-	next    int         // next arrival to inject
-	clients []*clientState
+	reqs []*reqState // by request index, on the client's shard; empty elsewhere
+	next int         // next arrival to inject
+
+	// The client host's jitter stream, breaker and latency observations;
+	// idle on a shard that does not own the client.
+	client  packet.NodeID
+	rng     *sim.Rand // private jitter stream: (seed, client node ID)
+	breaker breakerState
+	lat     latWindow
 
 	// Monotone progress/diagnosis counters, read at shard barriers.
 	resolved    int
@@ -66,34 +60,18 @@ type Plane struct {
 // NewPlane builds the shard's plane and arms its arrival chain. Call
 // after Cluster.SealFlows, once per shard, with that shard's Network.
 func NewPlane(n *device.Network, d *Dispatch) *Plane {
-	p := &Plane{net: n, d: d, states: make([]*reqState, len(d.Reqs))}
-	cidx := make(map[packet.NodeID]int32, d.Cfg.Clients)
+	p := &Plane{net: n, d: d}
+	if len(d.Reqs) == 0 || !n.Owns(d.Reqs[0].Client) {
+		return p // another shard owns the client
+	}
+	p.client = d.Reqs[0].Client
+	p.rng = sim.NewRand(n.Cfg.Seed ^ uint64(p.client)*0x9e3779b97f4a7c15)
+	p.breaker.cooldown = d.Cfg.Breaker.Cooldown
+	p.reqs = make([]*reqState, len(d.Reqs))
 	for ri := range d.Reqs {
-		rq := &d.Reqs[ri]
-		if !n.Owns(rq.Client) {
-			continue // another shard owns this client
-		}
-		ci, seen := cidx[rq.Client]
-		if !seen {
-			ci = int32(len(p.clients))
-			cidx[rq.Client] = ci
-			p.clients = append(p.clients, &clientState{
-				node:    rq.Client,
-				rng:     sim.NewRand(n.Cfg.Seed ^ uint64(rq.Client)*0x9e3779b97f4a7c15),
-				breaker: newBreakerState(d.Cfg.Breaker),
-			})
-		}
-		rs := &reqState{
-			pl: p, idx: int32(ri), ci: ci,
-			quorum:  rq.Quorum,
-			replied: make([]bool, len(rq.Workers)),
-		}
-		p.states[ri] = rs
-		p.order = append(p.order, rs)
+		p.reqs[ri] = &reqState{pl: p, idx: int32(ri), replied: make([]bool, len(d.Reqs[ri].Workers))}
 	}
-	if len(p.order) > 0 {
-		n.Eng.AtArg(p.d.Reqs[p.order[0].idx].Arrival, planeArriveFn, p)
-	}
+	n.Eng.AtArg(d.Reqs[0].Arrival, planeArriveFn, p)
 	return p
 }
 
@@ -104,32 +82,31 @@ func NewPlane(n *device.Network, d *Dispatch) *Plane {
 func planeArriveFn(a any) {
 	p := a.(*Plane)
 	now := p.net.Eng.Now()
-	for p.next < len(p.order) && p.d.Reqs[p.order[p.next].idx].Arrival <= now {
-		rs := p.order[p.next]
+	for p.next < len(p.reqs) && p.d.Reqs[p.next].Arrival <= now {
+		rs := p.reqs[p.next]
 		p.next++
 		p.arrive(rs, now)
 	}
-	if p.next < len(p.order) {
-		p.net.Eng.AtArg(p.d.Reqs[p.order[p.next].idx].Arrival, planeArriveFn, p)
+	if p.next < len(p.reqs) {
+		p.net.Eng.AtArg(p.d.Reqs[p.next].Arrival, planeArriveFn, p)
 	}
 }
 
 func (p *Plane) arrive(rs *reqState, now units.Time) {
 	p.net.AppEvent(device.AppRequest)
 	rs.start = now
-	cs := p.clients[rs.ci]
-	if cs.breaker.open(now) {
+	if p.breaker.open(now) {
 		rs.resolved, rs.shed = true, true
 		rs.end = now
 		p.resolved++
 		p.net.AppEvent(device.AppShed)
-		p.net.AppFlow(trace.OpAppDone, cs.node, p.d.attempts[rs.idx][0][0])
+		p.net.AppFlow(trace.OpAppDone, p.client, p.d.attempts[rs.idx][0][0])
 		return
 	}
 	p.pendingReqs++
 	p.launch(rs, trace.OpAppReq)
 	if h, ok := p.d.Cfg.Policy.(Hedger); ok {
-		delay := h.HedgeDelay(p.d.Cfg.Deadline, cs.lat.p95(), cs.lat.n)
+		delay := h.HedgeDelay(p.d.Cfg.Deadline, p.lat.p95(), p.lat.n)
 		p.retryTimers++
 		p.net.Eng.AfterArg(delay, reqHedgeFn, rs)
 	}
@@ -144,9 +121,8 @@ func (p *Plane) arrive(rs *reqState, now units.Time) {
 func (p *Plane) launch(rs *reqState, op trace.Op) {
 	rs.attempts++
 	flows := p.d.attempts[rs.idx][rs.attempts-1]
-	cs := p.clients[rs.ci]
 	for _, f := range flows {
-		p.net.AppFlow(op, cs.node, f)
+		p.net.AppFlow(op, p.client, f)
 		p.net.Launch(f)
 	}
 	if op != trace.OpAppHedge {
@@ -165,11 +141,10 @@ func reqDeadlineFn(a any) {
 	now := p.net.Eng.Now()
 	rs.timeouts++
 	p.net.AppEvent(device.AppTimeout)
-	cs := p.clients[rs.ci]
-	p.net.AppFlow(trace.OpAppTimeout, cs.node, p.d.attempts[rs.idx][rs.attempts-1][0])
-	cs.breaker.record(true, now)
-	if rs.attempts < MaxAttempts && !cs.breaker.open(now) {
-		delay := p.d.Cfg.Policy.Backoff(rs.attempts+1, cs.rng)
+	p.net.AppFlow(trace.OpAppTimeout, p.client, p.d.attempts[rs.idx][rs.attempts-1][0])
+	p.breaker.record(true, now)
+	if rs.attempts < MaxAttempts && !p.breaker.open(now) {
+		delay := p.d.Cfg.Policy.Backoff(rs.attempts+1, p.rng)
 		p.retryTimers++
 		p.net.Eng.AfterArg(delay, reqRetryFn, rs)
 		return
@@ -178,7 +153,7 @@ func reqDeadlineFn(a any) {
 }
 
 // reqRetryFn launches the retry attempt the deadline scheduled, unless
-// a quorum arrived during the backoff.
+// every reply arrived during the backoff.
 func reqRetryFn(a any) {
 	rs := a.(*reqState)
 	p := rs.pl
@@ -201,8 +176,7 @@ func reqHedgeFn(a any) {
 		return
 	}
 	now := p.net.Eng.Now()
-	cs := p.clients[rs.ci]
-	if cs.breaker.open(now) {
+	if p.breaker.open(now) {
 		return
 	}
 	rs.hedges++
@@ -210,26 +184,26 @@ func reqHedgeFn(a any) {
 	p.launch(rs, trace.OpAppHedge)
 }
 
-// resolve finishes a request (quorum reached or given up).
+// resolve finishes a request (every worker replied, or given up).
 func (p *Plane) resolve(rs *reqState, now units.Time, ok bool) {
 	rs.resolved, rs.ok = true, ok
 	rs.end = now
 	p.pendingReqs--
 	p.resolved++
-	cs := p.clients[rs.ci]
 	if ok {
 		lat := now.Sub(rs.start)
 		p.net.AppLatency(lat)
-		cs.lat.add(lat)
-		cs.breaker.record(false, now)
+		p.lat.add(lat)
+		p.breaker.record(false, now)
 	}
-	p.net.AppFlow(trace.OpAppDone, cs.node, p.d.attempts[rs.idx][0][0])
+	p.net.AppFlow(trace.OpAppDone, p.client, p.d.attempts[rs.idx][0][0])
 }
 
 // OnFlowDone dispatches flow completions to the app plane. Request
 // flows complete on the worker's shard (the receive side) and launch
 // the response; response flows complete on the client's shard and
-// count toward the quorum. Open-loop flows (Attempt == 0) are ignored.
+// resolve the request once every worker has replied. Open-loop flows
+// (Attempt == 0) are ignored.
 func (p *Plane) OnFlowDone(f *device.Flow, now units.Time) {
 	if f.Attempt == 0 {
 		return
@@ -243,7 +217,7 @@ func (p *Plane) OnFlowDone(f *device.Flow, now units.Time) {
 		p.net.Launch(ro.peer)
 		return
 	}
-	rs := p.states[ro.req]
+	rs := p.reqs[ro.req]
 	p.net.AppEvent(device.AppReply)
 	if rs.resolved || rs.replied[ro.worker] {
 		return // late straggler or duplicate attempt's reply
@@ -251,7 +225,7 @@ func (p *Plane) OnFlowDone(f *device.Flow, now units.Time) {
 	rs.replied[ro.worker] = true
 	rs.nreplied++
 	rs.respRecv += f.Size
-	if rs.nreplied >= rs.quorum {
+	if rs.nreplied == len(rs.replied) {
 		p.resolve(rs, now, true)
 	}
 }
@@ -265,10 +239,8 @@ func (p *Plane) Resolved() int { return p.resolved }
 // unresolved requests, armed retry/hedge timers, and breakers
 // currently open. Read only at shard barriers.
 func (p *Plane) StallState(now units.Time) (pending, retryTimers, openBreakers int) {
-	for _, cs := range p.clients {
-		if cs.breaker.open(now) {
-			openBreakers++
-		}
+	if p.breaker.open(now) {
+		openBreakers = 1
 	}
 	return p.pendingReqs, p.retryTimers, openBreakers
 }

@@ -1,6 +1,7 @@
 package app
 
 import (
+	"math/bits"
 	"sort"
 
 	"floodgate/internal/sim"
@@ -32,25 +33,25 @@ type Hedger interface {
 	HedgeDelay(deadline, p95 units.Duration, samples int) units.Duration
 }
 
-// FixedRetry retries after a constant delay (zero value: immediately).
-type FixedRetry struct {
-	Delay units.Duration
-}
+// FixedRetry retries at once.
+type FixedRetry struct{}
 
 // Name implements RetryPolicy.
 func (FixedRetry) Name() string { return "fixed" }
 
 // Backoff implements RetryPolicy.
-func (p FixedRetry) Backoff(int, *sim.Rand) units.Duration { return p.Delay }
+func (FixedRetry) Backoff(int, *sim.Rand) units.Duration { return 0 }
+
+// backoffCap caps ExpBackoff's nominal delay at this multiple of Base.
+const backoffCap = 8
 
 // ExpBackoff doubles the delay per attempt with deterministic full
 // jitter: attempt k waits uniformly in [d/2, d] for d = Base·2^(k-2)
-// capped at Max. The jitter decorrelates the retries of clients that
-// timed out on the same incast — without it they re-fire in lockstep
-// and rebuild the very burst that killed attempt one.
+// capped at backoffCap·Base. The jitter decorrelates the retries of
+// requests that timed out on the same incast — without it they re-fire
+// in lockstep and rebuild the very burst that killed attempt one.
 type ExpBackoff struct {
 	Base units.Duration // attempt-2 delay before jitter
-	Max  units.Duration // cap (0: 8·Base)
 }
 
 // Name implements RetryPolicy.
@@ -58,13 +59,11 @@ func (ExpBackoff) Name() string { return "expbackoff" }
 
 // Backoff implements RetryPolicy.
 func (p ExpBackoff) Backoff(attempt int, r *sim.Rand) units.Duration {
-	base, max := p.Base, p.Max
+	base := p.Base
 	if base <= 0 {
 		base = 100 * units.Microsecond
 	}
-	if max <= 0 {
-		max = 8 * base
-	}
+	max := backoffCap * base
 	d := base
 	for k := 2; k < attempt && d < max; k++ {
 		d *= 2
@@ -99,7 +98,7 @@ func (Hedged) HedgeDelay(deadline, p95 units.Duration, samples int) units.Durati
 	return p95
 }
 
-// latWindow is a client's sliding window of completed-request
+// latWindow is the client's sliding window of completed-request
 // latencies, sized for cheap exact p95s.
 type latWindow struct {
 	buf [32]units.Duration
@@ -126,25 +125,24 @@ func (w *latWindow) p95() units.Duration {
 	return stats.NearestRank(vals, 950)
 }
 
-// breakerState is one client's circuit breaker: a ring of recent
-// attempt outcomes; when the timeout fraction over a full window
-// reaches the threshold the breaker opens until now+Cooldown, and the
-// plane sheds arrivals (and suppresses retries) while it is open.
+// The breaker's fixed binding: it opens when breakerThreshold of the
+// last breakerWindow attempt outcomes timed out.
+const (
+	breakerWindow    = 8
+	breakerThreshold = 0.75
+)
+
+// breakerState is the client's circuit breaker: a ring of recent
+// attempt outcomes, one bit each; when the timeout fraction over a full
+// window reaches breakerThreshold the breaker opens until now+cooldown,
+// and the plane sheds arrivals (and suppresses retries) while it is
+// open.
 type breakerState struct {
-	cfg       Breaker
-	outcomes  []bool // ring; true = timeout
-	idx, n    int
-	fails     int
+	cooldown  units.Duration // 0: the breaker is off
+	outcomes  uint8          // the last n outcomes, newest in bit 0; 1 = timeout
+	n         int
 	openUntil units.Time
 	opened    int // cumulative open transitions
-}
-
-func newBreakerState(cfg Breaker) breakerState {
-	bs := breakerState{cfg: cfg}
-	if cfg.Enabled() {
-		bs.outcomes = make([]bool, cfg.Window)
-	}
-	return bs
 }
 
 // open reports whether the breaker is shedding at time now.
@@ -154,27 +152,19 @@ func (b *breakerState) open(now units.Time) bool { return b.openUntil > now }
 // window's timeout fraction reaches the threshold. The ring resets on
 // open so the cooldown starts from a clean slate.
 func (b *breakerState) record(timeout bool, now units.Time) {
-	if !b.cfg.Enabled() {
+	if b.cooldown == 0 {
 		return
 	}
-	if b.n == len(b.outcomes) {
-		if b.outcomes[b.idx] {
-			b.fails--
-		}
-	} else {
+	b.outcomes <<= 1
+	if timeout {
+		b.outcomes |= 1
+	}
+	if b.n < breakerWindow {
 		b.n++
 	}
-	b.outcomes[b.idx] = timeout
-	if timeout {
-		b.fails++
-	}
-	b.idx = (b.idx + 1) % len(b.outcomes)
-	if b.n == len(b.outcomes) && float64(b.fails) >= b.cfg.Threshold*float64(b.n) {
-		b.openUntil = now.Add(b.cfg.Cooldown)
+	if b.n == breakerWindow && bits.OnesCount8(b.outcomes) >= breakerThreshold*breakerWindow {
+		b.openUntil = now.Add(b.cooldown)
 		b.opened++
-		b.fails, b.n, b.idx = 0, 0, 0
-		for i := range b.outcomes {
-			b.outcomes[i] = false
-		}
+		b.outcomes, b.n = 0, 0
 	}
 }

@@ -12,7 +12,7 @@ import (
 // merge is a disjoint fill — deterministic for any partition).
 type Record struct {
 	Start, End units.Time
-	OK         bool // quorum reached
+	OK         bool // every worker replied
 	Shed       bool // rejected by an open circuit breaker
 	Attempts   int  // including the first (0 when shed or never injected)
 	Hedges     int
@@ -23,8 +23,8 @@ type Record struct {
 // SLO is the service-level scorecard of one closed-loop run.
 type SLO struct {
 	Requests  int
-	Completed int // quorum reached
-	Failed    int // exhausted attempts/budget without quorum
+	Completed int // every worker replied
+	Failed    int // exhausted attempts/budget short of a reply
 	Shed      int // rejected by an open breaker
 	Unfired   int // never injected (run ended first)
 
@@ -44,7 +44,7 @@ func Collect(planes []*Plane) []Record {
 	}
 	recs := make([]Record, planes[0].d.NumRequests())
 	for _, p := range planes {
-		for _, rs := range p.order {
+		for _, rs := range p.reqs {
 			recs[rs.idx] = Record{
 				Start: rs.start, End: rs.end,
 				OK: rs.ok, Shed: rs.shed,

@@ -17,8 +17,9 @@ import (
 // The reaction point's fixed binding, from the common simulation
 // bindings of the original paper.
 const (
-	g                 = 1.0 / 256 // alpha EWMA gain
-	fastRecoverySteps = 5         // F, stages of fast recovery
+	g                 = 1.0 / 256     // alpha EWMA gain
+	fastRecoverySteps = 5             // F, stages of fast recovery
+	byteCounter       = 10 * units.MB // rate-increase byte period
 )
 
 // Config holds the DCQCN reaction-point parameters a caller may move.
@@ -27,7 +28,6 @@ const (
 type Config struct {
 	AlphaInterval   units.Duration // alpha decay period (55us)
 	RateIncInterval units.Duration // rate-increase timer period (55us)
-	ByteCounter     units.ByteSize // rate-increase byte period (10MB)
 	RateAI          units.BitRate  // additive increase step (40Mbps)
 	RateHAI         units.BitRate  // hyper increase step (400Mbps)
 	MinRateFraction int            // floor = LinkRate / this (1000)
@@ -39,7 +39,6 @@ func DefaultConfig() Config {
 	return Config{
 		AlphaInterval:   55 * units.Microsecond,
 		RateIncInterval: 55 * units.Microsecond,
-		ByteCounter:     10 * units.MB,
 		RateAI:          40 * units.Mbps,
 		RateHAI:         400 * units.Mbps,
 		MinRateFraction: 1000,
@@ -132,8 +131,8 @@ func (s *state) OnSend(now units.Time, bytes units.ByteSize) {
 		return
 	}
 	s.bytesSinceInc += bytes
-	for s.bytesSinceInc >= s.cfg.ByteCounter {
-		s.bytesSinceInc -= s.cfg.ByteCounter
+	for s.bytesSinceInc >= byteCounter {
+		s.bytesSinceInc -= byteCounter
 		s.byteStage++
 		s.increase()
 	}

@@ -40,15 +40,25 @@ func TestFastRecoveryHalvesTowardTarget(t *testing.T) {
 	}
 }
 
+// TestByteCounterStages pushes 10 MB byte-counter periods through
+// OnSend at one instant (so no timer stage fires): a byte short of a
+// period advances nothing, each full period advances the byte stage
+// once and raises the rate.
 func TestByteCounterStages(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ByteCounter = 100 * units.KB
-	c := New(cfg)(env()).(*state)
-	c.OnCNP(units.Time(100 * units.Microsecond))
+	c := New(DefaultConfig())(env()).(*state)
+	now := units.Time(100 * units.Microsecond)
+	c.OnCNP(now)
 	low := c.rc
-	// Push several byte-counter periods through OnSend.
-	for i := 0; i < 10; i++ {
-		c.OnSend(units.Time(100*units.Microsecond)+1, 100*units.KB)
+	c.OnSend(now, 10*units.MB-1)
+	if c.byteStage != 0 || c.rc != low {
+		t.Fatalf("a byte short of 10 MB advanced the byte stage to %d (rate %v)", c.byteStage, c.rc)
+	}
+	c.OnSend(now, 1)
+	for i := 1; i < 10; i++ {
+		c.OnSend(now, 10*units.MB)
+	}
+	if c.byteStage != 10 || c.timerStage != 0 {
+		t.Fatalf("10 periods of 10 MB: byte stage %d, timer stage %d, want 10 and 0", c.byteStage, c.timerStage)
 	}
 	if c.rc <= low {
 		t.Fatalf("byte-counter stages did not raise the rate: %v", c.rc)

@@ -242,7 +242,7 @@ func TestBufferOverflowDropsAndRTORecovers(t *testing.T) {
 
 func TestECNMarksTriggerCNPAndDCQCNSlows(t *testing.T) {
 	cfg := smallCfg()
-	cfg.ECN = ECNConfig{Enable: true, KMin: 20 * units.KB, KMax: 80 * units.KB, PMax: 0.2}
+	cfg.ECN = ECNConfig{Enable: true, KMin: 20 * units.KB, KMax: 80 * units.KB}
 	cfg.CC = dcqcn.Default()
 	n := New(cfg)
 	hosts := cfg.Topo.Hosts
@@ -320,7 +320,7 @@ func TestLossInjectionRecovered(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() (units.Duration, uint64) {
 		cfg := smallCfg()
-		cfg.ECN = ECNConfig{Enable: true, KMin: 20 * units.KB, KMax: 80 * units.KB, PMax: 0.2}
+		cfg.ECN = ECNConfig{Enable: true, KMin: 20 * units.KB, KMax: 80 * units.KB}
 		cfg.CC = dcqcn.Default()
 		n := New(cfg)
 		hosts := cfg.Topo.Hosts
@@ -404,7 +404,7 @@ func TestHostPerDstPause(t *testing.T) {
 
 func TestNDPTrimsAndRecovers(t *testing.T) {
 	cfg := smallCfg()
-	cfg.NDP = NDPConfig{Enable: true, TrimThresh: 8 * packet.MTU}
+	cfg.NDP = true
 	cfg.PFC = false
 	n := New(cfg)
 	hosts := cfg.Topo.Hosts

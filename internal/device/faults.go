@@ -105,8 +105,7 @@ func (n *Network) InstallFaults(p *fault.Plan, seed uint64) {
 		f.ge = make([]geChain, n.Topo.TotalPorts())
 		for i := range f.ge {
 			pt := n.Topo.Port(i)
-			if n.Topo.Node(pt.Owner).Kind != topo.SwitchNode || n.Topo.Node(pt.Peer).Kind != topo.SwitchNode ||
-				!n.Owns(pt.Owner) || !p.BurstApplies(pt.Owner, pt.Peer) {
+			if !n.Owns(pt.Owner) || !p.BurstApplies(n.Topo, pt.Owner, pt.Peer) {
 				continue
 			}
 			// Seeded from (run seed, node, port) alone — never from a

@@ -386,7 +386,7 @@ func (h *Host) wakeAll() {
 
 func (h *Host) receiveData(p *packet.Packet, now units.Time) {
 	h.net.arrived(h.node.ID, p)
-	ndp := h.net.Cfg.NDP.Enable
+	ndp := h.net.Cfg.NDP
 	if h.net.isDone(p.Flow) {
 		// Straggler or retransmitted segment after completion: re-ACK so
 		// a sender whose final cumulative ACK was lost stops rewinding.
@@ -546,7 +546,7 @@ func (h *Host) receiveNack(p *packet.Packet) {
 
 // armRTO places the flow on the host's timeout queue if absent.
 func (h *Host) armRTO(f *Flow) {
-	if h.net.Cfg.NDP.Enable || f.rtoSeq > 0 {
+	if h.net.Cfg.NDP || f.rtoSeq > 0 {
 		return // NDP recovers via NACK/pull, not timeouts
 	}
 	f.lastProgress = h.net.Eng.Now()
@@ -690,7 +690,7 @@ func (h *Host) kick() {
 		return
 	}
 	now := h.net.Eng.Now()
-	ndp := h.net.Cfg.NDP.Enable
+	ndp := h.net.Cfg.NDP
 	for {
 		f := h.popSendq()
 		if f == nil {

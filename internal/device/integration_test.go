@@ -24,7 +24,7 @@ func ccIncast(t *testing.T, factory cc.Factory, int_ bool, ecn bool) (*Network, 
 	cfg.CC = factory
 	cfg.INT = int_
 	if ecn {
-		cfg.ECN = ECNConfig{Enable: true, KMin: 20 * units.KB, KMax: 80 * units.KB, PMax: 0.2}
+		cfg.ECN = ECNConfig{Enable: true, KMin: 20 * units.KB, KMax: 80 * units.KB}
 	}
 	cfg.PFC = true
 	n := New(cfg)
@@ -163,7 +163,7 @@ func TestControlPriorityOverData(t *testing.T) {
 func TestECNMarkingBounds(t *testing.T) {
 	// Below KMin no marks; saturated queues mark plenty.
 	cfg := sizedCfg(8)
-	cfg.ECN = ECNConfig{Enable: true, KMin: 5 * units.KB, KMax: 20 * units.KB, PMax: 0.2}
+	cfg.ECN = ECNConfig{Enable: true, KMin: 5 * units.KB, KMax: 20 * units.KB}
 	cfg.CC = cc.NewFixedWindow()
 	n := New(cfg)
 	hosts := cfg.Topo.Hosts
@@ -214,7 +214,7 @@ func TestDeterministicAcrossSchemes(t *testing.T) {
 	run := func() uint64 {
 		cfg := sizedCfg(4)
 		cfg.CC = dctcp.Default()
-		cfg.ECN = ECNConfig{Enable: true, KMin: 20 * units.KB, KMax: 80 * units.KB, PMax: 0.2}
+		cfg.ECN = ECNConfig{Enable: true, KMin: 20 * units.KB, KMax: 80 * units.KB}
 		n := New(cfg)
 		hosts := cfg.Topo.Hosts
 		for i := 0; i < 10; i++ {
@@ -235,7 +235,7 @@ func TestEngineSeedIndependence(t *testing.T) {
 	for _, seed := range []uint64{1, 99} {
 		cfg := sizedCfg(4)
 		cfg.Seed = seed
-		cfg.ECN = ECNConfig{Enable: true, KMin: 10 * units.KB, KMax: 40 * units.KB, PMax: 0.5}
+		cfg.ECN = ECNConfig{Enable: true, KMin: 10 * units.KB, KMax: 40 * units.KB}
 		cfg.CC = dctcp.Default()
 		n := New(cfg)
 		hosts := cfg.Topo.Hosts
@@ -269,7 +269,7 @@ func TestNDPSmallFlowsRecoverTrims(t *testing.T) {
 	// Regression: flows shorter than the unscheduled window must still
 	// receive pulls for retransmissions of their trimmed segments.
 	cfg := sizedCfg(8)
-	cfg.NDP = NDPConfig{Enable: true, TrimThresh: 4 * packet.MTU}
+	cfg.NDP = true
 	cfg.PFC = false
 	n := New(cfg)
 	hosts := cfg.Topo.Hosts
@@ -281,7 +281,7 @@ func TestNDPSmallFlowsRecoverTrims(t *testing.T) {
 	}
 	n.Run(units.Time(300 * units.Millisecond))
 	if n.Stats.Trims == 0 {
-		t.Fatal("expected trims with a 4-MTU threshold")
+		t.Fatal("expected trims with an 8-MTU threshold")
 	}
 	for i, f := range flows {
 		if !f.Done() {

@@ -191,7 +191,7 @@ func (s *Switch) receiveData(p *packet.Packet, inPort int) {
 
 	// NDP cut-payload: when the egress backlog exceeds the trim
 	// threshold, forward only the header in the priority class.
-	if n.Cfg.NDP.Enable && !p.Trimmed && s.dataBytes(out) >= n.Cfg.NDP.TrimThresh {
+	if n.Cfg.NDP && !p.Trimmed && s.dataBytes(out) >= ndpTrimThresh {
 		cut := p.Size - packet.HeaderSize
 		p.Trim()
 		s.release(cut, inPort) // header keeps only its own share charged
@@ -254,7 +254,7 @@ func (s *Switch) maybeMark(p *packet.Packet, out int) {
 		return
 	}
 	if q < cfg.KMax { // between the thresholds the mark is probabilistic
-		prob := cfg.PMax * float64(q-cfg.KMin) / float64(cfg.KMax-cfg.KMin)
+		prob := ecnPMax * float64(q-cfg.KMin) / float64(cfg.KMax-cfg.KMin)
 		if s.rnd.Float64() >= prob {
 			return
 		}

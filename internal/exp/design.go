@@ -63,7 +63,7 @@ func Fig16(o Options) []Table {
 				Cat:   stats.CatIncast,
 			})
 		}
-		ecn := device.ECNConfig{Enable: s.ECN, KMin: set.kmin, KMax: set.kmax, PMax: 0.2}
+		ecn := device.ECNConfig{Enable: s.ECN, KMin: set.kmin, KMax: set.kmax}
 		res := Run(RunConfig{
 			Topo: tp, Scheme: s, Specs: specs,
 			Duration: dur, Drain: units.Nanosecond, Seed: o.Seed, Opt: o,

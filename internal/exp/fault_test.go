@@ -157,8 +157,9 @@ func TestFloodgateResyncsAfterSwitchRestart(t *testing.T) {
 
 // TestWatchdogDiagnosesWedgedRun severs the incast destination's host
 // link permanently: nothing can ever be delivered, so the progress
-// watchdog must terminate the run early with a structured diagnosis
-// instead of burning the full time bound.
+// watchdog must terminate the run early, at its default horizon of
+// 4×RTO, with a structured diagnosis instead of burning the full time
+// bound.
 func TestWatchdogDiagnosesWedgedRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
@@ -169,16 +170,18 @@ func TestWatchdogDiagnosesWedgedRun(t *testing.T) {
 		rc.Faults = &fault.Plan{Events: []fault.Event{
 			{At: 0, Kind: fault.LinkDown, Link: fault.Link{A: dst, B: tor}},
 		}}
-		rc.StallHorizon = 500 * units.Microsecond
 	})
 	if !res.Stalled || res.Diagnosis == nil {
 		t.Fatal("wedged run did not trip the watchdog")
 	}
 	d := res.Diagnosis
+	if want := 4 * units.Millisecond; d.Horizon != want { // 4×RTO at scale 1
+		t.Fatalf("watchdog horizon %v, want %v", d.Horizon, want)
+	}
 	// The trip must come between one and two horizons after delivery
-	// last advanced (here: never), far before Duration+Drain.
-	if d.At > units.Time(2*units.Millisecond) {
-		t.Fatalf("watchdog tripped too late: %v", d.At)
+	// last advanced (here: never, so after t=0), far before Duration+Drain.
+	if d.At < units.Time(d.Horizon) || d.At >= units.Time(2*d.Horizon) {
+		t.Fatalf("watchdog tripped at %v, want within [%v, %v)", d.At, d.Horizon, 2*d.Horizon)
 	}
 	if d.LinksDown != 1 {
 		t.Fatalf("diagnosis reports %d links down, want 1", d.LinksDown)
@@ -195,11 +198,10 @@ func TestWatchdogDiagnosesWedgedRun(t *testing.T) {
 	}
 }
 
-// TestRunConfigValidation covers the reject-early satellite: broken
-// configs produce descriptive errors instead of misrunning. A fault plan
-// is resolved against the topology: a link event between nodes that are
-// not adjacent or not nodes, a restart of anything but a switch, and a
-// burst link that is not a switch-to-switch link are each named by index.
+// TestRunConfigValidation: broken configs produce descriptive errors
+// instead of misrunning. A fault plan is resolved against the topology:
+// a link event between nodes that are not adjacent or not nodes, and a
+// restart of anything but a switch, are each named by index.
 func TestRunConfigValidation(t *testing.T) {
 	tp := faultTestFabric()
 	ok := RunConfig{Topo: tp, Duration: units.Millisecond}
@@ -207,14 +209,10 @@ func TestRunConfigValidation(t *testing.T) {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	h0, h1 := tp.Hosts[0], tp.Hosts[1]
-	tor, far := tp.Node(h0).Ports[0].Peer, dstToR(tp) // two ToRs: no link between them
+	tor := tp.Node(h0).Ports[0].Peer
 	outside := packet.NodeID(len(tp.Nodes))
 	up := fault.Event{At: 1, Kind: fault.LinkUp, Link: fault.Link{A: h0, B: tor}} // a good event ahead of the bad one
-	uplink := fault.Link{A: far, B: dstCrossUplink(t, tp, 2).B}
 	plan := func(p fault.Plan) func(*RunConfig) { return func(rc *RunConfig) { rc.Faults = &p } }
-	burst := func(ls ...fault.Link) func(*RunConfig) {
-		return plan(fault.Plan{Burst: fault.BurstWithMeanLoss(0.05), BurstLinks: ls})
-	}
 	cases := []struct {
 		name string
 		mut  func(*RunConfig)
@@ -227,7 +225,8 @@ func TestRunConfigValidation(t *testing.T) {
 		{"negative credit loss", func(rc *RunConfig) { rc.CreditLossRate = -0.1 }, "CreditLossRate"},
 		{"credit loss above one", func(rc *RunConfig) { rc.CreditLossRate = 2 }, "CreditLossRate"},
 		{"NaN credit loss", func(rc *RunConfig) { rc.CreditLossRate = math.NaN() }, "CreditLossRate"},
-		{"negative horizon", func(rc *RunConfig) { rc.StallHorizon = -1 }, "StallHorizon"},
+		{"negative buffer", func(rc *RunConfig) { rc.BufferSize = -units.KB }, "BufferSize"},
+		{"negative bin width", func(rc *RunConfig) { rc.BinWidth = -units.Microsecond }, "BinWidth"},
 		{"bad fault plan", func(rc *RunConfig) {
 			rc.Faults = &fault.Plan{Events: []fault.Event{{Kind: fault.LinkDown}}}
 		}, "degenerate"},
@@ -237,9 +236,6 @@ func TestRunConfigValidation(t *testing.T) {
 		{"restart of a host", plan(fault.Plan{Events: []fault.Event{up, {Kind: fault.SwitchRestart, Node: h0}}}), "event 1 (switch-restart) names node"},
 		{"restart past the last node", plan(fault.Plan{Events: []fault.Event{{Kind: fault.SwitchRestart, Node: outside}}}), "event 0 (switch-restart) names node"},
 		{"restart of a negative node", plan(fault.Plan{Events: []fault.Event{{Kind: fault.SwitchRestart, Node: -3}}}), "event 0 (switch-restart) names node"},
-		{"burst link the fabric lacks", burst(uplink, fault.Link{A: tor, B: far}), "burst link 1"},
-		{"burst link off the fabric", burst(fault.Link{A: tor, B: outside}), "burst link 0"},
-		{"burst link to a host", burst(fault.Link{A: tor, B: h0}), "burst link 0"},
 	}
 	for _, c := range cases {
 		rc := ok

@@ -217,13 +217,11 @@ type RunConfig struct {
 	BinWidth       units.Duration
 
 	// Faults injects deterministic link/switch failures (see
-	// internal/fault). Nil runs a healthy fabric.
+	// internal/fault). Nil runs a healthy fabric. A plan, even an empty
+	// one, also arms the progress watchdog: no payload delivered for
+	// 4×RTO stops the run with a StallDiagnosis instead of burning the
+	// time bound.
 	Faults *fault.Plan
-	// StallHorizon arms the progress watchdog: no payload delivered for
-	// this long stops the run with a StallDiagnosis instead of burning
-	// the time bound. Zero picks a default (4×RTO) when Faults is set
-	// and leaves the watchdog off otherwise.
-	StallHorizon units.Duration
 
 	// App overlays the closed-loop application plane (see internal/app):
 	// requests, deadlines, retries, hedging and circuit breaking on top
@@ -252,8 +250,11 @@ func (rc RunConfig) Validate() error {
 	if !(rc.CreditLossRate >= 0 && rc.CreditLossRate <= 1) { // NaN too
 		return fmt.Errorf("exp: RunConfig.CreditLossRate %g outside [0, 1]", rc.CreditLossRate)
 	}
-	if rc.StallHorizon < 0 {
-		return fmt.Errorf("exp: RunConfig.StallHorizon must be non-negative, got %v", rc.StallHorizon)
+	if rc.BufferSize < 0 {
+		return fmt.Errorf("exp: RunConfig.BufferSize must be non-negative, got %v", rc.BufferSize)
+	}
+	if rc.BinWidth < 0 {
+		return fmt.Errorf("exp: RunConfig.BinWidth must be non-negative, got %v", rc.BinWidth)
 	}
 	if rc.Faults != nil {
 		if err := rc.Faults.Validate(); err != nil {
@@ -370,15 +371,13 @@ func Run(rc RunConfig) *RunResult {
 		RTO:            opt.stretch(units.Millisecond),
 		CNPInterval:    opt.stretch(50 * units.Microsecond),
 		PFC:            !rc.Scheme.NDP,
+		NDP:            rc.Scheme.NDP,
 		ECN:            ecn,
 		INT:            rc.Scheme.INT,
 		CC:             rc.Scheme.CC,
 		FC:             rc.Scheme.FC,
 		QueuesPerPort:  rc.Scheme.QueuesPerPort,
 		CreditLossRate: rc.CreditLossRate,
-	}
-	if rc.Scheme.NDP {
-		cfg.NDP = device.NDPConfig{Enable: true}
 	}
 	if cfg.BufferSize == 0 {
 		cfg.BufferSize = opt.bufferSize()
@@ -483,10 +482,10 @@ func Run(rc RunConfig) *RunResult {
 	}
 
 	// Progress watchdog: faulted runs can wedge in ways loss-free runs
-	// cannot (dead links, restarted peers), so they get one by default.
-	// Stall detection runs at barriers (see shardexec.go).
-	horizon := rc.StallHorizon
-	if horizon == 0 && rc.Faults != nil {
+	// cannot (dead links, restarted peers), so they get one, and only
+	// they. Stall detection runs at barriers (see shardexec.go).
+	var horizon units.Duration
+	if rc.Faults != nil {
 		horizon = 4 * cfg.RTO
 	}
 

@@ -208,13 +208,17 @@ func TestShardWatchdogDiagnosesWedgedShard(t *testing.T) {
 			rc.Faults = &fault.Plan{Events: []fault.Event{
 				{At: 0, Kind: fault.LinkDown, Link: fault.Link{A: dst, B: tor}},
 			}}
-			rc.StallHorizon = 500 * units.Microsecond
 			rc.Opt.Shards = shards
 		})
 	}
 	want := run(1)
 	if !want.Stalled || want.Diagnosis == nil {
 		t.Fatal("unsharded wedged run did not trip the watchdog")
+	}
+	// Nothing is ever delivered: the trip comes between one and two
+	// default horizons (4×RTO, 4 ms at scale 1) after t=0.
+	if d := want.Diagnosis; d.Horizon != 4*units.Millisecond || d.At < units.Time(d.Horizon) || d.At >= units.Time(2*d.Horizon) {
+		t.Fatalf("unsharded watchdog: horizon %v, tripped at %v; want 4ms and a trip within [4ms, 8ms)", d.Horizon, d.At)
 	}
 	for _, shards := range []int{2, 4} {
 		got := run(shards)

@@ -87,7 +87,7 @@ func sloAppConfig(tp *topo.Topology, c sloCell, dur units.Duration) *app.Config 
 		FanIn:    c.fan,
 		Deadline: units.Duration(c.dlMult * float64(ideal)),
 		Policy:   c.policy,
-		Breaker:  app.Breaker{Window: 8, Threshold: 0.75, Cooldown: 8 * ideal},
+		Breaker:  app.Breaker{Cooldown: 8 * ideal},
 	}
 }
 

@@ -108,12 +108,10 @@ func BurstWithMeanLoss(mean float64) *GilbertElliott {
 // stall watchdog in the experiment layer).
 type Plan struct {
 	Events []Event
-	// Burst, when non-nil, applies Gilbert–Elliott loss to the links in
-	// BurstLinks — or to every switch-to-switch link when BurstLinks is
-	// empty. Host links are never burst-lossy (the paper's loss model,
-	// like Fig. 12's, lives in the fabric).
-	Burst      *GilbertElliott
-	BurstLinks []Link
+	// Burst, when non-nil, applies Gilbert–Elliott loss to every
+	// switch-to-switch link. Host links are never burst-lossy (the
+	// paper's loss model, like Fig. 12's, lives in the fabric).
+	Burst *GilbertElliott
 }
 
 // Flap returns the event sequence for a link that goes down at start,
@@ -161,19 +159,13 @@ func (p *Plan) Validate() error {
 				return fmt.Errorf("fault: burst %s = %v outside [0, 1]", pr.name, pr.v)
 			}
 		}
-		for i, l := range p.BurstLinks {
-			if l.A == l.B {
-				return fmt.Errorf("fault: burst link %d is degenerate (%v)", i, l)
-			}
-		}
 	}
 	return nil
 }
 
 // Resolve checks the plan against the fabric it will run on: every link
-// event names two adjacent nodes, every restart a switch, every burst
-// link a switch-to-switch link (the only links the chain covers). The
-// error names the first event or burst link that does not resolve.
+// event names two adjacent nodes, every restart a switch. The error
+// names the first event that does not resolve.
 // device.Network.InstallFaults and exp's RunConfig.Validate both call it,
 // so a plan a run accepts is one the device layer can install.
 func (p *Plan) Resolve(t *topo.Topology) error {
@@ -187,11 +179,6 @@ func (p *Plan) Resolve(t *topo.Topology) error {
 			if !inRange(t, ev.Node) || t.Node(ev.Node).Kind != topo.SwitchNode {
 				return fmt.Errorf("fault: event %d (%s) names node %d, which is not a switch of the topology", i, ev.Kind, ev.Node)
 			}
-		}
-	}
-	for i, l := range p.BurstLinks {
-		if !linked(t, l) || t.Node(l.A).Kind != topo.SwitchNode || t.Node(l.B).Kind != topo.SwitchNode {
-			return fmt.Errorf("fault: burst link %d (%v) is not a switch-to-switch link of the topology", i, l)
 		}
 	}
 	return nil
@@ -216,19 +203,8 @@ func (p *Plan) SortedEvents() []Event {
 }
 
 // BurstApplies reports whether the plan's burst chain covers the link
-// (a, b), in either orientation. With an empty BurstLinks list the
-// chain covers every link it is offered.
-func (p *Plan) BurstApplies(a, b packet.NodeID) bool {
-	if p.Burst == nil {
-		return false
-	}
-	if len(p.BurstLinks) == 0 {
-		return true
-	}
-	for _, l := range p.BurstLinks {
-		if (l.A == a && l.B == b) || (l.A == b && l.B == a) {
-			return true
-		}
-	}
-	return false
+// (a, b) of t: with Burst set it covers every switch-to-switch link,
+// and never a host link.
+func (p *Plan) BurstApplies(t *topo.Topology, a, b packet.NodeID) bool {
+	return p.Burst != nil && t.Node(a).Kind == topo.SwitchNode && t.Node(b).Kind == topo.SwitchNode
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"floodgate/internal/packet"
+	"floodgate/internal/topo"
 	"floodgate/internal/units"
 )
 
@@ -47,7 +49,6 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 		{"burst prob out of range", Plan{Burst: &GilbertElliott{PGoodBad: 1.5}}, "PGoodBad"},
 		{"negative burst prob", Plan{Burst: &GilbertElliott{PBadGood: -0.1}}, "PBadGood"},
 		{"NaN burst prob", Plan{Burst: &GilbertElliott{LossBad: math.NaN()}}, "LossBad"},
-		{"degenerate burst link", Plan{Burst: &GilbertElliott{}, BurstLinks: []Link{{A: 2, B: 2}}}, "degenerate"},
 	}
 	for _, c := range cases {
 		if err := c.plan.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
@@ -105,19 +106,24 @@ func TestBurstWithMeanLossPanicsOutOfRange(t *testing.T) {
 }
 
 func TestBurstApplies(t *testing.T) {
-	p := &Plan{Burst: BurstWithMeanLoss(0.05), BurstLinks: []Link{{A: 1, B: 2}}}
-	if !p.BurstApplies(1, 2) || !p.BurstApplies(2, 1) {
-		t.Error("burst should cover the named link in both orientations")
+	tp := topo.LeafSpineConfig{Spines: 2, ToRs: 2, HostsPerToR: 2, HostRate: units.Gbps, SpineRate: units.Gbps}.Build()
+	host := tp.Hosts[0]
+	tor := tp.Node(host).Ports[0].Peer
+	spine := packet.NodeID(-1)
+	for _, pt := range tp.Node(tor).Ports {
+		if tp.Node(pt.Peer).Kind == topo.SwitchNode {
+			spine = pt.Peer
+		}
 	}
-	if p.BurstApplies(1, 3) {
-		t.Error("burst leaked onto an unlisted link")
+	p := &Plan{Burst: BurstWithMeanLoss(0.05)}
+	if !p.BurstApplies(tp, tor, spine) || !p.BurstApplies(tp, spine, tor) {
+		t.Error("burst should cover a switch-to-switch link in both orientations")
 	}
-	all := &Plan{Burst: BurstWithMeanLoss(0.05)}
-	if !all.BurstApplies(9, 10) {
-		t.Error("empty BurstLinks should cover every offered link")
+	if p.BurstApplies(tp, host, tor) || p.BurstApplies(tp, tor, host) {
+		t.Error("burst leaked onto a host link")
 	}
 	none := &Plan{}
-	if none.BurstApplies(1, 2) {
+	if none.BurstApplies(tp, tor, spine) {
 		t.Error("nil Burst should cover nothing")
 	}
 }

@@ -20,21 +20,15 @@ import (
 // Config parameterises PFC w/ tag.
 type Config struct {
 	// PauseThresh triggers a tagged pause when the egress backlog (last
-	// hop) or per-dst VOQ (transit) exceeds it; resume at ResumeThresh.
-	PauseThresh  units.ByteSize
-	ResumeThresh units.ByteSize
-	// PauseHosts cascades the last level to source hosts as dstPause
-	// frames, which every host honours.
-	PauseHosts bool
+	// hop) or per-dst VOQ (transit) exceeds it; the pause lifts at half
+	// of it. The cascade's last level pauses the source hosts with
+	// dstPause frames, which every host honours.
+	PauseThresh units.ByteSize
 }
 
 // DefaultConfig returns a small, reaction-friendly binding.
 func DefaultConfig(oneHopBDP units.ByteSize) Config {
-	return Config{
-		PauseThresh:  oneHopBDP,
-		ResumeThresh: oneHopBDP / 2,
-		PauseHosts:   true,
-	}
+	return Config{PauseThresh: oneHopBDP}
 }
 
 // New returns the per-switch factory.
@@ -122,9 +116,6 @@ func (m *module) pauseUpstreamFor(dst packet.NodeID, inPort int, p *packet.Packe
 	st := m.state(dst)
 	n := m.sw.Net()
 	if m.sw.PortFacesHost(inPort) {
-		if !m.cfg.PauseHosts {
-			return
-		}
 		src := m.sw.Node().Ports[inPort].Peer
 		if st.hosts[src] {
 			return
@@ -188,12 +179,12 @@ func (m *module) OnDequeue(p *packet.Packet, outPort, queue int) {
 		return
 	}
 	if m.sw.PortFacesHost(outPort) {
-		if m.sw.PortBacklog(outPort) <= m.cfg.ResumeThresh {
+		if m.sw.PortBacklog(outPort) <= m.cfg.PauseThresh/2 {
 			m.resumeUpstreams(st, p.Dst)
 		}
 		return
 	}
-	if st.bytes <= m.cfg.ResumeThresh {
+	if st.bytes <= m.cfg.PauseThresh/2 {
 		m.resumeUpstreams(st, p.Dst)
 	}
 }

@@ -15,7 +15,7 @@ import (
 	"floodgate/internal/units"
 )
 
-func tagNet(thresh units.ByteSize, pauseHosts bool) (*device.Network, *topo.Topology) {
+func tagNet(thresh units.ByteSize) (*device.Network, *topo.Topology) {
 	tp := topo.LeafSpineConfig{
 		Spines: 2, ToRs: 3, HostsPerToR: 8,
 		HostRate: 10 * units.Gbps, SpineRate: 40 * units.Gbps,
@@ -29,15 +29,13 @@ func tagNet(thresh units.ByteSize, pauseHosts bool) (*device.Network, *topo.Topo
 		PFC:     true,
 		CC:      cc.NewFixedWindow(),
 		Metrics: device.NewNetMetrics(metrics.NewRegistry()),
-		FC: pfctag.New(pfctag.Config{
-			PauseThresh: thresh, ResumeThresh: thresh / 2, PauseHosts: pauseHosts,
-		}),
+		FC:      pfctag.New(pfctag.Config{PauseThresh: thresh}),
 	}
 	return device.New(cfg), tp
 }
 
 func TestTagIncastCompletes(t *testing.T) {
-	n, tp := tagNet(20*packet.MTU, true)
+	n, tp := tagNet(20 * packet.MTU)
 	dst := tp.Hosts[len(tp.Hosts)-1]
 	var flows []*device.Flow
 	for i := 0; i < 16; i++ {
@@ -59,7 +57,7 @@ func TestTagIncastCompletes(t *testing.T) {
 // switch's books with it (a module rebuilt from its factory would lose
 // them), so the drained run holds zero queued or parked bytes.
 func TestTagRestartReleasesParked(t *testing.T) {
-	n, tp := tagNet(4*packet.MTU, true)
+	n, tp := tagNet(4 * packet.MTU)
 	dst := tp.Hosts[len(tp.Hosts)-1]
 	for i := 0; i < 16; i++ {
 		n.AddFlow(tp.Hosts[i], dst, 200*units.KB, 0, packet.CatIncast)
@@ -94,7 +92,7 @@ func TestTagBoundsLastHop(t *testing.T) {
 		var n *device.Network
 		var tp *topo.Topology
 		if withTag {
-			n, tp = tagNet(10*packet.MTU, true)
+			n, tp = tagNet(10 * packet.MTU)
 		} else {
 			tp = topo.LeafSpineConfig{
 				Spines: 2, ToRs: 3, HostsPerToR: 8,
@@ -132,8 +130,9 @@ func TestTagBoundsLastHop(t *testing.T) {
 func TestTagUsesManyVOQs(t *testing.T) {
 	// The paper's Appendix B point: the reactive scheme parks many more
 	// destinations than Floodgate's proactive window does. Two parallel
-	// incasts with small thresholds should occupy at least two VOQs.
-	n, tp := tagNet(4*packet.MTU, true)
+	// incasts with small thresholds should occupy at least two VOQs, and
+	// cascade their pauses back to the source hosts.
+	n, tp := tagNet(4 * packet.MTU)
 	d1 := tp.Hosts[len(tp.Hosts)-1]
 	d2 := tp.Hosts[len(tp.Hosts)-2]
 	var flows []*device.Flow
@@ -150,10 +149,14 @@ func TestTagUsesManyVOQs(t *testing.T) {
 	if n.Stats.MaxVOQInUse < 2 {
 		t.Fatalf("expected >=2 VOQs in use, got %d", n.Stats.MaxVOQInUse)
 	}
+	// The cascade's last level holds source hosts per destination.
+	if n.Metrics.HostPausedDsts.Max() == 0 {
+		t.Fatal("no source host was paused for a destination")
+	}
 }
 
 func TestTagNonIncastUnaffected(t *testing.T) {
-	n, tp := tagNet(20*packet.MTU, true)
+	n, tp := tagNet(20 * packet.MTU)
 	f := n.AddFlow(tp.Hosts[0], tp.Hosts[10], 200*units.KB, 0, packet.CatVictimPFC)
 	n.Run(units.Time(100 * units.Millisecond))
 	if !f.Done() {

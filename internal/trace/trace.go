@@ -40,7 +40,7 @@ const (
 	OpAppRetry   // timeout-driven retry attempt launched
 	OpAppHedge   // hedged attempt launched (racing the original)
 	OpAppTimeout // application deadline expired on a pending request
-	OpAppDone    // request resolved (quorum reached or given up)
+	OpAppDone    // request resolved (every worker replied, or given up)
 	nOps
 )
 
