@@ -77,7 +77,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		faults     = fs.String("faults", "", "run one fault-injection scenario, or 'list'")
 		topoName   = fs.String("topo", "", "large-fabric preset for -exp scaleincast (clos, clos100k, fattree16, fattree32), or 'list'")
 		forensics  = fs.Bool("forensics", false, "causal flow forensics: FCT time-budget attribution + incast episodes (with -obs, also writes <label>.forensics.ndjson)")
-		appOn      = fs.Bool("app", false, "overlay the closed-loop application plane on experiments that support it (adds SLO columns to faultmatrix); 'sloincast' runs it regardless")
 		flowsFrom  = fs.String("flows-from", "", "replay an NDJSON flow file (one {src,dst,size,start_ps,cat} object per line, sorted by start_ps)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file at exit")
@@ -112,7 +111,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	o := floodgate.Options{Scale: *scale, Seed: *seed, Parallelism: *par, Shards: *shards, App: *appOn, Topo: *topoName,
+	o := floodgate.Options{Scale: *scale, Seed: *seed, Parallelism: *par, Shards: *shards, Topo: *topoName,
 		Obs: floodgate.ObsConfig{Dir: *obsDir, Period: floodgate.FromNanos(sample.Nanoseconds()), Forensics: *forensics}}
 	if err := o.Validate(); err != nil {
 		fmt.Fprintln(stderr, "floodsim:", err)

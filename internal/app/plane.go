@@ -51,10 +51,8 @@ type Plane struct {
 	breaker breakerState
 	lat     latWindow
 
-	// Monotone progress/diagnosis counters, read at shard barriers.
-	resolved    int
-	pendingReqs int // launched, unresolved
-	retryTimers int // armed retry/hedge timers
+	// Monotone progress counter, read at shard barriers.
+	resolved int
 }
 
 // NewPlane builds the shard's plane and arms its arrival chain. Call
@@ -103,11 +101,9 @@ func (p *Plane) arrive(rs *reqState, now units.Time) {
 		p.net.AppFlow(trace.OpAppDone, p.client, p.d.attempts[rs.idx][0][0])
 		return
 	}
-	p.pendingReqs++
 	p.launch(rs, trace.OpAppReq)
 	if h, ok := p.d.Cfg.Policy.(Hedger); ok {
 		delay := h.HedgeDelay(p.d.Cfg.Deadline, p.lat.p95(), p.lat.n)
-		p.retryTimers++
 		p.net.Eng.AfterArg(delay, reqHedgeFn, rs)
 	}
 }
@@ -145,7 +141,6 @@ func reqDeadlineFn(a any) {
 	p.breaker.record(true, now)
 	if rs.attempts < MaxAttempts && !p.breaker.open(now) {
 		delay := p.d.Cfg.Policy.Backoff(rs.attempts+1, p.rng)
-		p.retryTimers++
 		p.net.Eng.AfterArg(delay, reqRetryFn, rs)
 		return
 	}
@@ -157,7 +152,6 @@ func reqDeadlineFn(a any) {
 func reqRetryFn(a any) {
 	rs := a.(*reqState)
 	p := rs.pl
-	p.retryTimers--
 	if rs.resolved {
 		return
 	}
@@ -171,7 +165,6 @@ func reqRetryFn(a any) {
 func reqHedgeFn(a any) {
 	rs := a.(*reqState)
 	p := rs.pl
-	p.retryTimers--
 	if rs.resolved || rs.attempts != 1 {
 		return
 	}
@@ -188,7 +181,6 @@ func reqHedgeFn(a any) {
 func (p *Plane) resolve(rs *reqState, now units.Time, ok bool) {
 	rs.resolved, rs.ok = true, ok
 	rs.end = now
-	p.pendingReqs--
 	p.resolved++
 	if ok {
 		lat := now.Sub(rs.start)
@@ -234,13 +226,3 @@ func (p *Plane) OnFlowDone(f *device.Flow, now units.Time) {
 // terminal state (completed, given up or shed). Monotone; safe to sum
 // across shards at a barrier as the app-plane progress signal.
 func (p *Plane) Resolved() int { return p.resolved }
-
-// StallState reports the plane's watchdog-relevant state: launched but
-// unresolved requests, armed retry/hedge timers, and breakers
-// currently open. Read only at shard barriers.
-func (p *Plane) StallState(now units.Time) (pending, retryTimers, openBreakers int) {
-	if p.breaker.open(now) {
-		openBreakers = 1
-	}
-	return p.pendingReqs, p.retryTimers, openBreakers
-}

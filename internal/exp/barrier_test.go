@@ -141,7 +141,7 @@ func TestBarrierPanicLowestShardFirst(t *testing.T) {
 	var got any
 	func() {
 		defer func() { got = recover() }()
-		runWindows(c, units.Time(units.Microsecond), 0, func() int { return 0 }, 1, nil)
+		runWindows(c, units.Time(units.Microsecond), 0, func() int { return 0 }, 1)
 	}()
 	err, ok := got.(error)
 	if !ok {

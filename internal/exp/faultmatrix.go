@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"floodgate/internal/app"
 	"floodgate/internal/fault"
 	"floodgate/internal/topo"
 	"floodgate/internal/units"
@@ -122,11 +121,6 @@ func faultTables(scs []faultScenario, o Options) []Table {
 		// the base table stays byte-identical with it off.
 		hdr = append(hdr, "parked", "episodes")
 	}
-	if o.App {
-		// Closed-loop overlay: same conditional-column contract — the
-		// base table is untouched with -app off.
-		hdr = append(hdr, "reqOK", "p99req", "timeouts", "amp")
-	}
 	t := Table{
 		Title:  "Fault matrix: incast mix under injected fabric faults",
 		Header: hdr,
@@ -139,20 +133,6 @@ func faultTables(scs []faultScenario, o Options) []Table {
 		dur := rcfg.Duration
 		rcfg.Faults = sc.plan(tp, dur)
 		rcfg.Drain = 10 * dur
-		if o.App {
-			// A modest partition-aggregate overlay (quarter fan-in, loose
-			// deadline): the question here is how faults, not congestion,
-			// degrade request SLOs.
-			fan := incastDegree(tp) / 4
-			if fan < 2 {
-				fan = 2
-			}
-			rcfg.App = &app.Config{
-				Requests: 24, Interval: dur / 24, FanIn: fan,
-				Deadline: 8 * sloIdeal(tp, fan),
-				Policy:   app.ExpBackoff{Base: o.stretch(50 * units.Microsecond)},
-			}
-		}
 		res := Run(rcfg)
 		fs := res.FaultStats()
 		stalled := fmt.Sprintf("%t", res.Stalled)
@@ -170,14 +150,6 @@ func faultTables(scs []faultScenario, o Options) []Table {
 			row = append(row,
 				fmtDur(res.Forensics.TotalParked),
 				fmt.Sprintf("%d", len(res.Forensics.Episodes)))
-		}
-		if res.SLO != nil {
-			slo := res.SLO
-			row = append(row,
-				fmt.Sprintf("%d/%d", slo.Completed, slo.Requests),
-				fmtDur(slo.P99),
-				fmt.Sprintf("%.1f%%", 100*slo.TimeoutRate),
-				fmt.Sprintf("%.2fx", slo.Amplification))
 		}
 		return row
 	})

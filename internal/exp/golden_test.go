@@ -178,21 +178,18 @@ const matrixWindow = fullIncastMixDuration / 8
 var identitySerial = Options{Scale: 0.1, Seed: 1, Parallelism: 1, Shards: 1}
 
 // identityBlocks are identity.golden's blocks, in file order: a block
-// name, the experiment it renders, the workload window it runs at and
-// whether the closed-loop app overlay (-app) rides along.
+// name, the experiment it renders and the workload window it runs at.
 var identityBlocks = []struct {
 	name, id string
 	window   units.Duration
-	app      bool
 }{
-	{"fig2", "fig2", matrixWindow, false},
-	{"fig6", "fig6", matrixWindow, false},
-	{"fig10", "fig10", matrixWindow, false},
-	{"fig23", "fig23", matrixWindow, false},
-	{"faultmatrix", "faultmatrix", matrixWindow, false},
-	{"faultmatrix -app", "faultmatrix", matrixWindow, true},
-	{"sloincast", "sloincast", matrixWindow, false},
-	{"fig6 at the obs window", "fig6", 0, false}, // obsSmokeOpts runs at the experiment's own window
+	{"fig2", "fig2", matrixWindow},
+	{"fig6", "fig6", matrixWindow},
+	{"fig10", "fig10", matrixWindow},
+	{"fig23", "fig23", matrixWindow},
+	{"faultmatrix", "faultmatrix", matrixWindow},
+	{"sloincast", "sloincast", matrixWindow},
+	{"fig6 at the obs window", "fig6", 0}, // obsSmokeOpts runs at the experiment's own window
 }
 
 const identityRegen = "go test ./internal/exp -run TestIdentityGolden -update"
@@ -219,9 +216,7 @@ var identityTables = sync.OnceValues(func() (map[string]string, error) {
 			return nil, err
 		}
 		windowOverride = b.window
-		o := identitySerial
-		o.App = b.app
-		blocks[b.name] = goldenBlock(e.Run(o))
+		blocks[b.name] = goldenBlock(e.Run(identitySerial))
 		sections = append(sections, "### "+b.name+"\n"+blocks[b.name])
 	}
 	if err := os.WriteFile(identityGolden, []byte(strings.Join(sections, "\n")), 0o644); err != nil {

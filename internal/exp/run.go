@@ -45,12 +45,6 @@ type Options struct {
 	// unsharded engine, and so does an observed run (Obs.Dir set).
 	// Output is bit-identical at every shard count.
 	Shards int
-	// App overlays a small closed-loop request workload on experiments
-	// that support it (currently faultmatrix), appending SLO columns to
-	// their tables. Off by default, leaving every existing table
-	// byte-identical; the dedicated sloincast experiment runs the app
-	// plane regardless.
-	App bool
 	// Topo selects a large-fabric preset by name (see TopoPresets) for
 	// the experiments that take one — currently only scaleincast reads
 	// it, so every paper figure keeps its own fixed fabric and stays
@@ -488,23 +482,7 @@ func Run(rc RunConfig) *RunResult {
 	if rc.Faults != nil {
 		horizon = 4 * cfg.RTO
 	}
-
-	// The watchdog's app probe folds plane state (pending requests,
-	// armed retry/hedge timers, open breakers) into any StallDiagnosis;
-	// nil when the app plane is off.
-	var appState appProbe
-	if planes != nil {
-		appState = func(now units.Time) (pending, retries, breakers int) {
-			for _, pl := range planes {
-				p, r, b := pl.StallState(now)
-				pending += p
-				retries += r
-				breakers += b
-			}
-			return
-		}
-	}
-	w := runWindows(cluster, units.Time(rc.Duration+drain), horizon, doneCount, total, appState)
+	w := runWindows(cluster, units.Time(rc.Duration+drain), horizon, doneCount, total)
 	cluster.Finalize()
 	var frep *forensics.Report
 	if opt.Obs.Forensics {

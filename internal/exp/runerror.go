@@ -42,14 +42,6 @@ type StallDiagnosis struct {
 	// Delivered bytes, Floodgate window state, pause and link state,
 	// summed over every shard.
 	device.StallSnapshot
-
-	// Application plane state at the stall (HasApp gates the fields: a
-	// closed-loop run stuck behind an open breaker or a long backoff
-	// looks very different from a wedged fabric).
-	HasApp          bool
-	PendingRequests int // launched, unresolved requests
-	RetryTimers     int // armed retry/hedge timers
-	OpenBreakers    int // clients currently shedding
 }
 
 // String renders the diagnosis as a compact multi-line report.
@@ -61,9 +53,5 @@ func (d *StallDiagnosis) String() string {
 		d.ExhaustedWindows, d.WindowDeficit, d.ParkedBytes)
 	fmt.Fprintf(&b, "  pauses: %d switch ports, %d hosts; links down: %d",
 		d.PausedSwitchPorts, d.PausedHosts, d.LinksDown)
-	if d.HasApp {
-		fmt.Fprintf(&b, "\n  app: %d requests pending, %d retry/hedge timers armed, %d breakers open",
-			d.PendingRequests, d.RetryTimers, d.OpenBreakers)
-	}
 	return b.String()
 }

@@ -32,9 +32,7 @@ func TestShardDeterminism(t *testing.T) {
 // to the fault plane: the full faultmatrix experiment — link flaps and
 // switch restarts landing on ToR-spine links that cross shard cuts,
 // plus Gilbert–Elliott burst loss — renders the serial unsharded
-// tables of testdata/identity.golden at every shard count. One cell
-// adds the closed-loop app overlay, whose SLO columns no other golden
-// holds.
+// tables of testdata/identity.golden at every shard count.
 func TestShardFaultMatrixBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
@@ -46,9 +44,6 @@ func TestShardFaultMatrixBitIdentical(t *testing.T) {
 		o.Shards = shards
 		checkIdentity(t, "faultmatrix", fmt.Sprintf("shards=%d", shards), FaultMatrix(o))
 	}
-	o := identitySerial
-	o.Shards, o.App = 2, true
-	checkIdentity(t, "faultmatrix -app", "shards=2", FaultMatrix(o))
 }
 
 // TestShardMinFrameLookahead pins that the barrier window is sized for

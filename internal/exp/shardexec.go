@@ -54,16 +54,10 @@ type BarrierCensus struct {
 	Exchange time.Duration   // the serial mailbox exchange
 }
 
-// appProbe reports the application plane's stall-relevant state at a
-// barrier (pending requests, armed retry/hedge timers, open circuit
-// breakers); nil when no app plane is installed.
-type appProbe func(now units.Time) (pending, retries, breakers int)
-
 // runWindows drives the cluster to tEnd in conservative windows.
 // done/total gate the quantized early stop; a positive horizon arms
-// the barrier-level stall watchdog, whose diagnosis folds in the app
-// plane's state when appState is non-nil.
-func runWindows(c *device.Cluster, tEnd units.Time, horizon units.Duration, done func() int, total int, appState appProbe) windowResult {
+// the barrier-level stall watchdog.
+func runWindows(c *device.Cluster, tEnd units.Time, horizon units.Duration, done func() int, total int) windowResult {
 	L := topo.Lookahead(c.Topo)
 	var pool *shardPool
 	var res windowResult
@@ -109,11 +103,6 @@ func runWindows(c *device.Cluster, tEnd units.Time, horizon units.Duration, done
 					Horizon:         horizon,
 					IncompleteFlows: total - done(),
 					StallSnapshot:   c.StallSnapshot(),
-				}
-				if appState != nil {
-					res.diagnosis.HasApp = true
-					res.diagnosis.PendingRequests, res.diagnosis.RetryTimers,
-						res.diagnosis.OpenBreakers = appState(u)
 				}
 				c.Nets[0].WatchdogTripped()
 				break

@@ -1,6 +1,9 @@
 package exp
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -61,6 +64,70 @@ func TestSLOIncastDifferentiates(t *testing.T) {
 	if retried == 0 {
 		t.Fatal("no DCQCN request ever launched a retry attempt")
 	}
+}
+
+// TestSLOIncastObsAppCounters holds the app plane's -obs counters to the
+// run's own request records: one observed sloincast cell (DCQCN, fan-in
+// 8, tight deadline, hedged: it times out, retries, hedges and sheds)
+// must export final app.* counts equal to what its AppRecords count.
+func TestSLOIncastObsAppCounters(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation test")
+	}
+	windowOverride = matrixWindow
+	defer func() { windowOverride = 0 }()
+	o := smokeOpts
+	o.Obs.Dir = t.TempDir()
+	o = o.norm()
+	res := Run(sloRun(o, sloCell{"8", 8, "tight(1.5x)", 1.5, DCQCN(o),
+		app.Hedged{ExpBackoff: app.ExpBackoff{Base: o.stretch(25 * units.Microsecond)}}}))
+	want := map[string]int64{}
+	for _, r := range res.AppRecords {
+		if r.Attempts > 0 || r.Shed {
+			want["app.requests"]++
+		}
+		if r.Shed {
+			want["app.shed"]++
+		}
+		if r.Attempts > 1 {
+			want["app.retries"] += int64(r.Attempts - 1 - r.Hedges)
+		}
+		want["app.timeouts"] += int64(r.Timeouts)
+		want["app.hedges"] += int64(r.Hedges)
+	}
+	files, err := filepath.Glob(filepath.Join(o.Obs.Dir, "adhoc", "*.metrics.ndjson"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("an observed run wrote %d metrics files (err %v), want 1", len(files), err)
+	}
+	for _, name := range sortedKeys(want) {
+		if want[name] == 0 {
+			t.Errorf("the cell counts no %s; it no longer exercises the counter", name)
+		}
+		if got := finalValue(t, files[0], name); got != want[name] {
+			t.Errorf("%s reads %d, the run's records count %d", name, got, want[name])
+		}
+	}
+}
+
+// finalValue returns the end-of-run value of the named instrument in
+// an -obs metrics NDJSON file.
+func finalValue(t *testing.T, path, name string) int64 {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		var m struct {
+			Type, Name string
+			Value      int64
+		}
+		if json.Unmarshal([]byte(line), &m) == nil && m.Type == "final" && m.Name == name {
+			return m.Value
+		}
+	}
+	t.Fatalf("%s has no final line for %s", path, name)
+	return 0
 }
 
 // TestSLOIncastSmoke runs the full experiment at smoke scale and
