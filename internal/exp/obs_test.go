@@ -386,7 +386,7 @@ func TestRunKeyPinned(t *testing.T) {
 		name string
 		rc   RunConfig
 		want string
-	}{{"leaf-spine", rc, "151e69ef266e9eff"}, {"clos", clos, "5797850f8c09327f"}} {
+	}{{"leaf-spine", rc, "3e773baebac2051f"}, {"clos", clos, "c8fd40936535289f"}} {
 		if got := runKey(c.rc); got != c.want {
 			t.Errorf("%s run key = %s, want %s", c.name, got, c.want)
 		}
