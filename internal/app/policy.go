@@ -142,7 +142,6 @@ type breakerState struct {
 	outcomes  uint8          // the last n outcomes, newest in bit 0; 1 = timeout
 	n         int
 	openUntil units.Time
-	opened    int // cumulative open transitions
 }
 
 // open reports whether the breaker is shedding at time now.
@@ -164,7 +163,6 @@ func (b *breakerState) record(timeout bool, now units.Time) {
 	}
 	if b.n == breakerWindow && bits.OnesCount8(b.outcomes) >= breakerThreshold*breakerWindow {
 		b.openUntil = now.Add(b.cooldown)
-		b.opened++
 		b.outcomes, b.n = 0, 0
 	}
 }
