@@ -4,6 +4,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"slices"
 
@@ -202,6 +203,9 @@ func newModule(cfg Config, sw *device.Switch) *Module {
 	// VOQ grouping applies to middle-layer switches only (3-tier aggs),
 	// which forward both upstream and windowed downstream traffic.
 	m.grouped = cfg.VOQGrouping && node.Layer == topo.LayerAgg
+	if m.grouped && cfg.MaxVOQs < 2 {
+		panic(fmt.Sprintf("core.Config.MaxVOQs is %d with VOQGrouping on: an aggregation switch splits its pool into two groups and needs at least 2", cfg.MaxVOQs))
+	}
 	return m
 }
 
@@ -393,26 +397,16 @@ func (m *Module) allocVOQ(w *dstState) {
 }
 
 // hashVOQ picks an allocated VOQ in the group via CRC-32 of the dst.
+// Every group owns at least one VOQ (newModule rejects a grouped pool
+// under 2), and a VOQ is off its free list exactly while it holds a
+// destination, so with the group's free list empty every VOQ of the
+// group is a candidate.
 func (m *Module) hashVOQ(dst packet.NodeID, group int) *voq {
 	var candidates []*voq
 	for _, v := range m.voqs {
 		if len(v.dsts) > 0 && (!m.grouped || v.group == group) {
 			candidates = append(candidates, v)
 		}
-	}
-	if len(candidates) == 0 {
-		// Degenerate pool (MaxVOQs too small for the group): fall back
-		// to any allocated VOQ, then to index 0.
-		for _, v := range m.voqs {
-			if len(v.dsts) > 0 {
-				candidates = append(candidates, v)
-			}
-		}
-	}
-	if len(candidates) == 0 {
-		m.inUse++
-		m.sw.Net().VOQs(1, m.inUse)
-		return m.voqs[0]
 	}
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], uint32(dst))

@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"floodgate/internal/core"
@@ -161,6 +163,45 @@ func TestVOQGroupingSplitsPool(t *testing.T) {
 			}
 		} else if m.Grouped() {
 			t.Fatalf("%s (layer %v) grouped but should not be", sw.Node().Name(), sw.Node().Layer)
+		}
+	}
+}
+
+// TestGroupedPoolNeedsTwoVOQs: a grouped aggregation switch splits its
+// pool in two, so a pool under 2 leaves group 0 without a VOQ; the
+// module factory rejects it, naming the fields, instead of letting
+// hashVOQ borrow a VOQ the group does not own.
+func TestGroupedPoolNeedsTwoVOQs(t *testing.T) {
+	for _, tc := range []struct {
+		voqs     int
+		grouping bool
+		panics   bool
+	}{
+		{1, true, true},
+		{0, true, true},
+		{2, true, false},
+		{1, false, false},
+	} {
+		c := topo.FatTree(4)
+		fg := core.DefaultConfig(14 * units.KB)
+		fg.MaxVOQs, fg.VOQGrouping = tc.voqs, tc.grouping
+		msg := func() (msg string) {
+			defer func() {
+				if r := recover(); r != nil {
+					msg = fmt.Sprint(r)
+				}
+			}()
+			device.New(device.Config{Topo: c.Build(), Engine: sim.NewEngine(), FC: core.New(fg)})
+			return ""
+		}()
+		if !tc.panics {
+			if msg != "" {
+				t.Errorf("MaxVOQs %d, grouping %v: unexpected panic %q", tc.voqs, tc.grouping, msg)
+			}
+			continue
+		}
+		if !strings.Contains(msg, "core.Config.MaxVOQs") || !strings.Contains(msg, "VOQGrouping") {
+			t.Errorf("MaxVOQs %d, grouping %v: panic %q does not name core.Config.MaxVOQs and VOQGrouping", tc.voqs, tc.grouping, msg)
 		}
 	}
 }
