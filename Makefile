@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt test race vet lint fuzz bench bench-test examples profile loc ci
+.PHONY: build fmt test race vet lint fuzz bench bench-test profile loc ci
 
 build:
 	$(GO) build ./...
@@ -60,12 +60,6 @@ bench:
 bench-test:
 	$(GO) -C bench test ./...
 
-# Build and run every example with its default flags, so the examples
-# stay working code and not only compiling code. They print to stdout
-# and write no files; paramsweep and incastmix take about 5 s each.
-examples:
-	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d || exit 1; done
-
 # CPU + heap profile of the macro incast benchmark, of the flow
 # lifecycle under Memcached churn (the go-test twin of the ledger's
 # memcached_churn_dcqcn), of set-up on the 102,400-host Clos (the twin
@@ -85,10 +79,10 @@ profile:
 	@echo "profiles written: cpu.out mem.out cpu.churn.out mem.churn.out cpu.clos.out mem.clos.out cpu.sim.out (go tool pprof <file>)"
 
 # ROADMAP's size count: non-test Go lines outside bench/, in total and
-# per internal package, command and the examples (the "small" aim, read
-# from one command; the linter is internal/lint plus cmd/floodlint).
+# per internal package and command (the "small" aim, read from one
+# command; the linter is internal/lint plus cmd/floodlint).
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l | xargs echo total
-	@for d in internal/*/ cmd/*/ examples/; do find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l | xargs echo $$d; done
+	@for d in internal/*/ cmd/*/; do find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l | xargs echo $$d; done
 
-ci: build fmt lint test race bench-test examples
+ci: build fmt lint test race bench-test

@@ -18,8 +18,9 @@
 //   - Devices: NewNetwork exposes the raw simulator (switches, hosts,
 //     flows) for custom studies.
 //
-// The facade re-exports what the examples, the CLI and the README use;
-// everything else stays in the internal packages it comes from.
+// The facade re-exports what the CLI, the README and the package's
+// tests and Examples use; everything else stays in the internal
+// packages it comes from.
 //
 // Everything is deterministic given (configuration, seed).
 package floodgate
@@ -119,11 +120,6 @@ func WithFloodgate(o Options, s Scheme, baseBDP ByteSize) Scheme {
 	return exp.WithFloodgate(o, s, baseBDP)
 }
 
-// WithIdeal layers the strawman (ideal) Floodgate design over a scheme.
-func WithIdeal(o Options, s Scheme, baseBDP ByteSize) Scheme {
-	return exp.WithIdeal(o, s, baseBDP)
-}
-
 // FloodgateConfig is the switch-module configuration (§4 parameters).
 type FloodgateConfig = core.Config
 
@@ -139,11 +135,6 @@ func DefaultFloodgateConfig(baseBDP ByteSize) FloodgateConfig { return core.Defa
 // IdealFloodgateConfig returns the strawman binding.
 func IdealFloodgateConfig(baseBDP ByteSize) FloodgateConfig { return core.IdealConfig(baseBDP) }
 
-// WithFloodgateConfig layers an explicit Floodgate configuration.
-func WithFloodgateConfig(s Scheme, cfg FloodgateConfig, suffix string) Scheme {
-	return exp.WithFloodgateCfg(s, cfg, suffix)
-}
-
 // RunConfig assembles one simulation run; RunResult carries its
 // statistics collector.
 type (
@@ -154,12 +145,6 @@ type (
 // Run executes one simulation run to completion (workload window plus
 // drain) and returns the collected statistics.
 func Run(rc RunConfig) *RunResult { return exp.Run(rc) }
-
-// RunMany executes independent simulation runs across a worker pool
-// sized by the first config's Options.Parallelism (0 = all cores) and
-// returns results by submission index. Results are bit-identical to
-// calling Run in a loop; see DESIGN.md §"Parallel execution".
-func RunMany(rcs []RunConfig) []*RunResult { return exp.RunMany(rcs) }
 
 // ---- Faults ----
 
@@ -200,16 +185,11 @@ func RunFaultScenario(name string, o Options) ([]Table, error) {
 // ---- Topologies ----
 
 // Topology is an immutable fabric with routing, built from a
-// leaf–spine or Clos config (DefaultLeafSpine, FatTree).
+// leaf–spine config (DefaultLeafSpine).
 type Topology = topo.Topology
 
-// Paper topologies: the §6 leaf–spine and the k-ary fat tree, whose
-// §6.2 instance is DefaultFatTree (k=8).
-var (
-	DefaultLeafSpine = topo.DefaultLeafSpine
-	DefaultFatTree   = topo.DefaultFatTree
-	FatTree          = topo.FatTree
-)
+// DefaultLeafSpine returns the paper's §6 leaf–spine.
+var DefaultLeafSpine = topo.DefaultLeafSpine
 
 // TopoPresets lists the -topo preset names with one-line descriptions,
 // in menu order (floodsim -topo list; only scaleincast reads
@@ -230,7 +210,6 @@ type (
 	CDF           = workload.CDF
 	FlowSpec      = workload.FlowSpec
 	PoissonConfig = workload.PoissonConfig
-	IncastConfig  = workload.IncastConfig
 )
 
 // The paper's four Fig 7 workloads.
@@ -242,8 +221,6 @@ var (
 // Workload generators.
 var (
 	Poisson          = workload.Poisson
-	Incast           = workload.Incast
-	MergeSpecs       = workload.Merge
 	CrossRackSenders = workload.CrossRackSenders
 )
 
@@ -281,12 +258,8 @@ func NewFloodgate(cfg FloodgateConfig) device.FCFactory { return core.New(cfg) }
 // Category tags flows for the victim analysis.
 type Category = stats.Category
 
-// Flow categories.
-const (
-	CatIncast       = stats.CatIncast
-	CatVictimIncast = stats.CatVictimIncast
-	CatVictimPFC    = stats.CatVictimPFC
-)
+// CatIncast tags the incast flows themselves.
+const CatIncast = stats.CatIncast
 
 // FCTStats reduces samples to (average, p99).
 var FCTStats = stats.FCTStats
