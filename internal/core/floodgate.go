@@ -870,7 +870,7 @@ func (m *Module) Restart() {
 }
 
 // Resyncs reports how many upstream-restart resynchronizations this
-// switch performed (tests and fault reports).
+// switch performed (the benchmark ledger's core.resyncs).
 func (m *Module) Resyncs() int { return m.resyncs }
 
 // StallReport implements device.StallReporter for watchdog diagnoses.
